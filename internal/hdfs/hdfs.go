@@ -116,6 +116,7 @@ func (f *File) Records() []Record {
 // VM, whose disk and NIC the I/O paths charge through xen.VM.
 type Datanode struct {
 	VM     *xen.VM
+	index  int // position in Cluster.datanodes
 	blocks map[int]*Block
 	used   float64
 	dead   bool
@@ -126,6 +127,10 @@ func (d *Datanode) Used() float64 { return d.used }
 
 // NumBlocks returns the number of block replicas held.
 func (d *Datanode) NumBlocks() int { return len(d.blocks) }
+
+// Index returns the datanode's registration index: its position in
+// Cluster.Datanodes(), stable for the cluster's lifetime.
+func (d *Datanode) Index() int { return d.index }
 
 // Alive reports whether the datanode is serving.
 func (d *Datanode) Alive() bool {
@@ -173,7 +178,7 @@ func (c *Cluster) Namenode() *xen.VM { return c.namenode }
 
 // AddDatanode registers vm as a datanode and returns its handle.
 func (c *Cluster) AddDatanode(vm *xen.VM) *Datanode {
-	d := &Datanode{VM: vm, blocks: make(map[int]*Block)}
+	d := &Datanode{VM: vm, index: len(c.datanodes), blocks: make(map[int]*Block)}
 	c.datanodes = append(c.datanodes, d)
 	return d
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"vhadoop/internal/core"
+	"vhadoop/internal/mapreduce"
 	"vhadoop/internal/obs"
 	"vhadoop/internal/sim"
 	"vhadoop/internal/workloads"
@@ -125,6 +126,16 @@ type Tenant struct {
 	// into a stall spiral.
 	preemptedAt sim.Time
 
+	// pick caches pickJob's answer for scheduler tick pickTick. It depends
+	// only on this tenant's queue and reservations (and per-tick constants),
+	// so dispatch — the one thing that changes either mid-tick — clears it.
+	pick     *Job
+	pickTick int
+
+	// Interned per-tenant series of the jobsvc_tenant_* vecs.
+	slots     *obs.Gauge
+	completed *obs.Counter
+
 	stats TenantStats
 }
 
@@ -170,7 +181,6 @@ func (st JobState) String() string {
 // Job is one admitted submission.
 type Job struct {
 	id       int
-	seq      int
 	tenant   *Tenant
 	spec     workloads.Spec
 	priority int
@@ -190,6 +200,16 @@ type Job struct {
 	err       error
 	done      *sim.Done
 	span      *obs.Span
+
+	// inputs and wantMaps/wantReduces are spec.Inputs() and spec.Demand(),
+	// captured at Submit: both are pure, and the scheduler consults them
+	// for every queued job on every tick.
+	inputs      []string
+	wantMaps    int
+	wantReduces int
+	// score is the job's locality score as of scheduler tick scoreTick.
+	score     float64
+	scoreTick int
 
 	demMaps    int // demand clamped to cluster totals at dispatch
 	demReduces int
@@ -254,7 +274,11 @@ type Service struct {
 	resReduces     int
 	nextID         int
 	committedBytes float64
-	dispatched     []*Job // running jobs, dispatch order (for completions)
+
+	// tick counts scheduler rounds (first round is 1, so zero-valued
+	// stamps never match); view is the round's locality snapshot.
+	tick int
+	view *mapreduce.LocalityView
 
 	backfills   int
 	preemptions int
@@ -289,7 +313,11 @@ func (s *Service) Register(name string, weight float64, opts ...TenantOption) (*
 	if _, dup := s.byName[name]; dup {
 		return nil, fmt.Errorf("jobsvc: tenant %q already registered", name)
 	}
-	t := &Tenant{name: name, weight: weight}
+	t := &Tenant{
+		name: name, weight: weight,
+		slots:     s.instr.tenantSlots.With(name),
+		completed: s.instr.tenantCompleted.With(name),
+	}
 	for _, o := range opts {
 		o(t)
 	}
@@ -345,14 +373,15 @@ func (s *Service) Submit(p *sim.Proc, tenant string, spec workloads.Spec, opts .
 	s.nextID++
 	j := &Job{
 		id:        s.nextID,
-		seq:       s.nextID,
 		tenant:    t,
 		spec:      spec,
+		inputs:    spec.Inputs(),
 		collect:   true,
 		state:     Queued,
 		submitted: s.pl.Engine.Now(),
 		done:      sim.NewDone(s.pl.Engine),
 	}
+	j.wantMaps, j.wantReduces = spec.Demand()
 	for _, o := range opts {
 		o(j)
 	}

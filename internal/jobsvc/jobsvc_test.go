@@ -9,6 +9,7 @@ import (
 	"vhadoop/internal/jobsvc"
 	"vhadoop/internal/sim"
 	"vhadoop/internal/workloads"
+	"vhadoop/internal/xen"
 )
 
 // Assertions inside pl.Run drivers and spawned procs must be reported by
@@ -294,5 +295,89 @@ func TestQuotaCapsConcurrency(t *testing.T) {
 	}
 	if svc.Stats()[0].Completed != 4 {
 		t.Fatalf("completed = %d", svc.Stats()[0].Completed)
+	}
+}
+
+// TestLocalityBreaksTies submits two jobs that tie on deadline (none) and
+// priority (default) under a one-job-at-a-time quota. With both inputs
+// equally local the earlier submission wins; once the tasktracker beside
+// the first job's only input replica is out of service, the locality
+// tie-break — and nothing else — must pick the second job instead.
+func TestLocalityBreaksTies(t *testing.T) {
+	firstRunning := func(decommission bool) (string, error) {
+		opts := testOpts(5, 29)
+		opts.HDFS.Replication = 1
+		pl := core.MustNewPlatform(opts)
+		svc := jobsvc.New(pl, jobsvc.Config{Tick: 2})
+		if _, err := svc.Register("acct", 1, jobsvc.WithQuota(1, 1)); err != nil {
+			return "", err
+		}
+		first := ""
+		_, err := pl.Run(func(p *sim.Proc) error {
+			// Replication is 1 and placement random: stage inputs until two
+			// sit on different datanodes, whatever the placement RNG does.
+			holder := func(name string) (*xen.VM, error) {
+				if err := tinyWC(name).Stage(p, pl); err != nil {
+					return nil, err
+				}
+				f, err := pl.DFS.Lookup("/jsvc/" + name)
+				if err != nil {
+					return nil, err
+				}
+				return f.Blocks[0].Replicas[0].VM, nil
+			}
+			va, err := holder("a")
+			if err != nil {
+				return err
+			}
+			other := ""
+			for i := 0; i < 16 && other == ""; i++ {
+				name := fmt.Sprintf("b%d", i)
+				vb, err := holder(name)
+				if err != nil {
+					return err
+				}
+				if vb != va {
+					other = name
+				}
+			}
+			if other == "" {
+				return fmt.Errorf("16 inputs all landed on %s", va.Name)
+			}
+			a, err := svc.Submit(p, "acct", tinyWC("a"), jobsvc.WithoutOutput())
+			if err != nil {
+				return err
+			}
+			b, err := svc.Submit(p, "acct", tinyWC(other), jobsvc.WithoutOutput())
+			if err != nil {
+				return err
+			}
+			if decommission {
+				for _, tr := range pl.MR.Trackers() {
+					if tr.VM == va {
+						pl.MR.DecommissionTracker(tr)
+					}
+				}
+			}
+			svc.Start()
+			p.Sleep(1) // the scheduler's first tick runs at the current instant
+			switch {
+			case a.State() == jobsvc.Running && b.State() == jobsvc.Queued:
+				first = "a"
+			case b.State() == jobsvc.Running && a.State() == jobsvc.Queued:
+				first = "b"
+			default:
+				return fmt.Errorf("after one tick a is %v and b is %v, want exactly one running", a.State(), b.State())
+			}
+			svc.Drain(p)
+			return nil
+		})
+		return first, err
+	}
+	if first, err := firstRunning(false); err != nil || first != "a" {
+		t.Fatalf("equal locality: first dispatched = %q (err %v), want a by submission order", first, err)
+	}
+	if first, err := firstRunning(true); err != nil || first != "b" {
+		t.Fatalf("a's holder out of service: first dispatched = %q (err %v), want b by locality", first, err)
 	}
 }

@@ -2,6 +2,7 @@ package jobsvc
 
 import (
 	"fmt"
+	"strconv"
 
 	"vhadoop/internal/mapreduce"
 	"vhadoop/internal/sim"
@@ -46,6 +47,10 @@ func (s *Service) schedLoop(p *sim.Proc) {
 
 // tickOnce is one scheduler decision round at virtual time now.
 func (s *Service) tickOnce(now sim.Time) {
+	// No proc yields inside a tick, so what the view snapshots (liveness,
+	// free map slots) holds until the tick ends: one view serves every pick.
+	s.tick++
+	s.view = s.pl.MR.LocalityView()
 	s.integrate()
 	blocked, dm, dr, dispatched := s.dispatchPass(now)
 	if s.cfg.Preemption && blocked != nil {
@@ -69,7 +74,7 @@ func (s *Service) failUnschedulable(now sim.Time) {
 	for _, t := range s.tenants {
 		kept := t.queue[:0]
 		for _, j := range t.queue {
-			dm, dr := clampDemand(j.spec, totM, totR)
+			dm, dr := j.demand(totM, totR)
 			if (t.quotaMaps > 0 && dm > t.quotaMaps) || (t.quotaReduces > 0 && dr > t.quotaReduces) {
 				s.queued--
 				j.state = Failed
@@ -119,7 +124,7 @@ func (s *Service) integrate() {
 			t.stats.ContendedSlotSeconds += busy
 			t.stats.ContendedReservedSlotSeconds += res
 		}
-		s.instr.tenantSlots.With(t.name).Set(float64(m + r))
+		t.slots.Set(float64(m + r))
 	}
 }
 
@@ -138,24 +143,21 @@ func (t *Tenant) dominantShare(totM, totR int, tick sim.Time) float64 {
 	if totR > 0 {
 		dr = (t.cumReduceSec + float64(t.resReduces)*float64(tick)) / float64(totR)
 	}
-	ds := dm
-	if dr > ds {
-		ds = dr
-	}
-	return ds / t.weight
+	return max(dm, dr) / t.weight
 }
 
-// clampDemand bounds a job's slot demand to the cluster's totals, so jobs
+// demand bounds the job's slot demand to the cluster's totals, so jobs
 // wider than the cluster still become dispatchable when it is idle.
-func clampDemand(spec interface{ Demand() (int, int) }, totM, totR int) (int, int) {
-	dm, dr := spec.Demand()
-	if dm > totM {
-		dm = totM
+func (j *Job) demand(totM, totR int) (int, int) {
+	return min(j.wantMaps, totM), min(j.wantReduces, totR)
+}
+
+// locality is j's score against this tick's view, computed once a tick.
+func (s *Service) locality(j *Job) float64 {
+	if j.scoreTick != s.tick {
+		j.score, j.scoreTick = s.view.Score(j.inputs), s.tick
 	}
-	if dr > totR {
-		dr = totR
-	}
-	return dm, dr
+	return j.score
 }
 
 // underQuota reports whether dispatching demand (dm, dr) keeps the tenant
@@ -180,9 +182,8 @@ func (s *Service) fits(dm, dr, totM, totR int) bool {
 // descending, then — among jobs tying on both — the best
 // locality score over the job's declared inputs, then submission order.
 // Jobs whose demand would break the tenant's quota are passed over.
-func (s *Service) pickJob(t *Tenant, totM, totR int) (*Job, int, int) {
+func (s *Service) pickJob(t *Tenant, totM, totR int) *Job {
 	var best *Job
-	var bestDM, bestDR int
 	ties := 0
 	better := func(a, b *Job) int {
 		// Returns <0 if a precedes b, 0 if tied before locality.
@@ -207,31 +208,26 @@ func (s *Service) pickJob(t *Tenant, totM, totR int) (*Job, int, int) {
 		return 0
 	}
 	for _, j := range t.queue {
-		dm, dr := clampDemand(j.spec, totM, totR)
-		if !t.underQuota(dm, dr) {
+		if !t.underQuota(j.demand(totM, totR)) {
 			continue
 		}
 		if best == nil {
-			best, bestDM, bestDR = j, dm, dr
-			ties = 1
+			best, ties = j, 1
 			continue
 		}
 		switch better(j, best) {
 		case -1:
-			best, bestDM, bestDR = j, dm, dr
-			ties = 1
+			best, ties = j, 1
 		case 0:
 			ties++
 			// Locality tiebreak, bounded to the first few ties so one
 			// huge queue cannot turn a tick into a full HDFS scan.
-			if ties <= 8 {
-				if s.pl.MR.LocalityScore(j.spec.Inputs()) > s.pl.MR.LocalityScore(best.spec.Inputs()) {
-					best, bestDM, bestDR = j, dm, dr
-				}
+			if ties <= 8 && s.locality(j) > s.locality(best) {
+				best = j
 			}
 		}
 	}
-	return best, bestDM, bestDR
+	return best
 }
 
 // dispatchPass serves tenants in dominant-share order while slots and the
@@ -242,25 +238,27 @@ func (s *Service) dispatchPass(now sim.Time) (blocked *Job, bdm, bdr, dispatched
 	totM, totR := s.pl.MR.SlotTotals()
 	for s.running < s.cfg.MaxRunning && s.queued > 0 {
 		var t *Tenant
-		var j *Job
-		var dm, dr int
 		bestDS := 0.0
 		for _, cand := range s.tenants {
 			if len(cand.queue) == 0 {
 				continue
 			}
-			cj, cdm, cdr := s.pickJob(cand, totM, totR)
-			if cj == nil {
+			if cand.pickTick != s.tick {
+				cand.pick, cand.pickTick = s.pickJob(cand, totM, totR), s.tick
+			}
+			if cand.pick == nil {
 				continue
 			}
 			ds := cand.dominantShare(totM, totR, s.cfg.Tick)
 			if t == nil || ds < bestDS {
-				t, j, dm, dr, bestDS = cand, cj, cdm, cdr, ds
+				t, bestDS = cand, ds
 			}
 		}
-		if j == nil {
+		if t == nil {
 			return nil, 0, 0, dispatched
 		}
+		j := t.pick
+		dm, dr := j.demand(totM, totR)
 		if s.fits(dm, dr, totM, totR) {
 			s.dispatch(j, dm, dr, now, false)
 			dispatched++
@@ -294,7 +292,7 @@ func (s *Service) findBackfill(head *Job, totM, totR int) (*Job, int, int) {
 			if j == head {
 				continue
 			}
-			dm, dr := clampDemand(j.spec, totM, totR)
+			dm, dr := j.demand(totM, totR)
 			if t.underQuota(dm, dr) && s.fits(dm, dr, totM, totR) {
 				return j, dm, dr
 			}
@@ -370,6 +368,7 @@ func (s *Service) preemptPass(now sim.Time, blocked *Job, dm, dr int) {
 // submission options.
 func (s *Service) dispatch(j *Job, dm, dr int, now sim.Time, backfill bool) {
 	t := j.tenant
+	t.pickTick = 0 // queue and reservations change below
 	for i, q := range t.queue {
 		if q == j {
 			t.queue = append(t.queue[:i], t.queue[i+1:]...)
@@ -392,7 +391,7 @@ func (s *Service) dispatch(j *Job, dm, dr int, now sim.Time, backfill bool) {
 	s.instr.waitHist.Observe(float64(wait))
 	j.span = s.pl.Obs.Start(kindJobsvc, "jobsvc:"+j.spec.Workload(), nil)
 	j.span.SetAttr("tenant", t.name)
-	j.span.SetAttr("job", fmt.Sprintf("%d", j.id))
+	j.span.SetAttr("job", strconv.Itoa(j.id))
 	if backfill {
 		j.span.SetAttr("backfill", "true")
 	}
@@ -429,7 +428,7 @@ func (s *Service) complete(p *sim.Proc, j *Job, res workloads.Result, err error)
 		j.state = Done
 		t.stats.Completed++
 		s.instr.completed.Inc()
-		s.instr.tenantCompleted.With(t.name).Inc()
+		t.completed.Inc()
 		j.span.SetAttr("outcome", "done")
 	}
 	if j.deadline > 0 && j.finished > j.deadline {

@@ -521,23 +521,50 @@ func (c *Cluster) TenantSlots(tenant string) (maps, reduces int) {
 // PendingTasks returns the depth of the cross-job pending queue.
 func (c *Cluster) PendingTasks() int { return len(c.pending) }
 
-// LocalityScore reports the fraction of the named input files' blocks that
-// currently have a replica on an alive tasktracker with a free map slot —
-// the placement signal the job service's locality-aware dispatch uses.
-// Files not (yet) in HDFS contribute no blocks; with no resolvable blocks
-// at all the score is 0.
-func (c *Cluster) LocalityScore(inputs []string) float64 {
+// LocalityView is a snapshot of which datanodes can feed a local map task
+// right now: free[i] is set when datanode i (hdfs.Datanode.Index) is alive
+// on a VM whose tasktracker is alive with a free map slot. It carries no
+// invalidation — a view is valid only until the proc that took it next
+// yields, which is why the job service takes one per scheduler tick.
+type LocalityView struct {
+	dfs  *hdfs.Cluster
+	free []bool
+}
+
+// LocalityView snapshots the cluster's current placement state.
+func (c *Cluster) LocalityView() *LocalityView {
+	dns := c.dfs.Datanodes()
+	v := &LocalityView{dfs: c.dfs, free: make([]bool, len(dns))}
+	for _, tr := range c.trackers {
+		if !tr.Alive() || tr.mapFree <= 0 {
+			continue
+		}
+		for i, d := range dns {
+			if d.VM == tr.VM && d.Alive() {
+				v.free[i] = true
+			}
+		}
+	}
+	return v
+}
+
+// Score reports the fraction of the named input files' blocks that have a
+// replica on an alive tasktracker with a free map slot — the placement
+// signal the job service's locality-aware dispatch uses. Files not (yet)
+// in HDFS contribute no blocks; with no resolvable blocks at all the
+// score is 0.
+func (v *LocalityView) Score(inputs []string) float64 {
 	blocks, local := 0, 0
 	for _, name := range inputs {
 		//vhlint:allow errflow -- the error is the answer: Lookup failing means "not yet staged", and such a file contributes no blocks to the score
-		f, err := c.dfs.Lookup(name)
+		f, err := v.dfs.Lookup(name)
 		if err != nil {
 			continue
 		}
+		blocks += len(f.Blocks)
 		for _, b := range f.Blocks {
-			blocks++
-			for _, tr := range c.trackers {
-				if tr.Alive() && tr.mapFree > 0 && c.dfs.IsLocal(b, tr.VM) {
+			for _, d := range b.Replicas {
+				if v.free[d.Index()] {
 					local++
 					break
 				}

@@ -9,6 +9,8 @@ package vhadoop_test
 // identically every time.
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"vhadoop/internal/faults"
@@ -79,6 +81,24 @@ func TestJobsvcBacklogDeterministic(t *testing.T) {
 	want := backlogArtifacts(base)
 	shardtest.RequireIdentical(t, "rerun", want, backlogArtifacts(run(1)))
 	shardtest.RequireIdentical(t, "shards=4", want, backlogArtifacts(run(4)))
+}
+
+// TestJobsvcBacklogGolden pins a small mixed backlog's report and trace —
+// every admission, pick, backfill and completion time — to the digest the
+// scheduler produced before its locality probe and picks were cached (PR
+// 20). A scheduler optimisation must keep it; a policy change must say so
+// and move it.
+func TestJobsvcBacklogGolden(t *testing.T) {
+	const golden = "d4dd137d0315d5ca5da78fdf87643abb6c36bfaad413fb417e71a964c479f71a"
+	o := bigBacklog(1)
+	o.Tenants, o.Jobs = 20, 200
+	r, err := backlog.Run(o)
+	if err != nil {
+		t.Fatalf("backlog run failed: %v", err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(r.Report+r.Trace))); got != golden {
+		t.Fatalf("report+trace sha256 = %s, want %s: the scheduler's decisions changed", got, golden)
+	}
 }
 
 // TestJobsvcChaosBacklogDeterministic drives a 20-job backlog through a
