@@ -411,67 +411,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineThroughputSharded measures the sharded event loop on a
-// synthetic multi-domain workload: 8 ownership domains no matter the shard
-// count, 4 processes per domain, each stepping through a CPU-bound update
-// of domain-owned state followed by an LCG-drawn sleep, with every 8th step
-// sending cross-domain at the lookahead horizon. Holding the domain count
-// fixed keeps the event stream identical across widths, so shards-1 (the
-// plain sequential loop) is the baseline the parallel widths are read
-// against.
-func BenchmarkEngineThroughputSharded(b *testing.B) {
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
-			var end sim.Time
-			for i := 0; i < b.N; i++ {
-				end = runShardedThroughput(int64(i+1), n)
-			}
-			reportVsec(b, end)
-		})
-	}
-}
-
-// runShardedThroughput is one iteration of the sharded throughput bench.
-func runShardedThroughput(seed int64, shards int) sim.Time {
-	const (
-		domains   = 8
-		procsPer  = 4
-		steps     = 200
-		lookahead = 1.0
-	)
-	e := sim.New(seed, sim.WithShards(shards), sim.WithLookahead(lookahead))
-	state := make([]uint64, domains)
-	for d := 0; d < domains; d++ {
-		dom := sim.Domain(d + 1)
-		for q := 0; q < procsPer; q++ {
-			lcg := uint64(seed)*0x9e3779b97f4a7c15 + uint64(d*procsPer+q+1)
-			e.SpawnOn(dom, fmt.Sprintf("w%d.%d", d, q), func(p *sim.Proc) {
-				for s := 0; s < steps; s++ {
-					// CPU-bound phase on domain-owned state: this is the work
-					// a wider engine spreads across cores.
-					acc := state[d]
-					for k := 0; k < 2000; k++ {
-						acc = acc*6364136223846793005 + 1442695040888963407
-						acc ^= acc >> 29
-					}
-					state[d] = acc
-					lcg = lcg*6364136223846793005 + 1442695040888963407
-					p.Sleep(lookahead + sim.Time(lcg>>40%512)/512.0)
-					if s%8 == 7 {
-						tgt := sim.Domain(int(lcg>>16)%domains + 1)
-						p.Send(tgt, lookahead+sim.Time(lcg>>8%256)/256.0, func() {
-							state[tgt-1] += 7
-						})
-					}
-				}
-			})
-		}
-	}
-	end := e.Run()
-	e.Shutdown()
-	return end
-}
-
 // BenchmarkAblationPlacement compares flat-rack HDFS (the paper's
 // unconfigured clusters) against PM-aware placement + selection on a
 // cross-domain cluster.

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"testing"
 
+	"vhadoop/internal/difftest"
 	"vhadoop/internal/faults"
 	"vhadoop/internal/faults/chaostest"
 	"vhadoop/internal/obs"
@@ -80,37 +81,83 @@ func runChaosSuite(t *testing.T, w chaostest.Workload, seeds []int64) {
 			if err != nil {
 				t.Fatalf("replay failed where the first run passed: %v", err)
 			}
-			if r2.Trace != r1.Trace {
-				t.Fatalf("trace not reproducible: %d vs %d bytes\nfirst divergence: %q",
-					len(r1.Trace), len(r2.Trace), firstDiff(r1.Trace, r2.Trace))
-			}
-			if r2.End != r1.End {
-				t.Fatalf("end time not reproducible: %v vs %v", r1.End, r2.End)
-			}
+			difftest.RequireIdentical(t, "replay",
+				[]difftest.Digest{{Name: "trace", Data: r1.Trace}, {Name: "end", Data: fmt.Sprint(r1.End)}},
+				[]difftest.Digest{{Name: "trace", Data: r2.Trace}, {Name: "end", Data: fmt.Sprint(r2.End)}})
 		})
 	}
 }
 
-// firstDiff returns a window around the first byte where a and b differ.
-func firstDiff(a, b string) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+// chaosArtifacts flattens one chaos run into the comparable artifact set.
+func chaosArtifacts(r chaostest.Result, err error) []difftest.Digest {
+	errs := ""
+	if err != nil {
+		errs = err.Error()
 	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			lo := i - 40
-			if lo < 0 {
-				lo = 0
-			}
-			hi := i + 40
-			if hi > n {
-				hi = n
-			}
-			return a[lo:hi] + " <> " + b[lo:hi]
-		}
+	return []difftest.Digest{
+		{Name: "error", Data: errs},
+		{Name: "output", Data: r.Output},
+		{Name: "end", Data: fmt.Sprint(r.End)},
+		{Name: "trace", Data: r.Trace},
+		{Name: "metrics", Data: r.Metrics},
+		{Name: "spans", Data: r.TraceJSON},
 	}
-	return "length mismatch at common prefix"
+}
+
+// TestShardedPlatformDifferential keeps the name of the suite that once
+// diffed the sharded engine against the sequential one; with one engine
+// left, the second side is a rerun. Every workload × platform seed ×
+// fault schedule case runs twice and the full artifact set — error,
+// output, end time, event trace, metrics, spans — must match byte for
+// byte. It is the only chaos coverage of the canopy and DFSIO workloads.
+func TestShardedPlatformDifferential(t *testing.T) {
+	workloads := []chaostest.Workload{
+		chaostest.Wordcount(),
+		chaostest.TeraSort(),
+		chaostest.Canopy(),
+		chaostest.DFSIO(),
+	}
+	platformSeeds := []int64{42, 7, 1234}
+	schedules := []struct {
+		name string
+		seed int64
+	}{
+		{"fault-free", 0},
+		{"chaos5", 5},
+		{"chaos9", 9},
+	}
+	for _, w := range workloads {
+		t.Run(w.Name, func(t *testing.T) {
+			for _, pseed := range platformSeeds {
+				for _, sc := range schedules {
+					t.Run(fmt.Sprintf("seed%d/%s", pseed, sc.name), func(t *testing.T) {
+						var sched faults.Schedule
+						if sc.seed != 0 {
+							sched = chaostest.GenSchedule(sc.seed, 3, chaosHorizon)
+							if len(sched.Faults) == 0 {
+								t.Fatal("empty fault schedule: this case tests nothing")
+							}
+						}
+						r, err := chaostest.Run(w, pseed, sched)
+						if sc.seed == 0 && err != nil {
+							t.Fatalf("fault-free run failed: %v", err)
+						}
+						// Fault-free platform runs keep the engine trace empty by
+						// design (component events live in spans/metrics); only a
+						// faulted schedule is guaranteed trace lines.
+						if sc.seed != 0 && r.Trace == "" {
+							t.Fatal("faulted run produced no trace")
+						}
+						if r.Metrics == "" || r.TraceJSON == "" {
+							t.Fatal("run produced no observability artifacts")
+						}
+						r2, err2 := chaostest.Run(w, pseed, sched)
+						difftest.RequireIdentical(t, "rerun", chaosArtifacts(r, err), chaosArtifacts(r2, err2))
+					})
+				}
+			}
+		})
+	}
 }
 
 func TestChaosWordcount(t *testing.T) {

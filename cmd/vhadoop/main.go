@@ -24,8 +24,6 @@
 //	            (default "fig8-out")
 //	-chart LIST comma-separated nmon chart metrics by name: cpu, disk, net
 //	            (default "cpu,disk,net")
-//	-shards N   simulation shard workers (default 1, the sequential
-//	            engine; any N produces byte-identical results)
 package main
 
 import (
@@ -69,7 +67,6 @@ func runNmon(cfg experiments.Config, outDir string, charts []nmon.Metric) error 
 	opts := core.DefaultOptions()
 	opts.Seed = cfg.Seed
 	opts.Nodes = cfg.Nodes
-	opts.Shards = cfg.Shards
 	pl := core.MustNewPlatform(opts)
 	mon := nmon.New(pl.Engine, nmon.WithInterval(2.0), nmon.WithPlane(pl.Obs))
 	for _, vm := range pl.VMs {
@@ -121,7 +118,7 @@ func runNmon(cfg experiments.Config, outDir string, charts []nmon.Metric) error 
 func runChaos(cfg experiments.Config, outDir string) error {
 	sched := chaostest.GenSchedule(cfg.Seed, 3, 30)
 	fmt.Printf("chaos schedule (seed %d):\n%s", cfg.Seed, faults.EncodeString(sched))
-	res, err := chaostest.RunSharded(chaostest.Wordcount(), cfg.Seed, sched, cfg.Shards)
+	res, err := chaostest.Run(chaostest.Wordcount(), cfg.Seed, sched)
 	if err != nil {
 		return err
 	}
@@ -154,7 +151,6 @@ func main() {
 	quick := flag.Bool("quick", false, "trimmed sweeps")
 	out := flag.String("out", "fig8-out", "output directory for fig8 SVGs")
 	chart := flag.String("chart", "cpu,disk,net", "comma-separated nmon chart metrics (cpu, disk, net)")
-	shards := flag.Int("shards", 1, "simulation shard workers (1 = sequential engine)")
 	flag.Parse()
 
 	charts, err := parseCharts(*chart)
@@ -167,7 +163,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: vhadoop [flags] <table1|fig2|fig3|fig4a|fig4b|fig5|table2|fig6|fig7|fig8|nmon|chaos|jobsvc|all>")
 		os.Exit(2)
 	}
-	cfg := experiments.Config{Seed: *seed, Reps: *reps, Nodes: *nodes, Quick: *quick, Shards: *shards}
+	cfg := experiments.Config{Seed: *seed, Reps: *reps, Nodes: *nodes, Quick: *quick}
 
 	run := func(name string) error {
 		start := time.Now() //vhlint:allow simclock -- wall-clock progress reporting for the operator, not simulation state

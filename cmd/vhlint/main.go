@@ -20,17 +20,9 @@
 // "suppressed": true, but only active findings count toward the exit
 // status.
 //
-// -owners emits the ownership ledger instead of running the analyzers:
-// a deterministic JSON inventory of domain assignments, mutable
-// package-level state, and cross-domain writes with their waiver
-// status. CI regenerates it and diffs against the checked-in
-// SHARDLEDGER.json, so any change to the tree's sharding posture shows
-// up as a reviewable diff. The ledger also inventories every spawn
-// site with its inferred domain classification (the spawnsites
-// section). The exit status is 1 if the ledger records any unwaived
-// cross-domain write, or any confined spawn site still entering
-// through the Shared-implied Spawn/SpawnAfter APIs — the Shared-exit
-// migration invariant.
+// The analyzers (listed by -list) are maporder, simclock, hotalloc,
+// floataccum, detflow, errflow, lockfree and vhdirective; see package
+// internal/lint for what each enforces.
 package main
 
 import (
@@ -56,9 +48,8 @@ type jsonDiag struct {
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per finding, including suppressed ones")
-	owners := flag.Bool("owners", false, "emit the ownership ledger (SHARDLEDGER.json) instead of diagnostics")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: vhlint [-list] [-json] [-owners] [packages...]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: vhlint [-list] [-json] [packages...]\n\nAnalyzers:\n")
 		for _, a := range lint.All() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -82,31 +73,6 @@ func main() {
 	dirs, err := lint.Expand(wd, flag.Args())
 	if err != nil {
 		fatal(err)
-	}
-
-	if *owners {
-		led, err := lint.BuildLedger(loader, dirs)
-		if err != nil {
-			fatal(err)
-		}
-		out, err := led.Encode()
-		if err != nil {
-			fatal(err)
-		}
-		os.Stdout.Write(out)
-		bad := false
-		if n := led.UnwaivedCrossings(); n > 0 {
-			fmt.Fprintf(os.Stderr, "vhlint: %d unwaived cross-domain write(s)\n", n)
-			bad = true
-		}
-		if n := led.ConfinedOnSpawn(); n > 0 {
-			fmt.Fprintf(os.Stderr, "vhlint: %d confined spawn site(s) still on plain Spawn/SpawnAfter\n", n)
-			bad = true
-		}
-		if bad {
-			os.Exit(1)
-		}
-		return
 	}
 
 	enc := json.NewEncoder(os.Stdout)

@@ -85,12 +85,6 @@ type Options struct {
 	// TaskSampling records 1-in-n task spans when n > 1 (counters stay
 	// exact); 0 records every span. See obs.WithTaskSampling.
 	TaskSampling int
-
-	// Shards selects sharded simulation (sim.WithShards) when > 1. The
-	// engine's conservative lookahead is keyed to the fabric's minimum
-	// link latency. 0 or 1 is the plain sequential engine; either way the
-	// simulation's traces, snapshots and outputs are byte-identical.
-	Shards int
 }
 
 // DefaultOptions returns the paper's standard 16-node, 1 GiB-VM cluster in

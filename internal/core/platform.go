@@ -49,11 +49,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 	if opts.Nodes < 2 {
 		return nil, fmt.Errorf("core: need at least 2 nodes (1 master + 1 worker), got %d", opts.Nodes)
 	}
-	var simOpts []sim.Option
-	if opts.Shards > 1 {
-		simOpts = append(simOpts, sim.WithShards(opts.Shards))
-	}
-	e := sim.New(opts.Seed, simOpts...)
+	e := sim.New(opts.Seed)
 	plane := obs.New(e, obs.WithTaskSampling(opts.TaskSampling))
 	fabric := vnet.NewFabric(e)
 	topo := phys.NewTopology(e, fabric, opts.Params.SwitchBW, opts.Params.SwitchLat)
@@ -104,14 +100,6 @@ func NewPlatform(opts Options) (*Platform, error) {
 	pl.crossDomain = plane.Gauge("cluster_cross_domain")
 	pl.clusterVMs = plane.Gauge("cluster_vms")
 	plane.Registry().OnCollect(pl.collectPlatform)
-	// Conservative lookahead: no cross-machine event can take effect
-	// sooner than the fastest link propagates, so windows this wide are
-	// race-free by construction. Set unconditionally — at width 1 it is
-	// inert — so cross-domain Send/SpawnOnAfter delay checks behave the
-	// same whether or not the engine is sharded.
-	if min := fabric.MinLatency(); min > 0 {
-		e.SetLookahead(min)
-	}
 	return pl, nil
 }
 

@@ -21,11 +21,10 @@ import (
 
 // Config controls an experiment sweep.
 type Config struct {
-	Seed   int64
-	Reps   int  // repetitions averaged per configuration (paper: 3)
-	Nodes  int  // virtual cluster size for the static/migration studies
-	Quick  bool // trimmed sweeps (tests, smoke runs)
-	Shards int  // simulation shard workers; <=1 runs the sequential engine
+	Seed  int64
+	Reps  int  // repetitions averaged per configuration (paper: 3)
+	Nodes int  // virtual cluster size for the static/migration studies
+	Quick bool // trimmed sweeps (tests, smoke runs)
 }
 
 // DefaultConfig mirrors the paper's protocol.
@@ -49,7 +48,6 @@ func (c Config) platformOptions(layout core.Layout, seed int64) core.Options {
 		opts.Nodes = 16
 	}
 	opts.Layout = layout
-	opts.Shards = c.Shards
 	return opts
 }
 

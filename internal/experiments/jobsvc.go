@@ -39,7 +39,6 @@ func jobsvcBacklog(cfg Config, uniform bool) backlog.Options {
 	o := backlog.Options{
 		Nodes:   16,
 		Seed:    42,
-		Shards:  cfg.Shards,
 		Tenants: 100,
 		Jobs:    1000,
 		Uniform: uniform,

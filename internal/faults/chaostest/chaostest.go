@@ -57,9 +57,8 @@ func Canopy() Workload {
 }
 
 // DFSIO is the TestDFSIO write-then-read HDFS stress phase pair: the
-// non-MapReduce workload of the chaos matrix, covering the hdfs and
-// workloads spawn sites the spawn-domain ledger tracks. Its canonical
-// output is the two phase throughputs.
+// non-MapReduce workload of the chaos matrix. Its canonical output is the
+// two phase throughputs.
 func DFSIO() Workload {
 	return FromSpec(workloads.DFSIOSpec{Options: workloads.DFSIOOptions{Files: 6, FileBytes: 4e6}})
 }
@@ -126,20 +125,7 @@ func Canonical(out []mapreduce.KV) string {
 // the driver's: a completed chaos run means err == nil even though VMs and
 // machines died along the way.
 func Run(w Workload, platformSeed int64, schedule faults.Schedule) (Result, error) {
-	return runOn(w, Options(platformSeed), schedule)
-}
-
-// RunSharded is Run on a sharded simulation engine (sim.WithShards). Its
-// entire Result must be byte-identical to Run's for any shard count — the
-// property the top-level differential determinism suite pins.
-func RunSharded(w Workload, platformSeed int64, schedule faults.Schedule, shards int) (Result, error) {
-	opts := Options(platformSeed)
-	opts.Shards = shards
-	return runOn(w, opts, schedule)
-}
-
-func runOn(w Workload, opts core.Options, schedule faults.Schedule) (Result, error) {
-	pl := core.MustNewPlatform(opts)
+	pl := core.MustNewPlatform(Options(platformSeed))
 	var trace strings.Builder
 	pl.Engine.SetTrace(func(t sim.Time, format string, args ...any) {
 		trace.WriteString(strconv.FormatFloat(t, 'g', -1, 64))

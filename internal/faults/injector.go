@@ -66,7 +66,6 @@ func (sl *scaledLinks) retune() {
 		if bw < partitionFloor {
 			bw = partitionFloor
 		}
-		//vhlint:allow xdomain -- chaos harness degrades link bandwidth directly; a sharded engine would route this as a vnet-shard control event
 		l.SetBandwidth(bw)
 	}
 }
@@ -264,7 +263,6 @@ func (inj *Injector) resolve(f Fault) (func(), error) {
 			e.At(f.At, func() {
 				inj.note("hang %s until %.2f", f.Target, until)
 				sp = inj.fired(f)
-				//vhlint:allow xdomain -- chaos harness wedges the tracker daemon in place; a sharded engine would deliver this as a machine-shard fault event
 				tr.Hang(until)
 			})
 			e.At(until, func() { sp.Finish() })

@@ -417,8 +417,6 @@ func (c *Cluster) writeBlock(p *sim.Proc, client *xen.VM, b *Block, pipeline []*
 
 // streamBlock pushes one block through the pipeline. All hops and disk
 // writes run concurrently (streaming), so the block costs its slowest stage.
-//
-//vhlint:owner machine
 func (c *Cluster) streamBlock(p *sim.Proc, client *xen.VM, b *Block, pipeline []*Datanode) error {
 	e := p.Engine()
 	var stages []*sim.Proc
@@ -521,8 +519,6 @@ func (c *Cluster) ReadRange(p *sim.Proc, client *xen.VM, b *Block, bytes float64
 }
 
 // readFrom moves bytes of block b from replica d to the client.
-//
-//vhlint:owner machine
 func (c *Cluster) readFrom(p *sim.Proc, client *xen.VM, d *Datanode, b *Block, bytes float64) error {
 	if c.cfg.UseHostCache {
 		e := p.Engine()
@@ -646,8 +642,6 @@ func countLive(b *Block) int {
 // when the repair traffic flows). For each block a surviving replica streams
 // the data to a new target chosen like a fresh placement. Returns the number
 // of new replicas created.
-//
-//vhlint:owner machine
 func (c *Cluster) ReReplicate(p *sim.Proc) int {
 	created := 0
 	for _, b := range c.UnderReplicated() {

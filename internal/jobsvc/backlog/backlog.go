@@ -4,7 +4,7 @@
 // fair-share scheduler, and captures every comparable artifact — the
 // per-tenant report, the engine trace, the observability snapshot and
 // span trace. The determinism suite replays the same backlog across
-// reruns and shard widths and requires the artifacts byte-identical; the
+// reruns and requires the artifacts byte-identical; the
 // bench reuses the same harness to measure makespan, p99 wait and the
 // Jain fairness index at scale.
 package backlog
@@ -28,7 +28,6 @@ import (
 type Options struct {
 	Nodes   int   // platform size (default 16)
 	Seed    int64 // platform seed (default 1)
-	Shards  int   // >1 selects the sharded engine
 	Tenants int   // accounts; weights cycle 1..4 in registration order
 	Jobs    int   // total submissions, round-robin over tenants
 
@@ -55,7 +54,7 @@ type Options struct {
 }
 
 // Result is everything one backlog run produced. Every string field is
-// byte-reproducible for a fixed Options value, shard count included.
+// byte-reproducible for a fixed Options value.
 type Result struct {
 	Report  string // jobsvc canonical per-tenant report
 	Trace   string // full engine event trace
@@ -82,7 +81,7 @@ func tenantName(i int) string { return fmt.Sprintf("t%03d", i) }
 var wcSizes = [4]float64{8e6, 16e6, 48e6, 96e6}
 
 // specFor derives job j's workload from its index alone — no RNG, so the
-// mix is trivially identical across reruns and shard widths. Every 13th
+// mix is trivially identical across reruns. Every 13th
 // job is a slot-free DFSIO pair (backfill fodder); the rest are small
 // wordcounts whose inputs are shared per (tenant, size) so staging cost
 // stays bounded by the tenant population. The size index folds in the
@@ -140,7 +139,6 @@ func platformOpts(o Options) core.Options {
 	if o.Seed != 0 {
 		opts.Seed = o.Seed
 	}
-	opts.Shards = o.Shards
 	if o.Hardened {
 		opts.Layout = core.CrossDomain
 		opts.HDFS.PMAware = true

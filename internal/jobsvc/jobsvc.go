@@ -10,7 +10,7 @@
 // ticking on the virtual clock, every decision consumes only deterministic
 // inputs (registration order, submission sequence, cluster slot ledgers),
 // and a whole 100-tenant backlog replays byte-identically under a fixed
-// seed for any shard count.
+// seed.
 package jobsvc
 
 import (

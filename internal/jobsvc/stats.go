@@ -138,8 +138,8 @@ func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Report renders the service's full accounting as a canonical string: one
 // header line, one line per tenant in registration order, one footer with
-// the service-wide fairness numbers. Byte-identical across same-seed runs
-// and shard counts; the determinism suite pins it.
+// the service-wide fairness numbers. Byte-identical across same-seed runs;
+// the determinism suite pins it.
 func (s *Service) Report() string {
 	var b strings.Builder
 	var sub, done, fail, rej, pre, miss int

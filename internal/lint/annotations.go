@@ -12,7 +12,6 @@ const (
 	DirectiveAllow   = "allow"   // //vhlint:allow <analyzer> -- <reason>
 	DirectiveHot     = "hot"     // //vhlint:hot on a function's doc comment
 	DirectiveDetsafe = "detsafe" // //vhlint:detsafe -- <reason> on a function's doc comment
-	DirectiveOwner   = "owner"   // //vhlint:owner <domain> on a type, field, var or func
 	DirectiveBad     = "bad"     // malformed; Err explains why
 )
 
@@ -23,7 +22,6 @@ type Directive struct {
 	Kind     string
 	Analyzer string // for allow
 	Reason   string // for allow
-	Domain   string // for owner
 	Err      string // for bad
 	used     bool   // allow suppressed at least one diagnostic
 }
@@ -74,18 +72,6 @@ func parseDirective(text string) *Directive {
 			return &Directive{Kind: DirectiveBad, Err: fmt.Sprintf("malformed //vhlint:allow %s: missing '-- <reason>' justification", name)}
 		}
 		return &Directive{Kind: DirectiveAllow, Analyzer: name, Reason: reason}
-	case text == "owner" || strings.HasPrefix(text, "owner "):
-		rest := strings.TrimSpace(strings.TrimPrefix(text, "owner"))
-		if rest == "" {
-			return &Directive{Kind: DirectiveBad, Err: fmt.Sprintf("malformed //vhlint:owner: missing domain (known: %s)", strings.Join(DomainNames(), ", "))}
-		}
-		if i := strings.IndexAny(rest, " \t"); i >= 0 {
-			return &Directive{Kind: DirectiveBad, Err: fmt.Sprintf("malformed //vhlint:owner %q: exactly one domain expected", rest)}
-		}
-		if !knownDomain(rest) {
-			return &Directive{Kind: DirectiveBad, Err: fmt.Sprintf("//vhlint:owner names unknown domain %q (known: %s)", rest, strings.Join(DomainNames(), ", "))}
-		}
-		return &Directive{Kind: DirectiveOwner, Domain: rest}
 	case text == "detsafe" || strings.HasPrefix(text, "detsafe "):
 		rest := strings.TrimSpace(strings.TrimPrefix(text, "detsafe"))
 		_, reason, found := strings.Cut(rest, "--")
@@ -99,7 +85,7 @@ func parseDirective(text string) *Directive {
 		if i := strings.IndexAny(word, " \t"); i >= 0 {
 			word = word[:i]
 		}
-		return &Directive{Kind: DirectiveBad, Err: fmt.Sprintf("unknown //vhlint: directive %q (known: allow, detsafe, hot, owner)", word)}
+		return &Directive{Kind: DirectiveBad, Err: fmt.Sprintf("unknown //vhlint: directive %q (known: allow, detsafe, hot)", word)}
 	}
 }
 
@@ -167,10 +153,6 @@ func runDirectives(pass *Pass) {
 		case DirectiveDetsafe:
 			if !attached[d.TokPos] {
 				pass.Reportf(d.TokPos, "//vhlint:detsafe is not attached to a function declaration's doc comment")
-			}
-		case DirectiveOwner:
-			if !pass.pkg.ownerIndex().claimed[d.TokPos] {
-				pass.Reportf(d.TokPos, "//vhlint:owner is not attached to a type declaration, struct field, package-level var, or function declaration")
 			}
 		case DirectiveAllow:
 			for _, a := range All() {

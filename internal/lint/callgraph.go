@@ -22,15 +22,6 @@ type interproc struct {
 	detBusy      map[*types.Func]bool
 	errSummaries map[*types.Func]*errSummary
 	errBusy      map[*types.Func]bool
-	ownSummaries map[*types.Func]*ownSummary
-	ownBusy      map[*types.Func]bool
-
-	spawnSummaries map[*types.Func]*spawnSummary
-	spawnBusy      map[*types.Func]bool
-
-	// package-level vars interned into ownSummary.globals bits
-	globalIdx   map[types.Object]int
-	globalOrder []types.Object
 }
 
 // interproc returns the cross-package state of the loader that produced
@@ -48,13 +39,6 @@ func (p *Package) interproc() *interproc {
 			detBusy:      make(map[*types.Func]bool),
 			errSummaries: make(map[*types.Func]*errSummary),
 			errBusy:      make(map[*types.Func]bool),
-			ownSummaries: make(map[*types.Func]*ownSummary),
-			ownBusy:      make(map[*types.Func]bool),
-
-			spawnSummaries: make(map[*types.Func]*spawnSummary),
-			spawnBusy:      make(map[*types.Func]bool),
-
-			globalIdx: make(map[types.Object]int),
 		}
 	}
 	return p.loader.ip

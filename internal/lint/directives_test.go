@@ -40,7 +40,7 @@ func TestTreeClean(t *testing.T) {
 // every //vhlint:allow in the tree, so it must be deliberate.
 func TestAnalyzerNames(t *testing.T) {
 	got := strings.Join(lint.AnalyzerNames(), ",")
-	want := "maporder,simclock,hotalloc,floataccum,detflow,errflow,lockfree,globalstate,xdomain,spawndomain,blockshared,sendlag,vhdirective"
+	want := "maporder,simclock,hotalloc,floataccum,detflow,errflow,lockfree,vhdirective"
 	if got != want {
 		t.Errorf("AnalyzerNames() = %q, want %q", got, want)
 	}

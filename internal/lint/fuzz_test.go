@@ -16,9 +16,8 @@ import (
 //     non-empty reason, and re-rendering it in canonical form reparses
 //     to the same directive (round-trip);
 //   - a detsafe always carries a non-empty reason;
-//   - an owner always names a known domain, exactly one, and
-//     round-trips through its canonical form;
-//   - everything else is DirectiveBad with a non-empty explanation.
+//   - everything else is DirectiveBad with a non-empty explanation —
+//     including the retired owner directive, which is unknown now.
 func FuzzDirective(f *testing.F) {
 	seeds := []string{
 		"",
@@ -72,21 +71,15 @@ func FuzzDirective(f *testing.F) {
 			if d.Reason == "" {
 				t.Errorf("parseDirective(%q): detsafe accepted without a reason", text)
 			}
-		case DirectiveOwner:
-			if !knownDomain(d.Domain) {
-				t.Errorf("parseDirective(%q): owner for unknown domain %q", text, d.Domain)
-			}
-			canon := "owner " + d.Domain
-			r := parseDirective(canon)
-			if r.Kind != DirectiveOwner || r.Domain != d.Domain {
-				t.Errorf("round-trip broke: %q reparsed as %+v, want domain %q", canon, r, d.Domain)
-			}
 		case DirectiveBad:
 			if d.Err == "" {
 				t.Errorf("parseDirective(%q): DirectiveBad with empty explanation", text)
 			}
 		default:
 			t.Errorf("parseDirective(%q): unknown kind %q", text, d.Kind)
+		}
+		if (text == "owner" || strings.HasPrefix(text, "owner ")) && d.Kind != DirectiveBad {
+			t.Errorf("parseDirective(%q) = %q, want the retired owner directive rejected as unknown", text, d.Kind)
 		}
 	})
 }

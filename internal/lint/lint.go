@@ -31,22 +31,6 @@
 //   - lockfree:   goroutines, channels, select and sync primitives in
 //     simulator-driven code; the engine's strict hand-off core is the
 //     only sanctioned concurrency.
-//   - globalstate: package-level mutable state (vars, sync primitives)
-//     reachable from sim.Proc closures — implicitly shared across all
-//     future engine shards.
-//   - xdomain:    writes to simulator state owned by a different
-//     ownership domain (machine, vnet, engine, shared — assigned by
-//     //vhlint:owner annotations plus root-type/package inference),
-//     outside the engine's sanctioned hand-off surface.
-//   - spawndomain: the transitive ownership-domain footprint of every
-//     spawned closure — confined closures still entering through the
-//     Shared-implied Spawn/SpawnAfter, mixed-domain closures, and
-//     shared-required closures forced onto a shard domain.
-//   - blockshared: blocking waits on Shared-only primitives (Done,
-//     Gate, Queue, FairShare) reachable from closures spawned on a
-//     non-Shared domain — statically, before the runtime panic.
-//   - sendlag:    Proc.Send/Proc.SpawnOnAfter delays that are constant
-//     and provably below the engine's lookahead floor.
 //   - vhdirective: malformed or misplaced //vhlint: annotations.
 //
 // Suppression uses source annotations, validated by the suite itself:
@@ -121,7 +105,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 var all []*Analyzer
 
 func init() {
-	all = []*Analyzer{MapOrder, SimClock, HotAlloc, FloatAccum, DetFlow, ErrFlow, LockFree, GlobalState, XDomain, SpawnDomain, BlockShared, SendLag, Directives}
+	all = []*Analyzer{MapOrder, SimClock, HotAlloc, FloatAccum, DetFlow, ErrFlow, LockFree, Directives}
 }
 
 // All returns every analyzer in the suite, in reporting order.

@@ -26,7 +26,6 @@ type Package struct {
 	loader     *Loader // back-pointer for interprocedural queries
 	directives []*Directive
 	parsedDirs bool
-	owners     *ownerIndex // //vhlint:owner annotations, built on first use
 }
 
 // Directives returns the //vhlint: annotations found in the package,

@@ -76,40 +76,9 @@ func wellFormed(xs []int) int {
 	return n
 }
 
-// ownedType carries a correctly attached owner annotation on the type
-// declaration and a field-level override inside it.
-//
-//vhlint:owner machine
-type ownedType struct {
-	port int //vhlint:owner shared
-}
-
-// ownedVar attaches an owner to a package-level var.
-//
-//vhlint:owner vnet
-var ownedVar ownedType
-
-// ownedFunc is a declared domain entry point.
-//
-//vhlint:owner engine
-func ownedFunc() {}
-
-func misplacedOwner() {
-	//vhlint:owner machine // want "not attached to a type declaration, struct field, package-level var, or function declaration"
-	_ = 0
-}
-
-func ownerMissingDomain() {
-	//vhlint:owner // want "missing domain"
-	_ = 0
-}
-
-func ownerUnknownDomain() {
-	//vhlint:owner cloud // want "unknown domain \"cloud\""
-	_ = 0
-}
-
-func ownerTwoDomains() {
-	//vhlint:owner machine vnet // want "exactly one domain expected"
+// retiredOwner uses the ownership directive the sharded engine's lint
+// stack accepted; with that stack deleted it is an unknown directive.
+func retiredOwner() {
+	//vhlint:owner machine // want "unknown //vhlint: directive \"owner\""
 	_ = 0
 }

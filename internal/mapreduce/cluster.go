@@ -79,26 +79,21 @@ func DefaultConfig() Config {
 	}
 }
 
-// Tracker is a tasktracker daemon on one worker VM. The struct spans
-// two ownership domains, made explicit for the sharded-engine refactor:
-// the daemon itself (and the VM it runs on) is machine state, while the
-// slot ledger, liveness view and running-task set are the jobtracker's
-// scheduling view of the tracker — shared state the scheduler reads and
-// writes from its own context, which a sharded engine must carry in
-// heartbeat/assignment control messages rather than direct field access.
-//
-//vhlint:owner machine
+// Tracker is a tasktracker daemon on one worker VM. The daemon itself
+// (and the VM it runs on) is machine state, while the slot ledger,
+// liveness view and running-task set are the jobtracker's scheduling
+// view of the tracker, read and written from the scheduler's context.
 type Tracker struct {
 	VM *xen.VM
 
 	cluster *Cluster
 
 	// Jobtracker-owned scheduling view.
-	mapFree    int            //vhlint:owner shared
-	reduceFree int            //vhlint:owner shared
-	lastHB     sim.Time       //vhlint:owner shared
-	dead       bool           //vhlint:owner shared
-	running    map[*task]bool //vhlint:owner shared
+	mapFree    int
+	reduceFree int
+	lastHB     sim.Time
+	dead       bool
+	running    map[*task]bool
 
 	// Machine-side daemon state: a wedged daemon thread hangs on the VM.
 	hungUntil sim.Time
@@ -234,8 +229,6 @@ func (c *Cluster) Stop() { c.stopped = true }
 // heartbeatLoop is the tasktracker main loop: report in, then pull work for
 // any free slots. A paused VM (live-migration stop-and-copy) stalls inside
 // Message, delaying the heartbeat exactly as the real daemon would.
-//
-//vhlint:owner machine
 func (c *Cluster) heartbeatLoop(p *sim.Proc, tr *Tracker) {
 	for !c.stopped && tr.Alive() {
 		p.Sleep(c.cfg.HeartbeatInterval)

@@ -11,8 +11,6 @@ import (
 // runTask executes one attempt of t on tr's VM. Any failure (VM crash,
 // tracker death mid-I/O) unwinds this process via p.Fail; the watcher in
 // launch routes the outcome back to the scheduler.
-//
-//vhlint:owner machine
 func (c *Cluster) runTask(p *sim.Proc, tr *Tracker, t *task) {
 	if t.job.finished() {
 		return
@@ -52,8 +50,6 @@ func (c *Cluster) spillPasses(bytes float64) int {
 // scheduler achieved locality), run the real mapper over the real records,
 // optionally combine, then sort and persist the partitioned output to the
 // VM's disk, spilling in extra passes if it outgrows the sort buffer.
-//
-//vhlint:owner machine
 func (c *Cluster) runMap(p *sim.Proc, tr *Tracker, t *task) {
 	vm := tr.VM
 	job := t.job
@@ -167,8 +163,6 @@ func (c *Cluster) runMap(p *sim.Proc, tr *Tracker, t *task) {
 // completed map as completions arrive (the shuffle), merge/sort, run the
 // real reducer over grouped keys and write the output to HDFS through a
 // replication pipeline.
-//
-//vhlint:owner machine
 func (c *Cluster) runReduce(p *sim.Proc, tr *Tracker, t *task) {
 	vm := tr.VM
 	job := t.job
@@ -245,8 +239,6 @@ func (c *Cluster) runReduce(p *sim.Proc, tr *Tracker, t *task) {
 
 // fetchMapOutput moves one map-output partition from src to dst: a fetch
 // RPC, then the source disk read streaming into the network transfer.
-//
-//vhlint:owner machine
 func (c *Cluster) fetchMapOutput(p *sim.Proc, src, dst *xen.VM, bytes float64) {
 	dst.Message(p, src, 128)
 	if c.cfg.FetchOverhead > 0 {

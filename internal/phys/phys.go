@@ -62,15 +62,7 @@ type Machine struct {
 
 	memInUse float64 // bytes of DRAM committed to VMs
 	failed   bool    // whole-host failure (power loss, hypervisor panic)
-
-	dom sim.Domain // shard domain: machine-confined procs spawn here
 }
-
-// Domain returns the machine's shard domain, assigned at AddMachine
-// time (1-based, creation order; sim.Shared stays 0 for the
-// coordinator). Processes whose writes the spawn-domain ledger proves
-// machine-confined are spawned on it via Engine.SpawnOn.
-func (m *Machine) Domain() sim.Domain { return m.dom }
 
 // PageCache is the dom0 NFS-client page cache: recently written or read
 // file data is served from host memory instead of the filer, with FIFO
@@ -210,8 +202,6 @@ func (t *Topology) Backbone() *vnet.Link { return t.backbone }
 
 // AddMachine creates a machine with the given spec and attaches it to the
 // switch.
-//
-//vhlint:owner machine
 func (t *Topology) AddMachine(name string, spec MachineSpec) *Machine {
 	duplex := spec.NICDuplexFactor
 	if duplex <= 0 {
@@ -246,7 +236,6 @@ func (t *Topology) AddMachine(name string, spec MachineSpec) *Machine {
 		StorRx:  t.fabric.NewLink(name+".stor.rx", storBW, storLat),
 		MemBus:  sim.NewFairShare(t.engine, name+".membus", memBW, 0),
 		Cache:   NewPageCache(cacheBytes),
-		dom:     sim.Domain(len(t.machines) + 1),
 	}
 	t.machines = append(t.machines, m)
 	return m

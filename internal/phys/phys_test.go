@@ -105,7 +105,7 @@ func TestCrossMachineTransferSlowerThanIntra(t *testing.T) {
 	e, topo := newTestTopo(t, 2)
 	a, b := topo.Machines()[0], topo.Machines()[1]
 	var intra, cross sim.Time
-	e.SpawnOn(a.Domain(), "intra", func(p *sim.Proc) {
+	e.Spawn("intra", func(p *sim.Proc) {
 		start := p.Now()
 		topo.Fabric().Transfer(p, "i", topo.Path(a, a), 500e6)
 		intra = p.Now() - start
@@ -113,7 +113,7 @@ func TestCrossMachineTransferSlowerThanIntra(t *testing.T) {
 	e.Run()
 	e2 := topo.Engine()
 	_ = e2
-	e.SpawnOn(a.Domain(), "cross", func(p *sim.Proc) {
+	e.Spawn("cross", func(p *sim.Proc) {
 		start := p.Now()
 		topo.Fabric().Transfer(p, "c", topo.Path(a, b), 500e6)
 		cross = p.Now() - start

@@ -25,21 +25,4 @@
 // All times are in seconds, all data volumes in bytes, all rates in bytes or
 // work-units per second, matching the conventions used across internal/vnet,
 // internal/xen and internal/mapreduce.
-//
-// # Sharded execution
-//
-// New(seed, WithShards(n)) partitions the event loop across n shard workers
-// by ownership Domain: processes spawned with Engine.SpawnOn(dom, ...) run
-// on the shard owning dom, while everything spawned with plain Spawn lives
-// in the Shared domain and is executed by the coordinator exactly as on the
-// sequential engine. Shards advance concurrently inside conservative
-// windows bounded by the engine's lookahead (SetLookahead; platforms use
-// the fabric's minimum link latency), and cross-domain interaction flows
-// through Proc.Send / Proc.SpawnOnAfter with a delay of at least the
-// lookahead. At every window barrier the coordinator replays the executed
-// events in (time, seq) order and re-assigns sequence numbers, so traces,
-// random draws and all derived state are byte-identical to the sequential
-// engine for any n — WithShards(1) literally is the sequential path. The
-// blocking primitives (Done, Gate, Queue, FairShare) are Shared-domain
-// only; shard processes coordinate by sending events to the Shared domain.
 package sim

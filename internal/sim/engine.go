@@ -30,46 +30,24 @@ type Engine struct {
 	stopped   bool           // set by Stop / Shutdown
 	procPanic string         // pending process-bug report, re-panicked by dispatch in engine context
 	tracef    func(Time, string, ...any)
-
-	// Sharded-execution state (see shard.go). A sequential engine keeps
-	// nshards == 1 and never builds workers.
-	nshards      int
-	lookahead    Time
-	shards       []*shard // built lazily on first sharded use
-	windowActive bool     // true while shard workers execute a window
-	anyShard     bool     // true once any shard heap has ever held an event
 }
 
 // New returns an Engine whose pseudo-random stream is derived from seed.
-// The same seed always reproduces the same simulation. Options select
-// sharded execution (WithShards) and tune it (WithLookahead); with no
-// options — or WithShards(1) — the engine is the plain sequential one.
-func New(seed int64, opts ...Option) *Engine {
-	e := &Engine{
+// The same seed always reproduces the same simulation.
+func New(seed int64) *Engine {
+	return &Engine{
 		rng: rand.New(rand.NewSource(seed)),
 		//vhlint:allow lockfree -- hand-off core: unbuffered by design, so a baton pass is a rendezvous and both sides can never run at once
-		handoff:   make(chan struct{}),
-		procs:     make(map[*Proc]bool),
-		nshards:   1,
-		lookahead: DefaultLookahead,
+		handoff: make(chan struct{}),
+		procs:   make(map[*Proc]bool),
 	}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Rand returns the engine's deterministic pseudo-random source. The stream
-// is Shared-domain state: shard-owned processes must not draw from it.
-func (e *Engine) Rand() *rand.Rand {
-	if e.windowActive {
-		panic("sim: Engine.Rand called from shard context; the rng is Shared-domain state")
-	}
-	return e.rng
-}
+// Rand returns the engine's deterministic pseudo-random source.
+func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // SetTrace installs fn as the trace sink. Pass nil to disable tracing.
 func (e *Engine) SetTrace(fn func(t Time, format string, args ...any)) { e.tracef = fn }
@@ -79,13 +57,9 @@ func (e *Engine) SetTrace(fn func(t Time, format string, args ...any)) { e.trace
 // is listening to the line trace.
 func (e *Engine) TraceEnabled() bool { return e.tracef != nil }
 
-// Tracef emits a trace line if tracing is enabled. Shard-owned processes
-// must use Proc.Tracef, which buffers lines for barrier-ordered emission.
+// Tracef emits a trace line if tracing is enabled.
 func (e *Engine) Tracef(format string, args ...any) {
 	if e.tracef != nil {
-		if e.windowActive {
-			panic("sim: Engine.Tracef called from shard context; use Proc.Tracef")
-		}
 		e.tracef(e.now, format, args...)
 	}
 }
@@ -93,9 +67,6 @@ func (e *Engine) Tracef(format string, args ...any) {
 // At schedules fn to run in engine context at virtual time t. Scheduling in
 // the past is an error that panics: it would break causality.
 func (e *Engine) At(t Time, fn func()) *Timer {
-	if e.windowActive {
-		panic("sim: Engine.At called from shard context; use Proc.Send or Proc.SpawnOnAfter")
-	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -132,13 +103,11 @@ func (e *Engine) SpawnAfter(d Time, name string, fn func(p *Proc)) *Proc {
 		name:     name,
 		spawnSeq: e.procSeq,
 		//vhlint:allow lockfree -- hand-off core: per-process engine->process baton, unbuffered rendezvous
-		resume:  make(chan struct{}),
-		handoff: e.handoff,
-		done:    NewDone(e),
+		resume: make(chan struct{}),
+		done:   NewDone(e),
 	}
 	e.procs[p] = true
-	tm := e.After(d, func() { p.start(fn) })
-	p.startEv = tm.ev
+	e.After(d, func() { p.start(fn) })
 	return p
 }
 
@@ -150,9 +119,6 @@ func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 // deadline stay queued; the clock is advanced to the deadline if any such
 // events remain (so repeated RunUntil calls observe monotonic time).
 func (e *Engine) RunUntil(deadline Time) Time {
-	if e.nshards > 1 {
-		return e.runSharded(deadline)
-	}
 	for !e.stopped {
 		ev := e.events.pop()
 		if ev == nil {
@@ -207,15 +173,8 @@ func (e *Engine) resetStop() { e.stopped = false }
 func (e *Engine) Resume() { e.resetStop() }
 
 // LiveProcs returns the number of processes that have been spawned and have
-// not yet terminated (they may be blocked or not yet started). Shard-owned
-// processes count only once started: they register on their own shard.
-func (e *Engine) LiveProcs() int {
-	n := len(e.procs)
-	for _, sh := range e.shards {
-		n += len(sh.procs)
-	}
-	return n
-}
+// not yet terminated (they may be blocked or not yet started).
+func (e *Engine) LiveProcs() int { return len(e.procs) }
 
 // Shutdown terminates every live process by unwinding its goroutine, then
 // clears the event queue. It is intended for tests and for tearing down a
@@ -225,13 +184,6 @@ func (e *Engine) LiveProcs() int {
 func (e *Engine) Shutdown() {
 	if e.current != nil {
 		panic("sim: Shutdown called from process context")
-	}
-	if e.windowActive {
-		panic("sim: Shutdown called from shard context")
-	}
-	if e.shards != nil {
-		e.shutdownSharded()
-		return
 	}
 	// Kill in spawn order: map iteration order would make the unwind
 	// sequence (and anything its deferred cleanup touches) vary run to

@@ -34,7 +34,6 @@ type event struct {
 	proc      *Proc
 	cancelled bool
 	fired     bool
-	sx        *shardEv // shard-mode metadata; nil on a sequential engine
 }
 
 // eventHeap orders events by (time, sequence number).
@@ -71,19 +70,6 @@ func (h *eventHeap) pop() *event {
 		if !ev.cancelled {
 			return ev
 		}
-	}
-	return nil
-}
-
-// peekLive returns the next non-cancelled event without removing it,
-// discarding cancelled heads along the way.
-func (h *eventHeap) peekLive() *event {
-	for h.Len() > 0 {
-		ev := (*h)[0]
-		if !ev.cancelled {
-			return ev
-		}
-		heap.Pop(h)
 	}
 	return nil
 }

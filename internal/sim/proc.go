@@ -15,50 +15,19 @@ type Proc struct {
 	name     string
 	spawnSeq uint64 // creation order, the engine's teardown order
 	//vhlint:allow lockfree -- hand-off core: resume carries the engine->process baton; exactly one of the pair runs at any instant
-	resume chan struct{}
-	//vhlint:allow lockfree -- hand-off core: the process->scheduler half of the baton pair: the engine's channel for Shared procs, the owning shard's for shard procs
-	handoff    chan struct{}
+	resume     chan struct{}
 	done       *Done
 	started    bool
 	terminated bool
 	killed     bool
 	abortErr   error // pending Abort, delivered at the next resume
 	err        error // value recovered from a Fail or Abort, if any
-
-	// Sharded-execution state (see shard.go). Shared procs keep sh == nil.
-	dom     Domain
-	sh      *shard // owning shard; nil = coordinator/sequential
-	startEv *event // the event that starts this proc, the teardown order key
-}
-
-// startSeq is the proc's position in the global start order, used by the
-// sharded Shutdown to kill in the same relative order spawnSeq gives the
-// sequential one.
-func (p *Proc) startSeq() uint64 {
-	if p.startEv != nil {
-		return p.startEv.seq
-	}
-	return 0
-}
-
-// now returns the virtual time in this process's execution context: its
-// shard clock inside a window, the engine clock otherwise.
-func (p *Proc) now() Time {
-	if sh := p.sh; sh != nil && sh.inWindow {
-		return sh.now
-	}
-	return p.engine.now
 }
 
 // start launches the process body. Called in engine context by the start
 // event created in Spawn.
 func (p *Proc) start(fn func(p *Proc)) {
 	p.started = true
-	if p.sh != nil {
-		// Shard procs register here, in their shard's own context, rather
-		// than at spawn time in the spawner's context.
-		p.sh.procs[p] = true
-	}
 	//vhlint:allow lockfree -- hand-off core: the process goroutine is created parked; it runs only between a resume send and the next handoff send
 	go func() {
 		//vhlint:allow lockfree -- hand-off core: first dispatch baton
@@ -79,33 +48,20 @@ func (p *Proc) start(fn func(p *Proc)) {
 				// the engine and then crash concurrently with it — the
 				// report interleaves with further simulation activity and
 				// surfaces on a goroutine no test can recover from.
-				msg := fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-				if p.sh != nil {
-					p.sh.procPanic = msg
-				} else {
-					p.engine.procPanic = msg
-				}
+				p.engine.procPanic = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
 				bug = true
 			}
 			p.terminated = true
-			if p.sh != nil {
-				delete(p.sh.procs, p)
-			} else {
-				delete(p.engine.procs, p)
-			}
+			delete(p.engine.procs, p)
 			if !p.killed && !bug {
 				p.done.fire()
 			}
-			//vhlint:allow lockfree -- hand-off core: terminal baton back to the scheduler; the goroutine exits immediately after
-			p.handoff <- struct{}{}
+			//vhlint:allow lockfree -- hand-off core: terminal baton back to the engine; the goroutine exits immediately after
+			p.engine.handoff <- struct{}{}
 		}()
 		fn(p)
 	}()
-	if p.sh != nil {
-		p.sh.dispatch(p)
-	} else {
-		p.engine.dispatch(p)
-	}
+	p.engine.dispatch(p)
 }
 
 // procFailure carries an error through panic/recover in Fail.
@@ -122,20 +78,13 @@ func (p *Proc) Fail(err error) {
 // cleanup runs, its Done latch fires with Err() == err). Aborting a
 // terminated process is a no-op. Abort must be called from engine context
 // or another process, never from the target itself (use Fail there).
-// Cross-domain Abort must come from the target's own context (or Shared
-// context between windows): aborting a shard-owned process from another
-// shard's window is an ownership violation, like any cross-domain write.
 func (p *Proc) Abort(err error) {
 	if p.terminated || p.abortErr != nil {
 		return
 	}
 	p.abortErr = err
 	if p.started {
-		if sh := p.sh; sh != nil && sh.inWindow {
-			p.scheduleAt(sh.now)
-		} else {
-			p.scheduleAt(p.engine.now)
-		}
+		p.scheduleAt(p.engine.now)
 	}
 }
 
@@ -148,8 +97,8 @@ func (p *Proc) Name() string { return p.name }
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.engine }
 
-// Now returns the current virtual time in this process's context.
-func (p *Proc) Now() Time { return p.now() }
+// Now returns the current virtual time.
+func (p *Proc) Now() Time { return p.engine.now }
 
 // Done returns a latch that fires when the process terminates normally
 // (including via Fail, but not when killed by Shutdown).
@@ -164,8 +113,8 @@ func (p *Proc) yield() {
 	if p.killed {
 		panic(errKilled{p.name})
 	}
-	//vhlint:allow lockfree -- hand-off core: yield parks this process by passing the baton to its scheduler...
-	p.handoff <- struct{}{}
+	//vhlint:allow lockfree -- hand-off core: yield parks this process by passing the baton to the engine...
+	p.engine.handoff <- struct{}{}
 	//vhlint:allow lockfree -- hand-off core: ...and blocks until the engine passes it back; no third party ever holds it
 	<-p.resume
 	if p.killed {
@@ -180,24 +129,9 @@ func (p *Proc) yield() {
 // firing, a queue grant) must schedule its resume event.
 func (p *Proc) block() { p.yield() }
 
-// schedule enqueues a resume event for this process at time t, in whichever
-// event queue owns the process: inside a window, its shard's heap (with a
-// provisional sequence number renumbered at the barrier); between windows —
-// an Abort from Shared code, teardown — a coordinator injection into the
-// shard's heap; and on the plain engine queue for Shared procs.
-func (p *Proc) scheduleAt(t Time) *Timer {
-	if sh := p.sh; sh != nil {
-		if sh.inWindow {
-			return sh.schedule(p, t)
-		}
-		ev := &event{at: t, seq: p.engine.nextSeq(), proc: p, sx: &shardEv{sh: sh}}
-		sh.push(ev)
-		p.engine.anyShard = true
-		return &Timer{ev: ev}
-	}
-	ev := &event{at: t, seq: p.engine.nextSeq(), proc: p}
-	p.engine.events.push(ev)
-	return &Timer{ev: ev}
+// scheduleAt enqueues a resume event for this process at time t.
+func (p *Proc) scheduleAt(t Time) {
+	p.engine.events.push(&event{at: t, seq: p.engine.nextSeq(), proc: p})
 }
 
 // Sleep suspends the process for d seconds of virtual time.
@@ -205,13 +139,13 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v in %q", d, p.name))
 	}
-	p.scheduleAt(p.now() + d)
+	p.scheduleAt(p.engine.now + d)
 	p.yield()
 }
 
 // SleepUntil suspends the process until virtual time t (no-op if t <= now).
 func (p *Proc) SleepUntil(t Time) {
-	if t <= p.now() {
+	if t <= p.engine.now {
 		return
 	}
 	p.scheduleAt(t)
@@ -221,6 +155,6 @@ func (p *Proc) SleepUntil(t Time) {
 // Yield reschedules the process at the current time, letting other
 // same-time events run first.
 func (p *Proc) Yield() {
-	p.scheduleAt(p.now())
+	p.scheduleAt(p.engine.now)
 	p.yield()
 }

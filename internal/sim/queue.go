@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Queue is a counting semaphore with strict FIFO wakeup. It models bounded
 // pools: task slots on a tasktracker, RPC handler threads, and so on.
 type Queue struct {
@@ -59,9 +57,6 @@ func (q *Queue) MeanOccupancy() float64 {
 func (q *Queue) Acquire(p *Proc, n int) {
 	if n <= 0 || n > q.capacity {
 		panic("sim: invalid acquire count")
-	}
-	if p.sh != nil {
-		panic(fmt.Sprintf("sim: shard-owned process %q cannot Acquire from a Queue; Queue is Shared-domain", p.name))
 	}
 	if len(q.waiters) == 0 && q.available >= n {
 		q.account()
@@ -123,14 +118,9 @@ func (q *Queue) TryAcquire(n int) bool {
 }
 
 // Release returns n units and hands them to queued waiters in FIFO order.
-// Queue is Shared-domain: its occupancy accounting reads the engine clock,
-// so it must not be driven from shard context.
 func (q *Queue) Release(n int) {
 	if n <= 0 {
 		panic("sim: invalid release count")
-	}
-	if q.engine.windowActive {
-		panic("sim: Queue.Release called from shard context; Queue is Shared-domain")
 	}
 	q.account()
 	q.available += n

@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Done is a one-shot completion latch. Processes that Wait on it block until
 // Fire is called; waits after the latch has fired return immediately.
 type Done struct {
@@ -25,24 +23,16 @@ func (d *Done) fire() {
 		return
 	}
 	d.fired = true
-	if len(d.waiters) > 0 && d.engine.windowActive {
-		panic("sim: Done latch with waiters fired from shard context; route the Fire through Proc.Send to the Shared domain")
-	}
 	for _, p := range d.waiters {
 		p.scheduleAt(d.engine.now)
 	}
 	d.waiters = nil
 }
 
-// Wait blocks p until the latch fires. Done is a Shared-domain primitive:
-// shard-owned processes must not wait on it (a cross-shard Fire could not
-// wake them deterministically); they coordinate with Sleep and Send.
+// Wait blocks p until the latch fires.
 func (d *Done) Wait(p *Proc) {
 	if d.fired {
 		return
-	}
-	if p.sh != nil {
-		panic(fmt.Sprintf("sim: shard-owned process %q cannot Wait on a Done latch; Done is Shared-domain", p.name))
 	}
 	d.waiters = append(d.waiters, p)
 	p.block()
@@ -92,14 +82,10 @@ func NewGate(e *Engine, open bool) *Gate {
 // IsOpen reports whether the gate is open.
 func (g *Gate) IsOpen() bool { return g.open }
 
-// Open releases all waiters. No-op if already open. Gate is Shared-domain:
-// it reads the engine clock, so it must not be driven from shard context.
+// Open releases all waiters. No-op if already open.
 func (g *Gate) Open() {
 	if g.open {
 		return
-	}
-	if g.engine.windowActive {
-		panic("sim: Gate.Open called from shard context; Gate is Shared-domain")
 	}
 	g.open = true
 	g.totalClose += g.engine.now - g.closedAt
@@ -130,9 +116,6 @@ func (g *Gate) TotalClosed() Time {
 // WaitOpen blocks p until the gate is open. If the gate closes and reopens
 // while p is queued, p still wakes at the first Open after its Wait.
 func (g *Gate) WaitOpen(p *Proc) {
-	if p.sh != nil {
-		panic(fmt.Sprintf("sim: shard-owned process %q cannot wait on a Gate; Gate is Shared-domain", p.name))
-	}
 	for !g.open {
 		g.waiters = append(g.waiters, p)
 		p.block()

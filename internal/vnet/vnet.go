@@ -62,8 +62,6 @@ func (l *Link) SetBandwidth(bw float64) {
 }
 
 // MeanUtilization returns the time-averaged utilisation since creation.
-//
-//vhlint:owner vnet
 func (l *Link) MeanUtilization() float64 {
 	l.fabric.advance()
 	dt := l.fabric.engine.Now() - l.createdAt
@@ -74,8 +72,6 @@ func (l *Link) MeanUtilization() float64 {
 }
 
 // BytesCarried returns the cumulative bytes moved across this link.
-//
-//vhlint:owner vnet
 func (l *Link) BytesCarried() float64 {
 	l.fabric.advance()
 	return l.bytesTotal
@@ -125,8 +121,6 @@ func NewFabric(e *sim.Engine) *Fabric {
 func (f *Fabric) Engine() *sim.Engine { return f.engine }
 
 // NewLink creates a link and registers it with the fabric.
-//
-//vhlint:owner vnet
 func (f *Fabric) NewLink(name string, bandwidth float64, latency sim.Time) *Link {
 	if bandwidth <= 0 {
 		panic("vnet: link bandwidth must be positive")
@@ -144,20 +138,6 @@ func (f *Fabric) NewLink(name string, bandwidth float64, latency sim.Time) *Link
 
 // Links returns all links in the fabric.
 func (f *Fabric) Links() []*Link { return f.links }
-
-// MinLatency returns the smallest positive one-way link latency in the
-// fabric, or 0 if no link has one. It is the natural conservative lookahead
-// for sharded simulation: no cross-machine interaction can land sooner than
-// one traversal of the fastest link.
-func (f *Fabric) MinLatency() sim.Time {
-	var min sim.Time
-	for _, l := range f.links {
-		if l.latency > 0 && (min == 0 || l.latency < min) {
-			min = l.latency
-		}
-	}
-	return min
-}
 
 // ActiveFlows returns the number of flows currently in flight.
 func (f *Fabric) ActiveFlows() int { return len(f.flows) }
@@ -177,8 +157,6 @@ func pathLatency(path []*Link) sim.Time {
 // StartFlow begins an asynchronous bulk transfer of the given size along
 // path. The returned flow's Done latch fires when the last byte has arrived
 // (transmission time under fair sharing, plus path propagation latency).
-//
-//vhlint:owner vnet
 func (f *Fabric) StartFlow(name string, path []*Link, bytes float64) *Flow {
 	if len(path) == 0 {
 		panic("vnet: empty flow path")
@@ -208,8 +186,6 @@ func (f *Fabric) StartFlow(name string, path []*Link, bytes float64) *Flow {
 }
 
 // Transfer moves bytes along path, blocking p until the last byte arrives.
-//
-//vhlint:owner vnet
 func (f *Fabric) Transfer(p *sim.Proc, name string, path []*Link, bytes float64) {
 	fl := f.StartFlow(name, path, bytes)
 	fl.done.Wait(p)

@@ -240,21 +240,3 @@ func TestNoLinkOversubscriptionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMinLatency(t *testing.T) {
-	e := sim.New(1)
-	f := NewFabric(e)
-	if got := f.MinLatency(); got != 0 {
-		t.Fatalf("empty fabric MinLatency: got %v, want 0", got)
-	}
-	f.NewLink("zero", 100e6, 0)
-	if got := f.MinLatency(); got != 0 {
-		t.Fatalf("zero-latency-only fabric MinLatency: got %v, want 0", got)
-	}
-	f.NewLink("slow", 100e6, 5e-3)
-	f.NewLink("fast", 100e6, 2e-4)
-	f.NewLink("mid", 100e6, 1e-3)
-	if got := f.MinLatency(); got != 2e-4 {
-		t.Fatalf("MinLatency: got %v, want 2e-4 (smallest positive latency)", got)
-	}
-}

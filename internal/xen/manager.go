@@ -71,8 +71,6 @@ func (m *Manager) VMs() []*VM { return m.vms }
 // Define creates a VM on host with the given memory, reserving DRAM. The VM
 // is immediately runnable; use Boot to additionally charge image-fetch and
 // guest boot time.
-//
-//vhlint:owner machine
 func (m *Manager) Define(name string, memBytes float64, host *phys.Machine) (*VM, error) {
 	if err := host.ReserveMem(memBytes); err != nil {
 		return nil, fmt.Errorf("xen: define %s: %w", name, err)
@@ -113,8 +111,6 @@ func (m *Manager) Boot(p *sim.Proc, vm *VM) {
 // — the correlated failure mode specific to virtualized clusters, where one
 // host loss takes a whole rack-worth of co-resident datanodes and
 // tasktrackers with it. Returns the VMs crashed, in creation order.
-//
-//vhlint:owner machine
 func (m *Manager) CrashMachine(pm *phys.Machine) []*VM {
 	pm.Fail()
 	var crashed []*VM

@@ -75,8 +75,6 @@ func (s MigrationStats) String() string {
 // pages faster and leaves less bandwidth for migration, which is why the
 // paper measures ~3x migration time and ~13x downtime for a Wordcount-loaded
 // cluster versus an idle one.
-//
-//vhlint:owner machine
 func (m *Manager) Migrate(p *sim.Proc, vm *VM, dst *phys.Machine, cfg MigrationConfig) (MigrationStats, error) {
 	stats := MigrationStats{VM: vm.Name, From: vm.host.Name, To: dst.Name, Start: m.engine.Now()}
 	if vm.state == StateCrashed {

@@ -73,12 +73,6 @@ type VM struct {
 // Host returns the physical machine currently hosting the VM.
 func (vm *VM) Host() *phys.Machine { return vm.host }
 
-// Domain returns the shard domain of the VM's current host. A process
-// pins its domain at spawn time, so a proc spawned on a VM's domain
-// keeps running on the original host's shard across live migration —
-// migration moves guest state, not the scheduling of in-flight work.
-func (vm *VM) Domain() sim.Domain { return vm.host.Domain() }
-
 // Engine returns the simulation engine the VM lives in.
 func (vm *VM) Engine() *sim.Engine { return vm.mgr.engine }
 
@@ -322,8 +316,6 @@ func (vm *VM) DirtyRate() float64 {
 // flows of aborted transfers drain to completion unobserved (the fluid model
 // has no mid-flow cancel), a brief ghost of bandwidth a real failed TCP
 // stream also occupies until timeouts fire.
-//
-//vhlint:owner machine
 func (vm *VM) Crash() {
 	if vm.state == StateCrashed || vm.state == StateShutdown {
 		return
@@ -341,8 +333,6 @@ func (vm *VM) Crash() {
 // Shutdown releases the VM cleanly (cloud lease teardown): the memory
 // reservation returns to the host and any late or in-flight operations
 // abort their processes with ErrVMStopped.
-//
-//vhlint:owner machine
 func (vm *VM) Shutdown() {
 	if vm.state == StateCrashed || vm.state == StateShutdown {
 		return

@@ -39,7 +39,7 @@ func TestExecUncontended(t *testing.T) {
 	e, topo, mgr := newTestbed(1)
 	vm := mgr.MustDefine("vm1", 1e9, topo.Machines()[0])
 	var done sim.Time
-	e.SpawnOn(vm.Domain(), "task", func(p *sim.Proc) {
+	e.Spawn("task", func(p *sim.Proc) {
 		vm.Exec(p, 5)
 		done = p.Now()
 	})
@@ -55,7 +55,7 @@ func TestExecCreditSchedulerOversubscription(t *testing.T) {
 	var last sim.Time
 	for i := 0; i < 16; i++ {
 		vm := mgr.MustDefine("vm", 1e9, host)
-		e.SpawnOn(vm.Domain(), "task", func(p *sim.Proc) {
+		e.Spawn("task", func(p *sim.Proc) {
 			vm.Exec(p, 5)
 			if p.Now() > last {
 				last = p.Now()
@@ -81,7 +81,7 @@ func TestPauseStallsExecution(t *testing.T) {
 	e, topo, mgr := newTestbed(1)
 	vm := mgr.MustDefine("vm1", 1e9, topo.Machines()[0])
 	var done sim.Time
-	e.SpawnOn(vm.Domain(), "task", func(p *sim.Proc) {
+	e.Spawn("task", func(p *sim.Proc) {
 		vm.Exec(p, 2)
 		done = p.Now()
 	})
@@ -98,7 +98,7 @@ func TestPauseStallsExecution(t *testing.T) {
 func TestCrashAbortsOperations(t *testing.T) {
 	e, topo, mgr := newTestbed(1)
 	vm := mgr.MustDefine("vm1", 1e9, topo.Machines()[0])
-	task := e.SpawnOn(vm.Domain(), "task", func(p *sim.Proc) {
+	task := e.Spawn("task", func(p *sim.Proc) {
 		vm.Exec(p, 100)
 	})
 	e.At(1, func() { vm.Crash() })
@@ -115,7 +115,7 @@ func TestDiskIOGoesThroughNFS(t *testing.T) {
 	e, topo, mgr := newTestbed(1)
 	vm := mgr.MustDefine("vm1", 1e9, topo.Machines()[0])
 	var done sim.Time
-	e.SpawnOn(vm.Domain(), "io", func(p *sim.Proc) {
+	e.Spawn("io", func(p *sim.Proc) {
 		vm.WriteDisk(p, 200e6)
 		done = p.Now()
 	})
@@ -132,13 +132,13 @@ func TestSendToIntraVsCross(t *testing.T) {
 	b := mgr.MustDefine("b", 1e9, pm1)
 	c := mgr.MustDefine("c", 1e9, pm2)
 	var intra, cross sim.Time
-	e.SpawnOn(a.Domain(), "intra", func(p *sim.Proc) {
+	e.Spawn("intra", func(p *sim.Proc) {
 		start := p.Now()
 		a.SendTo(p, b, 250e6)
 		intra = p.Now() - start
 	})
 	e.Run()
-	e.SpawnOn(a.Domain(), "cross", func(p *sim.Proc) {
+	e.Spawn("cross", func(p *sim.Proc) {
 		start := p.Now()
 		a.SendTo(p, c, 250e6)
 		cross = p.Now() - start
@@ -167,7 +167,7 @@ func TestMigrationIdle(t *testing.T) {
 	pm1, pm2 := topo.Machines()[0], topo.Machines()[1]
 	vm := mgr.MustDefine("vm1", 1024e6, pm1)
 	var stats MigrationStats
-	e.SpawnOn(vm.Domain(), "mig", func(p *sim.Proc) {
+	e.Spawn("mig", func(p *sim.Proc) {
 		var err error
 		stats, err = mgr.Migrate(p, vm, pm2, DefaultMigrationConfig())
 		if err != nil {
@@ -199,7 +199,7 @@ func TestMigrationBusyVsIdle(t *testing.T) {
 		vm := mgr.MustDefine("vm1", 1024e6, pm1)
 		vm.AddActivity(activity)
 		var stats MigrationStats
-		e.SpawnOn(vm.Domain(), "mig", func(p *sim.Proc) {
+		e.Spawn("mig", func(p *sim.Proc) {
 			stats, _ = mgr.Migrate(p, vm, pm2, DefaultMigrationConfig())
 		})
 		e.Run()
@@ -223,7 +223,7 @@ func TestMigrationMemorySizeScaling(t *testing.T) {
 		pm1, pm2 := topo.Machines()[0], topo.Machines()[1]
 		vm := mgr.MustDefine("vm1", mem, pm1)
 		var stats MigrationStats
-		e.SpawnOn(vm.Domain(), "mig", func(p *sim.Proc) {
+		e.Spawn("mig", func(p *sim.Proc) {
 			stats, _ = mgr.Migrate(p, vm, pm2, DefaultMigrationConfig())
 		})
 		e.Run()
@@ -244,7 +244,7 @@ func TestMigrateToSameHostFails(t *testing.T) {
 	pm1 := topo.Machines()[0]
 	vm := mgr.MustDefine("vm1", 1e9, pm1)
 	var err error
-	e.SpawnOn(vm.Domain(), "mig", func(p *sim.Proc) {
+	e.Spawn("mig", func(p *sim.Proc) {
 		_, err = mgr.Migrate(p, vm, pm1, DefaultMigrationConfig())
 	})
 	e.Run()
@@ -259,7 +259,7 @@ func TestMigrateCrashedVMFails(t *testing.T) {
 	vm := mgr.MustDefine("vm1", 1e9, pm1)
 	vm.Crash()
 	var err error
-	e.SpawnOn(vm.Domain(), "mig", func(p *sim.Proc) {
+	e.Spawn("mig", func(p *sim.Proc) {
 		_, err = mgr.Migrate(p, vm, pm2, DefaultMigrationConfig())
 	})
 	e.Run()
@@ -279,7 +279,7 @@ func TestMigrationAbortsWhenDestinationFails(t *testing.T) {
 	free := pm2.MemFree()
 	e.At(2, pm2.Fail)
 	var err error
-	e.SpawnOn(vm.Domain(), "m", func(p *sim.Proc) {
+	e.Spawn("m", func(p *sim.Proc) {
 		_, err = mgr.Migrate(p, vm, pm2, DefaultMigrationConfig())
 	})
 	e.Run()
@@ -299,7 +299,7 @@ func TestMigrationAbortsWhenVMCrashesMidPreCopy(t *testing.T) {
 	srcFree, dstFree := pm1.MemFree(), pm2.MemFree()
 	e.At(2, vm.Crash)
 	var err error
-	e.SpawnOn(vm.Domain(), "m", func(p *sim.Proc) {
+	e.Spawn("m", func(p *sim.Proc) {
 		_, err = mgr.Migrate(p, vm, pm2, DefaultMigrationConfig())
 	})
 	e.Run()
@@ -324,7 +324,7 @@ func TestMigrateWithFailoverRetriesNextTarget(t *testing.T) {
 	e.At(2, pm2.Fail)
 	var stats MigrationStats
 	var err error
-	e.SpawnOn(vm.Domain(), "m", func(p *sim.Proc) {
+	e.Spawn("m", func(p *sim.Proc) {
 		stats, err = mgr.MigrateWithFailover(p, vm, []*phys.Machine{pm2, pm3}, DefaultMigrationConfig())
 	})
 	e.Run()
@@ -365,7 +365,7 @@ func TestBootChargesImageAndBootTime(t *testing.T) {
 	e, topo, mgr := newTestbed(1)
 	vm := mgr.MustDefine("vm1", 1e9, topo.Machines()[0])
 	var done sim.Time
-	e.SpawnOn(vm.Domain(), "boot", func(p *sim.Proc) {
+	e.Spawn("boot", func(p *sim.Proc) {
 		mgr.Boot(p, vm)
 		done = p.Now()
 	})
@@ -379,12 +379,12 @@ func TestExecDuringMigrationStallsOnlyDuringDowntime(t *testing.T) {
 	pm1, pm2 := topo.Machines()[0], topo.Machines()[1]
 	vm := mgr.MustDefine("vm1", 512e6, pm1)
 	var execDone sim.Time
-	e.SpawnOn(vm.Domain(), "task", func(p *sim.Proc) {
+	e.Spawn("task", func(p *sim.Proc) {
 		vm.Exec(p, 20)
 		execDone = p.Now()
 	})
 	var stats MigrationStats
-	e.SpawnOn(vm.Domain(), "mig", func(p *sim.Proc) {
+	e.Spawn("mig", func(p *sim.Proc) {
 		p.Sleep(1)
 		stats, _ = mgr.Migrate(p, vm, pm2, DefaultMigrationConfig())
 	})
@@ -402,7 +402,7 @@ func TestMigrationChainRoundTrip(t *testing.T) {
 	e, topo, mgr := newTestbed(1)
 	pm1, pm2 := topo.Machines()[0], topo.Machines()[1]
 	vm := mgr.MustDefine("vm1", 512e6, pm1)
-	e.SpawnOn(vm.Domain(), "mig", func(p *sim.Proc) {
+	e.Spawn("mig", func(p *sim.Proc) {
 		if _, err := mgr.Migrate(p, vm, pm2, DefaultMigrationConfig()); err != nil {
 			t.Errorf("first hop: %v", err)
 		}
@@ -426,7 +426,7 @@ func TestShutdownReleasesMemoryAndAbortsOps(t *testing.T) {
 	e, topo, mgr := newTestbed(1)
 	pm1 := topo.Machines()[0]
 	vm := mgr.MustDefine("vm1", 2e9, pm1)
-	task := e.SpawnOn(vm.Domain(), "task", func(p *sim.Proc) {
+	task := e.Spawn("task", func(p *sim.Proc) {
 		vm.Exec(p, 100)
 	})
 	e.At(1, func() { vm.Shutdown() })

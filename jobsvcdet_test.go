@@ -3,8 +3,8 @@ package vhadoop_test
 // Determinism suite for the job service: a fixed seed plus a fixed
 // submission schedule must reproduce every artifact of a multi-tenant
 // backlog byte-for-byte — the per-tenant report, the engine trace, the
-// metrics snapshot and the span trace — across independent reruns AND
-// across shard widths. The same contract holds with a fault schedule
+// metrics snapshot and the span trace — across independent reruns. The
+// same contract holds with a fault schedule
 // firing mid-backlog: chaos decides which jobs fail, but it decides
 // identically every time.
 
@@ -13,15 +13,15 @@ import (
 	"fmt"
 	"testing"
 
+	"vhadoop/internal/difftest"
 	"vhadoop/internal/faults"
 	"vhadoop/internal/jobsvc"
 	"vhadoop/internal/jobsvc/backlog"
-	"vhadoop/internal/sim/shardtest"
 )
 
 // backlogArtifacts flattens one run into the comparable artifact set.
-func backlogArtifacts(r backlog.Result) []shardtest.Digest {
-	return []shardtest.Digest{
+func backlogArtifacts(r backlog.Result) []difftest.Digest {
+	return []difftest.Digest{
 		{Name: "report", Data: r.Report},
 		{Name: "trace", Data: r.Trace},
 		{Name: "metrics", Data: r.Metrics},
@@ -31,11 +31,10 @@ func backlogArtifacts(r backlog.Result) []shardtest.Digest {
 
 // bigBacklog is the acceptance-scale backlog: 100 tenants, 1000 jobs,
 // with backfill and preemption armed so every scheduler path runs.
-func bigBacklog(shards int) backlog.Options {
+func bigBacklog() backlog.Options {
 	return backlog.Options{
 		Nodes:   16,
 		Seed:    42,
-		Shards:  shards,
 		Tenants: 100,
 		Jobs:    1000,
 		Config: jobsvc.Config{
@@ -46,14 +45,14 @@ func bigBacklog(shards int) backlog.Options {
 }
 
 func TestJobsvcBacklogDeterministic(t *testing.T) {
-	run := func(shards int) backlog.Result {
-		r, err := backlog.Run(bigBacklog(shards))
+	run := func() backlog.Result {
+		r, err := backlog.Run(bigBacklog())
 		if err != nil {
-			t.Fatalf("backlog run (shards=%d) failed: %v", shards, err)
+			t.Fatalf("backlog run failed: %v", err)
 		}
 		return r
 	}
-	base := run(1)
+	base := run()
 	if base.Admitted != 1000 || base.Rejected != 0 {
 		t.Fatalf("admitted %d rejected %d, want 1000/0", base.Admitted, base.Rejected)
 	}
@@ -79,8 +78,7 @@ func TestJobsvcBacklogDeterministic(t *testing.T) {
 		t.Fatal("big backlog exercised no backfill")
 	}
 	want := backlogArtifacts(base)
-	shardtest.RequireIdentical(t, "rerun", want, backlogArtifacts(run(1)))
-	shardtest.RequireIdentical(t, "shards=4", want, backlogArtifacts(run(4)))
+	difftest.RequireIdentical(t, "rerun", want, backlogArtifacts(run()))
 }
 
 // TestJobsvcBacklogGolden pins a small mixed backlog's report and trace —
@@ -90,7 +88,7 @@ func TestJobsvcBacklogDeterministic(t *testing.T) {
 // and move it.
 func TestJobsvcBacklogGolden(t *testing.T) {
 	const golden = "d4dd137d0315d5ca5da78fdf87643abb6c36bfaad413fb417e71a964c479f71a"
-	o := bigBacklog(1)
+	o := bigBacklog()
 	o.Tenants, o.Jobs = 20, 200
 	r, err := backlog.Run(o)
 	if err != nil {
@@ -137,5 +135,5 @@ func TestJobsvcChaosBacklogDeterministic(t *testing.T) {
 	if r1.Trace == "" {
 		t.Fatal("faulted run produced no trace")
 	}
-	shardtest.RequireIdentical(t, "chaos-rerun", backlogArtifacts(r1), backlogArtifacts(r2))
+	difftest.RequireIdentical(t, "chaos-rerun", backlogArtifacts(r1), backlogArtifacts(r2))
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench.sh — run the data-plane acceptance benchmarks and record the results
-# as JSON (default BENCH_PR8.json in the repo root).
+# as JSON (default: standard output).
 #
 # Usage:
 #   scripts/bench.sh [output.json]
@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=${1:-BENCH_PR8.json}
+OUT=${1:-/dev/stdout}
 COUNT=${COUNT:-5}
 BENCHTIME=${BENCHTIME:-200x}
 
@@ -34,7 +34,6 @@ run() { # run <package> <bench regex>
 
 echo "running macro benchmarks (engine throughput, Fig6 canopy, Fig4a terasort)..." >&2
 run . 'BenchmarkEngineThroughput$'
-run . 'BenchmarkEngineThroughputSharded'
 run . 'BenchmarkFig6Clustering/canopy-16nodes'
 run . 'BenchmarkFig4aTeraSort'
 

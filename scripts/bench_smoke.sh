@@ -1,15 +1,8 @@
 #!/usr/bin/env bash
 # bench_smoke.sh — fast bench-regression gate for CI.
 #
-# Two gates, both at a reduced -benchtime:
-#
-#   1. BenchmarkEngineThroughput vs the pinned BENCH_PR1 number — the
-#      sequential hot path. The sharded engine rides on the same event loop
-#      structs, so this is also the "WithShards support costs the
-#      sequential path nothing" check.
-#   2. BenchmarkEngineThroughputSharded/1 vs its BENCH_PR9 pin — the
-#      nshards>1 machinery at width 1, which must reduce to the sequential
-#      loop and therefore must not drift either.
+# Runs BenchmarkEngineThroughput at a reduced -benchtime against the
+# pinned BENCH_PR1 number — the engine's hot path.
 #
 # Fails if the minimum ns/op across repetitions exceeds the pin by more
 # than MARGIN percent. This is a smoke test, not a measurement: it exists
@@ -26,9 +19,6 @@
 #                   section (a same-machine re-measure recorded in a later
 #                   BENCH_PRn.json), point PIN_FILE there for an
 #                   apples-to-apples gate.
-#   SHARD_PIN_FILE  JSON file holding the Sharded/1 pin (default
-#                   BENCH_PR9.json); gate skipped if the file or key is
-#                   absent.
 #   MARGIN          tolerated regression over the pin, percent (default 5)
 #   BENCHTIME       passed to -benchtime (default 20x)
 #   COUNT           repetitions, minimum taken (default 3)
@@ -36,7 +26,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PIN_FILE=${PIN_FILE:-BENCH_PR1.json}
-SHARD_PIN_FILE=${SHARD_PIN_FILE:-BENCH_PR9.json}
 MARGIN=${MARGIN:-5}
 BENCHTIME=${BENCHTIME:-20x}
 COUNT=${COUNT:-3}
@@ -87,14 +76,3 @@ if [[ -z "$pin" ]]; then
   exit 2
 fi
 gate EngineThroughput 'BenchmarkEngineThroughput$' "$pin"
-
-if [[ -f "$SHARD_PIN_FILE" ]]; then
-  spin=$(read_pin "$SHARD_PIN_FILE" 'BenchmarkEngineThroughputSharded/1')
-  if [[ -n "$spin" ]]; then
-    gate EngineThroughputSharded/1 'BenchmarkEngineThroughputSharded/1$' "$spin"
-  else
-    echo "bench_smoke: no Sharded/1 pin in $SHARD_PIN_FILE; skipping shard gate" >&2
-  fi
-else
-  echo "bench_smoke: $SHARD_PIN_FILE absent; skipping shard gate" >&2
-fi

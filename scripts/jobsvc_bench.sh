@@ -13,18 +13,11 @@
 #
 # Usage:
 #   scripts/jobsvc_bench.sh
-#
-# Environment:
-#   SHARDS  simulation shard workers (default 1; the artifacts are
-#           byte-identical at any width — that is the determinism suite's
-#           contract, jobsvcdet_test.go)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SHARDS=${SHARDS:-1}
+echo "jobsvc_bench: full shapes (100 tenants x 1000 jobs, 16 nodes)" >&2
+go run ./cmd/vhadoop jobsvc
 
-echo "jobsvc_bench: full shapes (100 tenants x 1000 jobs, 16 nodes, shards=$SHARDS)" >&2
-go run ./cmd/vhadoop -shards "$SHARDS" jobsvc
-
-echo "jobsvc_bench: smoke shapes (20 tenants x 200 jobs, 8 nodes, shards=$SHARDS)" >&2
-go run ./cmd/vhadoop -shards "$SHARDS" -quick jobsvc
+echo "jobsvc_bench: smoke shapes (20 tenants x 200 jobs, 8 nodes)" >&2
+go run ./cmd/vhadoop -quick jobsvc
