@@ -19,7 +19,7 @@ import (
 
 // shuffleHeavy builds an identity job whose full input volume crosses the
 // shuffle — the workload that makes a cross-domain layout hurt.
-func shuffleHeavy(input string) mapreduce.JobConfig {
+func shuffleHeavy(input string) mapreduce.JobSpec {
 	cfg := workloads.WordcountJob(input, "", 4, false)
 	cfg.Name = "shuffle-heavy"
 	return cfg

@@ -194,7 +194,7 @@ func labelKey(label string) string        { return "l/" + label }
 // and per-label counts, a combiner pre-aggregates, reducers sum, and the
 // driver assembles the model from the output.
 func (tr *Trainer) TrainMR(p *sim.Proc) (*Model, mapreduce.JobStats, error) {
-	cfg := mapreduce.JobConfig{
+	cfg := mapreduce.JobSpec{
 		Name:       "bayes-train",
 		Input:      []string{tr.input},
 		NumReduces: 4,
@@ -259,7 +259,7 @@ func (tr *Trainer) ClassifyMR(p *sim.Proc, m *Model, testFile string) (map[strin
 			return nil, mapreduce.JobStats{}, err
 		}
 	}
-	cfg := mapreduce.JobConfig{
+	cfg := mapreduce.JobSpec{
 		Name:      "bayes-classify",
 		Input:     []string{testFile},
 		SideInput: []string{modelFile},

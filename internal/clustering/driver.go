@@ -69,8 +69,7 @@ type Driver struct {
 }
 
 // runJob submits spec with the driver's submission options and waits for
-// completion, returning the collected output — the driver-internal
-// replacement for the deprecated RunAndCollect surface.
+// completion, returning the collected output.
 func (d *Driver) runJob(p *sim.Proc, spec mapreduce.JobSpec) ([]mapreduce.KV, mapreduce.JobStats, error) {
 	h, err := d.pl.MR.Submit(p, spec, d.SubmitOpts...)
 	if err != nil {
@@ -177,8 +176,8 @@ func (d *Driver) perRecordCost(nCenters int) float64 {
 // mapper/reducer factories.
 func (d *Driver) iterationJob(algo, state string, reduces int,
 	newMapper func() mapreduce.Mapper, newReducer func() mapreduce.Reducer,
-	newCombiner func() mapreduce.Reducer) mapreduce.JobConfig {
-	cfg := mapreduce.JobConfig{
+	newCombiner func() mapreduce.Reducer) mapreduce.JobSpec {
+	cfg := mapreduce.JobSpec{
 		Name:       fmt.Sprintf("%s-iter%04d", algo, d.iteration),
 		Input:      []string{d.name},
 		NumReduces: reduces,

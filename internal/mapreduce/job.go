@@ -383,32 +383,6 @@ func (c *Cluster) Submit(p *sim.Proc, spec JobSpec, opts ...SubmitOption) (*Hand
 	return &Handle{j: j}, nil
 }
 
-// Run submits spec and blocks p until completion.
-//
-// Deprecated: use Submit followed by Handle.Wait.
-func (c *Cluster) Run(p *sim.Proc, spec JobSpec) (JobStats, error) {
-	h, err := c.Submit(p, spec)
-	if err != nil {
-		return JobStats{}, err
-	}
-	return h.Wait(p)
-}
-
-// RunAndCollect is Run returning the job's real output records as well.
-//
-// Deprecated: use Submit followed by Handle.Wait and Handle.OutputRecords.
-func (c *Cluster) RunAndCollect(p *sim.Proc, spec JobSpec) ([]KV, JobStats, error) {
-	h, err := c.Submit(p, spec)
-	if err != nil {
-		return nil, JobStats{}, err
-	}
-	stats, err := h.Wait(p)
-	if err != nil {
-		return nil, stats, err
-	}
-	return h.OutputRecords(), stats, nil
-}
-
 // speculatorLoop watches a job for straggler map tasks and schedules
 // duplicate attempts once most maps have completed.
 func (c *Cluster) speculatorLoop(p *sim.Proc, j *job) {

@@ -22,8 +22,8 @@ func lineRecords(lines []string, each float64) []hdfs.Record {
 }
 
 // wordcountJob builds the canonical wordcount job over input.
-func wordcountJob(input, output string, reduces int, combine bool) mapreduce.JobConfig {
-	cfg := mapreduce.JobConfig{
+func wordcountJob(input, output string, reduces int, combine bool) mapreduce.JobSpec {
+	cfg := mapreduce.JobSpec{
 		Name:       "wordcount",
 		Input:      []string{input},
 		Output:     output,
@@ -59,9 +59,8 @@ func wordcountJob(input, output string, reduces int, combine bool) mapreduce.Job
 	return cfg
 }
 
-// runJob and runCollect are the Submit+Wait forms of the deprecated Run and
-// RunAndCollect shims; every test but TestOutputLandsInHDFS (which
-// deliberately keeps the shims covered) goes through them.
+// runJob and runCollect submit a job and wait for it; runCollect also
+// returns the job's output records.
 func runJob(p *sim.Proc, c *mapreduce.Cluster, cfg mapreduce.JobSpec) (mapreduce.JobStats, error) {
 	h, err := c.Submit(p, cfg)
 	if err != nil {
@@ -155,9 +154,7 @@ func TestOutputLandsInHDFS(t *testing.T) {
 		if _, err := pl.LoadText(p, "/in", 64e6, lineRecords(testLines, 1e6)); err != nil {
 			return err
 		}
-		// Deliberately the deprecated Run shim: this one call site keeps the
-		// backward-compatible surface covered until it is removed.
-		_, err := pl.MR.Run(p, wordcountJob("/in", "/out", 2, false))
+		_, err := runJob(p, pl.MR, wordcountJob("/in", "/out", 2, false))
 		return err
 	})
 	if err != nil {
@@ -181,7 +178,7 @@ func TestMapOnlyJob(t *testing.T) {
 		if _, err := pl.LoadText(p, "/in", 64e6, lineRecords([]string{"a b", "c"}, 1e6)); err != nil {
 			return err
 		}
-		cfg := mapreduce.JobConfig{
+		cfg := mapreduce.JobSpec{
 			Name:  "identity",
 			Input: []string{"/in"},
 			NewMapper: func() mapreduce.Mapper {
@@ -290,8 +287,8 @@ func TestCrossDomainShuffleCrossesGuestNICs(t *testing.T) {
 
 // identityJob emits each record unchanged at full virtual size, so the map
 // output volume equals the input volume (like TeraSort's map phase).
-func identityJob(input string, reduces int) mapreduce.JobConfig {
-	return mapreduce.JobConfig{
+func identityJob(input string, reduces int) mapreduce.JobSpec {
+	return mapreduce.JobSpec{
 		Name:       "identity",
 		Input:      []string{input},
 		NumReduces: reduces,

@@ -101,12 +101,6 @@ type JobSpec struct {
 	Cost CostModel
 }
 
-// JobConfig is the old name for JobSpec, from when the job description and
-// the per-submission tuning knobs lived in one struct.
-//
-// Deprecated: use JobSpec with Cluster.Submit and SubmitOptions.
-type JobConfig = JobSpec
-
 // TaskKind distinguishes map from reduce tasks.
 type TaskKind int
 

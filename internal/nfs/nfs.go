@@ -56,7 +56,7 @@ func (s *Server) WriteBytes() float64 { return s.writeBytes }
 // a multi-hop network flow).
 func (s *Server) SubmitRead(bytes float64) *sim.Done {
 	s.readBytes += bytes
-	return s.machine.Disk.Submit(bytes, 1)
+	return s.machine.Disk.Submit(bytes)
 }
 
 // Read services a VM disk read issued from a VM on client: the filer's disk
@@ -67,7 +67,7 @@ func (s *Server) Read(p *sim.Proc, client *phys.Machine, bytes float64) {
 		return
 	}
 	s.readBytes += bytes
-	diskDone := s.machine.Disk.Submit(bytes, 1)
+	diskDone := s.machine.Disk.Submit(bytes)
 	if path := s.topo.HostPath(s.machine, client); path != nil {
 		fl := s.topo.Fabric().StartFlow("nfs-read", path, bytes)
 		fl.Done().Wait(p)
@@ -82,7 +82,7 @@ func (s *Server) Write(p *sim.Proc, client *phys.Machine, bytes float64) {
 		return
 	}
 	s.writeBytes += bytes
-	diskDone := s.machine.Disk.Submit(bytes*s.writePenalty, 1)
+	diskDone := s.machine.Disk.Submit(bytes * s.writePenalty)
 	if path := s.topo.HostPath(client, s.machine); path != nil {
 		fl := s.topo.Fabric().StartFlow("nfs-write", path, bytes)
 		fl.Done().Wait(p)
@@ -97,7 +97,7 @@ func (s *Server) FetchImage(p *sim.Proc, dst *phys.Machine, bytes float64) {
 		return
 	}
 	s.readBytes += bytes
-	diskDone := s.machine.Disk.Submit(bytes, 1)
+	diskDone := s.machine.Disk.Submit(bytes)
 	if path := s.topo.HostPath(s.machine, dst); path != nil {
 		fl := s.topo.Fabric().StartFlow("nfs-image", path, bytes)
 		fl.Done().Wait(p)

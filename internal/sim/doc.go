@@ -18,9 +18,14 @@
 //     during the stop-and-copy phase of live migration).
 //   - Queue: a counting semaphore with FIFO wakeup (task slots, bounded
 //     buffers).
-//   - FairShare: a processor-sharing resource (CPU pools, disks); N jobs in
-//     service each progress at capacity/N, optionally capped per job. This is
-//     the building block for the Xen credit scheduler and for disk contention.
+//   - MaxMin: the one max-min fair rate solver. Activities progress over
+//     the resources they use at progressive-filling rates, optionally
+//     capped; it integrates progress and fires completions. FairShare and
+//     vnet.Fabric are front-ends over it.
+//   - FairShare: a processor-sharing resource (CPU pools, disks), a MaxMin
+//     with one resource; N jobs in service each progress at capacity/N,
+//     optionally capped per job. This is the building block for the Xen
+//     credit scheduler and for disk contention.
 //
 // All times are in seconds, all data volumes in bytes, all rates in bytes or
 // work-units per second, matching the conventions used across internal/vnet,

@@ -3,34 +3,15 @@ package sim
 import "fmt"
 
 // FairShare is a processor-sharing resource: every job in service progresses
-// simultaneously, each at a weighted fair fraction of the total capacity,
-// optionally capped at a per-job maximum rate. It models CPU pools under the
-// Xen credit scheduler (capacity = #cores, per-job cap = 1 core), disks and
-// any other rate-shared device.
+// simultaneously, each at a fair fraction of the total capacity, optionally
+// capped at a per-job maximum rate. It models CPU pools under the Xen credit
+// scheduler (capacity = #cores, per-job cap = 1 core), disks and any other
+// rate-shared device. It is a MaxMin solver with a single resource.
 type FairShare struct {
-	engine    *Engine
+	solver    *MaxMin
 	name      string
-	capacity  float64 // total work units per second
 	perJobCap float64 // per-job max rate; 0 means uncapped
-
-	// Jobs are kept in submission order (a slice, not a map): progress
-	// integration, water-filling and completion firing must walk them in a
-	// reproducible order or floating-point accumulation and wakeup order
-	// vary run to run.
-	jobs       []*fsJob
-	lastUpdate Time
-	timer      *Timer
-
-	busyInt     float64 // integral of allocated rate (for utilisation)
-	servedTotal float64 // total work completed
-	createdAt   Time
-}
-
-type fsJob struct {
-	remaining float64
-	weight    float64
-	rate      float64
-	done      *Done
+	uses      []int   // the solver's only resource, shared by every job
 }
 
 // NewFairShare returns a processor-sharing resource with the given total
@@ -39,24 +20,20 @@ func NewFairShare(e *Engine, name string, capacity, perJobCap float64) *FairShar
 	if capacity <= 0 {
 		panic("sim: fair-share capacity must be positive")
 	}
-	return &FairShare{
-		engine:     e,
-		name:       name,
-		capacity:   capacity,
-		perJobCap:  perJobCap,
-		lastUpdate: e.now,
-		createdAt:  e.now,
-	}
+	// Jobs with a work residue of 1e-9 are finished, and completions are at
+	// least 1e-9 s apart.
+	s := NewMaxMin(e, "fair-share "+name, 1e-9, 1e-9)
+	return &FairShare{solver: s, name: name, perJobCap: perJobCap, uses: []int{s.AddResource(capacity)}}
 }
 
 // Name returns the resource name.
 func (f *FairShare) Name() string { return f.name }
 
 // Capacity returns the total service rate.
-func (f *FairShare) Capacity() float64 { return f.capacity }
+func (f *FairShare) Capacity() float64 { return f.solver.Capacity(0) }
 
 // Load returns the number of jobs currently in service.
-func (f *FairShare) Load() int { return len(f.jobs) }
+func (f *FairShare) Load() int { return f.solver.Len() }
 
 // SetCapacity retunes the total service rate mid-simulation (fault
 // injection: a stalled disk or throttled device). Progress is integrated at
@@ -67,171 +44,33 @@ func (f *FairShare) SetCapacity(capacity float64) {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: fair-share %q: capacity must be positive", f.name))
 	}
-	f.advance()
-	f.capacity = capacity
-	f.reschedule()
+	f.solver.SetCapacity(0, capacity)
 }
 
 // Utilization returns the instantaneous fraction of capacity in use.
-func (f *FairShare) Utilization() float64 {
-	total := 0.0
-	for _, j := range f.jobs {
-		total += j.rate
-	}
-	return total / f.capacity
-}
+func (f *FairShare) Utilization() float64 { return f.solver.Utilization(0) }
 
 // MeanUtilization returns the time-averaged utilisation since creation.
-func (f *FairShare) MeanUtilization() float64 {
-	f.advance()
-	dt := f.engine.now - f.createdAt
-	if dt <= 0 {
-		return 0
-	}
-	return f.busyInt / (f.capacity * dt)
-}
+func (f *FairShare) MeanUtilization() float64 { return f.solver.MeanUtilization(0) }
 
 // Served returns the total work completed so far.
-func (f *FairShare) Served() float64 {
-	f.advance()
-	return f.servedTotal
-}
+func (f *FairShare) Served() float64 { return f.solver.Carried(0) }
 
 // Use blocks p until `work` units have been serviced at fair-share rates.
-func (f *FairShare) Use(p *Proc, work float64) { f.UseWeighted(p, work, 1) }
-
-// UseWeighted is Use with a scheduling weight (a job with weight 2 receives
-// twice the rate of a weight-1 job when the resource is contended).
-func (f *FairShare) UseWeighted(p *Proc, work, weight float64) {
-	if work <= 0 {
-		return
+func (f *FairShare) Use(p *Proc, work float64) {
+	if work > 0 {
+		f.Submit(work).Wait(p)
 	}
-	done := f.Submit(work, weight)
-	done.Wait(p)
 }
 
 // Submit enqueues work asynchronously and returns a latch that fires on
 // completion. It may be called from engine context or a process.
-func (f *FairShare) Submit(work, weight float64) *Done {
+func (f *FairShare) Submit(work float64) *Done {
+	d := NewDone(f.solver.engine)
 	if work <= 0 {
-		d := NewDone(f.engine)
 		d.Fire()
 		return d
 	}
-	if weight <= 0 {
-		panic(fmt.Sprintf("sim: fair-share %q: non-positive weight", f.name))
-	}
-	f.advance()
-	j := &fsJob{remaining: work, weight: weight, done: NewDone(f.engine)}
-	f.jobs = append(f.jobs, j)
-	f.reschedule()
-	return j.done
-}
-
-// advance integrates job progress from lastUpdate to now.
-func (f *FairShare) advance() {
-	dt := f.engine.now - f.lastUpdate
-	if dt <= 0 {
-		f.lastUpdate = f.engine.now
-		return
-	}
-	for _, j := range f.jobs {
-		served := j.rate * dt
-		if served > j.remaining {
-			served = j.remaining
-		}
-		j.remaining -= served
-		f.busyInt += j.rate * dt
-		f.servedTotal += served
-	}
-	f.lastUpdate = f.engine.now
-}
-
-// recomputeRates assigns per-job rates by weighted fair sharing with an
-// optional per-job cap, using water-filling so that capped jobs return their
-// surplus to the rest.
-func (f *FairShare) recomputeRates() {
-	if len(f.jobs) == 0 {
-		return
-	}
-	residual := f.capacity
-	active := make([]*fsJob, len(f.jobs))
-	copy(active, f.jobs)
-	for len(active) > 0 {
-		var wsum float64
-		for _, j := range active {
-			wsum += j.weight
-		}
-		capped := false
-		next := active[:0]
-		for _, j := range active {
-			share := residual * j.weight / wsum
-			if f.perJobCap > 0 && share >= f.perJobCap {
-				j.rate = f.perJobCap
-				residual -= f.perJobCap
-				capped = true
-			} else {
-				j.rate = share
-				next = append(next, j)
-			}
-		}
-		active = next
-		if !capped {
-			break
-		}
-	}
-}
-
-// fsEps retires jobs with a negligible work residue; fsMinTick guarantees
-// the clock advances between completion events, so floating-point undershoot
-// in rate*dt cannot pin the simulation at a constant virtual time.
-const (
-	fsEps     = 1e-9
-	fsMinTick = 1e-9
-)
-
-// reschedule recomputes rates and (re)arms the next-completion timer.
-func (f *FairShare) reschedule() {
-	if f.timer != nil {
-		f.timer.Cancel()
-		f.timer = nil
-	}
-	// Retire finished jobs first (including any that would complete within
-	// one minimum tick at their current rate), firing done latches in
-	// submission order and compacting the rest in place.
-	live := f.jobs[:0]
-	for _, j := range f.jobs {
-		if j.remaining <= fsEps || j.remaining <= j.rate*fsMinTick {
-			j.done.Fire()
-			continue
-		}
-		live = append(live, j)
-	}
-	for i := len(live); i < len(f.jobs); i++ {
-		f.jobs[i] = nil // release retired jobs to the GC
-	}
-	f.jobs = live
-	if len(f.jobs) == 0 {
-		return
-	}
-	f.recomputeRates()
-	minT := Forever
-	for _, j := range f.jobs {
-		if j.rate <= 0 {
-			continue
-		}
-		if t := j.remaining / j.rate; t < minT {
-			minT = t
-		}
-	}
-	if minT >= Forever {
-		panic(fmt.Sprintf("sim: fair-share %q stalled with %d jobs", f.name, len(f.jobs)))
-	}
-	if minT < fsMinTick {
-		minT = fsMinTick
-	}
-	f.timer = f.engine.After(minT, func() {
-		f.advance()
-		f.reschedule()
-	})
+	f.solver.Start(new(Activity), work, f.perJobCap, f.uses, d.Fire)
+	return d
 }

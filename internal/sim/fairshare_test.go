@@ -92,18 +92,6 @@ func TestFairShareCapRedistribution(t *testing.T) {
 	almost(t, d2, 2, 1e-9, "capped pair b")
 }
 
-func TestFairShareWeights(t *testing.T) {
-	e := New(1)
-	fs := NewFairShare(e, "r", 90, 0)
-	var dHeavy, dLight Time
-	e.Spawn("heavy", func(p *Proc) { fs.UseWeighted(p, 120, 2); dHeavy = p.Now() })
-	e.Spawn("light", func(p *Proc) { fs.UseWeighted(p, 60, 1); dLight = p.Now() })
-	e.Run()
-	// heavy at 60/s, light at 30/s: both finish at t=2.
-	almost(t, dHeavy, 2, 1e-9, "weighted heavy")
-	almost(t, dLight, 2, 1e-9, "weighted light")
-}
-
 func TestFairShareOversubscriptionSlowdown(t *testing.T) {
 	// 16 VCPUs on 8 cores must take twice as long as 8 VCPUs on 8 cores —
 	// the normal-vs-cross-domain CPU effect in the paper's testbed.
@@ -145,7 +133,7 @@ func TestFairShareUtilizationAccounting(t *testing.T) {
 func TestFairShareSubmitFromEngineContext(t *testing.T) {
 	e := New(1)
 	fs := NewFairShare(e, "r", 10, 0)
-	d := fs.Submit(100, 1)
+	d := fs.Submit(100)
 	var at Time
 	e.Spawn("w", func(p *Proc) { d.Wait(p); at = p.Now() })
 	e.Run()
@@ -189,4 +177,22 @@ func TestFairShareConservationProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A retune changes the capacity the busy integral is measured against from
+// then on, not for the whole history: a device that ran full before and
+// after a degrade was fully utilised throughout.
+func TestFairShareMeanUtilizationAfterRetune(t *testing.T) {
+	e := New(1)
+	fs := NewFairShare(e, "disk", 100, 0)
+	fs.Submit(2000) // 1000 by t=10 at 100/s, then 1/s
+	var atDegrade, later float64
+	e.At(10, func() {
+		fs.SetCapacity(1)
+		atDegrade = fs.MeanUtilization()
+	})
+	e.At(20, func() { later = fs.MeanUtilization() })
+	e.RunUntil(20)
+	almost(t, atDegrade, 1, 1e-9, "mean utilisation right after the degrade")
+	almost(t, later, 1, 1e-9, "mean utilisation at t=20")
 }

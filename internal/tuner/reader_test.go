@@ -116,9 +116,6 @@ func TestTunerOptions(t *testing.T) {
 	if got := New(WithThresholds(th)).Thresholds.NetworkHot; got != 0.99 {
 		t.Errorf("WithThresholds: NetworkHot = %g", got)
 	}
-	if got := NewWithThresholds(th).Thresholds.NetworkHot; got != 0.99 {
-		t.Errorf("NewWithThresholds shim: NetworkHot = %g", got)
-	}
 	if got := New().Thresholds; got != DefaultThresholds() {
 		t.Errorf("New() thresholds = %+v", got)
 	}

@@ -107,11 +107,6 @@ func New(opts ...Option) *Tuner {
 	return t
 }
 
-// NewWithThresholds returns a tuner with the given thresholds.
-//
-// Deprecated: use New(WithThresholds(th)).
-func NewWithThresholds(th Thresholds) *Tuner { return New(WithThresholds(th)) }
-
 // Evaluate applies the rule set to the metrics, most impactful rules first.
 func (t *Tuner) Evaluate(m Metrics) []Recommendation {
 	var recs []Recommendation

@@ -240,3 +240,22 @@ func TestNoLinkOversubscriptionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A retune changes the bandwidth the busy integral is measured against from
+// then on, not for the whole history: a link that ran full before and after
+// a degrade was fully utilised throughout.
+func TestMeanUtilizationAfterSetBandwidth(t *testing.T) {
+	e := sim.New(1)
+	f := NewFabric(e)
+	l := f.NewLink("nic", 100, 0)
+	f.StartFlow("t", []*Link{l}, 2000) // 1000 B by t=10 at 100 B/s, then 1 B/s
+	var atDegrade, later float64
+	e.At(10, func() {
+		l.SetBandwidth(1)
+		atDegrade = l.MeanUtilization()
+	})
+	e.At(20, func() { later = l.MeanUtilization() })
+	e.RunUntil(20)
+	almost(t, atDegrade, 1, 1e-9, "mean utilisation right after the degrade")
+	almost(t, later, 1, 1e-9, "mean utilisation at t=20")
+}

@@ -51,8 +51,8 @@ type MRBenchResult struct {
 // mrbenchJob: the real MRBench runs a trivial text job (identity map,
 // pass-through reduce), so the shuffle carries the full input volume and the
 // measurement target is framework overhead plus data movement.
-func mrbenchJob(input string, run, maps, reduces int, bytesPerRecord float64) mapreduce.JobConfig {
-	return mapreduce.JobConfig{
+func mrbenchJob(input string, run, maps, reduces int, bytesPerRecord float64) mapreduce.JobSpec {
+	return mapreduce.JobSpec{
 		Name:       fmt.Sprintf("mrbench-%d", run),
 		Input:      []string{input},
 		NumReduces: reduces,

@@ -71,8 +71,8 @@ func teraKey(rng interface{ Intn(int) int }) string {
 
 // teraGenJob: each map generates its share of rows and writes them to HDFS
 // (map-only, like Hadoop's TeraGen).
-func teraGenJob(seed, output string, opts TeraOptions) mapreduce.JobConfig {
-	return mapreduce.JobConfig{
+func teraGenJob(seed, output string, opts TeraOptions) mapreduce.JobSpec {
+	return mapreduce.JobSpec{
 		Name:    "teragen",
 		Input:   []string{seed},
 		Output:  output,
@@ -140,8 +140,8 @@ func samplePartitionBoundaries(rows []hdfs.Record, reduces int) []string {
 
 // teraSortJob: identity map, total-order partition, identity reduce. The
 // sorting itself happens in the framework's sort phase.
-func teraSortJob(input, output string, reduces int, bounds []string) mapreduce.JobConfig {
-	return mapreduce.JobConfig{
+func teraSortJob(input, output string, reduces int, bounds []string) mapreduce.JobSpec {
+	return mapreduce.JobSpec{
 		Name:       "terasort",
 		Input:      []string{input},
 		Output:     output,

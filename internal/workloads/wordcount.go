@@ -29,8 +29,8 @@ func WordcountCost() mapreduce.CostModel {
 
 // WordcountJob builds the canonical Wordcount job: mappers tokenise lines
 // and emit (word, 1); reducers sum. A combiner pre-aggregates map-side.
-func WordcountJob(input, output string, reduces int, combiner bool) mapreduce.JobConfig {
-	cfg := mapreduce.JobConfig{
+func WordcountJob(input, output string, reduces int, combiner bool) mapreduce.JobSpec {
+	cfg := mapreduce.JobSpec{
 		Name:       "wordcount",
 		Input:      []string{input},
 		Output:     output,

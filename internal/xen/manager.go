@@ -76,14 +76,13 @@ func (m *Manager) Define(name string, memBytes float64, host *phys.Machine) (*VM
 		return nil, fmt.Errorf("xen: define %s: %w", name, err)
 	}
 	vm := &VM{
-		Name:      name,
-		MemBytes:  memBytes,
-		mgr:       m,
-		host:      host,
-		gate:      sim.NewGate(m.engine, true),
-		vcpu:      sim.NewQueue(m.engine, 1),
-		state:     StateRunning,
-		cpuWeight: 1,
+		Name:     name,
+		MemBytes: memBytes,
+		mgr:      m,
+		host:     host,
+		gate:     sim.NewGate(m.engine, true),
+		vcpu:     sim.NewQueue(m.engine, 1),
+		state:    StateRunning,
 	}
 	m.vms = append(m.vms, vm)
 	return vm, nil

@@ -57,7 +57,6 @@ type VM struct {
 	vcpu  *sim.Queue // the single VCPU: co-resident tasks serialise on it
 	state VMState
 
-	cpuWeight  float64
 	extraDirty float64     // page-dirty rate contributed by running activity
 	inflight   []*sim.Proc // procs parked inside I/O ops touching this VM
 
@@ -158,7 +157,7 @@ func (vm *VM) Exec(p *sim.Proc, cpuSeconds float64) {
 		func() {
 			defer vm.vcpu.Release(1) // released even if the process aborts
 			vm.checkAlive(p)
-			vm.host.CPU.UseWeighted(p, step, vm.cpuWeight)
+			vm.host.CPU.Use(p, step)
 		}()
 		vm.cpuUsed += step
 		remaining -= step
