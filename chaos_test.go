@@ -10,8 +10,8 @@ package vhadoop_test
 //  2. its output is byte-identical to a fault-free run on the same
 //     platform seed (recovery must not change answers);
 //  3. the same platform seed and schedule reproduce a bit-identical
-//     event trace (faults fire off the simulation clock, so chaos runs
-//     are exactly replayable).
+//     span trace, every event included (faults fire off the simulation
+//     clock, so chaos runs are exactly replayable).
 //
 // Seeds are part of the regression surface: a recovery-path change that
 // makes any of them fail or diverge is a real behavioural change.
@@ -82,8 +82,8 @@ func runChaosSuite(t *testing.T, w chaostest.Workload, seeds []int64) {
 				t.Fatalf("replay failed where the first run passed: %v", err)
 			}
 			difftest.RequireIdentical(t, "replay",
-				[]difftest.Digest{{Name: "trace", Data: r1.Trace}, {Name: "end", Data: fmt.Sprint(r1.End)}},
-				[]difftest.Digest{{Name: "trace", Data: r2.Trace}, {Name: "end", Data: fmt.Sprint(r2.End)}})
+				[]difftest.Digest{{Name: "spans", Data: r1.TraceJSON}, {Name: "end", Data: fmt.Sprint(r1.End)}},
+				[]difftest.Digest{{Name: "spans", Data: r2.TraceJSON}, {Name: "end", Data: fmt.Sprint(r2.End)}})
 		})
 	}
 }
@@ -98,7 +98,6 @@ func chaosArtifacts(r chaostest.Result, err error) []difftest.Digest {
 		{Name: "error", Data: errs},
 		{Name: "output", Data: r.Output},
 		{Name: "end", Data: fmt.Sprint(r.End)},
-		{Name: "trace", Data: r.Trace},
 		{Name: "metrics", Data: r.Metrics},
 		{Name: "spans", Data: r.TraceJSON},
 	}
@@ -108,8 +107,9 @@ func chaosArtifacts(r chaostest.Result, err error) []difftest.Digest {
 // diffed the sharded engine against the sequential one; with one engine
 // left, the second side is a rerun. Every workload × platform seed ×
 // fault schedule case runs twice and the full artifact set — error,
-// output, end time, event trace, metrics, spans — must match byte for
-// byte. It is the only chaos coverage of the canopy and DFSIO workloads.
+// output, end time, metrics, spans and their events — must match byte
+// for byte. It is the only chaos coverage of the canopy and DFSIO
+// workloads.
 func TestShardedPlatformDifferential(t *testing.T) {
 	workloads := []chaostest.Workload{
 		chaostest.Wordcount(),
@@ -142,14 +142,13 @@ func TestShardedPlatformDifferential(t *testing.T) {
 						if sc.seed == 0 && err != nil {
 							t.Fatalf("fault-free run failed: %v", err)
 						}
-						// Fault-free platform runs keep the engine trace empty by
-						// design (component events live in spans/metrics); only a
-						// faulted schedule is guaranteed trace lines.
-						if sc.seed != 0 && r.Trace == "" {
-							t.Fatal("faulted run produced no trace")
-						}
 						if r.Metrics == "" || r.TraceJSON == "" {
 							t.Fatal("run produced no observability artifacts")
+						}
+						// A fault-free run may record no events; a faulted
+						// schedule always records its fault firings.
+						if sc.seed != 0 {
+							requireEvents(t, r.TraceJSON)
 						}
 						r2, err2 := chaostest.Run(w, pseed, sched)
 						difftest.RequireIdentical(t, "rerun", chaosArtifacts(r, err), chaosArtifacts(r2, err2))
@@ -157,6 +156,19 @@ func TestShardedPlatformDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// requireEvents fails the test unless the exported span trace decodes and
+// holds at least one event.
+func requireEvents(t *testing.T, traceJSON string) {
+	t.Helper()
+	tr, err := obs.DecodeTrace([]byte(traceJSON))
+	if err != nil {
+		t.Fatalf("span trace does not decode: %v", err)
+	}
+	if len(tr.Events) == 0 {
+		t.Fatal("decoded spans hold no events")
 	}
 }
 

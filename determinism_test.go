@@ -126,7 +126,7 @@ func TestKMeansCentersDeterministic(t *testing.T) {
 
 // TestFaultedRunTraceDeterministic extends the determinism guarantee to the
 // fault path: a fixed platform seed plus a fixed fault schedule must
-// reproduce a byte-identical event trace — fault firings, recoveries,
+// reproduce a byte-identical span trace — fault firings, recoveries,
 // re-replication, tracker death and requeues included — across independent
 // runs. This is what makes a chaos failure replayable from two integers.
 func TestFaultedRunTraceDeterministic(t *testing.T) {
@@ -144,19 +144,13 @@ func TestFaultedRunTraceDeterministic(t *testing.T) {
 		return r
 	}
 	r1, r2 := run(), run()
-	if r1.Trace == "" {
-		t.Fatal("empty trace: nothing was exercised")
-	}
-	if r1.Trace != r2.Trace {
-		t.Fatalf("traces differ across same-seed faulted runs: %d vs %d bytes",
-			len(r1.Trace), len(r2.Trace))
-	}
 	if r1.Output != r2.Output || r1.End != r2.End {
 		t.Fatal("output or end time differ across same-seed faulted runs")
 	}
-	// The observability exports inherit the guarantee: the metrics snapshot
-	// (Prometheus text) and the span trace (JSON) must be byte-identical
-	// across same-seed faulted runs, so dashboards and timelines replay too.
+	// The observability exports carry the guarantee: the metrics snapshot
+	// (Prometheus text) and the span trace (JSON), which holds every
+	// event, must be byte-identical across same-seed faulted runs, so
+	// dashboards and timelines replay too.
 	if r1.Metrics == "" || r1.TraceJSON == "" {
 		t.Fatal("observability exports are empty")
 	}
@@ -175,6 +169,9 @@ func TestFaultedRunTraceDeterministic(t *testing.T) {
 	if len(tr.Spans) == 0 {
 		t.Fatal("exported span trace holds no spans")
 	}
+	if len(tr.Events) == 0 {
+		t.Fatal("decoded spans hold no events: nothing was exercised")
+	}
 	// And the schedule itself round-trips through its codec, so the trace
 	// is reproducible from the schedule *file*, not just the in-memory value.
 	dec, err := faults.DecodeString(faults.EncodeString(sched))
@@ -185,7 +182,7 @@ func TestFaultedRunTraceDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.Trace != r1.Trace {
-		t.Fatal("decoded schedule produced a different trace")
+	if r3.TraceJSON != r1.TraceJSON {
+		t.Fatal("decoded schedule produced a different span trace")
 	}
 }

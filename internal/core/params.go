@@ -81,10 +81,6 @@ type Options struct {
 	MR         mapreduce.Config
 	Xen        xen.Config
 	Migration  xen.MigrationConfig
-
-	// TaskSampling records 1-in-n task spans when n > 1 (counters stay
-	// exact); 0 records every span. See obs.WithTaskSampling.
-	TaskSampling int
 }
 
 // DefaultOptions returns the paper's standard 16-node, 1 GiB-VM cluster in

@@ -50,7 +50,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 		return nil, fmt.Errorf("core: need at least 2 nodes (1 master + 1 worker), got %d", opts.Nodes)
 	}
 	e := sim.New(opts.Seed)
-	plane := obs.New(e, obs.WithTaskSampling(opts.TaskSampling))
+	plane := obs.New(e)
 	fabric := vnet.NewFabric(e)
 	topo := phys.NewTopology(e, fabric, opts.Params.SwitchBW, opts.Params.SwitchLat)
 	pm1 := topo.AddMachine("pm1", opts.Params.machineSpec())

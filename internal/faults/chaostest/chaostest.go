@@ -2,13 +2,13 @@
 // on a fault-hardened platform while a seeded fault schedule fires, and
 // hands the caller everything needed to check the three chaos invariants —
 // the job completes, the output is byte-identical to a fault-free run, and
-// the same seed plus schedule reproduces a bit-identical event trace.
+// the same seed plus schedule reproduces a bit-identical span trace, fault
+// events included.
 package chaostest
 
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"strings"
 
 	"vhadoop/internal/core"
@@ -101,12 +101,11 @@ func GenSchedule(scheduleSeed int64, n int, horizon sim.Time) faults.Schedule {
 // Result is one chaos trial.
 type Result struct {
 	Output string // canonical serialization of the job output
-	Trace  string // the full engine event trace, fault events included
 	Events []nmon.Event
 	End    sim.Time
 	// Metrics is the observability plane's final registry snapshot in
-	// Prometheus text format; TraceJSON is the full span trace. Both are
-	// byte-reproducible across same-seed runs.
+	// Prometheus text format; TraceJSON is the full span trace, every
+	// event included. Both are byte-reproducible across same-seed runs.
 	Metrics   string
 	TraceJSON string
 }
@@ -121,18 +120,11 @@ func Canonical(out []mapreduce.KV) string {
 }
 
 // Run provisions a fresh chaos platform from platformSeed, installs the
-// schedule, runs the workload and captures the trace. The returned error is
+// schedule, runs the workload and exports its telemetry. The returned error is
 // the driver's: a completed chaos run means err == nil even though VMs and
 // machines died along the way.
 func Run(w Workload, platformSeed int64, schedule faults.Schedule) (Result, error) {
 	pl := core.MustNewPlatform(Options(platformSeed))
-	var trace strings.Builder
-	pl.Engine.SetTrace(func(t sim.Time, format string, args ...any) {
-		trace.WriteString(strconv.FormatFloat(t, 'g', -1, 64))
-		trace.WriteByte(' ')
-		fmt.Fprintf(&trace, format, args...)
-		trace.WriteByte('\n')
-	})
 	mon := nmon.New(pl.Engine, nmon.WithInterval(5), nmon.WithPlane(pl.Obs))
 	inj := faults.NewInjector(pl)
 	inj.Attach(mon)
@@ -146,7 +138,6 @@ func Run(w Workload, platformSeed int64, schedule faults.Schedule) (Result, erro
 		return werr
 	})
 	res := Result{
-		Trace:     trace.String(),
 		Events:    mon.Events(),
 		End:       end,
 		Metrics:   pl.Obs.Snapshot().PrometheusText(),

@@ -111,8 +111,8 @@ func (sd *scaledDisk) retune() {
 
 // Injector arms fault schedules against a provisioned platform. Every
 // fault fires as a simulation event at its scheduled virtual time, is
-// written to the engine trace, and — when a monitor is attached — lands
-// as an annotation in the nmon output.
+// recorded as an event in the span trace, and — when a monitor is
+// attached — lands as an annotation in the nmon output.
 type Injector struct {
 	pl  *core.Platform
 	mon *nmon.Monitor
@@ -141,17 +141,11 @@ func NewInjector(pl *core.Platform) *Injector {
 // Attach routes fault events into mon as annotations.
 func (inj *Injector) Attach(mon *nmon.Monitor) { inj.mon = mon }
 
-// note records one fault action: as a typed event in the span trace
-// (which mirrors the identical line into the engine trace), or straight
-// to Engine.Tracef on a platform without a plane, plus an nmon
-// annotation when a monitor is attached.
+// note records one fault action as a typed event in the span trace,
+// plus an nmon annotation when a monitor is attached.
 func (inj *Injector) note(format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
-	if inj.pl.Obs != nil {
-		inj.pl.Obs.Eventf(obs.KindFault, "fault: %s", msg)
-	} else {
-		inj.pl.Engine.Tracef("fault: %s", msg)
-	}
+	inj.pl.Obs.Eventf(obs.KindFault, "fault: %s", msg)
 	if inj.mon != nil {
 		inj.mon.Annotate("fault: " + msg)
 	}

@@ -409,7 +409,7 @@ func (c *Cluster) writeBlock(p *sim.Proc, client *xen.VM, b *Block, pipeline []*
 		if c.instr != nil {
 			c.instr.pipelineFailovers.Inc()
 		}
-		c.spanEventf(sp, "hdfs: pipeline for block %d of %s shrunk %d->%d, resending",
+		sp.Eventf("hdfs: pipeline for block %d of %s shrunk %d->%d, resending",
 			b.ID, b.File, len(pipeline), len(survivors))
 		pipeline = survivors
 	}
@@ -513,7 +513,7 @@ func (c *Cluster) ReadRange(p *sim.Proc, client *xen.VM, b *Block, bytes float64
 		if c.instr != nil {
 			c.instr.readFailovers.Inc()
 		}
-		c.eventf(obs.KindRepair, "hdfs: read failover for block %d of %s: replica on %s died",
+		c.obs.Eventf(obs.KindRepair, "hdfs: read failover for block %d of %s: replica on %s died",
 			b.ID, b.File, d.VM.Name)
 	}
 }
@@ -594,7 +594,7 @@ func (c *Cluster) StartReplicationMonitor(interval sim.Time) {
 		for {
 			p.Sleep(interval)
 			if n := c.ReReplicate(p); n > 0 {
-				c.eventf(obs.KindRepair, "replication monitor created %d replicas", n)
+				c.obs.Eventf(obs.KindRepair, "replication monitor created %d replicas", n)
 			}
 		}
 	})
@@ -708,7 +708,7 @@ func (c *Cluster) ReReplicate(p *sim.Proc) int {
 				if c.instr != nil {
 					c.instr.repairFailures.Inc()
 				}
-				c.spanEventf(sp, "hdfs: re-replication of block %d of %s failed: %v", b.ID, b.File, err)
+				sp.Eventf("hdfs: re-replication of block %d of %s failed: %v", b.ID, b.File, err)
 				sp.SetAttr("error", err.Error()).Finish()
 				break
 			}

@@ -21,8 +21,8 @@ type instruments struct {
 
 // SetObs attaches the observability plane: block writes and repair
 // transfers get spans, failovers become typed events, and the registry
-// gains the hdfs_* metric family. Without a plane the cluster keeps its
-// legacy Engine.Tracef lines.
+// gains the hdfs_* metric family. Without a plane the cluster records
+// no events.
 func (c *Cluster) SetObs(pl *obs.Plane) {
 	c.obs = pl
 	if pl == nil {
@@ -52,26 +52,4 @@ func (c *Cluster) collect() {
 	in.files.Set(float64(len(c.files)))
 	in.datanodesLive.Set(float64(len(c.alive())))
 	in.underReplicated.Set(float64(len(c.UnderReplicated())))
-}
-
-// eventf records a typed top-level trace event through the plane, or
-// falls back to the raw engine trace for clusters built without one.
-// Both sinks are lazy: with no trace sink installed, the plane defers
-// Sprintf to export time and the raw engine drops the line unformatted.
-func (c *Cluster) eventf(kind obs.SpanKind, format string, args ...any) {
-	if c.obs != nil {
-		c.obs.Eventf(kind, format, args...)
-		return
-	}
-	c.namenode.Engine().Tracef(format, args...)
-}
-
-// spanEventf records an event attributed to sp, falling back to the
-// engine trace when the cluster has no plane (sp is then nil).
-func (c *Cluster) spanEventf(sp *obs.Span, format string, args ...any) {
-	if sp != nil {
-		sp.Eventf(format, args...)
-		return
-	}
-	c.namenode.Engine().Tracef(format, args...)
 }

@@ -2,18 +2,16 @@
 // platform, registers a tenant population, submits a synthetic but fully
 // deterministic job mix, runs the backlog to completion under the
 // fair-share scheduler, and captures every comparable artifact — the
-// per-tenant report, the engine trace, the observability snapshot and
-// span trace. The determinism suite replays the same backlog across
-// reruns and requires the artifacts byte-identical; the
-// bench reuses the same harness to measure makespan, p99 wait and the
-// Jain fairness index at scale.
+// per-tenant report, the observability snapshot and the span trace, which
+// holds every service decision as an event. The determinism suite
+// replays the same backlog across reruns and requires the artifacts
+// byte-identical; the bench reuses the same harness to measure makespan,
+// p99 wait and the Jain fairness index at scale.
 package backlog
 
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"vhadoop/internal/core"
 	"vhadoop/internal/faults"
@@ -57,7 +55,6 @@ type Options struct {
 // byte-reproducible for a fixed Options value.
 type Result struct {
 	Report  string // jobsvc canonical per-tenant report
-	Trace   string // full engine event trace
 	Metrics string // observability registry snapshot (Prometheus text)
 	Spans   string // full span trace (JSON)
 
@@ -156,13 +153,6 @@ func Run(o Options) (Result, error) {
 		return Result{}, fmt.Errorf("backlog: need Tenants and Jobs, got %d x %d", o.Tenants, o.Jobs)
 	}
 	pl := core.MustNewPlatform(platformOpts(o))
-	var trace strings.Builder
-	pl.Engine.SetTrace(func(t sim.Time, format string, args ...any) {
-		trace.WriteString(strconv.FormatFloat(t, 'g', -1, 64))
-		trace.WriteByte(' ')
-		fmt.Fprintf(&trace, format, args...)
-		trace.WriteByte('\n')
-	})
 	var inj *faults.Injector
 	if len(o.FaultsAfterStart.Faults) > 0 {
 		mon := nmon.New(pl.Engine, nmon.WithInterval(5), nmon.WithPlane(pl.Obs))
@@ -212,7 +202,6 @@ func Run(o Options) (Result, error) {
 		return Result{}, err
 	}
 	res.Report = svc.Report()
-	res.Trace = trace.String()
 	res.Metrics = pl.Obs.Snapshot().PrometheusText()
 	res.Spans = pl.Obs.Tracer().JSON()
 	res.End = end

@@ -346,13 +346,13 @@ func (s *Service) Submit(p *sim.Proc, tenant string, spec workloads.Spec, opts .
 	if s.queued >= s.cfg.MaxQueued {
 		t.stats.Rejected++
 		s.instr.rejected.Inc()
-		s.eventf("reject %s/%s: queue full (%d)", tenant, spec.Workload(), s.queued)
+		s.pl.Obs.Eventf(kindJobsvc, "reject %s/%s: queue full (%d)", tenant, spec.Workload(), s.queued)
 		return nil, fmt.Errorf("%w: %d queued", ErrQueueFull, s.queued)
 	}
 	if len(t.queue) >= s.cfg.MaxQueuedPerTenant {
 		t.stats.Rejected++
 		s.instr.rejected.Inc()
-		s.eventf("reject %s/%s: tenant queue full (%d)", tenant, spec.Workload(), len(t.queue))
+		s.pl.Obs.Eventf(kindJobsvc, "reject %s/%s: tenant queue full (%d)", tenant, spec.Workload(), len(t.queue))
 		return nil, fmt.Errorf("%w: %s has %d queued", ErrTenantQueueFull, tenant, len(t.queue))
 	}
 	if s.cfg.CapacityBytes > 0 {
@@ -360,7 +360,7 @@ func (s *Service) Submit(p *sim.Proc, tenant string, spec workloads.Spec, opts .
 		if used+spec.Bytes() > s.cfg.CapacityBytes {
 			t.stats.Rejected++
 			s.instr.rejected.Inc()
-			s.eventf("reject %s/%s: capacity %.3g+%.3g > %.3g",
+			s.pl.Obs.Eventf(kindJobsvc, "reject %s/%s: capacity %.3g+%.3g > %.3g",
 				tenant, spec.Workload(), used, spec.Bytes(), s.cfg.CapacityBytes)
 			return nil, fmt.Errorf("%w: %.3g of %.3g bytes committed",
 				ErrCapacity, used, s.cfg.CapacityBytes)
@@ -390,7 +390,7 @@ func (s *Service) Submit(p *sim.Proc, tenant string, spec workloads.Spec, opts .
 	t.stats.Submitted++
 	s.instr.submitted.Inc()
 	s.instr.queueDepth.Set(float64(s.queued))
-	s.eventf("admit %s/%s as job %d", tenant, spec.Workload(), j.id)
+	s.pl.Obs.Eventf(kindJobsvc, "admit %s/%s as job %d", tenant, spec.Workload(), j.id)
 	s.ensureSched()
 	return &Ticket{j: j}, nil
 }
@@ -411,11 +411,3 @@ func (s *Service) Drain(p *sim.Proc) {
 // Stop ends the scheduler daemon after its current tick. A stopped service
 // rejects further submissions but lets in-flight jobs finish.
 func (s *Service) Stop() { s.stopped = true }
-
-// eventf mirrors a service decision to the obs event log and, when a test
-// harness captures it, the engine trace — admission, dispatch, preemption
-// and backfill all leave an auditable deterministic record.
-func (s *Service) eventf(format string, args ...any) {
-	s.pl.Obs.Eventf(kindJobsvc, format, args...)
-	s.pl.Engine.Tracef("jobsvc: "+format, args...)
-}

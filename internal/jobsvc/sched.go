@@ -83,7 +83,7 @@ func (s *Service) failUnschedulable(now sim.Time) {
 					ErrUnschedulable, j.spec.Workload(), dm, dr, t.quotaMaps, t.quotaReduces)
 				t.stats.Failed++
 				s.instr.failed.Inc()
-				s.eventf("fail %s job %d: unschedulable under quota", t.name, j.id)
+				s.pl.Obs.Eventf(kindJobsvc, "fail %s job %d: unschedulable under quota", t.name, j.id)
 				j.done.Fire()
 				continue
 			}
@@ -276,7 +276,7 @@ func (s *Service) dispatchPass(now sim.Time) (blocked *Job, bdm, bdr, dispatched
 		}
 		s.backfills++
 		s.instr.backfilled.Inc()
-		s.eventf("backfill %s job %d past %s job %d", bj.tenant.name, bj.id, j.tenant.name, j.id)
+		s.pl.Obs.Eventf(kindJobsvc, "backfill %s job %d past %s job %d", bj.tenant.name, bj.id, j.tenant.name, j.id)
 		s.dispatch(bj, bjdm, bjdr, now, true)
 		dispatched++
 	}
@@ -357,7 +357,7 @@ func (s *Service) preemptPass(now sim.Time, blocked *Job, dm, dr int) {
 	victim.preemptedAt = now
 	s.preemptions += k
 	s.instr.preempted.Add(float64(k))
-	s.eventf("preempt %d slots of %s for %s job %d (waited %.3g)",
+	s.pl.Obs.Eventf(kindJobsvc, "preempt %d slots of %s for %s job %d (waited %.3g)",
 		k, victim.name, blocked.tenant.name, blocked.id, float64(now-since))
 	blocked.boost = 1
 	s.dispatch(blocked, dm, dr, now, false)
@@ -395,7 +395,7 @@ func (s *Service) dispatch(j *Job, dm, dr int, now sim.Time, backfill bool) {
 	if backfill {
 		j.span.SetAttr("backfill", "true")
 	}
-	s.eventf("dispatch %s job %d (%s) after %.3g", t.name, j.id, j.spec.Workload(), float64(wait))
+	s.pl.Obs.Eventf(kindJobsvc, "dispatch %s job %d (%s) after %.3g", t.name, j.id, j.spec.Workload(), float64(wait))
 	s.pl.Engine.Spawn(fmt.Sprintf("jobsvc-run:%s:%d", t.name, j.id), func(p *sim.Proc) {
 		opts := []mapreduce.SubmitOption{mapreduce.WithTenant(t.name)}
 		if pr := j.priority + j.boost; pr != 0 {
@@ -423,7 +423,7 @@ func (s *Service) complete(p *sim.Proc, j *Job, res workloads.Result, err error)
 		t.stats.Failed++
 		s.instr.failed.Inc()
 		j.span.SetAttr("outcome", "failed")
-		s.eventf("job %d (%s) failed: %v", j.id, t.name, err)
+		s.pl.Obs.Eventf(kindJobsvc, "job %d (%s) failed: %v", j.id, t.name, err)
 	} else {
 		j.state = Done
 		t.stats.Completed++

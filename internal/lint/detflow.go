@@ -8,10 +8,11 @@ import (
 )
 
 // DetFlow traces nondeterministic values across function boundaries
-// into the sinks that fixed-seed reproducibility is judged by: the
-// engine event trace (Engine.Tracef), the nmon event stream
-// (Monitor.Annotate), job output (mapreduce.Emit), and — in package
-// main — program output (fmt.Print*, os.WriteFile).
+// into the sinks that fixed-seed reproducibility is judged by: the obs
+// span trace and metrics registry, the nmon event stream
+// (Monitor.Annotate), the job service's tenant report and submissions,
+// job output (mapreduce.Emit), and — in package main — program output
+// (fmt.Print*, os.WriteFile).
 //
 // Sources of taint are the host clock (time.Now and friends), the
 // global math/rand stream, map iteration order, and goroutine
@@ -552,18 +553,14 @@ func (d *detFunc) sinkOf(call *ast.CallExpr) ([]ast.Expr, string) {
 		sig, _ := fn.Type().(*types.Signature)
 		isMethod := sig != nil && sig.Recv() != nil
 		switch {
-		case path == "vhadoop/internal/sim" && name == "Tracef" && isMethod:
-			return call.Args, "the engine trace (Engine.Tracef)"
 		case path == "vhadoop/internal/nmon" && name == "Annotate" && isMethod:
 			return call.Args, "the nmon event stream (Monitor.Annotate)"
 		case path == "vhadoop/internal/jobsvc" && isMethod:
 			// The job service's replay surface: tenant names and submission
-			// arguments land in the daemon's trace and span events
-			// (Service.eventf) and in the canonical per-tenant report, all
-			// byte-compared by the determinism suite.
+			// arguments land in the daemon's span events and in the
+			// canonical per-tenant report, all byte-compared by the
+			// determinism suite.
 			switch name {
-			case "eventf":
-				return call.Args, "the job-service event stream (Service.eventf)"
 			case "Register":
 				return call.Args, "the job-service tenant report (Service.Register)"
 			case "Submit":
@@ -575,7 +572,7 @@ func (d *detFunc) sinkOf(call *ast.CallExpr) ([]ast.Expr, string) {
 			// trace; counter/gauge/histogram updates land in the metrics
 			// snapshot. Both must be byte-identical across same-seed runs.
 			switch name {
-			case "Eventf", "Annotate", "Start", "SetAttr", "SetFloat":
+			case "Eventf", "Start", "SetAttr", "SetFloat":
 				return call.Args, "the span trace (obs." + name + ")"
 			case "Counter", "Gauge", "Histogram", "Add", "Set", "Inc", "Observe",
 				"CounterVec", "GaugeVec", "HistogramVec", "With":

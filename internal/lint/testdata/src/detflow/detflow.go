@@ -2,7 +2,7 @@
 // nondeterminism sources (host clock, global math/rand, map iteration
 // order, channel receives) into reproducibility sinks. The package is
 // named main so the program-output sinks (fmt.Print*, os.WriteFile)
-// are live alongside the engine-trace sink.
+// are live alongside the span-trace sink.
 package main
 
 import (
@@ -22,9 +22,9 @@ import (
 
 func main() {}
 
-// traceClock feeds the host clock straight into the engine trace.
-func traceClock(e *sim.Engine) {
-	e.Tracef("started at %v", time.Now()) // want "the host clock"
+// traceClock feeds the host clock straight into the span trace.
+func traceClock(pl *obs.Plane) {
+	pl.Eventf(obs.KindCluster, "started at %v", time.Now()) // want "the host clock"
 }
 
 // stamp derives a string from the wall clock; its summary carries the
@@ -34,27 +34,27 @@ func stamp() string {
 }
 
 // traceStamp picks the taint up across the call to stamp.
-func traceStamp(e *sim.Engine) {
-	e.Tracef("stamp %s", stamp()) // want "the host clock"
+func traceStamp(pl *obs.Plane) {
+	pl.Eventf(obs.KindCluster, "stamp %s", stamp()) // want "the host clock"
 }
 
 // traceVia itself is clean — in report mode parameters start
 // untainted, because call sites account for their arguments — but its
 // summary records that argument position 1 reaches a sink inside.
-func traceVia(e *sim.Engine, msg string) {
-	e.Tracef("%s", msg)
+func traceVia(pl *obs.Plane, msg string) {
+	pl.Eventf(obs.KindCluster, "%s", msg)
 }
 
 // callTraceVia is caught through traceVia's sink-parameter summary.
-func callTraceVia(e *sim.Engine) {
-	traceVia(e, time.Now().String()) // want "sink inside traceVia"
+func callTraceVia(pl *obs.Plane) {
+	traceVia(pl, time.Now().String()) // want "sink inside traceVia"
 }
 
 // traceElapsed propagates clock taint through two local assignments.
-func traceElapsed(e *sim.Engine) {
+func traceElapsed(pl *obs.Plane) {
 	start := time.Now()
 	elapsed := time.Since(start)
-	e.Tracef("took %v", elapsed) // want "the host clock"
+	pl.Eventf(obs.KindCluster, "took %v", elapsed) // want "the host clock"
 }
 
 // printKeysUnsorted builds a slice in map-visit order and prints it. The
@@ -146,20 +146,20 @@ func printConstant(m map[string]int) {
 }
 
 // printTimestampAllowed documents a deliberate wall-clock trace line.
-func printTimestampAllowed(e *sim.Engine) {
+func printTimestampAllowed(pl *obs.Plane) {
 	//vhlint:allow detflow -- test fixture: timing line excluded from replay comparison
-	e.Tracef("wall time %v", time.Now())
+	pl.Eventf(obs.KindCluster, "wall time %v", time.Now())
 }
 
 // staleAllowed annotates a line that sinks nothing nondeterministic.
-func staleAllowed(e *sim.Engine) {
+func staleAllowed(pl *obs.Plane) {
 	//vhlint:allow detflow -- test fixture: constant trace needs no allow // want "stale //vhlint:allow detflow"
-	e.Tracef("constant line")
+	pl.Eventf(obs.KindCluster, "constant line")
 }
 
-// The observability plane's exports (span trace, metrics snapshot) are
-// replay-compared byte for byte, so they are sinks exactly like the
-// engine trace.
+// The rest of the observability plane's exports (span names and
+// attributes, the metrics snapshot) are replay-compared byte for byte,
+// so they are sinks exactly like events.
 
 // obsEventClock feeds the host clock into a typed span event.
 func obsEventClock(pl *obs.Plane) {
@@ -209,8 +209,8 @@ func obsSpanClean(pl *obs.Plane, name string, seconds float64) {
 }
 
 // The job service's submission surface is a sink too: tenant names and
-// submission arguments land in the daemon's trace and span events and
-// in the canonical per-tenant report, all replay-compared.
+// submission arguments land in the daemon's span events and in the
+// canonical per-tenant report, all replay-compared.
 
 // jobsvcRegisterStamp mints a tenant name from the wall clock; the name
 // keys the byte-compared tenant report.
@@ -219,7 +219,7 @@ func jobsvcRegisterStamp(svc *jobsvc.Service) {
 }
 
 // jobsvcSubmitRand routes the global math/rand stream into a submission
-// argument; the tenant name lands in the dispatch trace line.
+// argument; the tenant name lands in the dispatch event.
 func jobsvcSubmitRand(p *sim.Proc, svc *jobsvc.Service) {
 	_, _ = svc.Submit(p, fmt.Sprintf("t%d", rand.Int()), workloads.WordcountSpec{Input: "/in"}) // want "the job-service event stream"
 }

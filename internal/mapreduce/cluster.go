@@ -277,7 +277,7 @@ func (c *Cluster) declareDead(tr *Tracker) {
 	if c.instr != nil {
 		c.instr.trackerDeaths.Inc()
 	}
-	c.eventf(obs.KindCluster, "jobtracker: tasktracker %s declared dead", tr.VM.Name)
+	c.obs.Eventf(obs.KindCluster, "jobtracker: tasktracker %s declared dead", tr.VM.Name)
 	// Requeue the tracker's running tasks in deterministic (job, kind,
 	// index) order — tr.running is a map, and requeue order decides the
 	// scheduler's pending queue after a failure.
@@ -444,7 +444,7 @@ func (c *Cluster) killJob(j *job, err error) {
 		return
 	}
 	j.fail(err)
-	c.eventf(obs.KindJob, "jobtracker: killing job %s: %v", j.cfg.Name, err)
+	c.obs.Eventf(obs.KindJob, "jobtracker: killing job %s: %v", j.cfg.Name, err)
 	for _, ts := range [][]*task{j.maps, j.reduces} {
 		for _, t := range ts {
 			for _, proc := range t.attemptProcs {
@@ -639,7 +639,7 @@ func (c *Cluster) onTaskExit(tr *Tracker, t *task, err error, sp *obs.Span) {
 			if c.instr != nil {
 				c.instr.preemptions.Inc()
 			}
-			c.spanEventf(sp, "preempting %s%d of %s on %s", t.kind, t.index, t.job.cfg.Name, tr.VM.Name)
+			sp.Eventf("preempting %s%d of %s on %s", t.kind, t.index, t.job.cfg.Name, tr.VM.Name)
 			sp.SetAttr("outcome", "preempted").Finish()
 			t.attempts--
 			c.requeue(t)
@@ -648,7 +648,7 @@ func (c *Cluster) onTaskExit(tr *Tracker, t *task, err error, sp *obs.Span) {
 		if c.instr != nil {
 			c.instr.taskFailures.Inc()
 		}
-		c.spanEventf(sp, "task %s%d of %s failed on %s: %v", t.kind, t.index, t.job.cfg.Name, tr.VM.Name, err)
+		sp.Eventf("task %s%d of %s failed on %s: %v", t.kind, t.index, t.job.cfg.Name, tr.VM.Name, err)
 		sp.SetAttr("outcome", "failed").Finish()
 		c.requeue(t)
 		return
@@ -661,7 +661,7 @@ func (c *Cluster) onTaskExit(tr *Tracker, t *task, err error, sp *obs.Span) {
 		if c.instr != nil {
 			c.instr.zombieDiscards.Inc()
 		}
-		c.spanEventf(sp, "discarding zombie completion of %s%d of %s on %s", t.kind, t.index, t.job.cfg.Name, tr.VM.Name)
+		sp.Eventf("discarding zombie completion of %s%d of %s on %s", t.kind, t.index, t.job.cfg.Name, tr.VM.Name)
 		sp.SetAttr("outcome", "zombie-discarded").Finish()
 		return
 	}
@@ -697,6 +697,6 @@ func (c *Cluster) speculate(t *task) {
 	if c.instr != nil {
 		c.instr.speculations.Inc()
 	}
-	c.eventf(obs.KindTask, "speculating %s%d of %s", t.kind, t.index, t.job.cfg.Name)
+	c.obs.Eventf(obs.KindTask, "speculating %s%d of %s", t.kind, t.index, t.job.cfg.Name)
 	c.enqueuePending(t)
 }

@@ -38,8 +38,8 @@ type instruments struct {
 
 // SetObs attaches the observability plane: jobs and task attempts get
 // spans, scheduler events become typed trace events, and the registry
-// gains the mr_* metric family. A cluster without a plane keeps its
-// legacy Engine.Tracef lines.
+// gains the mr_* metric family. A cluster without a plane records no
+// events: the plane's tracer is the only trace.
 func (c *Cluster) SetObs(pl *obs.Plane) {
 	c.obs = pl
 	if pl == nil {
@@ -94,29 +94,6 @@ func (c *Cluster) collect() {
 	}
 	in.trackersDead.Set(float64(dead))
 	in.pendingTasks.Set(float64(len(c.pending)))
-}
-
-// eventf records a typed top-level trace event through the plane, or
-// falls back to the raw engine trace for clusters built without one —
-// direct-constructed clusters keep their legacy trace lines. Both sinks
-// are lazy: with no trace sink installed, the plane defers Sprintf to
-// export time and the raw engine drops the line unformatted.
-func (c *Cluster) eventf(kind obs.SpanKind, format string, args ...any) {
-	if c.obs != nil {
-		c.obs.Eventf(kind, format, args...)
-		return
-	}
-	c.engine.Tracef(format, args...)
-}
-
-// spanEventf records an event attributed to sp, falling back to the
-// engine trace when the cluster has no plane (sp is then nil).
-func (c *Cluster) spanEventf(sp *obs.Span, format string, args ...any) {
-	if sp != nil {
-		sp.Eventf(format, args...)
-		return
-	}
-	c.engine.Tracef(format, args...)
 }
 
 // startSpans opens the job's root span and its map phase at submission,

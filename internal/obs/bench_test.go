@@ -61,19 +61,6 @@ func BenchmarkTracerSpan(b *testing.B) {
 	}
 }
 
-// BenchmarkTracerSpanSampled is the same lifecycle with 1-in-16 task
-// sampling: 15 of 16 spans recycle through the freelist.
-func BenchmarkTracerSpanSampled(b *testing.B) {
-	pl := New(sim.New(1), WithTaskSampling(16))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp := pl.Start(KindTask, "wc:m0.0", nil)
-		sp.SetAttr("vm", "vm01").SetFloat("seconds", 1.5)
-		sp.Finish()
-	}
-}
-
 // BenchmarkVecWithHit measures the interned fast path — the cost hot
 // code pays per With once the tuple is cached — against the legacy
 // string lookup it replaces (BenchmarkRegistryLookup).
@@ -101,23 +88,10 @@ func BenchmarkVecWithHitTwoLabels(b *testing.B) {
 	}
 }
 
-// BenchmarkEventfDisabled measures Eventf with no trace sink installed:
-// formatting is deferred, so the cost is capturing format+args.
-func BenchmarkEventfDisabled(b *testing.B) {
+// BenchmarkEventf measures recording one event: the cost is capturing
+// format+args, since rendering waits for export.
+func BenchmarkEventf(b *testing.B) {
 	pl := New(sim.New(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pl.Eventf(KindTask, "speculating %s%d of %s", "m", i, "wc")
-	}
-}
-
-// BenchmarkEventfEnabled is the same event with a trace sink installed:
-// eager Sprintf plus the engine-trace mirror.
-func BenchmarkEventfEnabled(b *testing.B) {
-	e := sim.New(1)
-	e.SetTrace(func(t sim.Time, format string, args ...any) {})
-	pl := New(e)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -71,161 +71,34 @@ func TestVecNilSafety(t *testing.T) {
 	r.CounterVec("c", "k").With("v").Add(2)
 }
 
-// TestDeferredEventRendering: with no trace sink, Eventf defers the
-// Sprintf — but the exported trace must be byte-identical to a run with
-// a sink installed (eager formatting), for the same emission sequence.
+// TestDeferredEventRendering: Eventf stores format and args and the
+// message renders at export; the exported events must equal explicit
+// Sprintf results, in emission order, with their time, kind and span.
 func TestDeferredEventRendering(t *testing.T) {
-	emit := func(withSink bool) (string, int) {
-		e := sim.New(1)
-		lines := 0
-		if withSink {
-			e.SetTrace(func(ts sim.Time, format string, args ...any) { lines++ })
-		}
-		p := New(e)
-		e.Spawn("w", func(pr *sim.Proc) {
-			sp := p.Start(KindJob, "job", nil)
-			pr.Sleep(1)
-			sp.Eventf("attempt %d of %s failed: %v", 3, "wc", fmt.Errorf("boom"))
-			p.Eventf(KindFault, "fault: %s factor %.2f", "netdeg", 0.5)
-			sp.Finish()
-		})
-		e.Run()
-		return p.Tracer().JSON(), lines
-	}
+	e := sim.New(1)
+	p := New(e)
+	var spanID int
+	e.Spawn("w", func(pr *sim.Proc) {
+		sp := p.Start(KindJob, "job", nil)
+		spanID = sp.ID
+		pr.Sleep(1)
+		sp.Eventf("attempt %d of %s failed: %v", 3, "wc", fmt.Errorf("boom"))
+		p.Eventf(KindFault, "fault: %s factor %.2f", "netdeg", 0.5)
+		sp.Finish()
+	})
+	e.Run()
 
-	eager, eagerLines := emit(true)
-	deferred, deferredLines := emit(false)
-	if eager != deferred {
-		t.Fatalf("deferred rendering diverged from eager:\n%s\nvs\n%s", deferred, eager)
+	want := []Event{
+		{T: 1, Kind: KindJob, Span: spanID, Msg: fmt.Sprintf("attempt %d of %s failed: %v", 3, "wc", fmt.Errorf("boom"))},
+		{T: 1, Kind: KindFault, Span: 0, Msg: fmt.Sprintf("fault: %s factor %.2f", "netdeg", 0.5)},
 	}
-	if eagerLines != 2 || deferredLines != 0 {
-		t.Fatalf("trace mirroring wrong: eager %d lines (want 2), deferred %d (want 0)", eagerLines, deferredLines)
+	if got := p.Tracer().Export().Events; !reflect.DeepEqual(got, want) {
+		t.Fatalf("exported events = %+v, want %+v", got, want)
 	}
 
 	// Exporting twice must not double-render or mutate stored events.
-	e := sim.New(1)
-	p := New(e)
-	p.Eventf(KindCluster, "n=%d", 4)
 	first := p.Tracer().JSON()
 	if second := p.Tracer().JSON(); first != second {
 		t.Fatal("repeated export changed rendered events")
-	}
-}
-
-// TestTaskSamplingCountersExact: with 1-in-n task sampling, only every
-// n-th task span is recorded, other span kinds are untouched, IDs stay
-// dense, and nothing counter-like changes (sampling is a trace-volume
-// knob only).
-func TestTaskSamplingCountersExact(t *testing.T) {
-	e := sim.New(1)
-	p := New(e, WithTaskSampling(3))
-	c := p.Counter("attempts_total")
-	job := p.Start(KindJob, "job", nil)
-	var kept []*Span
-	for i := 0; i < 9; i++ {
-		sp := p.Start(KindTask, "t", job)
-		sp.SetAttr("i", "x").Eventf("task %d", i)
-		c.Inc()
-		sp.Finish()
-		if i%3 == 0 {
-			kept = append(kept, sp)
-		}
-	}
-	job.Finish()
-
-	if c.Value() != 9 {
-		t.Fatalf("counter = %v, want 9 (sampling must not thin metrics)", c.Value())
-	}
-	tr := p.Tracer().Export()
-	tasks := 0
-	for _, s := range tr.Spans {
-		if s.Kind == KindTask {
-			tasks++
-			if s.Parent != job.ID {
-				t.Fatalf("sampled task span lost its parent: %+v", s)
-			}
-		}
-	}
-	if tasks != 3 {
-		t.Fatalf("recorded task spans = %d, want 3 of 9", tasks)
-	}
-	// IDs are dense over recorded spans only: job + 3 tasks = 1..4.
-	for i, s := range tr.Spans {
-		if s.ID != i+1 {
-			t.Fatalf("span IDs not dense: %+v", tr.Spans)
-		}
-	}
-	// Events on dropped spans are discarded; kept spans' events remain.
-	if len(tr.Events) != 3 {
-		t.Fatalf("events = %d, want 3 (one per recorded task)", len(tr.Events))
-	}
-}
-
-// TestPooledSpanReuse: sampled-out spans are recycled through the
-// freelist; reuse must not corrupt previously recorded spans or leak
-// attributes/events across incarnations.
-func TestPooledSpanReuse(t *testing.T) {
-	e := sim.New(1)
-	p := New(e, WithTaskSampling(2))
-	job := p.Start(KindJob, "job", nil)
-	for i := 0; i < 50; i++ {
-		sp := p.Start(KindTask, "t", job)
-		sp.SetAttr("attempt", "1").SetFloat("bytes", float64(i))
-		sp.Eventf("work %d", i)
-		sp.Finish()
-	}
-	job.Finish()
-	tr := p.Tracer().Export()
-
-	wantTasks := 25
-	got := 0
-	for _, s := range tr.Spans {
-		if s.Kind != KindTask {
-			continue
-		}
-		got++
-		// Each recorded span must carry exactly its own two attrs.
-		if !reflect.DeepEqual(attrKeys(s.Attrs), []string{"attempt", "bytes"}) {
-			t.Fatalf("recycled span corrupted attrs: %+v", s.Attrs)
-		}
-	}
-	if got != wantTasks {
-		t.Fatalf("task spans = %d, want %d", got, wantTasks)
-	}
-	if len(tr.Events) != wantTasks {
-		t.Fatalf("events = %d, want %d (dropped spans must not leak events)", len(tr.Events), wantTasks)
-	}
-	// Round-trip through JSON to make sure recycled backing arrays never
-	// alias exported data.
-	dec, err := DecodeTrace([]byte(p.Tracer().JSON()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dec, tr) {
-		t.Fatal("export after reuse does not round-trip")
-	}
-}
-
-func attrKeys(attrs []Attr) []string {
-	keys := make([]string, 0, len(attrs))
-	for _, a := range attrs {
-		keys = append(keys, a.Key)
-	}
-	return keys
-}
-
-// TestSamplingOffByDefault: without the option every task span records,
-// byte-identical to the pre-sampling behaviour the determinism suite
-// pins.
-func TestSamplingOffByDefault(t *testing.T) {
-	e := sim.New(1)
-	p := New(e)
-	job := p.Start(KindJob, "job", nil)
-	for i := 0; i < 5; i++ {
-		p.Start(KindTask, "t", job).Finish()
-	}
-	job.Finish()
-	if n := len(p.Tracer().Export().Spans); n != 6 {
-		t.Fatalf("spans = %d, want 6 (sampling must default off)", n)
 	}
 }

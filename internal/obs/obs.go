@@ -1,7 +1,7 @@
 // Package obs is the platform-wide observability plane of vHadoop: one
 // deterministic layer that replaces the ad-hoc telemetry surfaces
-// (scattered Engine.Tracef lines, Monitor.Annotate marks, raw sample
-// fields) with
+// (scattered trace lines, Monitor.Annotate marks, raw sample fields)
+// with
 //
 //   - a metrics registry — counters, gauges and fixed-bucket histograms
 //     keyed by (name, labels), iterated in a deterministic order and
@@ -18,9 +18,10 @@
 // exports — the trace and the metrics are part of the replay-compared
 // regression surface, enforced by determinism_test.go.
 //
-// Engine.Tracef remains the low-level line sink: span events written
-// through the plane also land in the engine trace, which is what keeps
-// the chaos harness's bit-identical-trace invariant meaningful.
+// The tracer's event log is the platform's only trace: each event is
+// recorded once, as time, kind, span and format+args, and rendered at
+// export. The determinism and chaos suites compare that export across
+// reruns.
 //
 // Every method is nil-safe: a subsystem holding a nil *Plane (a cluster
 // built outside core.NewPlatform, a unit test) can instrument its hot
@@ -33,41 +34,18 @@ import (
 
 // Plane bundles the registry and the tracer for one platform instance.
 type Plane struct {
-	engine   *sim.Engine
 	registry *Registry
 	tracer   *Tracer
 }
 
-// Option configures a Plane at construction time.
-type Option func(*Plane)
-
-// WithTaskSampling records only one in n task spans (n > 1). Counters
-// and every other span kind stay exact — only per-attempt KindTask
-// spans are thinned, deterministically (by start order, not randomly),
-// for very large runs where the task table dominates trace size. The
-// default (no option, or n <= 1) records every span and is what the
-// determinism suite pins.
-func WithTaskSampling(n int) Option {
-	return func(pl *Plane) {
-		if n > 1 {
-			pl.tracer.sampleN = n
-		}
-	}
-}
-
 // New creates an observability plane bound to the engine: registry
-// snapshots are stamped with the engine's virtual clock and span events
-// are mirrored into the engine trace.
-func New(e *sim.Engine, opts ...Option) *Plane {
-	pl := &Plane{
-		engine:   e,
+// snapshots and spans and events are stamped with the engine's virtual
+// clock.
+func New(e *sim.Engine) *Plane {
+	return &Plane{
 		registry: NewRegistry(e.Now),
 		tracer:   newTracer(e),
 	}
-	for _, opt := range opts {
-		opt(pl)
-	}
-	return pl
 }
 
 // Registry returns the plane's metrics registry (nil for a nil plane).

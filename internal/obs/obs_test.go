@@ -219,10 +219,6 @@ x_total{q="a\"b"} 1
 
 func TestSpansAndEvents(t *testing.T) {
 	e := sim.New(1)
-	var lines []string
-	e.SetTrace(func(at sim.Time, f string, args ...any) {
-		lines = append(lines, strings.TrimSpace(f))
-	})
 	p := New(e)
 	e.Spawn("job", func(pr *sim.Proc) {
 		job := p.Start(KindJob, "wordcount", nil)
@@ -256,10 +252,6 @@ func TestSpansAndEvents(t *testing.T) {
 	if len(tr.Events) != 2 || tr.Events[0].Span != task.ID || tr.Events[1].Kind != KindFault {
 		t.Fatalf("events = %+v", tr.Events)
 	}
-	// Events mirror into the engine trace.
-	if !reflect.DeepEqual(lines, []string{"%s", "%s"}) && len(lines) != 2 {
-		t.Fatalf("engine trace lines = %v", lines)
-	}
 
 	js := p.Tracer().JSON()
 	dec, err := DecodeTrace([]byte(js))
@@ -288,7 +280,6 @@ func TestNilSafety(t *testing.T) {
 	p.Histogram("h", []float64{1}).Observe(1)
 	s := p.Start(KindJob, "j", nil)
 	s.SetAttr("k", "v").SetFloat("f", 1)
-	s.Annotate("x")
 	s.Eventf("e %d", 1)
 	s.Finish()
 	p.Eventf(KindFault, "f")

@@ -52,10 +52,9 @@ type Span struct {
 	End    sim.Time `json:"end"` // == Start while open; set by End()
 	Attrs  []Attr   `json:"attrs,omitempty"`
 
-	tracer  *Tracer
-	open    bool
-	dropped bool // sampled out: recorded nowhere, recycled on Finish
-	inline  [spanInlineAttrs]Attr
+	tracer *Tracer
+	open   bool
+	inline [spanInlineAttrs]Attr
 }
 
 // Event is one instantaneous annotation, attributed to a span (or 0 for
@@ -67,20 +66,17 @@ type Event struct {
 	Msg  string   `json:"msg"`
 }
 
-// event is the internal, possibly deferred form of one Event. When the
-// engine's line trace is disabled at emission time there is no observer
-// to satisfy eagerly, so Eventf captures format+args and the message is
-// rendered at export time — in emission order, so exports stay
-// byte-identical with eager formatting. Args must therefore format
-// stably (strings, numbers, errors, value structs — which is all the
-// platform passes); a pointer mutated between emission and export would
-// render differently than it would have eagerly.
+// event is the recorded form of one Event: Eventf captures format and
+// args, and the message is rendered at export time, in emission order.
+// Args must therefore format stably (strings, numbers, errors, value
+// structs — which is all the platform passes); a pointer mutated
+// between emission and export would render its later state.
 type event struct {
 	t      sim.Time
 	kind   SpanKind
 	span   int
 	msg    string // rendered form; authoritative once format == ""
-	format string // non-empty while rendering is deferred
+	format string // non-empty until the first export renders it
 	args   []any
 }
 
@@ -95,36 +91,25 @@ func (ev *event) render() string {
 	return ev.msg
 }
 
-// Tracer records spans and events for one platform. Span starts and
-// ends are silent; events additionally write through Engine.Tracef when
-// a trace sink is installed, so the legacy line trace remains a
-// faithful subset of the span trace.
+// Tracer records spans and events for one platform. It is the
+// platform's only trace: every event is stored once, in emission order,
+// and rendered at export.
 type Tracer struct {
 	engine *sim.Engine
 	nextID int
 	spans  []*Span
 	events []event
 
-	chunk []Span  // arena tail: spans are carved off here
-	free  []*Span // recycled sampled-out spans
-
-	sampleN  int // record 1-in-n task spans; 0 or 1 records all
-	taskSeen int // task spans started, admitted or not
+	chunk []Span // arena tail: spans are carved off here
 }
 
-// newTracer binds a tracer to the engine clock and trace sink.
+// newTracer binds a tracer to the engine clock.
 func newTracer(e *sim.Engine) *Tracer {
 	return &Tracer{engine: e}
 }
 
-// alloc hands out a zeroed span from the freelist or the arena.
+// alloc hands out a zeroed span from the arena.
 func (tr *Tracer) alloc() *Span {
-	if n := len(tr.free); n > 0 {
-		s := tr.free[n-1]
-		tr.free = tr.free[:n-1]
-		*s = Span{}
-		return s
-	}
 	if len(tr.chunk) == 0 {
 		tr.chunk = make([]Span, spanChunk)
 	}
@@ -135,24 +120,12 @@ func (tr *Tracer) alloc() *Span {
 
 // Start opens a span of the given kind under parent (nil for a root
 // span). Nil-safe: a nil tracer returns a nil span, whose methods are
-// all no-ops. With task sampling enabled (see WithTaskSampling),
-// sampled-out task spans are live but unrecorded: their attributes and
-// events are discarded and the span object is recycled on Finish.
+// all no-ops.
 func (tr *Tracer) Start(kind SpanKind, name string, parent *Span) *Span {
 	if tr == nil {
 		return nil
 	}
 	s := tr.alloc()
-	if kind == KindTask && tr.sampleN > 1 {
-		tr.taskSeen++
-		if (tr.taskSeen-1)%tr.sampleN != 0 {
-			s.Kind = kind
-			s.tracer = tr
-			s.open = true
-			s.dropped = true
-			return s
-		}
-	}
 	tr.nextID++
 	s.ID = tr.nextID
 	s.Kind = kind
@@ -161,52 +134,33 @@ func (tr *Tracer) Start(kind SpanKind, name string, parent *Span) *Span {
 	s.End = s.Start
 	s.tracer = tr
 	s.open = true
-	if parent != nil && !parent.dropped {
+	if parent != nil {
 		s.Parent = parent.ID
 	}
 	tr.spans = append(tr.spans, s)
 	return s
 }
 
-// Eventf records a top-level typed event and mirrors it into the engine
-// trace when a sink is installed; without one, formatting is deferred
-// to export time.
+// Eventf records a top-level typed event.
 func (tr *Tracer) Eventf(kind SpanKind, format string, args ...any) {
 	if tr == nil {
 		return
 	}
-	tr.recordf(kind, 0, format, args...)
+	tr.record(kind, 0, format, args)
 }
 
-// record stores a pre-rendered event and mirrors it into the engine
-// trace.
-func (tr *Tracer) record(kind SpanKind, spanID int, msg string) {
-	tr.events = append(tr.events, event{t: tr.engine.Now(), kind: kind, span: spanID, msg: msg})
-	tr.engine.Tracef("%s", msg)
-}
-
-// recordf stores a formatted event: rendered eagerly (and mirrored)
-// when the engine trace is live, captured as format+args otherwise.
-func (tr *Tracer) recordf(kind SpanKind, spanID int, format string, args ...any) {
-	if tr.engine.TraceEnabled() {
-		tr.record(kind, spanID, fmt.Sprintf(format, args...))
-		return
-	}
+// record appends one event; it is the only way into the event log.
+func (tr *Tracer) record(kind SpanKind, spanID int, format string, args []any) {
 	tr.events = append(tr.events, event{t: tr.engine.Now(), kind: kind, span: spanID, format: format, args: args})
 }
 
 // Finish closes the span at the current virtual time. Finishing twice
-// keeps the first end time. A sampled-out span returns to the tracer's
-// freelist here — callers must not touch a span after Finish.
+// keeps the first end time.
 func (s *Span) Finish() {
 	if s == nil || !s.open {
 		return
 	}
 	s.open = false
-	if s.dropped {
-		s.tracer.free = append(s.tracer.free, s)
-		return
-	}
 	s.End = s.tracer.engine.Now()
 }
 
@@ -215,7 +169,7 @@ func (s *Span) Finish() {
 // few attributes live inline in the span; only unusually decorated
 // spans spill to the heap.
 func (s *Span) SetAttr(key, value string) *Span {
-	if s == nil || s.dropped {
+	if s == nil {
 		return s
 	}
 	for i := range s.Attrs {
@@ -234,29 +188,18 @@ func (s *Span) SetAttr(key, value string) *Span {
 // SetFloat attaches a numeric attribute, rendered with the export
 // float format so traces stay byte-stable.
 func (s *Span) SetFloat(key string, v float64) *Span {
-	if s == nil || s.dropped {
+	if s == nil {
 		return s
 	}
 	return s.SetAttr(key, formatFloat(v))
 }
 
-// Annotate records a plain event attributed to this span.
-func (s *Span) Annotate(msg string) {
-	if s == nil || s.tracer == nil || s.dropped {
-		return
-	}
-	s.tracer.record(s.Kind, s.ID, msg)
-}
-
-// Eventf records a formatted event attributed to this span and mirrors
-// it into the engine trace — the replacement for direct Tracef calls in
-// the subsystems. Formatting is deferred when no trace sink is
-// installed.
+// Eventf records a formatted event attributed to this span.
 func (s *Span) Eventf(format string, args ...any) {
-	if s == nil || s.tracer == nil || s.dropped {
+	if s == nil || s.tracer == nil {
 		return
 	}
-	s.tracer.recordf(s.Kind, s.ID, format, args...)
+	s.tracer.record(s.Kind, s.ID, format, args)
 }
 
 // Trace is the exported form of a tracer: spans in creation order,
@@ -267,8 +210,7 @@ type Trace struct {
 }
 
 // Export returns the current trace as a value (open spans export with
-// End == the current clock). Deferred events render here, in emission
-// order.
+// End == the current clock). Events render here, in emission order.
 func (tr *Tracer) Export() Trace {
 	if tr == nil {
 		return Trace{}

@@ -29,7 +29,6 @@ type Engine struct {
 	current   *Proc          // process currently executing, nil in engine context
 	stopped   bool           // set by Stop / Shutdown
 	procPanic string         // pending process-bug report, re-panicked by dispatch in engine context
-	tracef    func(Time, string, ...any)
 }
 
 // New returns an Engine whose pseudo-random stream is derived from seed.
@@ -48,21 +47,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Rand returns the engine's deterministic pseudo-random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// SetTrace installs fn as the trace sink. Pass nil to disable tracing.
-func (e *Engine) SetTrace(fn func(t Time, format string, args ...any)) { e.tracef = fn }
-
-// TraceEnabled reports whether a trace sink is installed — the fast
-// check instrumentation layers use to skip formatting work when nobody
-// is listening to the line trace.
-func (e *Engine) TraceEnabled() bool { return e.tracef != nil }
-
-// Tracef emits a trace line if tracing is enabled.
-func (e *Engine) Tracef(format string, args ...any) {
-	if e.tracef != nil {
-		e.tracef(e.now, format, args...)
-	}
-}
 
 // At schedules fn to run in engine context at virtual time t. Scheduling in
 // the past is an error that panics: it would break causality.

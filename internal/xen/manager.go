@@ -123,7 +123,7 @@ func (m *Manager) CrashMachine(pm *phys.Machine) []*VM {
 		if m.instr != nil {
 			m.instr.machineCrashes.Inc()
 		}
-		m.eventf(obs.KindCluster, "machine %s failed, crashed %d VMs", pm.Name, len(crashed))
+		m.obs.Eventf(obs.KindCluster, "machine %s failed, crashed %d VMs", pm.Name, len(crashed))
 	}
 	return crashed
 }

@@ -106,7 +106,7 @@ func (m *Manager) Migrate(p *sim.Proc, vm *VM, dst *phys.Machine, cfg MigrationC
 		if m.instr != nil {
 			m.instr.aborts.Inc()
 		}
-		m.spanEventf(sp, "migration aborted %s %s->%s after %d rounds: %v",
+		sp.Eventf("migration aborted %s %s->%s after %d rounds: %v",
 			vm.Name, stats.From, stats.To, stats.Rounds, cause)
 		sp.SetAttr("error", cause.Error()).Finish()
 		return stats, fmt.Errorf("xen: migrate %s: %w", vm.Name, cause)
@@ -169,7 +169,7 @@ func (m *Manager) Migrate(p *sim.Proc, vm *VM, dst *phys.Machine, cfg MigrationC
 		m.instr.migrations.Inc()
 		m.instr.downtime.Observe(float64(stats.Downtime))
 	}
-	m.spanEventf(sp, "migrated %s", stats)
+	sp.Eventf("migrated %s", stats)
 	sp.SetFloat("downtime", float64(stats.Downtime)).
 		SetFloat("bytes", stats.BytesSent).
 		SetAttr("rounds", strconv.Itoa(stats.Rounds)).

@@ -35,23 +35,3 @@ func (m *Manager) SetObs(pl *obs.Plane) {
 		machineCrashes: pl.Counter("xen_machine_crashes_total"),
 	}
 }
-
-// eventf records a typed top-level trace event through the plane, or
-// falls back to the raw engine trace when no plane is attached.
-func (m *Manager) eventf(kind obs.SpanKind, format string, args ...any) {
-	if m.obs != nil {
-		m.obs.Eventf(kind, format, args...)
-		return
-	}
-	m.engine.Tracef(format, args...)
-}
-
-// spanEventf records an event attributed to sp, falling back to the
-// engine trace when the manager has no plane (sp is then nil).
-func (m *Manager) spanEventf(sp *obs.Span, format string, args ...any) {
-	if sp != nil {
-		sp.Eventf(format, args...)
-		return
-	}
-	m.engine.Tracef(format, args...)
-}

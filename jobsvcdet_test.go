@@ -2,9 +2,9 @@ package vhadoop_test
 
 // Determinism suite for the job service: a fixed seed plus a fixed
 // submission schedule must reproduce every artifact of a multi-tenant
-// backlog byte-for-byte — the per-tenant report, the engine trace, the
-// metrics snapshot and the span trace — across independent reruns. The
-// same contract holds with a fault schedule
+// backlog byte-for-byte — the per-tenant report, the metrics snapshot and
+// the span trace with every service decision as an event — across
+// independent reruns. The same contract holds with a fault schedule
 // firing mid-backlog: chaos decides which jobs fail, but it decides
 // identically every time.
 
@@ -23,7 +23,6 @@ import (
 func backlogArtifacts(r backlog.Result) []difftest.Digest {
 	return []difftest.Digest{
 		{Name: "report", Data: r.Report},
-		{Name: "trace", Data: r.Trace},
 		{Name: "metrics", Data: r.Metrics},
 		{Name: "spans", Data: r.Spans},
 	}
@@ -81,21 +80,24 @@ func TestJobsvcBacklogDeterministic(t *testing.T) {
 	difftest.RequireIdentical(t, "rerun", want, backlogArtifacts(run()))
 }
 
-// TestJobsvcBacklogGolden pins a small mixed backlog's report and trace —
-// every admission, pick, backfill and completion time — to the digest the
-// scheduler produced before its locality probe and picks were cached (PR
-// 20). A scheduler optimisation must keep it; a policy change must say so
-// and move it.
+// TestJobsvcBacklogGolden pins a small mixed backlog's report and span
+// trace — every admission, pick, backfill and completion time — to a
+// fixed digest. The scheduler decisions it covers are the ones the
+// scheduler made before its locality probe and picks were cached. The
+// earlier digest, d4dd137d…, hashed the report plus the engine line
+// trace: the same events, plus a second "jobsvc: "-prefixed copy of
+// every service decision. A scheduler optimisation must keep the digest;
+// a policy change must say so and move it.
 func TestJobsvcBacklogGolden(t *testing.T) {
-	const golden = "d4dd137d0315d5ca5da78fdf87643abb6c36bfaad413fb417e71a964c479f71a"
+	const golden = "9ecbf8dee4457567354c1a9a2871f1a56d2b5b58c4152df3bec069d7d3869c78"
 	o := bigBacklog()
 	o.Tenants, o.Jobs = 20, 200
 	r, err := backlog.Run(o)
 	if err != nil {
 		t.Fatalf("backlog run failed: %v", err)
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(r.Report+r.Trace))); got != golden {
-		t.Fatalf("report+trace sha256 = %s, want %s: the scheduler's decisions changed", got, golden)
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(r.Report+r.Spans))); got != golden {
+		t.Fatalf("report+spans sha256 = %s, want %s: the scheduler's decisions changed", got, golden)
 	}
 }
 
@@ -132,8 +134,6 @@ func TestJobsvcChaosBacklogDeterministic(t *testing.T) {
 	if completed+failed != 20 {
 		t.Fatalf("jobs unaccounted for: %d done + %d failed != 20", completed, failed)
 	}
-	if r1.Trace == "" {
-		t.Fatal("faulted run produced no trace")
-	}
+	requireEvents(t, r1.Spans)
 	difftest.RequireIdentical(t, "chaos-rerun", backlogArtifacts(r1), backlogArtifacts(r2))
 }

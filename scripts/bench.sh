@@ -42,7 +42,7 @@ run ./internal/mapreduce 'BenchmarkReduceMergeVsSort|BenchmarkSortKVs|BenchmarkD
 run ./internal/clustering 'BenchmarkSquaredEuclidean60|BenchmarkManhattan60|BenchmarkCosine60|BenchmarkNearestSquared'
 
 echo "running observability-plane micro benchmarks..." >&2
-run ./internal/obs 'BenchmarkCounterAdd|BenchmarkRegistryLookup|BenchmarkSnapshotPrometheus|BenchmarkTracerSpan$|BenchmarkTracerSpanSampled|BenchmarkVecWithHit|BenchmarkEventf'
+run ./internal/obs 'BenchmarkCounterAdd|BenchmarkRegistryLookup|BenchmarkSnapshotPrometheus|BenchmarkTracerSpan$|BenchmarkVecWithHit|BenchmarkEventf'
 
 # Fold repetitions into min ns/op per benchmark and emit JSON (portable awk:
 # the first pass computes minima, sort orders the names, the second pass
