@@ -12,8 +12,9 @@
 // the paper's evaluation.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for the paper-vs-measured comparison. The root-level
-// bench_test.go holds one benchmark per table and figure:
+// EXPERIMENTS.md for the paper-vs-measured comparison. cmd/vhadoop
+// regenerates each table and figure, bench/vhbench measures host cost, and
+// the root-level bench_test.go holds the design-choice ablations:
 //
-//	go test -bench=. -benchmem .
+//	go test -run '^$' -bench Ablation .
 package vhadoop

@@ -270,6 +270,11 @@ func TestJobsvcStudyShapes(t *testing.T) {
 	if j := res.Uniform.Result.Jain; j < 0.9 {
 		t.Fatalf("uniform-shape Jain index = %.3f, want >= 0.9", j)
 	}
+	// The quick mixed shape (16 nodes, seed 1, 20 tenants x 200 jobs) waits
+	// 803.70 s at p99; the bound leaves 10 % for deliberate scheduler tweaks.
+	if w := float64(res.Mixed.Result.P99Wait); w > 884.07 {
+		t.Fatalf("mixed-shape p99 wait = %.2f s, want <= 884.07 s", w)
+	}
 	tbl := res.Table()
 	for _, want := range []string{"mixed", "uniform", "Jain"} {
 		if !strings.Contains(tbl, want) {

@@ -106,8 +106,7 @@ func (r JobsvcResult) Table() string {
 	)
 }
 
-// MetricsLines renders one machine-parsable line per shape; the bench
-// smoke script gates these against the BENCH_PR10 pin.
+// MetricsLines renders one machine-parsable line per shape.
 func (r JobsvcResult) MetricsLines() string {
 	var out string
 	for _, s := range []JobsvcShape{r.Mixed, r.Uniform} {

@@ -8,11 +8,10 @@ import (
 	"testing"
 )
 
-// legacySortKVs is the seed implementation's reduce-side sort (reflect-based
-// sort.SliceStable over the full shuffled set), kept here as the reference
-// the merge must match record-for-record and the baseline the
-// micro-benchmark compares against.
-func legacySortKVs(kvs []KV) {
+// referenceSortKVs is a plain stable sort by key over the full shuffled
+// set — the record order the reduce-side k-way merge must reproduce
+// record-for-record.
+func referenceSortKVs(kvs []KV) {
 	sort.SliceStable(kvs, func(a, b int) bool { return kvs[a].Key < kvs[b].Key })
 }
 
@@ -55,7 +54,7 @@ func TestMergeRunsMatchesStableSort(t *testing.T) {
 	} {
 		runs := makeRuns(rng, tc.runs, tc.per, tc.vocab)
 		want := flatten(runs)
-		legacySortKVs(want)
+		referenceSortKVs(want)
 		got := mergeRuns(runs, 0)
 		if len(got) != len(want) {
 			t.Fatalf("%d runs: merged %d records, want %d", tc.runs, len(got), len(want))
@@ -153,76 +152,49 @@ func TestReduceSortedReusesScratchSafely(t *testing.T) {
 
 // --- Micro-benchmarks ------------------------------------------------------
 
-// BenchmarkReduceMergeVsSort compares the reduce-side k-way merge over
-// pre-sorted runs against the seed's full stable re-sort of the shuffled
-// concatenation, at a typical shuffle shape (16 maps feeding one reducer).
-func BenchmarkReduceMergeVsSort(b *testing.B) {
+// BenchmarkReduceMerge measures the reduce-side k-way merge over
+// pre-sorted runs at a typical shuffle shape (16 maps feeding one reducer).
+func BenchmarkReduceMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	runs := makeRuns(rng, 16, 512, 200)
-	b.Run("kway-merge", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if out := mergeRuns(runs, 0); len(out) != 16*512 {
-				b.Fatal("bad merge")
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := mergeRuns(runs, 0); len(out) != 16*512 {
+			b.Fatal("bad merge")
 		}
-	})
-	b.Run("legacy-resort", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			kvs := flatten(runs)
-			legacySortKVs(kvs)
-			if len(kvs) != 16*512 {
-				b.Fatal("bad sort")
-			}
-		}
-	})
+	}
 }
 
-// BenchmarkSortKVs measures the map-side spill sort (generic stable sort)
-// against the seed's reflect-based sort.SliceStable.
+// BenchmarkSortKVs measures the map-side spill sort on one already-sorted
+// run, so it times the O(n) sorted fast path that combiner output takes.
 func BenchmarkSortKVs(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	base := flatten(makeRuns(rng, 1, 4096, 500))
 	scratch := make([]KV, len(base))
-	b.Run("index-pdqsort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(scratch, base)
-			sortKVs(scratch)
-		}
-	})
-	b.Run("legacy-sliceStable", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(scratch, base)
-			legacySortKVs(scratch)
-		}
-	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(scratch, base)
+		sortKVs(scratch)
+	}
 }
 
-// BenchmarkDefaultPartition measures the inlined FNV-1a partitioner against
-// the seed's hash/fnv-object implementation.
+// partitionSink keeps the partitioner's result live in its benchmark.
+var partitionSink int
+
+// BenchmarkDefaultPartition measures the inlined FNV-1a partitioner, which
+// must stay allocation-free.
 func BenchmarkDefaultPartition(b *testing.B) {
 	keys := make([]string, 64)
 	rng := rand.New(rand.NewSource(3))
 	for i := range keys {
 		keys[i] = fmt.Sprintf("word%06d", rng.Intn(1e6))
 	}
-	b.Run("inline-fnv1a", func(b *testing.B) {
-		b.ReportAllocs()
-		s := 0
-		for i := 0; i < b.N; i++ {
-			s += defaultPartition(keys[i%len(keys)], 16)
-		}
-		_ = s
-	})
-	b.Run("legacy-fnv-object", func(b *testing.B) {
-		b.ReportAllocs()
-		s := 0
-		for i := 0; i < b.N; i++ {
-			h := fnv.New32a()
-			h.Write([]byte(keys[i%len(keys)]))
-			s += int(h.Sum32() % 16)
-		}
-		_ = s
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s := 0
+	for i := 0; i < b.N; i++ {
+		s += defaultPartition(keys[i%len(keys)], 16)
+	}
+	partitionSink = s
 }

@@ -5,9 +5,8 @@
 # Usage:
 #   scripts/lint.sh [packages...]   # defaults to ./...
 #
-# Exits non-zero on the first failing stage. bench.sh runs this as a
-# preflight so benchmark numbers are never recorded off a tree that
-# violates the invariants the numbers are supposed to demonstrate.
+# Exits non-zero on the first failing stage. CI runs the same gofmt,
+# vet and vhlint checks as separate steps; run this before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
