@@ -11,7 +11,11 @@
 //
 // Building blocks:
 //
-//   - Engine: the clock, the event heap and the run loop.
+//   - Engine: the clock, the event heap and the run loop. Fired events
+//     are recycled through a free list, so scheduling allocates nothing
+//     in steady state. Engine.At and Engine.After return no handle:
+//     nothing outside the engine cancels an event. MaxMin keeps its one
+//     completion event and re-arms it in place.
 //   - Proc: a simulated process; created with Engine.Spawn.
 //   - Done: a one-shot completion latch processes can wait on.
 //   - Gate: an open/closed barrier (used e.g. to pause virtual machines

@@ -20,6 +20,7 @@ const Forever Time = math.MaxFloat64 / 4
 type Engine struct {
 	now     Time
 	events  eventHeap
+	free    []*event // fired events, recycled by newEvent
 	seq     uint64
 	procSeq uint64 // spawn-order stamp, so teardown order is reproducible
 	rng     *rand.Rand
@@ -50,26 +51,63 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // At schedules fn to run in engine context at virtual time t. Scheduling in
 // the past is an error that panics: it would break causality.
-func (e *Engine) At(t Time, fn func()) *Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	ev := &event{at: t, seq: e.nextSeq(), fn: fn}
+func (e *Engine) At(t Time, fn func()) {
+	e.checkTime(t)
+	ev := e.newEvent(t)
+	ev.fn = fn
 	e.events.push(ev)
-	return &Timer{ev: ev}
 }
 
 // After schedules fn to run d seconds from now.
-func (e *Engine) After(d Time, fn func()) *Timer {
+func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.At(e.now+d, fn)
+	e.At(e.now+d, fn)
+}
+
+func (e *Engine) checkTime(t Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
 }
 
 func (e *Engine) nextSeq() uint64 {
 	e.seq++
 	return e.seq
+}
+
+// newEvent returns an unqueued event at time t with the next sequence
+// number, taken from the free list when one is available.
+func (e *Engine) newEvent(t Time) *event {
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = &event{index: -1}
+	}
+	ev.at, ev.seq = t, e.nextSeq()
+	return ev
+}
+
+// rearm schedules the kept event ev at time t with a fresh sequence number,
+// moving it if it is already queued.
+func (e *Engine) rearm(ev *event, t Time) {
+	e.checkTime(t)
+	ev.at, ev.seq = t, e.nextSeq()
+	if ev.index >= 0 {
+		e.events.fix(ev.index)
+	} else {
+		e.events.push(ev)
+	}
+}
+
+// disarm takes the kept event ev out of the queue if it is there.
+func (e *Engine) disarm(ev *event) {
+	if ev.index >= 0 {
+		e.events.remove(ev.index)
+	}
 }
 
 // Spawn creates a new process running fn and schedules it to start at the
@@ -103,24 +141,22 @@ func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 // deadline stay queued; the clock is advanced to the deadline if any such
 // events remain (so repeated RunUntil calls observe monotonic time).
 func (e *Engine) RunUntil(deadline Time) Time {
-	for !e.stopped {
-		ev := e.events.pop()
-		if ev == nil {
-			break
-		}
-		if ev.at > deadline {
-			// Put it back for a later RunUntil call.
-			ev.seq = 0 // keep it ahead of same-time events scheduled later
-			e.events.push(ev)
+	for !e.stopped && len(e.events) > 0 {
+		if e.events[0].at > deadline {
 			e.now = deadline
 			return e.now
 		}
+		ev := e.events.pop()
 		e.now = ev.at
-		ev.fired = true
-		if ev.fn != nil {
-			ev.fn()
-		} else if ev.proc != nil {
-			e.dispatch(ev.proc)
+		fn, p := ev.fn, ev.proc
+		if !ev.keep {
+			*ev = event{index: -1}
+			e.free = append(e.free, ev)
+		}
+		if fn != nil {
+			fn()
+		} else if p != nil {
+			e.dispatch(p)
 		}
 	}
 	return e.now
@@ -184,6 +220,11 @@ func (e *Engine) Shutdown() {
 		} else {
 			delete(e.procs, p)
 		}
+	}
+	// A kept event outlives the heap; mark it unqueued so its owner's next
+	// rearm pushes it instead of fixing a slot that no longer exists.
+	for _, ev := range e.events {
+		ev.index = -1
 	}
 	e.events = nil
 	e.stopped = false

@@ -55,22 +55,27 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestTimerCancel(t *testing.T) {
+// A kept event that is disarmed never fires; one re-armed while queued
+// moves and fires once, at its new time; one re-armed after firing fires
+// again.
+func TestKeptEventRearmDisarm(t *testing.T) {
 	e := New(1)
-	fired := false
-	tm := e.At(1, func() { fired = true })
-	if !tm.Pending() {
-		t.Fatal("timer not pending after scheduling")
-	}
-	if !tm.Cancel() {
-		t.Fatal("Cancel returned false for pending timer")
-	}
-	if tm.Cancel() {
-		t.Fatal("second Cancel returned true")
-	}
+	var fired []Time
+	record := func() { fired = append(fired, e.Now()) }
+	off := event{index: -1, keep: true, fn: record}
+	e.rearm(&off, 1)
+	e.disarm(&off)
+	e.disarm(&off) // disarming an unqueued event is a no-op
+	moved := event{index: -1, keep: true, fn: record}
+	e.At(3, func() { e.rearm(&moved, 4) })
+	e.rearm(&moved, 5)
+	e.rearm(&moved, 2)
 	e.Run()
-	if fired {
-		t.Fatal("cancelled timer fired")
+	if len(fired) != 2 || fired[0] != 2 || fired[1] != 4 {
+		t.Fatalf("kept event fired at %v, want [2 4]", fired)
+	}
+	if off.index != -1 || moved.index != -1 {
+		t.Fatalf("drained kept events still indexed: %d, %d", off.index, moved.index)
 	}
 }
 
@@ -306,4 +311,76 @@ func TestProcessPanicSurfacesInEngineContext(t *testing.T) {
 	}()
 	e.Run()
 	t.Fatal("Run returned; expected the process panic to propagate")
+}
+
+// Shutdown drops the heap under a solver's kept completion event; the solver
+// must still be usable on the same engine afterwards.
+func TestShutdownDisarmsKeptEvents(t *testing.T) {
+	e := New(1)
+	fs := NewFairShare(e, "cpu", 1, 0)
+	for i := 0; i < 3; i++ {
+		e.Spawn("user", func(p *Proc) { fs.Use(p, 10) })
+	}
+	e.RunUntil(1)
+	e.Shutdown()
+	done := false
+	e.Spawn("again", func(p *Proc) {
+		fs.Use(p, 1)
+		done = true
+	})
+	e.Run()
+	if !done {
+		t.Fatal("work submitted after Shutdown never completed")
+	}
+}
+
+// After a warm-up the engine schedules, fires and recycles events without
+// allocating: process sleeps, self-re-arming callbacks and MaxMin
+// completions all run at 0 allocations.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	const warm = 100
+
+	e := New(1)
+	for i := 0; i < 4; i++ {
+		e.Spawn("sleeper", func(p *Proc) {
+			for {
+				p.Sleep(1)
+			}
+		})
+	}
+	e.RunUntil(warm)
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); n != 0 {
+		t.Errorf("4-proc sleep loop: %v allocs per step, want 0", n)
+	}
+	e.Shutdown()
+
+	e = New(1)
+	var tick func()
+	tick = func() { e.After(1, tick) }
+	e.After(0, tick)
+	e.RunUntil(warm)
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); n != 0 {
+		t.Errorf("self-re-arming callback: %v allocs per After, want 0", n)
+	}
+
+	e = New(1)
+	s := NewMaxMin(e, "gate", 1e-9, 1e-9)
+	uses := []int{s.AddResource(1)}
+	var a, b Activity
+	completed := 0
+	done := func() { completed++ }
+	serve := func() {
+		s.Start(&a, 1, 0, uses, done)
+		s.Start(&b, 2, 0, uses, done) // re-arms the queued completion event
+		e.Run()
+	}
+	for i := 0; i < warm; i++ {
+		serve()
+	}
+	if n := testing.AllocsPerRun(100, serve); n != 0 {
+		t.Errorf("MaxMin re-arm: %v allocs per serve, want 0", n)
+	}
+	if want := 2 * (warm + 101); completed != want {
+		t.Fatalf("completed %d activities, want %d", completed, want)
+	}
 }

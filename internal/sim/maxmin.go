@@ -27,8 +27,7 @@ type MaxMin struct {
 	acts    []*Activity
 
 	lastUpdate Time
-	timer      *Timer
-	onTimer    func()
+	next       event // the next-completion event, kept and re-armed in place
 }
 
 type resource struct {
@@ -66,10 +65,7 @@ func (a *Activity) Remaining() float64 { return a.remaining }
 // undershoot in rate*dt can never pin the clock at one virtual time.
 func NewMaxMin(e *Engine, name string, eps float64, minTick Time) *MaxMin {
 	s := &MaxMin{engine: e, name: name, eps: eps, minTick: minTick, lastUpdate: e.now}
-	s.onTimer = func() {
-		s.advance()
-		s.reschedule()
-	}
+	s.next = event{index: -1, keep: true, fn: s.complete}
 	return s
 }
 
@@ -229,13 +225,15 @@ func crosses(a *Activity, r int) bool {
 	return false
 }
 
+// complete is the next-completion event's callback.
+func (s *MaxMin) complete() {
+	s.advance()
+	s.reschedule()
+}
+
 // reschedule retires finished activities, recomputes rates and re-arms the
-// next-completion timer.
+// next-completion event.
 func (s *MaxMin) reschedule() {
-	if s.timer != nil {
-		s.timer.Cancel()
-		s.timer = nil
-	}
 	// Retire activities that are done or would finish within one tick,
 	// running their callbacks in insertion order and compacting the rest in
 	// place.
@@ -250,6 +248,7 @@ func (s *MaxMin) reschedule() {
 	clear(s.acts[len(live):]) // release retired activities to the GC
 	s.acts = live
 	if len(live) == 0 {
+		s.engine.disarm(&s.next)
 		for i := range s.res {
 			s.res[i].inUse = 0
 		}
@@ -271,5 +270,5 @@ func (s *MaxMin) reschedule() {
 	if minT < s.minTick {
 		minT = s.minTick
 	}
-	s.timer = s.engine.After(minT, s.onTimer)
+	s.engine.rearm(&s.next, s.engine.now+minT)
 }

@@ -131,7 +131,9 @@ func (p *Proc) block() { p.yield() }
 
 // scheduleAt enqueues a resume event for this process at time t.
 func (p *Proc) scheduleAt(t Time) {
-	p.engine.events.push(&event{at: t, seq: p.engine.nextSeq(), proc: p})
+	ev := p.engine.newEvent(t)
+	ev.proc = p
+	p.engine.events.push(ev)
 }
 
 // Sleep suspends the process for d seconds of virtual time.
