@@ -160,7 +160,8 @@ func (pl *Platform) Run(driver func(p *sim.Proc) error) (sim.Time, error) {
 
 // LoadText writes records as an HDFS input file of the given virtual size,
 // uploading from the master VM (the paper's step 4: "input data is prepared
-// by uploading to HDFS").
+// by uploading to HDFS"). HDFS keeps records without copying them, so the
+// caller must not modify the slice afterwards.
 func (pl *Platform) LoadText(p *sim.Proc, name string, size float64, records []hdfs.Record) (*hdfs.File, error) {
 	return pl.DFS.Write(p, pl.Master, name, size, records)
 }

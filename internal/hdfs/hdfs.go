@@ -12,6 +12,7 @@ package hdfs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -82,7 +83,10 @@ type Block struct {
 	Index    int
 	Size     float64
 	Replicas []*Datanode // live replicas
-	Records  []Record    // the real records this block carries
+	// Records are the real records this block carries: a cap-limited
+	// sub-slice of the slice handed to Write, shared with the writer and
+	// read-only.
+	Records []Record
 }
 
 // File is a namenode file entry.
@@ -99,15 +103,6 @@ func (f *File) NumRecords() int {
 		n += len(b.Records)
 	}
 	return n
-}
-
-// Records returns all records of the file in block order.
-func (f *File) Records() []Record {
-	var out []Record
-	for _, b := range f.Blocks {
-		out = append(out, b.Records...)
-	}
-	return out
 }
 
 // Datanode stores blocks on one worker VM. The struct is the namenode's
@@ -300,7 +295,12 @@ func (c *Cluster) choosePipeline(client *xen.VM) ([]*Datanode, error) {
 }
 
 // splitRecords partitions records into per-block groups by cumulative
-// virtual size, mirroring how HDFS cuts a stream into blocks.
+// virtual size, mirroring how HDFS cuts a stream into blocks. Record sizes
+// must be non-negative and finite (Write checks), so the cumulative size —
+// and with it the block index — never decreases: every group is one
+// contiguous range of records, returned as a cap-limited sub-slice (nil
+// when empty) that shares records' backing array without letting an
+// append spill into the next group.
 func splitRecords(records []Record, size, blockSize float64) [][]Record {
 	nBlocks := int(size / blockSize)
 	if float64(nBlocks)*blockSize < size {
@@ -311,21 +311,46 @@ func splitRecords(records []Record, size, blockSize float64) [][]Record {
 	}
 	groups := make([][]Record, nBlocks)
 	cum := 0.0
-	for _, r := range records {
+	lo, cur := 0, 0
+	for i, r := range records {
 		idx := int(cum / blockSize)
 		if idx >= nBlocks {
 			idx = nBlocks - 1
 		}
-		groups[idx] = append(groups[idx], r)
+		if idx != cur {
+			if lo < i {
+				groups[cur] = records[lo:i:i]
+			}
+			lo, cur = i, idx
+		}
 		cum += r.Size
 	}
+	if lo < len(records) {
+		groups[cur] = records[lo:len(records):len(records)]
+	}
 	return groups
+}
+
+// checkRecordSizes rejects record sizes splitRecords cannot place: a
+// negative size walks the cumulative offset backwards (far enough, to a
+// negative block index), and NaN or an infinity has no block at all.
+func checkRecordSizes(records []Record) error {
+	for i, r := range records {
+		if r.Size < 0 || math.IsNaN(r.Size) || math.IsInf(r.Size, 0) {
+			return fmt.Errorf("record %d (%q) has size %v, want finite and non-negative", i, r.Key, r.Size)
+		}
+	}
+	return nil
 }
 
 // Write creates a file of the given virtual size carrying records, streaming
 // each block through a replication pipeline: writer -> DN1 -> DN2 -> ...
 // with each datanode persisting to its NFS-backed disk. Pipeline stages
 // stream concurrently, so a block costs roughly its slowest hop.
+//
+// Write takes ownership of records without copying them: each block's
+// Records is a sub-slice of it, so the caller must not modify the slice
+// afterwards. Every record size must be finite and non-negative.
 func (c *Cluster) Write(p *sim.Proc, client *xen.VM, name string, size float64, records []Record) (*File, error) {
 	if c.Exists(name) {
 		return nil, fmt.Errorf("%w: %s", ErrFileExists, name)
@@ -333,11 +358,14 @@ func (c *Cluster) Write(p *sim.Proc, client *xen.VM, name string, size float64, 
 	if size <= 0 {
 		return nil, fmt.Errorf("hdfs: write %s: non-positive size", name)
 	}
+	if err := checkRecordSizes(records); err != nil {
+		return nil, fmt.Errorf("hdfs: write %s: %w", name, err)
+	}
 	// Namenode RPC: create + one allocate per block.
 	client.Message(p, c.namenode, 512)
 
 	groups := splitRecords(records, size, c.cfg.BlockSize)
-	f := &File{Name: name, Size: size}
+	f := &File{Name: name, Size: size, Blocks: make([]*Block, 0, len(groups))}
 	remaining := size
 	for i := range groups {
 		bsize := c.cfg.BlockSize

@@ -16,7 +16,8 @@ import (
 //     run, within-run order preserved);
 //   - makeSplits: cutting blocks into map inputs must conserve every
 //     byte and every record, in order, no matter how awkward the block
-//     sizes or map count.
+//     sizes or map count, and hand each split exactly the records the
+//     append-based reference assigns it.
 //
 // Both decode raw fuzz bytes into structured inputs with a tiny key
 // alphabet, so the fuzzer hits key collisions (the tie-break paths)
@@ -124,6 +125,37 @@ func decodeBlocks(data []byte) []*hdfs.Block {
 	return blocks
 }
 
+// referenceSplitRecords is the append-per-record assignment makeSplits
+// used before splits became contiguous sub-slices: with numMaps > 0, each
+// record goes to the split its cumulative byte position falls in.
+func referenceSplitRecords(blocks []*hdfs.Block, numMaps int) [][]KV {
+	if numMaps <= 0 {
+		out := make([][]KV, len(blocks))
+		for i, b := range blocks {
+			out[i] = b.Records
+		}
+		return out
+	}
+	var total float64
+	var records []KV
+	for _, b := range blocks {
+		total += b.Size
+		records = append(records, b.Records...)
+	}
+	per := total / float64(numMaps)
+	out := make([][]KV, numMaps)
+	cum := 0.0
+	for _, r := range records {
+		idx := int(cum / per)
+		if idx >= numMaps {
+			idx = numMaps - 1
+		}
+		out[idx] = append(out[idx], r)
+		cum += r.Size
+	}
+	return out
+}
+
 func FuzzMakeSplits(f *testing.F) {
 	f.Add([]byte(nil), byte(0))
 	f.Add([]byte{10, 20, 30}, byte(0))
@@ -183,6 +215,30 @@ func FuzzMakeSplits(f *testing.F) {
 		for i := range gotRecs {
 			if gotRecs[i] != wantRecs[i] {
 				t.Fatalf("record %d: got %s, want %s (split reordered records)", i, gotRecs[i], wantRecs[i])
+			}
+		}
+
+		ref := referenceSplitRecords(blocks, numMaps)
+		for i, s := range splits {
+			if len(s.records) != len(ref[i]) {
+				t.Fatalf("split %d carries %d records, reference assigns %d", i, len(s.records), len(ref[i]))
+			}
+			for j := range ref[i] {
+				if s.records[j] != ref[i][j] {
+					t.Fatalf("split %d record %d = %s, reference has %s", i, j, s.records[j].Key, ref[i][j].Key)
+				}
+			}
+		}
+		// Appending to one split's records must reallocate, never overwrite
+		// the next split's records in a shared backing array.
+		for i, s := range splits {
+			_ = append(s.records, KV{Key: "sentinel"})
+			for k := i + 1; k < len(splits); k++ {
+				for j, r := range splits[k].records {
+					if r != ref[k][j] {
+						t.Fatalf("appending to split %d clobbered split %d record %d", i, k, j)
+					}
+				}
 			}
 		}
 	})

@@ -198,7 +198,14 @@ func (j *job) complete() {
 
 // OutputRecords returns the job's real output records in partition order.
 func (j *job) outputRecords() []KV {
-	var out []KV
+	n := 0
+	for _, part := range j.outputs {
+		n += len(part)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]KV, 0, n)
 	for _, part := range j.outputs {
 		out = append(out, part...)
 	}
@@ -419,7 +426,10 @@ func (c *Cluster) speculatorLoop(p *sim.Proc, j *job) {
 
 // makeSplits cuts blocks into map-task inputs: one split per block when
 // numMaps is 0, otherwise numMaps equal byte ranges over the concatenated
-// blocks, with records following their cumulative byte positions.
+// blocks, with records following their cumulative byte positions. Record
+// sizes are non-negative (hdfs.Write enforces it), so each split's records
+// are one contiguous range of the concatenation, handed out as a
+// cap-limited sub-slice of a single copy.
 func makeSplits(blocks []*hdfs.Block, numMaps int) []*inputSplit {
 	if numMaps <= 0 {
 		splits := make([]*inputSplit, len(blocks))
@@ -433,9 +443,13 @@ func makeSplits(blocks []*hdfs.Block, numMaps int) []*inputSplit {
 		return splits
 	}
 	var total float64
-	var records []KV
+	n := 0
 	for _, b := range blocks {
 		total += b.Size
+		n += len(b.Records)
+	}
+	records := make([]KV, 0, n)
+	for _, b := range blocks {
 		records = append(records, b.Records...)
 	}
 	per := total / float64(numMaps)
@@ -463,15 +477,25 @@ func makeSplits(blocks []*hdfs.Block, numMaps int) []*inputSplit {
 			}
 		}
 	}
-	// Distribute records by cumulative byte position.
+	// Distribute records by cumulative byte position: the split index never
+	// decreases, so each split takes the run of records that maps to it.
 	cum := 0.0
-	for _, r := range records {
+	lo, cur := 0, 0
+	for i, r := range records {
 		idx := int(cum / per)
 		if idx >= numMaps {
 			idx = numMaps - 1
 		}
-		splits[idx].records = append(splits[idx].records, r)
+		if idx != cur {
+			if lo < i {
+				splits[cur].records = records[lo:i:i]
+			}
+			lo, cur = i, idx
+		}
 		cum += r.Size
+	}
+	if lo < len(records) {
+		splits[cur].records = records[lo:len(records):len(records)]
 	}
 	return splits
 }

@@ -364,6 +364,31 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 
 	e = New(1)
+	d := NewDone(e)
+	waits := 0
+	e.Spawn("waiter", func(p *Proc) {
+		for {
+			d.Wait(p)
+			waits++
+			*d = Done{engine: e} // re-arm the one-shot latch in place
+		}
+	})
+	e.Spawn("firer", func(p *Proc) {
+		for {
+			p.Sleep(1)
+			d.Fire()
+		}
+	})
+	e.RunUntil(warm)
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); n != 0 {
+		t.Errorf("single-waiter latch: %v allocs per Wait+Fire, want 0", n)
+	}
+	if want := warm + 101; waits != want {
+		t.Fatalf("latch released %d waits, want %d", waits, want)
+	}
+	e.Shutdown()
+
+	e = New(1)
 	s := NewMaxMin(e, "gate", 1e-9, 1e-9)
 	uses := []int{s.AddResource(1)}
 	var a, b Activity

@@ -3,9 +3,12 @@ package sim
 // Done is a one-shot completion latch. Processes that Wait on it block until
 // Fire is called; waits after the latch has fired return immediately.
 type Done struct {
-	engine  *Engine
-	fired   bool
-	waiters []*Proc
+	engine *Engine
+	fired  bool
+	// first is the earliest waiter, kept inline so the common single-waiter
+	// latch blocks without allocating; later waiters queue in rest.
+	first *Proc
+	rest  []*Proc
 }
 
 // NewDone returns an unfired latch bound to e.
@@ -23,10 +26,14 @@ func (d *Done) fire() {
 		return
 	}
 	d.fired = true
-	for _, p := range d.waiters {
+	if d.first != nil {
+		d.first.scheduleAt(d.engine.now)
+		d.first = nil
+	}
+	for _, p := range d.rest {
 		p.scheduleAt(d.engine.now)
 	}
-	d.waiters = nil
+	d.rest = nil
 }
 
 // Wait blocks p until the latch fires.
@@ -34,7 +41,11 @@ func (d *Done) Wait(p *Proc) {
 	if d.fired {
 		return
 	}
-	d.waiters = append(d.waiters, p)
+	if d.first == nil {
+		d.first = p
+	} else {
+		d.rest = append(d.rest, p)
+	}
 	p.block()
 }
 

@@ -6,10 +6,12 @@ func TestDoneReleasesWaiters(t *testing.T) {
 	e := New(1)
 	d := NewDone(e)
 	var woke []Time
+	var order []int
 	for i := 0; i < 3; i++ {
 		e.Spawn("waiter", func(p *Proc) {
 			d.Wait(p)
 			woke = append(woke, p.Now())
+			order = append(order, i)
 		})
 	}
 	e.At(5, func() { d.Fire() })
@@ -19,6 +21,12 @@ func TestDoneReleasesWaiters(t *testing.T) {
 	}
 	for _, w := range woke {
 		almost(t, w, 5, 0, "wake time")
+	}
+	// The inline first waiter wakes first, the queued rest in Wait order.
+	for i, w := range order {
+		if w != i {
+			t.Fatalf("wake order = %v, want waiters in Wait order", order)
+		}
 	}
 	if !d.Fired() {
 		t.Fatal("latch not marked fired")

@@ -2,7 +2,9 @@ package workloads
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
+	"strconv"
 
 	"vhadoop/internal/core"
 	"vhadoop/internal/hdfs"
@@ -57,17 +59,13 @@ type TeraResult struct {
 	Output    []mapreduce.KV // the globally sorted rows (key, payload)
 }
 
-const teraKeyLen = 10
-
-// teraKey produces a random 10-character printable key, like gensort's.
-func teraKey(rng interface{ Intn(int) int }) string {
-	const alphabet = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-	b := make([]byte, teraKeyLen)
-	for i := range b {
-		b[i] = alphabet[rng.Intn(len(alphabet))]
-	}
-	return string(b)
-}
+const (
+	teraKeyLen   = 10
+	teraAlphabet = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+	// teraPayloadDigits is the zero-padded width of the row number in a
+	// payload ("row%07d"); rows from 10^7 on print all their digits.
+	teraPayloadDigits = 7
+)
 
 // teraGenJob: each map generates its share of rows and writes them to HDFS
 // (map-only, like Hadoop's TeraGen).
@@ -79,7 +77,7 @@ func teraGenJob(seed, output string, opts TeraOptions) mapreduce.JobSpec {
 		NumMaps: opts.GenMaps,
 		NewMapper: func() mapreduce.Mapper {
 			return mapreduce.MapperFunc(func(key string, value any, emit mapreduce.Emit) {
-				row := value.(teraRow)
+				row := value.(*teraRow)
 				emit(row.key, row, row.bytes)
 			})
 		},
@@ -91,10 +89,70 @@ func teraGenJob(seed, output string, opts TeraOptions) mapreduce.JobSpec {
 }
 
 // teraRow is one generated row: the sort key plus its 90-byte payload.
+// Records carry *teraRow values pointing into one arena, so passing a row
+// from record to emit to record never boxes or copies it.
 type teraRow struct {
 	key     string
 	payload string
 	bytes   float64
+}
+
+// teraRows generates n rows of perRow virtual bytes each, as 64-byte seed
+// records. Each key is teraKeyLen characters drawn from rng in row order,
+// like gensort's; each payload is "row%07d" of the row number. Keys,
+// payloads and rows each live in one backing allocation, so the
+// allocation count does not grow with n.
+func teraRows(rng *rand.Rand, n int, perRow float64) []hdfs.Record {
+	keyBuf := make([]byte, n*teraKeyLen)
+	for i := range keyBuf {
+		keyBuf[i] = teraAlphabet[rng.Intn(len(teraAlphabet))]
+	}
+	keys := string(keyBuf)
+
+	// Exact below 10^7 rows; longer row numbers only grow the buffer.
+	payBuf := make([]byte, 0, n*teraPayloadLen(0))
+	for i := 0; i < n; i++ {
+		payBuf = appendTeraPayload(payBuf, i)
+	}
+	payloads := string(payBuf)
+
+	rows := make([]teraRow, n)
+	recs := make([]hdfs.Record, n)
+	off := 0
+	for i := range rows {
+		end := off + teraPayloadLen(i)
+		rows[i] = teraRow{
+			key:     keys[i*teraKeyLen : (i+1)*teraKeyLen],
+			payload: payloads[off:end],
+			bytes:   perRow,
+		}
+		off = end
+		recs[i] = hdfs.Record{Key: rows[i].key, Value: &rows[i], Size: 64} // seed rows are tiny
+	}
+	return recs
+}
+
+// appendTeraPayload appends row i's payload, fmt's "row%07d", to dst.
+func appendTeraPayload(dst []byte, i int) []byte {
+	dst = append(dst, "row"...)
+	for d := decimalDigits(i); d < teraPayloadDigits; d++ {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(i), 10)
+}
+
+// teraPayloadLen is the length of row i's payload text.
+func teraPayloadLen(i int) int {
+	return len("row") + max(teraPayloadDigits, decimalDigits(i))
+}
+
+// decimalDigits counts the decimal digits of a non-negative i.
+func decimalDigits(i int) int {
+	d := 1
+	for ; i >= 10; i /= 10 {
+		d++
+	}
+	return d
 }
 
 // TeraGen runs the generation step: a seed file carrying the real rows is
@@ -102,13 +160,7 @@ type teraRow struct {
 // HDFS replication pipelines.
 func TeraGen(p *sim.Proc, pl *core.Platform, output string, opts TeraOptions, subOpts ...mapreduce.SubmitOption) (sim.Time, error) {
 	start := p.Now()
-	rng := pl.Engine.Rand()
-	perRow := opts.Bytes / float64(opts.RealRows)
-	recs := make([]hdfs.Record, opts.RealRows)
-	for i := range recs {
-		row := teraRow{key: teraKey(rng), payload: fmt.Sprintf("row%07d", i), bytes: perRow}
-		recs[i] = hdfs.Record{Key: row.key, Value: row, Size: 64} // seed rows are tiny
-	}
+	recs := teraRows(pl.Engine.Rand(), opts.RealRows, opts.Bytes/float64(opts.RealRows))
 	seed := output + ".seed"
 	if _, err := pl.DFS.Write(p, pl.Master, seed, float64(len(recs)*64), recs); err != nil {
 		return 0, err
@@ -124,11 +176,13 @@ func TeraGen(p *sim.Proc, pl *core.Platform, output string, opts TeraOptions, su
 }
 
 // samplePartitionBoundaries picks NumReduces-1 key boundaries from the
-// generated rows, as TeraSort's input sampler does.
-func samplePartitionBoundaries(rows []hdfs.Record, reduces int) []string {
-	keys := make([]string, len(rows))
-	for i, r := range rows {
-		keys[i] = r.Key
+// generated rows of f, as TeraSort's input sampler does.
+func samplePartitionBoundaries(f *hdfs.File, reduces int) []string {
+	keys := make([]string, 0, f.NumRecords())
+	for _, b := range f.Blocks {
+		for _, r := range b.Records {
+			keys = append(keys, r.Key)
+		}
 	}
 	sort.Strings(keys)
 	bounds := make([]string, reduces-1)
@@ -152,14 +206,14 @@ func teraSortJob(input, output string, reduces int, bounds []string) mapreduce.J
 		},
 		NewMapper: func() mapreduce.Mapper {
 			return mapreduce.MapperFunc(func(key string, value any, emit mapreduce.Emit) {
-				row := value.(teraRow)
+				row := value.(*teraRow)
 				emit(row.key, row, row.bytes)
 			})
 		},
 		NewReducer: func() mapreduce.Reducer {
 			return mapreduce.ReducerFunc(func(key string, values []any, emit mapreduce.Emit) {
 				for _, v := range values {
-					row := v.(teraRow)
+					row := v.(*teraRow)
 					emit(key, row.payload, row.bytes)
 				}
 			})
@@ -189,7 +243,7 @@ func RunTeraSort(p *sim.Proc, pl *core.Platform, opts TeraOptions, subOpts ...ma
 	if err != nil {
 		return res, err
 	}
-	bounds := samplePartitionBoundaries(gen.Records(), opts.SortReduces)
+	bounds := samplePartitionBoundaries(gen, opts.SortReduces)
 
 	start := p.Now()
 	// TeraSort reads TeraGen's committed output files.
