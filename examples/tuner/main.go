@@ -52,10 +52,10 @@ func main() {
 		// The tuner reads a registry snapshot alone: the monitor publishes
 		// its summaries into the observability plane, the MapReduce and
 		// platform layers publish job history and cluster shape, and
-		// EvaluateReader reconstructs its decision inputs from that export
-		// without touching the monitor's internals.
+		// MetricsFromSnapshot reconstructs the decision inputs from that
+		// export without touching the monitor's internals.
 		report := mon.Analyze()
-		recs = tuner.New().EvaluateReader(pl.Obs.Snapshot())
+		recs = tuner.New().Evaluate(tuner.MetricsFromSnapshot(pl.Obs.Snapshot()))
 		fmt.Printf("nmon bottleneck: %s (%s) at %.0f%% utilisation\n",
 			report.Bottleneck.Resource, report.Bottleneck.Kind, report.Bottleneck.MeanUtil*100)
 		for _, r := range recs {

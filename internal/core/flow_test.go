@@ -102,14 +102,11 @@ func TestPaperExecutionFlow(t *testing.T) {
 		// read back through the observability plane's snapshot, not from the
 		// monitor object. The decision is reproducible from the export alone.
 		snap := pl.Obs.Snapshot()
-		recs = tuner.New().EvaluateReader(snap)
-		metrics := tuner.MetricsFromReader(snap)
+		metrics := tuner.MetricsFromSnapshot(snap)
 		if metrics.Report.Bottleneck.Kind == "" {
-			t.Error("reader-path metrics produced no bottleneck")
+			t.Error("snapshot-path metrics produced no bottleneck")
 		}
-		if got := tuner.New().Evaluate(metrics); len(got) != len(recs) {
-			t.Errorf("EvaluateReader gave %d recs, Evaluate(MetricsFromReader) gave %d", len(recs), len(got))
-		}
+		recs = tuner.New().Evaluate(metrics)
 		tp.MR.Reconfigure(tuner.Apply(tp.MR.Config(), recs))
 		return nil
 	})

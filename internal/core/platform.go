@@ -34,9 +34,7 @@ type Platform struct {
 	DFS *hdfs.Cluster
 	MR  *mapreduce.Cluster
 
-	// collectPlatform's interned gauge handles
-	linkBytes   *obs.GaugeVec
-	linkUtil    *obs.GaugeVec
+	// collectPlatform's gauge handles
 	crossDomain *obs.Gauge
 	clusterVMs  *obs.Gauge
 }
@@ -95,8 +93,6 @@ func NewPlatform(opts Options) (*Platform, error) {
 	mgr.SetObs(plane)
 	pl.DFS.SetObs(plane)
 	pl.MR.SetObs(plane)
-	pl.linkBytes = plane.GaugeVec("vnet_link_bytes", "link")
-	pl.linkUtil = plane.GaugeVec("vnet_link_util_mean", "link")
 	pl.crossDomain = plane.Gauge("cluster_cross_domain")
 	pl.clusterVMs = plane.Gauge("cluster_vms")
 	plane.Registry().OnCollect(pl.collectPlatform)
@@ -108,8 +104,8 @@ func NewPlatform(opts Options) (*Platform, error) {
 // the tuner's migration rule keys off.
 func (pl *Platform) collectPlatform() {
 	for _, l := range pl.Fabric.Links() {
-		pl.linkBytes.With(l.Name()).Set(l.BytesCarried())
-		pl.linkUtil.With(l.Name()).Set(l.MeanUtilization())
+		pl.Obs.Gauge("vnet_link_bytes", "link", l.Name()).Set(l.BytesCarried())
+		pl.Obs.Gauge("vnet_link_util_mean", "link", l.Name()).Set(l.MeanUtilization())
 	}
 	cross := 0.0
 	for _, vm := range pl.VMs {

@@ -119,14 +119,11 @@ type Injector struct {
 
 	byPM  map[string]*scaledLinks // lookup only; never iterated
 	filer *scaledDisk
-
-	injected *obs.CounterVec // faults_injected_total by kind, interned per kind
 }
 
 // NewInjector wires an injector to a platform.
 func NewInjector(pl *core.Platform) *Injector {
 	inj := &Injector{pl: pl, byPM: make(map[string]*scaledLinks)}
-	inj.injected = pl.Obs.CounterVec("faults_injected_total", "kind")
 	for _, pm := range pl.Topo.Machines() {
 		inj.byPM[pm.Name] = newScaledLinks(pm)
 	}
@@ -158,7 +155,7 @@ func (inj *Injector) fired(f Fault) *obs.Span {
 	if pl == nil {
 		return nil
 	}
-	inj.injected.With(string(f.Kind)).Inc()
+	pl.Counter("faults_injected_total", "kind", string(f.Kind)).Inc()
 	sp := pl.Start(obs.KindFault, string(f.Kind)+":"+f.Target, nil)
 	if f.Factor != 0 {
 		sp.SetFloat("factor", f.Factor)

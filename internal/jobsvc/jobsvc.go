@@ -315,8 +315,8 @@ func (s *Service) Register(name string, weight float64, opts ...TenantOption) (*
 	}
 	t := &Tenant{
 		name: name, weight: weight,
-		slots:     s.instr.tenantSlots.With(name),
-		completed: s.instr.tenantCompleted.With(name),
+		slots:     s.pl.Obs.Gauge("jobsvc_tenant_slots", "tenant", name),
+		completed: s.pl.Obs.Counter("jobsvc_tenant_completed_total", "tenant", name),
 	}
 	for _, o := range opts {
 		o(t)

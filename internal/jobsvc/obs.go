@@ -7,8 +7,8 @@ const kindJobsvc = obs.SpanKind("jobsvc")
 
 // instruments is the service's observability surface: service-wide
 // counters for every admission and scheduling decision, queue gauges, wait
-// and runtime histograms, and a per-tenant occupancy gauge plus completion
-// counter for fairness dashboards.
+// and runtime histograms. The per-tenant occupancy gauge and completion
+// counter for fairness dashboards are resolved by Register.
 type instruments struct {
 	submitted    *obs.Counter
 	rejected     *obs.Counter
@@ -23,9 +23,6 @@ type instruments struct {
 
 	waitHist *obs.Histogram
 	runHist  *obs.Histogram
-
-	tenantSlots     *obs.GaugeVec
-	tenantCompleted *obs.CounterVec
 }
 
 // waitBuckets spans sub-tick dispatches through hour-long starvation.
@@ -33,18 +30,16 @@ var waitBuckets = []float64{1, 2, 5, 10, 30, 60, 120, 300, 600, 1800, 3600}
 
 func newInstruments(pl *obs.Plane) *instruments {
 	return &instruments{
-		submitted:       pl.Counter("jobsvc_submitted_total"),
-		rejected:        pl.Counter("jobsvc_rejected_total"),
-		completed:       pl.Counter("jobsvc_completed_total"),
-		failed:          pl.Counter("jobsvc_failed_total"),
-		preempted:       pl.Counter("jobsvc_preempted_slots_total"),
-		backfilled:      pl.Counter("jobsvc_backfilled_total"),
-		deadlineMiss:    pl.Counter("jobsvc_deadline_missed_total"),
-		queueDepth:      pl.Gauge("jobsvc_queue_depth"),
-		runningJobs:     pl.Gauge("jobsvc_running_jobs"),
-		waitHist:        pl.Histogram("jobsvc_wait_seconds", waitBuckets),
-		runHist:         pl.Histogram("jobsvc_run_seconds", waitBuckets),
-		tenantSlots:     pl.GaugeVec("jobsvc_tenant_slots", "tenant"),
-		tenantCompleted: pl.CounterVec("jobsvc_tenant_completed_total", "tenant"),
+		submitted:    pl.Counter("jobsvc_submitted_total"),
+		rejected:     pl.Counter("jobsvc_rejected_total"),
+		completed:    pl.Counter("jobsvc_completed_total"),
+		failed:       pl.Counter("jobsvc_failed_total"),
+		preempted:    pl.Counter("jobsvc_preempted_slots_total"),
+		backfilled:   pl.Counter("jobsvc_backfilled_total"),
+		deadlineMiss: pl.Counter("jobsvc_deadline_missed_total"),
+		queueDepth:   pl.Gauge("jobsvc_queue_depth"),
+		runningJobs:  pl.Gauge("jobsvc_running_jobs"),
+		waitHist:     pl.Histogram("jobsvc_wait_seconds", waitBuckets),
+		runHist:      pl.Histogram("jobsvc_run_seconds", waitBuckets),
 	}
 }

@@ -574,10 +574,7 @@ func (d *detFunc) sinkOf(call *ast.CallExpr) ([]ast.Expr, string) {
 			switch name {
 			case "Eventf", "Start", "SetAttr", "SetFloat":
 				return call.Args, "the span trace (obs." + name + ")"
-			case "Counter", "Gauge", "Histogram", "Add", "Set", "Inc", "Observe",
-				"CounterVec", "GaugeVec", "HistogramVec", "With":
-				// Vec label values select the interned handle, so they land
-				// in the snapshot's canonical key just like lookup labels.
+			case "Counter", "Gauge", "Histogram", "Add", "Set", "Inc", "Observe":
 				return call.Args, "the metrics registry (obs." + name + ")"
 			}
 		}

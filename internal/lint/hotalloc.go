@@ -12,10 +12,9 @@ import (
 //
 //   - any fmt.* call — every argument is boxed into an interface and
 //     Sprintf-style formatting allocates its result;
-//   - obs registry lookups (Counter/Gauge/Histogram and the vec
-//     constructors) — each call rebuilds or re-canonicalises a metric
-//     key; hot paths must intern handles at construction and use them
-//     (or a vec's With, the sanctioned fast path) instead;
+//   - obs registry lookups (Counter/Gauge/Histogram) — each call
+//     rebuilds the canonical metric key and probes the registry map;
+//     hot paths must resolve handles at construction and use them;
 //   - obs formatted-event calls (Eventf) — argument boxing on every
 //     call even when rendering is deferred;
 //   - string concatenation with + inside a loop — each iteration
@@ -91,7 +90,7 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 				case fn.Pkg().Path() == "fmt" && isPackageLevelFunc(fn):
 					pass.Reportf(e.Pos(), "fmt.%s in hot function %s allocates (interface boxing + formatted result)", fn.Name(), fd.Name.Name)
 				case isObsLookup(fn):
-					pass.Reportf(e.Pos(), "obs lookup %s in hot function %s rebuilds the metric key per call; intern the handle at construction (cached field or vec With)", fn.Name(), fd.Name.Name)
+					pass.Reportf(e.Pos(), "obs lookup %s in hot function %s rebuilds the metric key per call; resolve the handle at construction (cached field)", fn.Name(), fd.Name.Name)
 				case isObsFormat(fn):
 					pass.Reportf(e.Pos(), "obs %s in hot function %s boxes its arguments per call; move the event off the hot path or precompute the message", fn.Name(), fd.Name.Name)
 				}
@@ -138,13 +137,10 @@ func obsMethod(fn *types.Func, names ...string) bool {
 }
 
 // isObsLookup reports whether fn is an obs registry lookup: the string
-// keyed Counter/Gauge/Histogram accessors that canonicalise a key per
-// call, or a vec constructor (which allocates the vec). A vec's With is
-// deliberately not a lookup — the interned hit path is the sanctioned
-// hot-path access.
+// keyed Counter/Gauge/Histogram accessors that rebuild the canonical key
+// and probe the registry map per call.
 func isObsLookup(fn *types.Func) bool {
-	return obsMethod(fn, "Counter", "Gauge", "Histogram",
-		"CounterVec", "GaugeVec", "HistogramVec")
+	return obsMethod(fn, "Counter", "Gauge", "Histogram")
 }
 
 // isObsFormat reports whether fn is a formatted obs event emitter:

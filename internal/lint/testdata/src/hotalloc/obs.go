@@ -4,8 +4,8 @@ import (
 	"vhadoop/internal/obs"
 )
 
-// hotCounterLookup re-resolves the counter by string key per call — the
-// exact pattern handle interning exists to remove.
+// hotCounterLookup re-resolves the counter by string key per call
+// instead of using a handle resolved at construction.
 //
 //vhlint:hot
 func hotCounterLookup(r *obs.Registry, vm string) {
@@ -26,14 +26,6 @@ func hotHistogramLookup(r *obs.Registry, v float64) {
 	r.Histogram("seconds", []float64{1, 2}).Observe(v) // want "obs lookup Histogram in hot function hotHistogramLookup"
 }
 
-// hotVecConstruction builds the vec itself inside the hot region;
-// declaring the family belongs at construction time.
-//
-//vhlint:hot
-func hotVecConstruction(r *obs.Registry, vm string) {
-	r.CounterVec("tasks_total", "vm").With(vm).Inc() // want "obs lookup CounterVec in hot function hotVecConstruction"
-}
-
 // hotEventf boxes its arguments on every call even though rendering is
 // deferred.
 //
@@ -42,16 +34,8 @@ func hotEventf(pl *obs.Plane, vm string) {
 	pl.Eventf(obs.KindTask, "task on %s", vm) // want "obs Eventf in hot function hotEventf"
 }
 
-// hotInternedWith is the sanctioned fast path: the vec was interned at
-// construction and With is an allocation-free cache hit — not flagged.
-//
-//vhlint:hot
-func hotInternedWith(v *obs.CounterVec, vm string) {
-	v.With(vm).Inc()
-}
-
-// hotCachedHandle uses a pre-resolved handle — the other sanctioned
-// pattern, also not flagged.
+// hotCachedHandle uses a pre-resolved handle — the sanctioned pattern,
+// not flagged.
 //
 //vhlint:hot
 func hotCachedHandle(c *obs.Counter) {

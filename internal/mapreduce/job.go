@@ -103,7 +103,7 @@ type job struct {
 	phaseShuffle  *obs.Span
 	phaseReduce   *obs.Span
 	shufflesDone  int
-	extraAttempts *obs.Gauge // interned once at submission; see startSpans
+	extraAttempts *obs.Gauge // resolved once at submission; see startSpans
 }
 
 func (j *job) finished() bool { return j.isDone }

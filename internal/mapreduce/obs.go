@@ -26,8 +26,6 @@ type instruments struct {
 	jobsCompleted  *obs.Counter
 	jobsFailed     *obs.Counter
 
-	extraAttempts *obs.GaugeVec // per-job retry overhead, one member per job name
-
 	cfgMapSlots    *obs.Gauge
 	cfgReduceSlots *obs.Gauge
 	cfgSortBuffer  *obs.Gauge
@@ -60,8 +58,6 @@ func (c *Cluster) SetObs(pl *obs.Plane) {
 		jobsCompleted:  pl.Counter("mr_jobs_completed_total"),
 		jobsFailed:     pl.Counter("mr_jobs_failed_total"),
 
-		extraAttempts: pl.GaugeVec("mr_job_extra_attempts", "job"),
-
 		cfgMapSlots:    pl.Gauge("mr_config_map_slots"),
 		cfgReduceSlots: pl.Gauge("mr_config_reduce_slots"),
 		cfgSortBuffer:  pl.Gauge("mr_config_sort_buffer_bytes"),
@@ -73,7 +69,7 @@ func (c *Cluster) SetObs(pl *obs.Plane) {
 }
 
 // collect refreshes the configuration and liveness gauges the tuner's
-// Reader path consumes. It runs only at snapshot time, so derived state
+// snapshot path consumes. It runs only at snapshot time, so derived state
 // (dead-tracker count, queue depth) is folded here instead of being
 // maintained per event.
 func (c *Cluster) collect() {
@@ -97,14 +93,14 @@ func (c *Cluster) collect() {
 }
 
 // startSpans opens the job's root span and its map phase at submission,
-// and interns the job's per-name metric handles so completion paths
-// never rebuild a registry key.
+// and resolves the job's per-name retry-overhead gauge so completion
+// paths never rebuild a registry key.
 func (j *job) startSpans() {
 	pl := j.cluster.obs
 	if pl == nil {
 		return
 	}
-	j.extraAttempts = j.cluster.instr.extraAttempts.With(j.cfg.Name)
+	j.extraAttempts = pl.Gauge("mr_job_extra_attempts", "job", j.cfg.Name)
 	j.span = pl.Start(obs.KindJob, j.cfg.Name, nil).
 		SetAttr("maps", strconv.Itoa(len(j.maps))).
 		SetAttr("reduces", strconv.Itoa(len(j.reduces)))

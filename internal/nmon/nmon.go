@@ -75,14 +75,6 @@ type Monitor struct {
 
 	samples     *obs.Counter
 	annotations *obs.Counter
-
-	// publish-time gauge families, handles interned per vm/link/disk
-	vmCPUMean  *obs.GaugeVec
-	vmCPUPeak  *obs.GaugeVec
-	vmDiskMean *obs.GaugeVec
-	vmNetMean  *obs.GaugeVec
-	linkUtil   *obs.GaugeVec
-	diskUtil   *obs.GaugeVec
 }
 
 // Option configures a Monitor at construction.
@@ -96,7 +88,7 @@ func WithInterval(interval sim.Time) Option {
 // WithPlane publishes the monitor's summaries into the plane's metrics
 // registry: before every snapshot the nmon_* mean-utilisation gauges are
 // refreshed, which is what lets the Tuner consume monitoring data
-// through an obs.Reader instead of reaching into Monitor internals.
+// through an obs.Snapshot instead of reaching into Monitor internals.
 func WithPlane(pl *obs.Plane) Option {
 	return func(m *Monitor) { m.plane = pl }
 }
@@ -121,12 +113,6 @@ func New(e *sim.Engine, opts ...Option) *Monitor {
 	if m.plane != nil {
 		m.samples = m.plane.Counter("nmon_samples_total")
 		m.annotations = m.plane.Counter("nmon_annotations_total")
-		m.vmCPUMean = m.plane.GaugeVec("nmon_vm_cpu_mean", "vm")
-		m.vmCPUPeak = m.plane.GaugeVec("nmon_vm_cpu_peak", "vm")
-		m.vmDiskMean = m.plane.GaugeVec("nmon_vm_disk_bps_mean", "vm")
-		m.vmNetMean = m.plane.GaugeVec("nmon_vm_net_bps_mean", "vm")
-		m.linkUtil = m.plane.GaugeVec("nmon_link_util_mean", "link")
-		m.diskUtil = m.plane.GaugeVec("nmon_disk_util_mean", "disk")
 		m.plane.Registry().OnCollect(m.publish)
 	}
 	return m
@@ -135,18 +121,19 @@ func New(e *sim.Engine, opts ...Option) *Monitor {
 // publish refreshes the nmon_* gauges from the collected series — the
 // monitor's registry face, run before every registry snapshot.
 func (m *Monitor) publish() {
+	pl := m.plane
 	for _, vm := range m.vms {
 		s := m.series[vm].Summarize()
-		m.vmCPUMean.With(s.VM).Set(s.MeanCPU)
-		m.vmCPUPeak.With(s.VM).Set(s.PeakCPU)
-		m.vmDiskMean.With(s.VM).Set(s.MeanDiskBps)
-		m.vmNetMean.With(s.VM).Set(s.MeanNetBps)
+		pl.Gauge("nmon_vm_cpu_mean", "vm", s.VM).Set(s.MeanCPU)
+		pl.Gauge("nmon_vm_cpu_peak", "vm", s.VM).Set(s.PeakCPU)
+		pl.Gauge("nmon_vm_disk_bps_mean", "vm", s.VM).Set(s.MeanDiskBps)
+		pl.Gauge("nmon_vm_net_bps_mean", "vm", s.VM).Set(s.MeanNetBps)
 	}
 	for _, l := range m.links {
-		m.linkUtil.With(l.Name()).Set(meanUtil(m.linkS[l]))
+		pl.Gauge("nmon_link_util_mean", "link", l.Name()).Set(meanUtil(m.linkS[l]))
 	}
 	for _, d := range m.disks {
-		m.diskUtil.With(d.Name()).Set(meanUtil(m.diskS[d]))
+		pl.Gauge("nmon_disk_util_mean", "disk", d.Name()).Set(meanUtil(m.diskS[d]))
 	}
 }
 
@@ -325,7 +312,7 @@ func (m *Monitor) Analyze() Report {
 // compared in sorted-name order with a strict greater-than, so the
 // result is deterministic regardless of how the maps were built — the
 // same rule whether the inputs come from a live Monitor (Analyze) or
-// from a registry snapshot (tuner.MetricsFromReader).
+// from a registry snapshot (tuner.MetricsFromSnapshot).
 func BottleneckOf(cpuMean float64, links, disks map[string]float64) Bottleneck {
 	best := Bottleneck{Resource: "vm-cpu", Kind: "cpu", MeanUtil: cpuMean}
 	for _, name := range sortedKeys(links) {

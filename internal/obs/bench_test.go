@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkCounterAdd measures the hot-path cost of a cached instrument
-// handle — what subsystems pay per event after SetObs cached the handle.
+// handle — what subsystems pay per event after SetObs resolved it.
 func BenchmarkCounterAdd(b *testing.B) {
 	reg := NewRegistry(nil)
 	c := reg.Counter("mr_spill_bytes_total")
@@ -19,8 +19,9 @@ func BenchmarkCounterAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkRegistryLookup measures the uncached path: canonical key
-// construction plus map lookup for a labelled instrument.
+// BenchmarkRegistryLookup measures a lookup hit for a labelled
+// instrument: canonical key construction into the registry's reused
+// buffer plus one map probe.
 func BenchmarkRegistryLookup(b *testing.B) {
 	reg := NewRegistry(nil)
 	reg.Counter("mr_task_failures_total", "kind", "map").Inc()
@@ -58,33 +59,6 @@ func BenchmarkTracerSpan(b *testing.B) {
 		sp := pl.Start(KindTask, "wc:m0.0", nil)
 		sp.SetAttr("vm", "vm01").SetFloat("seconds", 1.5)
 		sp.Finish()
-	}
-}
-
-// BenchmarkVecWithHit measures the interned fast path — the cost hot
-// code pays per With once the tuple is cached — against the legacy
-// string lookup it replaces (BenchmarkRegistryLookup).
-func BenchmarkVecWithHit(b *testing.B) {
-	reg := NewRegistry(nil)
-	v := reg.CounterVec("mr_task_failures_total", "kind")
-	v.With("map").Inc()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.With("map")
-	}
-}
-
-// BenchmarkVecWithHitTwoLabels exercises the array-keyed two-label
-// cache, still allocation-free on hits.
-func BenchmarkVecWithHitTwoLabels(b *testing.B) {
-	reg := NewRegistry(nil)
-	v := reg.GaugeVec("nmon_vm_load", "vm", "kind")
-	v.With("vm01", "map").Set(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.With("vm01", "map")
 	}
 }
 

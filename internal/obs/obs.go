@@ -79,21 +79,6 @@ func (pl *Plane) Histogram(name string, buckets []float64, labels ...string) *Hi
 	return pl.Registry().Histogram(name, buckets, labels...)
 }
 
-// CounterVec is shorthand for Registry().CounterVec.
-func (pl *Plane) CounterVec(name string, keys ...string) *CounterVec {
-	return pl.Registry().CounterVec(name, keys...)
-}
-
-// GaugeVec is shorthand for Registry().GaugeVec.
-func (pl *Plane) GaugeVec(name string, keys ...string) *GaugeVec {
-	return pl.Registry().GaugeVec(name, keys...)
-}
-
-// HistogramVec is shorthand for Registry().HistogramVec.
-func (pl *Plane) HistogramVec(name string, buckets []float64, keys ...string) *HistogramVec {
-	return pl.Registry().HistogramVec(name, buckets, keys...)
-}
-
 // Start is shorthand for Tracer().Start.
 func (pl *Plane) Start(kind SpanKind, name string, parent *Span) *Span {
 	return pl.Tracer().Start(kind, name, parent)

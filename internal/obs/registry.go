@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"vhadoop/internal/sim"
 )
@@ -39,25 +37,28 @@ type metric struct {
 }
 
 // Counter is a monotonically increasing total.
-type Counter struct{ m *metric }
+type Counter metric
 
 // Gauge is a value that can move both ways.
-type Gauge struct{ m *metric }
+type Gauge metric
 
 // Histogram counts observations into fixed buckets (cumulative-le
 // semantics at export time, like Prometheus: a value lands in the first
 // bucket whose upper bound is >= the value).
-type Histogram struct{ m *metric }
+type Histogram metric
 
 // Registry holds every instrument of one platform and exports
 // deterministic snapshots. It is simulator-driven, single-threaded
-// code: instruments are cheap to look up (one map probe) and callers
-// are expected to cache the returned handles on hot paths.
+// code: a lookup that hits an existing instrument builds its key into a
+// reused buffer and probes one map, allocating nothing, so callers may
+// resolve instruments where they use them.
 type Registry struct {
 	now        func() sim.Time
 	byKey      map[string]*metric
 	order      []*metric // registration order; snapshots re-sort by key
+	firsts     []*metric // first instrument of each name, scanned on a miss
 	collectors []func()  // refresh hooks run before each snapshot
+	scratch    []byte    // key buffer reused by every lookup
 }
 
 // NewRegistry creates a registry whose snapshots are stamped by now
@@ -69,51 +70,94 @@ func NewRegistry(now func() sim.Time) *Registry {
 	return &Registry{now: now, byKey: make(map[string]*metric)}
 }
 
-// canonical builds the sorted label set and lookup key for a name and
-// alternating key/value pairs. Label pairs arrive as variadic strings
-// ("vm", "vm03", "kind", "map") so call sites stay allocation-light.
-func canonical(name string, kv []string) (string, []Label) {
-	if len(kv)%2 != 0 {
-		panic(fmt.Sprintf("obs: metric %s: odd label list %q", name, kv))
-	}
-	if len(kv) == 0 {
-		return name, nil
-	}
-	labels := make([]Label, 0, len(kv)/2)
-	for i := 0; i < len(kv); i += 2 {
-		labels = append(labels, Label{Key: kv[i], Value: kv[i+1]})
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i].Key < labels[j].Key })
-	var sb strings.Builder
-	sb.WriteString(name)
-	sb.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			sb.WriteByte(',')
+// stackPairs is how many label pairs byKeyOrder sorts without a heap
+// allocation, more than any platform instrument carries.
+const stackPairs = 8
+
+// byKeyOrder appends to order the pair indexes of kv (alternating
+// key/value strings) sorted by key. The insertion sort is stable, so
+// duplicate keys keep their call-site order.
+func byKeyOrder(order []int, kv []string) []int {
+	for p := 0; p < len(kv)/2; p++ {
+		i := len(order)
+		order = append(order, p)
+		for ; i > 0 && kv[2*order[i-1]] > kv[2*p]; i-- {
+			order[i] = order[i-1]
 		}
-		sb.WriteString(l.Key)
-		sb.WriteByte('=')
-		sb.WriteString(l.Value)
+		order[i] = p
 	}
-	sb.WriteByte('}')
-	return sb.String(), labels
+	return order
+}
+
+// appendKey appends the canonical "name{k=v,...}" key of name and the
+// alternating key/value pairs kv to dst, labels sorted by key; with no
+// labels the key is the bare name. It is the one key builder: registry
+// lookups, Snapshot.Value and DecodeSnapshot all use it.
+func appendKey(dst []byte, name string, kv []string) []byte {
+	dst = append(dst, name...)
+	if len(kv) == 0 {
+		return dst
+	}
+	var stack [stackPairs]int
+	dst = append(dst, '{')
+	for i, p := range byKeyOrder(stack[:0], kv) {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, kv[2*p]...)
+		dst = append(dst, '=')
+		dst = append(dst, kv[2*p+1]...)
+	}
+	return append(dst, '}')
 }
 
 // lookup returns the instrument for (name, labels), creating it with
-// typ on first use and panicking on a type clash — one name maps to one
-// instrument family, as in Prometheus.
+// typ on first use. One name maps to one instrument family, as in
+// Prometheus, so asking for a registered name as another type panics.
+// A hit allocates nothing; panic messages format no slices, so kv stays
+// on the caller's stack.
 func (r *Registry) lookup(typ MetricType, name string, kv []string) *metric {
-	key, labels := canonical(name, kv)
-	if m, ok := r.byKey[key]; ok {
+	if len(kv)%2 != 0 {
+		panic("obs: metric " + name + ": odd label list")
+	}
+	r.scratch = appendKey(r.scratch[:0], name, kv)
+	if m, ok := r.byKey[string(r.scratch)]; ok {
 		if m.typ != typ {
-			panic(fmt.Sprintf("obs: metric %s registered as %s, requested as %s", key, m.typ, typ))
+			panic("obs: metric " + m.key + " registered as " + string(m.typ) + ", requested as " + string(typ))
 		}
 		return m
 	}
-	m := &metric{name: name, labels: labels, key: key, typ: typ}
-	r.byKey[key] = m
+	first := r.first(name)
+	if first != nil && first.typ != typ {
+		panic("obs: metric " + name + " registered as " + string(first.typ) + ", requested as " + string(typ))
+	}
+	var labels []Label
+	if len(kv) > 0 {
+		var stack [stackPairs]int
+		labels = make([]Label, 0, len(kv)/2)
+		for _, p := range byKeyOrder(stack[:0], kv) {
+			labels = append(labels, Label{Key: kv[2*p], Value: kv[2*p+1]})
+		}
+	}
+	m := &metric{name: name, labels: labels, key: string(r.scratch), typ: typ}
+	r.byKey[m.key] = m
 	r.order = append(r.order, m)
+	if first == nil {
+		r.firsts = append(r.firsts, m)
+	}
 	return m
+}
+
+// first returns the first instrument registered under name, or nil. A
+// platform registers a few dozen names, so a scan on the rare miss
+// costs less than keeping a second map per registry.
+func (r *Registry) first(name string) *metric {
+	for _, m := range r.firsts {
+		if m.name == name {
+			return m
+		}
+	}
+	return nil
 }
 
 // Counter returns (registering on first use) the counter for
@@ -122,7 +166,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return &Counter{m: r.lookup(TypeCounter, name, labels)}
+	return (*Counter)(r.lookup(TypeCounter, name, labels))
 }
 
 // Gauge returns (registering on first use) the gauge for (name, labels).
@@ -130,7 +174,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return &Gauge{m: r.lookup(TypeGauge, name, labels)}
+	return (*Gauge)(r.lookup(TypeGauge, name, labels))
 }
 
 // Histogram returns (registering on first use) the histogram for
@@ -145,7 +189,7 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 	}
 	for i := 1; i < len(buckets); i++ {
 		if buckets[i] <= buckets[i-1] {
-			panic(fmt.Sprintf("obs: histogram %s: bucket bounds not ascending: %v", name, buckets))
+			panic("obs: histogram " + name + ": bucket bounds not ascending")
 		}
 	}
 	m := r.lookup(TypeHistogram, name, labels)
@@ -161,7 +205,7 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 			}
 		}
 	}
-	return &Histogram{m: m}
+	return (*Histogram)(m)
 }
 
 // OnCollect registers a refresh hook run (in registration order) before
@@ -174,16 +218,17 @@ func (r *Registry) OnCollect(fn func()) {
 	r.collectors = append(r.collectors, fn)
 }
 
-// Add increases the counter. Negative deltas panic: a counter that can
-// shrink is a gauge, and a shrinking "total" would poison rate rules.
+// Add increases the counter. Negative and NaN deltas panic: a counter
+// that can shrink is a gauge, and a shrinking or NaN "total" would
+// poison rate rules.
 func (c *Counter) Add(v float64) {
 	if c == nil {
 		return
 	}
-	if v < 0 {
-		panic("obs: counter " + c.m.key + ": negative add")
+	if !(v >= 0) {
+		panic("obs: counter " + c.key + ": negative or NaN add")
 	}
-	c.m.value += v
+	c.value += v
 }
 
 // Inc adds one.
@@ -194,7 +239,7 @@ func (c *Counter) Value() float64 {
 	if c == nil {
 		return 0
 	}
-	return c.m.value
+	return c.value
 }
 
 // Set replaces the gauge value.
@@ -202,7 +247,7 @@ func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
-	g.m.value = v
+	g.value = v
 }
 
 // Add moves the gauge by v (either direction).
@@ -210,7 +255,7 @@ func (g *Gauge) Add(v float64) {
 	if g == nil {
 		return
 	}
-	g.m.value += v
+	g.value += v
 }
 
 // Value returns the current gauge value (0 for a nil gauge).
@@ -218,7 +263,7 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	return g.m.value
+	return g.value
 }
 
 // Observe records one value: it lands in the first bucket whose upper
@@ -227,11 +272,10 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	m := h.m
-	idx := sort.SearchFloat64s(m.buckets, v) // first bound >= v
-	m.counts[idx]++
-	m.sum += v
-	m.count++
+	idx := sort.SearchFloat64s(h.buckets, v) // first bound >= v
+	h.counts[idx]++
+	h.sum += v
+	h.count++
 }
 
 // Count returns the number of observations (0 for a nil histogram).
@@ -239,5 +283,5 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.m.count
+	return h.count
 }

@@ -11,24 +11,6 @@ import (
 	"vhadoop/internal/sim"
 )
 
-// Reader is the typed, read-only face of a metrics snapshot: what the
-// MapReduce Tuner (and any rule engine, chart, or test) consumes
-// instead of poking Monitor internals. A Reader is a value — decisions
-// made from it are reproducible from the snapshot alone.
-type Reader interface {
-	// Value returns the value of the metric with exactly these labels
-	// (alternating key/value strings); ok is false when absent. For
-	// histograms the value is the observation count.
-	Value(name string, labels ...string) (float64, bool)
-	// Total sums the values of every label set registered under name.
-	Total(name string) float64
-	// Series returns every metric registered under name, in canonical
-	// label order.
-	Series(name string) []Metric
-	// Names returns every distinct metric name, sorted.
-	Names() []string
-}
-
 // Bucket is one exported histogram bucket (cumulative count of
 // observations <= Le).
 type Bucket struct {
@@ -63,7 +45,12 @@ func (m Metric) Label(key string) string {
 }
 
 // Snapshot is one deterministic export of a registry: metrics sorted by
-// canonical key, stamped with the virtual time of the export.
+// canonical key, stamped with the virtual time of the export. It is also
+// the typed, read-only face of the registry: what the MapReduce Tuner
+// (and any rule engine, chart, or test) consumes instead of poking
+// Monitor internals. A Snapshot is a value — decisions made from it are
+// reproducible from the snapshot alone, whether just taken or decoded
+// from a file.
 type Snapshot struct {
 	At      sim.Time `json:"at"`
 	Metrics []Metric `json:"metrics"`
@@ -105,9 +92,11 @@ func (r *Registry) Snapshot() Snapshot {
 	return out
 }
 
-// Value implements Reader.
+// Value returns the value of the metric with exactly these labels
+// (alternating key/value strings); ok is false when absent. For
+// histograms the value is the observation count.
 func (s Snapshot) Value(name string, labels ...string) (float64, bool) {
-	key, _ := canonical(name, labels)
+	key := string(appendKey(nil, name, labels))
 	i := sort.Search(len(s.Metrics), func(i int) bool { return s.Metrics[i].key >= key })
 	if i < len(s.Metrics) && s.Metrics[i].key == key {
 		if s.Metrics[i].Type == TypeHistogram {
@@ -118,7 +107,8 @@ func (s Snapshot) Value(name string, labels ...string) (float64, bool) {
 	return 0, false
 }
 
-// Total implements Reader.
+// Total sums the values (histograms: counts) of every label set
+// registered under name.
 func (s Snapshot) Total(name string) float64 {
 	var sum float64
 	for _, m := range s.Series(name) {
@@ -131,7 +121,8 @@ func (s Snapshot) Total(name string) float64 {
 	return sum
 }
 
-// Series implements Reader.
+// Series returns every metric registered under name, in canonical
+// label order.
 func (s Snapshot) Series(name string) []Metric {
 	var out []Metric
 	for _, m := range s.Metrics {
@@ -140,20 +131,6 @@ func (s Snapshot) Series(name string) []Metric {
 		}
 	}
 	return out
-}
-
-// Names implements Reader. Metrics are sorted by canonical key, which
-// starts with the name, so equal names are adjacent.
-func (s Snapshot) Names() []string {
-	var names []string
-	last := ""
-	for _, m := range s.Metrics {
-		if m.Name != last {
-			names = append(names, m.Name)
-			last = m.Name
-		}
-	}
-	return names
 }
 
 // formatFloat renders values the same way everywhere: shortest
@@ -245,7 +222,7 @@ func (s Snapshot) JSON() string {
 }
 
 // DecodeSnapshot parses a document produced by JSON, rebuilding the
-// canonical keys so the result is again a usable Reader.
+// canonical keys so Value, Series and Diff work on the result.
 func DecodeSnapshot(data []byte) (Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -257,7 +234,7 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 		for _, l := range m.Labels {
 			kv = append(kv, l.Key, l.Value)
 		}
-		m.key, _ = canonical(m.Name, kv)
+		m.key = string(appendKey(nil, m.Name, kv))
 	}
 	sort.Slice(s.Metrics, func(i, j int) bool { return s.Metrics[i].key < s.Metrics[j].key })
 	return s, nil

@@ -2,8 +2,8 @@ package tuner
 
 // This file is the tuner's redesigned input surface. Instead of being
 // handed a live nmon.Monitor and poking at its internals, the tuner
-// reconstructs its Metrics from an observability-plane snapshot — any
-// obs.Reader, whether a just-taken Snapshot or one decoded from a file.
+// reconstructs its Metrics from an observability-plane obs.Snapshot,
+// whether just taken or decoded from a file.
 // Decisions therefore replay offline from exported data alone.
 
 import (
@@ -12,7 +12,7 @@ import (
 	"vhadoop/internal/obs"
 )
 
-// MetricsFromReader rebuilds a Metrics round from a registry snapshot.
+// MetricsFromSnapshot rebuilds a Metrics round from a registry snapshot.
 //
 // The mapping mirrors what the subsystems publish: VM summaries from the
 // nmon_vm_* gauges, link/disk utilisations from nmon_link_util_mean and
@@ -25,25 +25,25 @@ import (
 // mr_*_bytes_total counters and the worst job's extra attempts from the
 // mr_job_extra_attempts gauge (MapTasks and ReduceTasks stay zero so the
 // straggler rule sees exactly that excess).
-func MetricsFromReader(r obs.Reader) Metrics {
+func MetricsFromSnapshot(s obs.Snapshot) Metrics {
 	var m Metrics
 
 	links := make(map[string]float64)
-	for _, mt := range r.Series("nmon_link_util_mean") {
+	for _, mt := range s.Series("nmon_link_util_mean") {
 		links[mt.Label("link")] = mt.Value
 	}
 	disks := make(map[string]float64)
-	for _, mt := range r.Series("nmon_disk_util_mean") {
+	for _, mt := range s.Series("nmon_disk_util_mean") {
 		disks[mt.Label("disk")] = mt.Value
 	}
 
 	var cpuSum float64
 	var vms []nmon.VMSummary
-	for _, mt := range r.Series("nmon_vm_cpu_mean") {
+	for _, mt := range s.Series("nmon_vm_cpu_mean") {
 		name := mt.Label("vm")
-		peak, _ := r.Value("nmon_vm_cpu_peak", "vm", name)
-		diskBps, _ := r.Value("nmon_vm_disk_bps_mean", "vm", name)
-		netBps, _ := r.Value("nmon_vm_net_bps_mean", "vm", name)
+		peak, _ := s.Value("nmon_vm_cpu_peak", "vm", name)
+		diskBps, _ := s.Value("nmon_vm_disk_bps_mean", "vm", name)
+		netBps, _ := s.Value("nmon_vm_net_bps_mean", "vm", name)
 		vms = append(vms, nmon.VMSummary{
 			VM:          name,
 			MeanCPU:     mt.Value,
@@ -66,33 +66,33 @@ func MetricsFromReader(r obs.Reader) Metrics {
 		Bottleneck: nmon.BottleneckOf(cpuMean, links, disks),
 	}
 
-	if v, ok := r.Value("cluster_cross_domain"); ok && v > 0 {
+	if v, ok := s.Value("cluster_cross_domain"); ok && v > 0 {
 		m.CrossDomain = true
 	}
-	if v, ok := r.Value("mr_trackers_dead"); ok {
+	if v, ok := s.Value("mr_trackers_dead"); ok {
 		m.DeadNodes = int(v)
 	}
-	if v, ok := r.Value("hdfs_under_replicated_blocks"); ok {
+	if v, ok := s.Value("hdfs_under_replicated_blocks"); ok {
 		m.UnderReplicated = int(v)
 	}
 
-	if v, ok := r.Value("mr_config_map_slots"); ok {
+	if v, ok := s.Value("mr_config_map_slots"); ok {
 		m.MRConfig.MapSlots = int(v)
 	}
-	if v, ok := r.Value("mr_config_reduce_slots"); ok {
+	if v, ok := s.Value("mr_config_reduce_slots"); ok {
 		m.MRConfig.ReduceSlots = int(v)
 	}
-	if v, ok := r.Value("mr_config_sort_buffer_bytes"); ok {
+	if v, ok := s.Value("mr_config_sort_buffer_bytes"); ok {
 		m.MRConfig.SortBufferBytes = v
 	}
-	if v, ok := r.Value("mr_config_speculative"); ok {
+	if v, ok := s.Value("mr_config_speculative"); ok {
 		m.MRConfig.Speculative = v > 0
 	}
 
-	spill := r.Total("mr_spill_bytes_total")
-	shuffle := r.Total("mr_shuffle_bytes_total")
+	spill := s.Total("mr_spill_bytes_total")
+	shuffle := s.Total("mr_shuffle_bytes_total")
 	extra := 0
-	for _, mt := range r.Series("mr_job_extra_attempts") {
+	for _, mt := range s.Series("mr_job_extra_attempts") {
 		if int(mt.Value) > extra {
 			extra = int(mt.Value)
 		}
@@ -106,10 +106,4 @@ func MetricsFromReader(r obs.Reader) Metrics {
 		})
 	}
 	return m
-}
-
-// EvaluateReader evaluates the rule set directly against a registry
-// snapshot: Evaluate(MetricsFromReader(r)).
-func (t *Tuner) EvaluateReader(r obs.Reader) []Recommendation {
-	return t.Evaluate(MetricsFromReader(r))
 }

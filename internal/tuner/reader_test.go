@@ -34,8 +34,8 @@ func faultyRegistry() *obs.Registry {
 	return reg
 }
 
-func TestMetricsFromReader(t *testing.T) {
-	m := MetricsFromReader(faultyRegistry().Snapshot())
+func TestMetricsFromSnapshot(t *testing.T) {
+	m := MetricsFromSnapshot(faultyRegistry().Snapshot())
 
 	if len(m.Report.VMs) != 2 {
 		t.Fatalf("VMs = %d, want 2", len(m.Report.VMs))
@@ -77,8 +77,8 @@ func TestMetricsFromReader(t *testing.T) {
 	}
 }
 
-func TestMetricsFromReaderEmpty(t *testing.T) {
-	m := MetricsFromReader(obs.NewRegistry(nil).Snapshot())
+func TestMetricsFromSnapshotEmpty(t *testing.T) {
+	m := MetricsFromSnapshot(obs.NewRegistry(nil).Snapshot())
 	if len(m.RecentJobs) != 0 || m.CrossDomain || m.DeadNodes != 0 {
 		t.Errorf("empty registry produced %+v", m)
 	}
@@ -90,22 +90,25 @@ func TestMetricsFromReaderEmpty(t *testing.T) {
 	}
 }
 
-// TestEvaluateReaderParity pins the API contract: a tuner decision is
-// reproducible from the registry snapshot alone, and EvaluateReader is
-// exactly Evaluate over MetricsFromReader.
-func TestEvaluateReaderParity(t *testing.T) {
+// TestEvaluateSnapshotReplay pins the API contract: a tuner decision is
+// reproducible from the registry snapshot alone, so a snapshot decoded
+// from its JSON export yields the same recommendations as the live one.
+func TestEvaluateSnapshotReplay(t *testing.T) {
 	snap := faultyRegistry().Snapshot()
 	tn := New()
-	direct := tn.Evaluate(MetricsFromReader(snap))
-	viaReader := tn.EvaluateReader(snap)
-	if !reflect.DeepEqual(direct, viaReader) {
-		t.Errorf("EvaluateReader = %v, Evaluate(MetricsFromReader) = %v", viaReader, direct)
+	live := tn.Evaluate(MetricsFromSnapshot(snap))
+	dec, err := obs.DecodeSnapshot([]byte(snap.JSON()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed := tn.Evaluate(MetricsFromSnapshot(dec)); !reflect.DeepEqual(live, replayed) {
+		t.Errorf("decoded snapshot gave %v, live snapshot %v", replayed, live)
 	}
 
 	// The faulty registry must trip the repair, consolidation, sort-buffer
 	// and speculation rules.
 	want := []Action{ActionRepairReplica, ActionConsolidate, ActionIncreaseSortBuf, ActionEnableSpec}
-	if got := actions(viaReader); !reflect.DeepEqual(got, want) {
+	if got := actions(live); !reflect.DeepEqual(got, want) {
 		t.Errorf("actions = %v, want %v", got, want)
 	}
 }
