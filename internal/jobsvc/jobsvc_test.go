@@ -12,11 +12,6 @@ import (
 	"vhadoop/internal/xen"
 )
 
-// Assertions inside pl.Run drivers and spawned procs must be reported by
-// returning an error, never t.Fatalf: Fatalf calls runtime.Goexit, which
-// kills the sim proc mid-hand-off and wedges the engine instead of
-// failing the test.
-
 // testOpts is a small deterministic platform.
 func testOpts(nodes int, seed int64) core.Options {
 	opts := core.DefaultOptions()

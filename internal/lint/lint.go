@@ -29,8 +29,8 @@
 //     overwritten unexamined — the failure mode that silently loses
 //     recovery-path faults.
 //   - lockfree:   goroutines, channels, select and sync primitives in
-//     simulator-driven code; the engine's strict hand-off core is the
-//     only sanctioned concurrency.
+//     simulator-driven code; no site is sanctioned, because the engine
+//     switches to its processes on coroutines.
 //   - vhdirective: malformed or misplaced //vhlint: annotations.
 //
 // Suppression uses source annotations, validated by the suite itself:

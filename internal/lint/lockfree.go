@@ -7,23 +7,21 @@ import (
 )
 
 // LockFree forbids concurrency machinery in simulator-driven code. The
-// engine's run loop and its strict hand-off pair (Engine.handoff,
-// Proc.resume) are the only sanctioned goroutine coordination in the
-// tree; everything else executes single-threaded under the virtual
-// clock, which is what makes fixed-seed replay bit-identical. A stray
-// `go` statement, channel, select, mutex, or atomic anywhere else
-// introduces host-scheduler ordering that no seed pins down — and a
-// mutex in single-threaded code is at best dead weight, at worst a sign
-// the author believed two things run at once.
+// engine switches between itself and its processes on iter.Pull
+// coroutines, so no site in the tree is sanctioned to coordinate
+// goroutines: everything executes single-threaded under the virtual
+// clock, which is what makes fixed-seed replay bit-identical. A `go`
+// statement, channel, select, mutex, or atomic introduces host-scheduler
+// ordering that no seed pins down — and a mutex in single-threaded code
+// is at best dead weight, at worst a sign the author believed two things
+// run at once.
 //
 // Flagged: go statements, select, channel types, channel sends and
 // receives, range over a channel, and any reference into sync or
-// sync/atomic. The engine core carries per-site
-// //vhlint:allow lockfree annotations documenting the hand-off
-// invariant each site maintains.
+// sync/atomic. The tree carries no //vhlint:allow lockfree annotation.
 var LockFree = &Analyzer{
 	Name:      "lockfree",
-	Doc:       "forbid concurrency primitives outside the engine's strict hand-off core",
+	Doc:       "forbid concurrency primitives in simulator-driven code",
 	AppliesTo: determinismCritical,
 	Run:       runLockFree,
 }
@@ -48,7 +46,7 @@ func runLockFree(pass *Pass) {
 				}
 			}
 		case *ast.ChanType:
-			pass.Reportf(n.Pos(), "channel type in simulator-driven code: the engine's hand-off channels are the only sanctioned concurrency")
+			pass.Reportf(n.Pos(), "channel type in simulator-driven code: cross-goroutine ordering is not replayable")
 		case *ast.SelectorExpr:
 			obj := pass.TypesInfo.Uses[n.Sel]
 			if obj != nil && obj.Pkg() != nil {

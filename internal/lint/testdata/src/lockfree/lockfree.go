@@ -1,7 +1,7 @@
 // Test fixtures for the lockfree analyzer: concurrency machinery in
-// simulator-driven code. Everything outside the engine's strict
-// hand-off core runs single-threaded under the virtual clock, so go
-// statements, channels, select, and sync/atomic are all flagged.
+// simulator-driven code. Everything runs single-threaded under the
+// virtual clock, so go statements, channels, select, and sync/atomic are
+// all flagged.
 package lockfree
 
 import (
@@ -65,10 +65,9 @@ func sequential(xs []int) int {
 	return total
 }
 
-// modelledHandoff documents a sanctioned baton site, mirroring the
-// engine core's per-site allows.
+// modelledHandoff is a channel receive silenced by a per-site allow.
 func modelledHandoff(ready chan struct{}) { // want "channel type"
-	//vhlint:allow lockfree -- test fixture: modelled hand-off baton, mirrors the engine core discipline
+	//vhlint:allow lockfree -- test fixture: an allow still silences the site it annotates
 	<-ready
 }
 

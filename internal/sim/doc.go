@@ -3,11 +3,12 @@
 //
 // The engine advances a virtual clock (float64 seconds) through a priority
 // queue of events. Simulated activities are written as ordinary imperative Go
-// functions running in "processes": goroutines that hand control back and
-// forth with the engine so that exactly one goroutine is runnable at any
-// time. This keeps user code readable (a MapReduce task is a straight-line
-// function that sleeps, acquires resources and waits on signals) while the
-// whole simulation stays deterministic and reproducible from a seed.
+// functions running in "processes": coroutines that the engine resumes when
+// their event fires and that park again at every blocking call, so exactly
+// one of them, or the engine, runs at any time. This keeps user code
+// readable (a MapReduce task is a straight-line function that sleeps,
+// acquires resources and waits on signals) while the whole simulation stays
+// deterministic and reproducible from a seed.
 //
 // Building blocks:
 //
@@ -16,7 +17,13 @@
 //     in steady state. Engine.At and Engine.After return no handle:
 //     nothing outside the engine cancels an event. MaxMin keeps its one
 //     completion event and re-arms it in place.
-//   - Proc: a simulated process; created with Engine.Spawn.
+//   - Proc: a simulated process; created with Engine.Spawn. Its body runs
+//     on a carrier, an iter.Pull coroutine: dispatch calls the carrier's
+//     next, and a blocking call parks it. A carrier whose body returned
+//     goes on the engine's free list and runs the next process to start,
+//     so a spawn allocates only its Proc. A drained Run and Shutdown stop
+//     the idle carriers, and a panic or runtime.Goexit in a body reaches
+//     the goroutine that called Run.
 //   - Done: a one-shot completion latch processes can wait on.
 //   - Gate: an open/closed barrier (used e.g. to pause virtual machines
 //     during the stop-and-copy phase of live migration).

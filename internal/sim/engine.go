@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 )
 
@@ -24,22 +25,18 @@ type Engine struct {
 	seq     uint64
 	procSeq uint64 // spawn-order stamp, so teardown order is reproducible
 	rng     *rand.Rand
-	//vhlint:allow lockfree -- hand-off core: handoff is the process->engine half of the strict baton pair; see dispatch
-	handoff   chan struct{}  // processes signal the run loop here
-	procs     map[*Proc]bool // all live processes
-	current   *Proc          // process currently executing, nil in engine context
-	stopped   bool           // set by Stop / Shutdown
-	procPanic string         // pending process-bug report, re-panicked by dispatch in engine context
+	procs   map[*Proc]bool // all live processes
+	idle    []*carrier     // carriers whose last body returned, reused by dispatch
+	current *Proc          // process currently executing, nil in engine context
+	stopped bool           // set by Stop / Shutdown
 }
 
 // New returns an Engine whose pseudo-random stream is derived from seed.
 // The same seed always reproduces the same simulation.
 func New(seed int64) *Engine {
 	return &Engine{
-		rng: rand.New(rand.NewSource(seed)),
-		//vhlint:allow lockfree -- hand-off core: unbuffered by design, so a baton pass is a rendezvous and both sides can never run at once
-		handoff: make(chan struct{}),
-		procs:   make(map[*Proc]bool),
+		rng:   rand.New(rand.NewSource(seed)),
+		procs: make(map[*Proc]bool),
 	}
 }
 
@@ -60,10 +57,15 @@ func (e *Engine) At(t Time, fn func()) {
 
 // After schedules fn to run d seconds from now.
 func (e *Engine) After(d Time, fn func()) {
+	e.At(e.later(d), fn)
+}
+
+// later returns the time d seconds from now; a negative delay panics.
+func (e *Engine) later(d Time) Time {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	e.At(e.now+d, fn)
+	return e.now + d
 }
 
 func (e *Engine) checkTime(t Time) {
@@ -111,8 +113,9 @@ func (e *Engine) disarm(ev *event) {
 }
 
 // Spawn creates a new process running fn and schedules it to start at the
-// current virtual time. fn runs in its own goroutine but under the engine's
-// strict hand-off discipline, so it may freely touch simulation state.
+// current virtual time. fn runs as a coroutine that the engine resumes and
+// that parks at every blocking call, so it may freely touch simulation
+// state.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAfter(0, name, fn)
 }
@@ -120,16 +123,9 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAfter is Spawn with a start delay.
 func (e *Engine) SpawnAfter(d Time, name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
-	p := &Proc{
-		engine:   e,
-		name:     name,
-		spawnSeq: e.procSeq,
-		//vhlint:allow lockfree -- hand-off core: per-process engine->process baton, unbuffered rendezvous
-		resume: make(chan struct{}),
-		done:   NewDone(e),
-	}
+	p := &Proc{engine: e, name: name, spawnSeq: e.procSeq, body: fn, done: Done{engine: e}}
 	e.procs[p] = true
-	e.After(d, func() { p.start(fn) })
+	p.scheduleAt(e.later(d))
 	return p
 }
 
@@ -137,11 +133,22 @@ func (e *Engine) SpawnAfter(d Time, name string, fn func(p *Proc)) *Proc {
 // the final virtual time.
 func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 
+// schedEvery is how many events RunUntil runs between calls to
+// runtime.Gosched. A coroutine switch never enters the Go scheduler, so
+// without them a long run would keep the garbage collector's background
+// mark worker off a single P until the next asynchronous preemption, and
+// the heap would overshoot its goal while the cycle waited.
+const schedEvery = 256
+
 // RunUntil executes events with timestamps <= deadline. Events beyond the
 // deadline stay queued; the clock is advanced to the deadline if any such
-// events remain (so repeated RunUntil calls observe monotonic time).
+// events remain (so repeated RunUntil calls observe monotonic time). When
+// it returns with the queue empty, the idle carriers are stopped.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for !e.stopped && len(e.events) > 0 {
+	for n := 1; !e.stopped && len(e.events) > 0; n++ {
+		if n%schedEvery == 0 {
+			runtime.Gosched()
+		}
 		if e.events[0].at > deadline {
 			e.now = deadline
 			return e.now
@@ -159,27 +166,33 @@ func (e *Engine) RunUntil(deadline Time) Time {
 			e.dispatch(p)
 		}
 	}
+	if len(e.events) == 0 {
+		e.stopIdle()
+	}
 	return e.now
 }
 
-// dispatch transfers control to p until it blocks or terminates. A
-// panic that escaped the process body is re-raised here, in engine
-// context, so the failure is synchronous and lands on the goroutine
-// that called Run — deterministic and recoverable by tests.
+// dispatch runs p until it parks or terminates, binding it to a carrier
+// first if it has not started. A panic that escaped the process body
+// propagates out of the carrier's next, in engine context, so the failure
+// is synchronous and lands on the goroutine that called Run.
 func (e *Engine) dispatch(p *Proc) {
 	if p.terminated {
 		return
 	}
-	e.current = p
-	//vhlint:allow lockfree -- hand-off core: pass the baton to the process...
-	p.resume <- struct{}{}
-	//vhlint:allow lockfree -- hand-off core: ...and block until it comes back; the engine never runs concurrently with a process
-	<-e.handoff
-	e.current = nil
-	if msg := e.procPanic; msg != "" {
-		e.procPanic = ""
-		panic(msg)
+	c := p.carrier
+	if c == nil {
+		if n := len(e.idle); n > 0 {
+			c = e.idle[n-1]
+			e.idle = e.idle[:n-1]
+		} else {
+			c = e.newCarrier()
+		}
+		c.proc, p.carrier = p, c
 	}
+	e.current = p
+	c.next()
+	e.current = nil
 }
 
 // Stop halts the run loop after the current event completes. Queued events
@@ -196,11 +209,11 @@ func (e *Engine) Resume() { e.resetStop() }
 // not yet terminated (they may be blocked or not yet started).
 func (e *Engine) LiveProcs() int { return len(e.procs) }
 
-// Shutdown terminates every live process by unwinding its goroutine, then
-// clears the event queue. It is intended for tests and for tearing down a
-// platform whose background daemons (heartbeats, monitors) never exit on
-// their own. Shutdown must be called from engine context (not from inside a
-// process).
+// Shutdown terminates every live process by unwinding its body, then
+// clears the event queue and stops the idle carriers. It is intended for
+// tests and for tearing down a platform whose background daemons
+// (heartbeats, monitors) never exit on their own. Shutdown must be called
+// from engine context (not from inside a process).
 func (e *Engine) Shutdown() {
 	if e.current != nil {
 		panic("sim: Shutdown called from process context")
@@ -214,7 +227,7 @@ func (e *Engine) Shutdown() {
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].spawnSeq < live[j].spawnSeq })
 	for _, p := range live {
-		if p.started && !p.terminated {
+		if p.carrier != nil {
 			p.killed = true
 			e.dispatch(p)
 		} else {
@@ -227,5 +240,6 @@ func (e *Engine) Shutdown() {
 		ev.index = -1
 	}
 	e.events = nil
+	e.stopIdle()
 	e.stopped = false
 }

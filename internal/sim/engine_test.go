@@ -2,7 +2,9 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func almost(t *testing.T, got, want, tol float64, msg string) {
@@ -313,6 +315,67 @@ func TestProcessPanicSurfacesInEngineContext(t *testing.T) {
 	t.Fatal("Run returned; expected the process panic to propagate")
 }
 
+// runtime.Goexit inside a process body (what t.FailNow calls) must reach
+// the goroutine that called Run, so a failed assertion in a proc fails its
+// test instead of letting the engine run on without the process.
+func TestProcGoexitReachesRunCaller(t *testing.T) {
+	e := New(1)
+	e.Spawn("fatal", func(p *Proc) {
+		p.Sleep(1)
+		runtime.Goexit()
+	})
+	witness := 0
+	e.At(5, func() { witness++ })
+	returned := make(chan bool)
+	go func() {
+		ran := false
+		defer func() { returned <- ran }()
+		e.Run()
+		ran = true
+	}()
+	if <-returned {
+		t.Fatal("Run returned after runtime.Goexit in a process body")
+	}
+	if witness != 0 {
+		t.Fatalf("engine kept executing events after the Goexit: witness=%d", witness)
+	}
+}
+
+// No carrier goroutine outlives a drained Run, nor a Shutdown that kills
+// still-blocked processes.
+func TestCarriersDoNotOutliveRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settled := func(after string) {
+		t.Helper()
+		// A finished test's runner goroutine may still be exiting.
+		for i := 0; runtime.NumGoroutine() > base && i < 100; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%d goroutines after %s, want at most %d", n, after, base)
+		}
+	}
+
+	e := New(1)
+	for i := 0; i < 100; i++ {
+		e.Spawn("short", func(p *Proc) { p.Sleep(Time(i % 7)) })
+	}
+	e.Run()
+	settled("a drained Run")
+
+	e = New(1)
+	d := NewDone(e)
+	for i := 0; i < 10; i++ {
+		e.Spawn("blocked", func(p *Proc) { d.Wait(p) }) // never fired
+	}
+	e.Run()
+	if e.LiveProcs() != 10 {
+		t.Fatalf("live procs = %d, want 10 blocked", e.LiveProcs())
+	}
+	e.Shutdown()
+	settled("Shutdown")
+}
+
 // Shutdown drops the heap under a solver's kept completion event; the solver
 // must still be usable on the same engine afterwards.
 func TestShutdownDisarmsKeptEvents(t *testing.T) {
@@ -336,7 +399,8 @@ func TestShutdownDisarmsKeptEvents(t *testing.T) {
 
 // After a warm-up the engine schedules, fires and recycles events without
 // allocating: process sleeps, self-re-arming callbacks and MaxMin
-// completions all run at 0 allocations.
+// completions all run at 0 allocations, and a spawned process that finds
+// an idle carrier allocates only its Proc.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	const warm = 100
 
@@ -385,6 +449,20 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 	if want := warm + 101; waits != want {
 		t.Fatalf("latch released %d waits, want %d", waits, want)
+	}
+	e.Shutdown()
+
+	e = New(1)
+	e.At(Forever, func() {}) // a queued event keeps RunUntil from stopping the idle carrier
+	short := func() {
+		e.Spawn("short", func(p *Proc) {})
+		e.RunUntil(e.Now() + 1)
+	}
+	for i := 0; i < warm; i++ {
+		short()
+	}
+	if n := testing.AllocsPerRun(100, short); n != 1 {
+		t.Errorf("spawn on an idle carrier: %v allocs per Spawn, want 1", n)
 	}
 	e.Shutdown()
 

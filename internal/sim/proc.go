@@ -1,67 +1,105 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+// The build line raises this file's language version to Go 1.23 for
+// iter.Pull while go.mod still says go 1.22. It goes away once
+// bench/go.mod moves to go 1.23 and the root go.mod follows.
 
-// errKilled unwinds a process goroutine during Engine.Shutdown.
+import (
+	"fmt"
+	"iter"
+)
+
+// errKilled unwinds a process body during Engine.Shutdown.
 type errKilled struct{ name string }
 
 func (e errKilled) Error() string { return "sim: process killed: " + e.name }
 
-// Proc is a simulated process: a goroutine that runs under the engine's
-// strict hand-off discipline. All Proc methods must be called from the
-// process's own goroutine.
+// Proc is a simulated process: a function body run as a coroutine on one
+// of the engine's carriers, so it and the engine never run at once. All
+// Proc methods must be called from the process body itself.
 type Proc struct {
-	engine   *Engine
-	name     string
-	spawnSeq uint64 // creation order, the engine's teardown order
-	//vhlint:allow lockfree -- hand-off core: resume carries the engine->process baton; exactly one of the pair runs at any instant
-	resume     chan struct{}
-	done       *Done
-	started    bool
+	engine     *Engine
+	name       string
+	spawnSeq   uint64      // creation order, the engine's teardown order
+	body       func(*Proc) // the process function, cleared once it terminates
+	carrier    *carrier    // bound at the first dispatch, cleared at termination
+	done       Done        // fires when the body terminates normally
 	terminated bool
 	killed     bool
 	abortErr   error // pending Abort, delivered at the next resume
 	err        error // value recovered from a Fail or Abort, if any
 }
 
-// start launches the process body. Called in engine context by the start
-// event created in Spawn.
-func (p *Proc) start(fn func(p *Proc)) {
-	p.started = true
-	//vhlint:allow lockfree -- hand-off core: the process goroutine is created parked; it runs only between a resume send and the next handoff send
-	go func() {
-		//vhlint:allow lockfree -- hand-off core: first dispatch baton
-		<-p.resume // wait for first dispatch
-		defer func() {
-			r := recover()
-			bug := false
-			switch r := r.(type) {
-			case nil:
-			case errKilled:
-				// Normal unwind during Shutdown.
-			case procFailure:
-				p.err = r.err
-			default:
-				// A real bug in simulation code. Record it and let dispatch
-				// re-panic in engine context after the hand-off completes:
-				// panicking here, on the process goroutine, would resume
-				// the engine and then crash concurrently with it — the
-				// report interleaves with further simulation activity and
-				// surfaces on a goroutine no test can recover from.
-				p.engine.procPanic = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-				bug = true
+// carrier is a coroutine that runs process bodies one after another. A
+// body parks its carrier at every blocking call; when the body returns,
+// the carrier goes back on its engine's free list for the next process.
+type carrier struct {
+	next func() (struct{}, bool) // engine side: run the bound body until it parks
+	stop func()                  // ends an idle carrier's coroutine
+	park func(struct{}) bool     // process side: hand control back to the engine
+	proc *Proc                   // bound process, nil while idle
+}
+
+// newCarrier returns a carrier whose coroutine has not started yet.
+func (e *Engine) newCarrier() *carrier {
+	c := new(carrier)
+	c.next, c.stop = iter.Pull(func(park func(struct{}) bool) {
+		c.park = park
+		for {
+			c.proc.run()
+			c.proc = nil
+			e.idle = append(e.idle, c)
+			if !park(struct{}{}) {
+				return
 			}
-			p.terminated = true
-			delete(p.engine.procs, p)
-			if !p.killed && !bug {
-				p.done.fire()
-			}
-			//vhlint:allow lockfree -- hand-off core: terminal baton back to the engine; the goroutine exits immediately after
-			p.engine.handoff <- struct{}{}
-		}()
-		fn(p)
-	}()
-	p.engine.dispatch(p)
+		}
+	})
+	return c
+}
+
+// stopIdle ends the coroutines of every idle carrier.
+func (e *Engine) stopIdle() {
+	for i, c := range e.idle {
+		e.idle[i] = nil
+		c.stop()
+	}
+	e.idle = e.idle[:0]
+}
+
+// run executes the process body on its carrier.
+func (p *Proc) run() {
+	defer p.finish()
+	p.body(p)
+}
+
+// finish records how the body ended. A panic that is not one of the
+// engine's own unwinds is a bug in simulation code; it is re-raised as a
+// report naming the process and reaches the caller of Run through the
+// carrier's next.
+func (p *Proc) finish() {
+	r := recover()
+	bug := false
+	switch r := r.(type) {
+	case nil:
+	case errKilled:
+		// Normal unwind during Shutdown.
+	case procFailure:
+		p.err = r.err
+	default:
+		bug = true
+	}
+	p.terminated = true
+	p.body, p.carrier = nil, nil
+	delete(p.engine.procs, p)
+	if bug {
+		p.engine.current = nil
+		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+	}
+	if !p.killed {
+		p.done.fire()
+	}
 }
 
 // procFailure carries an error through panic/recover in Fail.
@@ -83,7 +121,7 @@ func (p *Proc) Abort(err error) {
 		return
 	}
 	p.abortErr = err
-	if p.started {
+	if p.carrier != nil {
 		p.scheduleAt(p.engine.now)
 	}
 }
@@ -102,22 +140,19 @@ func (p *Proc) Now() Time { return p.engine.now }
 
 // Done returns a latch that fires when the process terminates normally
 // (including via Fail, but not when killed by Shutdown).
-func (p *Proc) Done() *Done { return p.done }
+func (p *Proc) Done() *Done { return &p.done }
 
 // Terminated reports whether the process has finished.
 func (p *Proc) Terminated() bool { return p.terminated }
 
-// yield returns control to the engine and blocks until the engine resumes
-// this process. Every blocking primitive bottoms out here.
+// yield parks the process's carrier, returning control to the engine, and
+// comes back when the engine dispatches this process again. Every blocking
+// primitive bottoms out here.
 func (p *Proc) yield() {
 	if p.killed {
 		panic(errKilled{p.name})
 	}
-	//vhlint:allow lockfree -- hand-off core: yield parks this process by passing the baton to the engine...
-	p.engine.handoff <- struct{}{}
-	//vhlint:allow lockfree -- hand-off core: ...and blocks until the engine passes it back; no third party ever holds it
-	<-p.resume
-	if p.killed {
+	if !p.carrier.park(struct{}{}) || p.killed {
 		panic(errKilled{p.name})
 	}
 	if p.abortErr != nil {
