@@ -379,7 +379,7 @@ func (s *Service) Submit(p *sim.Proc, tenant string, spec workloads.Spec, opts .
 		collect:   true,
 		state:     Queued,
 		submitted: s.pl.Engine.Now(),
-		done:      sim.NewDone(s.pl.Engine),
+		done:      sim.NewDone(),
 	}
 	j.wantMaps, j.wantReduces = spec.Demand()
 	for _, o := range opts {

@@ -129,7 +129,7 @@ func (j *job) fail(err error) {
 
 func (j *job) rotateMapSignal() {
 	old := j.mapDone
-	j.mapDone = sim.NewDone(j.cluster.engine)
+	j.mapDone = sim.NewDone()
 	old.Fire()
 }
 
@@ -338,8 +338,8 @@ func (c *Cluster) Submit(p *sim.Proc, spec JobSpec, opts ...SubmitOption) (*Hand
 		priority: so.priority,
 		deadline: so.deadline,
 		collect:  so.collect,
-		mapDone:  sim.NewDone(c.engine),
-		done:     sim.NewDone(c.engine),
+		mapDone:  sim.NewDone(),
+		done:     sim.NewDone(),
 	}
 	j.stats.Name = spec.Name
 	j.stats.Tenant = so.tenant

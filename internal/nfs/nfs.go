@@ -68,9 +68,8 @@ func (s *Server) Read(p *sim.Proc, client *phys.Machine, bytes float64) {
 	}
 	s.readBytes += bytes
 	diskDone := s.machine.Disk.Submit(bytes)
-	if path := s.topo.HostPath(s.machine, client); path != nil {
-		fl := s.topo.Fabric().StartFlow("nfs-read", path, bytes)
-		fl.Done().Wait(p)
+	if route := s.topo.HostPath(s.machine, client); route != nil {
+		s.topo.Fabric().StartFlow(route, bytes).Done().Wait(p)
 	}
 	diskDone.Wait(p)
 }
@@ -83,9 +82,8 @@ func (s *Server) Write(p *sim.Proc, client *phys.Machine, bytes float64) {
 	}
 	s.writeBytes += bytes
 	diskDone := s.machine.Disk.Submit(bytes * s.writePenalty)
-	if path := s.topo.HostPath(client, s.machine); path != nil {
-		fl := s.topo.Fabric().StartFlow("nfs-write", path, bytes)
-		fl.Done().Wait(p)
+	if route := s.topo.HostPath(client, s.machine); route != nil {
+		s.topo.Fabric().StartFlow(route, bytes).Done().Wait(p)
 	}
 	diskDone.Wait(p)
 }
@@ -98,9 +96,8 @@ func (s *Server) FetchImage(p *sim.Proc, dst *phys.Machine, bytes float64) {
 	}
 	s.readBytes += bytes
 	diskDone := s.machine.Disk.Submit(bytes)
-	if path := s.topo.HostPath(s.machine, dst); path != nil {
-		fl := s.topo.Fabric().StartFlow("nfs-image", path, bytes)
-		fl.Done().Wait(p)
+	if route := s.topo.HostPath(s.machine, dst); route != nil {
+		s.topo.Fabric().StartFlow(route, bytes).Done().Wait(p)
 	}
 	diskDone.Wait(p)
 }

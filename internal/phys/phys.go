@@ -62,6 +62,9 @@ type Machine struct {
 
 	memInUse float64 // bytes of DRAM committed to VMs
 	failed   bool    // whole-host failure (power loss, hypervisor panic)
+
+	id     int        // index in the topology's machines
+	routes []routeSet // by destination id, filled on first use
 }
 
 // PageCache is the dom0 NFS-client page cache: recently written or read
@@ -181,6 +184,24 @@ type Topology struct {
 	backbone *vnet.Link // switch backplane (not normally the bottleneck)
 }
 
+// routeSet holds the cached routes from one machine to another; links
+// never change once a machine is added, so each route is built on first use
+// and shared by every later flow between the same machines.
+type routeSet struct {
+	guest, host *vnet.Route
+	// relay is indexed by the final guest's machine: the set's source is
+	// the filer, its destination the host that relays.
+	relay []*vnet.Route
+}
+
+// routesTo returns m's cached routes to dst.
+func (m *Machine) routesTo(dst *Machine) *routeSet {
+	if n := dst.id + 1; n > len(m.routes) {
+		m.routes = append(m.routes, make([]routeSet, n-len(m.routes))...)
+	}
+	return &m.routes[dst.id]
+}
+
 // NewTopology creates an empty topology with a switch backplane of the given
 // aggregate bandwidth.
 func NewTopology(e *sim.Engine, fabric *vnet.Fabric, backboneBW float64, backboneLat sim.Time) *Topology {
@@ -236,6 +257,7 @@ func (t *Topology) AddMachine(name string, spec MachineSpec) *Machine {
 		StorRx:  t.fabric.NewLink(name+".stor.rx", storBW, storLat),
 		MemBus:  sim.NewFairShare(t.engine, name+".membus", memBW, 0),
 		Cache:   NewPageCache(cacheBytes),
+		id:      len(t.machines),
 	}
 	t.machines = append(t.machines, m)
 	return m
@@ -244,28 +266,59 @@ func (t *Topology) AddMachine(name string, spec MachineSpec) *Machine {
 // Machines returns all machines in creation order.
 func (t *Topology) Machines() []*Machine { return t.machines }
 
-// Path returns the link path for traffic from src to dst. Intra-machine
+// Path returns the route for guest traffic from src to dst. Intra-machine
 // traffic crosses only the virtual bridge; cross-machine traffic crosses the
 // source bridge, the source NIC, the switch, the destination NIC and the
 // destination bridge.
-func (t *Topology) Path(src, dst *Machine) []*vnet.Link {
-	if src == dst {
-		return []*vnet.Link{src.Bridge}
+func (t *Topology) Path(src, dst *Machine) *vnet.Route {
+	rs := src.routesTo(dst)
+	if rs.guest == nil {
+		if src == dst {
+			rs.guest = t.fabric.NewRoute(src.Bridge)
+		} else {
+			rs.guest = t.fabric.NewRoute(
+				src.Bridge, src.NICTx, src.NICProc, t.backbone,
+				dst.NICProc, dst.NICRx, dst.Bridge)
+		}
 	}
-	return []*vnet.Link{
-		src.Bridge, src.NICTx, src.NICProc, t.backbone,
-		dst.NICProc, dst.NICRx, dst.Bridge,
-	}
+	return rs.guest
 }
 
-// HostPath returns the path for dom0-level traffic — the NFS client moving
+// HostPath returns the route for dom0-level traffic — the NFS client moving
 // VM disk blocks, image fetches and live migration — which rides the
 // dedicated storage/management NIC, not the guest bridge: a VM reaches its
 // own dom0 through a hypercall, and dom0 kernel TCP needs no netback
-// processing.
-func (t *Topology) HostPath(src, dst *Machine) []*vnet.Link {
+// processing. It is nil when src == dst.
+func (t *Topology) HostPath(src, dst *Machine) *vnet.Route {
 	if src == dst {
 		return nil
 	}
-	return []*vnet.Link{src.StorTx, t.backbone, dst.StorRx}
+	rs := src.routesTo(dst)
+	if rs.host == nil {
+		rs.host = t.fabric.NewRoute(src.StorTx, t.backbone, dst.StorRx)
+	}
+	return rs.host
+}
+
+// RelayPath returns the route of a disk block relayed from the filer
+// through host's dom0 to a guest on dst: HostPath(filer, host) followed by
+// Path(host, dst).
+func (t *Topology) RelayPath(filer, host, dst *Machine) *vnet.Route {
+	rs := filer.routesTo(host)
+	if n := dst.id + 1; n > len(rs.relay) {
+		rs.relay = append(rs.relay, make([]*vnet.Route, n-len(rs.relay))...)
+	}
+	if r := rs.relay[dst.id]; r != nil {
+		return r
+	}
+	var links []*vnet.Link
+	if hp := t.HostPath(filer, host); hp != nil {
+		links = append(links, hp.Links()...)
+	}
+	links = append(links, t.Path(host, dst).Links()...)
+	r := t.fabric.NewRoute(links...)
+	// Building may have grown filer's routes (when host is the filer), so
+	// look the set up again.
+	filer.routesTo(host).relay[dst.id] = r
+	return r
 }

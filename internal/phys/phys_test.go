@@ -59,7 +59,7 @@ func TestMemoryOverReleasePanics(t *testing.T) {
 func TestIntraMachinePathIsBridgeOnly(t *testing.T) {
 	_, topo := newTestTopo(t, 2)
 	a := topo.Machines()[0]
-	path := topo.Path(a, a)
+	path := topo.Path(a, a).Links()
 	if len(path) != 1 || path[0] != a.Bridge {
 		t.Fatalf("intra-machine path = %v, want just the bridge", path)
 	}
@@ -68,7 +68,7 @@ func TestIntraMachinePathIsBridgeOnly(t *testing.T) {
 func TestCrossMachinePathCrossesNICsAndSwitch(t *testing.T) {
 	_, topo := newTestTopo(t, 2)
 	a, b := topo.Machines()[0], topo.Machines()[1]
-	path := topo.Path(a, b)
+	path := topo.Path(a, b).Links()
 	want := []*vnet.Link{a.Bridge, a.NICTx, a.NICProc, topo.Backbone(), b.NICProc, b.NICRx, b.Bridge}
 	if len(path) != len(want) {
 		t.Fatalf("path has %d hops, want %d", len(path), len(want))
@@ -85,7 +85,7 @@ func TestHostPathUsesStorageNICs(t *testing.T) {
 	a, b := topo.Machines()[0], topo.Machines()[1]
 	// dom0-to-dom0 (NFS, migration): storage NICs plus the switch, no
 	// bridges and no netback processing.
-	path := topo.HostPath(a, b)
+	path := topo.HostPath(a, b).Links()
 	want := []*vnet.Link{a.StorTx, topo.Backbone(), b.StorRx}
 	if len(path) != len(want) {
 		t.Fatalf("dom0 path has %d hops, want %d", len(path), len(want))
@@ -121,5 +121,45 @@ func TestCrossMachineTransferSlowerThanIntra(t *testing.T) {
 	e.Run()
 	if cross <= intra {
 		t.Fatalf("cross-machine transfer (%.3fs) not slower than intra (%.3fs)", cross, intra)
+	}
+}
+
+// Routes are built once per machine pair and shared by every later flow.
+func TestRoutesAreCached(t *testing.T) {
+	_, topo := newTestTopo(t, 2)
+	a, b := topo.Machines()[0], topo.Machines()[1]
+	if topo.Path(a, b) != topo.Path(a, b) || topo.HostPath(a, b) != topo.HostPath(a, b) ||
+		topo.RelayPath(a, b, a) != topo.RelayPath(a, b, a) {
+		t.Fatal("a route was rebuilt on its second lookup")
+	}
+	if topo.Path(a, b) == topo.Path(b, a) || topo.Path(a, a) == topo.Path(b, b) {
+		t.Fatal("distinct machine pairs share a route")
+	}
+}
+
+// A relayed disk read crosses the filer's host path and then the guest
+// path; relaying from a guest on the filer itself needs no host path.
+func TestRelayPathJoinsHostAndGuestPaths(t *testing.T) {
+	_, topo := newTestTopo(t, 3)
+	filer, host, dst := topo.Machines()[0], topo.Machines()[1], topo.Machines()[2]
+	check := func(got *vnet.Route, want []*vnet.Link) {
+		t.Helper()
+		links := got.Links()
+		if len(links) != len(want) {
+			t.Fatalf("relay has %d hops, want %d", len(links), len(want))
+		}
+		for i := range want {
+			if links[i] != want[i] {
+				t.Fatalf("hop %d = %s, want %s", i, links[i].Name(), want[i].Name())
+			}
+		}
+	}
+	check(topo.RelayPath(filer, host, dst),
+		append(append([]*vnet.Link(nil), topo.HostPath(filer, host).Links()...), topo.Path(host, dst).Links()...))
+	// Building this one grows the filer's own route table under it.
+	onFiler := topo.RelayPath(filer, filer, dst)
+	check(onFiler, topo.Path(filer, dst).Links())
+	if topo.RelayPath(filer, filer, dst) != onFiler {
+		t.Fatal("the relay from a guest on the filer was not cached")
 	}
 }

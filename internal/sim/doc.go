@@ -12,11 +12,16 @@
 //
 // Building blocks:
 //
-//   - Engine: the clock, the event heap and the run loop. Fired events
-//     are recycled through a free list, so scheduling allocates nothing
-//     in steady state. Engine.At and Engine.After return no handle:
+//   - Engine: the clock, the event heap, the ready FIFO and the run loop.
+//     An event due at the current instant (a process wakeup, a spawn, a
+//     zero delay) goes on the ready FIFO instead of the heap, and the run
+//     loop pops whichever head has the smaller (time, sequence number), so
+//     the order is the heap's alone. Fired events are recycled through a
+//     free list, so scheduling allocates nothing in steady state.
+//     Engine.At, Engine.After and Engine.FireAfter return no handle:
 //     nothing outside the engine cancels an event. MaxMin keeps its one
-//     completion event and re-arms it in place.
+//     completion event on the heap and re-arms it in place. A time before
+//     now, or NaN, panics.
 //   - Proc: a simulated process; created with Engine.Spawn. Its body runs
 //     on a carrier, an iter.Pull coroutine: dispatch calls the carrier's
 //     next, and a blocking call parks it. A carrier whose body returned
@@ -24,14 +29,16 @@
 //     so a spawn allocates only its Proc. A drained Run and Shutdown stop
 //     the idle carriers, and a panic or runtime.Goexit in a body reaches
 //     the goroutine that called Run.
-//   - Done: a one-shot completion latch processes can wait on.
+//   - Done: a one-shot completion latch processes can wait on. Its zero
+//     value is ready to use, so owners embed it.
 //   - Gate: an open/closed barrier (used e.g. to pause virtual machines
 //     during the stop-and-copy phase of live migration).
 //   - Queue: a counting semaphore with FIFO wakeup (task slots, bounded
 //     buffers).
 //   - MaxMin: the one max-min fair rate solver. Activities progress over
 //     the resources they use at progressive-filling rates, optionally
-//     capped; it integrates progress and fires completions. FairShare and
+//     capped; it integrates progress and, at retirement, fires each
+//     activity's latch, at once or after a fixed lag. FairShare and
 //     vnet.Fabric are front-ends over it.
 //   - FairShare: a processor-sharing resource (CPU pools, disks), a MaxMin
 //     with one resource; N jobs in service each progress at capacity/N,

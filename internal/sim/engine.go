@@ -19,25 +19,29 @@ const Forever Time = math.MaxFloat64 / 4
 // them runs at a time. An Engine must not be shared between goroutines other
 // than through the process mechanism it provides.
 type Engine struct {
-	now     Time
-	events  eventHeap
+	now    Time
+	events eventHeap
+	// ready is the FIFO of non-kept events scheduled at now, from head on:
+	// process wakeups and zero-delay callbacks skip the heap. Every entry
+	// has at == now and a larger seq than the one before it, and the clock
+	// cannot advance while it is non-empty, so popping whichever of its
+	// head and the heap's has the smaller (at, seq) keeps the heap's order.
+	ready   []*event
+	head    int
 	free    []*event // fired events, recycled by newEvent
 	seq     uint64
 	procSeq uint64 // spawn-order stamp, so teardown order is reproducible
 	rng     *rand.Rand
-	procs   map[*Proc]bool // all live processes
-	idle    []*carrier     // carriers whose last body returned, reused by dispatch
-	current *Proc          // process currently executing, nil in engine context
-	stopped bool           // set by Stop / Shutdown
+	procs   []*Proc    // all live processes; each knows its slot
+	idle    []*carrier // carriers whose last body returned, reused by dispatch
+	current *Proc      // process currently executing, nil in engine context
+	stopped bool       // set by Stop / Shutdown
 }
 
 // New returns an Engine whose pseudo-random stream is derived from seed.
 // The same seed always reproduces the same simulation.
 func New(seed int64) *Engine {
-	return &Engine{
-		rng:   rand.New(rand.NewSource(seed)),
-		procs: make(map[*Proc]bool),
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -52,7 +56,7 @@ func (e *Engine) At(t Time, fn func()) {
 	e.checkTime(t)
 	ev := e.newEvent(t)
 	ev.fn = fn
-	e.events.push(ev)
+	e.schedule(ev)
 }
 
 // After schedules fn to run d seconds from now.
@@ -60,16 +64,27 @@ func (e *Engine) After(d Time, fn func()) {
 	e.At(e.later(d), fn)
 }
 
-// later returns the time d seconds from now; a negative delay panics.
+// FireAfter fires latch d seconds from now. It is After(d, latch.Fire)
+// without the method-value closure.
+func (e *Engine) FireAfter(d Time, latch *Done) {
+	ev := e.newEvent(e.later(d))
+	ev.done = latch
+	e.schedule(ev)
+}
+
+// later returns the time d seconds from now; a negative or NaN delay
+// panics.
 func (e *Engine) later(d Time) Time {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
+	if !(d >= 0) {
+		panic(fmt.Sprintf("sim: invalid delay %v", d))
 	}
 	return e.now + d
 }
 
+// checkTime panics unless t is now or later: an earlier time would break
+// causality, and a NaN one would stop the clock meaning anything.
 func (e *Engine) checkTime(t Time) {
-	if t < e.now {
+	if !(t >= e.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 }
@@ -91,6 +106,16 @@ func (e *Engine) newEvent(t Time) *event {
 	}
 	ev.at, ev.seq = t, e.nextSeq()
 	return ev
+}
+
+// schedule queues the non-kept event ev: on the ready FIFO if it is due
+// now, on the heap otherwise.
+func (e *Engine) schedule(ev *event) {
+	if ev.at == e.now {
+		e.ready = append(e.ready, ev)
+	} else {
+		e.events.push(ev)
+	}
 }
 
 // rearm schedules the kept event ev at time t with a fresh sequence number,
@@ -123,8 +148,8 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAfter is Spawn with a start delay.
 func (e *Engine) SpawnAfter(d Time, name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
-	p := &Proc{engine: e, name: name, spawnSeq: e.procSeq, body: fn, done: Done{engine: e}}
-	e.procs[p] = true
+	p := &Proc{engine: e, name: name, spawnSeq: e.procSeq, body: fn, slot: len(e.procs)}
+	e.procs = append(e.procs, p)
 	p.scheduleAt(e.later(d))
 	return p
 }
@@ -142,34 +167,61 @@ const schedEvery = 256
 
 // RunUntil executes events with timestamps <= deadline. Events beyond the
 // deadline stay queued; the clock is advanced to the deadline if any such
-// events remain (so repeated RunUntil calls observe monotonic time). When
-// it returns with the queue empty, the idle carriers are stopped.
+// events remain (so repeated RunUntil calls observe monotonic time). A
+// deadline before now panics, as scheduling in the past does. When it
+// returns with the queue empty, the idle carriers are stopped.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for n := 1; !e.stopped && len(e.events) > 0; n++ {
+	if !(deadline >= e.now) {
+		panic(fmt.Sprintf("sim: running until %v before now %v", deadline, e.now))
+	}
+	for n := 1; !e.stopped; n++ {
 		if n%schedEvery == 0 {
 			runtime.Gosched()
 		}
-		if e.events[0].at > deadline {
+		var ev *event
+		if e.readyNext() {
+			ev = e.ready[e.head]
+			e.ready[e.head] = nil
+			if e.head++; e.head == len(e.ready) {
+				e.ready, e.head = e.ready[:0], 0
+			}
+		} else if len(e.events) == 0 {
+			break
+		} else if e.events[0].at > deadline {
 			e.now = deadline
 			return e.now
+		} else {
+			ev = e.events.pop()
+			e.now = ev.at
 		}
-		ev := e.events.pop()
-		e.now = ev.at
-		fn, p := ev.fn, ev.proc
+		fn, p, latch := ev.fn, ev.proc, ev.done
 		if !ev.keep {
 			*ev = event{index: -1}
 			e.free = append(e.free, ev)
 		}
-		if fn != nil {
+		switch {
+		case fn != nil:
 			fn()
-		} else if p != nil {
+		case p != nil:
 			e.dispatch(p)
+		case latch != nil:
+			latch.fire()
 		}
 	}
-	if len(e.events) == 0 {
+	if e.head == len(e.ready) && len(e.events) == 0 {
 		e.stopIdle()
 	}
 	return e.now
+}
+
+// readyNext reports whether the ready FIFO's head is the earliest queued
+// event: the FIFO is non-empty and the heap holds no event at now with a
+// smaller sequence number.
+func (e *Engine) readyNext() bool {
+	if e.head == len(e.ready) {
+		return false
+	}
+	return len(e.events) == 0 || e.events[0].at > e.now || e.ready[e.head].seq < e.events[0].seq
 }
 
 // dispatch runs p until it parks or terminates, binding it to a carrier
@@ -209,29 +261,35 @@ func (e *Engine) Resume() { e.resetStop() }
 // not yet terminated (they may be blocked or not yet started).
 func (e *Engine) LiveProcs() int { return len(e.procs) }
 
+// forget removes the terminated process p from the live set, moving the
+// last live process into its slot.
+func (e *Engine) forget(p *Proc) {
+	last := e.procs[len(e.procs)-1]
+	e.procs[p.slot], last.slot = last, p.slot
+	e.procs[len(e.procs)-1] = nil
+	e.procs = e.procs[:len(e.procs)-1]
+}
+
 // Shutdown terminates every live process by unwinding its body, then
-// clears the event queue and stops the idle carriers. It is intended for
-// tests and for tearing down a platform whose background daemons
-// (heartbeats, monitors) never exit on their own. Shutdown must be called
-// from engine context (not from inside a process).
+// clears the event heap and the ready FIFO and stops the idle carriers. It
+// is intended for tests and for tearing down a platform whose background
+// daemons (heartbeats, monitors) never exit on their own. Shutdown must be
+// called from engine context (not from inside a process).
 func (e *Engine) Shutdown() {
 	if e.current != nil {
 		panic("sim: Shutdown called from process context")
 	}
-	// Kill in spawn order: map iteration order would make the unwind
-	// sequence (and anything its deferred cleanup touches) vary run to
-	// run.
-	live := make([]*Proc, 0, len(e.procs))
-	for p := range e.procs {
-		live = append(live, p)
-	}
+	// Kill in spawn order: the live set's slot order depends on which
+	// processes finished when, and the unwind sequence (and anything its
+	// deferred cleanup touches) must not.
+	live := append([]*Proc(nil), e.procs...)
 	sort.Slice(live, func(i, j int) bool { return live[i].spawnSeq < live[j].spawnSeq })
 	for _, p := range live {
 		if p.carrier != nil {
 			p.killed = true
 			e.dispatch(p)
 		} else {
-			delete(e.procs, p)
+			e.forget(p)
 		}
 	}
 	// A kept event outlives the heap; mark it unqueued so its owner's next
@@ -240,6 +298,7 @@ func (e *Engine) Shutdown() {
 		ev.index = -1
 	}
 	e.events = nil
+	e.ready, e.head = nil, 0
 	e.stopIdle()
 	e.stopped = false
 }

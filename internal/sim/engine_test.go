@@ -99,6 +99,123 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	}
 }
 
+// mustPanic fails t unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// A deadline before now would rewind the clock and let a later At schedule
+// into the past; it panics, as scheduling in the past does.
+func TestRunUntilRejectsEarlierDeadline(t *testing.T) {
+	e := New(1)
+	e.At(5, func() {})
+	e.At(10, func() {})
+	e.RunUntil(6)
+	mustPanic(t, "RunUntil(2) at now 6", func() { e.RunUntil(2) })
+	if e.Now() != 6 {
+		t.Fatalf("clock after a rejected deadline = %v, want 6", e.Now())
+	}
+	mustPanic(t, "At(3) at now 6", func() { e.At(3, func() {}) })
+	e.RunUntil(6) // a deadline at now is fine
+	if end := e.Run(); end != 10 {
+		t.Fatalf("final time = %v, want 10", end)
+	}
+}
+
+// No valid run produces a NaN time, and accepting one would leave the
+// clock reading NaN for the rest of the run.
+func TestNaNTimesPanic(t *testing.T) {
+	nan := math.NaN()
+	e := New(1)
+	mustPanic(t, "At(NaN)", func() { e.At(nan, func() {}) })
+	mustPanic(t, "After(NaN)", func() { e.After(nan, func() {}) })
+	mustPanic(t, "FireAfter(NaN)", func() { e.FireAfter(nan, NewDone()) })
+	mustPanic(t, "RunUntil(NaN)", func() { e.RunUntil(nan) })
+	kept := event{index: -1, keep: true, fn: func() {}}
+	mustPanic(t, "rearm at NaN", func() { e.rearm(&kept, nan) })
+	e.Spawn("sleeper", func(p *Proc) {
+		mustPanic(t, "Sleep(NaN)", func() { p.Sleep(nan) })
+		mustPanic(t, "SleepUntil(NaN)", func() { p.SleepUntil(nan) })
+		p.Sleep(1)
+	})
+	if end := e.Run(); end != 1 {
+		t.Fatalf("final time = %v, want 1", end)
+	}
+	if len(e.events) != 0 || e.head != len(e.ready) {
+		t.Fatalf("rejected times left events queued: heap %d, ready %d", len(e.events), len(e.ready)-e.head)
+	}
+}
+
+// Stop in the middle of an instant leaves ready events and same-time heap
+// events queued; a later Run resumes them in (at, seq) order.
+func TestStopMidInstantResumesInOrder(t *testing.T) {
+	e := New(1)
+	var order []int
+	log := func(id int) func() { return func() { order = append(order, id) } }
+	e.At(1, func() {
+		order = append(order, 1)
+		e.At(1, log(4)) // ready, after 2 and 3 on the heap
+		e.At(2, log(6))
+		e.Stop()
+	})
+	e.At(1, log(2))
+	e.Spawn("proc", func(p *Proc) {
+		p.Sleep(1) // heap, at 1, after 2
+		order = append(order, 3)
+		p.Yield() // ready, after 4
+		order = append(order, 5)
+	})
+	e.Run()
+	if len(order) != 1 || e.Now() != 1 {
+		t.Fatalf("stopped run fired %v by %v, want [1] by 1", order, e.Now())
+	}
+	if e.head == len(e.ready) {
+		t.Fatal("Stop mid-instant left no ready events to resume")
+	}
+	e.Resume()
+	e.Run()
+	want := []int{1, 2, 3, 4, 5, 6}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// Shutdown clears the ready FIFO as well as the heap: nothing queued before
+// it fires after it.
+func TestShutdownClearsBothQueues(t *testing.T) {
+	e := New(1)
+	fired := 0
+	e.At(1, func() {
+		e.At(1, func() { fired++ }) // ready
+		e.At(2, func() { fired++ }) // heap
+		e.Stop()
+	})
+	d := NewDone()
+	e.Spawn("waiter", func(p *Proc) { d.Wait(p) })
+	e.Run()
+	if e.head == len(e.ready) || len(e.events) == 0 {
+		t.Fatalf("before Shutdown: ready %d, heap %d, want both non-empty", len(e.ready)-e.head, len(e.events))
+	}
+	e.Shutdown()
+	if len(e.ready) != 0 || e.head != 0 || len(e.events) != 0 || e.LiveProcs() != 0 {
+		t.Fatalf("after Shutdown: ready %d, heap %d, live procs %d", len(e.ready)-e.head, len(e.events), e.LiveProcs())
+	}
+	if end := e.Run(); end != 1 || fired != 0 {
+		t.Fatalf("Run after Shutdown ended at %v with %d firings, want 1 and 0", end, fired)
+	}
+}
+
 func TestSpawnSleepSequence(t *testing.T) {
 	e := New(1)
 	var marks []Time
@@ -169,7 +286,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 
 func TestShutdownUnwindsBlockedProcs(t *testing.T) {
 	e := New(1)
-	d := NewDone(e)
+	d := NewDone()
 	cleaned := false
 	e.Spawn("blocked", func(p *Proc) {
 		defer func() { cleaned = true }()
@@ -228,7 +345,7 @@ var errTest = testErr("boom")
 
 func TestAbortUnwindsParkedProcess(t *testing.T) {
 	e := New(1)
-	d := NewDone(e)
+	d := NewDone()
 	cleaned := false
 	p := e.Spawn("victim", func(p *Proc) {
 		defer func() { cleaned = true }()
@@ -364,7 +481,7 @@ func TestCarriersDoNotOutliveRun(t *testing.T) {
 	settled("a drained Run")
 
 	e = New(1)
-	d := NewDone(e)
+	d := NewDone()
 	for i := 0; i < 10; i++ {
 		e.Spawn("blocked", func(p *Proc) { d.Wait(p) }) // never fired
 	}
@@ -399,8 +516,10 @@ func TestShutdownDisarmsKeptEvents(t *testing.T) {
 
 // After a warm-up the engine schedules, fires and recycles events without
 // allocating: process sleeps, self-re-arming callbacks and MaxMin
-// completions all run at 0 allocations, and a spawned process that finds
-// an idle carrier allocates only its Proc.
+// completions all run at 0 allocations, a latch chain wakes its waiters
+// without touching the heap, a spawned process that finds an idle carrier
+// allocates only its Proc, and a FairShare submission allocates only its
+// job, the activity and latch in one object.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	const warm = 100
 
@@ -428,13 +547,13 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 
 	e = New(1)
-	d := NewDone(e)
+	d := NewDone()
 	waits := 0
 	e.Spawn("waiter", func(p *Proc) {
 		for {
 			d.Wait(p)
 			waits++
-			*d = Done{engine: e} // re-arm the one-shot latch in place
+			*d = Done{} // re-arm the one-shot latch in place
 		}
 	})
 	e.Spawn("firer", func(p *Proc) {
@@ -451,6 +570,29 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("latch released %d waits, want %d", waits, want)
 	}
 	e.Shutdown()
+
+	// A chain of latches fired at one instant hands off through the ready
+	// FIFO: the heap only ever holds the event that starts it.
+	e = New(1)
+	chain := make([]Done, 8)
+	e.At(1, chain[0].Fire)
+	heapLens := make([]int, 0, len(chain)-1)
+	for i := 1; i < len(chain); i++ {
+		e.Spawn("link", func(p *Proc) {
+			chain[i-1].Wait(p)
+			chain[i].Fire()
+			heapLens = append(heapLens, len(e.events))
+		})
+	}
+	e.Run()
+	for i, n := range heapLens {
+		if n != 0 {
+			t.Fatalf("latch chain: heap held %d events at link %d, want 0", n, i+1)
+		}
+	}
+	if len(heapLens) != len(chain)-1 || e.Now() != 1 {
+		t.Fatalf("latch chain: %d links released by %v, want %d by 1", len(heapLens), e.Now(), len(chain)-1)
+	}
 
 	e = New(1)
 	e.At(Forever, func() {}) // a queued event keeps RunUntil from stopping the idle carrier
@@ -470,12 +612,16 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	s := NewMaxMin(e, "gate", 1e-9, 1e-9)
 	uses := []int{s.AddResource(1)}
 	var a, b Activity
+	var da, db Done
 	completed := 0
-	done := func() { completed++ }
 	serve := func() {
-		s.Start(&a, 1, 0, uses, done)
-		s.Start(&b, 2, 0, uses, done) // re-arms the queued completion event
+		da, db = Done{}, Done{}
+		s.Start(&a, 1, 0, uses, &da, 0)
+		s.Start(&b, 2, 0, uses, &db, 0) // re-arms the queued completion event
 		e.Run()
+		if da.Fired() && db.Fired() {
+			completed += 2
+		}
 	}
 	for i := 0; i < warm; i++ {
 		serve()
@@ -486,4 +632,24 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	if want := 2 * (warm + 101); completed != want {
 		t.Fatalf("completed %d activities, want %d", completed, want)
 	}
+
+	e = New(1)
+	fs := NewFairShare(e, "cpu", 2, 1)
+	served := 0
+	for i := 0; i < 2; i++ {
+		e.Spawn("user", func(p *Proc) {
+			for {
+				fs.Submit(1).Wait(p)
+				served++
+			}
+		})
+	}
+	e.RunUntil(warm)
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); n != 2 {
+		t.Errorf("FairShare Submit+Wait: %v allocs per step of two submissions, want 2", n)
+	}
+	if want := 2 * (warm + 101); served != want {
+		t.Fatalf("served %d submissions, want %d", served, want)
+	}
+	e.Shutdown()
 }

@@ -1,15 +1,17 @@
 package sim
 
-// event is a single entry in the engine's event heap. Exactly one of fn and
-// proc is set: fn events run a callback in engine context, proc events resume
-// a blocked process. The engine recycles a fired event through its free list
-// unless keep is set: a kept event belongs to its scheduler, which re-arms
-// and disarms it in place (see Engine.rearm).
+// event is a single entry in the engine's event heap or ready FIFO.
+// Exactly one of fn, proc and done is set: fn events run a callback in
+// engine context, proc events resume a blocked process and done events fire
+// a latch. The engine recycles a fired event through its free list unless
+// keep is set: a kept event belongs to its scheduler, which re-arms and
+// disarms it in place (see Engine.rearm), and it is always on the heap.
 type event struct {
 	at    Time
 	seq   uint64 // tie-breaker: FIFO among equal timestamps
 	fn    func()
 	proc  *Proc
+	done  *Done
 	index int  // position in the heap, -1 when not queued
 	keep  bool // owned by its scheduler, never recycled
 }

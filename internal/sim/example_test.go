@@ -46,7 +46,7 @@ func ExampleGate() {
 // Done latches coordinate processes: waiters block until the latch fires.
 func ExampleDone() {
 	e := sim.New(1)
-	ready := sim.NewDone(e)
+	ready := sim.NewDone()
 	e.Spawn("consumer", func(p *sim.Proc) {
 		ready.Wait(p)
 		fmt.Printf("consumed at t=%v\n", p.Now())

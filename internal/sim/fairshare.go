@@ -63,14 +63,21 @@ func (f *FairShare) Use(p *Proc, work float64) {
 	}
 }
 
+// job is one submission: the activity and the latch it completes, in one
+// allocation.
+type job struct {
+	Activity
+	done Done
+}
+
 // Submit enqueues work asynchronously and returns a latch that fires on
 // completion. It may be called from engine context or a process.
 func (f *FairShare) Submit(work float64) *Done {
-	d := NewDone(f.solver.engine)
+	j := new(job)
 	if work <= 0 {
-		d.Fire()
-		return d
+		j.done.fire()
+		return &j.done
 	}
-	f.solver.Start(new(Activity), work, f.perJobCap, f.uses, d.Fire)
-	return d
+	f.solver.Start(&j.Activity, work, f.perJobCap, f.uses, &j.done, 0)
+	return &j.done
 }

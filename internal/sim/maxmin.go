@@ -7,7 +7,7 @@ import "fmt"
 // network links (through vnet.Fabric). A resource has a capacity in work
 // units per second. An activity has an amount of work, an optional rate cap
 // and the resources it uses; every activity in service progresses at its
-// max-min fair rate, and its done callback runs when its work is finished.
+// max-min fair rate, and its latch fires when its work is finished.
 //
 // Rates come from progressive filling. Each round finds the bottleneck, the
 // resource with the smallest fair share residual/float64(n) over its n
@@ -16,8 +16,8 @@ import "fmt"
 // tie with the share); otherwise every unfrozen activity on the bottleneck
 // freezes at the share. Activities are kept in insertion order and resources
 // in creation order, and every loop walks them in that order, so the
-// floating-point results and the order of completion callbacks are a
-// function of the simulation alone.
+// floating-point results and the order of completions are a function of
+// the simulation alone.
 type MaxMin struct {
 	engine  *Engine
 	name    string
@@ -43,13 +43,15 @@ type resource struct {
 }
 
 // Activity is one unit of work in service on a MaxMin solver. Its owner
-// allocates it; the solver fills it in when the activity starts.
+// allocates it, usually in one object with the latch it completes; the
+// solver fills it in when the activity starts.
 type Activity struct {
 	remaining float64
 	rateCap   float64 // 0: uncapped
 	rate      float64
 	uses      []int // resource indices
-	done      func()
+	done      *Done // fired lag seconds after the work is finished
+	lag       Time
 	frozen    bool // recomputeRates scratch
 }
 
@@ -113,11 +115,12 @@ func (s *MaxMin) Carried(r int) float64 {
 func (s *MaxMin) Len() int { return len(s.acts) }
 
 // Start puts a into service: work units over the resources uses, at most
-// rateCap per second (0: uncapped). done runs in engine context when the
-// work is finished. uses must be non-empty and is not copied.
-func (s *MaxMin) Start(a *Activity, work, rateCap float64, uses []int, done func()) {
+// rateCap per second (0: uncapped). done fires lag seconds after the work
+// is finished: at once if lag is 0, else from an event scheduled at
+// retirement. uses must be non-empty and is not copied.
+func (s *MaxMin) Start(a *Activity, work, rateCap float64, uses []int, done *Done, lag Time) {
 	s.advance()
-	*a = Activity{remaining: work, rateCap: rateCap, uses: uses, done: done}
+	*a = Activity{remaining: work, rateCap: rateCap, uses: uses, done: done, lag: lag}
 	s.acts = append(s.acts, a)
 	s.reschedule()
 }
@@ -235,12 +238,16 @@ func (s *MaxMin) complete() {
 // next-completion event.
 func (s *MaxMin) reschedule() {
 	// Retire activities that are done or would finish within one tick,
-	// running their callbacks in insertion order and compacting the rest in
-	// place.
+	// completing their latches in insertion order and compacting the rest
+	// in place.
 	live := s.acts[:0]
 	for _, a := range s.acts {
 		if a.remaining <= s.eps || a.remaining <= a.rate*s.minTick {
-			a.done()
+			if a.lag > 0 {
+				s.engine.FireAfter(a.lag, a.done)
+			} else {
+				a.done.fire()
+			}
 			continue
 		}
 		live = append(live, a)

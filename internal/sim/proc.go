@@ -9,6 +9,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math"
 )
 
 // errKilled unwinds a process body during Engine.Shutdown.
@@ -23,6 +24,7 @@ type Proc struct {
 	engine     *Engine
 	name       string
 	spawnSeq   uint64      // creation order, the engine's teardown order
+	slot       int         // index in the engine's live set
 	body       func(*Proc) // the process function, cleared once it terminates
 	carrier    *carrier    // bound at the first dispatch, cleared at termination
 	done       Done        // fires when the body terminates normally
@@ -92,7 +94,7 @@ func (p *Proc) finish() {
 	}
 	p.terminated = true
 	p.body, p.carrier = nil, nil
-	delete(p.engine.procs, p)
+	p.engine.forget(p)
 	if bug {
 		p.engine.current = nil
 		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
@@ -168,20 +170,25 @@ func (p *Proc) block() { p.yield() }
 func (p *Proc) scheduleAt(t Time) {
 	ev := p.engine.newEvent(t)
 	ev.proc = p
-	p.engine.events.push(ev)
+	p.engine.schedule(ev)
 }
 
-// Sleep suspends the process for d seconds of virtual time.
+// Sleep suspends the process for d seconds of virtual time. A negative or
+// NaN d panics.
 func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative sleep %v in %q", d, p.name))
+	if !(d >= 0) {
+		panic(fmt.Sprintf("sim: invalid sleep %v in %q", d, p.name))
 	}
 	p.scheduleAt(p.engine.now + d)
 	p.yield()
 }
 
 // SleepUntil suspends the process until virtual time t (no-op if t <= now).
+// A NaN t panics.
 func (p *Proc) SleepUntil(t Time) {
+	if math.IsNaN(t) {
+		panic(fmt.Sprintf("sim: sleep until NaN in %q", p.name))
+	}
 	if t <= p.engine.now {
 		return
 	}

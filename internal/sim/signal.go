@@ -1,18 +1,18 @@
 package sim
 
 // Done is a one-shot completion latch. Processes that Wait on it block until
-// Fire is called; waits after the latch has fired return immediately.
+// Fire is called; waits after the latch has fired return immediately. The
+// zero Done is an unfired latch, so owners embed it by value.
 type Done struct {
-	engine *Engine
-	fired  bool
+	fired bool
 	// first is the earliest waiter, kept inline so the common single-waiter
 	// latch blocks without allocating; later waiters queue in rest.
 	first *Proc
 	rest  []*Proc
 }
 
-// NewDone returns an unfired latch bound to e.
-func NewDone(e *Engine) *Done { return &Done{engine: e} }
+// NewDone returns an unfired latch.
+func NewDone() *Done { return new(Done) }
 
 // Fired reports whether the latch has fired.
 func (d *Done) Fired() bool { return d.fired }
@@ -27,11 +27,11 @@ func (d *Done) fire() {
 	}
 	d.fired = true
 	if d.first != nil {
-		d.first.scheduleAt(d.engine.now)
+		d.first.scheduleAt(d.first.engine.now)
 		d.first = nil
 	}
 	for _, p := range d.rest {
-		p.scheduleAt(d.engine.now)
+		p.scheduleAt(p.engine.now)
 	}
 	d.rest = nil
 }

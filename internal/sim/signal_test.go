@@ -4,7 +4,7 @@ import "testing"
 
 func TestDoneReleasesWaiters(t *testing.T) {
 	e := New(1)
-	d := NewDone(e)
+	d := NewDone()
 	var woke []Time
 	var order []int
 	for i := 0; i < 3; i++ {
@@ -35,7 +35,7 @@ func TestDoneReleasesWaiters(t *testing.T) {
 
 func TestDoneWaitAfterFireReturnsImmediately(t *testing.T) {
 	e := New(1)
-	d := NewDone(e)
+	d := NewDone()
 	d.Fire()
 	d.Fire() // idempotent
 	var at Time = -1
@@ -50,7 +50,7 @@ func TestDoneWaitAfterFireReturnsImmediately(t *testing.T) {
 
 func TestWaitAll(t *testing.T) {
 	e := New(1)
-	d1, d2 := NewDone(e), NewDone(e)
+	d1, d2 := NewDone(), NewDone()
 	e.At(3, func() { d1.Fire() })
 	e.At(7, func() { d2.Fire() })
 	var at Time

@@ -3,10 +3,14 @@
 // virtual machines of a vHadoop cluster.
 //
 // The fabric is a set of Links (virtual bridge, NIC transmit/receive, switch
-// backplane) with fixed capacities and latencies. Bulk data moves as Flows:
-// each flow occupies a path of links, and whenever the flow population
-// changes the fabric recomputes every flow's rate with max-min fair
-// water-filling, the standard fluid approximation of TCP bandwidth sharing.
+// backplane) with fixed capacities and latencies. A Route is a path of links
+// built once — its links, their indices in the fabric's solver and their
+// summed latency — and reused by every flow along it (internal/phys caches
+// one per machine pair). Bulk data moves as Flows: each flow occupies a
+// route, and whenever the flow population changes the fabric recomputes
+// every flow's rate with max-min fair water-filling, the standard fluid
+// approximation of TCP bandwidth sharing. A flow is one allocation, its
+// solver activity and its completion latch together.
 // This is what makes a shared 1 Gb/s NIC the bottleneck of a cross-domain
 // Hadoop virtual cluster, exactly as the vHadoop paper observes.
 //
@@ -62,18 +66,30 @@ func (l *Link) MeanUtilization() float64 { return l.fabric.solver.MeanUtilizatio
 // BytesCarried returns the cumulative bytes moved across this link.
 func (l *Link) BytesCarried() float64 { return l.fabric.solver.Carried(l.id) }
 
-// Flow is an in-flight bulk transfer across a path of links. Its embedded
-// Activity reports the allocated rate in bytes/second and the bytes not yet
-// transmitted.
+// Route is a path of links computed once and reused by every flow along
+// it: the links in order, their resource indices in the fabric's solver and
+// their summed one-way latency.
+type Route struct {
+	fabric  *Fabric
+	links   []*Link
+	uses    []int
+	latency sim.Time
+}
+
+// Links returns the route's links in order. The slice must not be
+// modified.
+func (r *Route) Links() []*Link { return r.links }
+
+// Flow is an in-flight bulk transfer along a route. Its embedded Activity
+// reports the allocated rate in bytes/second and the bytes not yet
+// transmitted; the flow and its latch are one allocation.
 type Flow struct {
 	sim.Activity
-	name string
-	path []*Link
-	done *sim.Done
+	done sim.Done
 }
 
 // Done returns the latch that fires when the last byte arrives.
-func (f *Flow) Done() *sim.Done { return f.done }
+func (f *Flow) Done() *sim.Done { return &f.done }
 
 // Fabric owns all links and active flows and performs rate allocation with
 // one max-min solver whose resources are the links, in creation order.
@@ -112,65 +128,62 @@ func (f *Fabric) ActiveFlows() int { return f.solver.Len() }
 // FlowsStarted returns the cumulative number of flows ever started.
 func (f *Fabric) FlowsStarted() int { return f.flowsTotal }
 
-// pathLatency sums one-way latencies along a path.
-func pathLatency(path []*Link) sim.Time {
-	var t sim.Time
-	for _, l := range path {
-		t += l.latency
-	}
-	return t
-}
-
-// StartFlow begins an asynchronous bulk transfer of the given size along
-// path. The returned flow's Done latch fires when the last byte has arrived
-// (transmission time under fair sharing, plus path propagation latency).
-func (f *Fabric) StartFlow(name string, path []*Link, bytes float64) *Flow {
-	if len(path) == 0 {
+// NewRoute returns the route along links, which must be non-empty and
+// belong to f. The route keeps links; it is not copied.
+func (f *Fabric) NewRoute(links ...*Link) *Route {
+	if len(links) == 0 {
 		panic("vnet: empty flow path")
 	}
-	for _, l := range path {
+	r := &Route{fabric: f, links: links, uses: make([]int, len(links))}
+	for i, l := range links {
 		if l.fabric != f {
 			panic(fmt.Sprintf("vnet: link %q belongs to a different fabric", l.name))
 		}
+		r.uses[i] = l.id
+		r.latency += l.latency
 	}
-	fl := &Flow{name: name, path: path, done: sim.NewDone(f.engine)}
+	return r
+}
+
+// StartFlow begins an asynchronous bulk transfer of the given size along
+// r. The returned flow's Done latch fires when the last byte has arrived
+// (transmission time under fair sharing, plus the route's propagation
+// latency).
+func (f *Fabric) StartFlow(r *Route, bytes float64) *Flow {
+	if r.fabric != f {
+		panic("vnet: route belongs to a different fabric")
+	}
+	fl := new(Flow)
 	f.flowsTotal++
 	if bytes <= 0 {
 		// Pure control transfer: latency only.
-		f.engine.After(pathLatency(path), fl.done.Fire)
+		f.engine.FireAfter(r.latency, &fl.done)
 		return fl
 	}
-	uses := make([]int, len(path))
-	for i, l := range path {
-		uses[i] = l.id
-	}
-	f.solver.Start(&fl.Activity, bytes, 0, uses, func() {
-		// The last byte leaves now; it arrives after path propagation.
-		if lat := pathLatency(path); lat > 0 {
-			f.engine.After(lat, fl.done.Fire)
-		} else {
-			fl.done.Fire()
-		}
-	})
+	// The last byte leaves when the work is served; it arrives after the
+	// route's propagation latency.
+	f.solver.Start(&fl.Activity, bytes, 0, r.uses, &fl.done, r.latency)
 	return fl
 }
 
-// Transfer moves bytes along path, blocking p until the last byte arrives.
-func (f *Fabric) Transfer(p *sim.Proc, name string, path []*Link, bytes float64) {
-	fl := f.StartFlow(name, path, bytes)
-	fl.done.Wait(p)
+// Transfer moves bytes along r, blocking p until the last byte arrives. It
+// is StartFlow followed by a wait; label names the transfer at the call
+// site and is not recorded.
+func (f *Fabric) Transfer(p *sim.Proc, label string, r *Route, bytes float64) {
+	f.StartFlow(r, bytes).done.Wait(p)
 }
 
-// Message charges p for a small control message: propagation latency plus
-// serialisation at the slowest link, without contending with bulk flows.
-func (f *Fabric) Message(p *sim.Proc, path []*Link, bytes float64) {
+// Message charges p for a small control message along r: propagation
+// latency plus serialisation at the slowest link, without contending with
+// bulk flows.
+func (f *Fabric) Message(p *sim.Proc, r *Route, bytes float64) {
 	minBW := sim.Forever
-	for _, l := range path {
+	for _, l := range r.links {
 		if bw := l.Bandwidth(); bw < minBW {
 			minBW = bw
 		}
 	}
-	d := pathLatency(path)
+	d := r.latency
 	if bytes > 0 && minBW < sim.Forever {
 		d += bytes / minBW
 	}

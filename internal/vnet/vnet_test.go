@@ -21,7 +21,7 @@ func TestSingleFlowFullBandwidth(t *testing.T) {
 	l := f.NewLink("nic", 100e6, 0)
 	var done sim.Time
 	e.Spawn("x", func(p *sim.Proc) {
-		f.Transfer(p, "t", []*Link{l}, 500e6)
+		f.Transfer(p, "t", f.NewRoute(l), 500e6)
 		done = p.Now()
 	})
 	e.Run()
@@ -35,7 +35,7 @@ func TestLatencyAddsToCompletion(t *testing.T) {
 	b := f.NewLink("b", 100e6, 0.002)
 	var done sim.Time
 	e.Spawn("x", func(p *sim.Proc) {
-		f.Transfer(p, "t", []*Link{a, b}, 100e6)
+		f.Transfer(p, "t", f.NewRoute(a, b), 100e6)
 		done = p.Now()
 	})
 	e.Run()
@@ -51,7 +51,7 @@ func TestSetBandwidthRetunesMidFlow(t *testing.T) {
 	e.At(5, func() { l.SetBandwidth(50e6) })
 	var done sim.Time
 	e.Spawn("x", func(p *sim.Proc) {
-		f.Transfer(p, "t", []*Link{l}, 1000e6)
+		f.Transfer(p, "t", f.NewRoute(l), 1000e6)
 		done = p.Now()
 	})
 	e.Run()
@@ -69,7 +69,7 @@ func TestSetBandwidthRestore(t *testing.T) {
 	e.At(1.5, func() { l.SetBandwidth(100e6) })
 	var done sim.Time
 	e.Spawn("x", func(p *sim.Proc) {
-		f.Transfer(p, "t", []*Link{l}, 100e6)
+		f.Transfer(p, "t", f.NewRoute(l), 100e6)
 		done = p.Now()
 	})
 	e.Run()
@@ -94,8 +94,8 @@ func TestTwoFlowsShareBottleneck(t *testing.T) {
 	f := NewFabric(e)
 	l := f.NewLink("nic", 100e6, 0)
 	var d1, d2 sim.Time
-	e.Spawn("a", func(p *sim.Proc) { f.Transfer(p, "a", []*Link{l}, 100e6); d1 = p.Now() })
-	e.Spawn("b", func(p *sim.Proc) { f.Transfer(p, "b", []*Link{l}, 100e6); d2 = p.Now() })
+	e.Spawn("a", func(p *sim.Proc) { f.Transfer(p, "a", f.NewRoute(l), 100e6); d1 = p.Now() })
+	e.Spawn("b", func(p *sim.Proc) { f.Transfer(p, "b", f.NewRoute(l), 100e6); d2 = p.Now() })
 	e.Run()
 	almost(t, d1, 2, 1e-9, "flow a at half rate")
 	almost(t, d2, 2, 1e-9, "flow b at half rate")
@@ -110,8 +110,8 @@ func TestMaxMinWaterFilling(t *testing.T) {
 	l2 := f.NewLink("narrow", 20e6, 0)
 	var rateA, rateB float64
 	e.Spawn("probe", func(p *sim.Proc) {
-		fa := f.StartFlow("A", []*Link{l1}, 1e9)
-		fb := f.StartFlow("B", []*Link{l1, l2}, 1e9)
+		fa := f.StartFlow(f.NewRoute(l1), 1e9)
+		fb := f.StartFlow(f.NewRoute(l1, l2), 1e9)
 		p.Sleep(0.01)
 		rateA, rateB = fa.Rate(), fb.Rate()
 		sim.WaitAll(p, fa.Done(), fb.Done())
@@ -126,8 +126,8 @@ func TestFlowCompletionFreesBandwidth(t *testing.T) {
 	f := NewFabric(e)
 	l := f.NewLink("nic", 100e6, 0)
 	var dShort, dLong sim.Time
-	e.Spawn("short", func(p *sim.Proc) { f.Transfer(p, "s", []*Link{l}, 50e6); dShort = p.Now() })
-	e.Spawn("long", func(p *sim.Proc) { f.Transfer(p, "l", []*Link{l}, 150e6); dLong = p.Now() })
+	e.Spawn("short", func(p *sim.Proc) { f.Transfer(p, "s", f.NewRoute(l), 50e6); dShort = p.Now() })
+	e.Spawn("long", func(p *sim.Proc) { f.Transfer(p, "l", f.NewRoute(l), 150e6); dLong = p.Now() })
 	e.Run()
 	almost(t, dShort, 1, 1e-9, "short flow")
 	almost(t, dLong, 2, 1e-9, "long flow accelerates after short completes")
@@ -139,7 +139,7 @@ func TestZeroByteFlowIsLatencyOnly(t *testing.T) {
 	l := f.NewLink("nic", 100e6, 0.005)
 	var done sim.Time
 	e.Spawn("x", func(p *sim.Proc) {
-		f.Transfer(p, "ping", []*Link{l}, 0)
+		f.Transfer(p, "ping", f.NewRoute(l), 0)
 		done = p.Now()
 	})
 	e.Run()
@@ -150,10 +150,10 @@ func TestMessageDoesNotContend(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
 	l := f.NewLink("nic", 100e6, 0.001)
-	fl := f.StartFlow("bulk", []*Link{l}, 1e9)
+	fl := f.StartFlow(f.NewRoute(l), 1e9)
 	var msgDone sim.Time
 	e.Spawn("hb", func(p *sim.Proc) {
-		f.Message(p, []*Link{l}, 1000)
+		f.Message(p, f.NewRoute(l), 1000)
 		msgDone = p.Now()
 	})
 	e.Spawn("watch", func(p *sim.Proc) { fl.Done().Wait(p) })
@@ -166,8 +166,8 @@ func TestLinkAccounting(t *testing.T) {
 	f := NewFabric(e)
 	l := f.NewLink("nic", 100e6, 0)
 	e.Spawn("x", func(p *sim.Proc) {
-		f.Transfer(p, "t", []*Link{l}, 100e6) // busy 0..1
-		p.Sleep(1)                            // idle 1..2
+		f.Transfer(p, "t", f.NewRoute(l), 100e6) // busy 0..1
+		p.Sleep(1)                               // idle 1..2
 	})
 	e.Run()
 	almost(t, l.BytesCarried(), 100e6, 1, "bytes carried")
@@ -189,7 +189,7 @@ func TestFairShareScalingProperty(t *testing.T) {
 		var last sim.Time
 		for i := 0; i < n; i++ {
 			e.Spawn("fl", func(p *sim.Proc) {
-				f.Transfer(p, "t", []*Link{l}, size)
+				f.Transfer(p, "t", f.NewRoute(l), size)
 				if p.Now() > last {
 					last = p.Now()
 				}
@@ -220,7 +220,7 @@ func TestNoLinkOversubscriptionProperty(t *testing.T) {
 			if path[0] == path[1] {
 				path = path[:1]
 			}
-			f.StartFlow("fl", path, 1e6+e.Rand().Float64()*20e6)
+			f.StartFlow(f.NewRoute(path...), 1e6+e.Rand().Float64()*20e6)
 		}
 		ok := true
 		e.Spawn("check", func(p *sim.Proc) {
@@ -248,7 +248,7 @@ func TestMeanUtilizationAfterSetBandwidth(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
 	l := f.NewLink("nic", 100, 0)
-	f.StartFlow("t", []*Link{l}, 2000) // 1000 B by t=10 at 100 B/s, then 1 B/s
+	f.StartFlow(f.NewRoute(l), 2000) // 1000 B by t=10 at 100 B/s, then 1 B/s
 	var atDegrade, later float64
 	e.At(10, func() {
 		l.SetBandwidth(1)
@@ -258,4 +258,29 @@ func TestMeanUtilizationAfterSetBandwidth(t *testing.T) {
 	e.RunUntil(20)
 	almost(t, atDegrade, 1, 1e-9, "mean utilisation right after the degrade")
 	almost(t, later, 1, 1e-9, "mean utilisation at t=20")
+}
+
+// A transfer over a route built once allocates only its Flow, which holds
+// the solver activity and the latch in one object: no path walk, no index
+// slice, no completion closure.
+func TestTransferOverRouteAllocs(t *testing.T) {
+	e := sim.New(1)
+	f := NewFabric(e)
+	r := f.NewRoute(f.NewLink("a", 20e6, 0.25), f.NewLink("b", 10e6, 0.25))
+	e.Spawn("sender", func(p *sim.Proc) {
+		for {
+			f.Transfer(p, "t", r, 5e6) // 0.5 s on the wire, 0.5 s of latency
+		}
+	})
+	step := func() { e.RunUntil(e.Now() + 1) }
+	for i := 0; i < 10; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(100, step); n != 1 {
+		t.Errorf("Transfer over a route: %v allocs per flow, want 1", n)
+	}
+	if got, want := f.FlowsStarted(), 10+101+1; got != want {
+		t.Fatalf("started %d flows, want %d", got, want)
+	}
+	e.Shutdown()
 }

@@ -92,7 +92,7 @@ func (m *Manager) Migrate(p *sim.Proc, vm *VM, dst *phys.Machine, cfg MigrationC
 
 	src := vm.host
 	fabric := m.topo.Fabric()
-	path := m.topo.HostPath(src, dst)
+	route := m.topo.HostPath(src, dst)
 
 	sp := m.obs.Start(obs.KindMigration, vm.Name, nil).
 		SetAttr("from", stats.From).SetAttr("to", stats.To)
@@ -116,7 +116,7 @@ func (m *Manager) Migrate(p *sim.Proc, vm *VM, dst *phys.Machine, cfg MigrationC
 	toSend := vm.MemBytes
 	for {
 		before := m.engine.Now()
-		fabric.Transfer(p, "migrate:"+vm.Name, path, toSend)
+		fabric.StartFlow(route, toSend).Done().Wait(p)
 		stats.BytesSent += toSend
 		stats.Rounds++
 		if vm.state == StateCrashed || vm.state == StateShutdown {
@@ -145,7 +145,7 @@ func (m *Manager) Migrate(p *sim.Proc, vm *VM, dst *phys.Machine, cfg MigrationC
 	// move; the guest re-activates on the destination.
 	downStart := m.engine.Now()
 	vm.pause()
-	fabric.Transfer(p, "migrate-final:"+vm.Name, path, toSend+cfg.CPUStateBytes)
+	fabric.StartFlow(route, toSend+cfg.CPUStateBytes).Done().Wait(p)
 	stats.BytesSent += toSend + cfg.CPUStateBytes
 	if vm.state == StateCrashed || vm.state == StateShutdown {
 		// Crashed while paused: do not resurrect it by resuming.

@@ -235,11 +235,11 @@ func (vm *VM) ReadFromDiskTo(p *sim.Proc, dst *VM, bytes float64) {
 	vm.diskRead += bytes
 	topo := vm.mgr.topo
 	filer := vm.mgr.nfs.Machine()
-	path := topo.HostPath(filer, vm.host)
+	route := topo.HostPath(filer, vm.host)
 	if dst != nil && dst != vm {
 		vm.netSent += bytes
 		dst.netRecv += bytes
-		path = append(path, topo.Path(vm.host, dst.host)...)
+		route = topo.RelayPath(filer, vm.host, dst.host)
 	}
 	vm.watch(p)
 	defer vm.unwatch(p)
@@ -248,7 +248,7 @@ func (vm *VM) ReadFromDiskTo(p *sim.Proc, dst *VM, bytes float64) {
 		defer dst.unwatch(p)
 	}
 	diskDone := vm.mgr.nfs.SubmitRead(bytes)
-	fl := topo.Fabric().StartFlow("disk-relay:"+vm.Name, path, bytes)
+	fl := topo.Fabric().StartFlow(route, bytes)
 	sim.WaitAll(p, diskDone, fl.Done())
 }
 
@@ -269,8 +269,8 @@ func (vm *VM) SendTo(p *sim.Proc, dst *VM, bytes float64) {
 	defer vm.unwatch(p)
 	dst.watch(p)
 	defer dst.unwatch(p)
-	path := vm.mgr.topo.Path(vm.host, dst.host)
-	vm.mgr.topo.Fabric().Transfer(p, vm.Name+"->"+dst.Name, path, bytes)
+	route := vm.mgr.topo.Path(vm.host, dst.host)
+	vm.mgr.topo.Fabric().StartFlow(route, bytes).Done().Wait(p)
 }
 
 // Message sends a small control RPC to dst (latency-dominated, does not
@@ -282,8 +282,8 @@ func (vm *VM) Message(p *sim.Proc, dst *VM, bytes float64) {
 	vm.checkAlive(p)
 	vm.gate.WaitOpen(p)
 	dst.checkAlive(p)
-	path := vm.mgr.topo.Path(vm.host, dst.host)
-	vm.mgr.topo.Fabric().Message(p, path, bytes)
+	route := vm.mgr.topo.Path(vm.host, dst.host)
+	vm.mgr.topo.Fabric().Message(p, route, bytes)
 }
 
 // AddActivity registers extra page-dirtying activity (bytes/s), typically
