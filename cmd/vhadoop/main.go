@@ -15,10 +15,10 @@
 // Flags:
 //
 //	-seed N     base random seed (default 1)
-//	-reps N     repetitions averaged per configuration (default 3, the
-//	            paper's protocol)
-//	-nodes N    virtual cluster size for the static/migration studies
-//	            (default 16)
+//	-reps N     repetitions averaged per configuration, at least 1
+//	            (default 3, the paper's protocol)
+//	-nodes N    virtual cluster size for the static/migration studies,
+//	            at least 2 (default 16)
 //	-quick      trimmed sweeps for a fast smoke run
 //	-out DIR    output directory for fig8/nmon/chaos artifacts
 //	            (default "fig8-out")
@@ -144,6 +144,12 @@ func runChaos(cfg experiments.Config, outDir string) error {
 	return nil
 }
 
+// usage prints the command line synopsis to stderr and exits with status 2.
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: vhadoop [flags] <table1|fig2|fig3|fig4a|fig4b|fig5|table2|fig6|fig7|fig8|nmon|chaos|jobsvc|all>")
+	os.Exit(2)
+}
+
 func main() {
 	seed := flag.Int64("seed", 1, "base random seed")
 	reps := flag.Int("reps", 3, "repetitions averaged per configuration")
@@ -159,9 +165,18 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Reject out-of-range sizes here: experiments.Config would otherwise
+	// quietly run 16 nodes for -nodes 1 and one repetition for -reps 0.
+	if *nodes < 2 {
+		fmt.Fprintf(os.Stderr, "vhadoop: -nodes must be at least 2, got %d\n", *nodes)
+		usage()
+	}
+	if *reps < 1 {
+		fmt.Fprintf(os.Stderr, "vhadoop: -reps must be at least 1, got %d\n", *reps)
+		usage()
+	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: vhadoop [flags] <table1|fig2|fig3|fig4a|fig4b|fig5|table2|fig6|fig7|fig8|nmon|chaos|jobsvc|all>")
-		os.Exit(2)
+		usage()
 	}
 	cfg := experiments.Config{Seed: *seed, Reps: *reps, Nodes: *nodes, Quick: *quick}
 
@@ -180,7 +195,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			fmt.Println("Figure 2: Wordcount, normal vs cross-domain (16-node cluster)")
+			fmt.Printf("Figure 2: Wordcount, normal vs cross-domain (%d-node cluster)\n", cfg.Nodes)
 			fmt.Println(res.Table())
 		case "fig3":
 			res, err := experiments.RunFig3(cfg)

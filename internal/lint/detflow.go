@@ -35,14 +35,8 @@ import (
 var DetFlow = &Analyzer{
 	Name:      "detflow",
 	Doc:       "trace nondeterministic values interprocedurally into trace/monitor/output sinks",
-	AppliesTo: detflowApplies,
+	AppliesTo: determinismCritical,
 	Run:       runDetFlow,
-}
-
-// detflowApplies extends determinism-critical coverage to examples/,
-// whose printed output is the user-visible face of reproducibility.
-func detflowApplies(pkgPath string) bool {
-	return internalPkg(pkgPath, "vhadoop", "internal", "cmd", "examples")
 }
 
 // taint is a bitset of nondeterminism colors. The low bits are concrete
