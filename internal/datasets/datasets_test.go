@@ -22,6 +22,72 @@ func TestVocabularyDistinct(t *testing.T) {
 	}
 }
 
+// referenceWord spells word i as the per-call builder the table replaced
+// did: its base-60 digits as syllables, least significant first.
+func referenceWord(i int) string {
+	var sb strings.Builder
+	x := i
+	for {
+		sb.WriteString(syllables[x%len(syllables)])
+		x /= len(syllables)
+		if x == 0 {
+			break
+		}
+	}
+	return sb.String()
+}
+
+// TestVocabularyPrefix checks the shared table against the reference
+// spelling, and that Vocabulary(n) is a prefix of Vocabulary(m) for n < m,
+// below, at and above the table size.
+func TestVocabularyPrefix(t *testing.T) {
+	sizes := []int{0, 1, 59, 60, 200, 600, tableWords - 1, tableWords, tableWords + 1, 2 * tableWords}
+	longest := Vocabulary(sizes[len(sizes)-1])
+	for i, w := range longest {
+		if want := referenceWord(i); w != want {
+			t.Fatalf("word %d = %q, want %q", i, w, want)
+		}
+	}
+	for _, n := range sizes {
+		words := Vocabulary(n)
+		if len(words) != n {
+			t.Fatalf("Vocabulary(%d) has %d words", n, len(words))
+		}
+		for i, w := range words {
+			if w != longest[i] {
+				t.Fatalf("Vocabulary(%d)[%d] = %q, Vocabulary(%d)[%d] = %q", n, i, w, len(longest), i, longest[i])
+			}
+		}
+	}
+}
+
+// TestVocabularyCopyIsPrivate writes into returned vocabularies, below and
+// above the table size, and checks that neither a later Vocabulary call
+// nor a same-seed Text corpus sees the writes.
+func TestVocabularyCopyIsPrivate(t *testing.T) {
+	for _, n := range []int{600, tableWords + 10} {
+		opts := DefaultTextOptions(64e6)
+		opts.VocabularySize = n
+		before := Text(rand.New(rand.NewSource(5)), opts)
+		want := Vocabulary(n)
+		scribbled := Vocabulary(n)
+		for i := range scribbled {
+			scribbled[i] = "x"
+		}
+		for i, w := range Vocabulary(n) {
+			if w != want[i] {
+				t.Fatalf("n=%d: word %d = %q after a write into another copy, want %q", n, i, w, want[i])
+			}
+		}
+		after := Text(rand.New(rand.NewSource(5)), opts)
+		for i := range before {
+			if a, b := before[i].Value.(Line).Text, after[i].Value.(Line).Text; a != b {
+				t.Fatalf("n=%d: line %d = %q after a write into a vocabulary, was %q", n, i, b, a)
+			}
+		}
+	}
+}
+
 func TestTextShapeAndSizes(t *testing.T) {
 	opts := DefaultTextOptions(512e6)
 	recs := Text(rand.New(rand.NewSource(7)), opts)

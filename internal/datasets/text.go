@@ -6,6 +6,11 @@
 //
 // All generators are deterministic given a *rand.Rand, so experiments are
 // reproducible from the simulation seed.
+//
+// The package holds no mutable state. Its one shared value is the word
+// table, built once at initialisation and read-only after: Text indexes it
+// directly and Vocabulary returns copies, so concurrent simulations share
+// it freely.
 package datasets
 
 import (
@@ -25,20 +30,42 @@ var syllables = []string{
 	"ta", "te", "ti", "to", "tu", "va", "ve", "vi", "vo", "vu",
 }
 
-// Vocabulary builds n distinct pseudo-English words deterministically.
+// tableWords is the size of the shared word table: every word of one or
+// two syllables, which covers every vocabulary the tree generates text from.
+const tableWords = 60 * 60
+
+// table holds word i for every i < tableWords. It is built once at package
+// initialisation and never written after: Text indexes it directly, and
+// Vocabulary hands out copies.
+var table = func() []string {
+	words := make([]string, tableWords)
+	for i := range words {
+		words[i] = spell(i)
+	}
+	return words
+}()
+
+// spell returns word i: its base-60 digits as syllables, least significant
+// first. Word i does not depend on the vocabulary size.
+func spell(i int) string {
+	var sb strings.Builder
+	for {
+		sb.WriteString(syllables[i%len(syllables)])
+		i /= len(syllables)
+		if i == 0 {
+			return sb.String()
+		}
+	}
+}
+
+// Vocabulary returns n distinct pseudo-English words deterministically, in
+// a fresh slice the caller owns. Vocabulary(n) is a prefix of Vocabulary(m)
+// for every n < m.
 func Vocabulary(n int) []string {
 	words := make([]string, n)
-	for i := range words {
-		var sb strings.Builder
-		x := i
-		for {
-			sb.WriteString(syllables[x%len(syllables)])
-			x /= len(syllables)
-			if x == 0 {
-				break
-			}
-		}
-		words[i] = sb.String()
+	copy(words, table)
+	for i := len(table); i < n; i++ {
+		words[i] = spell(i)
 	}
 	return words
 }
@@ -83,7 +110,10 @@ type Line struct {
 // distribution of natural prose, which is what makes Wordcount's combiner
 // effective.
 func Text(rng *rand.Rand, opts TextOptions) []hdfs.Record {
-	vocab := Vocabulary(opts.VocabularySize)
+	vocab := table // read-only: Zipf draws index below VocabularySize
+	if opts.VocabularySize > len(table) {
+		vocab = Vocabulary(opts.VocabularySize)
+	}
 	zipf := rand.NewZipf(rng, opts.ZipfS, 1, uint64(opts.VocabularySize-1))
 	recs := make([]hdfs.Record, opts.RealLines)
 	per := opts.VirtualBytes / float64(opts.RealLines)

@@ -34,7 +34,7 @@
 //   - Gate: an open/closed barrier (used e.g. to pause virtual machines
 //     during the stop-and-copy phase of live migration).
 //   - Queue: a counting semaphore with FIFO wakeup (task slots, bounded
-//     buffers).
+//     buffers). Its line holds waiters by value behind a head index.
 //   - MaxMin: the one max-min fair rate solver. Activities progress over
 //     the resources they use at progressive-filling rates, optionally
 //     capped; it integrates progress and, at retirement, fires each
@@ -43,7 +43,14 @@
 //   - FairShare: a processor-sharing resource (CPU pools, disks), a MaxMin
 //     with one resource; N jobs in service each progress at capacity/N,
 //     optionally capped per job. This is the building block for the Xen
-//     credit scheduler and for disk contention.
+//     credit scheduler and for disk contention. Use recycles its job
+//     records through a free list on the FairShare.
+//
+// Blocking waits allocate nothing in steady state: Sleep, Done.Wait,
+// Queue.Acquire and FairShare.Use. A process aborted or killed inside Use
+// unwinds past the point where its job record is recycled, so the job stays
+// with the solver, is served to completion and is never reused; starting a
+// MaxMin activity that is still in service panics.
 //
 // All times are in seconds, all data volumes in bytes, all rates in bytes or
 // work-units per second, matching the conventions used across internal/vnet,

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -396,6 +397,83 @@ func TestAbortReleasesQueueGrant(t *testing.T) {
 	}
 }
 
+// TestAbortDuringUseIsNotRecycled aborts a process in the middle of Use:
+// its job must stay with the solver, be served to completion, and never be
+// handed to the Use that starts next on the same resource.
+func TestAbortDuringUseIsNotRecycled(t *testing.T) {
+	e := New(1)
+	fs := NewFairShare(e, "cpu", 1, 0)
+	victim := e.Spawn("victim", func(p *Proc) {
+		fs.Use(p, 4)
+		t.Error("aborted Use returned")
+	})
+	e.At(1, func() { victim.Abort(errTest) })
+	var next, third Time = -1, -1
+	e.Spawn("next", func(p *Proc) {
+		p.Sleep(2) // the victim has unwound; its orphan has 2 units left
+		// Both share the unit capacity, so this job's 1 unit is done at 4
+		// and the orphan's last unit at 5.
+		fs.Use(p, 1)
+		next = p.Now()
+		p.Sleep(2)
+		fs.Use(p, 2) // reuses the record the previous Use returned
+		third = p.Now()
+	})
+	var loadAt4, loadAt5 int
+	e.At(4.5, func() { loadAt4 = fs.Load() })
+	e.At(5.5, func() { loadAt5 = fs.Load() })
+	e.Run()
+	if victim.Err() != errTest {
+		t.Fatalf("victim err = %v, want errTest", victim.Err())
+	}
+	almost(t, next, 4, 1e-9, "new job beside the orphan")
+	if loadAt4 != 1 || loadAt5 != 0 {
+		t.Fatalf("load = %d at 4.5 and %d at 5.5, want the orphan alone until 5", loadAt4, loadAt5)
+	}
+	almost(t, third, 8, 1e-9, "recycled job after the orphan finished")
+	almost(t, fs.Served(), 7, 1e-9, "work served")
+}
+
+// TestAbortMidQueueKeepsFIFO aborts a waiter in the middle of the line: it
+// is removed, and the waiters behind it are still granted in arrival order.
+func TestAbortMidQueueKeepsFIFO(t *testing.T) {
+	e := New(1)
+	q := NewQueue(e, 1)
+	e.Spawn("holder", func(p *Proc) {
+		q.Acquire(p, 1)
+		p.Sleep(5)
+		q.Release(1)
+	})
+	var got []string
+	waiter := func(name string, arrive Time) *Proc {
+		return e.Spawn(name, func(p *Proc) {
+			p.Sleep(arrive)
+			q.Acquire(p, 1)
+			got = append(got, fmt.Sprintf("%s@%g", name, p.Now()))
+			p.Sleep(1)
+			q.Release(1)
+		})
+	}
+	waiter("w1", 1)
+	victim := waiter("victim", 2)
+	waiter("w3", 3)
+	waiter("w4", 4)
+	line := -1
+	e.At(4.5, func() { victim.Abort(errTest) })
+	e.At(4.75, func() { line = len(q.waiters) - q.head })
+	e.Run()
+	if line != 3 {
+		t.Fatalf("line holds %d waiters after the abort, want 3", line)
+	}
+	want := []string{"w1@5", "w3@6", "w4@7"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("grants = %v, want %v", got, want)
+	}
+	if victim.Err() != errTest || q.Available() != 1 {
+		t.Fatalf("victim err = %v, available = %d", victim.Err(), q.Available())
+	}
+}
+
 func TestAbortTerminatedProcessIsNoop(t *testing.T) {
 	e := New(1)
 	p := e.Spawn("quick", func(p *Proc) {})
@@ -650,6 +728,50 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 	if want := 2 * (warm + 101); served != want {
 		t.Fatalf("served %d submissions, want %d", served, want)
+	}
+	e.Shutdown()
+
+	// Use recycles its job records, so a blocking quantum allocates nothing.
+	e = New(1)
+	fs = NewFairShare(e, "cpu", 2, 1)
+	served = 0
+	for i := 0; i < 2; i++ {
+		e.Spawn("user", func(p *Proc) {
+			for {
+				fs.Use(p, 1)
+				served++
+			}
+		})
+	}
+	e.RunUntil(warm)
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); n != 0 {
+		t.Errorf("FairShare Use: %v allocs per step of two quanta, want 0", n)
+	}
+	if want := 2 * (warm + 101); served != want {
+		t.Fatalf("served %d quanta, want %d", served, want)
+	}
+	e.Shutdown()
+
+	// Three procs contend for one unit, so two of them are always in line.
+	e = New(1)
+	q := NewQueue(e, 1)
+	grants := 0
+	for i := 0; i < 3; i++ {
+		e.Spawn("contender", func(p *Proc) {
+			for {
+				q.Acquire(p, 1)
+				grants++
+				p.Sleep(1)
+				q.Release(1)
+			}
+		})
+	}
+	e.RunUntil(warm)
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); n != 0 {
+		t.Errorf("contended Queue: %v allocs per Acquire+Release cycle, want 0", n)
+	}
+	if want := warm + 102; grants != want { // one grant at each t = 0, 1, …, warm+101
+		t.Fatalf("queue granted %d times, want %d", grants, want)
 	}
 	e.Shutdown()
 }

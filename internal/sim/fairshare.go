@@ -12,6 +12,7 @@ type FairShare struct {
 	name      string
 	perJobCap float64 // per-job max rate; 0 means uncapped
 	uses      []int   // the solver's only resource, shared by every job
+	free      *job    // jobs Use has finished with, linked through next
 }
 
 // NewFairShare returns a processor-sharing resource with the given total
@@ -57,10 +58,24 @@ func (f *FairShare) MeanUtilization() float64 { return f.solver.MeanUtilization(
 func (f *FairShare) Served() float64 { return f.solver.Carried(0) }
 
 // Use blocks p until `work` units have been serviced at fair-share rates.
+// It allocates nothing in steady state: its job record comes from the
+// free list and goes back on it once the wait returns. A process aborted or
+// killed while it waits unwinds past that point, so its job stays with the
+// solver, is served to completion, and is never reused.
 func (f *FairShare) Use(p *Proc, work float64) {
-	if work > 0 {
-		f.Submit(work).Wait(p)
+	if work <= 0 {
+		return
 	}
+	j := f.free
+	if j != nil {
+		f.free, j.next = j.next, nil
+	} else {
+		j = new(job)
+	}
+	f.solver.Start(&j.Activity, work, f.perJobCap, f.uses, &j.done, 0)
+	j.done.Wait(p)
+	j.done = Done{}
+	j.next, f.free = f.free, j
 }
 
 // job is one submission: the activity and the latch it completes, in one
@@ -68,10 +83,12 @@ func (f *FairShare) Use(p *Proc, work float64) {
 type job struct {
 	Activity
 	done Done
+	next *job // free-list link, set only while the job is on the list
 }
 
 // Submit enqueues work asynchronously and returns a latch that fires on
-// completion. It may be called from engine context or a process.
+// completion. It may be called from engine context or a process. The
+// caller keeps the latch, so its job is never recycled.
 func (f *FairShare) Submit(work float64) *Done {
 	j := new(job)
 	if work <= 0 {

@@ -52,6 +52,7 @@ type Activity struct {
 	uses      []int // resource indices
 	done      *Done // fired lag seconds after the work is finished
 	lag       Time
+	inService bool // between Start and retirement
 	frozen    bool // recomputeRates scratch
 }
 
@@ -117,10 +118,14 @@ func (s *MaxMin) Len() int { return len(s.acts) }
 // Start puts a into service: work units over the resources uses, at most
 // rateCap per second (0: uncapped). done fires lag seconds after the work
 // is finished: at once if lag is 0, else from an event scheduled at
-// retirement. uses must be non-empty and is not copied.
+// retirement. uses must be non-empty and is not copied. An activity may be
+// started again once it has retired; starting one still in service panics.
 func (s *MaxMin) Start(a *Activity, work, rateCap float64, uses []int, done *Done, lag Time) {
+	if a.inService {
+		panic(fmt.Sprintf("sim: %s: activity started while in service", s.name))
+	}
 	s.advance()
-	*a = Activity{remaining: work, rateCap: rateCap, uses: uses, done: done, lag: lag}
+	*a = Activity{remaining: work, rateCap: rateCap, uses: uses, done: done, lag: lag, inService: true}
 	s.acts = append(s.acts, a)
 	s.reschedule()
 }
@@ -243,6 +248,7 @@ func (s *MaxMin) reschedule() {
 	live := s.acts[:0]
 	for _, a := range s.acts {
 		if a.remaining <= s.eps || a.remaining <= a.rate*s.minTick {
+			a.inService = false
 			if a.lag > 0 {
 				s.engine.FireAfter(a.lag, a.done)
 			} else {

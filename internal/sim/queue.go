@@ -1,12 +1,17 @@
 package sim
 
+import "slices"
+
 // Queue is a counting semaphore with strict FIFO wakeup. It models bounded
 // pools: task slots on a tasktracker, RPC handler threads, and so on.
 type Queue struct {
 	engine    *Engine
 	capacity  int
 	available int
-	waiters   []*qWaiter
+	// waiters[head:] is the FIFO line, held by value so that a blocking
+	// Acquire allocates nothing once the array has grown.
+	waiters []qWaiter
+	head    int
 
 	// occupancy statistics for the monitor
 	lastChange Time
@@ -58,12 +63,12 @@ func (q *Queue) Acquire(p *Proc, n int) {
 	if n <= 0 || n > q.capacity {
 		panic("sim: invalid acquire count")
 	}
-	if len(q.waiters) == 0 && q.available >= n {
+	if q.head == len(q.waiters) && q.available >= n {
 		q.account()
 		q.available -= n
 		return
 	}
-	q.waiters = append(q.waiters, &qWaiter{p: p, n: n})
+	q.push(qWaiter{p: p, n: n})
 	defer func() {
 		if r := recover(); r != nil {
 			if q.granted(p) {
@@ -84,11 +89,22 @@ func (q *Queue) Acquire(p *Proc, n int) {
 	}
 }
 
+// push appends w to the line, moving the line to the front of its array
+// first if that saves growing it.
+func (q *Queue) push(w qWaiter) {
+	if q.head > 0 && len(q.waiters) == cap(q.waiters) {
+		n := copy(q.waiters, q.waiters[q.head:])
+		clear(q.waiters[n:])
+		q.waiters, q.head = q.waiters[:n], 0
+	}
+	q.waiters = append(q.waiters, w)
+}
+
 // removeWaiter drops p's pending entry (abort-path cleanup).
 func (q *Queue) removeWaiter(p *Proc) {
-	for i, w := range q.waiters {
-		if w.p == p {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+	for i := q.head; i < len(q.waiters); i++ {
+		if q.waiters[i].p == p {
+			q.waiters = slices.Delete(q.waiters, i, i+1)
 			return
 		}
 	}
@@ -96,7 +112,7 @@ func (q *Queue) removeWaiter(p *Proc) {
 
 // granted reports whether p's waiter entry has been consumed.
 func (q *Queue) granted(p *Proc) bool {
-	for _, w := range q.waiters {
+	for _, w := range q.waiters[q.head:] {
 		if w.p == p {
 			return false
 		}
@@ -109,7 +125,7 @@ func (q *Queue) TryAcquire(n int) bool {
 	if n <= 0 || n > q.capacity {
 		panic("sim: invalid acquire count")
 	}
-	if len(q.waiters) == 0 && q.available >= n {
+	if q.head == len(q.waiters) && q.available >= n {
 		q.account()
 		q.available -= n
 		return true
@@ -127,9 +143,10 @@ func (q *Queue) Release(n int) {
 	if q.available > q.capacity {
 		panic("sim: queue over-released")
 	}
-	for len(q.waiters) > 0 && q.available >= q.waiters[0].n {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
+	for q.head < len(q.waiters) && q.available >= q.waiters[q.head].n {
+		w := q.waiters[q.head]
+		q.waiters[q.head] = qWaiter{} // drop the process reference
+		q.head++
 		q.available -= w.n
 		w.p.scheduleAt(q.engine.now)
 	}

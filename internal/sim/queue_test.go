@@ -102,3 +102,100 @@ func TestQueueMeanOccupancy(t *testing.T) {
 	// 2 units held for 5s out of 10s => mean occupancy 1.0.
 	almost(t, q.MeanOccupancy(), 1.0, 1e-9, "mean occupancy")
 }
+
+// FuzzQueue waiter states.
+const (
+	fqIdle    = iota // not yet arrived
+	fqWaiting        // inside Acquire
+	fqGranted        // Acquire returned
+	fqRemoved        // unwound out of Acquire by an abort
+)
+
+// FuzzQueue drives a Queue of random capacity with processes that arrive at
+// random times, acquire random sizes, hold them for random times and
+// release them, while random aborts land on waiters and holders alike.
+// Times are multiples of 0.5, so arrivals, releases and aborts often share
+// an instant. It checks that grants are FIFO (no waiter returns from
+// Acquire while an earlier arrival is still in line), that 0 <= available
+// <= capacity at all times, that every waiter is granted exactly once or
+// removed, and that the queue drains to empty and fully available.
+func FuzzQueue(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		e := New(1)
+		capacity := 1 + int(data[0]%8)
+		q := NewQueue(e, capacity)
+		held := 0
+		check := func(what string) {
+			if a := q.Available(); a < 0 || a > capacity || held > capacity-a {
+				t.Errorf("%s at %v: available %d, held %d, capacity %d", what, e.Now(), a, held, capacity)
+			}
+		}
+		var procs []*Proc
+		var state []int
+		var arrivals []*Proc
+		for i := 1; i+2 < len(data); i += 3 {
+			op, at, arg := data[i]%4, Time(data[i+1]%16)/2, int(data[i+2])
+			if op == 3 {
+				if len(procs) > 0 {
+					victim := procs[arg%len(procs)]
+					e.At(at, func() {
+						victim.Abort(errTest)
+						check("abort")
+					})
+				}
+				continue
+			}
+			k, n, hold := len(procs), 1+arg%capacity, Time(arg>>4%8)/2
+			state = append(state, fqIdle)
+			procs = append(procs, e.Spawn("w", func(p *Proc) {
+				p.SleepUntil(at)
+				state[k] = fqWaiting
+				arrivals = append(arrivals, p)
+				defer func() {
+					if state[k] == fqWaiting {
+						state[k] = fqRemoved
+						if !q.granted(p) {
+							t.Errorf("waiter %d unwound but is still in line", k)
+						}
+					}
+				}()
+				q.Acquire(p, n)
+				state[k] = fqGranted
+				held += n
+				check("grant")
+				for _, w := range arrivals {
+					if w == p {
+						break
+					}
+					if !q.granted(w) {
+						t.Errorf("waiter %d granted at %v ahead of an earlier arrival", k, e.Now())
+					}
+				}
+				defer func() {
+					held -= n
+					q.Release(n)
+					check("release")
+				}()
+				p.Sleep(hold)
+			}))
+		}
+		e.Run()
+		for k, p := range procs {
+			switch {
+			case !p.Terminated():
+				t.Fatalf("waiter %d (state %d) never finished: lost wakeup", k, state[k])
+			case state[k] == fqWaiting:
+				t.Fatalf("waiter %d terminated inside Acquire", k)
+			case state[k] != fqGranted && p.Err() != errTest:
+				t.Fatalf("waiter %d not granted (state %d) and not aborted", k, state[k])
+			}
+		}
+		if q.head != len(q.waiters) || q.Available() != capacity || held != 0 {
+			t.Fatalf("drained queue: %d in line, available %d of %d, held %d", len(q.waiters)-q.head, q.Available(), capacity, held)
+		}
+		e.Shutdown()
+	})
+}
