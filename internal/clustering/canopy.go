@@ -12,64 +12,42 @@ import (
 // the loose distance (points within it join the canopy), T2 the tight one
 // (points within it are removed from further canopy creation). T1 > T2.
 type CanopyOptions struct {
-	T1, T2   float64
-	Distance Distance
+	T1, T2 float64
 }
 
 // canopySet accumulates canopy centers: absorb adds a point as a new center
-// unless it lies within T2 of an existing one. The Euclidean specialization
-// caches each center's norm and rejects most point/center pairs on the norm
-// gap alone (see normMargin for why the prune is exact) before falling back
-// to the bounded squared-distance kernel.
+// unless it lies within T2 of an existing one. It caches each center's norm
+// and rejects most point/center pairs on the norm gap alone (see normMargin
+// for why the prune is exact) before falling back to the bounded
+// squared-distance kernel.
 type canopySet struct {
-	inT2    func(a, b Vector) bool // generic path (non-Euclidean)
 	t2sq    float64
-	fast    bool
 	centers []Vector
-	norms   []float64 // center norms, Euclidean path only
-}
-
-func newCanopySet(opts CanopyOptions) *canopySet {
-	s := &canopySet{fast: isEuclidean(opts.Distance)}
-	if s.fast {
-		s.t2sq = opts.T2 * opts.T2
-	} else {
-		s.inT2 = withinThreshold(opts.Distance, opts.T2)
-	}
-	return s
+	norms   []float64
 }
 
 func (s *canopySet) absorb(pt Vector) {
-	if s.fast {
-		sv := sqNorm(pt)
-		nv := math.Sqrt(sv)
-		for i, c := range s.centers {
-			nc := s.norms[i]
-			diff := nv - nc
-			if lb := diff * diff; lb >= s.t2sq+normMargin*(sv+nc*nc) {
-				continue // provably not within T2
-			}
-			if _, ok := squaredEuclideanWithin(pt, c, s.t2sq); ok {
-				return
-			}
+	sv := sqNorm(pt)
+	nv := math.Sqrt(sv)
+	for i, c := range s.centers {
+		nc := s.norms[i]
+		diff := nv - nc
+		if lb := diff * diff; lb >= s.t2sq+normMargin*(sv+nc*nc) {
+			continue // provably not within T2
 		}
-		s.centers = append(s.centers, pt.Clone())
-		s.norms = append(s.norms, nv)
-		return
-	}
-	for _, c := range s.centers {
-		if s.inT2(pt, c) {
+		if _, ok := squaredEuclideanWithin(pt, c, s.t2sq); ok {
 			return
 		}
 	}
 	s.centers = append(s.centers, pt.Clone())
+	s.norms = append(s.norms, nv)
 }
 
 // canopyCluster runs the sequential canopy pass over points: the exact
 // routine used by the reference implementation, by each mapper on its split,
 // and by the reducer on the mapper-produced centers.
 func canopyCluster(points []Vector, opts CanopyOptions) []Vector {
-	s := newCanopySet(opts)
+	s := &canopySet{t2sq: opts.T2 * opts.T2}
 	for _, pt := range points {
 		s.absorb(pt)
 	}
@@ -89,16 +67,13 @@ func Canopy(vectors []Vector, opts CanopyOptions) (Result, error) {
 	return Result{
 		Algorithm:   "canopy",
 		Centers:     centers,
-		Assignments: Assignments(vectors, centers, opts.Distance),
+		Assignments: Assignments(vectors, centers),
 		Iterations:  1,
 		History:     [][]Vector{centers},
 	}, nil
 }
 
 func validateCanopy(opts CanopyOptions) error {
-	if opts.Distance == nil {
-		return fmt.Errorf("clustering: canopy needs a distance measure")
-	}
 	if opts.T1 <= opts.T2 || opts.T2 <= 0 {
 		return fmt.Errorf("clustering: canopy needs T1 > T2 > 0, got T1=%v T2=%v", opts.T1, opts.T2)
 	}
@@ -106,25 +81,15 @@ func validateCanopy(opts CanopyOptions) error {
 }
 
 // canopyMapper builds canopies over its split and emits their centers when
-// the split ends (Hadoop's cleanup hook). The canopySet is compiled once per
-// mapper so every point-center check takes the norm-pruned squared path.
-type canopyMapper struct {
-	opts CanopyOptions
-	set  *canopySet
-}
+// the split ends (Hadoop's cleanup hook).
+type canopyMapper struct{ canopySet }
 
 func (m *canopyMapper) Map(_ string, value any, _ mapreduce.Emit) {
-	if m.set == nil {
-		m.set = newCanopySet(m.opts)
-	}
-	m.set.absorb(Vector(value.([]float64)))
+	m.absorb(Vector(value.([]float64)))
 }
 
 func (m *canopyMapper) Close(emit mapreduce.Emit) {
-	if m.set == nil {
-		return
-	}
-	for _, c := range m.set.centers {
+	for _, c := range m.centers {
 		emit("centroid", c, float64(len(c)*8+16))
 	}
 }
@@ -141,12 +106,8 @@ func CanopyMR(p *sim.Proc, d *Driver, opts CanopyOptions) (Result, error) {
 	}
 	res := Result{Algorithm: "canopy"}
 	start := p.Now()
-	state, err := d.writeState(p, "canopy", 1)
-	if err != nil {
-		return res, err
-	}
-	cfg := d.iterationJob("canopy", state, 1,
-		func() mapreduce.Mapper { return &canopyMapper{opts: opts} },
+	out, err := d.iterate(p, &res, 1, d.perRecordCost(48), // typical live canopy count
+		func() mapreduce.Mapper { return &canopyMapper{canopySet{t2sq: opts.T2 * opts.T2}} },
 		func() mapreduce.Reducer {
 			return mapreduce.ReducerFunc(func(key string, values []any, emit mapreduce.Emit) {
 				pts := make([]Vector, len(values))
@@ -158,15 +119,10 @@ func CanopyMR(p *sim.Proc, d *Driver, opts CanopyOptions) (Result, error) {
 				}
 			})
 		},
-		nil,
-	)
-	cfg.Cost.MapCPUPerRecord = d.perRecordCost(48) // typical live canopy count
-	out, stats, err := d.runJob(p, cfg)
+		nil)
 	if err != nil {
 		return res, err
 	}
-	res.JobStats = append(res.JobStats, stats)
-	res.Iterations = 1
 	for _, kv := range out {
 		res.Centers = append(res.Centers, kv.Value.(Vector))
 	}
@@ -174,7 +130,7 @@ func CanopyMR(p *sim.Proc, d *Driver, opts CanopyOptions) (Result, error) {
 		return res, fmt.Errorf("clustering: canopy produced no centers")
 	}
 	res.History = [][]Vector{res.Centers}
-	res.Assignments = Assignments(d.vectors, res.Centers, opts.Distance)
+	res.Assignments = Assignments(d.vectors, res.Centers)
 	res.Runtime = p.Now() - start
 	return res, nil
 }

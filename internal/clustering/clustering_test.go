@@ -73,15 +73,6 @@ func TestDistances(t *testing.T) {
 	if d := SquaredEuclidean(a, b); math.Abs(d-25) > 1e-12 {
 		t.Fatalf("squared = %v", d)
 	}
-	if d := Manhattan(a, b); math.Abs(d-7) > 1e-12 {
-		t.Fatalf("manhattan = %v", d)
-	}
-	if d := Cosine(Vector{1, 0}, Vector{1, 0}); math.Abs(d) > 1e-12 {
-		t.Fatalf("cosine identical = %v", d)
-	}
-	if d := Cosine(Vector{1, 0}, Vector{0, 1}); math.Abs(d-1) > 1e-12 {
-		t.Fatalf("cosine orthogonal = %v", d)
-	}
 }
 
 func TestKMeansRecoversBlobs(t *testing.T) {
@@ -108,7 +99,7 @@ func TestKMeansObjectiveNonIncreasing(t *testing.T) {
 	}
 	prev := math.Inf(1)
 	for _, centers := range res.History {
-		assign := Assignments(pts, centers, Euclidean)
+		assign := Assignments(pts, centers)
 		wcss := WithinClusterSS(pts, centers, assign)
 		if wcss > prev+1e-6 {
 			t.Fatalf("objective increased: %v -> %v", prev, wcss)
@@ -133,7 +124,7 @@ func TestFuzzyKMeansMembershipsSumToOne(t *testing.T) {
 	pts, _ := threeBlobs(20)
 	centers := []Vector{pts[0], pts[25], pts[45]}
 	for _, v := range pts {
-		u := memberships(v, centers, Euclidean, 2)
+		u := memberships(v, centers, 2)
 		var s float64
 		for _, x := range u {
 			s += x
@@ -167,7 +158,7 @@ func TestFuzzyKMeansRejectsBadM(t *testing.T) {
 
 func TestCanopyCoversAllPoints(t *testing.T) {
 	pts, _ := threeBlobs(60)
-	opts := CanopyOptions{T1: 6, T2: 3, Distance: Euclidean}
+	opts := CanopyOptions{T1: 6, T2: 3}
 	res, err := Canopy(pts, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +167,7 @@ func TestCanopyCoversAllPoints(t *testing.T) {
 		t.Fatalf("only %d canopies for 3 separated blobs", len(res.Centers))
 	}
 	for i, v := range pts {
-		_, d := Nearest(v, res.Centers, Euclidean)
+		_, d := Nearest(v, res.Centers)
 		if d >= opts.T2 {
 			t.Fatalf("point %d is %v from nearest canopy (T2=%v)", i, d, opts.T2)
 		}
@@ -185,11 +176,11 @@ func TestCanopyCoversAllPoints(t *testing.T) {
 
 func TestCanopyValidation(t *testing.T) {
 	pts, _ := threeBlobs(5)
-	if _, err := Canopy(pts, CanopyOptions{T1: 1, T2: 2, Distance: Euclidean}); err == nil {
+	if _, err := Canopy(pts, CanopyOptions{T1: 1, T2: 2}); err == nil {
 		t.Fatal("T1 < T2 accepted")
 	}
-	if _, err := Canopy(pts, CanopyOptions{T1: 2, T2: 1}); err == nil {
-		t.Fatal("nil distance accepted")
+	if _, err := Canopy(pts, CanopyOptions{T1: 2, T2: 0}); err == nil {
+		t.Fatal("T2 = 0 accepted")
 	}
 }
 
@@ -295,7 +286,7 @@ func TestCanopySeparationProperty(t *testing.T) {
 		for i := range pts {
 			pts[i] = Vector{rng.Float64() * 20, rng.Float64() * 20}
 		}
-		opts := CanopyOptions{T1: 5, T2: 2.5, Distance: Euclidean}
+		opts := CanopyOptions{T1: 5, T2: 2.5}
 		res, err := Canopy(pts, opts)
 		if err != nil {
 			return false
@@ -327,7 +318,7 @@ func TestNearestAssignmentProperty(t *testing.T) {
 			return false
 		}
 		for i, v := range pts {
-			want, _ := Nearest(v, res.Centers, Euclidean)
+			want, _ := Nearest(v, res.Centers)
 			if res.Assignments[i] != want {
 				return false
 			}

@@ -209,13 +209,9 @@ func DirichletMR(p *sim.Proc, d *Driver, opts DirichletOptions) (Result, error) 
 	res := Result{Algorithm: "dirichlet"}
 	start := p.Now()
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		state, err := d.writeState(p, "dirichlet", len(models))
-		if err != nil {
-			return res, err
-		}
 		captured := models
 		capIter := iter
-		cfg := d.iterationJob("dirichlet", state, 1,
+		out, err := d.iterate(p, &res, len(models), d.perRecordCost(len(models)),
 			func() mapreduce.Mapper { return &dirichletMapper{models: captured, iter: capIter} },
 			func() mapreduce.Reducer {
 				return mapreduce.ReducerFunc(func(key string, values []any, emit mapreduce.Emit) {
@@ -223,15 +219,10 @@ func DirichletMR(p *sim.Proc, d *Driver, opts DirichletOptions) (Result, error) 
 					emit(key, acc, partialSize(len(acc.sum))*2)
 				})
 			},
-			kmeansCombiner,
-		)
-		cfg.Cost.MapCPUPerRecord = d.perRecordCost(len(captured))
-		out, stats, err := d.runJob(p, cfg)
+			kmeansCombiner)
 		if err != nil {
 			return res, err
 		}
-		res.JobStats = append(res.JobStats, stats)
-		res.Iterations++
 
 		acc := make([]*partial, len(models))
 		for _, kv := range out {

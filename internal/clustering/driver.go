@@ -51,16 +51,6 @@ type Driver struct {
 	name    string
 	vectors []Vector
 
-	// NumMaps is the map-task count per iteration job. Mahout sizes the map
-	// count to the cluster's capacity, so it defaults to the worker count.
-	NumMaps int
-	// BytesPerVector is the virtual on-disk size of one serialized vector.
-	BytesPerVector float64
-	// StateBytesPerCluster is the virtual size of one serialized cluster in
-	// the per-iteration state file every mapper reads.
-	StateBytesPerCluster float64
-	// Cost charges per-record CPU for the distance computations.
-	Cost mapreduce.CostModel
 	// SubmitOpts (tenant, priority, deadline) are forwarded to every
 	// MapReduce job the driver submits.
 	SubmitOpts []mapreduce.SubmitOption
@@ -68,34 +58,10 @@ type Driver struct {
 	iteration int
 }
 
-// runJob submits spec with the driver's submission options and waits for
-// completion, returning the collected output.
-func (d *Driver) runJob(p *sim.Proc, spec mapreduce.JobSpec) ([]mapreduce.KV, mapreduce.JobStats, error) {
-	h, err := d.pl.MR.Submit(p, spec, d.SubmitOpts...)
-	if err != nil {
-		return nil, mapreduce.JobStats{}, err
-	}
-	stats, err := h.Wait(p)
-	if err != nil {
-		return nil, stats, err
-	}
-	return h.OutputRecords(), stats, nil
-}
-
 // NewDriver prepares a driver for the given input name. Call Load before
 // running any algorithm.
 func NewDriver(pl *core.Platform, name string) *Driver {
-	return &Driver{
-		pl:      pl,
-		name:    name,
-		NumMaps: len(pl.Workers()),
-		Cost: mapreduce.CostModel{
-			MapCPUPerRecord:    2e-4, // distance computations per point
-			ReduceCPUPerRecord: 5e-5,
-			SortCPUPerByte:     5e-9,
-			TaskSetupCPU:       1.5,
-		},
-	}
+	return &Driver{pl: pl, name: name}
 }
 
 // Vectors returns the loaded input vectors.
@@ -104,29 +70,23 @@ func (d *Driver) Vectors() []Vector { return d.vectors }
 // Platform returns the underlying platform.
 func (d *Driver) Platform() *core.Platform { return d.pl }
 
-// Load uploads the vectors to HDFS as the algorithm input. Serialized sizes
-// scale with the data dimensionality (a Mahout VectorWritable of the 60-dim
-// control series is an order of magnitude bigger than a 2-D sample, and so
-// is a cluster with its per-dimension statistics), unless the caller set
-// them explicitly before Load.
+// Load uploads the vectors to HDFS as the algorithm input. The serialized
+// size of a vector scales with the data dimensionality: a Mahout
+// VectorWritable of the 60-dim control series is an order of magnitude
+// bigger than one of a 2-D sample.
 func (d *Driver) Load(p *sim.Proc, vectors []Vector) error {
 	dims, err := checkDims(vectors)
 	if err != nil {
 		return err
 	}
-	if d.BytesPerVector == 0 {
-		d.BytesPerVector = 64 + 16*float64(dims)
-	}
-	if d.StateBytesPerCluster == 0 {
-		d.StateBytesPerCluster = 8e3 + 1e3*float64(dims)
-	}
+	bytesPerVector := 64 + 16*float64(dims)
 	d.vectors = vectors
 	raw := make([][]float64, len(vectors))
 	for i, v := range vectors {
 		raw[i] = v
 	}
-	recs := datasets.VectorRecords(raw, d.BytesPerVector)
-	size := d.BytesPerVector * float64(len(vectors))
+	recs := datasets.VectorRecords(raw, bytesPerVector)
+	size := bytesPerVector * float64(len(vectors))
 	_, werr := d.pl.DFS.Write(p, d.pl.Master, d.name, size, recs)
 	return werr
 }
@@ -146,53 +106,81 @@ func (d *Driver) InitCenters(k int) []Vector {
 	return centers
 }
 
-// writeState persists the per-iteration cluster state to HDFS and returns
-// its name; every mapper of the next job reads it as a side input.
-func (d *Driver) writeState(p *sim.Proc, algo string, nClusters int) (string, error) {
-	d.iteration++
-	name := fmt.Sprintf("%s.%s-state-%04d", d.name, algo, d.iteration)
-	size := d.StateBytesPerCluster * float64(nClusters)
-	if size < 1e3 {
-		size = 1e3
-	}
-	if _, err := d.pl.DFS.Write(p, d.pl.Master, name, size, nil); err != nil {
-		return "", err
-	}
-	return name, nil
-}
-
 // perRecordCost returns the VCPU seconds one input record costs when scored
 // against nCenters centers (≈10 ns per dimension operation, the measured
 // rate of tight distance loops on the testbed's cores).
 func (d *Driver) perRecordCost(nCenters int) float64 {
-	dims := 0
-	if len(d.vectors) > 0 {
-		dims = len(d.vectors[0])
-	}
-	return float64(nCenters*dims) * 1e-7
+	return float64(nCenters*len(d.vectors[0])) * 1e-7
 }
 
-// iterationJob assembles the standard per-iteration job around the given
-// mapper/reducer factories.
-func (d *Driver) iterationJob(algo, state string, reduces int,
-	newMapper func() mapreduce.Mapper, newReducer func() mapreduce.Reducer,
-	newCombiner func() mapreduce.Reducer) mapreduce.JobSpec {
-	cfg := mapreduce.JobSpec{
-		Name:       fmt.Sprintf("%s-iter%04d", algo, d.iteration),
-		Input:      []string{d.name},
-		NumReduces: reduces,
-		NumMaps:    d.NumMaps,
-		NewMapper:  newMapper,
-		NewReducer: newReducer,
-		Cost:       d.Cost,
+// iterate runs one job of res.Algorithm and counts it as an iteration. It
+// first writes the state of nClusters clusters to HDFS, which every mapper
+// reads as a side input; a serialized cluster carries per-dimension
+// statistics, so its size scales with the dimensionality. The job has one
+// map task per worker (Mahout sizes the map count to the cluster's
+// capacity), one reducer, and charges mapCost VCPU seconds per input record
+// on top of the fixed reduce, sort and task-setup costs.
+func (d *Driver) iterate(p *sim.Proc, res *Result, nClusters int, mapCost float64,
+	newMapper func() mapreduce.Mapper, newReducer, newCombiner func() mapreduce.Reducer) ([]mapreduce.KV, error) {
+	d.iteration++
+	state := fmt.Sprintf("%s.%s-state-%04d", d.name, res.Algorithm, d.iteration)
+	size := (8e3 + 1e3*float64(len(d.vectors[0]))) * float64(nClusters)
+	if size < 1e3 {
+		size = 1e3
 	}
-	if state != "" {
-		cfg.SideInput = []string{state}
+	if _, err := d.pl.DFS.Write(p, d.pl.Master, state, size, nil); err != nil {
+		return nil, err
 	}
-	if newCombiner != nil {
-		cfg.NewCombiner = newCombiner
+	spec := mapreduce.JobSpec{
+		Name:        fmt.Sprintf("%s-iter%04d", res.Algorithm, d.iteration),
+		Input:       []string{d.name},
+		SideInput:   []string{state},
+		NumReduces:  1,
+		NumMaps:     len(d.pl.Workers()),
+		NewMapper:   newMapper,
+		NewReducer:  newReducer,
+		NewCombiner: newCombiner,
+		Cost: mapreduce.CostModel{
+			MapCPUPerRecord:    mapCost,
+			ReduceCPUPerRecord: 5e-5,
+			SortCPUPerByte:     5e-9,
+			TaskSetupCPU:       1.5,
+		},
 	}
-	return cfg
+	h, err := d.pl.MR.Submit(p, spec, d.SubmitOpts...)
+	if err != nil {
+		return nil, err
+	}
+	stats, err := h.Wait(p)
+	if err != nil {
+		return nil, err
+	}
+	res.JobStats = append(res.JobStats, stats)
+	res.Iterations++
+	return h.OutputRecords(), nil
+}
+
+// cloneAll deep-copies a set of centers.
+func cloneAll(centers []Vector) []Vector {
+	out := make([]Vector, len(centers))
+	for i, c := range centers {
+		out[i] = c.Clone()
+	}
+	return out
+}
+
+// nextCenters places each reduce output at its key's index in a copy of
+// centers; a cluster the reducer emitted nothing for keeps its center.
+func nextCenters(out []mapreduce.KV, centers []Vector) ([]Vector, error) {
+	next := cloneAll(centers)
+	for _, kv := range out {
+		idx, err := reduceIndex(kv.Key, len(next))
+		if err != nil {
+			return nil, err
+		}
+		next[idx] = kv.Value.(Vector)
+	}
+	return next, nil
 }
 
 // partial is the additive statistic flowing from mappers to reducers in the
@@ -259,16 +247,16 @@ func sumPartials(values []any) *partial {
 	return acc
 }
 
-// maxShift returns the largest distance between corresponding old and new
-// centers (the convergence criterion).
-func maxShift(old, new []Vector, dist Distance) float64 {
+// maxShift returns the largest Euclidean distance between corresponding old
+// and new centers (the convergence criterion).
+func maxShift(old, new []Vector) float64 {
 	shift := 0.0
 	n := len(old)
 	if len(new) < n {
 		n = len(new)
 	}
 	for i := 0; i < n; i++ {
-		if d := dist(old[i], new[i]); d > shift {
+		if d := Euclidean(old[i], new[i]); d > shift {
 			shift = d
 		}
 	}

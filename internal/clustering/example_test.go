@@ -30,9 +30,7 @@ func ExampleCanopy() {
 	points := []clustering.Vector{
 		{0, 0}, {0.4, 0}, {8, 8}, {8.3, 8},
 	}
-	res, err := clustering.Canopy(points, clustering.CanopyOptions{
-		T1: 3, T2: 1, Distance: clustering.Euclidean,
-	})
+	res, err := clustering.Canopy(points, clustering.CanopyOptions{T1: 3, T2: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -11,23 +11,22 @@ import (
 
 // FuzzyKMeansOptions configures fuzzy k-means (Mahout's FuzzyKMeansDriver).
 type FuzzyKMeansOptions struct {
-	K        int
-	MaxIter  int
-	Epsilon  float64
-	M        float64 // fuzziness exponent, > 1 (Mahout default 2)
-	Distance Distance
+	K       int
+	MaxIter int
+	Epsilon float64
+	M       float64 // fuzziness exponent, > 1 (Mahout default 2)
 }
 
 // DefaultFuzzyKMeansOptions mirrors Mahout 0.6 defaults.
 func DefaultFuzzyKMeansOptions(k int) FuzzyKMeansOptions {
-	return FuzzyKMeansOptions{K: k, MaxIter: 10, Epsilon: 0.001, M: 2, Distance: Euclidean}
+	return FuzzyKMeansOptions{K: k, MaxIter: 10, Epsilon: 0.001, M: 2}
 }
 
 // memberships computes the fuzzy membership of v in every center:
-// u_i = 1 / sum_j (d_i/d_j)^(2/(m-1)). A zero distance collapses to a hard
-// assignment.
-func memberships(v Vector, centers []Vector, dist Distance, m float64) []float64 {
-	return membershipsInto(v, centers, dist, m, nil, nil)
+// u_i = 1 / sum_j (d_i/d_j)^(2/(m-1)), with d the Euclidean distance. A zero
+// distance collapses to a hard assignment.
+func memberships(v Vector, centers []Vector, m float64) []float64 {
+	return membershipsInto(v, centers, m, nil, nil)
 }
 
 // membershipsInto is memberships with caller-owned scratch: ds holds the
@@ -35,7 +34,7 @@ func memberships(v Vector, centers []Vector, dist Distance, m float64) []float64
 // returned slice aliases u). For Mahout's default m=2 the exponent is
 // exactly 2, so the ratio is squared directly instead of through math.Pow —
 // the same rounding, an order of magnitude less CPU.
-func membershipsInto(v Vector, centers []Vector, dist Distance, m float64, ds, u []float64) []float64 {
+func membershipsInto(v Vector, centers []Vector, m float64, ds, u []float64) []float64 {
 	k := len(centers)
 	if cap(ds) < k {
 		ds = make([]float64, k)
@@ -46,7 +45,7 @@ func membershipsInto(v Vector, centers []Vector, dist Distance, m float64, ds, u
 	}
 	u = u[:k]
 	for i, c := range centers {
-		ds[i] = dist(v, c)
+		ds[i] = Euclidean(v, c)
 		if ds[i] == 0 {
 			for j := range u {
 				u[j] = 0
@@ -82,7 +81,7 @@ func powM(x, m float64) float64 {
 }
 
 // fuzzyStep performs one fuzzy c-means update of the centers.
-func fuzzyStep(vectors, centers []Vector, dist Distance, m float64) []Vector {
+func fuzzyStep(vectors, centers []Vector, m float64) []Vector {
 	dim := len(vectors[0])
 	acc := make([]*partial, len(centers))
 	for i := range acc {
@@ -91,7 +90,7 @@ func fuzzyStep(vectors, centers []Vector, dist Distance, m float64) []Vector {
 	ds := make([]float64, len(centers))
 	u := make([]float64, len(centers))
 	for _, v := range vectors {
-		membershipsInto(v, centers, dist, m, ds, u)
+		membershipsInto(v, centers, m, ds, u)
 		for i := range centers {
 			w := powM(u[i], m)
 			acc[i].sum.AddScaled(v, w)
@@ -113,32 +112,30 @@ func fuzzyStep(vectors, centers []Vector, dist Distance, m float64) []Vector {
 
 // FuzzyKMeans is the in-memory reference implementation.
 func FuzzyKMeans(vectors []Vector, initial []Vector, opts FuzzyKMeansOptions) (Result, error) {
-	if _, err := checkDims(vectors); err != nil {
+	dim, err := checkDims(vectors)
+	if err != nil {
 		return Result{}, err
 	}
-	if opts.Distance == nil {
-		opts.Distance = Euclidean
+	if err := checkCenters(initial, dim); err != nil {
+		return Result{}, err
 	}
 	if opts.M <= 1 {
 		return Result{}, fmt.Errorf("clustering: fuzziness m must exceed 1, got %v", opts.M)
 	}
-	centers := make([]Vector, len(initial))
-	for i, c := range initial {
-		centers[i] = c.Clone()
-	}
+	centers := cloneAll(initial)
 	res := Result{Algorithm: "fuzzykmeans"}
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		next := fuzzyStep(vectors, centers, opts.Distance, opts.M)
+		next := fuzzyStep(vectors, centers, opts.M)
 		res.Iterations++
 		res.History = append(res.History, next)
-		shift := maxShift(centers, next, opts.Distance)
+		shift := maxShift(centers, next)
 		centers = next
 		if shift <= opts.Epsilon {
 			break
 		}
 	}
 	res.Centers = centers
-	res.Assignments = Assignments(vectors, centers, opts.Distance)
+	res.Assignments = Assignments(vectors, centers)
 	return res, nil
 }
 
@@ -147,7 +144,6 @@ func FuzzyKMeans(vectors []Vector, initial []Vector, opts FuzzyKMeansOptions) (R
 // computation allocates nothing per point.
 type fuzzyMapper struct {
 	centers []Vector
-	dist    Distance
 	m       float64
 	ds, u   []float64
 }
@@ -158,7 +154,7 @@ func (fm *fuzzyMapper) Map(_ string, value any, emit mapreduce.Emit) {
 		fm.ds = make([]float64, len(fm.centers))
 		fm.u = make([]float64, len(fm.centers))
 	}
-	membershipsInto(v, fm.centers, fm.dist, fm.m, fm.ds, fm.u)
+	membershipsInto(v, fm.centers, fm.m, fm.ds, fm.u)
 	for i := range fm.centers {
 		w := powM(fm.u[i], fm.m)
 		emit("c"+strconv.Itoa(i), scaledPartialOf(v, w), partialSize(len(v)))
@@ -170,16 +166,13 @@ func FuzzyKMeansMR(p *sim.Proc, d *Driver, initial []Vector, opts FuzzyKMeansOpt
 	if len(d.vectors) == 0 {
 		return Result{}, fmt.Errorf("clustering: driver has no loaded vectors")
 	}
-	if opts.Distance == nil {
-		opts.Distance = Euclidean
+	if err := checkCenters(initial, len(d.vectors[0])); err != nil {
+		return Result{}, err
 	}
 	if opts.M <= 1 {
 		return Result{}, fmt.Errorf("clustering: fuzziness m must exceed 1, got %v", opts.M)
 	}
-	centers := make([]Vector, len(initial))
-	for i, c := range initial {
-		centers[i] = c.Clone()
-	}
+	centers := cloneAll(initial)
 	res := Result{Algorithm: "fuzzykmeans"}
 	start := p.Now()
 	reducer := func() mapreduce.Reducer {
@@ -194,44 +187,26 @@ func FuzzyKMeansMR(p *sim.Proc, d *Driver, initial []Vector, opts FuzzyKMeansOpt
 		})
 	}
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		state, err := d.writeState(p, "fuzzykmeans", len(centers))
-		if err != nil {
-			return res, err
-		}
 		captured := centers
-		cfg := d.iterationJob("fuzzykmeans", state, 1,
-			func() mapreduce.Mapper { return &fuzzyMapper{centers: captured, dist: opts.Distance, m: opts.M} },
-			reducer,
-			func() mapreduce.Reducer { return kmeansCombiner() },
-		)
-		cfg.Cost.MapCPUPerRecord = 2 * d.perRecordCost(len(captured)) // pow() on top of distances
-		out, stats, err := d.runJob(p, cfg)
+		out, err := d.iterate(p, &res, len(centers), 2*d.perRecordCost(len(centers)), // pow() on top of distances
+			func() mapreduce.Mapper { return &fuzzyMapper{centers: captured, m: opts.M} },
+			reducer, kmeansCombiner)
 		if err != nil {
 			return res, err
 		}
-		res.JobStats = append(res.JobStats, stats)
-		res.Iterations++
-
-		next := make([]Vector, len(centers))
-		for i := range next {
-			next[i] = centers[i].Clone()
-		}
-		for _, kv := range out {
-			idx, err := reduceIndex(kv.Key, len(next))
-			if err != nil {
-				return res, err
-			}
-			next[idx] = kv.Value.(Vector)
+		next, err := nextCenters(out, centers)
+		if err != nil {
+			return res, err
 		}
 		res.History = append(res.History, next)
-		shift := maxShift(centers, next, opts.Distance)
+		shift := maxShift(centers, next)
 		centers = next
 		if shift <= opts.Epsilon {
 			break
 		}
 	}
 	res.Centers = centers
-	res.Assignments = Assignments(d.vectors, centers, opts.Distance)
+	res.Assignments = Assignments(d.vectors, centers)
 	res.Runtime = p.Now() - start
 	return res, nil
 }

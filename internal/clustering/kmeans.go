@@ -11,39 +11,30 @@ import (
 
 // KMeansOptions configures k-means (Mahout's KMeansDriver parameters).
 type KMeansOptions struct {
-	K        int
-	MaxIter  int
-	Epsilon  float64 // convergence: stop when no center moves further
-	Distance Distance
+	K       int
+	MaxIter int
+	Epsilon float64 // convergence: stop when no center moves further
 }
 
 // DefaultKMeansOptions mirrors Mahout 0.6 defaults.
 func DefaultKMeansOptions(k int) KMeansOptions {
-	return KMeansOptions{K: k, MaxIter: 10, Epsilon: 0.001, Distance: Euclidean}
+	return KMeansOptions{K: k, MaxIter: 10, Epsilon: 0.001}
 }
 
 // kmeansStep computes one Lloyd iteration: assign each vector to its nearest
 // center and return the new centroids (empty clusters keep their center).
 // Both the reference implementation and the MapReduce reducer use this exact
 // arithmetic, so the two paths agree.
-func kmeansStep(vectors, centers []Vector, dist Distance) []Vector {
+func kmeansStep(vectors, centers []Vector) []Vector {
 	dim := len(vectors[0])
 	acc := make([]*partial, len(centers))
 	for i := range acc {
 		acc[i] = newPartial(dim, false)
 	}
-	var norms []float64
-	if isEuclidean(dist) {
-		norms = centerNorms(centers)
-	}
+	norms := centerNorms(centers)
 	for _, v := range vectors {
-		var c int
-		if norms != nil {
-			sv := sqNorm(v)
-			c, _ = nearestSquaredPruned(v, math.Sqrt(sv), sv, centers, norms)
-		} else {
-			c, _ = Nearest(v, centers, dist)
-		}
+		sv := sqNorm(v)
+		c, _ := nearestSquaredPruned(v, math.Sqrt(sv), sv, centers, norms)
 		acc[c].sum.Add(v)
 		acc[c].count++
 	}
@@ -62,55 +53,44 @@ func kmeansStep(vectors, centers []Vector, dist Distance) []Vector {
 
 // KMeans is the in-memory reference implementation.
 func KMeans(vectors []Vector, initial []Vector, opts KMeansOptions) (Result, error) {
-	if _, err := checkDims(vectors); err != nil {
+	dim, err := checkDims(vectors)
+	if err != nil {
 		return Result{}, err
 	}
-	if opts.Distance == nil {
-		opts.Distance = Euclidean
+	if err := checkCenters(initial, dim); err != nil {
+		return Result{}, err
 	}
-	centers := make([]Vector, len(initial))
-	for i, c := range initial {
-		centers[i] = c.Clone()
-	}
+	centers := cloneAll(initial)
 	res := Result{Algorithm: "kmeans"}
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		next := kmeansStep(vectors, centers, opts.Distance)
+		next := kmeansStep(vectors, centers)
 		res.Iterations++
 		res.History = append(res.History, next)
-		shift := maxShift(centers, next, opts.Distance)
+		shift := maxShift(centers, next)
 		centers = next
 		if shift <= opts.Epsilon {
 			break
 		}
 	}
 	res.Centers = centers
-	res.Assignments = Assignments(vectors, centers, opts.Distance)
+	res.Assignments = Assignments(vectors, centers)
 	return res, nil
 }
 
 // kmeansMapper assigns each input vector to its nearest current center and
-// emits a partial (sum, count) toward that center. fast selects the
-// NearestSquared path (set once at construction when dist is Euclidean,
-// saving the per-point reflect check Nearest would repeat).
+// emits a partial (sum, count) toward that center.
 type kmeansMapper struct {
 	centers []Vector
-	dist    Distance
-	fast    bool
-	norms   []float64 // center norms for the pruned path, built on first Map
+	norms   []float64 // center norms for the pruned scan, built on first Map
 }
 
 func (m *kmeansMapper) Map(_ string, value any, emit mapreduce.Emit) {
 	v := Vector(value.([]float64))
-	var c int
-	if m.fast {
-		if m.norms == nil {
-			m.norms = centerNorms(m.centers)
-		}
-		sv := sqNorm(v)
-		c, _ = nearestSquaredPruned(v, math.Sqrt(sv), sv, m.centers, m.norms)
-	} else {
-		c, _ = Nearest(v, m.centers, m.dist)
+	if m.norms == nil {
+		m.norms = centerNorms(m.centers)
 	}
+	sv := sqNorm(v)
+	c, _ := nearestSquaredPruned(v, math.Sqrt(sv), sv, m.centers, m.norms)
 	emit("c"+strconv.Itoa(c), partialOf(v), partialSize(len(v)))
 }
 
@@ -141,55 +121,33 @@ func KMeansMR(p *sim.Proc, d *Driver, initial []Vector, opts KMeansOptions) (Res
 	if len(d.vectors) == 0 {
 		return Result{}, fmt.Errorf("clustering: driver has no loaded vectors")
 	}
-	if opts.Distance == nil {
-		opts.Distance = Euclidean
+	if err := checkCenters(initial, len(d.vectors[0])); err != nil {
+		return Result{}, err
 	}
-	centers := make([]Vector, len(initial))
-	for i, c := range initial {
-		centers[i] = c.Clone()
-	}
+	centers := cloneAll(initial)
 	res := Result{Algorithm: "kmeans"}
 	start := p.Now()
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		state, err := d.writeState(p, "kmeans", len(centers))
-		if err != nil {
-			return res, err
-		}
 		captured := centers
-		fast := isEuclidean(opts.Distance)
-		cfg := d.iterationJob("kmeans", state, 1,
-			func() mapreduce.Mapper { return &kmeansMapper{centers: captured, dist: opts.Distance, fast: fast} },
-			func() mapreduce.Reducer { return kmeansReducer() },
-			kmeansCombiner,
-		)
-		cfg.Cost.MapCPUPerRecord = d.perRecordCost(len(captured))
-		out, stats, err := d.runJob(p, cfg)
+		out, err := d.iterate(p, &res, len(centers), d.perRecordCost(len(centers)),
+			func() mapreduce.Mapper { return &kmeansMapper{centers: captured} },
+			kmeansReducer, kmeansCombiner)
 		if err != nil {
 			return res, err
 		}
-		res.JobStats = append(res.JobStats, stats)
-		res.Iterations++
-
-		next := make([]Vector, len(centers))
-		for i := range next {
-			next[i] = centers[i].Clone() // empty clusters keep their center
-		}
-		for _, kv := range out {
-			idx, err := reduceIndex(kv.Key, len(next))
-			if err != nil {
-				return res, err
-			}
-			next[idx] = kv.Value.(Vector)
+		next, err := nextCenters(out, centers)
+		if err != nil {
+			return res, err
 		}
 		res.History = append(res.History, next)
-		shift := maxShift(centers, next, opts.Distance)
+		shift := maxShift(centers, next)
 		centers = next
 		if shift <= opts.Epsilon {
 			break
 		}
 	}
 	res.Centers = centers
-	res.Assignments = Assignments(d.vectors, centers, opts.Distance)
+	res.Assignments = Assignments(d.vectors, centers)
 	res.Runtime = p.Now() - start
 	return res, nil
 }

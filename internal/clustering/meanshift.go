@@ -12,21 +12,17 @@ import (
 // MeanShiftCanopyDriver): every point starts as a canopy; canopies shift to
 // the mean of the points within T1 and merge when they come within T2.
 type MeanShiftOptions struct {
-	T1, T2   float64
-	MaxIter  int
-	Epsilon  float64 // converged when no center shifts further than this
-	Distance Distance
+	T1, T2  float64
+	MaxIter int
+	Epsilon float64 // converged when no center shifts further than this
 }
 
 // DefaultMeanShiftOptions mirrors Mahout 0.6 defaults (10 iterations cap).
 func DefaultMeanShiftOptions(t1, t2 float64) MeanShiftOptions {
-	return MeanShiftOptions{T1: t1, T2: t2, MaxIter: 10, Epsilon: 0.001, Distance: Euclidean}
+	return MeanShiftOptions{T1: t1, T2: t2, MaxIter: 10, Epsilon: 0.001}
 }
 
 func validateMeanShift(opts MeanShiftOptions) error {
-	if opts.Distance == nil {
-		return fmt.Errorf("clustering: mean-shift needs a distance measure")
-	}
 	if opts.T1 <= opts.T2 || opts.T2 <= 0 {
 		return fmt.Errorf("clustering: mean-shift needs T1 > T2 > 0, got T1=%v T2=%v", opts.T1, opts.T2)
 	}
@@ -41,10 +37,10 @@ func meanShiftMove(vectors, centers []Vector, opts MeanShiftOptions) []Vector {
 	for i := range acc {
 		acc[i] = newPartial(dim, false)
 	}
-	inT1 := withinThreshold(opts.Distance, opts.T1)
+	t1sq := opts.T1 * opts.T1
 	for _, v := range vectors {
 		for i, c := range centers {
-			if inT1(v, c) {
+			if _, ok := squaredEuclideanWithin(v, c, t1sq); ok {
 				acc[i].sum.Add(v)
 				acc[i].count++
 			}
@@ -65,12 +61,12 @@ func meanShiftMove(vectors, centers []Vector, opts MeanShiftOptions) []Vector {
 
 // mergeCanopies collapses centers that came within T2 of an earlier center.
 func mergeCanopies(centers []Vector, opts MeanShiftOptions) []Vector {
-	inT2 := withinThreshold(opts.Distance, opts.T2)
+	t2sq := opts.T2 * opts.T2
 	var out []Vector
 	for _, c := range centers {
 		merged := false
 		for _, kept := range out {
-			if inT2(c, kept) {
+			if _, ok := squaredEuclideanWithin(c, kept, t2sq); ok {
 				merged = true
 				break
 			}
@@ -109,7 +105,7 @@ func MeanShift(vectors []Vector, opts MeanShiftOptions) (Result, error) {
 	res := Result{Algorithm: "meanshift"}
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		moved := meanShiftMove(vectors, centers, opts)
-		shift := maxShift(centers, moved, opts.Distance)
+		shift := maxShift(centers, moved)
 		centers = mergeCanopies(moved, opts)
 		res.Iterations++
 		res.History = append(res.History, centers)
@@ -118,25 +114,21 @@ func MeanShift(vectors []Vector, opts MeanShiftOptions) (Result, error) {
 		}
 	}
 	res.Centers = centers
-	res.Assignments = Assignments(vectors, centers, opts.Distance)
+	res.Assignments = Assignments(vectors, centers)
 	return res, nil
 }
 
 // meanShiftMapper emits, per data point, a partial toward every canopy
-// within T1.
+// within T1 (t1sq is T1 squared).
 type meanShiftMapper struct {
 	centers []Vector
-	opts    MeanShiftOptions
-	inT1    func(a, b Vector) bool
+	t1sq    float64
 }
 
 func (m *meanShiftMapper) Map(_ string, value any, emit mapreduce.Emit) {
 	v := Vector(value.([]float64))
-	if m.inT1 == nil {
-		m.inT1 = withinThreshold(m.opts.Distance, m.opts.T1)
-	}
 	for i, c := range m.centers {
-		if m.inT1(v, c) {
+		if _, ok := squaredEuclideanWithin(v, c, m.t1sq); ok {
 			emit("c"+strconv.Itoa(i), partialOf(v), partialSize(len(v)))
 		}
 	}
@@ -156,43 +148,18 @@ func MeanShiftMR(p *sim.Proc, d *Driver, opts MeanShiftOptions) (Result, error) 
 	res := Result{Algorithm: "meanshift"}
 	start := p.Now()
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		state, err := d.writeState(p, "meanshift", len(centers))
-		if err != nil {
-			return res, err
-		}
 		captured := centers
-		cfg := d.iterationJob("meanshift", state, 1,
-			func() mapreduce.Mapper { return &meanShiftMapper{centers: captured, opts: opts} },
-			func() mapreduce.Reducer {
-				return mapreduce.ReducerFunc(func(key string, values []any, emit mapreduce.Emit) {
-					acc := sumPartials(values)
-					c := acc.sum.Clone()
-					c.Scale(1 / float64(acc.count))
-					emit(key, c, float64(len(c)*8+16))
-				})
-			},
-			kmeansCombiner,
-		)
-		cfg.Cost.MapCPUPerRecord = d.perRecordCost(len(captured))
-		out, stats, err := d.runJob(p, cfg)
+		out, err := d.iterate(p, &res, len(centers), d.perRecordCost(len(centers)),
+			func() mapreduce.Mapper { return &meanShiftMapper{centers: captured, t1sq: opts.T1 * opts.T1} },
+			kmeansReducer, kmeansCombiner)
 		if err != nil {
 			return res, err
 		}
-		res.JobStats = append(res.JobStats, stats)
-		res.Iterations++
-
-		moved := make([]Vector, len(centers))
-		for i := range moved {
-			moved[i] = centers[i].Clone()
+		moved, err := nextCenters(out, centers)
+		if err != nil {
+			return res, err
 		}
-		for _, kv := range out {
-			idx, err := reduceIndex(kv.Key, len(moved))
-			if err != nil {
-				return res, err
-			}
-			moved[idx] = kv.Value.(Vector)
-		}
-		shift := maxShift(centers, moved, opts.Distance)
+		shift := maxShift(centers, moved)
 		centers = mergeCanopies(moved, opts)
 		res.History = append(res.History, centers)
 		if shift <= opts.Epsilon {
@@ -200,7 +167,7 @@ func MeanShiftMR(p *sim.Proc, d *Driver, opts MeanShiftOptions) (Result, error) 
 		}
 	}
 	res.Centers = centers
-	res.Assignments = Assignments(d.vectors, centers, opts.Distance)
+	res.Assignments = Assignments(d.vectors, centers)
 	res.Runtime = p.Now() - start
 	return res, nil
 }

@@ -220,12 +220,8 @@ func MinHashMR(p *sim.Proc, d *Driver, opts MinHashOptions) (Result, error) {
 	opts.medians = dimensionMedians(d.vectors)
 	res := Result{Algorithm: "minhash"}
 	start := p.Now()
-	state, err := d.writeState(p, "minhash", 1)
-	if err != nil {
-		return res, err
-	}
 	minCluster := opts.MinCluster
-	cfg := d.iterationJob("minhash", state, 1,
+	out, err := d.iterate(p, &res, 1, d.perRecordCost(opts.NumHashes),
 		func() mapreduce.Mapper { return &minhashMapper{opts: opts} },
 		func() mapreduce.Reducer {
 			return mapreduce.ReducerFunc(func(key string, values []any, emit mapreduce.Emit) {
@@ -246,15 +242,10 @@ func MinHashMR(p *sim.Proc, d *Driver, opts MinHashOptions) (Result, error) {
 				emit(key, ids, float64(8*len(ids)))
 			})
 		},
-		nil,
-	)
-	cfg.Cost.MapCPUPerRecord = d.perRecordCost(opts.NumHashes)
-	out, stats, err := d.runJob(p, cfg)
+		nil)
 	if err != nil {
 		return res, err
 	}
-	res.JobStats = append(res.JobStats, stats)
-	res.Iterations = 1
 
 	groups := make(map[string][]int, len(out))
 	for _, kv := range out {

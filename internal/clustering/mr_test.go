@@ -97,7 +97,7 @@ func TestFuzzyKMeansMRMatchesReference(t *testing.T) {
 func TestCanopyMRCoversPoints(t *testing.T) {
 	pts, _ := threeBlobs(40)
 	pl, d := mrDriver(t, 6, pts)
-	opts := CanopyOptions{T1: 6, T2: 3, Distance: Euclidean}
+	opts := CanopyOptions{T1: 6, T2: 3}
 	var mr Result
 	_, err := pl.Run(func(p *sim.Proc) error {
 		if err := d.Load(p, pts); err != nil {
@@ -116,7 +116,7 @@ func TestCanopyMRCoversPoints(t *testing.T) {
 	// Two-level canopying bounds every point within T2 (mapper) + T2
 	// (reducer merge) of a final center.
 	for i, v := range pts {
-		if _, dd := Nearest(v, mr.Centers, Euclidean); dd > 2*opts.T2 {
+		if _, dd := Nearest(v, mr.Centers); dd > 2*opts.T2 {
 			t.Fatalf("point %d is %v from nearest canopy", i, dd)
 		}
 	}
@@ -222,7 +222,7 @@ func TestClusteringRuntimeGrowsWithClusterSize(t *testing.T) {
 				return err
 			}
 			var err error
-			mr, err = CanopyMR(p, d, CanopyOptions{T1: 80, T2: 40, Distance: Euclidean})
+			mr, err = CanopyMR(p, d, CanopyOptions{T1: 80, T2: 40})
 			return err
 		})
 		if err != nil {
@@ -248,5 +248,63 @@ func TestDriverLoadRejectsMixedDims(t *testing.T) {
 	}
 	if !math.IsNaN(math.NaN()) {
 		t.Fatal("sanity")
+	}
+}
+
+// TestBadInitialCentersRejected feeds every k-means and fuzzy k-means entry
+// point initial centers it cannot start from. Each must return an error, and
+// the MapReduce drivers must do so before writing state or submitting a job.
+func TestBadInitialCentersRejected(t *testing.T) {
+	pts, _ := threeBlobs(5)
+	fuzzy := DefaultFuzzyKMeansOptions(2)
+	entries := []struct {
+		name string
+		mem  func(initial []Vector) (Result, error)
+		mr   func(p *sim.Proc, d *Driver, initial []Vector) (Result, error)
+	}{
+		{name: "kmeans",
+			mem: func(initial []Vector) (Result, error) { return KMeans(pts, initial, DefaultKMeansOptions(2)) },
+			mr: func(p *sim.Proc, d *Driver, initial []Vector) (Result, error) {
+				return KMeansMR(p, d, initial, DefaultKMeansOptions(2))
+			}},
+		{name: "fuzzykmeans",
+			mem: func(initial []Vector) (Result, error) { return FuzzyKMeans(pts, initial, fuzzy) },
+			mr: func(p *sim.Proc, d *Driver, initial []Vector) (Result, error) {
+				return FuzzyKMeansMR(p, d, initial, fuzzy)
+			}},
+	}
+	bad := []struct {
+		name    string
+		initial []Vector
+	}{
+		{"no centers", nil},
+		{"1-dim center on 2-dim data", []Vector{{0}, {1, 1}}},
+		{"3-dim center on 2-dim data", []Vector{{0, 0}, {1, 1, 1}}},
+	}
+	for _, e := range entries {
+		for _, b := range bad {
+			if _, err := e.mem(b.initial); err == nil {
+				t.Errorf("%s, %s: accepted in memory", e.name, b.name)
+			}
+			pl, d := mrDriver(t, 2, pts)
+			var mrErr error
+			_, err := pl.Run(func(p *sim.Proc) error {
+				if err := d.Load(p, pts); err != nil {
+					return err
+				}
+				before := p.Now()
+				_, mrErr = e.mr(p, d, b.initial)
+				if p.Now() != before {
+					t.Errorf("%s, %s: MapReduce run spent %v virtual seconds before failing", e.name, b.name, p.Now()-before)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mrErr == nil {
+				t.Errorf("%s, %s: accepted by the MapReduce driver", e.name, b.name)
+			}
+		}
 	}
 }

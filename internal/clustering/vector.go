@@ -15,7 +15,6 @@ package clustering
 import (
 	"fmt"
 	"math"
-	"reflect"
 )
 
 // Vector is a dense feature vector.
@@ -70,9 +69,6 @@ func (v Vector) Scale(s float64) {
 // Zero returns a zero vector of dimension d.
 func Zero(d int) Vector { return make(Vector, d) }
 
-// Distance measures dissimilarity between two vectors.
-type Distance func(a, b Vector) float64
-
 // Euclidean is the L2 distance.
 func Euclidean(a, b Vector) float64 { return math.Sqrt(SquaredEuclidean(a, b)) }
 
@@ -103,52 +99,6 @@ func SquaredEuclidean(a, b Vector) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// Manhattan is the L1 distance; unrolled like SquaredEuclidean.
-//
-//vhlint:hot
-func Manhattan(a, b Vector) float64 {
-	b = b[:len(a)]
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += math.Abs(a[i] - b[i])
-		s1 += math.Abs(a[i+1] - b[i+1])
-		s2 += math.Abs(a[i+2] - b[i+2])
-		s3 += math.Abs(a[i+3] - b[i+3])
-	}
-	for ; i < len(a); i++ {
-		s0 += math.Abs(a[i] - b[i])
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// Cosine is 1 - cosine similarity; unrolled like SquaredEuclidean.
-//
-//vhlint:hot
-func Cosine(a, b Vector) float64 {
-	b = b[:len(a)]
-	var dot0, dot1, na0, na1, nb0, nb1 float64
-	i := 0
-	for ; i+2 <= len(a); i += 2 {
-		dot0 += a[i] * b[i]
-		na0 += a[i] * a[i]
-		nb0 += b[i] * b[i]
-		dot1 += a[i+1] * b[i+1]
-		na1 += a[i+1] * a[i+1]
-		nb1 += b[i+1] * b[i+1]
-	}
-	for ; i < len(a); i++ {
-		dot0 += a[i] * b[i]
-		na0 += a[i] * a[i]
-		nb0 += b[i] * b[i]
-	}
-	dot, na, nb := dot0+dot1, na0+na1, nb0+nb1
-	if na == 0 || nb == 0 {
-		return 1
-	}
-	return 1 - dot/math.Sqrt(na*nb)
-}
-
 // Mean returns the centroid of vectors (which must be non-empty).
 func Mean(vectors []Vector) Vector {
 	if len(vectors) == 0 {
@@ -162,31 +112,12 @@ func Mean(vectors []Vector) Vector {
 	return m
 }
 
-// euclideanPtr identifies the package's own Euclidean measure so hot paths
-// can switch to squared-distance arithmetic (one sqrt per point instead of
-// one per center, and no order change since sqrt is monotonic).
-var euclideanPtr = reflect.ValueOf(Euclidean).Pointer()
-
-// isEuclidean reports whether dist is exactly the package's Euclidean.
-func isEuclidean(dist Distance) bool {
-	return dist != nil && reflect.ValueOf(dist).Pointer() == euclideanPtr
-}
-
-// Nearest returns the index of the center closest to v under dist, plus the
-// distance itself. When dist is the package's Euclidean it runs the
-// NearestSquared fast path and takes a single square root at the end.
-func Nearest(v Vector, centers []Vector, dist Distance) (int, float64) {
-	if isEuclidean(dist) {
-		best, d2 := NearestSquared(v, centers)
-		return best, math.Sqrt(d2)
-	}
-	best, bestD := -1, math.Inf(1)
-	for i, c := range centers {
-		if d := dist(v, c); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best, bestD
+// Nearest returns the index of the center closest to v and the Euclidean
+// distance to it: the NearestSquared scan with a single square root at the
+// end.
+func Nearest(v Vector, centers []Vector) (int, float64) {
+	best, d2 := NearestSquared(v, centers)
+	return best, math.Sqrt(d2)
 }
 
 // NearestSquared returns the index of the center closest to v in L2 and the
@@ -316,22 +247,6 @@ func nearestSquaredPruned(v Vector, nv, sv float64, centers []Vector, norms []fl
 	return best, bestD
 }
 
-// withinThreshold returns a predicate reporting dist(a,b) < t, compiled once
-// per scan: for Euclidean it compares squared partial sums against t*t with
-// early exit, removing both the per-pair square root and most of the
-// arithmetic for pairs that are clearly apart — the checks that dominated
-// the canopy and mean-shift profiles.
-func withinThreshold(dist Distance, t float64) func(a, b Vector) bool {
-	if isEuclidean(dist) {
-		t2 := t * t
-		return func(a, b Vector) bool {
-			_, ok := squaredEuclideanWithin(a, b, t2)
-			return ok
-		}
-	}
-	return func(a, b Vector) bool { return dist(a, b) < t }
-}
-
 // FromFloats converts raw slices to Vectors (sharing storage).
 func FromFloats(raw [][]float64) []Vector {
 	out := make([]Vector, len(raw))
@@ -341,22 +256,15 @@ func FromFloats(raw [][]float64) []Vector {
 	return out
 }
 
-// Assignments labels each vector with its nearest center. The Euclidean
-// path precomputes center norms once and prunes by norm gap before touching
-// coordinates — the dominant cost of the clustering drivers' final
-// assignment pass.
-func Assignments(vectors, centers []Vector, dist Distance) []int {
+// Assignments labels each vector with its nearest center. It precomputes
+// center norms once and prunes by norm gap before touching coordinates —
+// the dominant cost of the clustering drivers' final assignment pass.
+func Assignments(vectors, centers []Vector) []int {
 	out := make([]int, len(vectors))
-	if isEuclidean(dist) {
-		norms := centerNorms(centers)
-		for i, v := range vectors {
-			sv := sqNorm(v)
-			out[i], _ = nearestSquaredPruned(v, math.Sqrt(sv), sv, centers, norms)
-		}
-		return out
-	}
+	norms := centerNorms(centers)
 	for i, v := range vectors {
-		out[i], _ = Nearest(v, centers, dist)
+		sv := sqNorm(v)
+		out[i], _ = nearestSquaredPruned(v, math.Sqrt(sv), sv, centers, norms)
 	}
 	return out
 }
@@ -382,4 +290,18 @@ func checkDims(vectors []Vector) (int, error) {
 		}
 	}
 	return d, nil
+}
+
+// checkCenters rejects initial centers the iterative algorithms cannot
+// start from: none at all, or any whose dimension differs from the data's.
+func checkCenters(centers []Vector, dim int) error {
+	if len(centers) == 0 {
+		return fmt.Errorf("clustering: no initial centers")
+	}
+	for i, c := range centers {
+		if len(c) != dim {
+			return fmt.Errorf("clustering: center %d has dim %d, want %d", i, len(c), dim)
+		}
+	}
+	return nil
 }

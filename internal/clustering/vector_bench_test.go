@@ -19,27 +19,6 @@ func refSquaredEuclidean(a, b Vector) float64 {
 	return s
 }
 
-func refManhattan(a, b Vector) float64 {
-	var s float64
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
-}
-
-func refCosine(a, b Vector) float64 {
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 1
-	}
-	return 1 - dot/math.Sqrt(na*nb)
-}
-
 func randVec(rng *rand.Rand, d int) Vector {
 	v := make(Vector, d)
 	for i := range v {
@@ -54,12 +33,6 @@ func TestUnrolledKernelsMatchReference(t *testing.T) {
 		a, b := randVec(rng, d), randVec(rng, d)
 		if got, want := SquaredEuclidean(a, b), refSquaredEuclidean(a, b); math.Abs(got-want) > 1e-9*(1+want) {
 			t.Fatalf("dim %d: SquaredEuclidean = %v, ref %v", d, got, want)
-		}
-		if got, want := Manhattan(a, b), refManhattan(a, b); math.Abs(got-want) > 1e-9*(1+want) {
-			t.Fatalf("dim %d: Manhattan = %v, ref %v", d, got, want)
-		}
-		if got, want := Cosine(a, b), refCosine(a, b); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("dim %d: Cosine = %v, ref %v", d, got, want)
 		}
 		// Add/AddScaled are per-element: must be bit-identical.
 		va, vb := a.Clone(), a.Clone()
@@ -186,20 +159,26 @@ func TestNearestSquaredPrunedAdversarial(t *testing.T) {
 
 func TestNearestEuclideanFastPathAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	v := randVec(rng, 60)
-	centers := []Vector{randVec(rng, 60), randVec(rng, 60), randVec(rng, 60)}
-	i1, d1 := Nearest(v, centers, Euclidean)
-	// A distinct closure with identical arithmetic skips the fast path.
-	slow := func(a, b Vector) float64 { return math.Sqrt(refSquaredEuclidean(a, b)) }
-	i2, d2 := Nearest(v, centers, slow)
-	if i1 != i2 {
-		t.Fatalf("fast path index %d, generic %d", i1, i2)
-	}
-	if math.Abs(d1-d2) > 1e-9*(1+d2) {
-		t.Fatalf("fast path distance %v, generic %v", d1, d2)
-	}
-	if !isEuclidean(Euclidean) || isEuclidean(slow) || isEuclidean(nil) {
-		t.Fatal("isEuclidean misclassifies")
+	for trial := 0; trial < 50; trial++ {
+		dim := 1 + rng.Intn(70)
+		v := randVec(rng, dim)
+		centers := make([]Vector, 1+rng.Intn(30))
+		for i := range centers {
+			centers[i] = randVec(rng, dim)
+		}
+		gotI, gotD := Nearest(v, centers)
+		wantI, wantD := -1, math.Inf(1)
+		for i, c := range centers {
+			if d := math.Sqrt(refSquaredEuclidean(v, c)); d < wantD {
+				wantI, wantD = i, d
+			}
+		}
+		if gotI != wantI {
+			t.Fatalf("trial %d: Nearest index %d, full scan %d", trial, gotI, wantI)
+		}
+		if math.Abs(gotD-wantD) > 1e-9*(1+wantD) {
+			t.Fatalf("trial %d: Nearest distance %v, full scan %v", trial, gotD, wantD)
+		}
 	}
 }
 
@@ -226,24 +205,6 @@ func BenchmarkSquaredEuclidean60(b *testing.B) {
 		}
 		_ = s
 	})
-}
-
-func BenchmarkManhattan60(b *testing.B) {
-	x, y := benchVecs(60)
-	var s float64
-	for i := 0; i < b.N; i++ {
-		s += Manhattan(x, y)
-	}
-	_ = s
-}
-
-func BenchmarkCosine60(b *testing.B) {
-	x, y := benchVecs(60)
-	var s float64
-	for i := 0; i < b.N; i++ {
-		s += Cosine(x, y)
-	}
-	_ = s
 }
 
 func BenchmarkNearestSquared(b *testing.B) {

@@ -78,7 +78,7 @@ type mlAlgo struct {
 func controlChartAlgos() []mlAlgo {
 	return []mlAlgo{
 		{name: "canopy", run: func(p *sim.Proc, d *clustering.Driver) (clustering.Result, error) {
-			return clustering.CanopyMR(p, d, clustering.CanopyOptions{T1: 80, T2: 55, Distance: clustering.Euclidean})
+			return clustering.CanopyMR(p, d, clustering.CanopyOptions{T1: 80, T2: 55})
 		}},
 		{name: "dirichlet", run: func(p *sim.Proc, d *clustering.Driver) (clustering.Result, error) {
 			return clustering.DirichletMR(p, d, clustering.DefaultDirichletOptions(10))
@@ -95,7 +95,7 @@ func displayAlgos() []mlAlgo {
 	kmeansInit := func(d *clustering.Driver) []clustering.Vector { return d.InitCenters(3) }
 	return []mlAlgo{
 		{name: "canopy", run: func(p *sim.Proc, d *clustering.Driver) (clustering.Result, error) {
-			return clustering.CanopyMR(p, d, clustering.CanopyOptions{T1: 3, T2: 1.5, Distance: clustering.Euclidean})
+			return clustering.CanopyMR(p, d, clustering.CanopyOptions{T1: 3, T2: 1.5})
 		}},
 		{name: "dirichlet", run: func(p *sim.Proc, d *clustering.Driver) (clustering.Result, error) {
 			return clustering.DirichletMR(p, d, clustering.DefaultDirichletOptions(10))

@@ -146,7 +146,7 @@ func clusterRadius(points []clustering.Vector, res clustering.Result, iter, ci i
 		if len(p) < 2 {
 			continue
 		}
-		best, _ := clustering.Nearest(p, centers, clustering.Euclidean)
+		best, _ := clustering.Nearest(p, centers)
 		if best == ci {
 			sum += clustering.Euclidean(p, centers[ci])
 			n++

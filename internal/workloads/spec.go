@@ -287,8 +287,7 @@ func (s CanopySpec) Run(p *sim.Proc, pl *core.Platform, opts ...mapreduce.Submit
 	if err := d.Load(p, vectors); err != nil {
 		return res, err
 	}
-	cr, err := clustering.CanopyMR(p, d,
-		clustering.CanopyOptions{T1: t1, T2: t2, Distance: clustering.Euclidean})
+	cr, err := clustering.CanopyMR(p, d, clustering.CanopyOptions{T1: t1, T2: t2})
 	if err != nil {
 		return res, err
 	}
