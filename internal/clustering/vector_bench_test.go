@@ -100,6 +100,38 @@ func TestSquaredEuclideanWithinPrunes(t *testing.T) {
 	}
 }
 
+// TestKernelsZeroAllocs gates the distance kernels the clustering mappers
+// run points × centers × iterations times: none may allocate. Dimension 61
+// reaches every unrolled block and the scalar tail of each kernel.
+func TestKernelsZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	v := randVec(rng, 61)
+	centers := make([]Vector, 16)
+	for i := range centers {
+		centers[i] = randVec(rng, 61)
+	}
+	norms := centerNorms(centers)
+	sv := sqNorm(v)
+	nv := math.Sqrt(sv)
+	var sink float64
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"SquaredEuclidean", func() { sink += SquaredEuclidean(v, centers[0]) }},
+		{"squaredEuclideanWithin", func() { d, _ := squaredEuclideanWithin(v, centers[0], math.Inf(1)); sink += d }},
+		{"sqNorm", func() { sink += sqNorm(v) }},
+		{"nearestSquaredPruned", func() { _, d := nearestSquaredPruned(v, nv, sv, centers, norms); sink += d }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", tc.name, n)
+		}
+	}
+	if sink == 0 {
+		t.Fatal("kernels returned only zeros")
+	}
+}
+
 // prunedNearest is the test-side wrapper computing the per-point inputs the
 // way the production call sites do.
 func prunedNearest(v Vector, centers []Vector, norms []float64) (int, float64) {

@@ -124,6 +124,46 @@ func TestDefaultPartitionZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestShuffleAllocsIndependentOfSize gates the shuffle core: the spill
+// sort, the k-way and two-run merges and reduce grouping each allocate a
+// fixed number of objects per call, however many records pass through. A
+// per-record allocation (boxing, a slice grown by append, a fresh key) makes
+// the count at 16n exceed the count at n. The reducer emits nothing: an
+// emitting reducer grows reduceSorted's output by doubling, which is allowed.
+func TestShuffleAllocsIndependentOfSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	discard := ReducerFunc(func(string, []any, Emit) {})
+	for _, tc := range []struct {
+		name  string
+		setup func(n int) func()
+	}{
+		{"sortKVs", func(n int) func() {
+			src := flatten(makeRuns(rng, 4, n/4, n/8))
+			kvs := make([]KV, len(src))
+			return func() { copy(kvs, src); sortKVs(kvs) }
+		}},
+		{"mergeRuns", func(n int) func() {
+			runs := makeRuns(rng, 5, n/5, n/8)
+			return func() { mergeRuns(runs, 0) }
+		}},
+		{"merge2", func(n int) func() {
+			runs := makeRuns(rng, 2, n/2, n/8)
+			out := make([]KV, 0, n)
+			return func() { merge2(out, runs[0], runs[1]) }
+		}},
+		{"reduceSorted", func(n int) func() {
+			kvs := mergeRuns(makeRuns(rng, 4, n/4, n/8), 0)
+			return func() { reduceSorted(kvs, discard) }
+		}},
+	} {
+		small := testing.AllocsPerRun(10, tc.setup(256))
+		large := testing.AllocsPerRun(10, tc.setup(4096))
+		if small != large {
+			t.Errorf("%s: %v allocs per call at 256 records, %v at 4096; want equal", tc.name, small, large)
+		}
+	}
+}
+
 func TestReduceSortedReusesScratchSafely(t *testing.T) {
 	// A reducer that (correctly) only reads values during the call.
 	red := ReducerFunc(func(key string, values []any, emit Emit) {

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"strings"
 	"testing"
 
 	"vhadoop/internal/core"
@@ -40,6 +41,23 @@ func TestWordcountMatchesReferenceCounts(t *testing.T) {
 	}
 	if res.Stats.Runtime <= 0 {
 		t.Fatal("no runtime recorded")
+	}
+}
+
+// TestTokenizerZeroAllocs gates the wordcount map's tokenizer: counting and
+// walking the words of an ASCII line allocate nothing, however many words
+// it holds.
+func TestTokenizerZeroAllocs(t *testing.T) {
+	line := strings.Join(datasets.Vocabulary(160), " ")
+	if n := testing.AllocsPerRun(100, func() { countWords(line) }); n != 0 {
+		t.Errorf("countWords: %v allocs per line, want 0", n)
+	}
+	words := 0
+	if n := testing.AllocsPerRun(100, func() { eachWord(line, func(string) { words++ }) }); n != 0 {
+		t.Errorf("eachWord: %v allocs per line, want 0", n)
+	}
+	if got := countWords(line); got != 160 || words != 101*160 {
+		t.Fatalf("countWords = %d, eachWord visited %d words; want 160 and %d", got, words, 101*160)
 	}
 }
 
