@@ -76,8 +76,6 @@ func Euclidean(a, b Vector) float64 { return math.Sqrt(SquaredEuclidean(a, b)) }
 // The loop runs 4 independent accumulators with bounds checks hoisted —
 // these kernels execute points x centers x iterations times, so they are
 // the clustering library's hottest code.
-//
-//vhlint:hot
 func SquaredEuclidean(a, b Vector) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
@@ -142,8 +140,6 @@ func NearestSquared(v Vector, centers []Vector) (int, float64) {
 // Because squares are non-negative the partial sum is monotone, so the
 // early exit never changes a comparison's outcome — only skips arithmetic
 // whose result is already decided.
-//
-//vhlint:hot
 func squaredEuclideanWithin(a, b Vector, bound float64) (d float64, ok bool) {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
@@ -185,8 +181,6 @@ func squaredEuclideanWithin(a, b Vector, bound float64) (d float64, ok bool) {
 }
 
 // sqNorm returns v·v, unrolled like SquaredEuclidean.
-//
-//vhlint:hot
 func sqNorm(v Vector) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -230,8 +224,6 @@ const normMargin = 1e-13
 // touching their coordinates; the rest go through the same bounded kernel
 // with the same evolving bound, so the result is bit-identical to the plain
 // scan.
-//
-//vhlint:hot
 func nearestSquaredPruned(v Vector, nv, sv float64, centers []Vector, norms []float64) (int, float64) {
 	best, bestD := -1, math.Inf(1)
 	for i, c := range centers {

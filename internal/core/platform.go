@@ -161,21 +161,3 @@ func (pl *Platform) Run(driver func(p *sim.Proc) error) (sim.Time, error) {
 func (pl *Platform) LoadText(p *sim.Proc, name string, size float64, records []hdfs.Record) (*hdfs.File, error) {
 	return pl.DFS.Write(p, pl.Master, name, size, records)
 }
-
-// MigrateWorkers live-migrates every VM currently on from to dst,
-// sequentially (Xen serialises migrations on the management interface), and
-// returns per-VM statistics.
-func (pl *Platform) MigrateWorkers(p *sim.Proc, from, to *phys.Machine) ([]xen.MigrationStats, error) {
-	var out []xen.MigrationStats
-	for _, vm := range pl.VMs {
-		if vm.Host() != from {
-			continue
-		}
-		st, err := pl.Xen.Migrate(p, vm, to, pl.Opts.Migration)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, st)
-	}
-	return out, nil
-}

@@ -89,30 +89,6 @@ func TestRunDrainsAndShutsDown(t *testing.T) {
 	}
 }
 
-func TestMigrateWorkersMovesEverything(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Nodes = 4
-	pl := MustNewPlatform(opts)
-	_, err := pl.Run(func(p *sim.Proc) error {
-		stats, err := pl.MigrateWorkers(p, pl.PMs[0], pl.PMs[1])
-		if err != nil {
-			return err
-		}
-		if len(stats) != 4 {
-			t.Errorf("migrated %d VMs, want 4", len(stats))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, vm := range pl.VMs {
-		if vm.Host() != pl.PMs[1] {
-			t.Fatalf("%s still on %s", vm.Name, vm.Host().Name)
-		}
-	}
-}
-
 func TestDeterministicProvisioning(t *testing.T) {
 	a := MustNewPlatform(DefaultOptions())
 	b := MustNewPlatform(DefaultOptions())

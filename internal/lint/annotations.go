@@ -10,7 +10,6 @@ import (
 // Directive kinds.
 const (
 	DirectiveAllow   = "allow"   // //vhlint:allow <analyzer> -- <reason>
-	DirectiveHot     = "hot"     // //vhlint:hot on a function's doc comment
 	DirectiveDetsafe = "detsafe" // //vhlint:detsafe -- <reason> on a function's doc comment
 	DirectiveBad     = "bad"     // malformed; Err explains why
 )
@@ -55,8 +54,6 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) []*Directive {
 
 func parseDirective(text string) *Directive {
 	switch {
-	case text == "hot":
-		return &Directive{Kind: DirectiveHot}
 	case text == "allow" || strings.HasPrefix(text, "allow "):
 		rest := strings.TrimSpace(strings.TrimPrefix(text, "allow"))
 		name, reason, found := strings.Cut(rest, "--")
@@ -85,7 +82,7 @@ func parseDirective(text string) *Directive {
 		if i := strings.IndexAny(word, " \t"); i >= 0 {
 			word = word[:i]
 		}
-		return &Directive{Kind: DirectiveBad, Err: fmt.Sprintf("unknown //vhlint: directive %q (known: allow, detsafe, hot)", word)}
+		return &Directive{Kind: DirectiveBad, Err: fmt.Sprintf("unknown //vhlint: directive %q (known: allow, detsafe)", word)}
 	}
 }
 
@@ -119,19 +116,14 @@ func annotatedFuncs(files []*ast.File, directives []*Directive, kind string) map
 	return out
 }
 
-// hotFuncs returns the function declarations annotated //vhlint:hot.
-func hotFuncs(pass *Pass) map[*ast.FuncDecl]bool {
-	return annotatedFuncs(pass.Files, pass.directives, DirectiveHot)
-}
-
 // detsafeFuncs returns the function declarations annotated
 // //vhlint:detsafe for the given package.
 func detsafeFuncs(pkg *Package) map[*ast.FuncDecl]bool {
 	return annotatedFuncs(pkg.Files, pkg.Directives(), DirectiveDetsafe)
 }
 
-// Directives reports malformed //vhlint: annotations, hot annotations
-// that are not attached to a function declaration, and allow
+// Directives reports malformed //vhlint: annotations, detsafe
+// annotations that are not attached to a function declaration, and allow
 // annotations for analyzers that do not run on the package (those would
 // otherwise silently never match anything).
 var Directives = &Analyzer{
@@ -146,10 +138,6 @@ func runDirectives(pass *Pass) {
 		switch d.Kind {
 		case DirectiveBad:
 			pass.Reportf(d.TokPos, "%s", d.Err)
-		case DirectiveHot:
-			if !attached[d.TokPos] {
-				pass.Reportf(d.TokPos, "//vhlint:hot is not attached to a function declaration's doc comment")
-			}
 		case DirectiveDetsafe:
 			if !attached[d.TokPos] {
 				pass.Reportf(d.TokPos, "//vhlint:detsafe is not attached to a function declaration's doc comment")
@@ -164,7 +152,7 @@ func runDirectives(pass *Pass) {
 	}
 }
 
-// attachedDirectivePositions marks the hot/detsafe directives that sit
+// attachedDirectivePositions marks the detsafe directives that sit
 // inside some function declaration's doc comment.
 func attachedDirectivePositions(pass *Pass) map[token.Pos]bool {
 	out := make(map[token.Pos]bool)
@@ -175,8 +163,7 @@ func attachedDirectivePositions(pass *Pass) map[token.Pos]bool {
 				continue
 			}
 			for _, d := range pass.directives {
-				if (d.Kind == DirectiveHot || d.Kind == DirectiveDetsafe) &&
-					d.TokPos >= fd.Doc.Pos() && d.TokPos <= fd.Doc.End() {
+				if d.Kind == DirectiveDetsafe && d.TokPos >= fd.Doc.Pos() && d.TokPos <= fd.Doc.End() {
 					out[d.TokPos] = true
 				}
 			}

@@ -17,10 +17,7 @@ func TestDirectives(t *testing.T) {
 // meaning every remaining map range is provably order-insensitive or
 // carries a justified, non-stale allow.
 func TestTreeClean(t *testing.T) {
-	loader, err := lint.NewLoader(".")
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
+	loader := linttest.Loader(t)
 	dirs, err := lint.Expand(loader.RepoRoot, []string{"./..."})
 	if err != nil {
 		t.Fatalf("expand: %v", err)
@@ -40,7 +37,7 @@ func TestTreeClean(t *testing.T) {
 // every //vhlint:allow in the tree, so it must be deliberate.
 func TestAnalyzerNames(t *testing.T) {
 	got := strings.Join(lint.AnalyzerNames(), ",")
-	want := "maporder,simclock,hotalloc,floataccum,detflow,errflow,lockfree,vhdirective"
+	want := "maporder,simclock,floataccum,detflow,errflow,lockfree,vhdirective"
 	if got != want {
 		t.Errorf("AnalyzerNames() = %q, want %q", got, want)
 	}

@@ -17,7 +17,8 @@ import (
 //     to the same directive (round-trip);
 //   - a detsafe always carries a non-empty reason;
 //   - everything else is DirectiveBad with a non-empty explanation —
-//     including the retired owner directive, which is unknown now.
+//     including the retired owner and hot directives, which are unknown
+//     now.
 func FuzzDirective(f *testing.F) {
 	seeds := []string{
 		"",
@@ -53,8 +54,6 @@ func FuzzDirective(f *testing.F) {
 			t.Fatalf("parseDirective(%q) = nil", text)
 		}
 		switch d.Kind {
-		case DirectiveHot:
-			// No payload to validate.
 		case DirectiveAllow:
 			if !knownAnalyzer(d.Analyzer) {
 				t.Errorf("parseDirective(%q): allow for unknown analyzer %q", text, d.Analyzer)
@@ -78,8 +77,10 @@ func FuzzDirective(f *testing.F) {
 		default:
 			t.Errorf("parseDirective(%q): unknown kind %q", text, d.Kind)
 		}
-		if (text == "owner" || strings.HasPrefix(text, "owner ")) && d.Kind != DirectiveBad {
-			t.Errorf("parseDirective(%q) = %q, want the retired owner directive rejected as unknown", text, d.Kind)
+		for _, retired := range []string{"owner", "hot"} {
+			if (text == retired || strings.HasPrefix(text, retired+" ")) && d.Kind != DirectiveBad {
+				t.Errorf("parseDirective(%q) = %q, want the retired %s directive rejected as unknown", text, d.Kind, retired)
+			}
 		}
 	})
 }

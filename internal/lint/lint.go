@@ -1,8 +1,8 @@
 // Package lint is vhadoop's custom static-analysis suite (vhlint). It
 // mechanically enforces the invariants the simulator's reproducibility
-// claims rest on — fixed-seed runs must be bit-identical — plus the
-// hot-path allocation discipline established by the data-plane fast
-// paths.
+// claims rest on: fixed-seed runs must be bit-identical. The data-plane
+// fast paths' zero-allocation rule is not linted; testing.AllocsPerRun
+// gates next to each package's kernels measure it.
 //
 // The suite is deliberately self-contained: it is built only on the
 // standard library (go/ast, go/types, go/build), mirroring the shape of
@@ -17,8 +17,6 @@
 //   - simclock:   wall-clock time and global math/rand in simulator-
 //     driven code; the sim.Engine clock and Engine.Rand() are the only
 //     legal sources.
-//   - hotalloc:   fmt calls, string concatenation in loops, and
-//     escaping closures inside functions annotated //vhlint:hot.
 //   - floataccum: floating-point accumulation whose summation order
 //     depends on map iteration.
 //   - detflow:    interprocedural taint from nondeterminism sources
@@ -105,7 +103,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 var all []*Analyzer
 
 func init() {
-	all = []*Analyzer{MapOrder, SimClock, HotAlloc, FloatAccum, DetFlow, ErrFlow, LockFree, Directives}
+	all = []*Analyzer{MapOrder, SimClock, FloatAccum, DetFlow, ErrFlow, LockFree, Directives}
 }
 
 // All returns every analyzer in the suite, in reporting order.

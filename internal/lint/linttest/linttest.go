@@ -30,14 +30,31 @@ type want struct {
 	matched bool
 }
 
+// shared is the loader of the test binary, rooted at the test's working
+// directory.
+var shared *lint.Loader
+
+// Loader returns the one loader a lint test binary shares, built on first
+// use, so the standard library and the tree are type-checked once per
+// binary rather than once per test. Tests using it must not run in
+// parallel: the loader's caches are not synchronised.
+func Loader(t *testing.T) *lint.Loader {
+	t.Helper()
+	if shared == nil {
+		loader, err := lint.NewLoader(".")
+		if err != nil {
+			t.Fatalf("loader: %v", err)
+		}
+		shared = loader
+	}
+	return shared
+}
+
 // Run loads testdata/src/<pkg> (relative to the test's working
 // directory) and checks analyzer a against its // want comments.
 func Run(t *testing.T, a *lint.Analyzer, pkg string) {
 	t.Helper()
-	loader, err := lint.NewLoader(".")
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
+	loader := Loader(t)
 	dir := filepath.Join("testdata", "src", pkg)
 	p, err := loader.LoadDir(dir, "test/"+pkg)
 	if err != nil {

@@ -1,14 +1,14 @@
 // Package vhdirective exercises the vhdirective analyzer, which
 // validates the //vhlint: annotation grammar itself: malformed allows,
-// unknown names, misplaced hot markers, and allows for analyzers that
-// do not run on the package.
+// unknown names, misplaced detsafe markers, retired directives, and
+// allows for analyzers that do not run on the package.
 package vhdirective
 
-// hotAttached is correctly annotated: the marker sits in the doc
+// detsafeAttached is correctly annotated: the marker sits in the doc
 // comment of a function declaration.
 //
-//vhlint:hot
-func hotAttached(xs []int) int {
+//vhlint:detsafe -- test fixture: attached, so vhdirective accepts it
+func detsafeAttached(xs []int) int {
 	n := 0
 	for _, x := range xs {
 		n += x
@@ -16,16 +16,16 @@ func hotAttached(xs []int) int {
 	return n
 }
 
-func misplacedHot() {
-	//vhlint:hot // want "not attached to a function declaration"
+func misplacedDetsafe() {
+	//vhlint:detsafe -- test fixture: inside a body // want "not attached to a function declaration"
 	_ = 0
 }
 
-// hotOnVar hangs the marker on a variable declaration instead of a
+// detsafeOnVar hangs the marker on a variable declaration instead of a
 // function.
 //
-//vhlint:hot // want "not attached to a function declaration"
-var hotOnVar = 42
+//vhlint:detsafe -- test fixture: on a var // want "not attached to a function declaration"
+var detsafeOnVar = 42
 
 func missingName() {
 	//vhlint:allow // want "missing analyzer name"
@@ -33,12 +33,12 @@ func missingName() {
 }
 
 func missingReason() {
-	//vhlint:allow hotalloc // want "missing '-- <reason>' justification"
+	//vhlint:allow errflow // want "missing '-- <reason>' justification"
 	_ = 0
 }
 
 func emptyReason() {
-	//vhlint:allow hotalloc -- // want "missing '-- <reason>' justification"
+	//vhlint:allow errflow -- // want "missing '-- <reason>' justification"
 	_ = 0
 }
 
@@ -48,7 +48,7 @@ func unknownAnalyzer() {
 }
 
 func unknownDirective() {
-	//vhlint:suppress hotalloc -- wrong verb // want "unknown //vhlint: directive \"suppress\""
+	//vhlint:suppress errflow -- wrong verb // want "unknown //vhlint: directive \"suppress\""
 	_ = 0
 }
 
@@ -64,21 +64,16 @@ func outOfScope(m map[string]int) int {
 	return n
 }
 
-// wellFormed is a grammatically valid allow for an analyzer that runs
-// everywhere; vhdirective has nothing to say about it (staleness is the
-// target analyzer's job, not the grammar checker's).
-func wellFormed(xs []int) int {
-	n := 0
-	//vhlint:allow hotalloc -- test fixture: grammar-valid allow, checked elsewhere
-	for _, x := range xs {
-		n += x
-	}
-	return n
-}
-
 // retiredOwner uses the ownership directive the sharded engine's lint
 // stack accepted; with that stack deleted it is an unknown directive.
 func retiredOwner() {
 	//vhlint:owner machine // want "unknown //vhlint: directive \"owner\""
 	_ = 0
 }
+
+// retiredHot carries the hot-path marker the retired hotalloc analyzer
+// read; allocation gates in the tests replaced it, so it is an unknown
+// directive even on a function's doc comment.
+//
+//vhlint:hot // want "unknown //vhlint: directive \"hot\""
+func retiredHot() {}

@@ -125,12 +125,6 @@ func isFloatType(t types.Type) bool {
 	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
 }
 
-// isStringType reports whether t's core type is string.
-func isStringType(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
 // internalPkg reports whether path is one of this module's packages
 // under any of the given trees (e.g. "internal", "cmd").
 func internalPkg(path, modPath string, trees ...string) bool {

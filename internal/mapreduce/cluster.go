@@ -495,24 +495,10 @@ func (c *Cluster) SlotTotals() (maps, reduces int) {
 	return maps, reduces
 }
 
-// FreeSlots returns the currently idle slots across alive tasktrackers.
-func (c *Cluster) FreeSlots() (maps, reduces int) {
-	for _, tr := range c.trackers {
-		if tr.Alive() {
-			maps += tr.mapFree
-			reduces += tr.reduceFree
-		}
-	}
-	return maps, reduces
-}
-
 // TenantSlots returns the number of slots tenant's jobs occupy right now.
 func (c *Cluster) TenantSlots(tenant string) (maps, reduces int) {
 	return c.tenantMapRunning[tenant], c.tenantReduceRunning[tenant]
 }
-
-// PendingTasks returns the depth of the cross-job pending queue.
-func (c *Cluster) PendingTasks() int { return len(c.pending) }
 
 // LocalityView is a snapshot of which datanodes can feed a local map task
 // right now: free[i] is set when datanode i (hdfs.Datanode.Index) is alive

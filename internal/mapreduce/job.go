@@ -295,8 +295,6 @@ func WithCollectOutput(keep bool) SubmitOption {
 // defaultPartition is Hadoop's hash partitioner: FNV-1a over the key bytes,
 // inlined so the per-emit hot path allocates neither a hash.Hash32 nor a
 // []byte copy of the key. Bit-compatible with hash/fnv's New32a.
-//
-//vhlint:hot
 func defaultPartition(key string, numReduces int) int {
 	const (
 		offset32 = 2166136261

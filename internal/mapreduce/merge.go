@@ -20,8 +20,6 @@ import (
 // it pattern-defeating-quicksorts an index permutation with the original
 // position as tie-break — stability for 8-byte swaps — then applies the
 // permutation in one pass.
-//
-//vhlint:hot
 func sortKVs(kvs []KV) {
 	if len(kvs) < 2 || sortedByKey(kvs) {
 		return
@@ -30,7 +28,6 @@ func sortKVs(kvs []KV) {
 	for i := range idx {
 		idx[i] = i
 	}
-	//vhlint:allow hotalloc -- one comparator closure per spill sort, amortised over the whole run
 	slices.SortFunc(idx, func(a, b int) int {
 		if c := strings.Compare(kvs[a].Key, kvs[b].Key); c != 0 {
 			return c
@@ -60,8 +57,6 @@ func sortedByKey(kvs []KV) bool {
 // their order, so merging runs in fetch order reproduces exactly the
 // ordering of a stable sort over their concatenation. total is the summed
 // run length (a sizing hint; pass 0 to count here).
-//
-//vhlint:hot
 func mergeRuns(runs [][]KV, total int) []KV {
 	// Drop empty runs; they only slow the heap down.
 	live := runs[:0:0]
@@ -139,8 +134,6 @@ func mergeRuns(runs [][]KV, total int) []KV {
 
 // merge2 is the two-run special case: no heap, just a cursor race. Ties go
 // to a (the earlier-fetched run), matching the k-way merge's tie-breaking.
-//
-//vhlint:hot
 func merge2(out, a, b []KV) []KV {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -160,11 +153,8 @@ func merge2(out, a, b []KV) []KV {
 // returns the emitted records. The values slice passed to each Reduce call
 // is scratch reused across groups (Hadoop's iterator semantics): reducers
 // must not retain it past the call.
-//
-//vhlint:hot
 func reduceSorted(kvs []KV, red Reducer) []KV {
 	var out []KV
-	//vhlint:allow hotalloc -- one emit closure per reduce task, amortised over its record stream
 	emit := func(key string, value any, size float64) {
 		out = append(out, KV{Key: key, Value: value, Size: size})
 	}

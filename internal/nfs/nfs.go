@@ -11,32 +11,24 @@ import (
 	"vhadoop/internal/sim"
 )
 
+// writePenalty scales disk time per written byte relative to reads (RAID
+// parity updates make array writes slower than reads).
+const writePenalty = 1.5
+
 // Server is the NFS filer: a dedicated machine whose disk backs all VM
 // images.
 type Server struct {
 	topo    *phys.Topology
 	machine *phys.Machine
 
-	// writePenalty scales disk time per written byte relative to reads
-	// (RAID parity updates make array writes slower than reads).
-	writePenalty float64
-
 	readBytes  float64
 	writeBytes float64
 }
 
 // NewServer attaches an NFS filer to the topology using the given machine,
-// with the default RAID write penalty of 1.5x.
+// with a RAID write penalty of 1.5x.
 func NewServer(topo *phys.Topology, machine *phys.Machine) *Server {
-	return &Server{topo: topo, machine: machine, writePenalty: 1.5}
-}
-
-// SetWritePenalty overrides the disk-time multiplier for writes (>= 1).
-func (s *Server) SetWritePenalty(x float64) {
-	if x < 1 {
-		x = 1
-	}
-	s.writePenalty = x
+	return &Server{topo: topo, machine: machine}
 }
 
 // Machine returns the filer's physical machine.
@@ -81,7 +73,7 @@ func (s *Server) Write(p *sim.Proc, client *phys.Machine, bytes float64) {
 		return
 	}
 	s.writeBytes += bytes
-	diskDone := s.machine.Disk.Submit(bytes * s.writePenalty)
+	diskDone := s.machine.Disk.Submit(bytes * writePenalty)
 	if route := s.topo.HostPath(client, s.machine); route != nil {
 		s.topo.Fabric().StartFlow(route, bytes).Done().Wait(p)
 	}

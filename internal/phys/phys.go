@@ -77,8 +77,6 @@ type PageCache struct {
 	used     float64
 	entries  map[string]float64
 	order    []string
-
-	hits, misses int
 }
 
 // NewPageCache returns an empty cache of the given capacity.
@@ -86,14 +84,9 @@ func NewPageCache(capacity float64) *PageCache {
 	return &PageCache{capacity: capacity, entries: make(map[string]float64)}
 }
 
-// Contains reports (and records) whether key is cached.
+// Contains reports whether key is cached.
 func (c *PageCache) Contains(key string) bool {
 	_, ok := c.entries[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
 	return ok
 }
 
@@ -130,15 +123,6 @@ func (c *PageCache) remove(key string) {
 
 // Used returns the cached byte volume.
 func (c *PageCache) Used() float64 { return c.used }
-
-// HitRate returns the fraction of lookups that hit.
-func (c *PageCache) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}
 
 // MemFree returns uncommitted DRAM in bytes.
 func (m *Machine) MemFree() float64 { return m.Spec.DRAMBytes - m.memInUse }

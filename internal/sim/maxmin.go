@@ -133,8 +133,6 @@ func (s *MaxMin) Start(a *Activity, work, rateCap float64, uses []int, done *Don
 // advance integrates progress and accounting from lastUpdate to now: work
 // carried in activity order, then resource order, and busy time in resource
 // order.
-//
-//vhlint:hot
 func (s *MaxMin) advance() {
 	now := s.engine.now
 	dt := now - s.lastUpdate
@@ -159,8 +157,6 @@ func (s *MaxMin) advance() {
 
 // recomputeRates assigns every activity its max-min fair rate by
 // progressive filling (see MaxMin).
-//
-//vhlint:hot
 func (s *MaxMin) recomputeRates() {
 	for i := range s.res {
 		r := &s.res[i]

@@ -74,8 +74,6 @@ var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r':
 // countWords returns the number of space-separated words in s: the count
 // strings.Fields would produce, without building the slice. Non-ASCII input
 // falls back to strings.Fields for exact Unicode semantics.
-//
-//vhlint:hot
 func countWords(s string) int {
 	n := 0
 	inWord := false
@@ -98,8 +96,6 @@ func countWords(s string) int {
 // substrings sharing s's storage, so tokenising a line allocates neither the
 // []string strings.Fields builds nor any byte copies. Falls back to
 // strings.Fields for non-ASCII input to keep Unicode semantics.
-//
-//vhlint:hot
 func eachWord(s string, fn func(string)) {
 	for i := 0; i < len(s); i++ {
 		if s[i] >= 0x80 {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # lint.sh — the repo's static gate: gofmt, go vet, and vhlint (the
-# determinism / hot-path invariant suite under internal/lint).
+# determinism invariant suite under internal/lint).
 #
 # Usage:
 #   scripts/lint.sh [packages...]   # defaults to ./...
