@@ -20,9 +20,9 @@
 // "suppressed": true, but only active findings count toward the exit
 // status.
 //
-// The analyzers (listed by -list) are maporder, simclock, floataccum,
-// detflow, errflow, lockfree and vhdirective; see package internal/lint
-// for what each enforces.
+// The analyzers (listed by -list) are maporder, simclock, errflow,
+// lockfree and vhdirective; see package internal/lint for what each
+// enforces.
 package main
 
 import (

@@ -148,8 +148,8 @@ func unionGroups(n int, groups map[string][]int) ([][]int, []int) {
 	// smallest member — independent of union order, so the MapReduce run
 	// and the reference produce identical numbering. Build from sorted
 	// roots, not map-visit order, so the construction is deterministic by
-	// inspection (and provable to detflow) rather than argued from the
-	// comparator never tying.
+	// inspection (and to vhlint's maporder, which accepts only total
+	// sorts) rather than argued from the comparator never tying.
 	roots := make([]int, 0, len(byRoot))
 	for r := range byRoot {
 		roots = append(roots, r)

@@ -9,9 +9,8 @@ import (
 
 // Directive kinds.
 const (
-	DirectiveAllow   = "allow"   // //vhlint:allow <analyzer> -- <reason>
-	DirectiveDetsafe = "detsafe" // //vhlint:detsafe -- <reason> on a function's doc comment
-	DirectiveBad     = "bad"     // malformed; Err explains why
+	DirectiveAllow = "allow" // //vhlint:allow <analyzer> -- <reason>
+	DirectiveBad   = "bad"   // malformed; Err explains why
 )
 
 // Directive is one parsed //vhlint: source annotation.
@@ -69,20 +68,12 @@ func parseDirective(text string) *Directive {
 			return &Directive{Kind: DirectiveBad, Err: fmt.Sprintf("malformed //vhlint:allow %s: missing '-- <reason>' justification", name)}
 		}
 		return &Directive{Kind: DirectiveAllow, Analyzer: name, Reason: reason}
-	case text == "detsafe" || strings.HasPrefix(text, "detsafe "):
-		rest := strings.TrimSpace(strings.TrimPrefix(text, "detsafe"))
-		_, reason, found := strings.Cut(rest, "--")
-		reason = strings.TrimSpace(reason)
-		if !found || reason == "" {
-			return &Directive{Kind: DirectiveBad, Err: "malformed //vhlint:detsafe: missing '-- <reason>' justification"}
-		}
-		return &Directive{Kind: DirectiveDetsafe, Reason: reason}
 	default:
 		word := text
 		if i := strings.IndexAny(word, " \t"); i >= 0 {
 			word = word[:i]
 		}
-		return &Directive{Kind: DirectiveBad, Err: fmt.Sprintf("unknown //vhlint: directive %q (known: allow, detsafe)", word)}
+		return &Directive{Kind: DirectiveBad, Err: fmt.Sprintf("unknown //vhlint: directive %q (known: allow)", word)}
 	}
 }
 
@@ -95,37 +86,9 @@ func knownAnalyzer(name string) bool {
 	return false
 }
 
-// annotatedFuncs returns the function declarations carrying a directive
-// of the given kind, matched by the directive appearing inside the
-// function's doc comment.
-func annotatedFuncs(files []*ast.File, directives []*Directive, kind string) map[*ast.FuncDecl]bool {
-	out := make(map[*ast.FuncDecl]bool)
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, d := range directives {
-				if d.Kind == kind && d.TokPos >= fd.Doc.Pos() && d.TokPos <= fd.Doc.End() {
-					out[fd] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
-// detsafeFuncs returns the function declarations annotated
-// //vhlint:detsafe for the given package.
-func detsafeFuncs(pkg *Package) map[*ast.FuncDecl]bool {
-	return annotatedFuncs(pkg.Files, pkg.Directives(), DirectiveDetsafe)
-}
-
-// Directives reports malformed //vhlint: annotations, detsafe
-// annotations that are not attached to a function declaration, and allow
-// annotations for analyzers that do not run on the package (those would
-// otherwise silently never match anything).
+// Directives reports malformed or unknown //vhlint: annotations and
+// allow annotations for analyzers that do not run on the package (those
+// would otherwise silently never match anything).
 var Directives = &Analyzer{
 	Name: "vhdirective",
 	Doc:  "validate //vhlint: source annotations",
@@ -133,15 +96,10 @@ var Directives = &Analyzer{
 }
 
 func runDirectives(pass *Pass) {
-	attached := attachedDirectivePositions(pass)
 	for _, d := range pass.directives {
 		switch d.Kind {
 		case DirectiveBad:
 			pass.Reportf(d.TokPos, "%s", d.Err)
-		case DirectiveDetsafe:
-			if !attached[d.TokPos] {
-				pass.Reportf(d.TokPos, "//vhlint:detsafe is not attached to a function declaration's doc comment")
-			}
 		case DirectiveAllow:
 			for _, a := range All() {
 				if a.Name == d.Analyzer && a.AppliesTo != nil && !a.AppliesTo(pass.PkgPath) {
@@ -150,24 +108,4 @@ func runDirectives(pass *Pass) {
 			}
 		}
 	}
-}
-
-// attachedDirectivePositions marks the detsafe directives that sit
-// inside some function declaration's doc comment.
-func attachedDirectivePositions(pass *Pass) map[token.Pos]bool {
-	out := make(map[token.Pos]bool)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, d := range pass.directives {
-				if d.Kind == DirectiveDetsafe && d.TokPos >= fd.Doc.Pos() && d.TokPos <= fd.Doc.End() {
-					out[d.TokPos] = true
-				}
-			}
-		}
-	}
-	return out
 }

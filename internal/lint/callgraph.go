@@ -6,20 +6,18 @@ import (
 	"sort"
 )
 
-// interproc is the cross-package analysis state shared by the
-// interprocedural analyzers (detflow, errflow). It hangs off the Loader
-// so call-graph nodes and function summaries are computed once per
-// process no matter how many packages are analyzed — total work stays
-// linear in the number of loaded packages, not quadratic in the number
-// of analyzer runs that consult them.
+// interproc is the cross-package analysis state of the interprocedural
+// analyzer (errflow). It hangs off the Loader so call-graph nodes and
+// function summaries are computed once per process no matter how many
+// packages are analyzed — total work stays linear in the number of
+// loaded packages, not quadratic in the number of analyzer runs that
+// consult them.
 type interproc struct {
 	l     *Loader
 	pkgOf map[*types.Package]*Package // reverse index over the loader cache
 
 	graphs map[*Package]*callGraph
 
-	detSummaries map[*types.Func]*detSummary
-	detBusy      map[*types.Func]bool
 	errSummaries map[*types.Func]*errSummary
 	errBusy      map[*types.Func]bool
 }
@@ -35,8 +33,6 @@ func (p *Package) interproc() *interproc {
 			l:            p.loader,
 			pkgOf:        make(map[*types.Package]*Package),
 			graphs:       make(map[*Package]*callGraph),
-			detSummaries: make(map[*types.Func]*detSummary),
-			detBusy:      make(map[*types.Func]bool),
 			errSummaries: make(map[*types.Func]*errSummary),
 			errBusy:      make(map[*types.Func]bool),
 		}
@@ -80,11 +76,9 @@ type callGraph struct {
 
 // cgNode is one declared function or method.
 type cgNode struct {
-	fn      *types.Func
-	decl    *ast.FuncDecl
-	pkg     *Package
-	callees []*types.Func // static call targets, in source order, deduped
-	detsafe bool          // //vhlint:detsafe on the doc comment
+	fn   *types.Func
+	decl *ast.FuncDecl
+	pkg  *Package
 }
 
 // graphFor builds (once) and returns the call graph of pkg.
@@ -93,7 +87,6 @@ func (ip *interproc) graphFor(pkg *Package) *callGraph {
 		return g
 	}
 	g := &callGraph{nodes: make(map[*types.Func]*cgNode)}
-	safe := detsafeFuncs(pkg)
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -104,8 +97,7 @@ func (ip *interproc) graphFor(pkg *Package) *callGraph {
 			if !ok {
 				continue
 			}
-			n := &cgNode{fn: fn, decl: fd, pkg: pkg, detsafe: safe[fd]}
-			n.callees = calleesOf(pkg, fd)
+			n := &cgNode{fn: fn, decl: fd, pkg: pkg}
 			g.nodes[fn] = n
 			g.order = append(g.order, n)
 		}
@@ -126,53 +118,6 @@ func (ip *interproc) node(fn *types.Func) *cgNode {
 		return nil
 	}
 	return ip.graphFor(pkg).nodes[fn]
-}
-
-// bottomUp returns the package's nodes in reverse topological order of
-// intra-package call edges (callees before callers), so summary
-// computation never re-enters an unfinished function except on true
-// recursion. Cross-package edges are resolved on demand instead.
-func (g *callGraph) bottomUp() []*cgNode {
-	visited := make(map[*cgNode]bool)
-	out := make([]*cgNode, 0, len(g.order))
-	var visit func(n *cgNode)
-	visit = func(n *cgNode) {
-		if visited[n] {
-			return
-		}
-		visited[n] = true
-		for _, callee := range n.callees {
-			if m := g.nodes[callee]; m != nil {
-				visit(m)
-			}
-		}
-		out = append(out, n)
-	}
-	for _, n := range g.order {
-		visit(n)
-	}
-	return out
-}
-
-// calleesOf lists the functions fd's body statically calls.
-func calleesOf(pkg *Package, fd *ast.FuncDecl) []*types.Func {
-	if fd.Body == nil {
-		return nil
-	}
-	seen := make(map[*types.Func]bool)
-	var out []*types.Func
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := staticCallee(pkg.Info, call); fn != nil && !seen[fn] {
-			seen[fn] = true
-			out = append(out, fn)
-		}
-		return true
-	})
-	return out
 }
 
 // staticCallee resolves the called function or method of a call

@@ -37,7 +37,7 @@ func TestTreeClean(t *testing.T) {
 // every //vhlint:allow in the tree, so it must be deliberate.
 func TestAnalyzerNames(t *testing.T) {
 	got := strings.Join(lint.AnalyzerNames(), ",")
-	want := "maporder,simclock,floataccum,detflow,errflow,lockfree,vhdirective"
+	want := "maporder,simclock,errflow,lockfree,vhdirective"
 	if got != want {
 		t.Errorf("AnalyzerNames() = %q, want %q", got, want)
 	}

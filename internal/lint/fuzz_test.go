@@ -15,10 +15,9 @@ import (
 //   - an allow always names a registered analyzer and carries a
 //     non-empty reason, and re-rendering it in canonical form reparses
 //     to the same directive (round-trip);
-//   - a detsafe always carries a non-empty reason;
 //   - everything else is DirectiveBad with a non-empty explanation —
-//     including the retired owner and hot directives, which are unknown
-//     now.
+//     including the retired owner, hot and detsafe directives, which are
+//     unknown now.
 func FuzzDirective(f *testing.F) {
 	seeds := []string{
 		"",
@@ -30,7 +29,7 @@ func FuzzDirective(f *testing.F) {
 		"allow maporder--no space",
 		"allow bogus -- reason",
 		"allow errflow -- multi -- dash reason",
-		"allow  detflow  --  generously  spaced ",
+		"allow  errflow  --  generously  spaced ",
 		"detsafe",
 		"detsafe --",
 		"detsafe -- keys are interned and unique",
@@ -66,10 +65,6 @@ func FuzzDirective(f *testing.F) {
 			if r.Kind != DirectiveAllow || r.Analyzer != d.Analyzer || r.Reason != d.Reason {
 				t.Errorf("round-trip broke: %q reparsed as %+v, want analyzer %q reason %q", canon, r, d.Analyzer, d.Reason)
 			}
-		case DirectiveDetsafe:
-			if d.Reason == "" {
-				t.Errorf("parseDirective(%q): detsafe accepted without a reason", text)
-			}
 		case DirectiveBad:
 			if d.Err == "" {
 				t.Errorf("parseDirective(%q): DirectiveBad with empty explanation", text)
@@ -77,7 +72,7 @@ func FuzzDirective(f *testing.F) {
 		default:
 			t.Errorf("parseDirective(%q): unknown kind %q", text, d.Kind)
 		}
-		for _, retired := range []string{"owner", "hot"} {
+		for _, retired := range []string{"owner", "hot", "detsafe"} {
 			if (text == retired || strings.HasPrefix(text, retired+" ")) && d.Kind != DirectiveBad {
 				t.Errorf("parseDirective(%q) = %q, want the retired %s directive rejected as unknown", text, d.Kind, retired)
 			}

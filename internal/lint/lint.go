@@ -13,23 +13,21 @@
 // Analyzers:
 //
 //   - maporder:   range over a map (or maps.Keys/Values/All) in
-//     determinism-critical packages, unless provably order-insensitive.
-//   - simclock:   wall-clock time and global math/rand in simulator-
-//     driven code; the sim.Engine clock and Engine.Rand() are the only
-//     legal sources.
-//   - floataccum: floating-point accumulation whose summation order
-//     depends on map iteration.
-//   - detflow:    interprocedural taint from nondeterminism sources
-//     (wall clock, global rand, map iteration order) into trace, nmon
-//     and program-output sinks, via call-graph function summaries.
+//     determinism-critical packages, unless provably order-insensitive;
+//     only a total sort makes collected keys order-free.
+//   - simclock:   wall-clock time, global math/rand and crypto/rand in
+//     simulator-driven code; the sim.Engine clock and Engine.Rand() are
+//     the only legal sources.
 //   - errflow:    error values that are produced and then dropped
 //     (checked but never returned, traced, stored or passed on) or
 //     overwritten unexamined — the failure mode that silently loses
-//     recovery-path faults.
+//     recovery-path faults. Call-graph function summaries let it skip
+//     callees that can never fail.
 //   - lockfree:   goroutines, channels, select and sync primitives in
 //     simulator-driven code; no site is sanctioned, because the engine
 //     switches to its processes on coroutines.
-//   - vhdirective: malformed or misplaced //vhlint: annotations.
+//   - vhdirective: malformed, unknown or out-of-scope //vhlint:
+//     annotations.
 //
 // Suppression uses source annotations, validated by the suite itself:
 //
@@ -37,9 +35,12 @@
 //
 // on the flagged line or the line directly above. A malformed allow (no
 // reason) is itself a diagnostic, and an allow that suppresses nothing
-// is reported as stale. Whole functions whose determinism is argued by
-// hand are exempted from detflow with //vhlint:detsafe -- <reason> on
-// the function's doc comment.
+// is reported as stale.
+//
+// What values reach the replay-compared outputs (span trace, metrics,
+// reports, program output) is not traced statically: the rerun
+// determinism tests diff those outputs, and the analyzers above ban the
+// sources they could come from.
 package lint
 
 import (
@@ -103,7 +104,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 var all []*Analyzer
 
 func init() {
-	all = []*Analyzer{MapOrder, SimClock, FloatAccum, DetFlow, ErrFlow, LockFree, Directives}
+	all = []*Analyzer{MapOrder, SimClock, ErrFlow, LockFree, Directives}
 }
 
 // All returns every analyzer in the suite, in reporting order.

@@ -16,7 +16,11 @@ import (
 // is provably order-insensitive:
 //
 //   - it only collects keys/values into local slices that are passed to
-//     a sort.*/slices.Sort* call later in the same function (sorted sink);
+//     a total sort later in the same function (sorted sink): sort.Strings,
+//     sort.Ints, sort.Float64s or slices.Sort. A comparator sort
+//     (sort.Slice, slices.SortFunc, ...) does not count, because a
+//     comparator that ties on distinct elements leaves the tied run in
+//     map-visit order;
 //   - it only writes m2[k] = ... under the range key (distinct keys),
 //     deletes from the ranged map, or sets boolean flags to constants;
 //   - it only accumulates integers with commutative operators
@@ -25,7 +29,7 @@ import (
 //
 // Anything else needs an explicit //vhlint:allow maporder -- <reason>.
 // Calls to maps.Keys/maps.Values/maps.All are flagged unless wrapped
-// directly in slices.Sorted/SortedFunc/SortedStableFunc.
+// directly in slices.Sorted, the fifth total sort.
 var MapOrder = &Analyzer{
 	Name:      "maporder",
 	Doc:       "flag nondeterministic map iteration in determinism-critical packages",
@@ -70,20 +74,13 @@ func enclosingFuncDecl(stack []ast.Node) *ast.FuncDecl {
 }
 
 // insideSortedCall reports whether the innermost enclosing call is
-// slices.Sorted / slices.SortedFunc / slices.SortedStableFunc.
+// slices.Sorted. SortedFunc and SortedStableFunc take a comparator,
+// which may tie.
 func insideSortedCall(pass *Pass, stack []ast.Node) bool {
 	for i := len(stack) - 1; i >= 0; i-- {
-		call, ok := stack[i].(*ast.CallExpr)
-		if !ok {
-			continue
+		if call, ok := stack[i].(*ast.CallExpr); ok {
+			return isPkgFunc(calleeFunc(pass, call), "slices", "Sorted")
 		}
-		fn := calleeFunc(pass, call)
-		for _, name := range [...]string{"Sorted", "SortedFunc", "SortedStableFunc"} {
-			if isPkgFunc(fn, "slices", name) {
-				return true
-			}
-		}
-		return false // some other call consumes the iterator unsorted
 	}
 	return false
 }
@@ -318,12 +315,13 @@ func (c *mapRangeChecker) plainAssignOK(lhs, rhs ast.Expr) bool {
 	return false
 }
 
-// sortOfLocal accepts sort.*/slices.Sort* calls whose arguments touch
-// only per-iteration locals (e.g. sorting the range value slice before
-// collecting it): the mutation is confined to one iteration's state.
+// sortOfLocal accepts any sort whose arguments touch only per-iteration
+// locals (e.g. sorting the range value slice before collecting it): the
+// input comes from one map entry, not from visit order, so even a
+// comparator that ties sorts it the same way every run.
 func (c *mapRangeChecker) sortOfLocal(e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || !isSortCall(c.pass, call) {
+	if !ok || !isSortCall(c.pass, call, anySorts) {
 		return false
 	}
 	for _, arg := range call.Args {
@@ -392,8 +390,8 @@ func isBoolConst(pass *Pass, e ast.Expr) bool {
 	return ok && (id.Name == "true" || id.Name == "false") && isConstExpr(pass, e)
 }
 
-// sortedAfter reports whether a sort.* / slices.Sort* call referencing
-// obj appears after rs in the enclosing function.
+// sortedAfter reports whether a total sort of a slice referencing obj
+// appears after rs in the enclosing function.
 func sortedAfter(pass *Pass, encl *ast.FuncDecl, rs *ast.RangeStmt, obj types.Object) bool {
 	if encl == nil || encl.Body == nil {
 		return false
@@ -407,7 +405,7 @@ func sortedAfter(pass *Pass, encl *ast.FuncDecl, rs *ast.RangeStmt, obj types.Ob
 		if !ok || call.Pos() < rs.End() {
 			return true
 		}
-		if !isSortCall(pass, call) {
+		if !isSortCall(pass, call, totalSorts) {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -420,16 +418,26 @@ func sortedAfter(pass *Pass, encl *ast.FuncDecl, rs *ast.RangeStmt, obj types.Ob
 	return found
 }
 
-func isSortCall(pass *Pass, call *ast.CallExpr) bool {
+// totalSorts order a slice by its element type's total order, so the
+// result is the same whatever order the elements arrived in.
+var totalSorts = map[string][]string{
+	"sort":   {"Strings", "Ints", "Float64s"},
+	"slices": {"Sort"},
+}
+
+// anySorts adds the comparator sorts, whose tied runs keep input order.
+var anySorts = map[string][]string{
+	"sort":   {"Strings", "Ints", "Float64s", "Slice", "SliceStable", "Sort", "Stable"},
+	"slices": {"Sort", "SortFunc", "SortStableFunc"},
+}
+
+// isSortCall reports whether call invokes one of sorts.
+func isSortCall(pass *Pass, call *ast.CallExpr, sorts map[string][]string) bool {
 	fn := calleeFunc(pass, call)
 	if fn == nil {
 		return false
 	}
-	sortFuncs := map[string][]string{
-		"sort":   {"Strings", "Ints", "Float64s", "Slice", "SliceStable", "Sort", "Stable"},
-		"slices": {"Sort", "SortFunc", "SortStableFunc"},
-	}
-	for pkg, names := range sortFuncs {
+	for pkg, names := range sorts {
 		for _, name := range names {
 			if isPkgFunc(fn, pkg, name) {
 				return true

@@ -11,11 +11,13 @@ import (
 // Engine.Rand(). Wall-clock reads make run length depend on host load,
 // and the global rand stream is shared process state that breaks
 // fixed-seed reproducibility (and is racy under -race with parallel
-// tests). Constructing seeded sources (rand.New, rand.NewSource,
-// rand.NewZipf, rand.NewPCG, ...) stays legal.
+// tests). Any reference into crypto/rand is flagged too: it reads the
+// operating system's entropy pool, which no seed reproduces.
+// Constructing seeded sources (rand.New, rand.NewSource, rand.NewZipf,
+// rand.NewPCG, ...) stays legal.
 var SimClock = &Analyzer{
 	Name:      "simclock",
-	Doc:       "forbid wall-clock time and global math/rand in simulator-driven code",
+	Doc:       "forbid wall-clock time, global math/rand and crypto/rand in simulator-driven code",
 	AppliesTo: determinismCritical,
 	Run:       runSimClock,
 }
@@ -49,7 +51,8 @@ func runSimClock(pass *Pass) {
 		switch {
 		case pkg == "time" && bannedTime[name]:
 			pass.Reportf(sel.Pos(), "time.%s reads the host clock; simulator-driven code must use the sim.Engine virtual clock (Engine.Now, Proc.Sleep)", name)
-		case (pkg == "math/rand" || pkg == "math/rand/v2") && !allowedRand[name] && isPackageLevelFunc(obj):
+		case (pkg == "math/rand" || pkg == "math/rand/v2") && !allowedRand[name] && isPackageLevelFunc(obj),
+			pkg == "crypto/rand":
 			pass.Reportf(sel.Pos(), "global %s.%s breaks fixed-seed reproducibility; draw from the seeded Engine.Rand() instead", pkgBase(pkg), name)
 		}
 		return true
@@ -68,8 +71,11 @@ func isPackageLevelFunc(obj types.Object) bool {
 }
 
 func pkgBase(path string) string {
-	if path == "math/rand/v2" {
+	switch path {
+	case "math/rand/v2":
 		return "rand/v2"
+	case "crypto/rand":
+		return path
 	}
 	return "rand"
 }

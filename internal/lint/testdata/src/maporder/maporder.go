@@ -7,6 +7,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // floatAccumulation is the classic violation: FP summation in map order.
@@ -121,11 +122,13 @@ func flagSet(m map[string]int) bool {
 	return saw
 }
 
-// sortLocalValue sorts a per-iteration local, then sinks into a slice
-// that is itself sorted after the loop.
+// sortLocalValue sorts a per-iteration local, which is fine, then sinks
+// into a slice sorted after the loop by a comparator. The comparator
+// ties on groups with the same first member, and tied runs keep
+// map-visit order, so the sink is not order-free.
 func sortLocalValue(groups map[int][]int) [][]int {
 	var out [][]int
-	for _, members := range groups {
+	for _, members := range groups { // want "iteration order"
 		sort.Ints(members)
 		out = append(out, members)
 	}
@@ -133,9 +136,36 @@ func sortLocalValue(groups map[int][]int) [][]int {
 	return out
 }
 
+// printKeysUnsorted sorts map-ordered keys with a comparator. Only a
+// total sort counts as a sorted sink: maporder cannot prove that a
+// comparator never ties, and tied runs keep map-visit order.
+func printKeysUnsorted(counts map[string]int) []string {
+	var keys []string
+	for k := range counts { // want "iteration order"
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
+// sortFuncSink is the slices form of the same comparator sink.
+func sortFuncSink(m map[string]int) []string {
+	var keys []string
+	for k := range m { // want "iteration order"
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, strings.Compare)
+	return keys
+}
+
 // sortedKeysIter wraps the maps.Keys iterator in slices.Sorted.
 func sortedKeysIter(m map[string]int) []string {
 	return slices.Sorted(maps.Keys(m))
+}
+
+// sortedFuncKeysIter sorts the iterator with a comparator, which may tie.
+func sortedFuncKeysIter(m map[string]int) []string {
+	return slices.SortedFunc(maps.Keys(m), strings.Compare) // want "nondeterministic order"
 }
 
 // rawKeysIter consumes the iterator unsorted.

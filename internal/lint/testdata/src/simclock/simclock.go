@@ -1,9 +1,10 @@
-// Package simclock exercises the simclock analyzer: wall-clock reads
-// and the global math/rand stream are flagged; seeded sources and pure
+// Package simclock exercises the simclock analyzer: wall-clock reads,
+// the global math/rand stream and crypto/rand are flagged; seeded sources and pure
 // time arithmetic are not.
 package simclock
 
 import (
+	crand "crypto/rand"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"time"
@@ -29,6 +30,12 @@ func globalRand() int {
 // globalRandV2 is just as bad in math/rand/v2.
 func globalRandV2() float64 {
 	return randv2.Float64() // want "breaks fixed-seed reproducibility"
+}
+
+// osEntropy reads the operating system's entropy pool, which no seed
+// reproduces.
+func osEntropy(b []byte) {
+	_, _ = crand.Read(b) // want "breaks fixed-seed reproducibility"
 }
 
 // seeded constructs an explicit source: every draw is reproducible.

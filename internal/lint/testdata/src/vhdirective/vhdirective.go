@@ -1,31 +1,8 @@
 // Package vhdirective exercises the vhdirective analyzer, which
 // validates the //vhlint: annotation grammar itself: malformed allows,
-// unknown names, misplaced detsafe markers, retired directives, and
-// allows for analyzers that do not run on the package.
+// unknown names, retired directives, and allows for analyzers that do
+// not run on the package.
 package vhdirective
-
-// detsafeAttached is correctly annotated: the marker sits in the doc
-// comment of a function declaration.
-//
-//vhlint:detsafe -- test fixture: attached, so vhdirective accepts it
-func detsafeAttached(xs []int) int {
-	n := 0
-	for _, x := range xs {
-		n += x
-	}
-	return n
-}
-
-func misplacedDetsafe() {
-	//vhlint:detsafe -- test fixture: inside a body // want "not attached to a function declaration"
-	_ = 0
-}
-
-// detsafeOnVar hangs the marker on a variable declaration instead of a
-// function.
-//
-//vhlint:detsafe -- test fixture: on a var // want "not attached to a function declaration"
-var detsafeOnVar = 42
 
 func missingName() {
 	//vhlint:allow // want "missing analyzer name"
@@ -77,3 +54,10 @@ func retiredOwner() {
 //
 //vhlint:hot // want "unknown //vhlint: directive \"hot\""
 func retiredHot() {}
+
+// retiredDetsafe carries the marker that exempted a function from the
+// retired detflow analyzer; with detflow gone it is an unknown directive
+// even on a function's doc comment.
+//
+//vhlint:detsafe -- test fixture: was a hand-argued exemption // want "unknown //vhlint: directive \"detsafe\""
+func retiredDetsafe() {}

@@ -119,12 +119,6 @@ func isIntegerType(t types.Type) bool {
 	return ok && b.Info()&types.IsInteger != 0
 }
 
-// isFloatType reports whether t's core type is a float or complex.
-func isFloatType(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
-}
-
 // internalPkg reports whether path is one of this module's packages
 // under any of the given trees (e.g. "internal", "cmd").
 func internalPkg(path, modPath string, trees ...string) bool {
