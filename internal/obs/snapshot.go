@@ -142,11 +142,13 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// promReplacer escapes a label value for the Prometheus text format. Its
+// old strings are single bytes, so it returns a value with nothing to
+// escape, the common case, as is and without allocating.
+var promReplacer = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // promEscape escapes a label value for the Prometheus text format.
-func promEscape(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
-}
+func promEscape(s string) string { return promReplacer.Replace(s) }
 
 // promName renders "name{k="v",...}" with extra labels appended (the
 // histogram le), or the plain name when there are no labels at all.

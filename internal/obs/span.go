@@ -3,6 +3,10 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"vhadoop/internal/sim"
 )
@@ -211,6 +215,8 @@ type Trace struct {
 
 // Export returns the current trace as a value (open spans export with
 // End == the current clock). Events render here, in emission order.
+// Every span's attribute copy is carved from one backing slice; spans
+// without attributes keep Attrs nil, as a decoded trace does.
 func (tr *Tracer) Export() Trace {
 	if tr == nil {
 		return Trace{}
@@ -220,6 +226,11 @@ func (tr *Tracer) Export() Trace {
 		ev := &tr.events[i]
 		t.Events = append(t.Events, Event{T: ev.t, Kind: ev.kind, Span: ev.span, Msg: ev.render()})
 	}
+	n := 0
+	for _, s := range tr.spans {
+		n += len(s.Attrs)
+	}
+	attrs := make([]Attr, n)
 	for _, s := range tr.spans {
 		// Rebuild the exported value field by field: a whole-struct copy
 		// would drag the unexported bookkeeping (open flag, inline attr
@@ -231,7 +242,11 @@ func (tr *Tracer) Export() Trace {
 			Name:   s.Name,
 			Start:  s.Start,
 			End:    s.End,
-			Attrs:  append([]Attr(nil), s.Attrs...),
+		}
+		if k := len(s.Attrs); k > 0 {
+			cp.Attrs = attrs[:k:k]
+			copy(cp.Attrs, s.Attrs)
+			attrs = attrs[k:]
 		}
 		if s.open {
 			cp.End = tr.engine.Now()
@@ -242,13 +257,206 @@ func (tr *Tracer) Export() Trace {
 }
 
 // JSON renders the trace as indented, diffable JSON; spans and events
-// are already in deterministic order.
+// are already in deterministic order. The document is byte-identical to
+// json.MarshalIndent(tr.Export(), "", "  "), but it is written straight
+// from the tracer into one buffer sized by jsonSize: no Export copy, no
+// reflection, no second indentation pass. NaN and ±Inf times panic, as
+// encoding/json refuses them.
 func (tr *Tracer) JSON() string {
-	b, err := json.MarshalIndent(tr.Export(), "", "  ")
-	if err != nil {
-		panic("obs: trace JSON: " + err.Error()) // structs of plain values cannot fail
+	if tr == nil {
+		return "{\n  \"spans\": null,\n  \"events\": null\n}"
 	}
-	return string(b)
+	var b strings.Builder
+	b.Grow(tr.jsonSize())
+	now := tr.engine.Now()
+	b.WriteString("{\n  \"spans\": [")
+	for i, s := range tr.spans {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString("\n    {\n      \"id\": ")
+		writeJSONInt(&b, s.ID)
+		b.WriteString(",\n      \"parent\": ")
+		writeJSONInt(&b, s.Parent)
+		b.WriteString(",\n      \"kind\": ")
+		writeJSONString(&b, string(s.Kind))
+		b.WriteString(",\n      \"name\": ")
+		writeJSONString(&b, s.Name)
+		b.WriteString(",\n      \"start\": ")
+		writeJSONFloat(&b, s.Start)
+		b.WriteString(",\n      \"end\": ")
+		if s.open {
+			writeJSONFloat(&b, now)
+		} else {
+			writeJSONFloat(&b, s.End)
+		}
+		if len(s.Attrs) > 0 {
+			b.WriteString(",\n      \"attrs\": [")
+			for j, a := range s.Attrs {
+				if j > 0 {
+					b.WriteByte(',')
+				}
+				b.WriteString("\n        {\n          \"key\": ")
+				writeJSONString(&b, a.Key)
+				b.WriteString(",\n          \"value\": ")
+				writeJSONString(&b, a.Value)
+				b.WriteString("\n        }")
+			}
+			b.WriteString("\n      ]")
+		}
+		b.WriteString("\n    }")
+	}
+	if len(tr.spans) > 0 {
+		b.WriteString("\n  ")
+	}
+	b.WriteString("],\n  \"events\": [")
+	for i := range tr.events {
+		ev := &tr.events[i]
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString("\n    {\n      \"t\": ")
+		writeJSONFloat(&b, ev.t)
+		b.WriteString(",\n      \"kind\": ")
+		writeJSONString(&b, string(ev.kind))
+		b.WriteString(",\n      \"span\": ")
+		writeJSONInt(&b, ev.span)
+		b.WriteString(",\n      \"msg\": ")
+		writeJSONString(&b, ev.render())
+		b.WriteString("\n    }")
+	}
+	if len(tr.events) > 0 {
+		b.WriteString("\n  ")
+	}
+	b.WriteString("]\n}")
+	return b.String()
+}
+
+// Fixed bytes JSON writes around the values, counting a separating
+// comma for every element: per span (keys, quotes, commas, braces,
+// indentation), per span that has attributes, per attribute, per event,
+// and once per document.
+const (
+	jsonSpanFixed  = 112
+	jsonAttrsFixed = 26
+	jsonAttrFixed  = 64
+	jsonEventFixed = 76
+	jsonDocFixed   = 39
+	// jsonFloatMax is the longest float64 in encoding/json's format:
+	// "-0.0000012345678901234567".
+	jsonFloatMax = 25
+)
+
+// jsonSize renders any pending event messages, in emission order, and
+// bounds the length JSON writes when no string needs escaping: the fixed
+// text, the widest ID (IDs are at most tr.nextID) and the widest float
+// for every number, and the raw string lengths. A string that needs
+// escaping only grows the buffer again.
+func (tr *Tracer) jsonSize() int {
+	idw := 1
+	for v := tr.nextID; v >= 10; v /= 10 {
+		idw++
+	}
+	n := jsonDocFixed
+	for _, s := range tr.spans {
+		n += jsonSpanFixed + 2*idw + 2*jsonFloatMax + len(s.Kind) + len(s.Name)
+		if len(s.Attrs) > 0 {
+			n += jsonAttrsFixed
+		}
+		for _, a := range s.Attrs {
+			n += jsonAttrFixed + len(a.Key) + len(a.Value)
+		}
+	}
+	for i := range tr.events {
+		ev := &tr.events[i]
+		n += jsonEventFixed + jsonFloatMax + idw + len(ev.kind) + len(ev.render())
+	}
+	return n
+}
+
+// writeJSONInt writes v in decimal.
+func writeJSONInt(b *strings.Builder, v int) {
+	var buf [20]byte
+	b.Write(strconv.AppendInt(buf[:0], int64(v), 10))
+}
+
+// writeJSONFloat writes f as encoding/json writes a float64: 'f'
+// format, or 'e' below 1e-6 and from 1e21 up, with a two-digit negative
+// exponent cut to one digit (e-07 → e-7).
+func writeJSONFloat(b *strings.Builder, f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		panic("obs: trace JSON: unsupported value: " + strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	var buf [jsonFloatMax]byte
+	out := strconv.AppendFloat(buf[:0], f, format, -1, 64)
+	if n := len(out); format == 'e' && n >= 4 && out[n-4] == 'e' && out[n-3] == '-' && out[n-2] == '0' {
+		out[n-2] = out[n-1]
+		out = out[:n-1]
+	}
+	b.Write(out)
+}
+
+// writeJSONString writes s quoted as encoding/json's HTML-escaping
+// encoder does: \" and \\, the short escapes \b \f \n \r \t, \u00XX for
+// other control bytes and for <, > and &, \ufffd for each invalid UTF-8
+// byte, and \u2028/\u2029 for the JavaScript line separators.
+func writeJSONString(b *strings.Builder, s string) {
+	const hex = "0123456789abcdef"
+	b.WriteByte('"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b.WriteString(s[start:i])
+			switch c {
+			case '"', '\\':
+				b.WriteByte('\\')
+				b.WriteByte(c)
+			case '\b':
+				b.WriteString(`\b`)
+			case '\f':
+				b.WriteString(`\f`)
+			case '\n':
+				b.WriteString(`\n`)
+			case '\r':
+				b.WriteString(`\r`)
+			case '\t':
+				b.WriteString(`\t`)
+			default:
+				b.WriteString(`\u00`)
+				b.WriteByte(hex[c>>4])
+				b.WriteByte(hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b.WriteString(s[start:i])
+			b.WriteString(`\ufffd`)
+		case r == '\u2028' || r == '\u2029':
+			b.WriteString(s[start:i])
+			b.WriteString(`\u202`)
+			b.WriteByte(hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b.WriteString(s[start:])
+	b.WriteByte('"')
 }
 
 // DecodeTrace parses a document produced by Tracer.JSON.
