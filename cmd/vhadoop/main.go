@@ -6,11 +6,13 @@
 //	vhadoop [flags] <experiment>
 //
 // Experiments: table1, fig2, fig3, fig4a, fig4b, fig5, table2, fig6, fig7,
-// fig8, nmon, chaos, all. The nmon experiment runs a monitored Wordcount
-// and writes the monitor's CSV capture plus analyser charts (selected with
-// -chart) to the -out directory. The chaos experiment runs a generated
-// fault schedule against a Wordcount and exports the observability plane's
-// metrics snapshot, span trace and timeline.
+// fig8, nmon, chaos, jobsvc, all. The nmon experiment runs a monitored
+// Wordcount and writes the monitor's CSV capture plus analyser charts
+// (selected with -chart) to the -out directory. The chaos experiment runs a
+// generated fault schedule against a Wordcount and exports the
+// observability plane's metrics snapshot, span trace and timeline. The
+// jobsvc experiment runs multi-tenant job backlogs through the fair-share
+// job service and prints their table and metrics.
 //
 // Flags:
 //
@@ -27,6 +29,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -96,8 +99,8 @@ func runNmon(cfg experiments.Config, outDir string, charts []nmon.Metric) error 
 	if err != nil {
 		return err
 	}
-	defer csvFile.Close()
-	if err := mon.WriteCSV(csvFile); err != nil {
+	// A capture whose file fails to close is not written.
+	if err := errors.Join(mon.WriteCSV(csvFile), csvFile.Close()); err != nil {
 		return err
 	}
 	for _, metric := range charts {
@@ -155,7 +158,7 @@ func main() {
 	reps := flag.Int("reps", 3, "repetitions averaged per configuration")
 	nodes := flag.Int("nodes", 16, "virtual cluster size")
 	quick := flag.Bool("quick", false, "trimmed sweeps")
-	out := flag.String("out", "fig8-out", "output directory for fig8 SVGs")
+	out := flag.String("out", "fig8-out", "output directory for fig8/nmon/chaos artifacts")
 	chart := flag.String("chart", "cpu,disk,net", "comma-separated nmon chart metrics (cpu, disk, net)")
 	flag.Parse()
 

@@ -16,8 +16,9 @@
 //     An event due at the current instant (a process wakeup, a spawn, a
 //     zero delay) goes on the ready FIFO instead of the heap, and the run
 //     loop pops whichever head has the smaller (time, sequence number), so
-//     the order is the heap's alone. Fired events are recycled through a
-//     free list, so scheduling allocates nothing in steady state.
+//     the order is the heap's alone. RunUntil returns with the ready FIFO
+//     empty. Fired events are recycled through a free list, so scheduling
+//     allocates nothing in steady state.
 //     Engine.At, Engine.After and Engine.FireAfter return no handle:
 //     nothing outside the engine cancels an event. MaxMin keeps its one
 //     completion event on the heap and re-arms it in place. A time before

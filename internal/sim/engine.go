@@ -35,7 +35,6 @@ type Engine struct {
 	procs   []*Proc    // all live processes; each knows its slot
 	idle    []*carrier // carriers whose last body returned, reused by dispatch
 	current *Proc      // process currently executing, nil in engine context
-	stopped bool       // set by Stop / Shutdown
 }
 
 // New returns an Engine whose pseudo-random stream is derived from seed.
@@ -154,8 +153,8 @@ func (e *Engine) SpawnAfter(d Time, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Run executes events until the queue drains or Stop is called. It returns
-// the final virtual time.
+// Run executes events until the queue drains. It returns the final virtual
+// time.
 func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 
 // schedEvery is how many events RunUntil runs between calls to
@@ -168,13 +167,14 @@ const schedEvery = 256
 // RunUntil executes events with timestamps <= deadline. Events beyond the
 // deadline stay queued; the clock is advanced to the deadline if any such
 // events remain (so repeated RunUntil calls observe monotonic time). A
-// deadline before now panics, as scheduling in the past does. When it
-// returns with the queue empty, the idle carriers are stopped.
+// deadline before now panics, as scheduling in the past does. It always
+// returns with the ready FIFO empty, and when the heap is empty too, the
+// idle carriers are stopped.
 func (e *Engine) RunUntil(deadline Time) Time {
 	if !(deadline >= e.now) {
 		panic(fmt.Sprintf("sim: running until %v before now %v", deadline, e.now))
 	}
-	for n := 1; !e.stopped; n++ {
+	for n := 1; ; n++ {
 		if n%schedEvery == 0 {
 			runtime.Gosched()
 		}
@@ -208,9 +208,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 			latch.fire()
 		}
 	}
-	if e.head == len(e.ready) && len(e.events) == 0 {
-		e.stopIdle()
-	}
+	e.stopIdle()
 	return e.now
 }
 
@@ -247,18 +245,8 @@ func (e *Engine) dispatch(p *Proc) {
 	e.current = nil
 }
 
-// Stop halts the run loop after the current event completes. Queued events
-// remain; a subsequent Run resumes from where the simulation stopped.
-func (e *Engine) Stop() { e.stopped = true }
-
-// resetStop re-arms a stopped engine so Run can be called again.
-func (e *Engine) resetStop() { e.stopped = false }
-
-// Resume clears a previous Stop so the engine can run again.
-func (e *Engine) Resume() { e.resetStop() }
-
-// LiveProcs returns the number of processes that have been spawned and have
-// not yet terminated (they may be blocked or not yet started).
+// LiveProcs returns the number of processes spawned and not yet terminated.
+// Only tests read it: core's TestRunDrainsAndShutsDown checks for leaks.
 func (e *Engine) LiveProcs() int { return len(e.procs) }
 
 // forget removes the terminated process p from the live set, moving the
@@ -300,5 +288,4 @@ func (e *Engine) Shutdown() {
 	e.events = nil
 	e.ready, e.head = nil, 0
 	e.stopIdle()
-	e.stopped = false
 }

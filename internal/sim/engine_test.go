@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -142,7 +143,6 @@ func TestNaNTimesPanic(t *testing.T) {
 	mustPanic(t, "rearm at NaN", func() { e.rearm(&kept, nan) })
 	e.Spawn("sleeper", func(p *Proc) {
 		mustPanic(t, "Sleep(NaN)", func() { p.Sleep(nan) })
-		mustPanic(t, "SleepUntil(NaN)", func() { p.SleepUntil(nan) })
 		p.Sleep(1)
 	})
 	if end := e.Run(); end != 1 {
@@ -153,58 +153,19 @@ func TestNaNTimesPanic(t *testing.T) {
 	}
 }
 
-// Stop in the middle of an instant leaves ready events and same-time heap
-// events queued; a later Run resumes them in (at, seq) order.
-func TestStopMidInstantResumesInOrder(t *testing.T) {
-	e := New(1)
-	var order []int
-	log := func(id int) func() { return func() { order = append(order, id) } }
-	e.At(1, func() {
-		order = append(order, 1)
-		e.At(1, log(4)) // ready, after 2 and 3 on the heap
-		e.At(2, log(6))
-		e.Stop()
-	})
-	e.At(1, log(2))
-	e.Spawn("proc", func(p *Proc) {
-		p.Sleep(1) // heap, at 1, after 2
-		order = append(order, 3)
-		p.Yield() // ready, after 4
-		order = append(order, 5)
-	})
-	e.Run()
-	if len(order) != 1 || e.Now() != 1 {
-		t.Fatalf("stopped run fired %v by %v, want [1] by 1", order, e.Now())
-	}
-	if e.head == len(e.ready) {
-		t.Fatal("Stop mid-instant left no ready events to resume")
-	}
-	e.Resume()
-	e.Run()
-	want := []int{1, 2, 3, 4, 5, 6}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 // Shutdown clears the ready FIFO as well as the heap: nothing queued before
 // it fires after it.
 func TestShutdownClearsBothQueues(t *testing.T) {
 	e := New(1)
 	fired := 0
-	e.At(1, func() {
-		e.At(1, func() { fired++ }) // ready
-		e.At(2, func() { fired++ }) // heap
-		e.Stop()
-	})
 	d := NewDone()
 	e.Spawn("waiter", func(p *Proc) { d.Wait(p) })
-	e.Run()
+	e.At(2, func() { fired++ })
+	e.RunUntil(1)
+	// Between runs the caller is in engine context: an event due now goes
+	// on the ready FIFO, a later one on the heap.
+	e.At(1, func() { fired++ })
+	e.At(2, func() { fired++ })
 	if e.head == len(e.ready) || len(e.events) == 0 {
 		t.Fatalf("before Shutdown: ready %d, heap %d, want both non-empty", len(e.ready)-e.head, len(e.events))
 	}
@@ -242,25 +203,45 @@ func TestSpawnAfterDelaysStart(t *testing.T) {
 	almost(t, started, 4, 0, "delayed start")
 }
 
+// Sleep(0) parks a process behind everything already due now. Within an
+// instant, heap events and ready-FIFO events fire in one (time, sequence
+// number) order.
 func TestProcYieldInterleaving(t *testing.T) {
 	e := New(1)
 	var order []string
 	e.Spawn("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	e.Spawn("b", func(p *Proc) {
 		order = append(order, "b1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "b2")
 	})
 	e.Run()
-	want := []string{"a1", "b1", "a2", "b2"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if want := []string{"a1", "b1", "a2", "b2"}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+
+	e = New(1)
+	var ids []int
+	log := func(id int) func() { return func() { ids = append(ids, id) } }
+	e.At(1, func() {
+		ids = append(ids, 1)
+		e.At(1, log(4)) // ready, after 2 and 3 on the heap
+		e.At(2, log(6))
+	})
+	e.At(1, log(2))
+	e.Spawn("proc", func(p *Proc) {
+		p.Sleep(1) // heap, at 1, after 2
+		ids = append(ids, 3)
+		p.Sleep(0) // ready, after 4
+		ids = append(ids, 5)
+	})
+	e.Run()
+	if want := []int{1, 2, 3, 4, 5, 6}; !slices.Equal(ids, want) {
+		t.Fatalf("order = %v, want %v", ids, want)
 	}
 }
 
@@ -303,22 +284,6 @@ func TestShutdownUnwindsBlockedProcs(t *testing.T) {
 	}
 	if !cleaned {
 		t.Fatal("deferred cleanup did not run during shutdown")
-	}
-}
-
-func TestStopAndResume(t *testing.T) {
-	e := New(1)
-	var fired []Time
-	e.At(1, func() { fired = append(fired, 1); e.Stop() })
-	e.At(2, func() { fired = append(fired, 2) })
-	e.Run()
-	if len(fired) != 1 {
-		t.Fatalf("fired = %v, want just the event at t=1", fired)
-	}
-	e.Resume()
-	e.Run()
-	if len(fired) != 2 {
-		t.Fatalf("fired = %v after resume", fired)
 	}
 }
 

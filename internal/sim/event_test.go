@@ -89,13 +89,14 @@ func (q *referenceQueue) RunUntil(deadline Time) {
 
 // engineQueue drives a real Engine through the same operations.
 type engineQueue struct {
+	t    *testing.T
 	e    *Engine
 	kept [fuzzKept]event
 	log  []firing
 }
 
-func newEngineQueue() *engineQueue {
-	q := &engineQueue{e: New(1)}
+func newEngineQueue(t *testing.T) *engineQueue {
+	q := &engineQueue{t: t, e: New(1)}
 	for k := range q.kept {
 		id := keptID(k)
 		q.kept[k] = event{index: -1, keep: true, fn: func() { fire(q, &q.log, id) }}
@@ -103,11 +104,20 @@ func newEngineQueue() *engineQueue {
 	return q
 }
 
-func (q *engineQueue) Now() Time              { return q.e.Now() }
-func (q *engineQueue) At(t Time, id int)      { q.e.At(t, func() { fire(q, &q.log, id) }) }
-func (q *engineQueue) Rearm(k int, t Time)    { q.e.rearm(&q.kept[k], t) }
-func (q *engineQueue) Disarm(k int)           { q.e.disarm(&q.kept[k]) }
-func (q *engineQueue) RunUntil(deadline Time) { q.e.RunUntil(deadline) }
+func (q *engineQueue) Now() Time           { return q.e.Now() }
+func (q *engineQueue) At(t Time, id int)   { q.e.At(t, func() { fire(q, &q.log, id) }) }
+func (q *engineQueue) Rearm(k int, t Time) { q.e.rearm(&q.kept[k], t) }
+func (q *engineQueue) Disarm(k int)        { q.e.disarm(&q.kept[k]) }
+
+// RunUntil also checks that the run returns with the ready FIFO empty: it
+// holds only events due now, and the run loop pops it before it looks at
+// the deadline.
+func (q *engineQueue) RunUntil(deadline Time) {
+	q.e.RunUntil(deadline)
+	if q.e.head != len(q.e.ready) {
+		q.t.Fatalf("RunUntil(%v) returned at %v with %d ready events", deadline, q.e.Now(), len(q.e.ready)-q.e.head)
+	}
+}
 
 // fuzzQueue is the operation set FuzzEventQueue runs on both queues.
 type fuzzQueue interface {
@@ -173,7 +183,7 @@ func runFuzzOps(q fuzzQueue, data []byte) {
 // pending and a RunUntil(now) with ready events pending.
 func FuzzEventQueue(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ref, eng := &referenceQueue{}, newEngineQueue()
+		ref, eng := &referenceQueue{}, newEngineQueue(t)
 		runFuzzOps(ref, data)
 		runFuzzOps(eng, data)
 		if len(ref.log) != len(eng.log) {

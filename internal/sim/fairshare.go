@@ -33,7 +33,8 @@ func (f *FairShare) Name() string { return f.name }
 // Capacity returns the total service rate.
 func (f *FairShare) Capacity() float64 { return f.solver.Capacity(0) }
 
-// Load returns the number of jobs currently in service.
+// Load returns the number of jobs in service. Only tests read it:
+// TestFairShareUtilizationAccounting and TestAbortDuringUseIsNotRecycled.
 func (f *FairShare) Load() int { return f.solver.Len() }
 
 // SetCapacity retunes the total service rate mid-simulation (fault
@@ -52,9 +53,11 @@ func (f *FairShare) SetCapacity(capacity float64) {
 func (f *FairShare) Utilization() float64 { return f.solver.Utilization(0) }
 
 // MeanUtilization returns the time-averaged utilisation since creation.
+// Only tests read it: TestFairShareMeanUtilizationAfterRetune checks a retune.
 func (f *FairShare) MeanUtilization() float64 { return f.solver.MeanUtilization(0) }
 
-// Served returns the total work completed so far.
+// Served returns the total work completed so far. Only tests read it:
+// TestFairShareConservationProperty checks that work is conserved.
 func (f *FairShare) Served() float64 { return f.solver.Carried(0) }
 
 // Use blocks p until `work` units have been serviced at fair-share rates.

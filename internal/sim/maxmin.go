@@ -56,11 +56,9 @@ type Activity struct {
 	frozen    bool // recomputeRates scratch
 }
 
-// Rate returns the activity's current rate in work units per second.
+// Rate returns the activity's current rate in work units per second. Only
+// vnet's TestMaxMinWaterFilling reads it, to check progressive filling.
 func (a *Activity) Rate() float64 { return a.rate }
-
-// Remaining returns the work not yet served.
-func (a *Activity) Remaining() float64 { return a.remaining }
 
 // NewMaxMin returns a solver with no resources. An activity whose residue
 // falls to eps, or that would finish within minTick, is retired; minTick is
@@ -112,7 +110,8 @@ func (s *MaxMin) Carried(r int) float64 {
 	return s.res[r].carried
 }
 
-// Len returns the number of activities in service.
+// Len returns the number of activities in service. Only tests read it,
+// through FairShare.Load and vnet's Fabric.ActiveFlows.
 func (s *MaxMin) Len() int { return len(s.acts) }
 
 // Start puts a into service: work units over the resources uses, at most

@@ -9,7 +9,6 @@ package sim
 import (
 	"fmt"
 	"iter"
-	"math"
 )
 
 // errKilled unwinds a process body during Engine.Shutdown.
@@ -144,7 +143,8 @@ func (p *Proc) Now() Time { return p.engine.now }
 // (including via Fail, but not when killed by Shutdown).
 func (p *Proc) Done() *Done { return &p.done }
 
-// Terminated reports whether the process has finished.
+// Terminated reports whether the process has finished. Only tests read it,
+// to find parked processes: FuzzQueue and TestAbortUnwindsParkedProcess.
 func (p *Proc) Terminated() bool { return p.terminated }
 
 // yield parks the process's carrier, returning control to the engine, and
@@ -180,25 +180,5 @@ func (p *Proc) Sleep(d Time) {
 		panic(fmt.Sprintf("sim: invalid sleep %v in %q", d, p.name))
 	}
 	p.scheduleAt(p.engine.now + d)
-	p.yield()
-}
-
-// SleepUntil suspends the process until virtual time t (no-op if t <= now).
-// A NaN t panics.
-func (p *Proc) SleepUntil(t Time) {
-	if math.IsNaN(t) {
-		panic(fmt.Sprintf("sim: sleep until NaN in %q", p.name))
-	}
-	if t <= p.engine.now {
-		return
-	}
-	p.scheduleAt(t)
-	p.yield()
-}
-
-// Yield reschedules the process at the current time, letting other
-// same-time events run first.
-func (p *Proc) Yield() {
-	p.scheduleAt(p.engine.now)
 	p.yield()
 }

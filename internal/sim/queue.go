@@ -12,10 +12,6 @@ type Queue struct {
 	// Acquire allocates nothing once the array has grown.
 	waiters []qWaiter
 	head    int
-
-	// occupancy statistics for the monitor
-	lastChange Time
-	busyInt    float64 // integral of (capacity-available) dt
 }
 
 type qWaiter struct {
@@ -28,32 +24,12 @@ func NewQueue(e *Engine, capacity int) *Queue {
 	if capacity <= 0 {
 		panic("sim: queue capacity must be positive")
 	}
-	return &Queue{engine: e, capacity: capacity, available: capacity, lastChange: e.now}
+	return &Queue{engine: e, capacity: capacity, available: capacity}
 }
 
-// Capacity returns the total number of units.
-func (q *Queue) Capacity() int { return q.capacity }
-
-// Available returns the number of currently free units.
+// Available returns the number of free units. Only tests read it:
+// FuzzQueue checks 0 <= available <= capacity after every operation.
 func (q *Queue) Available() int { return q.available }
-
-// InUse returns the number of currently held units.
-func (q *Queue) InUse() int { return q.capacity - q.available }
-
-func (q *Queue) account() {
-	q.busyInt += float64(q.InUse()) * (q.engine.now - q.lastChange)
-	q.lastChange = q.engine.now
-}
-
-// MeanOccupancy returns the time-averaged number of units in use since the
-// queue was created.
-func (q *Queue) MeanOccupancy() float64 {
-	q.account()
-	if q.engine.now == 0 {
-		return 0
-	}
-	return q.busyInt / q.engine.now
-}
 
 // Acquire blocks p until n units are available, then takes them. Grants are
 // strictly FIFO: a large request at the head of the line blocks later small
@@ -64,7 +40,6 @@ func (q *Queue) Acquire(p *Proc, n int) {
 		panic("sim: invalid acquire count")
 	}
 	if q.head == len(q.waiters) && q.available >= n {
-		q.account()
 		q.available -= n
 		return
 	}
@@ -120,25 +95,11 @@ func (q *Queue) granted(p *Proc) bool {
 	return true
 }
 
-// TryAcquire takes n units without blocking, reporting success.
-func (q *Queue) TryAcquire(n int) bool {
-	if n <= 0 || n > q.capacity {
-		panic("sim: invalid acquire count")
-	}
-	if q.head == len(q.waiters) && q.available >= n {
-		q.account()
-		q.available -= n
-		return true
-	}
-	return false
-}
-
 // Release returns n units and hands them to queued waiters in FIFO order.
 func (q *Queue) Release(n int) {
 	if n <= 0 {
 		panic("sim: invalid release count")
 	}
-	q.account()
 	q.available += n
 	if q.available > q.capacity {
 		panic("sim: queue over-released")

@@ -63,21 +63,6 @@ func TestQueueFIFONoStarvation(t *testing.T) {
 	}
 }
 
-func TestQueueTryAcquire(t *testing.T) {
-	e := New(1)
-	q := NewQueue(e, 1)
-	if !q.TryAcquire(1) {
-		t.Fatal("first TryAcquire failed")
-	}
-	if q.TryAcquire(1) {
-		t.Fatal("second TryAcquire succeeded on a full queue")
-	}
-	q.Release(1)
-	if !q.TryAcquire(1) {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
 func TestQueueOverReleasePanics(t *testing.T) {
 	e := New(1)
 	q := NewQueue(e, 1)
@@ -87,20 +72,6 @@ func TestQueueOverReleasePanics(t *testing.T) {
 		}
 	}()
 	q.Release(1)
-}
-
-func TestQueueMeanOccupancy(t *testing.T) {
-	e := New(1)
-	q := NewQueue(e, 2)
-	e.Spawn("w", func(p *Proc) {
-		q.Acquire(p, 2)
-		p.Sleep(5)
-		q.Release(2)
-		p.Sleep(5)
-	})
-	e.Run()
-	// 2 units held for 5s out of 10s => mean occupancy 1.0.
-	almost(t, q.MeanOccupancy(), 1.0, 1e-9, "mean occupancy")
 }
 
 // FuzzQueue waiter states.
@@ -151,7 +122,7 @@ func FuzzQueue(f *testing.F) {
 			k, n, hold := len(procs), 1+arg%capacity, Time(arg>>4%8)/2
 			state = append(state, fqIdle)
 			procs = append(procs, e.Spawn("w", func(p *Proc) {
-				p.SleepUntil(at)
+				p.Sleep(at)
 				state[k] = fqWaiting
 				arrivals = append(arrivals, p)
 				defer func() {

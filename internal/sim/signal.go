@@ -14,7 +14,8 @@ type Done struct {
 // NewDone returns an unfired latch.
 func NewDone() *Done { return new(Done) }
 
-// Fired reports whether the latch has fired.
+// Fired reports whether the latch has fired. Only tests read it:
+// TestDoneReleasesWaiters and TestAbortUnwindsParkedProcess.
 func (d *Done) Fired() bool { return d.fired }
 
 // Fire releases all current and future waiters. Firing twice is a no-op.
@@ -76,22 +77,12 @@ type Gate struct {
 	engine  *Engine
 	open    bool
 	waiters []*Proc
-
-	closedAt   Time // when the gate last closed (valid while closed)
-	totalClose Time // cumulative closed duration
 }
 
 // NewGate returns a gate in the given initial state.
 func NewGate(e *Engine, open bool) *Gate {
-	g := &Gate{engine: e, open: open}
-	if !open {
-		g.closedAt = e.now
-	}
-	return g
+	return &Gate{engine: e, open: open}
 }
-
-// IsOpen reports whether the gate is open.
-func (g *Gate) IsOpen() bool { return g.open }
 
 // Open releases all waiters. No-op if already open.
 func (g *Gate) Open() {
@@ -99,30 +90,14 @@ func (g *Gate) Open() {
 		return
 	}
 	g.open = true
-	g.totalClose += g.engine.now - g.closedAt
 	for _, p := range g.waiters {
 		p.scheduleAt(g.engine.now)
 	}
 	g.waiters = nil
 }
 
-// Close makes subsequent WaitOpen calls block. No-op if already closed.
-func (g *Gate) Close() {
-	if !g.open {
-		return
-	}
-	g.open = false
-	g.closedAt = g.engine.now
-}
-
-// TotalClosed returns the cumulative virtual time the gate has spent closed.
-func (g *Gate) TotalClosed() Time {
-	t := g.totalClose
-	if !g.open {
-		t += g.engine.now - g.closedAt
-	}
-	return t
-}
+// Close makes subsequent WaitOpen calls block.
+func (g *Gate) Close() { g.open = false }
 
 // WaitOpen blocks p until the gate is open. If the gate closes and reopens
 // while p is queued, p still wakes at the first Open after its Wait.

@@ -109,14 +109,3 @@ func TestGateReclose(t *testing.T) {
 	almost(t, passes[1], 2.5, 0, "pass 2")
 	almost(t, passes[2], 3.5, 0, "pass 3")
 }
-
-func TestGateTotalClosed(t *testing.T) {
-	e := New(1)
-	g := NewGate(e, true)
-	e.At(1, func() { g.Close() })
-	e.At(3, func() { g.Open() })
-	e.At(5, func() { g.Close() })
-	e.At(6, func() { g.Open() })
-	e.Run()
-	almost(t, g.TotalClosed(), 3, 1e-12, "cumulative closed time")
-}

@@ -27,31 +27,6 @@ type Result struct {
 	OverallDowntime sim.Time
 }
 
-// MaxDowntime returns the worst per-VM downtime.
-func (r Result) MaxDowntime() sim.Time {
-	var max sim.Time
-	for _, s := range r.PerVM {
-		if s.Downtime > max {
-			max = s.Downtime
-		}
-	}
-	return max
-}
-
-// MinDowntime returns the best per-VM downtime.
-func (r Result) MinDowntime() sim.Time {
-	if len(r.PerVM) == 0 {
-		return 0
-	}
-	min := r.PerVM[0].Downtime
-	for _, s := range r.PerVM[1:] {
-		if s.Downtime < min {
-			min = s.Downtime
-		}
-	}
-	return min
-}
-
 // String formats the Table II row.
 func (r Result) String() string {
 	return fmt.Sprintf("%-18s overall_migration=%8.2fs overall_downtime=%8.0fms",

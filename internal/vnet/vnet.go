@@ -41,9 +41,6 @@ func (l *Link) Name() string { return l.name }
 // Bandwidth returns the link capacity in bytes/second.
 func (l *Link) Bandwidth() float64 { return l.fabric.solver.Capacity(l.id) }
 
-// Latency returns the one-way propagation latency.
-func (l *Link) Latency() sim.Time { return l.latency }
-
 // Utilization returns the instantaneous fraction of capacity allocated.
 func (l *Link) Utilization() float64 { return l.fabric.solver.Utilization(l.id) }
 
@@ -106,9 +103,6 @@ func NewFabric(e *sim.Engine) *Fabric {
 	return &Fabric{engine: e, solver: sim.NewMaxMin(e, "vnet fabric", 1e-6, 1e-9)}
 }
 
-// Engine returns the simulation engine.
-func (f *Fabric) Engine() *sim.Engine { return f.engine }
-
 // NewLink creates a link and registers it with the fabric.
 func (f *Fabric) NewLink(name string, bandwidth float64, latency sim.Time) *Link {
 	if bandwidth <= 0 {
@@ -122,7 +116,9 @@ func (f *Fabric) NewLink(name string, bandwidth float64, latency sim.Time) *Link
 // Links returns all links in the fabric.
 func (f *Fabric) Links() []*Link { return f.links }
 
-// ActiveFlows returns the number of flows currently in flight.
+// ActiveFlows returns the number of flows currently in flight. Only tests
+// read it: TestLinkAccounting and TestNoLinkOversubscriptionProperty wait
+// for the fabric to drain.
 func (f *Fabric) ActiveFlows() int { return f.solver.Len() }
 
 // FlowsStarted returns the cumulative number of flows ever started.

@@ -59,15 +59,6 @@ func NewManager(topo *phys.Topology, filer *nfs.Server, cfg Config) *Manager {
 // Engine returns the simulation engine.
 func (m *Manager) Engine() *sim.Engine { return m.engine }
 
-// Topology returns the physical topology.
-func (m *Manager) Topology() *phys.Topology { return m.topo }
-
-// Config returns the manager's configuration.
-func (m *Manager) Config() Config { return m.cfg }
-
-// VMs returns every defined VM in creation order.
-func (m *Manager) VMs() []*VM { return m.vms }
-
 // Define creates a VM on host with the given memory, reserving DRAM. The VM
 // is immediately runnable; use Boot to additionally charge image-fetch and
 // guest boot time.
@@ -88,7 +79,8 @@ func (m *Manager) Define(name string, memBytes float64, host *phys.Machine) (*VM
 	return vm, nil
 }
 
-// MustDefine is Define that panics on placement failure (setup code).
+// MustDefine is Define that panics on placement failure. Only tests call
+// it: the xen, hdfs and mapreduce testbeds define their VMs with it.
 func (m *Manager) MustDefine(name string, memBytes float64, host *phys.Machine) *VM {
 	vm, err := m.Define(name, memBytes, host)
 	if err != nil {

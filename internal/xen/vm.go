@@ -78,10 +78,9 @@ func (vm *VM) Engine() *sim.Engine { return vm.mgr.engine }
 // State returns the VM lifecycle state.
 func (vm *VM) State() VMState { return vm.state }
 
-// Running reports whether the VM is running (not paused or crashed).
-func (vm *VM) Running() bool { return vm.state == StateRunning }
-
-// Migrations returns how many times this VM has been live-migrated.
+// Migrations returns how many times this VM has been live-migrated. Only
+// tests read it: TestMigrationIdle and TestMigrationChainRoundTrip count
+// the completed migrations.
 func (vm *VM) Migrations() int { return vm.migrations }
 
 // CPUUsed returns cumulative core-seconds executed by the VCPU.

@@ -286,7 +286,7 @@ func TestMigrationAbortsWhenDestinationFails(t *testing.T) {
 	if !errors.Is(err, ErrMigrationAborted) {
 		t.Fatalf("err = %v, want ErrMigrationAborted", err)
 	}
-	if vm.Host() != pm1 || !vm.Running() {
+	if vm.Host() != pm1 || vm.State() != StateRunning {
 		t.Fatalf("vm on %s in state %v, want running on pm1", vm.Host(), vm.State())
 	}
 	almost(t, pm2.MemFree(), free, 1, "destination reservation released")
