@@ -168,8 +168,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Reject out-of-range sizes here: experiments.Config would otherwise
-	// quietly run 16 nodes for -nodes 1 and one repetition for -reps 0.
+	// Reject out-of-range sizes here: experiments.Config needs at least
+	// two nodes and one repetition.
 	if *nodes < 2 {
 		fmt.Fprintf(os.Stderr, "vhadoop: -nodes must be at least 2, got %d\n", *nodes)
 		usage()

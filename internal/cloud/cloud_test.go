@@ -308,15 +308,9 @@ func TestTenantsContendForSharedResources(t *testing.T) {
 				tb := tenantPlatform(pl, b)
 				pl.Engine.Spawn("noisy-neighbor", func(q *sim.Proc) {
 					for i := 0; i < 4; i++ {
-						o := workloads.DFSIOOptions{Files: 7, FileBytes: 256e6}
+						o := workloads.DFSIOOptions{Files: 7, FileBytes: 256e6, Dir: fmt.Sprintf("/noisy%d", i)}
 						if _, err := workloads.RunDFSIOWrite(q, tb, o); err != nil {
 							q.Fail(err)
-						}
-						if err := tb.DFS.Delete(fmt.Sprintf("/dfsio/f%03d", 0)); err == nil {
-							_ = err
-						}
-						for f := 0; f < 7; f++ {
-							_ = tb.DFS.Delete(fmt.Sprintf("/dfsio/f%03d", f))
 						}
 					}
 				})

@@ -64,12 +64,6 @@ func NewDriver(pl *core.Platform, name string) *Driver {
 	return &Driver{pl: pl, name: name}
 }
 
-// Vectors returns the loaded input vectors.
-func (d *Driver) Vectors() []Vector { return d.vectors }
-
-// Platform returns the underlying platform.
-func (d *Driver) Platform() *core.Platform { return d.pl }
-
 // Load uploads the vectors to HDFS as the algorithm input. The serialized
 // size of a vector scales with the data dimensionality: a Mahout
 // VectorWritable of the 60-dim control series is an order of magnitude

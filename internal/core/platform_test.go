@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"vhadoop/internal/sim"
+	"vhadoop/internal/xen"
 )
 
 func TestProvisionNormalLayout(t *testing.T) {
@@ -23,14 +25,28 @@ func TestProvisionNormalLayout(t *testing.T) {
 	if pl.Master != pl.VMs[0] {
 		t.Fatal("master is not VMs[0]")
 	}
-	if pl.DFS.Namenode() != pl.Master || pl.MR.Master() != pl.Master {
-		t.Fatal("namenode/jobtracker not on the master VM")
-	}
 	if got := len(pl.DFS.Datanodes()); got != 15 {
 		t.Fatalf("datanodes = %d", got)
 	}
 	if got := len(pl.MR.Trackers()); got != 15 {
 		t.Fatalf("trackers = %d", got)
+	}
+	// The namenode and the jobtracker serve from the master VM: once it
+	// crashes, every tasktracker's heartbeat goes unanswered and an HDFS
+	// write from a worker fails at its namenode RPC.
+	var dead float64
+	_, err := pl.Run(func(p *sim.Proc) error {
+		pl.Master.Crash()
+		p.Sleep(2 * pl.Opts.MR.TrackerTimeout)
+		dead, _ = pl.Obs.Snapshot().Value("mr_trackers_dead")
+		_, err := pl.DFS.Write(p, pl.Workers()[0], "/probe", 1e6, nil)
+		return err
+	})
+	if dead != 15 {
+		t.Fatalf("%v of 15 trackers declared dead after the master crashed: jobtracker not on the master VM", dead)
+	}
+	if !errors.Is(err, xen.ErrVMDead) || !strings.Contains(err.Error(), pl.Master.Name) {
+		t.Fatalf("write after the master crashed: err = %v, want ErrVMDead naming %s: namenode not on the master VM", err, pl.Master.Name)
 	}
 }
 

@@ -22,21 +22,9 @@ import (
 // Config controls an experiment sweep.
 type Config struct {
 	Seed  int64
-	Reps  int  // repetitions averaged per configuration (paper: 3)
-	Nodes int  // virtual cluster size for the static/migration studies
+	Reps  int  // repetitions averaged per configuration (paper: 3), at least 1
+	Nodes int  // virtual cluster size, at least 2
 	Quick bool // trimmed sweeps (tests, smoke runs)
-}
-
-// DefaultConfig mirrors the paper's protocol.
-func DefaultConfig() Config {
-	return Config{Seed: 1, Reps: 3, Nodes: 16}
-}
-
-func (c Config) reps() int {
-	if c.Reps < 1 {
-		return 1
-	}
-	return c.Reps
 }
 
 // platformOptions builds the standard platform options for a layout.
@@ -44,9 +32,6 @@ func (c Config) platformOptions(layout core.Layout, seed int64) core.Options {
 	opts := core.DefaultOptions()
 	opts.Seed = seed
 	opts.Nodes = c.Nodes
-	if opts.Nodes < 2 {
-		opts.Nodes = 16
-	}
 	opts.Layout = layout
 	return opts
 }
@@ -58,14 +43,14 @@ func layouts() []core.Layout { return []core.Layout{core.Normal, core.CrossDomai
 // returned quantity.
 func (c Config) avg(fn func(seed int64) (float64, error)) (float64, error) {
 	var sum float64
-	for rep := 0; rep < c.reps(); rep++ {
+	for rep := 0; rep < c.Reps; rep++ {
 		v, err := fn(c.Seed + int64(rep)*1000)
 		if err != nil {
 			return 0, err
 		}
 		sum += v
 	}
-	return sum / float64(c.reps()), nil
+	return sum / float64(c.Reps), nil
 }
 
 // table builds an aligned text table.

@@ -37,7 +37,7 @@ type JobsvcResult struct {
 // jobsvcBacklog builds the study's backlog options for a shape.
 func jobsvcBacklog(cfg Config, uniform bool) backlog.Options {
 	o := backlog.Options{
-		Nodes:   16,
+		Nodes:   cfg.Nodes,
 		Seed:    42,
 		Tenants: 100,
 		Jobs:    1000,
@@ -48,15 +48,11 @@ func jobsvcBacklog(cfg Config, uniform bool) backlog.Options {
 		},
 	}
 	if cfg.Quick {
-		o.Nodes = 8
 		o.Tenants = 20
 		o.Jobs = 200
 	}
 	if cfg.Seed != 0 {
 		o.Seed = cfg.Seed
-	}
-	if cfg.Nodes > 1 {
-		o.Nodes = cfg.Nodes
 	}
 	return o
 }

@@ -148,7 +148,7 @@ func RunFig6(cfg Config) (MLResult, error) {
 		for _, nodes := range ClusterSizes(cfg.Quick) {
 			var sum sim.Time
 			var last clustering.Result
-			for rep := 0; rep < cfg.reps(); rep++ {
+			for rep := 0; rep < cfg.Reps; rep++ {
 				seed := cfg.Seed + int64(rep)*1000
 				series := datasets.ControlChart(sim.New(seed).Rand(),
 					datasets.ControlChartOptions{PerClass: perClass, Length: 60})
@@ -163,7 +163,7 @@ func RunFig6(cfg Config) (MLResult, error) {
 			res.Points = append(res.Points, MLPoint{
 				Algorithm:  algo.name,
 				Nodes:      nodes,
-				Runtime:    sum / sim.Time(cfg.reps()),
+				Runtime:    sum / sim.Time(cfg.Reps),
 				Centers:    len(last.Centers),
 				Iterations: last.Iterations,
 			})
@@ -180,7 +180,7 @@ func RunFig7(cfg Config) (MLResult, error) {
 		for _, nodes := range ClusterSizes(cfg.Quick) {
 			var sum sim.Time
 			var last clustering.Result
-			for rep := 0; rep < cfg.reps(); rep++ {
+			for rep := 0; rep < cfg.Reps; rep++ {
 				seed := cfg.Seed + int64(rep)*1000
 				pts, _ := datasets.DisplayClusteringSample(sim.New(seed).Rand())
 				vecs := clustering.FromFloats(pts)
@@ -194,7 +194,7 @@ func RunFig7(cfg Config) (MLResult, error) {
 			res.Points = append(res.Points, MLPoint{
 				Algorithm:  algo.name,
 				Nodes:      nodes,
-				Runtime:    sum / sim.Time(cfg.reps()),
+				Runtime:    sum / sim.Time(cfg.Reps),
 				Centers:    len(last.Centers),
 				Iterations: last.Iterations,
 			})

@@ -261,7 +261,7 @@ func RunFig4a(cfg Config) (Fig4aResult, error) {
 	for _, size := range Fig4aSizes(cfg.Quick) {
 		for _, layout := range layouts() {
 			var genSum, sortSum sim.Time
-			for rep := 0; rep < cfg.reps(); rep++ {
+			for rep := 0; rep < cfg.Reps; rep++ {
 				pl := core.MustNewPlatform(cfg.platformOptions(layout, cfg.Seed+int64(rep)*1000))
 				var out workloads.TeraResult
 				_, err := pl.Run(func(p *sim.Proc) error {
@@ -281,8 +281,8 @@ func RunFig4a(cfg Config) (Fig4aResult, error) {
 			res.Points = append(res.Points, Fig4aPoint{
 				SizeMB:   size,
 				Layout:   layout,
-				GenTime:  genSum / sim.Time(cfg.reps()),
-				SortTime: sortSum / sim.Time(cfg.reps()),
+				GenTime:  genSum / sim.Time(cfg.Reps),
+				SortTime: sortSum / sim.Time(cfg.Reps),
 			})
 		}
 	}
@@ -320,7 +320,7 @@ func RunFig4b(cfg Config) (Fig4bResult, error) {
 	for _, layout := range layouts() {
 		layout := layout
 		var wSum, rSum float64
-		for rep := 0; rep < cfg.reps(); rep++ {
+		for rep := 0; rep < cfg.Reps; rep++ {
 			pl := core.MustNewPlatform(cfg.platformOptions(layout, cfg.Seed+int64(rep)*1000))
 			var w, rr workloads.DFSIOResult
 			_, err := pl.Run(func(p *sim.Proc) error {
@@ -339,8 +339,8 @@ func RunFig4b(cfg Config) (Fig4bResult, error) {
 			rSum += rr.ThroughputMBps
 		}
 		res.Points = append(res.Points,
-			Fig4bPoint{Kind: "write", Layout: layout, ThroughputMBps: wSum / float64(cfg.reps())},
-			Fig4bPoint{Kind: "read", Layout: layout, ThroughputMBps: rSum / float64(cfg.reps())},
+			Fig4bPoint{Kind: "write", Layout: layout, ThroughputMBps: wSum / float64(cfg.Reps)},
+			Fig4bPoint{Kind: "read", Layout: layout, ThroughputMBps: rSum / float64(cfg.Reps)},
 		)
 	}
 	return res, nil

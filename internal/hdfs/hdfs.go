@@ -106,22 +106,14 @@ func (f *File) NumRecords() int {
 }
 
 // Datanode stores blocks on one worker VM. The struct is the namenode's
-// per-node metadata record — block map, usage, liveness — so it is
+// per-node metadata record — index and liveness — so it is
 // shared (namenode-owned) state; the machine-side of a datanode is its
 // VM, whose disk and NIC the I/O paths charge through xen.VM.
 type Datanode struct {
-	VM     *xen.VM
-	index  int // position in Cluster.datanodes
-	blocks map[int]*Block
-	used   float64
-	dead   bool
+	VM    *xen.VM
+	index int // position in Cluster.datanodes
+	dead  bool
 }
-
-// Used returns the bytes stored on this datanode.
-func (d *Datanode) Used() float64 { return d.used }
-
-// NumBlocks returns the number of block replicas held.
-func (d *Datanode) NumBlocks() int { return len(d.blocks) }
 
 // Index returns the datanode's registration index: its position in
 // Cluster.Datanodes(), stable for the cluster's lifetime.
@@ -165,15 +157,9 @@ func NewCluster(cfg Config, namenode *xen.VM) *Cluster {
 	}
 }
 
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
-// Namenode returns the namenode VM.
-func (c *Cluster) Namenode() *xen.VM { return c.namenode }
-
 // AddDatanode registers vm as a datanode and returns its handle.
 func (c *Cluster) AddDatanode(vm *xen.VM) *Datanode {
-	d := &Datanode{VM: vm, index: len(c.datanodes), blocks: make(map[int]*Block)}
+	d := &Datanode{VM: vm, index: len(c.datanodes)}
 	c.datanodes = append(c.datanodes, d)
 	return d
 }
@@ -218,24 +204,6 @@ func (c *Cluster) Files() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Delete removes a file and drops its block replicas.
-func (c *Cluster) Delete(name string) error {
-	f, ok := c.files[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrFileNotFound, name)
-	}
-	for _, b := range f.Blocks {
-		for _, d := range b.Replicas {
-			if _, held := d.blocks[b.ID]; held {
-				delete(d.blocks, b.ID)
-				d.used -= b.Size
-			}
-		}
-	}
-	delete(c.files, name)
-	return nil
 }
 
 // alive returns the live datanodes.
@@ -409,8 +377,6 @@ func (c *Cluster) writeBlock(p *sim.Proc, client *xen.VM, b *Block, pipeline []*
 		err := c.streamBlock(p, client, b, pipeline)
 		if err == nil {
 			for _, d := range pipeline {
-				d.blocks[b.ID] = b
-				d.used += b.Size
 				b.Replicas = append(b.Replicas, d)
 			}
 			c.bytesWritten += b.Size * float64(len(pipeline))
@@ -741,8 +707,6 @@ func (c *Cluster) ReReplicate(p *sim.Proc) int {
 				break
 			}
 			sp.SetFloat("bytes", b.Size).Finish()
-			target.blocks[b.ID] = b
-			target.used += b.Size
 			b.Replicas = append(b.Replicas, target)
 			held[target] = true
 			c.bytesWritten += b.Size

@@ -195,32 +195,6 @@ func TestReadFailsWhenAllReplicasDead(t *testing.T) {
 	}
 }
 
-func TestDeleteFreesSpace(t *testing.T) {
-	tb := newTestbed(1, 1, 3, Config{BlockSize: 64e6, Replication: 2})
-	tb.engine.Spawn("w", func(p *sim.Proc) {
-		if _, err := tb.cluster.Write(p, tb.vms[1], "/d", 128e6, nil); err != nil {
-			t.Errorf("write: %v", err)
-		}
-	})
-	tb.engine.Run()
-	var used float64
-	for _, d := range tb.cluster.Datanodes() {
-		used += d.Used()
-	}
-	almost(t, used, 256e6, 1, "2 replicas of 128MB")
-	if err := tb.cluster.Delete("/d"); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range tb.cluster.Datanodes() {
-		if d.Used() != 0 || d.NumBlocks() != 0 {
-			t.Fatalf("datanode not emptied: used=%v blocks=%d", d.Used(), d.NumBlocks())
-		}
-	}
-	if tb.cluster.Exists("/d") {
-		t.Fatal("file still exists")
-	}
-}
-
 func TestReplicationCappedByClusterSize(t *testing.T) {
 	tb := newTestbed(1, 1, 3, Config{BlockSize: 64e6, Replication: 5})
 	var f *File

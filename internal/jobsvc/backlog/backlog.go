@@ -161,7 +161,7 @@ func Run(o Options) (Result, error) {
 	}
 	svc := jobsvc.New(pl, o.Config)
 	for i := 0; i < o.Tenants; i++ {
-		if _, err := svc.Register(tenantName(i), float64(1+i%4)); err != nil {
+		if err := svc.Register(tenantName(i), float64(1+i%4)); err != nil {
 			return Result{}, err
 		}
 	}

@@ -36,8 +36,6 @@ var (
 	// ErrCapacity rejects when admitting the job would overcommit the
 	// configured HDFS capacity.
 	ErrCapacity = errors.New("jobsvc: insufficient HDFS capacity")
-	// ErrStopped rejects submissions to a stopped service.
-	ErrStopped = errors.New("jobsvc: service stopped")
 	// ErrUnschedulable fails admitted jobs whose slot demand exceeds their
 	// tenant's quota even on an idle cluster — they could never dispatch.
 	ErrUnschedulable = errors.New("jobsvc: unschedulable")
@@ -110,7 +108,6 @@ type Tenant struct {
 	// ledger lags dispatch by the heartbeat delay).
 	resMaps    int
 	resReduces int
-	running    int
 	// cumMapSec/cumReduceSec integrate the reservations over scheduler
 	// ticks: the tenant's accumulated service, per resource. Dominant
 	// share runs on these — an instantaneous share degenerates to
@@ -139,43 +136,14 @@ type Tenant struct {
 	stats TenantStats
 }
 
-// Name returns the tenant's account name.
-func (t *Tenant) Name() string { return t.name }
-
-// Weight returns the tenant's fair-share weight.
-func (t *Tenant) Weight() float64 { return t.weight }
-
 // TenantOption tunes one tenant registration.
 type TenantOption func(*Tenant)
 
 // WithQuota caps the tenant's concurrently reserved map and reduce slots.
+// No production tenant has a quota; TestQuotaCapsConcurrency and
+// TestLocalityBreaksTies use one to hold the service to one job at a time.
 func WithQuota(maps, reduces int) TenantOption {
 	return func(t *Tenant) { t.quotaMaps, t.quotaReduces = maps, reduces }
-}
-
-// JobState is a job's position in the service lifecycle.
-type JobState int
-
-// Job lifecycle states, in order.
-const (
-	Queued JobState = iota
-	Running
-	Done
-	Failed
-)
-
-// String names the state for reports.
-func (st JobState) String() string {
-	switch st {
-	case Queued:
-		return "queued"
-	case Running:
-		return "running"
-	case Done:
-		return "done"
-	default:
-		return "failed"
-	}
 }
 
 // Job is one admitted submission.
@@ -192,7 +160,6 @@ type Job struct {
 	// to this job's tasks, not back to the victim's requeued ones.
 	boost int
 
-	state     JobState
 	submitted sim.Time
 	started   sim.Time
 	finished  sim.Time
@@ -218,23 +185,16 @@ type Job struct {
 // Ticket is the caller's handle on an admitted job.
 type Ticket struct{ j *Job }
 
-// ID returns the service-wide job id (admission order).
-func (tk *Ticket) ID() int { return tk.j.id }
-
-// State returns the job's current lifecycle state.
-func (tk *Ticket) State() JobState { return tk.j.state }
-
 // Wait blocks until the job finishes, then returns its result and error.
 // Like mapreduce.Handle.Wait it is idempotent: every call after completion
-// returns the same stored result and error.
+// returns the same stored result and error. The backlog drivers Drain and
+// read Stats instead. jobsvc's tests call Wait to check one job's result
+// and error: TestAdmissionControl, TestBackfillJumpsBlockedHead,
+// TestPreemptionUnblocksStarvingTenant and TestDeadlineOrdering.
 func (tk *Ticket) Wait(p *sim.Proc) (workloads.Result, error) {
 	tk.j.done.Wait(p)
 	return tk.j.result, tk.j.err
 }
-
-// Err returns the job's terminal error without blocking (nil while in
-// flight or on success).
-func (tk *Ticket) Err() error { return tk.j.err }
 
 // SubmitOption tunes one submission.
 type SubmitOption func(*Job)
@@ -258,7 +218,7 @@ func WithoutOutput() SubmitOption {
 }
 
 // Service is the job service. Construct with New, register tenants, Start
-// the scheduler, Submit from any proc, then Drain and Stop.
+// the scheduler, Submit from any proc, then Drain.
 type Service struct {
 	pl    *core.Platform
 	cfg   Config
@@ -288,7 +248,6 @@ type Service struct {
 	schedStart    sim.Time
 	schedStartSet bool
 	started       bool
-	stopped       bool
 	schedRunning  bool
 }
 
@@ -306,12 +265,12 @@ func New(pl *core.Platform, cfg Config) *Service {
 // Register adds a tenant account with the given fair-share weight.
 // Registration order is part of the deterministic schedule; register all
 // tenants before Start.
-func (s *Service) Register(name string, weight float64, opts ...TenantOption) (*Tenant, error) {
+func (s *Service) Register(name string, weight float64, opts ...TenantOption) error {
 	if weight <= 0 {
-		return nil, fmt.Errorf("jobsvc: tenant %q weight %v must be positive", name, weight)
+		return fmt.Errorf("jobsvc: tenant %q weight %v must be positive", name, weight)
 	}
 	if _, dup := s.byName[name]; dup {
-		return nil, fmt.Errorf("jobsvc: tenant %q already registered", name)
+		return fmt.Errorf("jobsvc: tenant %q already registered", name)
 	}
 	t := &Tenant{
 		name: name, weight: weight,
@@ -325,20 +284,14 @@ func (s *Service) Register(name string, weight float64, opts ...TenantOption) (*
 	t.stats.Weight = weight
 	s.tenants = append(s.tenants, t)
 	s.byName[name] = t
-	return t, nil
+	return nil
 }
-
-// Tenants returns the accounts in registration order.
-func (s *Service) Tenants() []*Tenant { return s.tenants }
 
 // Submit admits spec for the tenant, staging its input on the calling proc
 // (serially per submission, so concurrent jobs never race over shared
 // staging) and enqueuing it for the scheduler. Admission rejects — queue
 // caps, capacity — return an error wrapping one of the Err sentinels.
 func (s *Service) Submit(p *sim.Proc, tenant string, spec workloads.Spec, opts ...SubmitOption) (*Ticket, error) {
-	if s.stopped {
-		return nil, fmt.Errorf("%w: %s %s", ErrStopped, tenant, spec.Workload())
-	}
 	t, ok := s.byName[tenant]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
@@ -377,7 +330,6 @@ func (s *Service) Submit(p *sim.Proc, tenant string, spec workloads.Spec, opts .
 		spec:      spec,
 		inputs:    spec.Inputs(),
 		collect:   true,
-		state:     Queued,
 		submitted: s.pl.Engine.Now(),
 		done:      sim.NewDone(),
 	}
@@ -395,19 +347,9 @@ func (s *Service) Submit(p *sim.Proc, tenant string, spec workloads.Spec, opts .
 	return &Ticket{j: j}, nil
 }
 
-// QueueDepth returns the service-wide queued job count.
-func (s *Service) QueueDepth() int { return s.queued }
-
-// RunningJobs returns the dispatched-not-finished job count.
-func (s *Service) RunningJobs() int { return s.running }
-
 // Drain blocks until every admitted job has finished.
 func (s *Service) Drain(p *sim.Proc) {
 	for s.queued > 0 || s.running > 0 {
 		p.Sleep(s.cfg.Tick)
 	}
 }
-
-// Stop ends the scheduler daemon after its current tick. A stopped service
-// rejects further submissions but lets in-flight jobs finish.
-func (s *Service) Stop() { s.stopped = true }

@@ -24,21 +24,21 @@ func (s *Service) Start() {
 // ensureSched spawns the scheduler daemon if the service has been
 // started and the daemon is not already running.
 func (s *Service) ensureSched() {
-	if !s.started || s.schedRunning || s.stopped {
+	if !s.started || s.schedRunning {
 		return
 	}
 	s.schedRunning = true
 	s.pl.Engine.Spawn("jobsvc-sched", func(p *sim.Proc) { s.schedLoop(p) })
 }
 
-// schedLoop ticks until Stop or full idleness. One tick integrates usage,
+// schedLoop ticks until the service is fully idle. One tick integrates usage,
 // dispatches under fair share (with backfill), and preempts for starving
 // head jobs.
 func (s *Service) schedLoop(p *sim.Proc) {
 	if !s.schedStartSet {
 		s.schedStart, s.schedStartSet = p.Now(), true
 	}
-	for !s.stopped && (s.queued > 0 || s.running > 0) {
+	for s.queued > 0 || s.running > 0 {
 		s.tickOnce(p.Now())
 		p.Sleep(s.cfg.Tick)
 	}
@@ -77,7 +77,6 @@ func (s *Service) failUnschedulable(now sim.Time) {
 			dm, dr := j.demand(totM, totR)
 			if (t.quotaMaps > 0 && dm > t.quotaMaps) || (t.quotaReduces > 0 && dr > t.quotaReduces) {
 				s.queued--
-				j.state = Failed
 				j.finished = now
 				j.err = fmt.Errorf("%w: %s demands (%d,%d), quota (%d,%d)",
 					ErrUnschedulable, j.spec.Workload(), dm, dr, t.quotaMaps, t.quotaReduces)
@@ -376,14 +375,12 @@ func (s *Service) dispatch(j *Job, dm, dr int, now sim.Time, backfill bool) {
 		}
 	}
 	s.queued--
-	j.state = Running
 	j.started = now
 	j.demMaps, j.demReduces = dm, dr
 	t.resMaps += dm
 	t.resReduces += dr
 	s.resMaps += dm
 	s.resReduces += dr
-	t.running++
 	s.running++
 	wait := now - j.submitted
 	t.stats.WaitTotal += wait
@@ -401,9 +398,6 @@ func (s *Service) dispatch(j *Job, dm, dr int, now sim.Time, backfill bool) {
 		if pr := j.priority + j.boost; pr != 0 {
 			opts = append(opts, mapreduce.WithPriority(pr))
 		}
-		if j.deadline > 0 {
-			opts = append(opts, mapreduce.WithDeadline(j.deadline))
-		}
 		if !j.collect {
 			opts = append(opts, mapreduce.WithCollectOutput(false))
 		}
@@ -419,13 +413,11 @@ func (s *Service) complete(p *sim.Proc, j *Job, res workloads.Result, err error)
 	j.result = res
 	j.err = err
 	if err != nil {
-		j.state = Failed
 		t.stats.Failed++
 		s.instr.failed.Inc()
 		j.span.SetAttr("outcome", "failed")
 		s.pl.Obs.Eventf(kindJobsvc, "job %d (%s) failed: %v", j.id, t.name, err)
 	} else {
-		j.state = Done
 		t.stats.Completed++
 		s.instr.completed.Inc()
 		t.completed.Inc()
@@ -445,7 +437,6 @@ func (s *Service) complete(p *sim.Proc, j *Job, res workloads.Result, err error)
 	t.resReduces -= j.demReduces
 	s.resMaps -= j.demMaps
 	s.resReduces -= j.demReduces
-	t.running--
 	s.running--
 	j.span.Finish()
 	j.done.Fire()

@@ -86,8 +86,6 @@ func DefaultConfig() Config {
 type Tracker struct {
 	VM *xen.VM
 
-	cluster *Cluster
-
 	// Jobtracker-owned scheduling view.
 	mapFree    int
 	reduceFree int
@@ -182,12 +180,6 @@ func (c *Cluster) Reconfigure(cfg Config) {
 	c.cfg = cfg
 }
 
-// DFS returns the HDFS instance backing this cluster.
-func (c *Cluster) DFS() *hdfs.Cluster { return c.dfs }
-
-// Master returns the jobtracker VM.
-func (c *Cluster) Master() *xen.VM { return c.master }
-
 // Trackers returns all tasktrackers in registration order.
 func (c *Cluster) Trackers() []*Tracker { return c.trackers }
 
@@ -195,7 +187,6 @@ func (c *Cluster) Trackers() []*Tracker { return c.trackers }
 func (c *Cluster) AddTracker(vm *xen.VM) *Tracker {
 	tr := &Tracker{
 		VM:         vm,
-		cluster:    c,
 		mapFree:    c.cfg.MapSlots,
 		reduceFree: c.cfg.ReduceSlots,
 		running:    make(map[*task]bool),

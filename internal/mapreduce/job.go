@@ -81,8 +81,7 @@ type job struct {
 	// Per-submission knobs (see SubmitOption).
 	tenant   string
 	priority int
-	deadline sim.Time // 0: none
-	collect  bool     // retain real output records
+	collect  bool // retain real output records
 
 	maps    []*task
 	reduces []*task
@@ -224,22 +223,11 @@ func (h *Handle) Wait(p *sim.Proc) (JobStats, error) {
 	return h.j.stats, h.j.err
 }
 
-// Stats returns the job stats (final once Wait has returned).
-func (h *Handle) Stats() JobStats { return h.j.stats }
-
-// Err returns the job's terminal error: nil while running or after success,
-// the failure cause (or ErrJobKilled) once the job has failed.
-func (h *Handle) Err() error { return h.j.err }
-
-// Tenant returns the tenant account the job was submitted under.
-func (h *Handle) Tenant() string { return h.j.tenant }
-
-// Deadline returns the job's completion deadline (0: none).
-func (h *Handle) Deadline() sim.Time { return h.j.deadline }
-
 // Kill terminates the job: running attempts are aborted, its pending tasks
 // leave the queue, and waiters unblock with ErrJobKilled. Killing a finished
-// job is a no-op.
+// job is a no-op. No production path kills a job: the job service preempts
+// attempts instead. TestDoubleWaitAndWaitAfterKill calls it to pin the Wait
+// contract of a job that ends early.
 func (h *Handle) Kill() { h.j.cluster.killJob(h.j, ErrJobKilled) }
 
 // Progress reports completed and total map and reduce tasks.
@@ -260,7 +248,6 @@ type SubmitOption func(*submitOpts)
 type submitOpts struct {
 	tenant   string
 	priority int
-	deadline sim.Time
 	collect  bool
 }
 
@@ -276,13 +263,6 @@ func WithTenant(name string) SubmitOption {
 // lower-priority ones; ties keep submission order.
 func WithPriority(pr int) SubmitOption {
 	return func(o *submitOpts) { o.priority = pr }
-}
-
-// WithDeadline records the virtual time by which the job should finish.
-// The cluster itself does not enforce it; the job service's placement
-// policy orders queued jobs by deadline slack.
-func WithDeadline(t sim.Time) SubmitOption {
-	return func(o *submitOpts) { o.deadline = t }
 }
 
 // WithCollectOutput controls whether the job retains its real output
@@ -312,8 +292,8 @@ func defaultPartition(key string, numReduces int) int {
 // the master charges job-setup time, input splits become map tasks (one per
 // HDFS block) and everything enters the pending queue. Tasks start flowing
 // at the next tasktracker heartbeats, as in Hadoop. Options attribute the
-// submission to a tenant, raise its priority, attach a deadline or turn off
-// output collection; a bare Submit behaves exactly as before the options
+// submission to a tenant, raise its priority or turn off output
+// collection; a bare Submit behaves exactly as before the options
 // existed.
 func (c *Cluster) Submit(p *sim.Proc, spec JobSpec, opts ...SubmitOption) (*Handle, error) {
 	so := submitOpts{collect: true}
@@ -334,7 +314,6 @@ func (c *Cluster) Submit(p *sim.Proc, spec JobSpec, opts ...SubmitOption) (*Hand
 		cfg:      spec,
 		tenant:   so.tenant,
 		priority: so.priority,
-		deadline: so.deadline,
 		collect:  so.collect,
 		mapDone:  sim.NewDone(),
 		done:     sim.NewDone(),

@@ -75,8 +75,8 @@ type CostModel struct {
 
 // JobSpec is the immutable description of one MapReduce job: its input,
 // output, task counts, user code and cost model. Everything that varies per
-// submission rather than per job — tenant account, priority, deadline,
-// whether to retain output records — travels as SubmitOptions instead.
+// submission rather than per job — tenant account, priority, whether to
+// retain output records — travels as SubmitOptions instead.
 type JobSpec struct {
 	Name       string
 	Input      []string // HDFS files; one map task per block by default

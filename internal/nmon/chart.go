@@ -2,6 +2,7 @@ package nmon
 
 import (
 	"fmt"
+	"html"
 	"math"
 	"sort"
 	"strings"
@@ -106,7 +107,7 @@ func (m *Monitor) RenderSVG(metric Metric, opts ChartOptions) string {
 		opts.Width, opts.Height)
 	fmt.Fprintf(&sb, `<rect width="%d" height="%d" fill="white"/>`+"\n", opts.Width, opts.Height)
 	fmt.Fprintf(&sb, `<text x="%g" y="24" font-family="sans-serif" font-size="14" fill="#222">%s</text>`+"\n",
-		margin, xmlEscape(title))
+		margin, html.EscapeString(title))
 
 	// Axes with light gridlines and tick labels.
 	for i := 0; i <= 4; i++ {
@@ -148,7 +149,7 @@ func (m *Monitor) RenderSVG(metric Metric, opts ChartOptions) string {
 		ly := margin + 14*float64(i)
 		fmt.Fprintf(&sb, `<rect x="%g" y="%g" width="10" height="3" fill="%s"/>`+"\n", lx, ly, color)
 		fmt.Fprintf(&sb, `<text x="%g" y="%g" font-family="sans-serif" font-size="10" fill="#333">%s</text>`+"\n",
-			lx+14, ly+5, xmlEscape(name))
+			lx+14, ly+5, html.EscapeString(name))
 	}
 	sb.WriteString("</svg>\n")
 	return sb.String()
@@ -167,9 +168,4 @@ func humanize(v float64) string {
 		return fmt.Sprintf("%.0f%%", v*100)
 	}
 	return fmt.Sprintf("%.0f", v)
-}
-
-func xmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
 }

@@ -38,6 +38,8 @@ func ParseMetric(s string) (Metric, error) {
 }
 
 // Set implements flag.Value so a *Metric can be registered with flag.Var.
+// The CLI parses its -chart list with ParseMetric instead; TestMetricFlagValue
+// registers a *Metric with a FlagSet to pin the flag.Value round trip.
 func (m *Metric) Set(s string) error {
 	parsed, err := ParseMetric(s)
 	if err != nil {

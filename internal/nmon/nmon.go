@@ -213,9 +213,6 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// SeriesFor returns the samples collected for vm (nil if unwatched).
-func (m *Monitor) SeriesFor(vm *xen.VM) *Series { return m.series[vm] }
-
 // Event is a timestamped annotation interleaved with the sample series —
 // fault injections, recoveries and other experiment milestones, the
 // equivalent of nmon's recording-marker snapshots.

@@ -1,7 +1,9 @@
 package nmon_test
 
 import (
+	"encoding/csv"
 	"encoding/xml"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -41,23 +43,43 @@ func monitoredRun(t *testing.T) (*core.Platform, *nmon.Monitor) {
 
 func TestMonitorCollectsSamples(t *testing.T) {
 	pl, mon := monitoredRun(t)
+	var sb strings.Builder
+	if err := mon.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	r := csv.NewReader(strings.NewReader(sb.String()))
+	r.Comment = '#' // annotation lines
+	rows, err := r.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]int{}
 	// Some worker must show CPU and network activity in some interval.
 	var sawCPU, sawNet bool
-	for _, vm := range pl.VMs[1:] {
-		s := mon.SeriesFor(vm)
-		if s == nil || len(s.Samples) < 5 {
-			t.Fatalf("worker series too short for %s", vm.Name)
+	for _, row := range rows[1:] { // vm,t,cpu,disk_read_bps,disk_write_bps,net_tx_bps,net_rx_bps
+		if row[0] == pl.Master.Name {
+			continue
 		}
-		for _, smp := range s.Samples {
-			if smp.CPU > 0.05 {
-				sawCPU = true
+		samples[row[0]]++
+		var v [7]float64
+		for i := 1; i < len(row); i++ {
+			if v[i], err = strconv.ParseFloat(row[i], 64); err != nil {
+				t.Fatalf("row %v: %v", row, err)
 			}
-			if smp.NetTxBps+smp.NetRxBps > 1e6 {
-				sawNet = true
-			}
-			if smp.CPU < 0 || smp.CPU > 1 {
-				t.Fatalf("CPU sample out of range: %v", smp.CPU)
-			}
+		}
+		if v[2] > 0.05 {
+			sawCPU = true
+		}
+		if v[5]+v[6] > 1e6 {
+			sawNet = true
+		}
+		if v[2] < 0 || v[2] > 1 {
+			t.Fatalf("CPU sample out of range: %v", v[2])
+		}
+	}
+	for _, vm := range pl.VMs[1:] {
+		if samples[vm.Name] < 5 {
+			t.Fatalf("worker series too short for %s", vm.Name)
 		}
 	}
 	if !sawCPU || !sawNet {
@@ -84,7 +106,12 @@ func TestAnalyzeFindsIOBottleneck(t *testing.T) {
 
 func TestSummarizeValues(t *testing.T) {
 	pl, mon := monitoredRun(t)
-	sum := mon.SeriesFor(pl.VMs[1]).Summarize()
+	var sum nmon.VMSummary
+	for _, s := range mon.Analyze().VMs {
+		if s.VM == pl.VMs[1].Name {
+			sum = s
+		}
+	}
 	if sum.Samples == 0 || sum.MeanCPU < 0 || sum.PeakCPU < sum.MeanCPU {
 		t.Fatalf("bad summary: %+v", sum)
 	}
@@ -111,9 +138,12 @@ func TestWriteCSV(t *testing.T) {
 func TestRenderSVGChart(t *testing.T) {
 	_, mon := monitoredRun(t)
 	for _, metric := range []nmon.Metric{nmon.MetricCPU, nmon.MetricDiskBps, nmon.MetricNetBps} {
-		svg := mon.RenderSVG(metric, nmon.ChartOptions{})
+		svg := mon.RenderSVG(metric, nmon.ChartOptions{Title: `run <1&"2">`})
 		if !strings.HasPrefix(svg, "<svg") || !strings.Contains(svg, "</svg>") {
 			t.Fatalf("%v: not a complete SVG", metric)
+		}
+		if !strings.Contains(svg, ">run &lt;1&amp;&#34;2&#34;&gt;</text>") {
+			t.Fatalf("%v: title not XML-escaped", metric)
 		}
 		if !strings.Contains(svg, "<polyline") {
 			t.Fatalf("%v: no series rendered", metric)

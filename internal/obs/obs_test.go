@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/xml"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -14,21 +16,26 @@ func TestCounterGaugeBasics(t *testing.T) {
 	c := r.Counter("jobs_total")
 	c.Inc()
 	c.Add(2)
-	if got := c.Value(); got != 3 {
-		t.Fatalf("counter = %v, want 3", got)
-	}
 	g := r.Gauge("slots", "vm", "vm01")
 	g.Set(4)
-	g.Add(-1)
-	if got := g.Value(); got != 3 {
-		t.Fatalf("gauge = %v, want 3", got)
-	}
+	g.Set(3)
 	// Same (name, labels) in any label order resolves to one instrument.
 	c2 := r.Counter("bytes", "vm", "vm01", "kind", "map")
 	c2.Inc()
 	c3 := r.Counter("bytes", "kind", "map", "vm", "vm01")
-	if c3.Value() != 1 {
+	if c3 != c2 {
 		t.Fatalf("label order changed instrument identity")
+	}
+	c3.Inc()
+	snap := r.Snapshot()
+	if got, _ := snap.Value("jobs_total"); got != 3 {
+		t.Fatalf("counter = %v, want 3", got)
+	}
+	if got, _ := snap.Value("slots", "vm", "vm01"); got != 3 {
+		t.Fatalf("gauge = %v, want 3", got)
+	}
+	if got, _ := snap.Value("bytes", "vm", "vm01", "kind", "map"); got != 2 || len(snap.Series("bytes")) != 1 {
+		t.Fatalf("bytes = %v in %d series, want 2 in one", got, len(snap.Series("bytes")))
 	}
 }
 
@@ -42,14 +49,15 @@ func TestCounterNegativePanics(t *testing.T) {
 }
 
 func TestCounterNaNPanics(t *testing.T) {
-	c := NewRegistry(nil).Counter("x")
+	r := NewRegistry(nil)
+	c := r.Counter("x")
 	c.Add(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("NaN counter add did not panic")
 		}
-		if c.Value() != 1 {
-			t.Fatalf("counter = %v after rejected NaN add, want 1", c.Value())
+		if got, _ := r.Snapshot().Value("x"); got != 1 {
+			t.Fatalf("counter = %v after rejected NaN add, want 1", got)
 		}
 	}()
 	c.Add(math.NaN())
@@ -100,11 +108,11 @@ func TestHistogramBucketEdges(t *testing.T) {
 		h.Observe(v)
 		wantSum += v
 	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d, want 7", h.Count())
-	}
 	snap := r.Snapshot()
 	m := snap.Series("lat")[0]
+	if m.Count != 7 {
+		t.Fatalf("count = %d, want 7", m.Count)
+	}
 	wantCum := []uint64{3, 5, 6, 7} // le=1, le=5, le=10, +Inf (cumulative)
 	for i, b := range m.Buckets {
 		if b.Count != wantCum[i] {
@@ -249,7 +257,7 @@ func TestSpansAndEvents(t *testing.T) {
 	e := sim.New(1)
 	p := New(e)
 	e.Spawn("job", func(pr *sim.Proc) {
-		job := p.Start(KindJob, "wordcount", nil)
+		job := p.Start(KindJob, `wordcount <a&"b">`, nil)
 		phase := p.Start(KindPhase, "map", job)
 		pr.Sleep(2)
 		task := p.Start(KindTask, "m0", phase).SetAttr("vm", "vm01").SetFloat("bytes", 1024)
@@ -259,7 +267,7 @@ func TestSpansAndEvents(t *testing.T) {
 		task.Finish()
 		phase.Finish()
 		job.Finish()
-		p.Eventf(KindFault, "fault: vmcrash vm01")
+		p.Eventf(KindFault, `fault: vmcrash vm01 <&"'`)
 	})
 	e.Run()
 
@@ -290,9 +298,20 @@ func TestSpansAndEvents(t *testing.T) {
 		t.Fatal("trace JSON round-trip mismatch")
 	}
 	svg := tr.SVG()
-	for _, want := range []string{"<svg", "wordcount", "vmcrash", "</svg>"} {
+	for _, want := range []string{"<svg", "</svg>",
+		"job wordcount &lt;a&amp;&#34;b&#34;&gt;", // lane label
+		"vmcrash vm01 &lt;&amp;&#34;&#39;",        // event tooltip
+	} {
 		if !strings.Contains(svg, want) {
 			t.Fatalf("SVG missing %q", want)
+		}
+	}
+	xd := xml.NewDecoder(strings.NewReader(svg))
+	for {
+		if _, err := xd.Token(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("SVG not well-formed: %v", err)
 		}
 	}
 }
@@ -304,7 +323,6 @@ func TestNilSafety(t *testing.T) {
 	p.Counter("c").Inc()
 	p.Counter("c").Add(1)
 	p.Gauge("g").Set(1)
-	p.Gauge("g").Add(1)
 	p.Histogram("h", []float64{1}).Observe(1)
 	s := p.Start(KindJob, "j", nil)
 	s.SetAttr("k", "v").SetFloat("f", 1)
@@ -317,8 +335,8 @@ func TestNilSafety(t *testing.T) {
 	if got := p.Snapshot(); len(got.Metrics) != 0 {
 		t.Fatal("nil plane snapshot not empty")
 	}
-	if p.Counter("c").Value() != 0 || p.Gauge("g").Value() != 0 || p.Histogram("h", []float64{1}).Count() != 0 {
-		t.Fatal("nil instrument values not zero")
+	if p.Counter("c") != nil || p.Gauge("g") != nil || p.Histogram("h", []float64{1}) != nil {
+		t.Fatal("nil plane returned a live instrument")
 	}
 	var reg *Registry
 	reg.OnCollect(func() {})
@@ -329,7 +347,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestVecNilSafety: labelled lookups on a nil registry or plane return
-// nil instruments that accept writes and read back zero.
+// nil instruments that accept writes and export nothing.
 func TestVecNilSafety(t *testing.T) {
 	var reg *Registry
 	reg.Counter("c", "k", "v").Add(2)
@@ -337,14 +355,17 @@ func TestVecNilSafety(t *testing.T) {
 	reg.Histogram("h", []float64{1}, "k", "v").Observe(1)
 	var p *Plane
 	p.Counter("c", "a", "1", "b", "2").Inc()
-	p.Gauge("g", "a", "1").Add(1)
+	p.Gauge("g", "a", "1").Set(1)
 	p.Histogram("h", []float64{1}, "a", "1", "b", "2", "c", "3").Observe(1)
-	if reg.Counter("c", "k", "v").Value() != 0 || reg.Gauge("g", "k", "v").Value() != 0 ||
-		reg.Histogram("h", []float64{1}, "k", "v").Count() != 0 {
-		t.Fatal("nil registry labelled instruments not zero")
+	if reg.Counter("c", "k", "v") != nil || reg.Gauge("g", "k", "v") != nil ||
+		reg.Histogram("h", []float64{1}, "k", "v") != nil {
+		t.Fatal("nil registry returned a live labelled instrument")
 	}
-	if p.Counter("c", "a", "1", "b", "2").Value() != 0 || p.Gauge("g", "a", "1").Value() != 0 ||
-		p.Histogram("h", []float64{1}, "a", "1", "b", "2", "c", "3").Count() != 0 {
-		t.Fatal("nil plane labelled instruments not zero")
+	if p.Counter("c", "a", "1", "b", "2") != nil || p.Gauge("g", "a", "1") != nil ||
+		p.Histogram("h", []float64{1}, "a", "1", "b", "2", "c", "3") != nil {
+		t.Fatal("nil plane returned a live labelled instrument")
+	}
+	if len(reg.Snapshot().Metrics) != 0 || len(p.Snapshot().Metrics) != 0 {
+		t.Fatal("nil registry or plane exported metrics")
 	}
 }

@@ -234,36 +234,12 @@ func (c *Counter) Add(v float64) {
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current total (0 for a nil counter).
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.value
-}
-
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
 	g.value = v
-}
-
-// Add moves the gauge by v (either direction).
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	g.value += v
-}
-
-// Value returns the current gauge value (0 for a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.value
 }
 
 // Observe records one value: it lands in the first bucket whose upper
@@ -276,12 +252,4 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[idx]++
 	h.sum += v
 	h.count++
-}
-
-// Count returns the number of observations (0 for a nil histogram).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
 }

@@ -31,9 +31,6 @@ type Metric struct {
 	key string // canonical sort/lookup key, not exported
 }
 
-// Key returns the canonical "name{k=v,...}" identity of the metric.
-func (m Metric) Key() string { return m.key }
-
 // Label reports the value of one label key ("" when absent).
 func (m Metric) Label(key string) string {
 	for _, l := range m.Labels {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"html"
 	"sort"
 	"strings"
 )
@@ -122,14 +123,14 @@ func (t Trace) SVG() string {
 		if len(label) > 42 {
 			label = label[:41] + "…"
 		}
-		fmt.Fprintf(&sb, `<text x="8" y="%d">%s</text>`+"\n", y+svgLaneH-5, xmlEscape(label))
+		fmt.Fprintf(&sb, `<text x="8" y="%d">%s</text>`+"\n", y+svgLaneH-5, html.EscapeString(label))
 		x0, x1 := x(l.span.Start), x(l.span.End)
 		if x1-x0 < 2 {
 			x1 = x0 + 2
 		}
 		fmt.Fprintf(&sb, `<rect x="%.1f" y="%d" width="%.1f" height="%d" fill="%s" rx="2"><title>%s</title></rect>`+"\n",
 			x0, y, x1-x0, svgLaneH, spanColor(l.span.Kind),
-			xmlEscape(fmt.Sprintf("%s %s [%s, %s]", l.span.Kind, l.span.Name, formatFloat(l.span.Start), formatFloat(l.span.End))))
+			html.EscapeString(fmt.Sprintf("%s %s [%s, %s]", l.span.Kind, l.span.Name, formatFloat(l.span.Start), formatFloat(l.span.End))))
 	}
 
 	// Event ticks: on their span's lane, or along the top for top-level.
@@ -140,14 +141,8 @@ func (t Trace) SVG() string {
 		}
 		ex := x(ev.T)
 		fmt.Fprintf(&sb, `<line x1="%.1f" y1="%d" x2="%.1f" y2="%d" stroke="%s" stroke-width="2"><title>%s</title></line>`+"\n",
-			ex, y, ex, y+svgLaneH, spanColor(ev.Kind), xmlEscape(fmt.Sprintf("%s @%s: %s", ev.Kind, formatFloat(ev.T), ev.Msg)))
+			ex, y, ex, y+svgLaneH, spanColor(ev.Kind), html.EscapeString(fmt.Sprintf("%s @%s: %s", ev.Kind, formatFloat(ev.T), ev.Msg)))
 	}
 	sb.WriteString("</svg>\n")
 	return sb.String()
-}
-
-// xmlEscape escapes text for inclusion in SVG/XML bodies.
-func xmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
 }

@@ -121,9 +121,6 @@ func (c *PageCache) remove(key string) {
 	delete(c.entries, key)
 }
 
-// Used returns the cached byte volume.
-func (c *PageCache) Used() float64 { return c.used }
-
 // MemFree returns uncommitted DRAM in bytes.
 func (m *Machine) MemFree() float64 { return m.Spec.DRAMBytes - m.memInUse }
 
@@ -201,9 +198,6 @@ func (t *Topology) Engine() *sim.Engine { return t.engine }
 
 // Fabric returns the network fabric.
 func (t *Topology) Fabric() *vnet.Fabric { return t.fabric }
-
-// Backbone returns the switch backplane link.
-func (t *Topology) Backbone() *vnet.Link { return t.backbone }
 
 // AddMachine creates a machine with the given spec and attaches it to the
 // switch.

@@ -69,7 +69,7 @@ func TestCrossMachinePathCrossesNICsAndSwitch(t *testing.T) {
 	_, topo := newTestTopo(t, 2)
 	a, b := topo.Machines()[0], topo.Machines()[1]
 	path := topo.Path(a, b).Links()
-	want := []*vnet.Link{a.Bridge, a.NICTx, a.NICProc, topo.Backbone(), b.NICProc, b.NICRx, b.Bridge}
+	want := []*vnet.Link{a.Bridge, a.NICTx, a.NICProc, topo.backbone, b.NICProc, b.NICRx, b.Bridge}
 	if len(path) != len(want) {
 		t.Fatalf("path has %d hops, want %d", len(path), len(want))
 	}
@@ -86,7 +86,7 @@ func TestHostPathUsesStorageNICs(t *testing.T) {
 	// dom0-to-dom0 (NFS, migration): storage NICs plus the switch, no
 	// bridges and no netback processing.
 	path := topo.HostPath(a, b).Links()
-	want := []*vnet.Link{a.StorTx, topo.Backbone(), b.StorRx}
+	want := []*vnet.Link{a.StorTx, topo.backbone, b.StorRx}
 	if len(path) != len(want) {
 		t.Fatalf("dom0 path has %d hops, want %d", len(path), len(want))
 	}

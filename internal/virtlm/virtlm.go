@@ -45,48 +45,6 @@ func (r Result) Score(ref Result) float64 {
 	return math.Sqrt(timeRatio * downRatio)
 }
 
-// MigrateClusterParallel migrates every VM on `from` concurrently ("live
-// gang migration"): all pre-copy streams share the storage NIC, so per-VM
-// migrations stretch and downtimes grow, but the cluster needs no
-// serialisation. The paper's testbed serialises (MigrateCluster); this is
-// the ablation its related work (Deshpande et al., HPDC'11) motivates.
-func MigrateClusterParallel(p *sim.Proc, pl *core.Platform, scenario string, from, to *phys.Machine) (Result, error) {
-	res := Result{Scenario: scenario}
-	start := p.Now()
-	type slot struct {
-		stats xen.MigrationStats
-		err   error
-	}
-	var procs []*sim.Proc
-	results := make([]*slot, 0)
-	for _, vm := range pl.VMs {
-		if vm.Host() != from {
-			continue
-		}
-		vm := vm
-		s := &slot{}
-		results = append(results, s)
-		procs = append(procs, pl.Engine.Spawn("gang-migrate:"+vm.Name, func(q *sim.Proc) {
-			s.stats, s.err = pl.Xen.Migrate(q, vm, to, pl.Opts.Migration)
-			if s.err != nil {
-				q.Fail(s.err)
-			}
-		}))
-	}
-	if len(procs) == 0 {
-		return res, fmt.Errorf("virtlm: no VMs on %s to migrate", from.Name)
-	}
-	if err := sim.WaitProcs(p, procs...); err != nil {
-		return res, fmt.Errorf("virtlm: gang migration: %w", err)
-	}
-	for _, s := range results {
-		res.PerVM = append(res.PerVM, s.stats)
-		res.OverallDowntime += s.stats.Downtime
-	}
-	res.OverallTime = p.Now() - start
-	return res, nil
-}
-
 // MigrateCluster live-migrates every VM currently hosted on `from` to `to`,
 // sequentially, and aggregates the statistics.
 func MigrateCluster(p *sim.Proc, pl *core.Platform, scenario string, from, to *phys.Machine) (Result, error) {

@@ -113,43 +113,6 @@ func TestJobSurvivesClusterMigration(t *testing.T) {
 	}
 }
 
-func TestGangMigration(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Nodes = 4
-	opts.VMMemBytes = 512e6
-	pl := core.MustNewPlatform(opts)
-	var gang virtlm.Result
-	_, err := pl.Run(func(p *sim.Proc) error {
-		var err error
-		gang, err = virtlm.MigrateClusterParallel(p, pl, "gang", pl.PMs[0], pl.PMs[1])
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := migrate(t, 512e6, false)
-	if len(gang.PerVM) != 4 {
-		t.Fatalf("gang migrated %d VMs", len(gang.PerVM))
-	}
-	// Concurrent streams share the storage NIC: per-VM migrations stretch...
-	if gang.PerVM[0].Total <= seq.PerVM[0].Total {
-		t.Fatalf("gang per-VM migration (%v) not slower than sequential (%v)",
-			gang.PerVM[0].Total, seq.PerVM[0].Total)
-	}
-	// ...but the cluster moves in roughly the same overall time (same bytes
-	// through the same bottleneck link).
-	if gang.OverallTime > seq.OverallTime*1.3 {
-		t.Fatalf("gang overall (%v) much slower than sequential (%v)",
-			gang.OverallTime, seq.OverallTime)
-	}
-	// All VMs actually moved.
-	for _, vm := range pl.VMs {
-		if vm.Host() != pl.PMs[1] {
-			t.Fatalf("%s did not move", vm.Name)
-		}
-	}
-}
-
 func TestVirtLMScore(t *testing.T) {
 	ref := migrate(t, 512e6, false)
 	if got := ref.Score(ref); got < 0.999 || got > 1.001 {

@@ -7,6 +7,7 @@ package viz
 
 import (
 	"fmt"
+	"html"
 	"math"
 	"strings"
 
@@ -85,7 +86,7 @@ func RenderClusters(points []clustering.Vector, res clustering.Result, opts Opti
 	fmt.Fprintf(&sb, `<rect width="%d" height="%d" fill="white"/>`+"\n", opts.Width, opts.Height)
 	if opts.Title != "" {
 		fmt.Fprintf(&sb, `<text x="%d" y="18" font-family="sans-serif" font-size="14" fill="#333">%s</text>`+"\n",
-			8, xmlEscape(opts.Title))
+			8, html.EscapeString(opts.Title))
 	}
 
 	// Sample points.
@@ -156,9 +157,4 @@ func clusterRadius(points []clustering.Vector, res clustering.Result, iter, ci i
 		return 1
 	}
 	return sum / float64(n)
-}
-
-func xmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
 }

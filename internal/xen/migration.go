@@ -176,29 +176,3 @@ func (m *Manager) Migrate(p *sim.Proc, vm *VM, dst *phys.Machine, cfg MigrationC
 		Finish()
 	return stats, nil
 }
-
-// MigrateWithFailover tries to live-migrate vm to each target in order,
-// returning the stats of the first migration that completes. A target that
-// fails mid-flight aborts that attempt (the guest stays on the source) and
-// the next target is tried; a guest that dies mid-migration ends the retry
-// loop immediately, since there is nothing left to move.
-func (m *Manager) MigrateWithFailover(p *sim.Proc, vm *VM, targets []*phys.Machine, cfg MigrationConfig) (MigrationStats, error) {
-	var lastErr error
-	for _, dst := range targets {
-		if dst == vm.host || dst.Failed() {
-			continue
-		}
-		stats, err := m.Migrate(p, vm, dst, cfg)
-		if err == nil {
-			return stats, nil
-		}
-		if errors.Is(err, ErrVMDead) || errors.Is(err, ErrVMStopped) {
-			return stats, err
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("xen: migrate %s: no viable migration target", vm.Name)
-	}
-	return MigrationStats{VM: vm.Name, From: vm.host.Name}, lastErr
-}

@@ -313,29 +313,6 @@ func TestMigrationAbortsWhenVMCrashesMidPreCopy(t *testing.T) {
 	almost(t, pm1.MemFree(), srcFree+1e9, 1, "crash released source memory")
 }
 
-func TestMigrateWithFailoverRetriesNextTarget(t *testing.T) {
-	e, topo, mgr := newTestbed(1)
-	pm1, pm2 := topo.Machines()[0], topo.Machines()[1]
-	pm3 := topo.AddMachine("pm3", phys.MachineSpec{
-		Cores: 8, DRAMBytes: 32e9, DiskBW: 100e6,
-		NICBW: 119e6, NICLat: 0.0001, BridgeBW: 500e6, BridgeLat: 0.00002,
-	})
-	vm := mgr.MustDefine("vm1", 1e9, pm1)
-	e.At(2, pm2.Fail)
-	var stats MigrationStats
-	var err error
-	e.Spawn("m", func(p *sim.Proc) {
-		stats, err = mgr.MigrateWithFailover(p, vm, []*phys.Machine{pm2, pm3}, DefaultMigrationConfig())
-	})
-	e.Run()
-	if err != nil {
-		t.Fatalf("failover migration: %v", err)
-	}
-	if vm.Host() != pm3 || stats.To != "pm3" {
-		t.Fatalf("vm on %s (stats.To=%s), want pm3", vm.Host(), stats.To)
-	}
-}
-
 func TestCrashMachineCrashesResidents(t *testing.T) {
 	e, topo, mgr := newTestbed(1)
 	pm1, pm2 := topo.Machines()[0], topo.Machines()[1]

@@ -6,7 +6,8 @@
 #   scripts/lint.sh [packages...]   # defaults to ./...
 #
 # Exits non-zero on the first failing stage. CI runs the same gofmt,
-# vet and vhlint checks as separate steps; run this before pushing.
+# vet (root module and bench/) and vhlint checks as separate steps; run
+# this before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +23,8 @@ fi
 
 echo "go vet..." >&2
 go vet "${PKGS[@]}"
+# bench/ is a separate module, which the root ./... does not reach.
+(cd bench && go vet ./...)
 
 echo "vhlint..." >&2
 go run ./cmd/vhlint "${PKGS[@]}"
