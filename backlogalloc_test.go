@@ -13,18 +13,19 @@ import (
 // Neither depends on the host, so this is the tier-1 gate on the heaviest
 // benchmark workload's allocation rate.
 //
-// The count budgets sit about 15 % above the counts under -race when they
-// were set (mixed ≈ 43.8 k, uniform ≈ 30.0 k; without -race 42.5 k and
-// 28.8 k), and well below the 106.4 k and 50.2 k the runs take without
-// datasets' shared word table, FairShare.Use's recycled jobs and Queue's
-// by-value line. The presized trace render took the runs to 41.6 k and
-// 27.9 k under -race (40.4 k and 26.9 k without).
+// The budgets sit about 15 % above the counts and bytes under -race when
+// they were set: mixed ≈ 38.7 k allocations and 4.49 MB, uniform ≈ 26.2 k
+// and 3.77 MB (without -race 37.4 k and 4.33 MB, 25.1 k and 3.64 MB).
 //
-// The byte budgets sit about 15 % above the bytes under -race (mixed
-// ≈ 7.82 MB, uniform ≈ 7.38 MB; without -race 7.66 MB and 7.26 MB). Most
-// of each run's bytes are the span trace, which obs.Tracer.JSON writes
-// into one presized buffer; rendered with json.MarshalIndent, the same
-// runs took 11.28 MB and 10.64 MB (12.47 MB and 11.81 MB under -race).
+// For scale, the runs took 106.4 k and 50.2 k allocations without
+// datasets' shared word table, FairShare.Use's recycled jobs and Queue's
+// by-value line. Rendered with json.MarshalIndent instead of the presized
+// obs.Tracer.JSON, the span trace took the runs to 11.28 MB and 10.64 MB.
+// Before the record path reused one emit buffer, scattered map output into
+// exact-size partitions and presized the reduce output, about 3 MB of each
+// run's bytes were record buffers: the runs took 40.2 k and 26.8 k
+// allocations and 7.64 MB and 7.26 MB (41.6 k, 27.9 k, 7.79 MB and
+// 7.37 MB under -race).
 func TestBacklogAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name        string
@@ -32,8 +33,8 @@ func TestBacklogAllocBudget(t *testing.T) {
 		budget      float64
 		bytesBudget uint64
 	}{
-		{"mixed", false, 50_000, 9_000_000},
-		{"uniform", true, 34_500, 8_500_000},
+		{"mixed", false, 44_500, 5_200_000},
+		{"uniform", true, 30_200, 4_350_000},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			o := bigBacklog()

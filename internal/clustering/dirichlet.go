@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"strconv"
 
 	"vhadoop/internal/mapreduce"
 	"vhadoop/internal/sim"
@@ -191,7 +190,7 @@ func (m *dirichletMapper) Map(key string, value any, emit mapreduce.Emit) {
 		pt.sumSq[j] += v[j] * v[j]
 	}
 	pt.count = 1
-	emit("c"+strconv.Itoa(c), pt, partialSize(len(v))*2)
+	emit(clusterKey(c), pt, partialSize(len(v))*2)
 }
 
 // DirichletMR runs Dirichlet process clustering as per-iteration MapReduce

@@ -28,6 +28,25 @@ func reduceIndex(key string, n int) (int, error) {
 	return idx, nil
 }
 
+// clusterKeys holds the reduce keys "c0", "c1", … of the first 256 clusters
+// (mean-shift seeds at most 256 canopies), so a mapper mints no key per
+// point. It is built once at package initialisation and read-only after.
+var clusterKeys = func() []string {
+	keys := make([]string, 256)
+	for i := range keys {
+		keys[i] = "c" + strconv.Itoa(i)
+	}
+	return keys
+}()
+
+// clusterKey returns cluster i's reduce key, the inverse of reduceIndex.
+func clusterKey(i int) string {
+	if i < len(clusterKeys) {
+		return clusterKeys[i]
+	}
+	return "c" + strconv.Itoa(i)
+}
+
 // Result is the outcome of one clustering run (in-memory or MapReduce).
 type Result struct {
 	Algorithm   string
@@ -195,14 +214,8 @@ func newPartial(dim int, squares bool) *partial {
 	return p
 }
 
-// partialOf builds the single-observation partial the mappers emit per
-// point: one clone instead of a zero-fill plus an add pass.
-func partialOf(v Vector) *partial {
-	return &partial{sum: v.Clone(), count: 1}
-}
-
-// scaledPartialOf is partialOf with membership weight w applied (the fuzzy
-// k-means per-point emission).
+// scaledPartialOf is the fuzzy k-means per-point emission: a
+// single-observation partial with membership weight w applied.
 func scaledPartialOf(v Vector, w float64) *partial {
 	sum := make(Vector, len(v))
 	for i, x := range v {
@@ -223,10 +236,21 @@ func (a *partial) add(b *partial) {
 // partialSize is the virtual size of a serialized partial.
 func partialSize(dim int) float64 { return float64(dim)*8 + 32 }
 
-// sumPartialsReducer folds all partials for a key into one.
+// sumPartials folds all partials for a key into one. A []float64 value is
+// one point, which the k-means and mean-shift mappers emit as is: it folds
+// as a partial of count 1, by the same arithmetic in the same order.
 func sumPartials(values []any) *partial {
 	var acc *partial
 	for _, v := range values {
+		if point, ok := v.([]float64); ok {
+			if acc == nil {
+				acc = &partial{sum: Vector(point).Clone(), count: 1}
+			} else {
+				acc.sum.Add(point)
+				acc.count++
+			}
+			continue
+		}
 		pv := v.(*partial)
 		if acc == nil {
 			c := &partial{sum: pv.sum.Clone(), weight: pv.weight, count: pv.count}

@@ -3,7 +3,6 @@ package clustering
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"vhadoop/internal/mapreduce"
 	"vhadoop/internal/sim"
@@ -157,7 +156,7 @@ func (fm *fuzzyMapper) Map(_ string, value any, emit mapreduce.Emit) {
 	membershipsInto(v, fm.centers, fm.m, fm.ds, fm.u)
 	for i := range fm.centers {
 		w := powM(fm.u[i], fm.m)
-		emit("c"+strconv.Itoa(i), scaledPartialOf(v, w), partialSize(len(v)))
+		emit(clusterKey(i), scaledPartialOf(v, w), partialSize(len(v)))
 	}
 }
 

@@ -3,7 +3,6 @@ package clustering
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"vhadoop/internal/mapreduce"
 	"vhadoop/internal/sim"
@@ -78,7 +77,8 @@ func KMeans(vectors []Vector, initial []Vector, opts KMeansOptions) (Result, err
 }
 
 // kmeansMapper assigns each input vector to its nearest current center and
-// emits a partial (sum, count) toward that center.
+// emits the point itself toward that center; sumPartials folds it as a
+// count-1 partial.
 type kmeansMapper struct {
 	centers []Vector
 	norms   []float64 // center norms for the pruned scan, built on first Map
@@ -91,7 +91,7 @@ func (m *kmeansMapper) Map(_ string, value any, emit mapreduce.Emit) {
 	}
 	sv := sqNorm(v)
 	c, _ := nearestSquaredPruned(v, math.Sqrt(sv), sv, m.centers, m.norms)
-	emit("c"+strconv.Itoa(c), partialOf(v), partialSize(len(v)))
+	emit(clusterKey(c), value, partialSize(len(v)))
 }
 
 // kmeansReducer folds partials into the new centroid.

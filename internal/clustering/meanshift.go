@@ -2,7 +2,6 @@ package clustering
 
 import (
 	"fmt"
-	"strconv"
 
 	"vhadoop/internal/mapreduce"
 	"vhadoop/internal/sim"
@@ -118,8 +117,8 @@ func MeanShift(vectors []Vector, opts MeanShiftOptions) (Result, error) {
 	return res, nil
 }
 
-// meanShiftMapper emits, per data point, a partial toward every canopy
-// within T1 (t1sq is T1 squared).
+// meanShiftMapper emits each data point toward every canopy within T1
+// (t1sq is T1 squared), as kmeansMapper does.
 type meanShiftMapper struct {
 	centers []Vector
 	t1sq    float64
@@ -129,7 +128,7 @@ func (m *meanShiftMapper) Map(_ string, value any, emit mapreduce.Emit) {
 	v := Vector(value.([]float64))
 	for i, c := range m.centers {
 		if _, ok := squaredEuclideanWithin(v, c, m.t1sq); ok {
-			emit("c"+strconv.Itoa(i), partialOf(v), partialSize(len(v)))
+			emit(clusterKey(i), value, partialSize(len(v)))
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"vhadoop/internal/mapreduce"
 )
 
 // Reference (pre-unroll) kernel implementations: the unrolled versions must
@@ -129,6 +131,34 @@ func TestKernelsZeroAllocs(t *testing.T) {
 	}
 	if sink == 0 {
 		t.Fatal("kernels returned only zeros")
+	}
+}
+
+// TestMappersZeroAllocs gates the k-means and mean-shift mappers, which run
+// once per point per iteration: each emits the input point itself under a
+// key from the shared table, so a Map call allocates nothing.
+func TestMappersZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	centers := make([]Vector, 16)
+	for i := range centers {
+		centers[i] = randVec(rng, 61)
+	}
+	var point any = []float64(randVec(rng, 61))
+	emitted := 0
+	discard := func(string, any, float64) { emitted++ }
+	for _, tc := range []struct {
+		name string
+		m    mapreduce.Mapper
+	}{
+		{"kmeansMapper", &kmeansMapper{centers: centers}},
+		{"meanShiftMapper", &meanShiftMapper{centers: centers, t1sq: math.Inf(1)}},
+	} {
+		if n := testing.AllocsPerRun(100, func() { tc.m.Map("p", point, discard) }); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", tc.name, n)
+		}
+	}
+	if emitted == 0 {
+		t.Fatal("mappers emitted nothing")
 	}
 }
 

@@ -144,6 +144,8 @@ type Cluster struct {
 
 	lastReduceAssign sim.Time // reduce ramp-up throttle (see assign)
 	reduceAssigned   bool
+
+	scratch recordScratch // the record path's reused buffers (see mapOutput)
 }
 
 // NewCluster creates a MapReduce cluster with the jobtracker on master,

@@ -8,7 +8,7 @@ import (
 	"vhadoop/internal/hdfs"
 )
 
-// The fuzzers below attack the two pure data-plane transforms whose
+// The fuzzers below attack the pure data-plane transforms whose
 // invariants the whole shuffle rests on:
 //
 //   - mergeRuns/merge2: merging key-sorted runs must be byte-identical
@@ -17,7 +17,9 @@ import (
 //   - makeSplits: cutting blocks into map inputs must conserve every
 //     byte and every record, in order, no matter how awkward the block
 //     sizes or map count, and hand each split exactly the records the
-//     append-based reference assigns it.
+//     append-based reference assigns it;
+//   - mapOutput: the emit buffer, exact-size scatter and combine must
+//     give the partitions and sizes of per-partition append.
 //
 // Both decode raw fuzz bytes into structured inputs with a tiny key
 // alphabet, so the fuzzer hits key collisions (the tie-break paths)
@@ -37,8 +39,9 @@ func decodeRuns(data []byte, numRuns int) [][]KV {
 			Size:  1,
 		})
 	}
+	var scratch recordScratch
 	for _, run := range runs {
-		sortKVs(run)
+		sortKVs(run, &scratch)
 	}
 	return runs
 }
@@ -62,7 +65,7 @@ func FuzzMergeRuns(f *testing.F) {
 		want = append([]KV(nil), want...)
 		sort.SliceStable(want, func(i, j int) bool { return want[i].Key < want[j].Key })
 
-		got := mergeRuns(runs, 0)
+		got := mergeRuns(runs, new(recordScratch))
 		if len(got) != len(want) {
 			t.Fatalf("mergeRuns returned %d records, want %d", len(got), len(want))
 		}
@@ -89,7 +92,7 @@ func FuzzSortKVs(f *testing.F) {
 		want := append([]KV(nil), kvs...)
 		sort.SliceStable(want, func(i, j int) bool { return want[i].Key < want[j].Key })
 
-		sortKVs(kvs)
+		sortKVs(kvs, new(recordScratch))
 		for i := range kvs {
 			if kvs[i].Key != want[i].Key || kvs[i].Value != want[i].Value {
 				t.Fatalf("record %d: got {%s %v}, want {%s %v} (sortKVs must be stable)",
@@ -162,6 +165,9 @@ func FuzzMakeSplits(f *testing.F) {
 	f.Add([]byte{255}, byte(7))
 	f.Add([]byte{4, 5, 6, 7}, byte(19))
 	f.Add([]byte{100, 100, 100, 100, 100}, byte(3))
+	// One block holds every record: splits are sub-slices of its Records.
+	f.Add([]byte{207}, byte(5))
+	f.Add([]byte{4, 7, 8}, byte(3))
 	f.Fuzz(func(t *testing.T, data []byte, numMapsRaw byte) {
 		if len(data) > 32 {
 			data = data[:32]
@@ -230,13 +236,152 @@ func FuzzMakeSplits(f *testing.F) {
 			}
 		}
 		// Appending to one split's records must reallocate, never overwrite
-		// the next split's records in a shared backing array.
+		// the next split's records in a shared backing array, nor a block's
+		// own records.
 		for i, s := range splits {
 			_ = append(s.records, KV{Key: "sentinel"})
 			for k := i + 1; k < len(splits); k++ {
 				for j, r := range splits[k].records {
 					if r != ref[k][j] {
 						t.Fatalf("appending to split %d clobbered split %d record %d", i, k, j)
+					}
+				}
+			}
+		}
+		n := 0
+		for _, b := range blocks {
+			for _, r := range b.Records {
+				if r.Key != wantRecs[n] {
+					t.Fatalf("splitting overwrote block record %d: %s, want %s", n, r.Key, wantRecs[n])
+				}
+				n++
+			}
+		}
+	})
+}
+
+// referenceMapOutput is the map side mapOutput replaced: each emitted
+// record appended to its partition's own slice with its size summed in
+// emit order, then each partition combined (a stable sort, then one
+// combiner call per key group) and stable-sorted for the spill.
+func referenceMapOutput(spec *JobSpec, recs []KV) ([][]KV, []float64) {
+	nParts := max(spec.NumReduces, 1)
+	parts := make([][]KV, nParts)
+	sizes := make([]float64, nParts)
+	emit := func(key string, value any, size float64) {
+		idx := 0
+		if spec.NumReduces > 0 {
+			idx = spec.Partition(key, spec.NumReduces)
+		}
+		parts[idx] = append(parts[idx], KV{Key: key, Value: value, Size: size})
+		sizes[idx] += size
+	}
+	m := spec.NewMapper()
+	for _, r := range recs {
+		m.Map(r.Key, r.Value, emit)
+	}
+	if spec.NumReduces == 0 {
+		return parts, sizes
+	}
+	for i, part := range parts {
+		sort.SliceStable(part, func(a, b int) bool { return part[a].Key < part[b].Key })
+		if spec.NewCombiner == nil {
+			continue
+		}
+		var out []KV
+		for lo := 0; lo < len(part); {
+			hi := lo + 1
+			for hi < len(part) && part[hi].Key == part[lo].Key {
+				hi++
+			}
+			var values []any
+			for _, kv := range part[lo:hi] {
+				values = append(values, kv.Value)
+			}
+			spec.NewCombiner().Reduce(part[lo].Key, values, func(key string, value any, size float64) {
+				out = append(out, KV{Key: key, Value: value, Size: size})
+			})
+			lo = hi
+		}
+		sizes[i] = 0
+		for _, kv := range out {
+			sizes[i] += kv.Size
+		}
+		parts[i] = out
+	}
+	return parts, sizes
+}
+
+// FuzzMapOutput checks mapOutput against referenceMapOutput. Each input
+// byte is one record, from which the mapper emits zero to two records keyed
+// from an 8-letter alphabet, sized 0 to 4. The job has 0 to 7 reduces, a
+// hash partitioner or one that sends everything to the last reduce, and
+// optionally a combiner summing its values. Every case runs twice on one
+// Cluster, so the second run reuses the scratch the first one grew.
+func FuzzMapOutput(f *testing.F) {
+	f.Add([]byte(nil), byte(0), false, false)
+	f.Add([]byte("the quick brown fox"), byte(0), false, false)
+	f.Add([]byte("the quick brown fox"), byte(1), false, false)
+	f.Add([]byte("the quick brown fox"), byte(4), false, false)
+	f.Add([]byte("the quick brown fox"), byte(4), true, false)
+	f.Add([]byte("aaaaaaaabbbbbbbb"), byte(3), false, true)
+	f.Add([]byte{0, 8, 16, 24, 32, 40, 48, 56, 7, 15}, byte(7), true, true)
+	f.Fuzz(func(t *testing.T, data []byte, numReducesRaw byte, oneReduce, combine bool) {
+		if len(data) > 64 {
+			data = data[:64]
+		}
+		recs := make([]KV, len(data))
+		for i, b := range data {
+			recs[i] = KV{Key: fmt.Sprint(i), Value: b}
+		}
+		spec := JobSpec{
+			NumReduces: int(numReducesRaw) % 8,
+			Partition:  defaultPartition,
+			NewMapper: func() Mapper {
+				return MapperFunc(func(key string, value any, emit Emit) {
+					b := value.(byte)
+					for j := 0; j < int(b%3); j++ {
+						emit(string(rune('a'+(int(b)+j)%8)), int(b)*2+j, float64((int(b)+j)%5))
+					}
+				})
+			},
+		}
+		if oneReduce {
+			spec.Partition = func(_ string, n int) int { return n - 1 }
+		}
+		if combine {
+			spec.NewCombiner = func() Reducer {
+				return ReducerFunc(func(key string, values []any, emit Emit) {
+					sum := 0
+					for _, v := range values {
+						sum += v.(int)
+					}
+					emit(key, sum, float64(len(values)))
+				})
+			}
+		}
+		wantParts, wantSizes := referenceMapOutput(&spec, recs)
+		c := &Cluster{}
+		for run := 0; run < 2; run++ {
+			parts, sizes, _ := c.mapOutput(&spec, recs)
+			if len(parts) != len(wantParts) {
+				t.Fatalf("run %d: %d partitions, want %d", run, len(parts), len(wantParts))
+			}
+			for i := range wantParts {
+				if sizes[i] != wantSizes[i] {
+					t.Fatalf("run %d: partition %d holds %v bytes, want %v", run, i, sizes[i], wantSizes[i])
+				}
+				if len(parts[i]) != len(wantParts[i]) {
+					t.Fatalf("run %d: partition %d has %d records, want %d", run, i, len(parts[i]), len(wantParts[i]))
+				}
+				// Uncombined partitions share one backing array, so each
+				// must be cap-limited to its own records.
+				if !combine && cap(parts[i]) != len(parts[i]) {
+					t.Fatalf("run %d: partition %d has cap %d beyond its %d records", run, i, cap(parts[i]), len(parts[i]))
+				}
+				for j, kv := range wantParts[i] {
+					if parts[i][j] != kv {
+						t.Fatalf("run %d: partition %d record %d = %v, want %v", run, i, j, parts[i][j], kv)
 					}
 				}
 			}

@@ -406,7 +406,8 @@ func (c *Cluster) speculatorLoop(p *sim.Proc, j *job) {
 // blocks, with records following their cumulative byte positions. Record
 // sizes are non-negative (hdfs.Write enforces it), so each split's records
 // are one contiguous range of the concatenation, handed out as a
-// cap-limited sub-slice of a single copy.
+// cap-limited sub-slice of a single copy. When one block holds every
+// record, the ranges are sub-slices of its read-only Records, uncopied.
 func makeSplits(blocks []*hdfs.Block, numMaps int) []*inputSplit {
 	if numMaps <= 0 {
 		splits := make([]*inputSplit, len(blocks))
@@ -420,14 +421,21 @@ func makeSplits(blocks []*hdfs.Block, numMaps int) []*inputSplit {
 		return splits
 	}
 	var total float64
-	n := 0
+	var records []KV
+	n, holders := 0, 0
 	for _, b := range blocks {
 		total += b.Size
 		n += len(b.Records)
+		if len(b.Records) > 0 {
+			records = b.Records
+			holders++
+		}
 	}
-	records := make([]KV, 0, n)
-	for _, b := range blocks {
-		records = append(records, b.Records...)
+	if holders > 1 {
+		records = make([]KV, 0, n)
+		for _, b := range blocks {
+			records = append(records, b.Records...)
+		}
 	}
 	per := total / float64(numMaps)
 	splits := make([]*inputSplit, numMaps)
@@ -475,12 +483,4 @@ func makeSplits(blocks []*hdfs.Block, numMaps int) []*inputSplit {
 		splits[cur].records = records[lo:len(records):len(records)]
 	}
 	return splits
-}
-
-// groupAndReduce sorts records in place, groups them by key and feeds each
-// group to red, collecting emissions. The sort/merge fast paths live in
-// merge.go; callers holding already-sorted input should use reduceSorted.
-func groupAndReduce(kvs []KV, red Reducer) []KV {
-	sortKVs(kvs)
-	return reduceSorted(kvs, red)
 }

@@ -14,31 +14,59 @@ import (
 // arrival-ordered concatenation produced — and deterministic, because the
 // simulation's fetch order is deterministic under a fixed seed.
 
+// recordScratch is one Cluster's reusable record-path memory: the map
+// output in emit order with each record's partition, the scatter target of
+// a combining map, sortKVs' index permutation, a reduce's merged input and
+// reduceSorted's values slice. Only mapOutput and reduceOutput use it,
+// through the sortKVs, mergeRuns and reduceSorted calls they make. Neither
+// takes a *sim.Proc, so neither can block, and procs switch only at
+// blocking calls: no two tasks ever hold the scratch at once. Nothing they
+// return points into it, and they clear the records they left in it, so it
+// keeps no record alive past its task.
+type recordScratch struct {
+	emitted []KV
+	part    []int
+	combine []KV
+	perm    []int
+	merged  []KV
+	values  []any
+}
+
 // sortKVs orders records by key (stable, so equal keys keep their current
 // order). Rather than stable-sorting the 40-byte records directly (rotation
 // moves dominate) or through sort.SliceStable (reflect swapper dominates),
-// it pattern-defeating-quicksorts an index permutation with the original
-// position as tie-break — stability for 8-byte swaps — then applies the
-// permutation in one pass.
-func sortKVs(kvs []KV) {
+// it pattern-defeating-quicksorts an index permutation, held in s, with the
+// original position as tie-break — stability for 8-byte swaps — then
+// applies the permutation in place, one cycle at a time.
+func sortKVs(kvs []KV, s *recordScratch) {
 	if len(kvs) < 2 || sortedByKey(kvs) {
 		return
 	}
-	idx := make([]int, len(kvs))
-	for i := range idx {
-		idx[i] = i
+	s.perm = slices.Grow(s.perm[:0], len(kvs))[:len(kvs)]
+	perm := s.perm
+	for i := range perm {
+		perm[i] = i
 	}
-	slices.SortFunc(idx, func(a, b int) int {
+	slices.SortFunc(perm, func(a, b int) int {
 		if c := strings.Compare(kvs[a].Key, kvs[b].Key); c != 0 {
 			return c
 		}
 		return a - b
 	})
-	out := make([]KV, len(kvs))
-	for i, j := range idx {
-		out[i] = kvs[j]
+	// Position i takes the record at perm[i]. Following each cycle moves
+	// every record once; perm[j] = j marks position j filled.
+	for i := range perm {
+		if perm[i] == i {
+			continue
+		}
+		first, j := kvs[i], i
+		for perm[j] != i {
+			next := perm[j]
+			kvs[j], perm[j] = kvs[next], j
+			j = next
+		}
+		kvs[j], perm[j] = first, j
 	}
-	copy(kvs, out)
 }
 
 // sortedByKey reports whether kvs is already in non-decreasing key order —
@@ -52,17 +80,19 @@ func sortedByKey(kvs []KV) bool {
 	return true
 }
 
-// mergeRuns merges key-sorted runs into one key-sorted slice. Ties across
-// runs resolve to the earliest run (stable), and records within a run keep
-// their order, so merging runs in fetch order reproduces exactly the
-// ordering of a stable sort over their concatenation. total is the summed
-// run length (a sizing hint; pass 0 to count here).
-func mergeRuns(runs [][]KV, total int) []KV {
+// mergeRuns merges key-sorted runs into one key-sorted slice, which is
+// s.merged when two or more runs hold records. Ties across runs resolve to
+// the earliest run (stable), and records within a run keep their order, so
+// merging runs in fetch order reproduces exactly the ordering of a stable
+// sort over their concatenation.
+func mergeRuns(runs [][]KV, s *recordScratch) []KV {
 	// Drop empty runs; they only slow the heap down.
 	live := runs[:0:0]
+	total := 0
 	for _, r := range runs {
 		if len(r) > 0 {
 			live = append(live, r)
+			total += len(r)
 		}
 	}
 	switch len(live) {
@@ -73,14 +103,10 @@ func mergeRuns(runs [][]KV, total int) []KV {
 		// treat merge output as read-only.
 		return live[0]
 	}
-	if total == 0 {
-		for _, r := range live {
-			total += len(r)
-		}
-	}
-	out := make([]KV, 0, total)
+	out := slices.Grow(s.merged[:0], total)
 	if len(live) == 2 {
-		return merge2(out, live[0], live[1])
+		s.merged = merge2(out, live[0], live[1])
+		return s.merged
 	}
 
 	// K-way merge over a binary min-heap of run heads. The heap stores run
@@ -129,6 +155,7 @@ func mergeRuns(runs [][]KV, total int) []KV {
 		}
 		siftDown(0, n)
 	}
+	s.merged = out
 	return out
 }
 
@@ -150,22 +177,26 @@ func merge2(out, a, b []KV) []KV {
 }
 
 // reduceSorted feeds each key group of the already-sorted kvs to red and
-// returns the emitted records. The values slice passed to each Reduce call
-// is scratch reused across groups (Hadoop's iterator semantics): reducers
-// must not retain it past the call.
-func reduceSorted(kvs []KV, red Reducer) []KV {
-	var out []KV
+// returns the emitted records. A first pass counts the groups and the
+// largest one: the output starts with room for one record per group, and
+// s.values, the values slice passed to each Reduce call, with room for the
+// largest group. It is scratch reused across groups and calls (Hadoop's
+// iterator semantics): reducers must not retain it past the call.
+func reduceSorted(kvs []KV, red Reducer, s *recordScratch) []KV {
+	groups, largest := 0, 0
+	for i := 0; i < len(kvs); {
+		end := groupEnd(kvs, i)
+		groups++
+		largest = max(largest, end-i)
+		i = end
+	}
+	out := make([]KV, 0, groups)
 	emit := func(key string, value any, size float64) {
 		out = append(out, KV{Key: key, Value: value, Size: size})
 	}
-	// Sized to the worst case (one group holding every record) so the
-	// per-group reslice below never regrows mid-stream.
-	values := make([]any, 0, len(kvs))
+	values := slices.Grow(s.values[:0], largest)
 	for i := 0; i < len(kvs); {
-		end := i + 1
-		for end < len(kvs) && kvs[end].Key == kvs[i].Key {
-			end++
-		}
+		end := groupEnd(kvs, i)
 		values = values[:0]
 		for _, kv := range kvs[i:end] {
 			values = append(values, kv.Value)
@@ -173,5 +204,16 @@ func reduceSorted(kvs []KV, red Reducer) []KV {
 		red.Reduce(kvs[i].Key, values, emit)
 		i = end
 	}
+	clear(values[:largest])
+	s.values = values[:0]
 	return out
+}
+
+// groupEnd returns the end of the key group of sorted kvs that starts at i.
+func groupEnd(kvs []KV, i int) int {
+	end := i + 1
+	for end < len(kvs) && kvs[end].Key == kvs[i].Key {
+		end++
+	}
+	return end
 }

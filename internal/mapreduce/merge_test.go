@@ -19,6 +19,7 @@ func referenceSortKVs(kvs []KV) {
 // small vocabulary (lots of cross-run duplicates, like a real shuffle). The
 // Value records the producing run and position so tests can check stability.
 func makeRuns(rng *rand.Rand, nRuns, perRun, vocab int) [][]KV {
+	var scratch recordScratch
 	runs := make([][]KV, nRuns)
 	for r := range runs {
 		run := make([]KV, perRun)
@@ -29,7 +30,7 @@ func makeRuns(rng *rand.Rand, nRuns, perRun, vocab int) [][]KV {
 				Size:  24,
 			}
 		}
-		sortKVs(run)
+		sortKVs(run, &scratch)
 		runs[r] = run
 	}
 	return runs
@@ -55,7 +56,7 @@ func TestMergeRunsMatchesStableSort(t *testing.T) {
 		runs := makeRuns(rng, tc.runs, tc.per, tc.vocab)
 		want := flatten(runs)
 		referenceSortKVs(want)
-		got := mergeRuns(runs, 0)
+		got := mergeRuns(runs, new(recordScratch))
 		if len(got) != len(want) {
 			t.Fatalf("%d runs: merged %d records, want %d", tc.runs, len(got), len(want))
 		}
@@ -69,22 +70,23 @@ func TestMergeRunsMatchesStableSort(t *testing.T) {
 }
 
 func TestMergeRunsEmptyAndNil(t *testing.T) {
-	if got := mergeRuns(nil, 0); len(got) != 0 {
+	if got := mergeRuns(nil, new(recordScratch)); len(got) != 0 {
 		t.Fatalf("merge of no runs = %d records", len(got))
 	}
-	if got := mergeRuns([][]KV{{}, nil, {}}, 0); len(got) != 0 {
+	if got := mergeRuns([][]KV{{}, nil, {}}, new(recordScratch)); len(got) != 0 {
 		t.Fatalf("merge of empty runs = %d records", len(got))
 	}
 	run := []KV{{Key: "a"}, {Key: "b"}}
-	got := mergeRuns([][]KV{nil, run, {}}, 0)
+	got := mergeRuns([][]KV{nil, run, {}}, new(recordScratch))
 	if len(got) != 2 || got[0].Key != "a" {
 		t.Fatalf("single live run mishandled: %v", got)
 	}
 }
 
 func TestSortKVsStableAndSortedFastPath(t *testing.T) {
+	var scratch recordScratch
 	kvs := []KV{{Key: "a", Value: 1}, {Key: "a", Value: 2}, {Key: "b", Value: 3}}
-	sortKVs(kvs)
+	sortKVs(kvs, &scratch)
 	if kvs[0].Value != 1 || kvs[1].Value != 2 {
 		t.Fatal("sortKVs reordered already-sorted equal keys")
 	}
@@ -92,7 +94,7 @@ func TestSortKVsStableAndSortedFastPath(t *testing.T) {
 	if sortedByKey(kvs) {
 		t.Fatal("unsorted input reported sorted")
 	}
-	sortKVs(kvs)
+	sortKVs(kvs, &scratch)
 	if kvs[0].Key != "a" || kvs[0].Value != 2 || kvs[1].Value != 3 || kvs[2].Value != 4 || kvs[3].Key != "b" {
 		t.Fatalf("sortKVs unstable or wrong: %v", kvs)
 	}
@@ -124,27 +126,61 @@ func TestDefaultPartitionZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestShuffleAllocsIndependentOfSize gates the shuffle core: the spill
-// sort, the k-way and two-run merges and reduce grouping each allocate a
-// fixed number of objects per call, however many records pass through. A
-// per-record allocation (boxing, a slice grown by append, a fresh key) makes
-// the count at 16n exceed the count at n. The reducer emits nothing: an
-// emitting reducer grows reduceSorted's output by doubling, which is allowed.
+// TestShuffleAllocsIndependentOfSize gates the record path: the map side's
+// emit and scatter (with and without a combiner), the spill sort, the k-way
+// and two-run merges and reduce grouping each allocate a fixed number of
+// objects per call, however many records pass through. A per-record
+// allocation (boxing, a slice grown by append, a fresh key) makes the count
+// at 16n exceed the count at n. Each case reuses one scratch across calls,
+// as a Cluster does. reduceSorted's output starts with room for one record
+// per key group, so the identity reducer, over distinct keys as in
+// TeraSort, never regrows it.
 func TestShuffleAllocsIndependentOfSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	discard := ReducerFunc(func(string, []any, Emit) {})
+	identity := ReducerFunc(func(key string, values []any, emit Emit) {
+		for _, v := range values {
+			emit(key, v, 24)
+		}
+	})
+	first := ReducerFunc(func(key string, values []any, emit Emit) { emit(key, values[0], 24) })
+	mapSpec := func(combiner Reducer) *JobSpec {
+		spec := &JobSpec{
+			NumReduces: 4,
+			Partition:  defaultPartition,
+			NewMapper: func() Mapper {
+				return MapperFunc(func(key string, value any, emit Emit) { emit(key, value, 24) })
+			},
+		}
+		if combiner != nil {
+			spec.NewCombiner = func() Reducer { return combiner }
+		}
+		return spec
+	}
 	for _, tc := range []struct {
 		name  string
 		setup func(n int) func()
 	}{
+		{"mapOutput", func(n int) func() {
+			recs := flatten(makeRuns(rng, 4, n/4, n/8))
+			c, spec := &Cluster{}, mapSpec(nil)
+			return func() { c.mapOutput(spec, recs) }
+		}},
+		{"mapOutput+combine", func(n int) func() {
+			recs := flatten(makeRuns(rng, 4, n/4, n/8))
+			c, spec := &Cluster{}, mapSpec(first)
+			return func() { c.mapOutput(spec, recs) }
+		}},
 		{"sortKVs", func(n int) func() {
 			src := flatten(makeRuns(rng, 4, n/4, n/8))
 			kvs := make([]KV, len(src))
-			return func() { copy(kvs, src); sortKVs(kvs) }
+			var scratch recordScratch
+			return func() { copy(kvs, src); sortKVs(kvs, &scratch) }
 		}},
 		{"mergeRuns", func(n int) func() {
 			runs := makeRuns(rng, 5, n/5, n/8)
-			return func() { mergeRuns(runs, 0) }
+			var scratch recordScratch
+			return func() { mergeRuns(runs, &scratch) }
 		}},
 		{"merge2", func(n int) func() {
 			runs := makeRuns(rng, 2, n/2, n/8)
@@ -152,8 +188,17 @@ func TestShuffleAllocsIndependentOfSize(t *testing.T) {
 			return func() { merge2(out, runs[0], runs[1]) }
 		}},
 		{"reduceSorted", func(n int) func() {
-			kvs := mergeRuns(makeRuns(rng, 4, n/4, n/8), 0)
-			return func() { reduceSorted(kvs, discard) }
+			kvs := mergeRuns(makeRuns(rng, 4, n/4, n/8), new(recordScratch))
+			var scratch recordScratch
+			return func() { reduceSorted(kvs, discard, &scratch) }
+		}},
+		{"reduceSorted/identity", func(n int) func() {
+			kvs := make([]KV, n)
+			for i := range kvs {
+				kvs[i] = KV{Key: fmt.Sprintf("k%06d", i), Value: i, Size: 24}
+			}
+			var scratch recordScratch
+			return func() { reduceSorted(kvs, identity, &scratch) }
 		}},
 	} {
 		small := testing.AllocsPerRun(10, tc.setup(256))
@@ -178,7 +223,7 @@ func TestReduceSortedReusesScratchSafely(t *testing.T) {
 		{Key: "b", Value: 3},
 		{Key: "c", Value: 4}, {Key: "c", Value: 5}, {Key: "c", Value: 6},
 	}
-	out := reduceSorted(kvs, red)
+	out := reduceSorted(kvs, red, new(recordScratch))
 	want := map[string]int{"a": 3, "b": 3, "c": 15}
 	if len(out) != 3 {
 		t.Fatalf("groups = %d, want 3", len(out))
@@ -197,10 +242,11 @@ func TestReduceSortedReusesScratchSafely(t *testing.T) {
 func BenchmarkReduceMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	runs := makeRuns(rng, 16, 512, 200)
+	var scratch recordScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := mergeRuns(runs, 0); len(out) != 16*512 {
+		if out := mergeRuns(runs, &scratch); len(out) != 16*512 {
 			b.Fatal("bad merge")
 		}
 	}
@@ -211,11 +257,12 @@ func BenchmarkReduceMerge(b *testing.B) {
 func BenchmarkSortKVs(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	base := flatten(makeRuns(rng, 1, 4096, 500))
-	scratch := make([]KV, len(base))
+	kvs := make([]KV, len(base))
+	var scratch recordScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(scratch, base)
-		sortKVs(scratch)
+		copy(kvs, base)
+		sortKVs(kvs, &scratch)
 	}
 }
 

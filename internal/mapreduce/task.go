@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"vhadoop/internal/sim"
 	"vhadoop/internal/xen"
@@ -77,50 +78,10 @@ func (c *Cluster) runMap(p *sim.Proc, tr *Tracker, t *task) {
 		}
 	}
 
-	nParts := job.cfg.NumReduces
-	if nParts == 0 {
-		nParts = 1
-	}
-	parts := make([][]KV, nParts)
-	sizes := make([]float64, nParts)
-	// Seed each partition buffer from the split's record count so the first
-	// emits don't churn through growslice (mappers emitting several records
-	// per input still grow, but from a sensible floor).
-	if est := len(t.split.records)/nParts + 1; est > 1 {
-		for i := range parts {
-			parts[i] = make([]KV, 0, est)
-		}
-	}
-	emit := func(key string, value any, size float64) {
-		idx := 0
-		if job.cfg.NumReduces > 0 {
-			idx = job.cfg.Partition(key, job.cfg.NumReduces)
-		}
-		parts[idx] = append(parts[idx], KV{Key: key, Value: value, Size: size})
-		sizes[idx] += size
-	}
-
-	mapper := job.cfg.NewMapper()
-	for _, rec := range t.split.records {
-		mapper.Map(rec.Key, rec.Value, emit)
-	}
-	if cm, ok := mapper.(ClosingMapper); ok {
-		cm.Close(emit)
-	}
+	parts, sizes, emitted := c.mapOutput(&job.cfg, t.split.records)
 	vm.Exec(p, cost.MapCPUPerByte*t.split.size+cost.MapCPUPerRecord*float64(len(t.split.records)))
-
-	// Map-side combine shrinks each partition before it hits disk.
 	if job.cfg.NewCombiner != nil && job.cfg.NumReduces > 0 {
-		var combined int
-		for i := range parts {
-			combined += len(parts[i])
-			parts[i] = groupAndReduce(parts[i], job.cfg.NewCombiner())
-			sizes[i] = 0
-			for _, kv := range parts[i] {
-				sizes[i] += kv.Size
-			}
-		}
-		vm.Exec(p, cost.CombineCPUPerRecord*float64(combined))
+		vm.Exec(p, cost.CombineCPUPerRecord*float64(emitted))
 	}
 
 	var outBytes float64
@@ -142,12 +103,9 @@ func (c *Cluster) runMap(p *sim.Proc, tr *Tracker, t *task) {
 	}
 
 	// Sort and persist the map output locally; extra merge passes when the
-	// buffer overflows. Each partition is really sorted here (stable, so
+	// buffer overflows. mapOutput really sorted each partition (stable, so
 	// equal keys keep emit order) — reducers then k-way merge the sorted
 	// runs instead of re-sorting the full shuffled set.
-	for i := range parts {
-		sortKVs(parts[i])
-	}
 	vm.Exec(p, cost.SortCPUPerByte*outBytes)
 	vm.WriteDisk(p, outBytes)
 	for i := 0; i < c.spillPasses(outBytes); i++ {
@@ -157,6 +115,87 @@ func (c *Cluster) runMap(p *sim.Proc, tr *Tracker, t *task) {
 	}
 	t.parts = parts
 	t.partSizes = sizes
+}
+
+// mapOutput runs cfg's mapper over recs and returns its output split into
+// partitions, with each partition's virtual bytes summed in emit order and
+// the number of records the mapper emitted. Records reach their partition
+// in emit order. When the job reduces, a combiner (if it has one) has
+// folded each partition, and each partition is sorted by key: this is the
+// map side's real spill work, whose CPU the caller charges.
+//
+// The mapper emits into c.scratch (see recordScratch for why reusing it is
+// safe). Uncombined partitions are cap-limited sub-slices of one exact-size
+// array. A combiner's input stays in the scratch, and only its output is
+// kept.
+func (c *Cluster) mapOutput(cfg *JobSpec, recs []KV) (parts [][]KV, sizes []float64, emitted int) {
+	s := &c.scratch
+	nParts := max(cfg.NumReduces, 1)
+	sizes = make([]float64, nParts)
+	// Most mappers emit at least one record per input record.
+	buf := slices.Grow(s.emitted[:0], len(recs))
+	part := slices.Grow(s.part[:0], len(recs))
+	emit := func(key string, value any, size float64) {
+		idx := 0
+		if cfg.NumReduces > 0 {
+			idx = cfg.Partition(key, cfg.NumReduces)
+		}
+		buf = append(buf, KV{Key: key, Value: value, Size: size})
+		part = append(part, idx)
+		sizes[idx] += size
+	}
+	mapper := cfg.NewMapper()
+	for _, rec := range recs {
+		mapper.Map(rec.Key, rec.Value, emit)
+	}
+	if cm, ok := mapper.(ClosingMapper); ok {
+		cm.Close(emit)
+	}
+	emitted = len(buf)
+	if cfg.NewCombiner == nil || cfg.NumReduces == 0 {
+		parts = scatter(make([]KV, emitted), buf, part, nParts)
+	} else {
+		s.combine = slices.Grow(s.combine[:0], emitted)[:emitted]
+		parts = scatter(s.combine, buf, part, nParts)
+		for i := range parts {
+			sortKVs(parts[i], s)
+			parts[i] = reduceSorted(parts[i], cfg.NewCombiner(), s)
+			sizes[i] = 0
+			for _, kv := range parts[i] {
+				sizes[i] += kv.Size
+			}
+		}
+		clear(s.combine)
+	}
+	if cfg.NumReduces > 0 {
+		for i := range parts {
+			sortKVs(parts[i], s)
+		}
+	}
+	clear(buf)
+	s.emitted, s.part = buf[:0], part[:0]
+	return parts, sizes, emitted
+}
+
+// scatter copies recs into dst, which has room for exactly len(recs)
+// records, grouped by partition: part[i] is recs[i]'s partition of n, and
+// each partition keeps emit order. Partition i comes back as a cap-limited
+// sub-slice of dst, so appending to it cannot overwrite its neighbour.
+func scatter(dst, recs []KV, part []int, n int) [][]KV {
+	counts := make([]int, n)
+	for _, idx := range part {
+		counts[idx]++
+	}
+	parts := make([][]KV, n)
+	off := 0
+	for i, cnt := range counts {
+		parts[i] = dst[off : off : off+cnt]
+		off += cnt
+	}
+	for i, rec := range recs {
+		parts[part[i]] = append(parts[part[i]], rec)
+	}
+	return parts
 }
 
 // runReduce executes a reduce attempt: fetch this partition from every
@@ -219,9 +258,8 @@ func (c *Cluster) runReduce(p *sim.Proc, tr *Tracker, t *task) {
 	}
 	vm.Exec(p, cost.SortCPUPerByte*totalBytes)
 
-	kvs := mergeRuns(runs, totalRecs)
-	out := reduceSorted(kvs, job.cfg.NewReducer())
-	vm.Exec(p, cost.ReduceCPUPerByte*totalBytes+cost.ReduceCPUPerRecord*float64(len(kvs)))
+	out := c.reduceOutput(&job.cfg, runs)
+	vm.Exec(p, cost.ReduceCPUPerByte*totalBytes+cost.ReduceCPUPerRecord*float64(totalRecs))
 
 	var outBytes float64
 	for _, kv := range out {
@@ -235,6 +273,18 @@ func (c *Cluster) runReduce(p *sim.Proc, tr *Tracker, t *task) {
 			p.Fail(fmt.Errorf("reduce %d of %s: %w", t.index, job.cfg.Name, err))
 		}
 	}
+}
+
+// reduceOutput merges a reduce's fetched runs, in fetch order, and runs
+// cfg's reducer over the merged records. Like mapOutput it takes no
+// *sim.Proc, so the merge can use c.scratch: only the reducer's output is
+// kept.
+func (c *Cluster) reduceOutput(cfg *JobSpec, runs [][]KV) []KV {
+	s := &c.scratch
+	out := reduceSorted(mergeRuns(runs, s), cfg.NewReducer(), s)
+	clear(s.merged)
+	s.merged = s.merged[:0]
+	return out
 }
 
 // fetchMapOutput moves one map-output partition from src to dst: a fetch

@@ -97,6 +97,14 @@ type teraRow struct {
 	bytes   float64
 }
 
+// teraPayload is a row as TeraSort outputs it: it prints as its payload
+// under %v and %s, so the reducer re-emits the row pointer instead of
+// boxing the payload string.
+type teraPayload teraRow
+
+// String returns the row's payload.
+func (r *teraPayload) String() string { return r.payload }
+
 // teraRows generates n rows of perRow virtual bytes each, as 64-byte seed
 // records. Each key is teraKeyLen characters drawn from rng in row order,
 // like gensort's; each payload is "row%07d" of the row number. Keys,
@@ -214,7 +222,7 @@ func teraSortJob(input, output string, reduces int, bounds []string) mapreduce.J
 			return mapreduce.ReducerFunc(func(key string, values []any, emit mapreduce.Emit) {
 				for _, v := range values {
 					row := v.(*teraRow)
-					emit(key, row.payload, row.bytes)
+					emit(key, (*teraPayload)(row), row.bytes)
 				}
 			})
 		},

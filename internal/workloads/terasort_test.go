@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -54,5 +55,37 @@ func TestTeraPayloadFormat(t *testing.T) {
 		if want := fmt.Sprintf("row%07d", i); got != want || len(got) != teraPayloadLen(i) {
 			t.Errorf("payload %d = %q (len %d by teraPayloadLen), want %q", i, got, teraPayloadLen(i), want)
 		}
+	}
+}
+
+// TestTeraSortCallbacksZeroAllocs gates TeraSort's per-record callbacks:
+// the total-order partitioner and the identity reducer allocate nothing.
+// The reducer re-emits each row as a *teraPayload, which prints as the
+// row's payload.
+func TestTeraSortCallbacksZeroAllocs(t *testing.T) {
+	recs := teraRows(rand.New(rand.NewSource(3)), 64, 1e4)
+	bounds := []string{recs[0].Key, recs[1].Key, recs[2].Key}
+	sort.Strings(bounds)
+	spec := teraSortJob("in", "out", len(bounds)+1, bounds)
+	key := recs[5].Key
+	if n := testing.AllocsPerRun(100, func() { spec.Partition(key, len(bounds)+1) }); n != 0 {
+		t.Errorf("partitioner: %v allocs per call, want 0", n)
+	}
+
+	values := make([]any, len(recs))
+	for i, r := range recs {
+		values[i] = r.Value
+	}
+	var out []any
+	red := spec.NewReducer()
+	red.Reduce(key, values, func(_ string, v any, _ float64) { out = append(out, v) })
+	for i, v := range out {
+		if got, want := fmt.Sprint(v), values[i].(*teraRow).payload; got != want {
+			t.Fatalf("output %d prints %q, want payload %q", i, got, want)
+		}
+	}
+	discard := func(string, any, float64) {}
+	if n := testing.AllocsPerRun(100, func() { red.Reduce(key, values, discard) }); n != 0 {
+		t.Errorf("reducer: %v allocs per call of %d values, want 0", n, len(values))
 	}
 }
