@@ -129,6 +129,10 @@ type Tenant struct {
 	pick     *Job
 	pickTick int
 
+	// ledger is the cluster's running-slot ledger for this tenant,
+	// resolved at Register.
+	ledger *mapreduce.TenantLedger
+
 	// Interned per-tenant series of the jobsvc_tenant_* vecs.
 	slots     *obs.Gauge
 	completed *obs.Counter
@@ -236,9 +240,10 @@ type Service struct {
 	committedBytes float64
 
 	// tick counts scheduler rounds (first round is 1, so zero-valued
-	// stamps never match); view is the round's locality snapshot.
+	// stamps never match); view is the round's locality snapshot,
+	// refreshed in place every round.
 	tick int
-	view *mapreduce.LocalityView
+	view mapreduce.LocalityView
 
 	backfills   int
 	preemptions int
@@ -274,6 +279,7 @@ func (s *Service) Register(name string, weight float64, opts ...TenantOption) er
 	}
 	t := &Tenant{
 		name: name, weight: weight,
+		ledger:    s.pl.MR.TenantLedger(name),
 		slots:     s.pl.Obs.Gauge("jobsvc_tenant_slots", "tenant", name),
 		completed: s.pl.Obs.Counter("jobsvc_tenant_completed_total", "tenant", name),
 	}

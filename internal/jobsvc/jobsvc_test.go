@@ -387,3 +387,69 @@ func TestLocalityBreaksTies(t *testing.T) {
 		t.Fatalf("a's holder out of service: first dispatched = %q (err %v), want b by locality", first, err)
 	}
 }
+
+// TestNilPickFallsThroughToNextTenant gives the lowest-share tenant a
+// queue whose only job breaks its quota, so that tenant has nothing to
+// dispatch. The scheduler must pass it over and serve the next tenant in
+// share order within the same tick. No benchmark backlog sets a quota, so
+// this is the only coverage of that path.
+func TestNilPickFallsThroughToNextTenant(t *testing.T) {
+	pl := core.MustNewPlatform(testOpts(5, 31))
+	svc := jobsvc.New(pl, jobsvc.Config{Tick: 2})
+	// a registers first, so it would win even a tie on share.
+	if err := svc.Register("a", 1, jobsvc.WithQuota(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Register("b", 1); err != nil {
+		t.Fatal(err)
+	}
+	var dispatched []string
+	_, err := pl.Run(func(p *sim.Proc) error {
+		// b runs one job first, so b has accumulated service and a has none:
+		// a's dominant share is the strictly lower one.
+		if _, err := svc.Submit(p, "b", tinyWC("b0"), jobsvc.WithoutOutput()); err != nil {
+			return err
+		}
+		svc.Start()
+		svc.Drain(p)
+		p.Sleep(10) // the idle scheduler parks
+		// Stage both inputs first, so the two submissions below land at one
+		// instant, ahead of the tick the first of them revives.
+		for _, spec := range []workloads.WordcountSpec{wideWC("a0"), tinyWC("b1")} {
+			if err := spec.Stage(p, pl); err != nil {
+				return err
+			}
+		}
+		skip := len(pl.Obs.Tracer().Export().Events)
+		// a's job wants more map slots than a's quota of 1: a's pick is nil.
+		if _, err := svc.Submit(p, "a", wideWC("a0"), jobsvc.WithoutOutput()); err != nil {
+			return err
+		}
+		if _, err := svc.Submit(p, "b", tinyWC("b1"), jobsvc.WithoutOutput()); err != nil {
+			return err
+		}
+		p.Sleep(1) // the revived scheduler's first tick runs at the current instant
+		for _, ev := range pl.Obs.Tracer().Export().Events[skip:] {
+			if strings.HasPrefix(ev.Msg, "dispatch ") {
+				dispatched = append(dispatched, ev.Msg)
+			}
+		}
+		svc.Drain(p)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Jobs take ids in admission order: b0 is job 1, a0 job 2, b1 job 3.
+	if len(dispatched) != 1 || !strings.HasPrefix(dispatched[0], "dispatch b job 3 ") {
+		t.Fatalf("tick after the submissions dispatched %q, want only b's job 3", dispatched)
+	}
+	a, b := svc.Stats()[0], svc.Stats()[1]
+	if a.ReservedSlotSeconds != 0 || b.ReservedSlotSeconds == 0 {
+		t.Fatalf("reserved slot-seconds a %v b %v: a's share must be the lower", a.ReservedSlotSeconds, b.ReservedSlotSeconds)
+	}
+	// With nothing else left, a's job is failed as unschedulable.
+	if a.Failed != 1 || b.Completed != 2 {
+		t.Fatalf("a failed %d, b completed %d; want 1 and 2", a.Failed, b.Completed)
+	}
+}

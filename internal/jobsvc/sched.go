@@ -50,7 +50,7 @@ func (s *Service) tickOnce(now sim.Time) {
 	// No proc yields inside a tick, so what the view snapshots (liveness,
 	// free map slots) holds until the tick ends: one view serves every pick.
 	s.tick++
-	s.view = s.pl.MR.LocalityView()
+	s.pl.MR.RefreshLocalityView(&s.view)
 	s.integrate()
 	blocked, dm, dr, dispatched := s.dispatchPass(now)
 	if s.cfg.Preemption && blocked != nil {
@@ -112,7 +112,7 @@ func (s *Service) integrate() {
 		}
 	}
 	for _, t := range s.tenants {
-		m, r := s.pl.MR.TenantSlots(t.name)
+		m, r := t.ledger.Running()
 		busy := float64(m+r) * float64(s.cfg.Tick)
 		res := float64(t.resMaps+t.resReduces) * float64(s.cfg.Tick)
 		t.cumMapSec += float64(t.resMaps) * float64(s.cfg.Tick)
@@ -229,23 +229,19 @@ func (s *Service) pickJob(t *Tenant, totM, totR int) *Job {
 	return best
 }
 
-// dispatchPass serves tenants in dominant-share order while slots and the
-// running-job budget last. When the fair-share head job does not fit it
-// either backfills a smaller job past it (Backfill) or reports the blocked
-// head to the preemption pass.
-func (s *Service) dispatchPass(now sim.Time) (blocked *Job, bdm, bdr, dispatched int) {
-	totM, totR := s.pl.MR.SlotTotals()
-	for s.running < s.cfg.MaxRunning && s.queued > 0 {
+// nextTenant returns the lowest-dominant-share tenant (the first
+// registered among equals) that has a job to dispatch this tick, with its
+// pick computed, or nil. A tenant's dominant share does not depend on its
+// pick, so only the candidate being served needs one: the others' queues
+// go unscanned. A nil pick (every queued job over quota) is cached for the
+// tick and excludes the tenant from the next choice, so the winner is the
+// minimum over exactly the tenants with a non-nil pick.
+func (s *Service) nextTenant(totM, totR int) *Tenant {
+	for {
 		var t *Tenant
 		bestDS := 0.0
 		for _, cand := range s.tenants {
-			if len(cand.queue) == 0 {
-				continue
-			}
-			if cand.pickTick != s.tick {
-				cand.pick, cand.pickTick = s.pickJob(cand, totM, totR), s.tick
-			}
-			if cand.pick == nil {
+			if len(cand.queue) == 0 || (cand.pickTick == s.tick && cand.pick == nil) {
 				continue
 			}
 			ds := cand.dominantShare(totM, totR, s.cfg.Tick)
@@ -253,6 +249,26 @@ func (s *Service) dispatchPass(now sim.Time) (blocked *Job, bdm, bdr, dispatched
 				t, bestDS = cand, ds
 			}
 		}
+		if t == nil {
+			return nil
+		}
+		if t.pickTick != s.tick {
+			t.pick, t.pickTick = s.pickJob(t, totM, totR), s.tick
+		}
+		if t.pick != nil {
+			return t
+		}
+	}
+}
+
+// dispatchPass serves tenants in dominant-share order while slots and the
+// running-job budget last. When the fair-share head job does not fit it
+// either backfills a smaller job past it (Backfill) or reports the blocked
+// head to the preemption pass.
+func (s *Service) dispatchPass(now sim.Time) (blocked *Job, bdm, bdr, dispatched int) {
+	totM, totR := s.pl.MR.SlotTotals()
+	for s.running < s.cfg.MaxRunning && s.queued > 0 {
+		t := s.nextTenant(totM, totR)
 		if t == nil {
 			return nil, 0, 0, dispatched
 		}

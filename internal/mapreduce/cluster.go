@@ -133,11 +133,11 @@ type Cluster struct {
 	jobs    []*job
 	stopped bool
 
-	// Per-tenant running-slot ledger, maintained by launch/onTaskExit and
-	// read (never iterated — map order must stay off every deterministic
-	// path) by the job service's fair-share scheduler.
-	tenantMapRunning    map[string]int
-	tenantReduceRunning map[string]int
+	// ledgers maps a tenant name to its running-slot ledger. It is only
+	// looked up, never iterated (map order must stay off every
+	// deterministic path): jobs and job-service tenants resolve their
+	// ledger once and keep the pointer.
+	ledgers map[string]*TenantLedger
 
 	obs   *obs.Plane // nil outside core.NewPlatform; every use is guarded
 	instr *instruments
@@ -159,8 +159,7 @@ func NewCluster(e *sim.Engine, cfg Config, master *xen.VM, dfs *hdfs.Cluster) *C
 	}
 	return &Cluster{
 		engine: e, master: master, dfs: dfs, cfg: cfg,
-		tenantMapRunning:    make(map[string]int),
-		tenantReduceRunning: make(map[string]int),
+		ledgers: make(map[string]*TenantLedger),
 	}
 }
 
@@ -488,25 +487,47 @@ func (c *Cluster) SlotTotals() (maps, reduces int) {
 	return maps, reduces
 }
 
-// TenantSlots returns the number of slots tenant's jobs occupy right now.
-func (c *Cluster) TenantSlots(tenant string) (maps, reduces int) {
-	return c.tenantMapRunning[tenant], c.tenantReduceRunning[tenant]
+// TenantLedger counts the slots one tenant's jobs occupy. launch and
+// onTaskExit keep it current through the pointer each job resolved at
+// Submit.
+type TenantLedger struct{ maps, reduces int }
+
+// Running returns the number of slots the tenant's jobs occupy right now.
+func (l *TenantLedger) Running() (maps, reduces int) { return l.maps, l.reduces }
+
+// TenantLedger returns tenant's running-slot ledger, creating an empty one
+// on first use. The pointer stays valid for the cluster's lifetime, so a
+// caller that reads the ledger often resolves it once.
+func (c *Cluster) TenantLedger(tenant string) *TenantLedger {
+	l := c.ledgers[tenant]
+	if l == nil {
+		l = &TenantLedger{}
+		c.ledgers[tenant] = l
+	}
+	return l
 }
 
 // LocalityView is a snapshot of which datanodes can feed a local map task
 // right now: free[i] is set when datanode i (hdfs.Datanode.Index) is alive
-// on a VM whose tasktracker is alive with a free map slot. It carries no
-// invalidation — a view is valid only until the proc that took it next
-// yields, which is why the job service takes one per scheduler tick.
+// on a VM whose tasktracker is alive with a free map slot. The zero value
+// is an empty view. It carries no invalidation — a view is valid only
+// until the proc that refreshed it next yields, which is why the job
+// service refreshes its one view every scheduler tick.
 type LocalityView struct {
 	dfs  *hdfs.Cluster
 	free []bool
 }
 
-// LocalityView snapshots the cluster's current placement state.
-func (c *Cluster) LocalityView() *LocalityView {
+// RefreshLocalityView overwrites v with the cluster's current placement
+// state, reusing v's buffer: a warm view refreshes without allocating.
+func (c *Cluster) RefreshLocalityView(v *LocalityView) {
 	dns := c.dfs.Datanodes()
-	v := &LocalityView{dfs: c.dfs, free: make([]bool, len(dns))}
+	v.dfs = c.dfs
+	if cap(v.free) < len(dns) {
+		v.free = make([]bool, len(dns))
+	}
+	v.free = v.free[:len(dns)]
+	clear(v.free)
 	for _, tr := range c.trackers {
 		if !tr.Alive() || tr.mapFree <= 0 {
 			continue
@@ -517,7 +538,6 @@ func (c *Cluster) LocalityView() *LocalityView {
 			}
 		}
 	}
-	return v
 }
 
 // Score reports the fraction of the named input files' blocks that have a
@@ -554,10 +574,10 @@ func (v *LocalityView) Score(inputs []string) float64 {
 func (c *Cluster) launch(tr *Tracker, t *task) {
 	if t.kind == MapTask {
 		tr.mapFree--
-		c.tenantMapRunning[t.job.tenant]++
+		t.job.ledger.maps++
 	} else {
 		tr.reduceFree--
-		c.tenantReduceRunning[t.job.tenant]++
+		t.job.ledger.reduces++
 	}
 	tr.running[t] = true
 	t.state = TaskRunning
@@ -590,10 +610,10 @@ func (c *Cluster) launch(tr *Tracker, t *task) {
 func (c *Cluster) onTaskExit(tr *Tracker, t *task, err error, sp *obs.Span) {
 	if t.kind == MapTask {
 		tr.mapFree++
-		c.tenantMapRunning[t.job.tenant]--
+		t.job.ledger.maps--
 	} else {
 		tr.reduceFree++
-		c.tenantReduceRunning[t.job.tenant]--
+		t.job.ledger.reduces--
 	}
 	delete(tr.running, t)
 	if c.stopped || t.job.finished() {

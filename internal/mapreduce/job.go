@@ -83,6 +83,8 @@ type job struct {
 	priority int
 	collect  bool // retain real output records
 
+	ledger *TenantLedger // the tenant's running-slot ledger, resolved at Submit
+
 	maps    []*task
 	reduces []*task
 
@@ -315,6 +317,7 @@ func (c *Cluster) Submit(p *sim.Proc, spec JobSpec, opts ...SubmitOption) (*Hand
 		tenant:   so.tenant,
 		priority: so.priority,
 		collect:  so.collect,
+		ledger:   c.TenantLedger(so.tenant),
 		mapDone:  sim.NewDone(),
 		done:     sim.NewDone(),
 	}

@@ -95,6 +95,11 @@ func newLocalityBed(t *testing.T) *localityBed {
 	return bed
 }
 
+// TestLocalityViewMatchesReference refreshes one view through every case,
+// as the job service refreshes its one view every tick: each case refreshes
+// it on the case's fresh, idle cluster, applies the mutation and refreshes
+// again. A slot marked free by an earlier state — the previous case's
+// cluster or this one before the mutation — must not survive the refresh.
 func TestLocalityViewMatchesReference(t *testing.T) {
 	all := []string{"/one", "/two", "/far", "/missing"}
 	cases := []struct {
@@ -132,13 +137,15 @@ func TestLocalityViewMatchesReference(t *testing.T) {
 			b.c.dfs.Decommission(b.dns[2])
 		}, []string{"/two"}, 0.5},
 	}
+	var view LocalityView
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bed := newLocalityBed(t)
+			bed.c.RefreshLocalityView(&view)
 			if tc.mutate != nil {
 				tc.mutate(bed)
 			}
-			view := bed.c.LocalityView()
+			bed.c.RefreshLocalityView(&view)
 			if got := view.Score(tc.inputs); got != tc.want {
 				t.Errorf("Score(%v) = %v, want %v", tc.inputs, got, tc.want)
 			}
@@ -153,5 +160,19 @@ func TestLocalityViewMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRefreshLocalityViewZeroAllocs gates the job service's per-tick view
+// refresh: once the view's buffer is sized, a refresh allocates nothing.
+func TestRefreshLocalityViewZeroAllocs(t *testing.T) {
+	bed := newLocalityBed(t)
+	var view LocalityView
+	bed.c.RefreshLocalityView(&view)
+	if n := testing.AllocsPerRun(100, func() { bed.c.RefreshLocalityView(&view) }); n != 0 {
+		t.Fatalf("RefreshLocalityView: %v allocs per call on a warm view, want 0", n)
+	}
+	if got := view.Score([]string{"/one"}); got != 1 {
+		t.Fatalf("Score(/one) = %v after the refreshes, want 1", got)
 	}
 }

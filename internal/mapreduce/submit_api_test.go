@@ -27,7 +27,7 @@ func TestDoubleWaitAndWaitAfterKill(t *testing.T) {
 		}
 		pl.Engine.Spawn("killer", func(q *sim.Proc) {
 			for {
-				if m, _ := pl.MR.TenantSlots("acct"); m > 0 {
+				if m, _ := pl.MR.TenantLedger("acct").Running(); m > 0 {
 					break
 				}
 				if h.Done() {
@@ -60,7 +60,7 @@ func TestDoubleWaitAndWaitAfterKill(t *testing.T) {
 	if first.Tenant != "acct" {
 		t.Fatalf("stats.Tenant = %q, want acct", first.Tenant)
 	}
-	if m, r := pl.MR.TenantSlots("acct"); m != 0 || r != 0 {
+	if m, r := pl.MR.TenantLedger("acct").Running(); m != 0 || r != 0 {
 		t.Fatalf("tenant slot ledger not drained after kill: maps=%d reduces=%d", m, r)
 	}
 }
@@ -86,7 +86,7 @@ func TestWaitAfterFailReturnsStoredError(t *testing.T) {
 		}
 		pl.Engine.Spawn("saboteur", func(q *sim.Proc) {
 			for {
-				if m, _ := pl.MR.TenantSlots("doomed"); m > 0 {
+				if m, _ := pl.MR.TenantLedger("doomed").Running(); m > 0 {
 					break
 				}
 				if h.Done() {
@@ -139,7 +139,7 @@ func TestPreemptTenantRequeuesWithoutBurningBudget(t *testing.T) {
 		}
 		pl.Engine.Spawn("preemptor", func(q *sim.Proc) {
 			for {
-				if m, _ := pl.MR.TenantSlots("victim"); m > 0 {
+				if m, _ := pl.MR.TenantLedger("victim").Running(); m > 0 {
 					break
 				}
 				if h.Done() {

@@ -80,24 +80,38 @@ func TestJobsvcBacklogDeterministic(t *testing.T) {
 	difftest.RequireIdentical(t, "rerun", want, backlogArtifacts(run()))
 }
 
-// TestJobsvcBacklogGolden pins a small mixed backlog's report and span
-// trace — every admission, pick, backfill and completion time — to a
-// fixed digest. The scheduler decisions it covers are the ones the
-// scheduler made before its locality probe and picks were cached. The
-// earlier digest, d4dd137d…, hashed the report plus the engine line
-// trace: the same events, plus a second "jobsvc: "-prefixed copy of
-// every service decision. A scheduler optimisation must keep the digest;
-// a policy change must say so and move it.
+// TestJobsvcBacklogGolden pins two small backlogs' reports and span
+// traces — every admission, pick, backfill and completion time — to fixed
+// digests. The mixed shape carries asymmetric per-tenant demand. The
+// uniform shape gives every tenant identical jobs, so locality ties decide
+// most of its picks. The digests must survive every scheduler
+// optimisation: the mixed one predates the locality view, the per-tick
+// score and pick caches, the lazy pick (only the tenant being served is
+// picked) and the refreshed view; the uniform one was recorded before the
+// lazy pick. The earlier mixed digest, d4dd137d…, hashed the report plus
+// the engine line trace: the same events, plus a second "jobsvc: "-prefixed
+// copy of every service decision. A policy change must say so and move
+// the digests.
 func TestJobsvcBacklogGolden(t *testing.T) {
-	const golden = "9ecbf8dee4457567354c1a9a2871f1a56d2b5b58c4152df3bec069d7d3869c78"
-	o := bigBacklog()
-	o.Tenants, o.Jobs = 20, 200
-	r, err := backlog.Run(o)
-	if err != nil {
-		t.Fatalf("backlog run failed: %v", err)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(r.Report+r.Spans))); got != golden {
-		t.Fatalf("report+spans sha256 = %s, want %s: the scheduler's decisions changed", got, golden)
+	for _, c := range []struct {
+		name    string
+		uniform bool
+		golden  string
+	}{
+		{"mixed", false, "9ecbf8dee4457567354c1a9a2871f1a56d2b5b58c4152df3bec069d7d3869c78"},
+		{"uniform", true, "370016dabc6cb15c97fe20b2be3ae15cf69b34d7dc8eecf392652e246f1e0e51"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := bigBacklog()
+			o.Tenants, o.Jobs, o.Uniform = 20, 200, c.uniform
+			r, err := backlog.Run(o)
+			if err != nil {
+				t.Fatalf("backlog run failed: %v", err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(r.Report+r.Spans))); got != c.golden {
+				t.Fatalf("report+spans sha256 = %s, want %s: the scheduler's decisions changed", got, c.golden)
+			}
+		})
 	}
 }
 
