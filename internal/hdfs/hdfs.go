@@ -578,7 +578,10 @@ func (c *Cluster) Decommission(d *Datanode) { d.dead = true }
 // daemon: every interval it scans for under-replicated blocks and copies
 // them back to full strength from surviving replicas. A datanode dying
 // mid-copy only voids that copy — the daemon retries on a later pass. Runs
-// until StopReplicationMonitor; a second Start is a no-op.
+// until StopReplicationMonitor; a second Start is a no-op. Unlike the
+// heartbeats and the other sleep loops it stays a process, not a timer
+// chain: ReReplicate blocks on the copies it starts, and the stop is an
+// Abort that wakes it from its sleep.
 func (c *Cluster) StartReplicationMonitor(interval sim.Time) {
 	if c.monitor != nil || interval <= 0 {
 		return

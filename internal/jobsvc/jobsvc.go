@@ -6,7 +6,7 @@
 // ordering over map and reduce slots, deadline- and locality-aware job
 // selection, preemption of over-share tenants, and backfill of idle slots.
 //
-// The service is a pure simulation citizen: its scheduler is a daemon proc
+// The service is a pure simulation citizen: its scheduler is a timer chain
 // ticking on the virtual clock, every decision consumes only deterministic
 // inputs (registration order, submission sequence, cluster slot ledgers),
 // and a whole 100-tenant backlog replays byte-identically under a fixed
@@ -254,6 +254,7 @@ type Service struct {
 	schedStartSet bool
 	started       bool
 	schedRunning  bool
+	schedFn       func() // schedStep, bound once so a tick allocates nothing
 }
 
 // New builds a service over the platform's MapReduce cluster.
@@ -264,6 +265,7 @@ func New(pl *core.Platform, cfg Config) *Service {
 		byName: make(map[string]*Tenant),
 	}
 	s.instr = newInstruments(pl.Obs)
+	s.schedFn = s.schedStep
 	return s
 }
 

@@ -9,40 +9,43 @@ import (
 	"vhadoop/internal/workloads"
 )
 
-// Start arms the scheduler and spawns its daemon on the shared domain
+// Start arms the scheduler and starts its tick chain on the shared domain
 // (it reads and writes cross-domain cluster state every tick). Until
 // Start is called, submissions only queue — admission control applies
 // but nothing dispatches, so callers can stage a backlog
-// deterministically. The daemon is demand-driven: it parks (exits) when
-// the service is fully idle so a drained simulation can terminate, and
-// any later Submit revives it. Idempotent.
+// deterministically. The scheduler is demand-driven: it stops scheduling
+// ticks when the service is fully idle so a drained simulation can
+// terminate, and any later Submit revives it. Idempotent.
 func (s *Service) Start() {
 	s.started = true
 	s.ensureSched()
 }
 
-// ensureSched spawns the scheduler daemon if the service has been
-// started and the daemon is not already running.
+// ensureSched starts the scheduler's tick chain if the service has been
+// started and the chain is not already running.
 func (s *Service) ensureSched() {
 	if !s.started || s.schedRunning {
 		return
 	}
 	s.schedRunning = true
-	s.pl.Engine.Spawn("jobsvc-sched", func(p *sim.Proc) { s.schedLoop(p) })
+	s.pl.Engine.At(s.pl.Engine.Now(), s.schedFn)
 }
 
-// schedLoop ticks until the service is fully idle. One tick integrates usage,
-// dispatches under fair share (with backfill), and preempts for starving
-// head jobs.
-func (s *Service) schedLoop(p *sim.Proc) {
+// schedStep runs one scheduler tick and schedules the next, until the
+// service is fully idle. One tick integrates usage, dispatches under fair
+// share (with backfill), and preempts for starving head jobs. No tick
+// blocks, so the scheduler is a timer chain, not a process.
+func (s *Service) schedStep() {
+	now := s.pl.Engine.Now()
 	if !s.schedStartSet {
-		s.schedStart, s.schedStartSet = p.Now(), true
+		s.schedStart, s.schedStartSet = now, true
 	}
-	for s.queued > 0 || s.running > 0 {
-		s.tickOnce(p.Now())
-		p.Sleep(s.cfg.Tick)
+	if s.queued == 0 && s.running == 0 {
+		s.schedRunning = false
+		return
 	}
-	s.schedRunning = false
+	s.tickOnce(now)
+	s.pl.Engine.After(s.cfg.Tick, s.schedFn)
 }
 
 // tickOnce is one scheduler decision round at virtual time now.

@@ -203,59 +203,109 @@ func (c *Cluster) Start() {
 	for _, tr := range c.trackers {
 		c.StartTracker(tr)
 	}
-	c.engine.Spawn("jt-monitor", func(p *sim.Proc) { c.monitorLoop(p) })
+	c.engine.At(c.engine.Now(), c.startMonitor)
 }
 
 // StartTracker launches the heartbeat daemon for one tracker — used by
 // Start, and directly for trackers joining a running cluster (elastic
 // scale-out).
 func (c *Cluster) StartTracker(tr *Tracker) {
-	c.engine.Spawn("tt-heartbeat:"+tr.VM.Name, func(p *sim.Proc) {
-		c.heartbeatLoop(p, tr)
-	})
+	h := &heartbeat{c: c, tr: tr}
+	h.beatFn, h.sendFn, h.deliverFn = h.beat, h.send, h.deliver
+	c.engine.At(c.engine.Now(), h.arm)
 }
 
 // Stop shuts down the daemons after their current sleep.
 func (c *Cluster) Stop() { c.stopped = true }
 
-// heartbeatLoop is the tasktracker main loop: report in, then pull work for
-// any free slots. A paused VM (live-migration stop-and-copy) stalls inside
-// Message, delaying the heartbeat exactly as the real daemon would.
-func (c *Cluster) heartbeatLoop(p *sim.Proc, tr *Tracker) {
-	for !c.stopped && tr.Alive() {
-		p.Sleep(c.cfg.HeartbeatInterval)
-		if c.stopped || !tr.Alive() {
-			return
-		}
-		if p.Now() < tr.hungUntil {
-			continue // hung daemon: heartbeat-silent, but the VM lives on
-		}
-		tr.VM.Message(p, c.master, c.cfg.HeartbeatBytes)
-		tr.lastHB = p.Now()
-		c.assign(tr)
-	}
+// heartbeat is the tasktracker main loop: report in, then pull work for any
+// free slots. It never blocks except on a paused VM, so it runs as a chain
+// of engine timers, not a process; its steps are bound once as method
+// values, so a round allocates nothing. A paused VM (live-migration
+// stop-and-copy) holds the send on its gate, delaying the heartbeat exactly
+// as the real daemon would.
+type heartbeat struct {
+	c                         *Cluster
+	tr                        *Tracker
+	beatFn, sendFn, deliverFn func()
 }
 
-// monitorLoop is the jobtracker's failure detector: trackers silent past the
-// timeout (crashed VM, or a migration downtime long enough to miss many
+// arm waits out one heartbeat interval, unless the daemon has ended.
+func (h *heartbeat) arm() {
+	if h.c.stopped || !h.tr.Alive() {
+		return
+	}
+	h.c.engine.After(h.c.cfg.HeartbeatInterval, h.beatFn)
+}
+
+// beat runs when the interval is up.
+func (h *heartbeat) beat() {
+	if h.c.stopped || !h.tr.Alive() {
+		return
+	}
+	if h.c.engine.Now() < h.tr.hungUntil {
+		h.arm() // hung daemon: heartbeat-silent, but the VM lives on
+		return
+	}
+	h.send()
+}
+
+// send is xen.VM.Message to the jobtracker: free on loopback, otherwise
+// held while the VM is paused, then one message delay. A jobtracker that
+// is down ends the daemon, as a failed Message ends a process.
+func (h *heartbeat) send() {
+	vm, master := h.tr.VM, h.c.master
+	if vm == master {
+		h.deliver()
+		return
+	}
+	if !vm.UnpausedOr(h.sendFn) {
+		return
+	}
+	//vhlint:allow errflow -- the error is the answer: the jobtracker is down, so the daemon ends; nothing waits on a heartbeat to read why
+	d, err := vm.MessageDelay(master, h.c.cfg.HeartbeatBytes)
+	if err != nil {
+		return
+	}
+	h.c.engine.After(d, h.deliverFn)
+}
+
+// deliver is the jobtracker receiving the heartbeat.
+func (h *heartbeat) deliver() {
+	h.tr.lastHB = h.c.engine.Now()
+	h.c.assign(h.tr)
+	h.arm()
+}
+
+// startMonitor starts the jobtracker's failure detector, a timer chain:
+// every third of the tracker timeout, trackers silent past the timeout
+// (crashed VM, or a migration downtime long enough to miss many
 // heartbeats) are declared dead and their tasks re-executed elsewhere.
-func (c *Cluster) monitorLoop(p *sim.Proc) {
+func (c *Cluster) startMonitor() {
 	period := c.cfg.TrackerTimeout / 3
 	if period <= 0 {
 		period = 10
 	}
-	for !c.stopped {
-		p.Sleep(period)
+	var check func()
+	arm := func() {
+		if !c.stopped {
+			c.engine.After(period, check)
+		}
+	}
+	check = func() {
+		now := c.engine.Now()
 		for _, tr := range c.trackers {
 			if tr.dead {
 				continue
 			}
-			silent := p.Now()-tr.lastHB > c.cfg.TrackerTimeout
+			silent := now-tr.lastHB > c.cfg.TrackerTimeout
 			if silent || !tr.Alive() {
 				c.declareDead(tr)
 			}
 		}
+		arm()
 	}
+	arm()
 }
 
 // declareDead removes a tracker from service and re-queues its in-flight

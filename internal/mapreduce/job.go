@@ -365,41 +365,55 @@ func (c *Cluster) Submit(p *sim.Proc, spec JobSpec, opts ...SubmitOption) (*Hand
 		c.enqueuePending(t)
 	}
 	if c.cfg.Speculative {
-		c.engine.Spawn("speculator:"+spec.Name, func(q *sim.Proc) { c.speculatorLoop(q, j) })
+		c.startSpeculator(j)
 	}
 	return &Handle{j: j}, nil
 }
 
-// speculatorLoop watches a job for straggler map tasks and schedules
-// duplicate attempts once most maps have completed.
-func (c *Cluster) speculatorLoop(p *sim.Proc, j *job) {
-	for !c.stopped && !j.finished() {
-		p.Sleep(2 * c.cfg.HeartbeatInterval)
-		if j.finished() {
-			return
+// startSpeculator starts a timer chain that watches j for straggler map
+// tasks every two heartbeat intervals, and schedules duplicate attempts
+// once most maps have completed.
+func (c *Cluster) startSpeculator(j *job) {
+	var check func()
+	arm := func() {
+		if !c.stopped && !j.finished() {
+			c.engine.After(2*c.cfg.HeartbeatInterval, check)
 		}
-		frac := float64(j.mapsDone) / float64(len(j.maps))
-		if frac < c.cfg.SpeculativeFraction || j.mapsDone == 0 {
-			continue
+	}
+	check = func() {
+		if !j.finished() {
+			c.speculateStragglers(j)
+			arm()
 		}
-		// Mean runtime of completed maps.
-		var mean sim.Time
-		n := 0
-		for _, t := range j.maps {
-			if t.state == TaskDone {
-				mean += t.doneIn
-				n++
-			}
+	}
+	c.engine.At(c.engine.Now(), arm)
+}
+
+// speculateStragglers re-queues a duplicate of every running, not yet
+// speculated map of j that has run SpeculativeSlowdown times the mean
+// completed map's time, once SpeculativeFraction of the maps are done.
+func (c *Cluster) speculateStragglers(j *job) {
+	frac := float64(j.mapsDone) / float64(len(j.maps))
+	if frac < c.cfg.SpeculativeFraction || j.mapsDone == 0 {
+		return
+	}
+	// Mean runtime of completed maps.
+	var mean sim.Time
+	n := 0
+	for _, t := range j.maps {
+		if t.state == TaskDone {
+			mean += t.doneIn
+			n++
 		}
-		if n == 0 {
-			continue
-		}
-		mean /= sim.Time(n)
-		for _, t := range j.maps {
-			if t.state == TaskRunning && !t.speculated &&
-				p.Now()-t.startedAt > c.cfg.SpeculativeSlowdown*mean {
-				c.speculate(t)
-			}
+	}
+	if n == 0 {
+		return
+	}
+	mean /= sim.Time(n)
+	now := c.engine.Now()
+	for _, t := range j.maps {
+		if t.state == TaskRunning && !t.speculated && now-t.startedAt > c.cfg.SpeculativeSlowdown*mean {
+			c.speculate(t)
 		}
 	}
 }

@@ -162,18 +162,24 @@ func (m *Monitor) WatchMachine(pm *phys.Machine) {
 	m.WatchDisk(pm.Disk)
 }
 
-// Start launches the sampling daemon. Stop ends it.
+// Start launches the sampling daemon, a timer chain that samples every
+// interval. Stop ends it.
 func (m *Monitor) Start() {
 	if m.started {
 		return
 	}
 	m.started = true
-	m.engine.Spawn("nmon", func(p *sim.Proc) {
-		for !m.stopped {
-			p.Sleep(m.interval)
-			m.sample(p.Now())
+	var tick func()
+	arm := func() {
+		if !m.stopped {
+			m.engine.After(m.interval, tick)
 		}
-	})
+	}
+	tick = func() {
+		m.sample(m.engine.Now())
+		arm()
+	}
+	m.engine.At(m.engine.Now(), arm)
 }
 
 // Stop ends sampling after the current interval.

@@ -8,7 +8,10 @@
 // one of them, or the engine, runs at any time. This keeps user code
 // readable (a MapReduce task is a straight-line function that sleeps,
 // acquires resources and waits on signals) while the whole simulation stays
-// deterministic and reproducible from a seed.
+// deterministic and reproducible from a seed. A daemon whose body never
+// blocks between its sleeps (a heartbeat, a sampler) is instead a chain of
+// Engine.At/After callbacks: a timer costs less than a process hand-off,
+// and each step draws the same one event a Spawn or Sleep would.
 //
 // Building blocks:
 //
@@ -33,7 +36,9 @@
 //   - Done: a one-shot completion latch processes can wait on. Its zero
 //     value is ready to use, so owners embed it.
 //   - Gate: an open/closed barrier (used e.g. to pause virtual machines
-//     during the stop-and-copy phase of live migration).
+//     during the stop-and-copy phase of live migration). Its one FIFO of
+//     waiters holds parked processes and, through OpenOr, callbacks of
+//     timer chains; Open wakes them in registration order.
 //   - Queue: a counting semaphore with FIFO wakeup (task slots, bounded
 //     buffers). Its line holds waiters by value behind a head index.
 //   - MaxMin: the one max-min fair rate solver. Activities progress over

@@ -246,7 +246,8 @@ func (e *Engine) dispatch(p *Proc) {
 }
 
 // LiveProcs returns the number of processes spawned and not yet terminated.
-// Only tests read it: core's TestRunDrainsAndShutsDown checks for leaks.
+// Only tests read it: core's TestRunDrainsAndShutsDown checks for leaks, and
+// mapreduce's TestIdleDaemonsOwnNoProcess that idle daemons own none.
 func (e *Engine) LiveProcs() int { return len(e.procs) }
 
 // forget removes the terminated process p from the live set, moving the
@@ -261,7 +262,7 @@ func (e *Engine) forget(p *Proc) {
 // Shutdown terminates every live process by unwinding its body, then
 // clears the event heap and the ready FIFO and stops the idle carriers. It
 // is intended for tests and for tearing down a platform whose background
-// daemons (heartbeats, monitors) never exit on their own. Shutdown must be
+// daemons (the replication monitor, timer chains) never exit on their own. Shutdown must be
 // called from engine context (not from inside a process).
 func (e *Engine) Shutdown() {
 	if e.current != nil {

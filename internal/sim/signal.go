@@ -76,7 +76,14 @@ func WaitProcs(p *Proc, procs ...*Proc) error {
 type Gate struct {
 	engine  *Engine
 	open    bool
-	waiters []*Proc
+	waiters []gateWaiter // parked processes and callbacks, in registration order
+}
+
+// gateWaiter is one registration on a closed gate: a parked process, or a
+// callback from code that is not one.
+type gateWaiter struct {
+	proc *Proc
+	fn   func()
 }
 
 // NewGate returns a gate in the given initial state.
@@ -84,14 +91,19 @@ func NewGate(e *Engine, open bool) *Gate {
 	return &Gate{engine: e, open: open}
 }
 
-// Open releases all waiters. No-op if already open.
+// Open releases all waiters in registration order, each drawing one event at
+// the open time: a process resumes, a callback runs. No-op if already open.
 func (g *Gate) Open() {
 	if g.open {
 		return
 	}
 	g.open = true
-	for _, p := range g.waiters {
-		p.scheduleAt(g.engine.now)
+	for _, w := range g.waiters {
+		if w.proc != nil {
+			w.proc.scheduleAt(g.engine.now)
+		} else {
+			g.engine.At(g.engine.now, w.fn)
+		}
 	}
 	g.waiters = nil
 }
@@ -103,7 +115,18 @@ func (g *Gate) Close() { g.open = false }
 // while p is queued, p still wakes at the first Open after its Wait.
 func (g *Gate) WaitOpen(p *Proc) {
 	for !g.open {
-		g.waiters = append(g.waiters, p)
+		g.waiters = append(g.waiters, gateWaiter{proc: p})
 		p.block()
 	}
+}
+
+// OpenOr is WaitOpen for code that is not a process. It reports whether the
+// gate is open; if it is not, it queues fn behind the gate's other waiters,
+// and the next Open runs fn at the open time. The gate may close again
+// before fn runs, so fn calls OpenOr again first, as WaitOpen's loop does.
+func (g *Gate) OpenOr(fn func()) bool {
+	if !g.open {
+		g.waiters = append(g.waiters, gateWaiter{fn: fn})
+	}
+	return g.open
 }

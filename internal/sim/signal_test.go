@@ -109,3 +109,142 @@ func TestGateReclose(t *testing.T) {
 	almost(t, passes[1], 2.5, 0, "pass 2")
 	almost(t, passes[2], 3.5, 0, "pass 3")
 }
+
+// gatePass records one waiter getting through a gate.
+type gatePass struct {
+	id int
+	at Time
+}
+
+// waitCallback registers id on g as a callback waiter at the current time,
+// retrying as WaitOpen's loop does, and logs its pass.
+func waitCallback(e *Engine, g *Gate, id int, log *[]gatePass) {
+	var fn func()
+	fn = func() {
+		if g.OpenOr(fn) {
+			*log = append(*log, gatePass{id, e.Now()})
+		}
+	}
+	fn()
+}
+
+// waitProc spawns a process that waits on g at time at and logs its pass.
+func waitProc(e *Engine, g *Gate, id int, at Time, log *[]gatePass) {
+	e.SpawnAfter(at, "gated", func(p *Proc) {
+		g.WaitOpen(p)
+		*log = append(*log, gatePass{id, p.Now()})
+	})
+}
+
+func TestGateOpenRunsMixedWaitersInOrder(t *testing.T) {
+	e := New(1)
+	g := NewGate(e, false)
+	var log []gatePass
+	for id := 0; id < 6; id++ {
+		at := Time(id+1) / 10
+		if id%2 == 0 {
+			waitProc(e, g, id, at, &log)
+		} else {
+			e.At(at, func() { waitCallback(e, g, id, &log) })
+		}
+	}
+	e.At(2, func() { g.Open() })
+	e.Run()
+	if len(log) != 6 {
+		t.Fatalf("passes = %v, want each of 6 waiters once", log)
+	}
+	for i, ps := range log {
+		if ps.id != i || ps.at != 2 {
+			t.Fatalf("passes = %v, want waiters 0..5 in registration order at the open time 2", log)
+		}
+	}
+}
+
+func TestGateRecloseRequeuesMixedWaiters(t *testing.T) {
+	e := New(1)
+	g := NewGate(e, false)
+	var log []gatePass
+	waitProc(e, g, 0, 0.1, &log)
+	e.At(0.2, func() { waitCallback(e, g, 1, &log) })
+	waitProc(e, g, 2, 0.3, &log)
+	// Both waiters are woken at 1 but find the gate closed again, so they
+	// queue again, in the same order, for the open at 3.
+	e.At(1, func() {
+		g.Open()
+		g.Close()
+	})
+	e.At(3, func() { g.Open() })
+	e.Run()
+	want := []gatePass{{0, 3}, {1, 3}, {2, 3}}
+	if len(log) != len(want) {
+		t.Fatalf("passes = %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("passes = %v, want %v", log, want)
+		}
+	}
+}
+
+// FuzzGate drives a gate through random Close, Open, Open-then-Close,
+// WaitOpen and callback registrations, one per instant, and checks the
+// passes against a reference that keeps a single list of waiters: a
+// registration on an open gate passes at once, and an Open passes the whole
+// list, in registration order, at the open time. An Open closed again in
+// the same instant passes nobody and keeps the list's order.
+func FuzzGate(f *testing.F) {
+	f.Add([]byte{0, 2, 3, 2, 4, 3, 1, 0, 3, 2, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		e := New(1)
+		open := data[0]&1 == 1
+		g := NewGate(e, open)
+		var got, want []gatePass
+		var waiting []int
+		for i, b := range data[1:] {
+			at := Time(i + 1)
+			switch b % 5 {
+			case 0:
+				e.At(at, g.Close)
+				open = false
+			case 1:
+				e.At(at, g.Open)
+				if !open {
+					for _, id := range waiting {
+						want = append(want, gatePass{id, at})
+					}
+					waiting, open = nil, true
+				}
+			case 2, 3:
+				if b%5 == 2 {
+					waitProc(e, g, i, at, &got)
+				} else {
+					e.At(at, func() { waitCallback(e, g, i, &got) })
+				}
+				if open {
+					want = append(want, gatePass{i, at})
+				} else {
+					waiting = append(waiting, i)
+				}
+			case 4:
+				e.At(at, func() {
+					g.Open()
+					g.Close()
+				})
+				open = false
+			}
+		}
+		e.Run()
+		e.Shutdown()
+		if len(got) != len(want) {
+			t.Fatalf("passes = %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("passes = %v, want %v", got, want)
+			}
+		}
+	})
+}

@@ -14,9 +14,9 @@
 // This is what makes a shared 1 Gb/s NIC the bottleneck of a cross-domain
 // Hadoop virtual cluster, exactly as the vHadoop paper observes.
 //
-// Small control messages (heartbeats, RPCs) use Message, which charges
-// propagation latency plus serialisation time but does not contend with bulk
-// flows — matching their negligible real bandwidth.
+// Small control messages (heartbeats, RPCs) take MessageDelay: propagation
+// latency plus serialisation time, without contending with bulk flows —
+// matching their negligible real bandwidth.
 package vnet
 
 import (
@@ -169,10 +169,10 @@ func (f *Fabric) Transfer(p *sim.Proc, label string, r *Route, bytes float64) {
 	f.StartFlow(r, bytes).done.Wait(p)
 }
 
-// Message charges p for a small control message along r: propagation
-// latency plus serialisation at the slowest link, without contending with
-// bulk flows.
-func (f *Fabric) Message(p *sim.Proc, r *Route, bytes float64) {
+// MessageDelay returns how long a small control message of the given size
+// takes along r: propagation latency plus serialisation at the slowest
+// link, without contending with bulk flows.
+func (f *Fabric) MessageDelay(r *Route, bytes float64) sim.Time {
 	minBW := sim.Forever
 	for _, l := range r.links {
 		if bw := l.Bandwidth(); bw < minBW {
@@ -183,5 +183,5 @@ func (f *Fabric) Message(p *sim.Proc, r *Route, bytes float64) {
 	if bytes > 0 && minBW < sim.Forever {
 		d += bytes / minBW
 	}
-	p.Sleep(d)
+	return d
 }

@@ -153,7 +153,7 @@ func TestMessageDoesNotContend(t *testing.T) {
 	fl := f.StartFlow(f.NewRoute(l), 1e9)
 	var msgDone sim.Time
 	e.Spawn("hb", func(p *sim.Proc) {
-		f.Message(p, f.NewRoute(l), 1000)
+		p.Sleep(f.MessageDelay(f.NewRoute(l), 1000))
 		msgDone = p.Now()
 	})
 	e.Spawn("watch", func(p *sim.Proc) { fl.Done().Wait(p) })

@@ -99,12 +99,21 @@ func (vm *VM) String() string { return vm.Name + "@" + vm.host.Name }
 // checkAlive aborts the calling process if the VM has crashed or was shut
 // down.
 func (vm *VM) checkAlive(p *sim.Proc) {
+	if err := vm.downErr(); err != nil {
+		p.Fail(err)
+	}
+}
+
+// downErr returns the error an operation on the VM fails with once it has
+// crashed or been shut down, and nil while it lives.
+func (vm *VM) downErr() error {
 	switch vm.state {
 	case StateCrashed:
-		p.Fail(fmt.Errorf("%w: %s", ErrVMDead, vm.Name))
+		return fmt.Errorf("%w: %s", ErrVMDead, vm.Name)
 	case StateShutdown:
-		p.Fail(fmt.Errorf("%w: %s", ErrVMStopped, vm.Name))
+		return fmt.Errorf("%w: %s", ErrVMStopped, vm.Name)
 	}
+	return nil
 }
 
 // watch registers p as parked inside a bulk I/O operation touching this VM,
@@ -280,10 +289,30 @@ func (vm *VM) Message(p *sim.Proc, dst *VM, bytes float64) {
 	}
 	vm.checkAlive(p)
 	vm.gate.WaitOpen(p)
-	dst.checkAlive(p)
-	route := vm.mgr.topo.Path(vm.host, dst.host)
-	vm.mgr.topo.Fabric().Message(p, route, bytes)
+	d, err := vm.MessageDelay(dst, bytes)
+	if err != nil {
+		p.Fail(err)
+	}
+	p.Sleep(d)
 }
+
+// MessageDelay is Message's wire time for code that is not a process: how
+// long a control RPC of the given size from vm to dst takes, or the error
+// Message fails with when dst is down. It neither checks vm nor waits out
+// its pause (see UnpausedOr), and it does not special-case loopback.
+func (vm *VM) MessageDelay(dst *VM, bytes float64) (sim.Time, error) {
+	if err := dst.downErr(); err != nil {
+		return 0, err
+	}
+	topo := vm.mgr.topo
+	return topo.Fabric().MessageDelay(topo.Path(vm.host, dst.host), bytes), nil
+}
+
+// UnpausedOr is the pause wait of Message for code that is not a process.
+// It reports whether the VM's VCPU gate is open; while the VM is paused for
+// stop-and-copy it queues fn instead, to run when the gate reopens. The VM
+// may pause again before fn runs, so fn calls UnpausedOr again first.
+func (vm *VM) UnpausedOr(fn func()) bool { return vm.gate.OpenOr(fn) }
 
 // AddActivity registers extra page-dirtying activity (bytes/s), typically
 // for the lifetime of a running task; it feeds the migration working-set
