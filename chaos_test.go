@@ -59,9 +59,6 @@ func runChaosSuite(t *testing.T, w chaostest.Workload, seeds []int64) {
 				t.Fatalf("output differs from fault-free run (%d vs %d bytes):\n%s",
 					len(r1.Output), len(baseline.Output), faults.EncodeString(sched))
 			}
-			if len(r1.Events) < len(sched.Faults) {
-				t.Fatalf("only %d fault events recorded for %d faults", len(r1.Events), len(sched.Faults))
-			}
 			// Every injected fault must also appear as a span in the
 			// exported trace, so a chaos run's timeline shows what hit it.
 			tr, err := obs.DecodeTrace([]byte(r1.TraceJSON))

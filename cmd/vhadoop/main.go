@@ -184,9 +184,8 @@ func main() {
 	cfg := experiments.Config{Seed: *seed, Reps: *reps, Nodes: *nodes, Quick: *quick}
 
 	run := func(name string) error {
-		start := time.Now() //vhlint:allow simclock -- wall-clock progress reporting for the operator, not simulation state
+		start := time.Now()
 		defer func() {
-			//vhlint:allow simclock -- wall-clock progress reporting for the operator, not simulation state
 			fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 		}()
 		switch name {

@@ -139,54 +139,40 @@ func runMLPoint(cfg Config, nodes int, seed int64, vectors []clustering.Vector, 
 // RunFig6 measures canopy, dirichlet and mean shift on the Synthetic
 // Control Chart data set across virtual cluster sizes.
 func RunFig6(cfg Config) (MLResult, error) {
-	res := MLResult{Dataset: "synthetic-control"}
 	perClass := 100
 	if cfg.Quick {
 		perClass = 30
 	}
-	for _, algo := range controlChartAlgos() {
-		for _, nodes := range ClusterSizes(cfg.Quick) {
-			var sum sim.Time
-			var last clustering.Result
-			for rep := 0; rep < cfg.Reps; rep++ {
-				seed := cfg.Seed + int64(rep)*1000
-				series := datasets.ControlChart(sim.New(seed).Rand(),
-					datasets.ControlChartOptions{PerClass: perClass, Length: 60})
-				vecs := clustering.FromFloats(datasets.ControlVectors(series))
-				out, err := runMLPoint(cfg, nodes, seed, vecs, algo)
-				if err != nil {
-					return res, fmt.Errorf("fig6 %s n=%d: %w", algo.name, nodes, err)
-				}
-				sum += out.Runtime
-				last = out
-			}
-			res.Points = append(res.Points, MLPoint{
-				Algorithm:  algo.name,
-				Nodes:      nodes,
-				Runtime:    sum / sim.Time(cfg.Reps),
-				Centers:    len(last.Centers),
-				Iterations: last.Iterations,
-			})
-		}
-	}
-	return res, nil
+	return sweepML(cfg, "fig6", "synthetic-control", controlChartAlgos(), func(seed int64) []clustering.Vector {
+		series := datasets.ControlChart(sim.New(seed).Rand(),
+			datasets.ControlChartOptions{PerClass: perClass, Length: 60})
+		return clustering.FromFloats(datasets.ControlVectors(series))
+	})
 }
 
 // RunFig7 measures all six algorithms on the 1000-sample DisplayClustering
 // mixture across virtual cluster sizes.
 func RunFig7(cfg Config) (MLResult, error) {
-	res := MLResult{Dataset: "display-clustering"}
-	for _, algo := range displayAlgos() {
+	return sweepML(cfg, "fig7", "display-clustering", displayAlgos(), func(seed int64) []clustering.Vector {
+		pts, _ := datasets.DisplayClusteringSample(sim.New(seed).Rand())
+		return clustering.FromFloats(pts)
+	})
+}
+
+// sweepML runs every algorithm at every cluster size, averaging the
+// runtime over cfg.Reps repetitions; each rep draws its vectors from its
+// own seed.
+func sweepML(cfg Config, fig, dataset string, algos []mlAlgo, vectors func(seed int64) []clustering.Vector) (MLResult, error) {
+	res := MLResult{Dataset: dataset}
+	for _, algo := range algos {
 		for _, nodes := range ClusterSizes(cfg.Quick) {
 			var sum sim.Time
 			var last clustering.Result
 			for rep := 0; rep < cfg.Reps; rep++ {
 				seed := cfg.Seed + int64(rep)*1000
-				pts, _ := datasets.DisplayClusteringSample(sim.New(seed).Rand())
-				vecs := clustering.FromFloats(pts)
-				out, err := runMLPoint(cfg, nodes, seed, vecs, algo)
+				out, err := runMLPoint(cfg, nodes, seed, vectors(seed), algo)
 				if err != nil {
-					return res, fmt.Errorf("fig7 %s n=%d: %w", algo.name, nodes, err)
+					return res, fmt.Errorf("%s %s n=%d: %w", fig, algo.name, nodes, err)
 				}
 				sum += out.Runtime
 				last = out

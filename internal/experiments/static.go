@@ -157,29 +157,32 @@ func Fig3ReduceCounts(quick bool) []int {
 	return []int{1, 2, 3, 4, 5, 6}
 }
 
-func runMRBenchPoint(cfg Config, layout core.Layout, maps, reduces int) (sim.Time, error) {
-	rt, err := cfg.avg(func(seed int64) (float64, error) {
+// runMRBenchPoint averages MRBench's per-run time for opts on layout.
+func runMRBenchPoint(cfg Config, layout core.Layout, opts workloads.MRBenchOptions) (sim.Time, error) {
+	return cfg.avg(func(seed int64) (float64, error) {
 		pl := core.MustNewPlatform(cfg.platformOptions(layout, seed))
 		var out workloads.MRBenchResult
 		_, err := pl.Run(func(p *sim.Proc) error {
-			opts := workloads.DefaultMRBenchOptions()
-			opts.Maps = maps
-			opts.Reduces = reduces
 			var err error
 			out, err = workloads.RunMRBench(p, pl, opts)
 			return err
 		})
 		return out.AvgTime, err
 	})
-	return rt, err
 }
 
 // RunFig3 measures MRBench under map and reduce scaling for both layouts.
+// Panel (b) uses MRBench's classic tiny input (the tool's default is
+// literally one generated line), where job runtime is framework overhead:
+// task JVM setup, heartbeat-quantised scheduling and the jobtracker's
+// one-reduce-per-round ramp-up.
 func RunFig3(cfg Config) (Fig3Result, error) {
 	var res Fig3Result
 	for _, m := range Fig3MapCounts(cfg.Quick) {
+		opts := workloads.DefaultMRBenchOptions()
+		opts.Maps, opts.Reduces = m, 1
 		for _, layout := range layouts() {
-			rt, err := runMRBenchPoint(cfg, layout, m, 1)
+			rt, err := runMRBenchPoint(cfg, layout, opts)
 			if err != nil {
 				return res, fmt.Errorf("fig3a maps=%d %v: %w", m, layout, err)
 			}
@@ -187,8 +190,11 @@ func RunFig3(cfg Config) (Fig3Result, error) {
 		}
 	}
 	for _, r := range Fig3ReduceCounts(cfg.Quick) {
+		opts := workloads.DefaultMRBenchOptions()
+		opts.Maps, opts.Reduces = 15, r
+		opts.BytesPerMap, opts.LinesPerMap = 2e6, 16
 		for _, layout := range layouts() {
-			rt, err := runMRBenchReducePoint(cfg, layout, 15, r)
+			rt, err := runMRBenchPoint(cfg, layout, opts)
 			if err != nil {
 				return res, fmt.Errorf("fig3b reduces=%d %v: %w", r, layout, err)
 			}
@@ -196,28 +202,6 @@ func RunFig3(cfg Config) (Fig3Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// runMRBenchReducePoint uses MRBench's classic tiny input (the tool's
-// default is literally one generated line), where job runtime is framework
-// overhead: task JVM setup, heartbeat-quantised scheduling and the
-// jobtracker's one-reduce-per-round ramp-up.
-func runMRBenchReducePoint(cfg Config, layout core.Layout, maps, reduces int) (sim.Time, error) {
-	return cfg.avg(func(seed int64) (float64, error) {
-		pl := core.MustNewPlatform(cfg.platformOptions(layout, seed))
-		var out workloads.MRBenchResult
-		_, err := pl.Run(func(p *sim.Proc) error {
-			opts := workloads.DefaultMRBenchOptions()
-			opts.Maps = maps
-			opts.Reduces = reduces
-			opts.BytesPerMap = 2e6
-			opts.LinesPerMap = 16
-			var err error
-			out, err = workloads.RunMRBench(p, pl, opts)
-			return err
-		})
-		return out.AvgTime, err
-	})
 }
 
 // Figure 4 ------------------------------------------------------------------

@@ -14,7 +14,6 @@ import (
 	"vhadoop/internal/core"
 	"vhadoop/internal/faults"
 	"vhadoop/internal/mapreduce"
-	"vhadoop/internal/nmon"
 	"vhadoop/internal/sim"
 	"vhadoop/internal/workloads"
 )
@@ -101,7 +100,6 @@ func GenSchedule(scheduleSeed int64, n int, horizon sim.Time) faults.Schedule {
 // Result is one chaos trial.
 type Result struct {
 	Output string // canonical serialization of the job output
-	Events []nmon.Event
 	End    sim.Time
 	// Metrics is the observability plane's final registry snapshot in
 	// Prometheus text format; TraceJSON is the full span trace, every
@@ -125,9 +123,7 @@ func Canonical(out []mapreduce.KV) string {
 // machines died along the way.
 func Run(w Workload, platformSeed int64, schedule faults.Schedule) (Result, error) {
 	pl := core.MustNewPlatform(Options(platformSeed))
-	mon := nmon.New(pl.Engine, nmon.WithInterval(5), nmon.WithPlane(pl.Obs))
 	inj := faults.NewInjector(pl)
-	inj.Attach(mon)
 	if err := inj.Install(schedule); err != nil {
 		return Result{}, err
 	}
@@ -138,7 +134,6 @@ func Run(w Workload, platformSeed int64, schedule faults.Schedule) (Result, erro
 		return werr
 	})
 	res := Result{
-		Events:    mon.Events(),
 		End:       end,
 		Metrics:   pl.Obs.Snapshot().PrometheusText(),
 		TraceJSON: pl.Obs.Tracer().JSON(),

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"vhadoop/internal/core"
-	"vhadoop/internal/nmon"
+	"vhadoop/internal/obs"
 	"vhadoop/internal/sim"
 	"vhadoop/internal/xen"
 )
@@ -147,8 +147,6 @@ func testPlatform(t *testing.T) *core.Platform {
 func TestInjectorEndToEnd(t *testing.T) {
 	pl := testPlatform(t)
 	inj := NewInjector(pl)
-	mon := nmon.New(pl.Engine, nmon.WithInterval(1), nmon.WithPlane(pl.Obs))
-	inj.Attach(mon)
 	if err := inj.Install(sampleSchedule()); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
@@ -214,34 +212,27 @@ func TestInjectorEndToEnd(t *testing.T) {
 		t.Errorf("vm02 (resident on pm2) state = %v after machcrash, want crashed", st)
 	}
 
-	events := mon.Events()
-	// 6 faults, 3 of them transient with a restore event each, and the hang
-	// has no restore (the tracker just resumes heartbeating): 6 + 3 = 9.
-	if len(events) != 9 {
-		t.Fatalf("got %d monitor events, want 9: %+v", len(events), events)
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i].T < events[i-1].T {
-			t.Fatalf("events out of order at %d", i)
+	var notes []obs.Event
+	for _, ev := range pl.Obs.Tracer().Export().Events {
+		if ev.Kind == obs.KindFault {
+			notes = append(notes, ev)
 		}
+	}
+	// 6 faults, 3 of them transient with a restore note each, and the hang
+	// has no restore (the tracker just resumes heartbeating): 6 + 3 = 9.
+	if len(notes) != 9 {
+		t.Fatalf("got %d fault notes in the trace, want 9: %+v", len(notes), notes)
 	}
 	wantSubstr := []string{"degrade pm2", "degrade pm2 restored", "partition pm2",
 		"partition pm2 restored", "nfsstall filer", "nfsstall filer restored",
 		"hang vm01", "vmcrash vm03", "machcrash pm2"}
-	for _, sub := range wantSubstr {
-		found := false
-		for _, ev := range events {
-			if strings.Contains(ev.Label, sub) {
-				found = true
-				break
-			}
+	for i, ev := range notes {
+		if i > 0 && ev.T < notes[i-1].T {
+			t.Fatalf("notes out of order at %d", i)
 		}
-		if !found {
-			t.Errorf("no monitor event containing %q", sub)
+		if !strings.Contains(ev.Msg, wantSubstr[i]) {
+			t.Errorf("fault note %d = %q, want it to contain %q", i, ev.Msg, wantSubstr[i])
 		}
-	}
-	if rep := mon.Analyze(); len(rep.Events) != len(events) {
-		t.Errorf("Analyze dropped events: %d vs %d", len(rep.Events), len(events))
 	}
 }
 

@@ -5,10 +5,8 @@ import (
 
 	"vhadoop/internal/core"
 	"vhadoop/internal/mapreduce"
-	"vhadoop/internal/nmon"
 	"vhadoop/internal/obs"
 	"vhadoop/internal/phys"
-	"vhadoop/internal/sim"
 	"vhadoop/internal/vnet"
 	"vhadoop/internal/xen"
 )
@@ -19,133 +17,85 @@ import (
 // retransmissions crawling through a flapping link.
 const partitionFloor = 1.0
 
-// scaledLinks is one machine's network links under fault control. Several
-// overlapping faults may target the same machine; the effective bandwidth
-// is the original times the most severe (minimum) active factor.
-type scaledLinks struct {
+// factorStack is one fault target's overlap bookkeeping: a machine's
+// network links or the NFS filer's disk. Several overlapping faults may
+// target it; set applies the effective factor, the most severe (minimum)
+// active one, to the target.
+type factorStack struct {
 	name    string
-	links   []*vnet.Link
-	orig    []float64
 	factors []float64 // active multipliers; a partition contributes 0
+	set     func(eff float64)
 }
 
-func newScaledLinks(pm *phys.Machine) *scaledLinks {
+// machineLinks scales every link of pm by the effective factor.
+func machineLinks(pm *phys.Machine) *factorStack {
 	links := []*vnet.Link{pm.Bridge, pm.NICTx, pm.NICRx, pm.NICProc, pm.StorTx, pm.StorRx}
 	orig := make([]float64, len(links))
 	for i, l := range links {
 		orig[i] = l.Bandwidth()
 	}
-	return &scaledLinks{name: pm.Name, links: links, orig: orig}
+	return &factorStack{name: pm.Name, set: func(eff float64) {
+		for i, l := range links {
+			l.SetBandwidth(max(orig[i]*eff, partitionFloor))
+		}
+	}}
 }
 
-func (sl *scaledLinks) push(factor float64) {
-	sl.factors = append(sl.factors, factor)
-	sl.retune()
+// filerDisk scales the NFS filer's disk capacity by the effective factor.
+func filerDisk(pl *core.Platform) *factorStack {
+	disk := pl.NFS.Disk()
+	orig := disk.Capacity()
+	return &factorStack{name: pl.NFS.Machine().Name, set: func(eff float64) {
+		disk.SetCapacity(max(orig*eff, partitionFloor))
+	}}
 }
 
-func (sl *scaledLinks) pop(factor float64) {
-	for i, f := range sl.factors {
+func (fs *factorStack) push(factor float64) {
+	fs.factors = append(fs.factors, factor)
+	fs.retune()
+}
+
+func (fs *factorStack) pop(factor float64) {
+	for i, f := range fs.factors {
 		if f == factor {
-			sl.factors = append(sl.factors[:i], sl.factors[i+1:]...)
-			sl.retune()
+			fs.factors = append(fs.factors[:i], fs.factors[i+1:]...)
+			fs.retune()
 			return
 		}
 	}
-	panic("faults: restoring a factor that was never applied on " + sl.name)
+	panic("faults: restoring a factor that was never applied on " + fs.name)
 }
 
-func (sl *scaledLinks) retune() {
+func (fs *factorStack) retune() {
 	eff := 1.0
-	for _, f := range sl.factors {
-		if f < eff {
-			eff = f
-		}
+	for _, f := range fs.factors {
+		eff = min(eff, f)
 	}
-	for i, l := range sl.links {
-		bw := sl.orig[i] * eff
-		if bw < partitionFloor {
-			bw = partitionFloor
-		}
-		l.SetBandwidth(bw)
-	}
-}
-
-// scaledDisk is the same overlap bookkeeping for a fair-share disk (the
-// NFS filer's).
-type scaledDisk struct {
-	name    string
-	disk    *sim.FairShare
-	orig    float64
-	factors []float64
-}
-
-func (sd *scaledDisk) push(factor float64) {
-	sd.factors = append(sd.factors, factor)
-	sd.retune()
-}
-
-func (sd *scaledDisk) pop(factor float64) {
-	for i, f := range sd.factors {
-		if f == factor {
-			sd.factors = append(sd.factors[:i], sd.factors[i+1:]...)
-			sd.retune()
-			return
-		}
-	}
-	panic("faults: restoring a factor that was never applied on " + sd.name)
-}
-
-func (sd *scaledDisk) retune() {
-	eff := 1.0
-	for _, f := range sd.factors {
-		if f < eff {
-			eff = f
-		}
-	}
-	c := sd.orig * eff
-	if c < partitionFloor {
-		c = partitionFloor
-	}
-	sd.disk.SetCapacity(c)
+	fs.set(eff)
 }
 
 // Injector arms fault schedules against a provisioned platform. Every
-// fault fires as a simulation event at its scheduled virtual time, is
-// recorded as an event in the span trace, and — when a monitor is
-// attached — lands as an annotation in the nmon output.
+// fault fires as a simulation event at its scheduled virtual time and is
+// recorded as an event in the span trace.
 type Injector struct {
-	pl  *core.Platform
-	mon *nmon.Monitor
+	pl *core.Platform
 
-	byPM  map[string]*scaledLinks // lookup only; never iterated
-	filer *scaledDisk
+	byPM  map[string]*factorStack // lookup only; never iterated
+	filer *factorStack
 }
 
 // NewInjector wires an injector to a platform.
 func NewInjector(pl *core.Platform) *Injector {
-	inj := &Injector{pl: pl, byPM: make(map[string]*scaledLinks)}
+	inj := &Injector{pl: pl, byPM: make(map[string]*factorStack), filer: filerDisk(pl)}
 	for _, pm := range pl.Topo.Machines() {
-		inj.byPM[pm.Name] = newScaledLinks(pm)
-	}
-	inj.filer = &scaledDisk{
-		name: pl.NFS.Machine().Name,
-		disk: pl.NFS.Disk(),
-		orig: pl.NFS.Disk().Capacity(),
+		inj.byPM[pm.Name] = machineLinks(pm)
 	}
 	return inj
 }
 
-// Attach routes fault events into mon as annotations.
-func (inj *Injector) Attach(mon *nmon.Monitor) { inj.mon = mon }
-
-// note records one fault action as a typed event in the span trace,
-// plus an nmon annotation when a monitor is attached.
+// note records one fault action as a typed event in the span trace.
 func (inj *Injector) note(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	inj.pl.Obs.Eventf(obs.KindFault, "fault: %s", msg)
-	if inj.mon != nil {
-		inj.mon.Annotate("fault: " + msg)
-	}
+	inj.pl.Obs.Eventf(obs.KindFault, "fault: %s", fmt.Sprintf(format, args...))
 }
 
 // fired counts one injected fault and opens its span (zero-length for

@@ -16,7 +16,6 @@ import (
 	"vhadoop/internal/core"
 	"vhadoop/internal/faults"
 	"vhadoop/internal/jobsvc"
-	"vhadoop/internal/nmon"
 	"vhadoop/internal/sim"
 	"vhadoop/internal/workloads"
 )
@@ -155,9 +154,7 @@ func Run(o Options) (Result, error) {
 	pl := core.MustNewPlatform(platformOpts(o))
 	var inj *faults.Injector
 	if len(o.FaultsAfterStart.Faults) > 0 {
-		mon := nmon.New(pl.Engine, nmon.WithInterval(5), nmon.WithPlane(pl.Obs))
 		inj = faults.NewInjector(pl)
-		inj.Attach(mon)
 	}
 	svc := jobsvc.New(pl, o.Config)
 	for i := 0; i < o.Tenants; i++ {

@@ -86,26 +86,16 @@ func knownAnalyzer(name string) bool {
 	return false
 }
 
-// Directives reports malformed or unknown //vhlint: annotations and
-// allow annotations for analyzers that do not run on the package (those
-// would otherwise silently never match anything).
+// Directives reports malformed or unknown //vhlint: annotations.
 var Directives = &Analyzer{
 	Name: "vhdirective",
-	Doc:  "validate //vhlint: source annotations",
 	Run:  runDirectives,
 }
 
 func runDirectives(pass *Pass) {
 	for _, d := range pass.directives {
-		switch d.Kind {
-		case DirectiveBad:
+		if d.Kind == DirectiveBad {
 			pass.Reportf(d.TokPos, "%s", d.Err)
-		case DirectiveAllow:
-			for _, a := range All() {
-				if a.Name == d.Analyzer && a.AppliesTo != nil && !a.AppliesTo(pass.PkgPath) {
-					pass.Reportf(d.TokPos, "//vhlint:allow %s in package %s, where %s does not run", d.Analyzer, pass.PkgPath, d.Analyzer)
-				}
-			}
 		}
 	}
 }

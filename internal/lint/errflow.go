@@ -23,10 +23,8 @@ import (
 // write/use model cannot order its accesses. Variables declared inside
 // a closure are still tracked; their lifetime is confined to one body.
 var ErrFlow = &Analyzer{
-	Name:      "errflow",
-	Doc:       "flag error values dropped or overwritten before they escape",
-	AppliesTo: determinismCritical,
-	Run:       runErrFlow,
+	Name: "errflow",
+	Run:  runErrFlow,
 }
 
 // errSummary records whether a function can return a non-nil error.

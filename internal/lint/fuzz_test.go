@@ -40,7 +40,7 @@ func FuzzDirective(f *testing.F) {
 		"owner machine vnet",
 		"owner  engine",
 		"unknown words here",
-		"allow\tlockfree\t--\ttabbed",
+		"allow\terrflow\t--\ttabbed",
 	}
 	for _, s := range seeds {
 		f.Add(s)

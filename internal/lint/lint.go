@@ -1,33 +1,29 @@
-// Package lint is vhadoop's custom static-analysis suite (vhlint). It
-// mechanically enforces the invariants the simulator's reproducibility
-// claims rest on: fixed-seed runs must be bit-identical. The data-plane
-// fast paths' zero-allocation rule is not linted; testing.AllocsPerRun
-// gates next to each package's kernels measure it.
+// Package lint is vhadoop's custom static-analysis suite (vhlint).
+// Fixed-seed runs must be bit-identical. The runtime guards (the rerun
+// determinism tests, the goldens, -race and CI's double-run output
+// diffs) catch a nondeterminism source only on the paths they run, and
+// only when it fires there. vhlint keeps the analyzers that catch what
+// those guards miss: an analyzer stays only if a recorded mutant shows
+// such a catch (DESIGN.md §8).
 //
 // The suite is deliberately self-contained: it is built only on the
 // standard library (go/ast, go/types, go/build), mirroring the shape of
 // a golang.org/x/tools go/analysis multichecker without depending on
-// it. cmd/vhlint is the driver; each analyzer lives in its own file
-// here with an analysistest-style suite under testdata/src.
+// it. TestTreeClean is the one entry point: it runs every analyzer on
+// every package of the module. Each analyzer lives in its own file here
+// with an analysistest-style suite under testdata/src.
 //
 // Analyzers:
 //
-//   - maporder:   range over a map (or maps.Keys/Values/All) in
-//     determinism-critical packages, unless provably order-insensitive;
-//     only a total sort makes collected keys order-free.
-//   - simclock:   wall-clock time, global math/rand and crypto/rand in
-//     simulator-driven code; the sim.Engine clock and Engine.Rand() are
-//     the only legal sources.
+//   - maporder:   range over a map (or maps.Keys/Values/All), unless
+//     provably order-insensitive; only a total sort makes collected
+//     keys order-free.
 //   - errflow:    error values that are produced and then dropped
 //     (checked but never returned, traced, stored or passed on) or
 //     overwritten unexamined — the failure mode that silently loses
 //     recovery-path faults. Call-graph function summaries let it skip
 //     callees that can never fail.
-//   - lockfree:   goroutines, channels, select and sync primitives in
-//     simulator-driven code; no site is sanctioned, because the engine
-//     switches to its processes on coroutines.
-//   - vhdirective: malformed, unknown or out-of-scope //vhlint:
-//     annotations.
+//   - vhdirective: malformed or unknown //vhlint: annotations.
 //
 // Suppression uses source annotations, validated by the suite itself:
 //
@@ -39,8 +35,7 @@
 //
 // What values reach the replay-compared outputs (span trace, metrics,
 // reports, program output) is not traced statically: the rerun
-// determinism tests diff those outputs, and the analyzers above ban the
-// sources they could come from.
+// determinism tests diff those outputs.
 package lint
 
 import (
@@ -51,14 +46,11 @@ import (
 	"sort"
 )
 
-// Diagnostic is one analyzer finding. Suppressed marks findings silenced
-// by a //vhlint:allow annotation; they are filtered from the default
-// output but surfaced by cmd/vhlint -json for audit.
+// Diagnostic is one active analyzer finding.
 type Diagnostic struct {
-	Pos        token.Position
-	Analyzer   string
-	Message    string
-	Suppressed bool
+	Pos      token.Position
+	Analyzer string
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -68,11 +60,7 @@ func (d Diagnostic) String() string {
 // Analyzer is one named invariant check.
 type Analyzer struct {
 	Name string
-	Doc  string
-	// AppliesTo reports whether the analyzer runs on the package with
-	// the given import path; nil means every package.
-	AppliesTo func(pkgPath string) bool
-	Run       func(*Pass)
+	Run  func(*Pass)
 }
 
 // Pass carries one analyzer's view of one type-checked package.
@@ -80,9 +68,7 @@ type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Pkg       *types.Package
 	TypesInfo *types.Info
-	PkgPath   string
 
 	pkg        *Package // carries the loader back-pointer for interprocedural queries
 	directives []*Directive
@@ -99,71 +85,53 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// all is populated in init to break the initialization cycle between
-// the Directives analyzer and the registry it validates names against.
-var all []*Analyzer
-
-func init() {
-	all = []*Analyzer{MapOrder, SimClock, ErrFlow, LockFree, Directives}
-}
-
-// All returns every analyzer in the suite, in reporting order.
-func All() []*Analyzer { return all }
+// all is every analyzer in the suite, in reporting order.
+var all = []*Analyzer{MapOrder, ErrFlow, Directives}
 
 // AnalyzerNames returns the names accepted in //vhlint:allow annotations.
 func AnalyzerNames() []string {
 	var names []string
-	for _, a := range All() {
+	for _, a := range all {
 		names = append(names, a.Name)
 	}
 	return names
 }
 
 // RunAnalyzer runs a on pkg: the analyzer's Run produces raw
-// diagnostics, //vhlint:allow annotations for a.Name filter them, and
-// any allow that suppressed nothing is reported as stale. The caller is
-// responsible for honouring a.AppliesTo.
+// diagnostics, //vhlint:allow annotations for a.Name drop the ones they
+// cover, and any allow that suppressed nothing is reported as stale.
 func RunAnalyzer(pkg *Package, a *Analyzer) []Diagnostic {
-	var kept []Diagnostic
-	for _, d := range runAnalyzer(pkg, a) {
-		if !d.Suppressed {
-			kept = append(kept, d)
-		}
-	}
-	return kept
-}
-
-// runAnalyzer is RunAnalyzer keeping suppressed diagnostics, marked.
-func runAnalyzer(pkg *Package, a *Analyzer) []Diagnostic {
 	pass := &Pass{
 		Analyzer:   a,
 		Fset:       pkg.Fset,
 		Files:      pkg.Files,
-		Pkg:        pkg.Types,
 		TypesInfo:  pkg.Info,
-		PkgPath:    pkg.Path,
 		pkg:        pkg,
 		directives: pkg.Directives(),
 	}
 	a.Run(pass)
 
-	// Apply allow annotations: an allow for this analyzer on the
-	// diagnostic's line, or the line directly above it, suppresses the
-	// diagnostic and marks the allow used.
+	// An allow for this analyzer on the diagnostic's line, or the line
+	// directly above it, suppresses the diagnostic and marks the allow
+	// used.
 	allows := make([]*Directive, 0, 4)
 	for _, d := range pass.directives {
 		if d.Kind == DirectiveAllow && d.Analyzer == a.Name {
 			allows = append(allows, d)
 		}
 	}
-	out := pass.diags
-	for i, diag := range out {
+	var out []Diagnostic
+	for _, diag := range pass.diags {
+		suppressed := false
 		for _, al := range allows {
 			if al.Pos.Filename == diag.Pos.Filename &&
 				(al.Pos.Line == diag.Pos.Line || al.Pos.Line == diag.Pos.Line-1) {
 				al.used = true
-				out[i].Suppressed = true
+				suppressed = true
 			}
+		}
+		if !suppressed {
+			out = append(out, diag)
 		}
 	}
 	for _, al := range allows {
@@ -179,29 +147,12 @@ func runAnalyzer(pkg *Package, a *Analyzer) []Diagnostic {
 	return out
 }
 
-// RunAll runs every applicable analyzer on pkg and returns the combined
-// active diagnostics in file/line order.
+// RunAll runs every analyzer on pkg and returns the combined active
+// diagnostics in file/line order.
 func RunAll(pkg *Package) []Diagnostic {
 	var out []Diagnostic
-	for _, a := range All() {
-		if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
-			continue
-		}
+	for _, a := range all {
 		out = append(out, RunAnalyzer(pkg, a)...)
-	}
-	sortDiagnostics(out)
-	return out
-}
-
-// RunAllDiagnostics is RunAll including suppressed diagnostics, each
-// marked with Suppressed=true — the audit view cmd/vhlint -json emits.
-func RunAllDiagnostics(pkg *Package) []Diagnostic {
-	var out []Diagnostic
-	for _, a := range All() {
-		if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
-			continue
-		}
-		out = append(out, runAnalyzer(pkg, a)...)
 	}
 	sortDiagnostics(out)
 	return out

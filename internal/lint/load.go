@@ -199,8 +199,8 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 
 // Expand resolves command-line package patterns ("./...", "./internal/sim",
 // a bare directory) into package directories, relative to base. Directories
-// without buildable Go files, testdata trees, and hidden directories are
-// skipped.
+// without buildable Go files, testdata trees, hidden directories and, as in
+// go tooling, nested modules are skipped.
 func Expand(base string, patterns []string) ([]string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -229,7 +229,7 @@ func Expand(base string, patterns []string) ([]string, error) {
 					return nil
 				}
 				name := d.Name()
-				if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || isModuleRoot(path)) {
 					return filepath.SkipDir
 				}
 				if hasGoFiles(path) {
@@ -253,6 +253,12 @@ func Expand(base string, patterns []string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
+}
+
+func isModuleRoot(dir string) bool {
+	//vhlint:allow errflow -- the error is the answer: Stat failing means "no go.mod here", which is this predicate's false
+	_, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil
 }
 
 func hasGoFiles(dir string) bool {

@@ -6,8 +6,7 @@ import (
 	"go/types"
 )
 
-// MapOrder flags iteration over Go maps in determinism-critical
-// packages. Map iteration order varies run to run, so any map-ordered
+// MapOrder flags iteration over Go maps. Map iteration order varies run to run, so any map-ordered
 // loop whose effect depends on visit order (floating-point
 // accumulation, tie-breaking, output ordering, event scheduling) breaks
 // the platform's bit-identical-replay guarantee.
@@ -31,17 +30,8 @@ import (
 // Calls to maps.Keys/maps.Values/maps.All are flagged unless wrapped
 // directly in slices.Sorted, the fifth total sort.
 var MapOrder = &Analyzer{
-	Name:      "maporder",
-	Doc:       "flag nondeterministic map iteration in determinism-critical packages",
-	AppliesTo: determinismCritical,
-	Run:       runMapOrder,
-}
-
-// determinismCritical marks the packages whose behaviour feeds
-// fixed-seed experiment results: the simulator core, the virtual
-// cluster layers, the workloads/ML stack and the CLI that reports them.
-func determinismCritical(pkgPath string) bool {
-	return internalPkg(pkgPath, "vhadoop", "internal", "cmd")
+	Name: "maporder",
+	Run:  runMapOrder,
 }
 
 func runMapOrder(pass *Pass) {

@@ -10,18 +10,3 @@ import (
 func TestMapOrder(t *testing.T) {
 	linttest.Run(t, lint.MapOrder, "maporder")
 }
-
-func TestMapOrderAppliesTo(t *testing.T) {
-	for path, want := range map[string]bool{
-		"vhadoop/internal/sim":       true,
-		"vhadoop/internal/mapreduce": true,
-		"vhadoop/cmd/vhadoop":        true,
-		"vhadoop/internal/lint":      true,
-		"test/maporder":              false,
-		"fmt":                        false,
-	} {
-		if got := lint.MapOrder.AppliesTo(path); got != want {
-			t.Errorf("MapOrder.AppliesTo(%q) = %v, want %v", path, got, want)
-		}
-	}
-}

@@ -1,7 +1,6 @@
 // Package vhdirective exercises the vhdirective analyzer, which
 // validates the //vhlint: annotation grammar itself: malformed allows,
-// unknown names, retired directives, and allows for analyzers that do
-// not run on the package.
+// unknown names and retired directives.
 package vhdirective
 
 func missingName() {
@@ -27,18 +26,6 @@ func unknownAnalyzer() {
 func unknownDirective() {
 	//vhlint:suppress errflow -- wrong verb // want "unknown //vhlint: directive \"suppress\""
 	_ = 0
-}
-
-// outOfScope allows maporder here, but maporder only runs on vhadoop's
-// determinism-critical packages — never on this testdata package — so
-// the allow could never suppress anything.
-func outOfScope(m map[string]int) int {
-	n := 0
-	//vhlint:allow maporder -- test fixture: can never apply here // want "where maporder does not run"
-	for _, v := range m {
-		n += v
-	}
-	return n
 }
 
 // retiredOwner uses the ownership directive the sharded engine's lint

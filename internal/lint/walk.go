@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // walkStack traverses every file in the pass, calling fn with each node
@@ -117,16 +116,4 @@ func usesAnyObj(pass *Pass, expr ast.Node, objs map[types.Object]bool) bool {
 func isIntegerType(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsInteger != 0
-}
-
-// internalPkg reports whether path is one of this module's packages
-// under any of the given trees (e.g. "internal", "cmd").
-func internalPkg(path, modPath string, trees ...string) bool {
-	for _, tree := range trees {
-		prefix := modPath + "/" + tree
-		if path == prefix || strings.HasPrefix(path, prefix+"/") {
-			return true
-		}
-	}
-	return false
 }

@@ -69,12 +69,10 @@ type Monitor struct {
 	linkS   map[*vnet.Link][]LinkSample
 	disks   []*sim.FairShare
 	diskS   map[*sim.FairShare][]LinkSample
-	events  []Event
 	stopped bool
 	started bool
 
-	samples     *obs.Counter
-	annotations *obs.Counter
+	samples *obs.Counter
 }
 
 // Option configures a Monitor at construction.
@@ -112,7 +110,6 @@ func New(e *sim.Engine, opts ...Option) *Monitor {
 	}
 	if m.plane != nil {
 		m.samples = m.plane.Counter("nmon_samples_total")
-		m.annotations = m.plane.Counter("nmon_annotations_total")
 		m.plane.Registry().OnCollect(m.publish)
 	}
 	return m
@@ -219,23 +216,6 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// Event is a timestamped annotation interleaved with the sample series —
-// fault injections, recoveries and other experiment milestones, the
-// equivalent of nmon's recording-marker snapshots.
-type Event struct {
-	T     sim.Time
-	Label string
-}
-
-// Annotate records a labelled event at the current virtual time.
-func (m *Monitor) Annotate(label string) {
-	m.events = append(m.events, Event{T: m.engine.Now(), Label: label})
-	m.annotations.Inc()
-}
-
-// Events returns all annotations in recording order.
-func (m *Monitor) Events() []Event { return m.events }
-
 // VMSummary aggregates one VM's series.
 type VMSummary struct {
 	VM               string
@@ -278,7 +258,6 @@ type Report struct {
 	VMs        []VMSummary
 	Links      map[string]float64 // mean utilisation per watched link
 	Disks      map[string]float64
-	Events     []Event // fault injections and other annotations
 	Bottleneck Bottleneck
 }
 
@@ -287,9 +266,8 @@ type Report struct {
 // mean utilisation.
 func (m *Monitor) Analyze() Report {
 	rep := Report{
-		Links:  make(map[string]float64),
-		Disks:  make(map[string]float64),
-		Events: m.events,
+		Links: make(map[string]float64),
+		Disks: make(map[string]float64),
 	}
 	var cpuMean float64
 	for _, vm := range m.vms {
@@ -352,14 +330,8 @@ func meanUtil(samples []LinkSample) float64 {
 	return s / float64(len(samples))
 }
 
-// WriteCSV dumps every VM series in nmon's spreadsheet-friendly format,
-// with annotation events as comment lines up front.
+// WriteCSV dumps every VM series in nmon's spreadsheet-friendly format.
 func (m *Monitor) WriteCSV(w io.Writer) error {
-	for _, ev := range m.events {
-		if _, err := fmt.Fprintf(w, "# %.2f %s\n", ev.T, ev.Label); err != nil {
-			return err
-		}
-	}
 	if _, err := fmt.Fprintln(w, "vm,t,cpu,disk_read_bps,disk_write_bps,net_tx_bps,net_rx_bps"); err != nil {
 		return err
 	}

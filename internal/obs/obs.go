@@ -1,6 +1,6 @@
 // Package obs is the platform-wide observability plane of vHadoop: one
 // deterministic layer that replaces the ad-hoc telemetry surfaces
-// (scattered trace lines, Monitor.Annotate marks, raw sample fields)
+// (scattered trace lines, nmon annotation marks, raw sample fields)
 // with
 //
 //   - a metrics registry — counters, gauges and fixed-bucket histograms
