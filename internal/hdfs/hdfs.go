@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -87,6 +88,16 @@ type Block struct {
 	// sub-slice of the slice handed to Write, shared with the writer and
 	// read-only.
 	Records []Record
+	key     string // page-cache tag, built once by tag
+}
+
+// tag returns the block's page-cache tag, building it on first use (Write
+// does, for the block's span), so every disk access shares one string.
+func (b *Block) tag() string {
+	if b.key == "" {
+		b.key = "blk-" + strconv.Itoa(b.ID)
+	}
+	return b.key
 }
 
 // File is a namenode file entry.
@@ -131,8 +142,9 @@ type Cluster struct {
 	datanodes []*Datanode
 	files     map[string]*File
 	nextBlock int
-	rng       *rand.Rand // placement and replica selection randomness
-	monitor   *sim.Proc  // background replication daemon, nil when stopped
+	rng       *rand.Rand  // placement and replica selection randomness
+	monitor   *sim.Proc   // background replication daemon, nil when stopped
+	live      []*Datanode // choosePipeline's scratch; it never yields
 
 	bytesWritten float64
 	bytesRead    float64
@@ -206,23 +218,35 @@ func (c *Cluster) Files() []string {
 	return names
 }
 
-// alive returns the live datanodes.
-func (c *Cluster) alive() []*Datanode {
-	var out []*Datanode
+// appendAlive appends the live datanodes to dst, in registration order.
+func (c *Cluster) appendAlive(dst []*Datanode) []*Datanode {
 	for _, d := range c.datanodes {
 		if d.Alive() {
-			out = append(out, d)
+			dst = append(dst, d)
 		}
 	}
-	return out
+	return dst
+}
+
+// numAlive returns the number of live datanodes.
+func (c *Cluster) numAlive() int {
+	n := 0
+	for _, d := range c.datanodes {
+		if d.Alive() {
+			n++
+		}
+	}
+	return n
 }
 
 // choosePipeline picks replica targets for one block using Hadoop's policy
 // adapted to the testbed: first replica on the writer's own datanode when it
 // has one, second on a different physical machine when possible, the rest
-// round-robin.
+// round-robin. It never yields, so it lists the live datanodes in c.live;
+// the pipeline it returns is the one slice it allocates, at its final size.
 func (c *Cluster) choosePipeline(client *xen.VM) ([]*Datanode, error) {
-	live := c.alive()
+	c.live = c.appendAlive(c.live[:0])
+	live := c.live
 	if len(live) == 0 {
 		return nil, ErrNoDatanodes
 	}
@@ -230,34 +254,30 @@ func (c *Cluster) choosePipeline(client *xen.VM) ([]*Datanode, error) {
 	if want > len(live) {
 		want = len(live)
 	}
-	var pipeline []*Datanode
-	chosen := make(map[*Datanode]bool)
-	add := func(d *Datanode) {
-		if d != nil && !chosen[d] {
-			pipeline = append(pipeline, d)
-			chosen[d] = true
-		}
-	}
+	pipeline := make([]*Datanode, 0, want)
 	// First replica: local datanode if the writer hosts one.
 	if local := c.DatanodeOf(client); local != nil && local.Alive() {
-		add(local)
+		pipeline = append(pipeline, local)
 	}
 	// Second replica: with a rack topology configured, prefer a different
-	// physical machine ("off-rack"); without one, HDFS picks at random.
+	// physical machine ("off-rack"); without one, HDFS picks at random. The
+	// pipeline holds only the local node here, on srcPM.
 	if c.cfg.PMAware && len(pipeline) > 0 && len(pipeline) < want {
 		srcPM := pipeline[0].VM.Host()
 		off := c.rng.Intn(len(live))
-		for i := 0; i < len(live); i++ {
+		for i := range live {
 			d := live[(off+i)%len(live)]
-			if !chosen[d] && d.VM.Host() != srcPM {
-				add(d)
+			if d.VM.Host() != srcPM {
+				pipeline = append(pipeline, d)
 				break
 			}
 		}
 	}
 	// Fill the rest from random nodes (flat-rack default policy).
 	for start := c.rng.Intn(len(live)); len(pipeline) < want; start++ {
-		add(live[start%len(live)])
+		if d := live[start%len(live)]; !slices.Contains(pipeline, d) {
+			pipeline = append(pipeline, d)
+		}
 	}
 	return pipeline, nil
 }
@@ -354,7 +374,7 @@ func (c *Cluster) Write(p *sim.Proc, client *xen.VM, name string, size float64, 
 			Records: groups[i],
 		}
 		client.Message(p, c.namenode, 256) // allocateBlock
-		sp := c.obs.Start(obs.KindHDFSWrite, blockKey(b), nil).SetAttr("file", name)
+		sp := c.obs.Start(obs.KindHDFSWrite, b.tag(), nil).SetAttr("file", name)
 		if err := c.writeBlock(p, client, b, pipeline, sp); err != nil {
 			sp.SetAttr("error", err.Error()).Finish()
 			return nil, fmt.Errorf("hdfs: write %s block %d: %w", name, i, err)
@@ -371,14 +391,13 @@ func (c *Cluster) Write(p *sim.Proc, client *xen.VM, name string, size float64, 
 // is rebuilt from the surviving datanodes and the block is resent through
 // them. A shortened pipeline leaves the block under-replicated; the
 // replication monitor repairs that later. Only a dead client (or losing
-// every pipeline node) fails the write.
+// every pipeline node) fails the write. The pipeline, shrunk in place,
+// becomes the block's replica list.
 func (c *Cluster) writeBlock(p *sim.Proc, client *xen.VM, b *Block, pipeline []*Datanode, sp *obs.Span) error {
 	for {
 		err := c.streamBlock(p, client, b, pipeline)
 		if err == nil {
-			for _, d := range pipeline {
-				b.Replicas = append(b.Replicas, d)
-			}
+			b.Replicas = pipeline
 			c.bytesWritten += b.Size * float64(len(pipeline))
 			if c.instr != nil {
 				c.instr.bytesWritten.Add(b.Size * float64(len(pipeline)))
@@ -388,47 +407,56 @@ func (c *Cluster) writeBlock(p *sim.Proc, client *xen.VM, b *Block, pipeline []*
 		if s := client.State(); s == xen.StateCrashed || s == xen.StateShutdown {
 			return err // the writer itself died; nothing to fail over to
 		}
-		var survivors []*Datanode
+		survivors := 0
 		for _, d := range pipeline {
 			if d.Alive() {
-				survivors = append(survivors, d)
+				survivors++
 			}
 		}
 		// Retry only when a pipeline node actually died (the pipeline
 		// strictly shrinks, so this terminates); any other failure — or
 		// losing every node — propagates.
-		if len(survivors) == 0 || len(survivors) == len(pipeline) {
+		if survivors == 0 || survivors == len(pipeline) {
 			return err
 		}
 		if c.instr != nil {
 			c.instr.pipelineFailovers.Inc()
 		}
 		sp.Eventf("hdfs: pipeline for block %d of %s shrunk %d->%d, resending",
-			b.ID, b.File, len(pipeline), len(survivors))
-		pipeline = survivors
+			b.ID, b.File, len(pipeline), survivors)
+		pipeline = slices.DeleteFunc(pipeline, func(d *Datanode) bool { return !d.Alive() })
 	}
 }
 
 // streamBlock pushes one block through the pipeline. All hops and disk
-// writes run concurrently (streaming), so the block costs its slowest stage.
+// writes run concurrently (streaming), so the block costs its slowest
+// stage. Each stage is a process, because it blocks on the network and the
+// disk; it returns the first stage's error, in pipeline order.
 func (c *Cluster) streamBlock(p *sim.Proc, client *xen.VM, b *Block, pipeline []*Datanode) error {
-	e := p.Engine()
-	var stages []*sim.Proc
+	key := c.storeKey(b)
+	var buf [4]*xen.IOProc // holds the default and most custom pipelines
+	stages := buf[:0]
 	prev := client
 	for _, d := range pipeline {
-		d := d
-		src := prev
-		stages = append(stages, e.Spawn("hdfs-pipe", func(q *sim.Proc) {
-			src.SendTo(q, d.VM, b.Size)
-			if c.cfg.UseHostCache {
-				d.VM.WriteDiskTagged(q, blockKey(b), b.Size)
-			} else {
-				d.VM.WriteDisk(q, b.Size)
-			}
-		}))
+		stages = append(stages, prev.SpawnStore("hdfs-pipe", d.VM, key, b.Size))
 		prev = d.VM
 	}
-	return sim.WaitProcs(p, stages...)
+	var err error
+	for _, s := range stages {
+		if serr := s.Wait(p); err == nil {
+			err = serr
+		}
+	}
+	return err
+}
+
+// storeKey returns the page-cache tag a write of b stores under: b's tag,
+// or "" when writes bypass the host cache.
+func (c *Cluster) storeKey(b *Block) string {
+	if c.cfg.UseHostCache {
+		return b.tag()
+	}
+	return ""
 }
 
 // bestReplica picks the replica a client reads from. A same-VM replica is
@@ -437,34 +465,45 @@ func (c *Cluster) streamBlock(p *sim.Proc, client *xen.VM, b *Block, pipeline []
 // all non-local replicas look equidistant and the choice rotates blindly —
 // routinely pulling blocks across the inter-machine link in a cross-domain
 // cluster.
+//
+// The candidates are the live replicas on the client's machine, then the
+// remote ones, each in replica order; without a rack topology they form
+// one tier. bestReplica counts them in place and walks to the one its draw
+// picks.
 func (c *Cluster) bestReplica(b *Block, client *xen.VM) (*Datanode, error) {
-	var sameVM, samePM, remote []*Datanode
+	samePM, remote := 0, 0
 	for _, d := range b.Replicas {
-		if !d.Alive() {
-			continue
-		}
 		switch {
+		case !d.Alive():
 		case d.VM == client:
-			sameVM = append(sameVM, d)
+			return d, nil
 		case d.VM.Host() == client.Host():
-			samePM = append(samePM, d)
+			samePM++
 		default:
-			remote = append(remote, d)
+			remote++
 		}
 	}
-	if len(sameVM) > 0 {
-		return sameVM[0], nil
+	n := samePM + remote
+	if c.cfg.PMAware && samePM > 0 {
+		n = samePM // a same-machine replica beats every remote one
 	}
-	tiers := [][]*Datanode{samePM, remote}
-	if !c.cfg.PMAware {
-		tiers = [][]*Datanode{append(samePM, remote...)}
+	if n == 0 {
+		return nil, fmt.Errorf("%w: block %d of %s", ErrNoReplica, b.ID, b.File)
 	}
-	for _, tier := range tiers {
-		if len(tier) > 0 {
-			return tier[c.rng.Intn(len(tier))], nil
+	k := c.rng.Intn(n)
+	onPM := k < samePM
+	if !onPM {
+		k -= samePM
+	}
+	for _, d := range b.Replicas {
+		if d.Alive() && (d.VM.Host() == client.Host()) == onPM {
+			if k == 0 {
+				return d, nil
+			}
+			k--
 		}
 	}
-	return nil, fmt.Errorf("%w: block %d of %s", ErrNoReplica, b.ID, b.File)
+	panic("hdfs: bestReplica lost count of its candidates")
 }
 
 // ReadBlock moves one block's data to the client VM: the serving replica
@@ -512,30 +551,14 @@ func (c *Cluster) ReadRange(p *sim.Proc, client *xen.VM, b *Block, bytes float64
 	}
 }
 
-// readFrom moves bytes of block b from replica d to the client.
+// readFrom moves bytes of block b from replica d to the client. The disk
+// read and the network send are processes, because both block.
 func (c *Cluster) readFrom(p *sim.Proc, client *xen.VM, d *Datanode, b *Block, bytes float64) error {
 	if c.cfg.UseHostCache {
-		e := p.Engine()
-		reader := e.Spawn("hdfs-read-disk", func(q *sim.Proc) {
-			d.VM.ReadDiskTagged(q, blockKey(b), bytes)
-		})
-		var sender *sim.Proc
-		if d.VM != client {
-			sender = e.Spawn("hdfs-read-net", func(q *sim.Proc) {
-				d.VM.SendTo(q, client, bytes)
-			})
-		}
-		procs := []*sim.Proc{reader}
-		if sender != nil {
-			procs = append(procs, sender)
-		}
-		return sim.WaitProcs(p, procs...)
+		return d.VM.ReadAndSend(p, client, b.tag(), bytes, "hdfs-read-disk", "hdfs-read-net")
 	}
 	// O_DIRECT path: one coupled relay flow filer -> replica host -> client.
-	relay := p.Engine().Spawn("hdfs-read-relay", func(q *sim.Proc) {
-		d.VM.ReadFromDiskTo(q, client, bytes)
-	})
-	return sim.WaitProcs(p, relay)
+	return d.VM.SpawnRelay("hdfs-read-relay", client, bytes).Wait(p)
 }
 
 // Read moves a whole file to the client VM, block by block, and returns its
@@ -553,10 +576,6 @@ func (c *Cluster) Read(p *sim.Proc, client *xen.VM, name string) (*File, error) 
 	}
 	return f, nil
 }
-
-// blockKey is the page-cache tag for a block's data. It is built on every
-// tagged disk op, so plain concatenation instead of fmt keeps it cheap.
-func blockKey(b *Block) string { return "blk-" + strconv.Itoa(b.ID) }
 
 // IsLocal reports whether vm holds a replica of b.
 func (c *Cluster) IsLocal(b *Block, vm *xen.VM) bool {
@@ -606,15 +625,16 @@ func (c *Cluster) StopReplicationMonitor() {
 	}
 }
 
-// UnderReplicated returns blocks with fewer live replicas than configured.
+// UnderReplicated returns blocks with fewer live replicas than configured,
+// or than there are live datanodes if that is fewer.
 func (c *Cluster) UnderReplicated() []*Block {
+	want := c.cfg.Replication
+	if alive := c.numAlive(); want > alive {
+		want = alive
+	}
 	var out []*Block
 	for _, name := range c.Files() {
 		for _, b := range c.files[name].Blocks {
-			want := c.cfg.Replication
-			if alive := len(c.alive()); want > alive {
-				want = alive
-			}
 			if countLive(b) < want {
 				out = append(out, b)
 			}
@@ -666,7 +686,7 @@ func (c *Cluster) ReReplicate(p *sim.Proc) int {
 		if src == nil {
 			continue // unrecoverable: no live replica holds the data
 		}
-		live := c.alive()
+		live := c.appendAlive(nil) // a copy of its own: the copies below block
 		want := c.cfg.Replication
 		if want > len(live) {
 			want = len(live)
@@ -686,18 +706,9 @@ func (c *Cluster) ReReplicate(p *sim.Proc) int {
 			// The copy runs in a child proc so a source or target VM dying
 			// mid-stream fails only this transfer, not the caller (which may
 			// be the long-lived replication monitor daemon).
-			src, target := src, target
-			sp := c.obs.Start(obs.KindRepair, blockKey(b), nil).
+			sp := c.obs.Start(obs.KindRepair, b.tag(), nil).
 				SetAttr("src", src.VM.Name).SetAttr("dst", target.VM.Name)
-			xfer := p.Engine().Spawn("hdfs-rerepl", func(q *sim.Proc) {
-				src.VM.SendTo(q, target.VM, b.Size)
-				if c.cfg.UseHostCache {
-					target.VM.WriteDiskTagged(q, blockKey(b), b.Size)
-				} else {
-					target.VM.WriteDisk(q, b.Size)
-				}
-			})
-			if err := sim.WaitProcs(p, xfer); err != nil {
+			if err := src.VM.SpawnStore("hdfs-rerepl", target.VM, c.storeKey(b), b.Size).Wait(p); err != nil {
 				// A later monitor pass re-picks source and target, but the
 				// cause must reach the trace: a silently dropped transfer
 				// failure here is indistinguishable from the monitor never

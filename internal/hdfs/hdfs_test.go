@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -445,4 +446,247 @@ func TestReReplicateUnrecoverableBlock(t *testing.T) {
 		}
 	})
 	tb.engine.Run()
+}
+
+// TestWriteFailsWhenWholePipelineDies covers writeBlock's last return: a
+// writer with no datanode of its own streams one block to two datanodes,
+// both crash mid-stream, and no survivor is left to shrink the pipeline to.
+// The write must fail with the crash and leave no file behind.
+func TestWriteFailsWhenWholePipelineDies(t *testing.T) {
+	tb := newTestbed(1, 1, 3, Config{BlockSize: 64e6, Replication: 2})
+	writer := tb.vms[0] // the namenode's VM hosts no datanode
+	for _, d := range tb.cluster.Datanodes() {
+		tb.engine.At(0.3, d.VM.Crash)
+	}
+	var f *File
+	var werr error
+	tb.engine.Spawn("w", func(p *sim.Proc) {
+		f, werr = tb.cluster.Write(p, writer, "/d", 64e6, nil)
+	})
+	tb.engine.Run()
+	if !errors.Is(werr, xen.ErrVMDead) {
+		t.Fatalf("err = %v, want ErrVMDead (every pipeline node died)", werr)
+	}
+	if f != nil || tb.cluster.Exists("/d") {
+		t.Fatal("a write that lost its whole pipeline recorded a file")
+	}
+}
+
+// TestBlockPathAllocs gates the allocations of one block's read and write
+// on a warm cluster. A read allocates only its process records: the disk
+// and network halves from a replica on another VM, the disk half alone
+// from one on the reader's VM. Replica choice walks the block's replicas
+// in place, so neither count grows with the number of datanodes.
+//
+// Writing a one-block file takes 8: the block, its page-cache tag, the
+// pipeline that becomes its replica list, two stage processes, the file,
+// its block list and splitRecords' group list. Before the pipeline stages
+// and read halves became recycled records, transfers recycled their flows
+// and disk jobs, and replica choice stopped building slices, maps and
+// closures, the same write took 26 allocations at 4 datanodes and 28 at
+// 16, and the reads 10 and 5 at both.
+func TestBlockPathAllocs(t *testing.T) {
+	for _, datanodes := range []int{4, 16} {
+		tb := newTestbed(1, 2, datanodes+1, Config{BlockSize: 64e6, Replication: 2, UseHostCache: true})
+		c := tb.cluster
+		nn := tb.vms[0] // hosts no datanode
+		var f *File
+		tb.engine.Spawn("w", func(p *sim.Proc) {
+			var err error
+			if f, err = c.Write(p, nn, "/d", 64e6, nil); err != nil {
+				t.Errorf("write: %v", err)
+			}
+		})
+		tb.engine.Run()
+		b := f.Blocks[0]
+		local := b.Replicas[0].VM
+
+		remote := blockPathAllocs(tb, func(p *sim.Proc) {
+			if err := c.ReadBlock(p, nn, b); err != nil {
+				t.Errorf("remote read: %v", err)
+			}
+		})
+		sameVM := blockPathAllocs(tb, func(p *sim.Proc) {
+			if err := c.ReadBlock(p, local, b); err != nil {
+				t.Errorf("same-VM read: %v", err)
+			}
+		})
+		// Each run deletes the file and rewinds the block counter, so the
+		// next writes the same block again: the namespace map and the page
+		// caches stay the same size and never grow.
+		write := blockPathAllocs(tb, func(p *sim.Proc) {
+			delete(c.files, "/w")
+			c.nextBlock--
+			if _, err := c.Write(p, nn, "/w", 64e6, nil); err != nil {
+				t.Errorf("write: %v", err)
+			}
+		})
+		if remote != 2 || sameVM != 1 || write != 8 {
+			t.Errorf("%d datanodes: %v allocs per remote read, %v per same-VM read, %v per one-block write; want 2, 1 and 8",
+				datanodes, remote, sameVM, write)
+		}
+	}
+}
+
+// blockPathAllocs returns the allocations of one call of op, run by a
+// driver process that a semaphore releases once per measured step. An
+// event far beyond every step keeps the engine from draining, so it keeps
+// its idle carriers between steps, as a busy cluster's does.
+func blockPathAllocs(tb *testbed, op func(p *sim.Proc)) float64 {
+	e := tb.engine
+	const stepLen = 1000 // virtual seconds, far longer than one block op
+	e.At(e.Now()+1e6*stepLen, func() {})
+	q := sim.NewQueue(e, 1)
+	q.Acquire(nil, 1) // the driver waits for the first step's release
+	stop := false
+	e.Spawn("driver", func(p *sim.Proc) {
+		for !stop {
+			q.Acquire(p, 1)
+			op(p)
+		}
+	})
+	step := func() {
+		q.Release(1)
+		e.RunUntil(e.Now() + stepLen)
+	}
+	for i := 0; i < 3; i++ {
+		step() // warm the free lists, the carriers and the page caches
+	}
+	n := testing.AllocsPerRun(20, step)
+	stop = true
+	step()
+	return n
+}
+
+// referenceChoosePipeline is choosePipeline as it was before it listed the
+// live datanodes in scratch and dropped its chosen-set map, drawing from
+// rng instead of c.rng. FuzzReplicaChoice checks the two against each other.
+func referenceChoosePipeline(c *Cluster, rng *rand.Rand, client *xen.VM) ([]*Datanode, error) {
+	var live []*Datanode
+	for _, d := range c.datanodes {
+		if d.Alive() {
+			live = append(live, d)
+		}
+	}
+	if len(live) == 0 {
+		return nil, ErrNoDatanodes
+	}
+	want := c.cfg.Replication
+	if want > len(live) {
+		want = len(live)
+	}
+	var pipeline []*Datanode
+	chosen := make(map[*Datanode]bool)
+	add := func(d *Datanode) {
+		if d != nil && !chosen[d] {
+			pipeline = append(pipeline, d)
+			chosen[d] = true
+		}
+	}
+	if local := c.DatanodeOf(client); local != nil && local.Alive() {
+		add(local)
+	}
+	if c.cfg.PMAware && len(pipeline) > 0 && len(pipeline) < want {
+		srcPM := pipeline[0].VM.Host()
+		off := rng.Intn(len(live))
+		for i := 0; i < len(live); i++ {
+			d := live[(off+i)%len(live)]
+			if !chosen[d] && d.VM.Host() != srcPM {
+				add(d)
+				break
+			}
+		}
+	}
+	for start := rng.Intn(len(live)); len(pipeline) < want; start++ {
+		add(live[start%len(live)])
+	}
+	return pipeline, nil
+}
+
+// referenceBestReplica is bestReplica as it was before it counted its
+// tiers in place, drawing from rng instead of c.rng.
+func referenceBestReplica(c *Cluster, rng *rand.Rand, b *Block, client *xen.VM) (*Datanode, error) {
+	var sameVM, samePM, remote []*Datanode
+	for _, d := range b.Replicas {
+		if !d.Alive() {
+			continue
+		}
+		switch {
+		case d.VM == client:
+			sameVM = append(sameVM, d)
+		case d.VM.Host() == client.Host():
+			samePM = append(samePM, d)
+		default:
+			remote = append(remote, d)
+		}
+	}
+	if len(sameVM) > 0 {
+		return sameVM[0], nil
+	}
+	tiers := [][]*Datanode{samePM, remote}
+	if !c.cfg.PMAware {
+		tiers = [][]*Datanode{append(samePM, remote...)}
+	}
+	for _, tier := range tiers {
+		if len(tier) > 0 {
+			return tier[rng.Intn(len(tier))], nil
+		}
+	}
+	return nil, fmt.Errorf("%w: block %d of %s", ErrNoReplica, b.ID, b.File)
+}
+
+// FuzzReplicaChoice checks that choosePipeline and bestReplica pick the
+// nodes their references pick and draw the same random numbers: each side
+// runs on its own identically seeded rng, and both rngs must be left at
+// the same next value. The inputs vary the machine and VM counts, the
+// replication factor 1–4, PMAware, which datanodes are decommissioned or
+// crashed (two bits each in health), the client (the namenode's VM hosts
+// no datanode) and each block's replica list (drawn from layout).
+func FuzzReplicaChoice(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(4), uint8(1), false, uint32(0), uint8(0), int64(7))
+	f.Add(int64(2), uint8(2), uint8(9), uint8(2), true, uint32(0x0402), uint8(3), int64(11))
+	f.Fuzz(func(t *testing.T, seed int64, pms, vms, repl uint8, pmAware bool, health uint32, clientIdx uint8, layout int64) {
+		nPM := 1 + int(pms%4)
+		nVM := 2 + int(vms%15) // the namenode's VM and 1–15 datanodes
+		tb := newTestbed(1, nPM, nVM, Config{BlockSize: 64e6, Replication: 1 + int(repl%4), PMAware: pmAware})
+		c := tb.cluster
+		for i, d := range c.Datanodes() {
+			switch (health >> (2 * i)) & 3 {
+			case 1:
+				c.Decommission(d)
+			case 2:
+				d.VM.Crash()
+			}
+		}
+		lay := rand.New(rand.NewSource(layout))
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		first := int(clientIdx) % nVM
+		for i := 0; i < 3; i++ { // a few clients in turn, so scratch is reused
+			client := tb.vms[(first+i)%nVM]
+			c.rng = got
+			pipeline, err := c.choosePipeline(client)
+			refPipeline, refErr := referenceChoosePipeline(c, want, client)
+			if (err == nil) != (refErr == nil) || fmt.Sprint(pipeline) != fmt.Sprint(refPipeline) {
+				t.Fatalf("client %s: pipeline %v (%v), reference %v (%v)", client.Name, pipeline, err, refPipeline, refErr)
+			}
+			if len(pipeline) != cap(pipeline) {
+				t.Fatalf("client %s: pipeline of %d has capacity %d", client.Name, len(pipeline), cap(pipeline))
+			}
+			// Any replica list, dead and same-machine replicas included.
+			dns := c.Datanodes()
+			perm := lay.Perm(len(dns))
+			b := &Block{ID: i + 1, File: "/f"}
+			for _, j := range perm[:1+lay.Intn(len(dns))] {
+				b.Replicas = append(b.Replicas, dns[j])
+			}
+			d, err := c.bestReplica(b, client)
+			refD, refErr := referenceBestReplica(c, want, b, client)
+			if d != refD || (err == nil) != (refErr == nil) {
+				t.Fatalf("client %s, replicas %v: picked %v (%v), reference %v (%v)", client.Name, b.Replicas, d, err, refD, refErr)
+			}
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("client %s: rng streams diverged: next %d, reference %d", client.Name, g, w)
+			}
+		}
+	})
 }

@@ -50,6 +50,6 @@ func (c *Cluster) SetObs(pl *obs.Plane) {
 func (c *Cluster) collect() {
 	in := c.instr
 	in.files.Set(float64(len(c.files)))
-	in.datanodesLive.Set(float64(len(c.alive())))
+	in.datanodesLive.Set(float64(c.numAlive()))
 	in.underReplicated.Set(float64(len(c.UnderReplicated())))
 }

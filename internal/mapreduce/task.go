@@ -288,7 +288,8 @@ func (c *Cluster) reduceOutput(cfg *JobSpec, runs [][]KV) []KV {
 }
 
 // fetchMapOutput moves one map-output partition from src to dst: a fetch
-// RPC, then the source disk read streaming into the network transfer.
+// RPC, then the source disk read streaming into the network transfer, as
+// two processes whose records ReadAndSend recycles.
 func (c *Cluster) fetchMapOutput(p *sim.Proc, src, dst *xen.VM, bytes float64) {
 	dst.Message(p, src, 128)
 	if c.cfg.FetchOverhead > 0 {
@@ -301,10 +302,7 @@ func (c *Cluster) fetchMapOutput(p *sim.Proc, src, dst *xen.VM, bytes float64) {
 		dst.ReadDisk(p, bytes)
 		return
 	}
-	e := p.Engine()
-	reader := e.Spawn("shuffle-disk", func(q *sim.Proc) { src.ReadDisk(q, bytes) })
-	sender := e.Spawn("shuffle-net", func(q *sim.Proc) { src.SendTo(q, dst, bytes) })
-	if err := sim.WaitProcs(p, reader, sender); err != nil {
+	if err := src.ReadAndSend(p, dst, "", bytes, "shuffle-disk", "shuffle-net"); err != nil {
 		p.Fail(err)
 	}
 }

@@ -53,17 +53,19 @@ func (s *Server) SubmitRead(bytes float64) *sim.Done {
 
 // Read services a VM disk read issued from a VM on client: the filer's disk
 // and the network transfer to the client proceed in parallel (streaming),
-// so the caller pays the slower of the two.
+// so the caller pays the slower of the two. Read, Write and FetchImage
+// recycle their disk job and flow, so they allocate nothing in steady
+// state.
 func (s *Server) Read(p *sim.Proc, client *phys.Machine, bytes float64) {
 	if bytes <= 0 {
 		return
 	}
 	s.readBytes += bytes
-	diskDone := s.machine.Disk.Submit(bytes)
+	disk := s.machine.Disk.Begin(bytes)
 	if route := s.topo.HostPath(s.machine, client); route != nil {
-		s.topo.Fabric().StartFlow(route, bytes).Done().Wait(p)
+		s.topo.Fabric().Transfer(p, "nfs-read", route, bytes)
 	}
-	diskDone.Wait(p)
+	s.machine.Disk.End(p, disk)
 }
 
 // Write services a VM disk write from a VM on client: network transfer to
@@ -73,11 +75,11 @@ func (s *Server) Write(p *sim.Proc, client *phys.Machine, bytes float64) {
 		return
 	}
 	s.writeBytes += bytes
-	diskDone := s.machine.Disk.Submit(bytes * writePenalty)
+	disk := s.machine.Disk.Begin(bytes * writePenalty)
 	if route := s.topo.HostPath(client, s.machine); route != nil {
-		s.topo.Fabric().StartFlow(route, bytes).Done().Wait(p)
+		s.topo.Fabric().Transfer(p, "nfs-write", route, bytes)
 	}
-	diskDone.Wait(p)
+	s.machine.Disk.End(p, disk)
 }
 
 // FetchImage streams a VM image of the given size from the filer to dst's
@@ -87,9 +89,9 @@ func (s *Server) FetchImage(p *sim.Proc, dst *phys.Machine, bytes float64) {
 		return
 	}
 	s.readBytes += bytes
-	diskDone := s.machine.Disk.Submit(bytes)
+	disk := s.machine.Disk.Begin(bytes)
 	if route := s.topo.HostPath(s.machine, dst); route != nil {
-		s.topo.Fabric().StartFlow(route, bytes).Done().Wait(p)
+		s.topo.Fabric().Transfer(p, "nfs-image", route, bytes)
 	}
-	diskDone.Wait(p)
+	s.machine.Disk.End(p, disk)
 }

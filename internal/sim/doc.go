@@ -49,12 +49,13 @@
 //   - FairShare: a processor-sharing resource (CPU pools, disks), a MaxMin
 //     with one resource; N jobs in service each progress at capacity/N,
 //     optionally capped per job. This is the building block for the Xen
-//     credit scheduler and for disk contention. Use recycles its job
-//     records through a free list on the FairShare.
+//     credit scheduler and for disk contention. Use, and the Begin/End
+//     pair, recycle their job records through a free list on the
+//     FairShare.
 //
 // Blocking waits allocate nothing in steady state: Sleep, Done.Wait,
-// Queue.Acquire and FairShare.Use. A process aborted or killed inside Use
-// unwinds past the point where its job record is recycled, so the job stays
+// Queue.Acquire, FairShare.Use and FairShare.End. A process aborted or
+// killed inside Use or End unwinds past the point where its job record is recycled, so the job stays
 // with the solver, is served to completion and is never reused; starting a
 // MaxMin activity that is still in service panics.
 //

@@ -717,6 +717,30 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 	e.Shutdown()
 
+	// Begin and End share Use's free list: work overlapped with a sleep
+	// allocates nothing either.
+	e = New(1)
+	fs = NewFairShare(e, "disk", 2, 0)
+	served = 0
+	for i := 0; i < 2; i++ {
+		e.Spawn("user", func(p *Proc) {
+			for {
+				j := fs.Begin(1)
+				p.Sleep(0.5)
+				fs.End(p, j)
+				served++
+			}
+		})
+	}
+	e.RunUntil(warm)
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); n != 0 {
+		t.Errorf("FairShare Begin+End: %v allocs per step of two jobs, want 0", n)
+	}
+	if want := 2 * (warm + 101); served != want {
+		t.Fatalf("served %d jobs, want %d", served, want)
+	}
+	e.Shutdown()
+
 	// Three procs contend for one unit, so two of them are always in line.
 	e = New(1)
 	q := NewQueue(e, 1)

@@ -12,7 +12,7 @@ type FairShare struct {
 	name      string
 	perJobCap float64 // per-job max rate; 0 means uncapped
 	uses      []int   // the solver's only resource, shared by every job
-	free      *job    // jobs Use has finished with, linked through next
+	free      *Job    // jobs Use and End have finished with, linked through next
 }
 
 // NewFairShare returns a processor-sharing resource with the given total
@@ -69,31 +69,50 @@ func (f *FairShare) Use(p *Proc, work float64) {
 	if work <= 0 {
 		return
 	}
+	f.End(p, f.Begin(work))
+}
+
+// Job is one submission: the activity and the latch it completes, in one
+// allocation.
+type Job struct {
+	Activity
+	done Done
+	next *Job // free-list link, set only while the job is on the list
+}
+
+// Begin enqueues work asynchronously, like Submit, for a caller that
+// overlaps it with another wait and then calls End. The job comes from the
+// free list that Use draws on, so the pair allocates nothing in steady
+// state.
+func (f *FairShare) Begin(work float64) *Job {
 	j := f.free
 	if j != nil {
 		f.free, j.next = j.next, nil
 	} else {
-		j = new(job)
+		j = new(Job)
+	}
+	if work <= 0 {
+		j.done.fire()
+		return j
 	}
 	f.solver.Start(&j.Activity, work, f.perJobCap, f.uses, &j.done, 0)
+	return j
+}
+
+// End blocks p until j, which Begin returned on f, has been served, then
+// puts j back on the free list. As in Use, a process aborted or killed
+// while it waits unwinds past that point and j is never reused.
+func (f *FairShare) End(p *Proc, j *Job) {
 	j.done.Wait(p)
 	j.done = Done{}
 	j.next, f.free = f.free, j
-}
-
-// job is one submission: the activity and the latch it completes, in one
-// allocation.
-type job struct {
-	Activity
-	done Done
-	next *job // free-list link, set only while the job is on the list
 }
 
 // Submit enqueues work asynchronously and returns a latch that fires on
 // completion. It may be called from engine context or a process. The
 // caller keeps the latch, so its job is never recycled.
 func (f *FairShare) Submit(work float64) *Done {
-	j := new(job)
+	j := new(Job)
 	if work <= 0 {
 		j.done.fire()
 		return &j.done

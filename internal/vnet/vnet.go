@@ -10,7 +10,8 @@
 // route, and whenever the flow population changes the fabric recomputes
 // every flow's rate with max-min fair water-filling, the standard fluid
 // approximation of TCP bandwidth sharing. A flow is one allocation, its
-// solver activity and its completion latch together.
+// solver activity and its completion latch together, and a blocking
+// Transfer recycles it.
 // This is what makes a shared 1 Gb/s NIC the bottleneck of a cross-domain
 // Hadoop virtual cluster, exactly as the vHadoop paper observes.
 //
@@ -83,6 +84,7 @@ func (r *Route) Links() []*Link { return r.links }
 type Flow struct {
 	sim.Activity
 	done sim.Done
+	next *Flow // free-list link, set only while the flow is on the list
 }
 
 // Done returns the latch that fires when the last byte arrives.
@@ -95,6 +97,7 @@ type Fabric struct {
 	solver     *sim.MaxMin
 	links      []*Link
 	flowsTotal int
+	free       *Flow // flows Transfer has finished with, linked through next
 }
 
 // NewFabric returns an empty fabric bound to e. Flows with a byte residue
@@ -146,27 +149,45 @@ func (f *Fabric) NewRoute(links ...*Link) *Route {
 // (transmission time under fair sharing, plus the route's propagation
 // latency).
 func (f *Fabric) StartFlow(r *Route, bytes float64) *Flow {
-	if r.fabric != f {
-		panic("vnet: route belongs to a different fabric")
-	}
 	fl := new(Flow)
-	f.flowsTotal++
-	if bytes <= 0 {
-		// Pure control transfer: latency only.
-		f.engine.FireAfter(r.latency, &fl.done)
-		return fl
-	}
-	// The last byte leaves when the work is served; it arrives after the
-	// route's propagation latency.
-	f.solver.Start(&fl.Activity, bytes, 0, r.uses, &fl.done, r.latency)
+	f.start(fl, r, bytes)
 	return fl
 }
 
 // Transfer moves bytes along r, blocking p until the last byte arrives. It
-// is StartFlow followed by a wait; label names the transfer at the call
+// is StartFlow followed by a wait, except that the flow comes from the
+// fabric's free list and goes back on it once the wait returns, so a
+// transfer allocates nothing in steady state. A process aborted or killed
+// while it waits unwinds past that point: its flow drains to completion
+// unobserved and is never reused. label names the transfer at the call
 // site and is not recorded.
 func (f *Fabric) Transfer(p *sim.Proc, label string, r *Route, bytes float64) {
-	f.StartFlow(r, bytes).done.Wait(p)
+	fl := f.free
+	if fl != nil {
+		f.free, fl.next = fl.next, nil
+	} else {
+		fl = new(Flow)
+	}
+	f.start(fl, r, bytes)
+	fl.done.Wait(p)
+	fl.done = sim.Done{}
+	fl.next, f.free = f.free, fl
+}
+
+// start puts fl, retired or new, in service along r.
+func (f *Fabric) start(fl *Flow, r *Route, bytes float64) {
+	if r.fabric != f {
+		panic("vnet: route belongs to a different fabric")
+	}
+	f.flowsTotal++
+	if bytes <= 0 {
+		// Pure control transfer: latency only.
+		f.engine.FireAfter(r.latency, &fl.done)
+		return
+	}
+	// The last byte leaves when the work is served; it arrives after the
+	// route's propagation latency.
+	f.solver.Start(&fl.Activity, bytes, 0, r.uses, &fl.done, r.latency)
 }
 
 // MessageDelay returns how long a small control message of the given size

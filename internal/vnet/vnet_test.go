@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -260,9 +261,9 @@ func TestMeanUtilizationAfterSetBandwidth(t *testing.T) {
 	almost(t, later, 1, 1e-9, "mean utilisation at t=20")
 }
 
-// A transfer over a route built once allocates only its Flow, which holds
-// the solver activity and the latch in one object: no path walk, no index
-// slice, no completion closure.
+// A transfer over a route built once allocates nothing: no path walk, no
+// index slice, no completion closure, and its Flow (the solver activity and
+// the latch in one object) comes back off the fabric's free list.
 func TestTransferOverRouteAllocs(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
@@ -276,11 +277,52 @@ func TestTransferOverRouteAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		step()
 	}
-	if n := testing.AllocsPerRun(100, step); n != 1 {
-		t.Errorf("Transfer over a route: %v allocs per flow, want 1", n)
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Errorf("Transfer over a route: %v allocs per flow, want 0", n)
 	}
 	if got, want := f.FlowsStarted(), 10+101+1; got != want {
 		t.Fatalf("started %d flows, want %d", got, want)
 	}
 	e.Shutdown()
+}
+
+// TestAbortDuringTransferIsNotRecycled aborts a process in the middle of a
+// Transfer: its flow must stay in the fabric and drain, and the next
+// Transfer must start a flow of its own beside it. Reusing the orphan
+// while it is in service would panic in MaxMin.Start.
+func TestAbortDuringTransferIsNotRecycled(t *testing.T) {
+	e := sim.New(1)
+	f := NewFabric(e)
+	r := f.NewRoute(f.NewLink("a", 10e6, 0))
+	errAbort := errors.New("aborted")
+	victim := e.Spawn("victim", func(p *sim.Proc) {
+		f.Transfer(p, "v", r, 40e6)
+		t.Error("aborted Transfer returned")
+	})
+	e.At(1, func() { victim.Abort(errAbort) })
+	var next, third sim.Time = -1, -1
+	e.Spawn("next", func(p *sim.Proc) {
+		p.Sleep(2) // the victim has unwound; its orphan has 20 MB left
+		// Both share the link, so this 10 MB is done at 4 and the
+		// orphan's last 10 MB at 5.
+		f.Transfer(p, "n", r, 10e6)
+		next = p.Now()
+		p.Sleep(2)
+		f.Transfer(p, "n", r, 20e6) // reuses the flow the previous Transfer returned
+		third = p.Now()
+	})
+	var flowsAt45 int
+	e.At(4.5, func() { flowsAt45 = f.ActiveFlows() })
+	e.Run()
+	if victim.Err() != errAbort {
+		t.Fatalf("victim err = %v, want the abort", victim.Err())
+	}
+	almost(t, next, 4, 1e-9, "transfer beside the orphan")
+	if flowsAt45 != 1 {
+		t.Fatalf("%d flows at 4.5, want the orphan alone", flowsAt45)
+	}
+	almost(t, third, 8, 1e-9, "recycled flow after the orphan drained")
+	if got := f.FlowsStarted(); got != 3 {
+		t.Fatalf("started %d flows, want 3", got)
+	}
 }

@@ -43,6 +43,7 @@ type Manager struct {
 	nfs    *nfs.Server
 	cfg    Config
 	vms    []*VM
+	freeIO *IOProc // records Wait has finished with, linked through next
 
 	obs   *obs.Plane // nil outside core.NewPlatform; every use is guarded
 	instr *instruments

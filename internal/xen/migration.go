@@ -116,7 +116,7 @@ func (m *Manager) Migrate(p *sim.Proc, vm *VM, dst *phys.Machine, cfg MigrationC
 	toSend := vm.MemBytes
 	for {
 		before := m.engine.Now()
-		fabric.StartFlow(route, toSend).Done().Wait(p)
+		fabric.Transfer(p, "pre-copy", route, toSend)
 		stats.BytesSent += toSend
 		stats.Rounds++
 		if vm.state == StateCrashed || vm.state == StateShutdown {
@@ -145,7 +145,7 @@ func (m *Manager) Migrate(p *sim.Proc, vm *VM, dst *phys.Machine, cfg MigrationC
 	// move; the guest re-activates on the destination.
 	downStart := m.engine.Now()
 	vm.pause()
-	fabric.StartFlow(route, toSend+cfg.CPUStateBytes).Done().Wait(p)
+	fabric.Transfer(p, "stop-and-copy", route, toSend+cfg.CPUStateBytes)
 	stats.BytesSent += toSend + cfg.CPUStateBytes
 	if vm.state == StateCrashed || vm.state == StateShutdown {
 		// Crashed while paused: do not resurrect it by resuming.

@@ -278,7 +278,7 @@ func (vm *VM) SendTo(p *sim.Proc, dst *VM, bytes float64) {
 	dst.watch(p)
 	defer dst.unwatch(p)
 	route := vm.mgr.topo.Path(vm.host, dst.host)
-	vm.mgr.topo.Fabric().StartFlow(route, bytes).Done().Wait(p)
+	vm.mgr.topo.Fabric().Transfer(p, "send", route, bytes)
 }
 
 // Message sends a small control RPC to dst (latency-dominated, does not
