@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"vhadoop/internal/nfs"
+	"vhadoop/internal/obs"
 	"vhadoop/internal/phys"
 	"vhadoop/internal/sim"
 	"vhadoop/internal/vnet"
@@ -320,6 +322,78 @@ func TestReReplicateRestoresFactor(t *testing.T) {
 	tb.engine.Run()
 }
 
+// TestReReplicateSurvivesFailedCopy crashes a repair copy's target VM
+// mid-copy. The pass creates no replica for the block, counts one repair
+// failure and leaves the cause on the repair span's error attribute; the
+// failed copy's xen.IOProc record is dropped, not reused. A later pass
+// picks another target and completes the repair.
+func TestReReplicateSurvivesFailedCopy(t *testing.T) {
+	tb := newTestbed(1, 2, 5, Config{BlockSize: 64e6, Replication: 2})
+	pl := obs.New(tb.engine)
+	c := tb.cluster
+	c.SetObs(pl)
+	writer := tb.vms[1]
+	tb.engine.Spawn("w", func(p *sim.Proc) {
+		if _, err := c.Write(p, writer, "/d", 64e6, nil); err != nil {
+			t.Errorf("write: %v", err)
+		}
+	})
+	tb.engine.Run()
+	c.Decommission(c.DatanodeOf(writer))
+	if n := len(c.UnderReplicated()); n != 1 {
+		t.Fatalf("%d under-replicated blocks after decommission, want 1", n)
+	}
+
+	// Crash whichever VM the copy streams to, once it is under way.
+	var victim string
+	tb.engine.After(0.1, func() {
+		for _, sp := range pl.Tracer().Export().Spans {
+			for _, a := range sp.Attrs {
+				if sp.Kind == obs.KindRepair && a.Key == "dst" {
+					victim = a.Value
+				}
+			}
+		}
+		for _, vm := range tb.vms {
+			if vm.Name == victim {
+				vm.Crash()
+			}
+		}
+	})
+	repair := func() (created int) {
+		tb.engine.Spawn("repair", func(p *sim.Proc) { created = c.ReReplicate(p) })
+		tb.engine.Run()
+		return created
+	}
+	if n := repair(); n != 0 || victim == "" {
+		t.Fatalf("first pass created %d replicas with target %q crashed mid-copy, want 0", n, victim)
+	}
+	snap := pl.Registry().Snapshot()
+	if got := snap.Total("hdfs_repair_failures_total"); got != 1 {
+		t.Fatalf("hdfs_repair_failures_total = %v, want 1", got)
+	}
+	spans := pl.Tracer().Export().Spans
+	errAttr := ""
+	for _, a := range spans[len(spans)-1].Attrs {
+		if a.Key == "error" {
+			errAttr = a.Value
+		}
+	}
+	if !strings.Contains(errAttr, xen.ErrVMDead.Error()) || !strings.Contains(errAttr, victim) {
+		t.Fatalf("repair span error attribute = %q, want the crash of %s", errAttr, victim)
+	}
+
+	if n := repair(); n != 1 {
+		t.Fatalf("second pass created %d replicas, want 1", n)
+	}
+	if n := len(c.UnderReplicated()); n != 0 {
+		t.Fatalf("%d blocks still under-replicated after the second pass", n)
+	}
+	if got := pl.Registry().Snapshot().Total("hdfs_repair_failures_total"); got != 1 {
+		t.Fatalf("hdfs_repair_failures_total = %v after the second pass, want 1", got)
+	}
+}
+
 func TestWritePipelineFailoverMidStream(t *testing.T) {
 	// Replication = all 3 datanodes, so the pipeline is known up front:
 	// writer-local first, the others behind it. Crashing a tail datanode
@@ -473,18 +547,20 @@ func TestWriteFailsWhenWholePipelineDies(t *testing.T) {
 }
 
 // TestBlockPathAllocs gates the allocations of one block's read and write
-// on a warm cluster. A read allocates only its process records: the disk
-// and network halves from a replica on another VM, the disk half alone
-// from one on the reader's VM. Replica choice walks the block's replicas
-// in place, so neither count grows with the number of datanodes.
+// on a warm cluster. A read allocates nothing: its disk and network halves
+// (or, from a replica on the reader's VM, the disk half alone) run in
+// recycled xen.IOProc records that hold their sim.Proc by value. Replica
+// choice walks the block's replicas in place, so neither count grows with
+// the number of datanodes.
 //
-// Writing a one-block file takes 8: the block, its page-cache tag, the
-// pipeline that becomes its replica list, two stage processes, the file,
-// its block list and splitRecords' group list. Before the pipeline stages
-// and read halves became recycled records, transfers recycled their flows
-// and disk jobs, and replica choice stopped building slices, maps and
-// closures, the same write took 26 allocations at 4 datanodes and 28 at
-// 16, and the reads 10 and 5 at both.
+// Writing a one-block file takes 6: the block, its page-cache tag, the
+// pipeline that becomes its replica list, the file, its block list and
+// splitRecords' group list. While the stage records still spawned a fresh
+// sim.Proc, the reads took 2 and 1 and the write 8. Before the pipeline
+// stages and read halves became recycled records, transfers recycled their
+// flows and disk jobs, and replica choice stopped building slices, maps
+// and closures, the same write took 26 allocations at 4 datanodes and 28
+// at 16, and the reads 10 and 5 at both.
 func TestBlockPathAllocs(t *testing.T) {
 	for _, datanodes := range []int{4, 16} {
 		tb := newTestbed(1, 2, datanodes+1, Config{BlockSize: 64e6, Replication: 2, UseHostCache: true})
@@ -521,8 +597,8 @@ func TestBlockPathAllocs(t *testing.T) {
 				t.Errorf("write: %v", err)
 			}
 		})
-		if remote != 2 || sameVM != 1 || write != 8 {
-			t.Errorf("%d datanodes: %v allocs per remote read, %v per same-VM read, %v per one-block write; want 2, 1 and 8",
+		if remote != 0 || sameVM != 0 || write != 6 {
+			t.Errorf("%d datanodes: %v allocs per remote read, %v per same-VM read, %v per one-block write; want 0, 0 and 6",
 				datanodes, remote, sameVM, write)
 		}
 	}

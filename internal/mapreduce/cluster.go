@@ -145,7 +145,8 @@ type Cluster struct {
 	lastReduceAssign sim.Time // reduce ramp-up throttle (see assign)
 	reduceAssigned   bool
 
-	scratch recordScratch // the record path's reused buffers (see mapOutput)
+	scratch     recordScratch // the record path's reused buffers (see mapOutput)
+	freeAttempt *attempt      // attempt records a watcher finished with, linked through next
 }
 
 // NewCluster creates a MapReduce cluster with the jobtracker on master,
@@ -619,6 +620,45 @@ func (v *LocalityView) Score(inputs []string) float64 {
 	return float64(local) / float64(blocks)
 }
 
+// attempt is one task attempt and the watcher that routes its outcome
+// back to the scheduler: both process records, and both bodies bound once
+// as method values, so a launch from the Cluster's free list allocates no
+// process. The watcher puts the record back as its last statement, and
+// only when the attempt ended cleanly (sim.Proc.Reusable): a failed,
+// preempted or killed attempt may still sit on a latch or solver job that
+// will wake it, so its record is dropped.
+type attempt struct {
+	c       *Cluster
+	tr      *Tracker
+	t       *task
+	sp      *obs.Span // nil without a plane
+	proc    sim.Proc  // the attempt; t.attemptProcs holds &proc while it runs
+	watcher sim.Proc
+	run     func(*sim.Proc) // runTask, bound once
+	watch   func(*sim.Proc) // await, bound once
+	next    *attempt        // free-list link, set only while on the list
+}
+
+func (a *attempt) runTask(p *sim.Proc) { a.c.runTask(p, a.tr, a.t) }
+
+// await is the watcher's body: it waits out the attempt, drops it from its
+// task's running attempts and reports the outcome.
+func (a *attempt) await(p *sim.Proc) {
+	a.proc.Done().Wait(p)
+	c, t := a.c, a.t
+	for i, ap := range t.attemptProcs {
+		if ap == &a.proc {
+			t.attemptProcs = append(t.attemptProcs[:i], t.attemptProcs[i+1:]...)
+			break
+		}
+	}
+	c.onTaskExit(a.tr, t, a.proc.Err(), a.sp)
+	if a.proc.Reusable() {
+		a.tr, a.t, a.sp = nil, nil, nil
+		a.next, c.freeAttempt = c.freeAttempt, a
+	}
+}
+
 // launch starts one attempt of t on tr and a watcher that routes the
 // attempt's outcome back to the scheduler.
 func (c *Cluster) launch(tr *Tracker, t *task) {
@@ -640,18 +680,17 @@ func (c *Cluster) launch(tr *Tracker, t *task) {
 	if c.obs != nil {
 		sp = c.obs.Start(obs.KindTask, name, t.job.taskSpanParent(t)).SetAttr("vm", tr.VM.Name)
 	}
-	attempt := c.engine.Spawn(name, func(p *sim.Proc) { c.runTask(p, tr, t) })
-	t.attemptProcs = append(t.attemptProcs, attempt)
-	c.engine.Spawn("watch:"+attempt.Name(), func(p *sim.Proc) {
-		attempt.Done().Wait(p)
-		for i, ap := range t.attemptProcs {
-			if ap == attempt {
-				t.attemptProcs = append(t.attemptProcs[:i], t.attemptProcs[i+1:]...)
-				break
-			}
-		}
-		c.onTaskExit(tr, t, attempt.Err(), sp)
-	})
+	a := c.freeAttempt
+	if a != nil {
+		c.freeAttempt, a.next = a.next, nil
+	} else {
+		a = &attempt{c: c}
+		a.run, a.watch = a.runTask, a.await
+	}
+	a.tr, a.t, a.sp = tr, t, sp
+	c.engine.SpawnInto(&a.proc, name, a.run)
+	t.attemptProcs = append(t.attemptProcs, &a.proc)
+	c.engine.SpawnInto(&a.watcher, "watch:"+name, a.watch)
 }
 
 // onTaskExit releases the slot and either records completion or re-queues a

@@ -53,11 +53,16 @@ type Span struct {
 	Kind   SpanKind `json:"kind"`
 	Name   string   `json:"name"`
 	Start  sim.Time `json:"start"`
-	End    sim.Time `json:"end"` // == Start while open; set by End()
-	Attrs  []Attr   `json:"attrs,omitempty"`
+	End    sim.Time `json:"end"`             // == Start while open; set by End()
+	Attrs  []Attr   `json:"attrs,omitempty"` // a live span's float value reads "" until exported
 
 	tracer *Tracer
 	open   bool
+	// numAt is 1 + the index of the attribute whose value is num, stored
+	// by SetFloat and not rendered yet (0: none). renderAttrs renders it
+	// at export.
+	numAt  uint8
+	num    float64
 	inline [spanInlineAttrs]Attr
 }
 
@@ -176,26 +181,56 @@ func (s *Span) SetAttr(key, value string) *Span {
 	if s == nil {
 		return s
 	}
+	i := s.attr(key)
+	s.Attrs[i].Value = value
+	if int(s.numAt) == i+1 {
+		s.numAt = 0
+	}
+	return s
+}
+
+// SetFloat attaches a numeric attribute. The value is stored and rendered
+// with the export float format (formatFloat) only when the trace is
+// exported, so traces stay byte-stable and a run that never exports them
+// formats nothing. One float per span waits unrendered, which covers every
+// span a hot path decorates; a second float key renders at once.
+func (s *Span) SetFloat(key string, v float64) *Span {
+	if s == nil {
+		return s
+	}
+	i := s.attr(key)
+	if i < math.MaxUint8 && (s.numAt == 0 || int(s.numAt) == i+1) {
+		s.num, s.numAt = v, uint8(i+1)
+		s.Attrs[i].Value = ""
+	} else {
+		s.Attrs[i].Value = formatFloat(v)
+	}
+	return s
+}
+
+// attr returns the index of key's attribute, appending one with an empty
+// value if the span has none.
+func (s *Span) attr(key string) int {
 	for i := range s.Attrs {
 		if s.Attrs[i].Key == key {
-			s.Attrs[i].Value = value
-			return s
+			return i
 		}
 	}
 	if s.Attrs == nil {
 		s.Attrs = s.inline[:0]
 	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Value: value})
-	return s
+	s.Attrs = append(s.Attrs, Attr{Key: key})
+	return len(s.Attrs) - 1
 }
 
-// SetFloat attaches a numeric attribute, rendered with the export
-// float format so traces stay byte-stable.
-func (s *Span) SetFloat(key string, v float64) *Span {
-	if s == nil {
-		return s
+// renderAttrs renders the float SetFloat left pending, memoising it as
+// events' render does, and returns the attributes.
+func (s *Span) renderAttrs() []Attr {
+	if s.numAt != 0 {
+		s.Attrs[s.numAt-1].Value = formatFloat(s.num)
+		s.numAt = 0
 	}
-	return s.SetAttr(key, formatFloat(v))
+	return s.Attrs
 }
 
 // Eventf records a formatted event attributed to this span.
@@ -214,7 +249,8 @@ type Trace struct {
 }
 
 // Export returns the current trace as a value (open spans export with
-// End == the current clock). Events render here, in emission order.
+// End == the current clock). Events and span floats render here, events
+// in emission order.
 // Every span's attribute copy is carved from one backing slice; spans
 // without attributes keep Attrs nil, as a decoded trace does.
 func (tr *Tracer) Export() Trace {
@@ -228,7 +264,7 @@ func (tr *Tracer) Export() Trace {
 	}
 	n := 0
 	for _, s := range tr.spans {
-		n += len(s.Attrs)
+		n += len(s.renderAttrs())
 	}
 	attrs := make([]Attr, n)
 	for _, s := range tr.spans {
@@ -290,9 +326,9 @@ func (tr *Tracer) JSON() string {
 		} else {
 			writeJSONFloat(&b, s.End)
 		}
-		if len(s.Attrs) > 0 {
+		if attrs := s.renderAttrs(); len(attrs) > 0 {
 			b.WriteString(",\n      \"attrs\": [")
-			for j, a := range s.Attrs {
+			for j, a := range attrs {
 				if j > 0 {
 					b.WriteByte(',')
 				}
@@ -347,11 +383,11 @@ const (
 	jsonFloatMax = 25
 )
 
-// jsonSize renders any pending event messages, in emission order, and
-// bounds the length JSON writes when no string needs escaping: the fixed
-// text, the widest ID (IDs are at most tr.nextID) and the widest float
-// for every number, and the raw string lengths. A string that needs
-// escaping only grows the buffer again.
+// jsonSize renders any pending span floats and event messages, events in
+// emission order, and bounds the length JSON writes when no string needs
+// escaping: the fixed text, the widest ID (IDs are at most tr.nextID) and
+// the widest float for every number, and the raw string lengths. A string
+// that needs escaping only grows the buffer again.
 func (tr *Tracer) jsonSize() int {
 	idw := 1
 	for v := tr.nextID; v >= 10; v /= 10 {
@@ -360,10 +396,11 @@ func (tr *Tracer) jsonSize() int {
 	n := jsonDocFixed
 	for _, s := range tr.spans {
 		n += jsonSpanFixed + 2*idw + 2*jsonFloatMax + len(s.Kind) + len(s.Name)
-		if len(s.Attrs) > 0 {
+		attrs := s.renderAttrs()
+		if len(attrs) > 0 {
 			n += jsonAttrsFixed
 		}
-		for _, a := range s.Attrs {
+		for _, a := range attrs {
 			n += jsonAttrFixed + len(a.Key) + len(a.Value)
 		}
 	}

@@ -203,6 +203,56 @@ func TestTraceJSONAllocs(t *testing.T) {
 	}
 }
 
+// TestSpanFloatRenderedAtExport: SetFloat stores its value and Export and
+// JSON render it with formatFloat, so the trace reads as if SetFloat had
+// rendered at once: a later SetAttr or SetFloat on the key replaces it, and
+// a second float key renders at once without disturbing the first. Setting
+// a float, on a fresh span or over an earlier value, allocates nothing.
+func TestSpanFloatRenderedAtExport(t *testing.T) {
+	e := sim.New(1)
+	p := New(e)
+	tr := p.Tracer()
+	a := tr.Start(KindTask, "a", nil).SetAttr("vm", "vm01").SetFloat("seconds", 1.5)
+	tr.Start(KindTask, "b", nil).SetFloat("seconds", 2).SetAttr("seconds", "n/a")
+	tr.Start(KindTask, "c", nil).SetFloat("bytes", 1e21).SetFloat("downtime", 0.25).SetFloat("bytes", sim.Forever)
+	d := tr.Start(KindTask, "d", nil)
+	for k := 0; k < spanInlineAttrs+1; k++ {
+		d.SetAttr(fmt.Sprintf("k%d", k), "v")
+	}
+	d.SetFloat("late", 1e-7)
+	if a.Attrs[1].Value != "" {
+		t.Fatalf("SetFloat rendered %q before export", a.Attrs[1].Value)
+	}
+	js := tr.JSON()
+	got := tr.Export()
+	want := [][]Attr{
+		{{"vm", "vm01"}, {"seconds", "1.5"}},
+		{{"seconds", "n/a"}},
+		{{"bytes", "+Inf"}, {"downtime", "0.25"}},
+		{{"k0", "v"}, {"k1", "v"}, {"k2", "v"}, {"k3", "v"}, {"k4", "v"}, {"late", "1e-07"}},
+	}
+	for i, w := range want {
+		if g := got.Spans[i].Attrs; fmt.Sprint(g) != fmt.Sprint(w) {
+			t.Errorf("span %s attrs = %v, want %v", got.Spans[i].Name, g, w)
+		}
+	}
+	if m, _ := marshalIndentTrace(tr); js != m {
+		t.Fatal("Tracer.JSON differs from MarshalIndent")
+	}
+
+	spans := make([]*Span, 128)
+	for i := range spans {
+		spans[i] = tr.Start(KindTask, "m", nil).SetAttr("vm", "vm01")
+	}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		spans[i].SetFloat("seconds", float64(i)).SetFloat("seconds", 0.5)
+		i++
+	}); n != 0 {
+		t.Errorf("SetFloat: %v allocations, want 0", n)
+	}
+}
+
 // TestPrometheusTextAllocs: a label value that needs no escaping is
 // returned as is, so a snapshot whose labels are plain builds no
 // strings.Replacer. When every label value built its own replacer, this

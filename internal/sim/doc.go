@@ -33,6 +33,14 @@
 //     so a spawn allocates only its Proc. A drained Run and Shutdown stop
 //     the idle carriers, and a panic or runtime.Goexit in a body reaches
 //     the goroutine that called Run.
+//     Engine.SpawnInto starts a process in a record the caller owns, and
+//     Spawn is SpawnInto over a new Proc. It accepts a zero Proc or a
+//     Reusable one, whose last process terminated with a nil Err, was not
+//     killed and was never aborted, and panics on any other. Such a
+//     process was running when it ended, and every wake removes the
+//     waiter it wakes, so nothing still names the record. Abort wakes a
+//     process without taking it off the latch, gate, timer or solver job
+//     it was parked on, so an aborted record is never reused.
 //   - Done: a one-shot completion latch processes can wait on. Its zero
 //     value is ready to use, so owners embed it.
 //   - Gate: an open/closed barrier (used e.g. to pause virtual machines

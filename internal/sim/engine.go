@@ -141,16 +141,42 @@ func (e *Engine) disarm(ev *event) {
 // that parks at every blocking call, so it may freely touch simulation
 // state.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.SpawnAfter(0, name, fn)
+	p := new(Proc)
+	e.SpawnInto(p, name, fn)
+	return p
 }
 
 // SpawnAfter is Spawn with a start delay.
 func (e *Engine) SpawnAfter(d Time, name string, fn func(p *Proc)) *Proc {
+	p := new(Proc)
+	e.spawnInto(p, d, name, fn)
+	return p
+}
+
+// SpawnInto is Spawn into a record the caller owns, so a caller that keeps
+// its records on a free list starts a process without allocating. p must
+// be a zero Proc or one that is Reusable; any other record panics, since
+// something may still wake or abort the process it names.
+func (e *Engine) SpawnInto(p *Proc, name string, fn func(p *Proc)) {
+	e.spawnInto(p, 0, name, fn)
+}
+
+// spawnInto starts fn in the record p, d seconds from now: the one start
+// path behind Spawn, SpawnAfter and SpawnInto.
+func (e *Engine) spawnInto(p *Proc, d Time, name string, fn func(p *Proc)) {
+	fresh := p.engine == nil && p.abortErr == nil // never started, never aborted
+	if !fresh && !p.Reusable() {
+		panic(fmt.Sprintf("sim: spawning %q into the record of %q, which is live or did not end cleanly", name, p.name))
+	}
 	e.procSeq++
-	p := &Proc{engine: e, name: name, spawnSeq: e.procSeq, body: fn, slot: len(e.procs)}
+	// Every other field of a zero or Reusable record is zero already:
+	// finish cleared the body and the carrier, and the fired latch holds no
+	// waiter. Writing only these keeps a whole-struct store, and the write
+	// barrier on each of its pointer slots, off the spawn path.
+	p.engine, p.name, p.spawnSeq, p.body, p.slot = e, name, e.procSeq, fn, len(e.procs)
+	p.terminated, p.done.fired = false, false
 	e.procs = append(e.procs, p)
 	p.scheduleAt(e.later(d))
-	return p
 }
 
 // Run executes events until the queue drains. It returns the final virtual

@@ -561,7 +561,8 @@ func TestShutdownDisarmsKeptEvents(t *testing.T) {
 // allocating: process sleeps, self-re-arming callbacks and MaxMin
 // completions all run at 0 allocations, a latch chain wakes its waiters
 // without touching the heap, a spawned process that finds an idle carrier
-// allocates only its Proc, and a FairShare submission allocates only its
+// allocates only its Proc (nothing when SpawnInto reuses one), and a
+// FairShare submission allocates only its
 // job, the activity and latch in one object.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	const warm = 100
@@ -648,6 +649,14 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, short); n != 1 {
 		t.Errorf("spawn on an idle carrier: %v allocs per Spawn, want 1", n)
+	}
+	var rec Proc
+	reuse := func() {
+		e.SpawnInto(&rec, "short", func(p *Proc) {})
+		e.RunUntil(e.Now() + 1)
+	}
+	if n := testing.AllocsPerRun(100, reuse); n != 0 {
+		t.Errorf("spawn into a reused record: %v allocs per SpawnInto, want 0", n)
 	}
 	e.Shutdown()
 

@@ -127,6 +127,17 @@ func (p *Proc) Abort(err error) {
 	}
 }
 
+// Reusable reports whether Engine.SpawnInto may start a new process in p:
+// its last process terminated with a nil Err, was not killed and was never
+// aborted. Such a process was running when it ended, and every wake removes
+// the waiter it wakes, so no event, latch, gate or queue still names p.
+// Abort wakes a process without taking it off the latch, gate or solver
+// job it was parked on, so an aborted record is never reusable, even when
+// its body returned before it parked and Err is nil.
+func (p *Proc) Reusable() bool {
+	return p.terminated && p.err == nil && !p.killed && p.abortErr == nil
+}
+
 // Err returns the error recorded by Fail, or nil.
 func (p *Proc) Err() error { return p.err }
 

@@ -5,9 +5,12 @@ import "vhadoop/internal/sim"
 // IOProc is a process running one bulk I/O operation of a VM, for callers
 // that overlap several and then wait on each: an HDFS pipeline stage, a
 // block read's disk and network halves, a shuffle fetch's. Its record (the
-// operation's arguments and the body bound to them once, as a method value)
-// comes from the Manager's free list, so spawning one allocates only the
-// process. Wait puts the record back once the process has terminated. A
+// operation's arguments, the process record itself and the body bound to
+// them once, as a method value) comes from the Manager's free list, so
+// spawning one allocates nothing once the list is warm. Wait puts the
+// record back only when its process ended cleanly (sim.Proc.Reusable); a
+// failed or aborted one is dropped, because the latch or solver job it was
+// parked on may still name it and must never wake a later process. A
 // caller aborted or killed inside Wait unwinds past that point, so the
 // record is never reused: the process it names runs on unobserved, as a
 // bare Spawn's would.
@@ -18,7 +21,7 @@ type IOProc struct {
 	dst   *VM
 	key   string
 	bytes float64
-	proc  *sim.Proc
+	proc  sim.Proc
 	body  func(*sim.Proc) // run, bound once
 	next  *IOProc         // free-list link, set only while on the list
 }
@@ -57,7 +60,7 @@ func (vm *VM) spawnIO(name string, op ioOp, dst *VM, key string, bytes float64) 
 		r.body = r.run
 	}
 	r.op, r.src, r.dst, r.key, r.bytes = op, vm, dst, key, bytes
-	r.proc = m.engine.Spawn(name, r.body)
+	m.engine.SpawnInto(&r.proc, name, r.body)
 	return r
 }
 
@@ -93,14 +96,16 @@ func (vm *VM) ReadAndSend(p *sim.Proc, dst *VM, key string, bytes float64, diskN
 	return nerr
 }
 
-// Wait blocks p until r's process has terminated, puts r back on the free
-// list and returns the error the process failed with, if any. r must not
-// be used again.
+// Wait blocks p until r's process has terminated and returns the error
+// the process failed with, if any. It puts r back on the free list when
+// the process ended cleanly. r must not be used again.
 func (r *IOProc) Wait(p *sim.Proc) error {
 	r.proc.Done().Wait(p)
 	err := r.proc.Err()
-	m := r.mgr
-	*r = IOProc{mgr: m, body: r.body, next: m.freeIO}
-	m.freeIO = r
+	if r.proc.Reusable() {
+		m := r.mgr
+		r.src, r.dst, r.key = nil, nil, ""
+		r.next, m.freeIO = m.freeIO, r
+	}
 	return err
 }
