@@ -329,6 +329,9 @@ func (s *Service) Submit(p *sim.Proc, tenant string, spec workloads.Spec, opts .
 		s.committedBytes += spec.Bytes()
 	}
 	if err := spec.Stage(p, s.pl); err != nil {
+		if s.cfg.CapacityBytes > 0 {
+			s.committedBytes -= spec.Bytes() // never admitted
+		}
 		return nil, fmt.Errorf("jobsvc: staging %s/%s: %w", tenant, spec.Workload(), err)
 	}
 	s.nextID++

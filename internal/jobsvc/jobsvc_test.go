@@ -84,6 +84,53 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// errStage is the staging failure of failingStage.
+var errStage = errors.New("staging failed")
+
+// failingStage is a wordcount whose staging always fails.
+type failingStage struct{ workloads.WordcountSpec }
+
+func (failingStage) Stage(*sim.Proc, *core.Platform) error { return errStage }
+
+// A submission whose staging fails is never admitted: Submit returns the
+// staging error, nothing is queued or counted, and the capacity it
+// committed before staging is refunded, so a later submission that fits
+// the budget only without it is admitted and runs.
+func TestFailedStagingIsNotAdmitted(t *testing.T) {
+	pl := core.MustNewPlatform(testOpts(5, 7))
+	svc := jobsvc.New(pl, jobsvc.Config{MaxQueued: 1, CapacityBytes: 400e6})
+	if err := svc.Register("acct", 1); err != nil {
+		t.Fatal(err)
+	}
+	_, err := pl.Run(func(p *sim.Proc) error {
+		bad := failingStage{workloads.WordcountSpec{Input: "/jsvc/bad", SizeBytes: 395e6, Reduces: 1}}
+		if _, err := svc.Submit(p, "acct", bad); !errors.Is(err, errStage) {
+			return fmt.Errorf("failed staging err = %v", err)
+		}
+		if stats := svc.Stats()[0]; stats.Submitted != 0 || stats.Rejected != 0 {
+			return fmt.Errorf("tenant stats after the failed staging = %+v", stats)
+		}
+		// 8 MB fits the 400 MB budget only if the 395 MB is refunded, and
+		// the one-job queue only if the failed job is not in it.
+		tk, err := svc.Submit(p, "acct", tinyWC("good"))
+		if err != nil {
+			return fmt.Errorf("later submit: %v", err)
+		}
+		svc.Start()
+		svc.Drain(p)
+		if _, err := tk.Wait(p); err != nil {
+			return fmt.Errorf("later job: %v", err)
+		}
+		if stats := svc.Stats()[0]; stats.Submitted != 1 || stats.Completed != 1 {
+			return fmt.Errorf("tenant stats = %+v", stats)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWeightedFairShare(t *testing.T) {
 	pl := core.MustNewPlatform(testOpts(5, 11))
 	svc := jobsvc.New(pl, jobsvc.Config{Tick: 2})

@@ -4,11 +4,17 @@
 // every block of VM disk I/O becomes network traffic to the filer plus a
 // fair share of the filer's disk — which is why the paper's conclusion names
 // "network I/O and NFS disk I/O" as the platform's two main bottlenecks.
+//
+// Read, Write and Relay share one streaming path: the filer's disk job and
+// the network flow run at once, and the caller resumes when both are done.
+// Relay is the O_DIRECT read (Xen's blktap), carried on through the host's
+// dom0 to another guest.
 package nfs
 
 import (
 	"vhadoop/internal/phys"
 	"vhadoop/internal/sim"
+	"vhadoop/internal/vnet"
 )
 
 // writePenalty scales disk time per written byte relative to reads (RAID
@@ -43,55 +49,39 @@ func (s *Server) ReadBytes() float64 { return s.readBytes }
 // WriteBytes returns cumulative bytes written to the filer.
 func (s *Server) WriteBytes() float64 { return s.writeBytes }
 
-// SubmitRead charges the filer's disk for a read asynchronously, returning
-// its completion latch (used by relay flows that pair the disk stream with
-// a multi-hop network flow).
-func (s *Server) SubmitRead(bytes float64) *sim.Done {
-	s.readBytes += bytes
-	return s.machine.Disk.Submit(bytes)
+// Read services a VM disk read issued from a VM on client: the filer's disk
+// and the network transfer to the client's dom0 proceed in parallel
+// (streaming), so the caller pays the slower of the two. A VM image
+// fetched at boot is read the same way.
+func (s *Server) Read(p *sim.Proc, client *phys.Machine, bytes float64) {
+	s.stream(p, s.topo.HostPath(s.machine, client), bytes, bytes, &s.readBytes)
 }
 
-// Read services a VM disk read issued from a VM on client: the filer's disk
-// and the network transfer to the client proceed in parallel (streaming),
-// so the caller pays the slower of the two. Read, Write and FetchImage
-// recycle their disk job and flow, so they allocate nothing in steady
-// state.
-func (s *Server) Read(p *sim.Proc, client *phys.Machine, bytes float64) {
-	if bytes <= 0 {
-		return
-	}
-	s.readBytes += bytes
-	disk := s.machine.Disk.Begin(bytes)
-	if route := s.topo.HostPath(s.machine, client); route != nil {
-		s.topo.Fabric().Transfer(p, "nfs-read", route, bytes)
-	}
-	s.machine.Disk.End(p, disk)
+// Relay services an O_DIRECT read of the disk of a VM on host, on behalf
+// of a guest on dst: one coupled flow from the filer through host's dom0
+// to dst (phys.Topology.RelayPath), streaming in parallel with the filer's
+// disk.
+func (s *Server) Relay(p *sim.Proc, host, dst *phys.Machine, bytes float64) {
+	s.stream(p, s.topo.RelayPath(s.machine, host, dst), bytes, bytes, &s.readBytes)
 }
 
 // Write services a VM disk write from a VM on client: network transfer to
 // the filer and the filer's disk write stream in parallel.
 func (s *Server) Write(p *sim.Proc, client *phys.Machine, bytes float64) {
-	if bytes <= 0 {
-		return
-	}
-	s.writeBytes += bytes
-	disk := s.machine.Disk.Begin(bytes * writePenalty)
-	if route := s.topo.HostPath(client, s.machine); route != nil {
-		s.topo.Fabric().Transfer(p, "nfs-write", route, bytes)
-	}
-	s.machine.Disk.End(p, disk)
+	s.stream(p, s.topo.HostPath(client, s.machine), bytes, bytes*writePenalty, &s.writeBytes)
 }
 
-// FetchImage streams a VM image of the given size from the filer to dst's
-// dom0 (used when booting a VM on a machine for the first time).
-func (s *Server) FetchImage(p *sim.Proc, dst *phys.Machine, bytes float64) {
+// stream is the one path of Read, Relay and Write: begin a disk job of work
+// units, move bytes along route (nil for none), end the job, and add bytes
+// to *count. Both records are recycled; zero bytes cost nothing.
+func (s *Server) stream(p *sim.Proc, route *vnet.Route, bytes, work float64, count *float64) {
 	if bytes <= 0 {
 		return
 	}
-	s.readBytes += bytes
-	disk := s.machine.Disk.Begin(bytes)
-	if route := s.topo.HostPath(s.machine, dst); route != nil {
-		s.topo.Fabric().Transfer(p, "nfs-image", route, bytes)
+	*count += bytes
+	disk := s.machine.Disk.Begin(work)
+	if route != nil {
+		s.topo.Fabric().Transfer(p, "nfs", route, bytes)
 	}
 	s.machine.Disk.End(p, disk)
 }

@@ -33,14 +33,16 @@
 //     so a spawn allocates only its Proc. A drained Run and Shutdown stop
 //     the idle carriers, and a panic or runtime.Goexit in a body reaches
 //     the goroutine that called Run.
-//     Engine.SpawnInto starts a process in a record the caller owns, and
-//     Spawn is SpawnInto over a new Proc. It accepts a zero Proc or a
-//     Reusable one, whose last process terminated with a nil Err, was not
-//     killed and was never aborted, and panics on any other. Such a
-//     process was running when it ended, and every wake removes the
-//     waiter it wakes, so nothing still names the record. Abort wakes a
-//     process without taking it off the latch, gate, timer or solver job
-//     it was parked on, so an aborted record is never reused.
+//     Engine.SpawnInto starts a process in a record the caller owns; it
+//     is the one start path, and Spawn is SpawnInto over a new Proc. It
+//     accepts a zero Proc or a Reusable one, whose last process
+//     terminated with a nil Err and was not killed, and panics on any
+//     other. Such a process was running when it ended, and every wake
+//     removes the waiter it wakes, so nothing still names the record.
+//     Abort wakes a process without taking it off the latch, gate, timer
+//     or solver job it was parked on, so an aborted record is never
+//     reused: an aborted process always ends with a non-nil Err, even one
+//     whose body returned before the abort could unwind it.
 //   - Done: a one-shot completion latch processes can wait on. Its zero
 //     value is ready to use, so owners embed it.
 //   - Gate: an open/closed barrier (used e.g. to pause virtual machines
@@ -59,7 +61,7 @@
 //     optionally capped per job. This is the building block for the Xen
 //     credit scheduler and for disk contention. Use, and the Begin/End
 //     pair, recycle their job records through a free list on the
-//     FairShare.
+//     FairShare; they are its only ways in.
 //
 // Blocking waits allocate nothing in steady state: Sleep, Done.Wait,
 // Queue.Acquire, FairShare.Use and FairShare.End. A process aborted or

@@ -146,24 +146,11 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// SpawnAfter is Spawn with a start delay.
-func (e *Engine) SpawnAfter(d Time, name string, fn func(p *Proc)) *Proc {
-	p := new(Proc)
-	e.spawnInto(p, d, name, fn)
-	return p
-}
-
 // SpawnInto is Spawn into a record the caller owns, so a caller that keeps
 // its records on a free list starts a process without allocating. p must
 // be a zero Proc or one that is Reusable; any other record panics, since
 // something may still wake or abort the process it names.
 func (e *Engine) SpawnInto(p *Proc, name string, fn func(p *Proc)) {
-	e.spawnInto(p, 0, name, fn)
-}
-
-// spawnInto starts fn in the record p, d seconds from now: the one start
-// path behind Spawn, SpawnAfter and SpawnInto.
-func (e *Engine) spawnInto(p *Proc, d Time, name string, fn func(p *Proc)) {
 	fresh := p.engine == nil && p.abortErr == nil // never started, never aborted
 	if !fresh && !p.Reusable() {
 		panic(fmt.Sprintf("sim: spawning %q into the record of %q, which is live or did not end cleanly", name, p.name))
@@ -176,7 +163,7 @@ func (e *Engine) spawnInto(p *Proc, d Time, name string, fn func(p *Proc)) {
 	p.engine, p.name, p.spawnSeq, p.body, p.slot = e, name, e.procSeq, fn, len(e.procs)
 	p.terminated, p.done.fired = false, false
 	e.procs = append(e.procs, p)
-	p.scheduleAt(e.later(d))
+	p.scheduleAt(e.now)
 }
 
 // Run executes events until the queue drains. It returns the final virtual

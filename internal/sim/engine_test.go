@@ -195,14 +195,6 @@ func TestSpawnSleepSequence(t *testing.T) {
 	almost(t, marks[1], 3, 0, "second wake")
 }
 
-func TestSpawnAfterDelaysStart(t *testing.T) {
-	e := New(1)
-	var started Time = -1
-	e.SpawnAfter(4, "late", func(p *Proc) { started = p.Now() })
-	e.Run()
-	almost(t, started, 4, 0, "delayed start")
-}
-
 // Sleep(0) parks a process behind everything already due now. Within an
 // instant, heap events and ready-FIFO events fire in one (time, sequence
 // number) order.
@@ -685,30 +677,10 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("completed %d activities, want %d", completed, want)
 	}
 
+	// Use recycles its job records, so a blocking quantum allocates nothing.
 	e = New(1)
 	fs := NewFairShare(e, "cpu", 2, 1)
 	served := 0
-	for i := 0; i < 2; i++ {
-		e.Spawn("user", func(p *Proc) {
-			for {
-				fs.Submit(1).Wait(p)
-				served++
-			}
-		})
-	}
-	e.RunUntil(warm)
-	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); n != 2 {
-		t.Errorf("FairShare Submit+Wait: %v allocs per step of two submissions, want 2", n)
-	}
-	if want := 2 * (warm + 101); served != want {
-		t.Fatalf("served %d submissions, want %d", served, want)
-	}
-	e.Shutdown()
-
-	// Use recycles its job records, so a blocking quantum allocates nothing.
-	e = New(1)
-	fs = NewFairShare(e, "cpu", 2, 1)
-	served = 0
 	for i := 0; i < 2; i++ {
 		e.Spawn("user", func(p *Proc) {
 			for {

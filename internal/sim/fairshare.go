@@ -80,10 +80,10 @@ type Job struct {
 	next *Job // free-list link, set only while the job is on the list
 }
 
-// Begin enqueues work asynchronously, like Submit, for a caller that
-// overlaps it with another wait and then calls End. The job comes from the
-// free list that Use draws on, so the pair allocates nothing in steady
-// state.
+// Begin enqueues work asynchronously, for a caller that overlaps it with
+// another wait and then calls End. It may be called from engine context or
+// a process. The job comes from the free list that Use draws on, so the
+// pair allocates nothing in steady state.
 func (f *FairShare) Begin(work float64) *Job {
 	j := f.free
 	if j != nil {
@@ -106,17 +106,4 @@ func (f *FairShare) End(p *Proc, j *Job) {
 	j.done.Wait(p)
 	j.done = Done{}
 	j.next, f.free = f.free, j
-}
-
-// Submit enqueues work asynchronously and returns a latch that fires on
-// completion. It may be called from engine context or a process. The
-// caller keeps the latch, so its job is never recycled.
-func (f *FairShare) Submit(work float64) *Done {
-	j := new(Job)
-	if work <= 0 {
-		j.done.fire()
-		return &j.done
-	}
-	f.solver.Start(&j.Activity, work, f.perJobCap, f.uses, &j.done, 0)
-	return &j.done
 }

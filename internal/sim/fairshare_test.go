@@ -130,12 +130,13 @@ func TestFairShareUtilizationAccounting(t *testing.T) {
 	}
 }
 
+// Begin may enqueue work from engine context; a process ends the job.
 func TestFairShareSubmitFromEngineContext(t *testing.T) {
 	e := New(1)
 	fs := NewFairShare(e, "r", 10, 0)
-	d := fs.Submit(100)
+	j := fs.Begin(100)
 	var at Time
-	e.Spawn("w", func(p *Proc) { d.Wait(p); at = p.Now() })
+	e.Spawn("w", func(p *Proc) { fs.End(p, j); at = p.Now() })
 	e.Run()
 	almost(t, at, 10, 1e-9, "submit completion")
 }
@@ -185,7 +186,7 @@ func TestFairShareConservationProperty(t *testing.T) {
 func TestFairShareMeanUtilizationAfterRetune(t *testing.T) {
 	e := New(1)
 	fs := NewFairShare(e, "disk", 100, 0)
-	fs.Submit(2000) // 1000 by t=10 at 100/s, then 1/s
+	fs.Begin(2000) // 1000 by t=10 at 100/s, then 1/s
 	var atDegrade, later float64
 	e.At(10, func() {
 		fs.SetCapacity(1)

@@ -75,15 +75,17 @@ func (p *Proc) run() {
 	p.body(p)
 }
 
-// finish records how the body ended. A panic that is not one of the
-// engine's own unwinds is a bug in simulation code; it is re-raised as a
-// report naming the process and reaches the caller of Run through the
-// carrier's next.
+// finish records how the body ended; one that returns with an abort
+// pending (it reached the process before its first dispatch) ends with the
+// abort as its Err. A panic that is not one of the engine's own unwinds is
+// a bug in simulation code; it is re-raised as a report naming the process
+// and reaches the caller of Run through the carrier's next.
 func (p *Proc) finish() {
 	r := recover()
 	bug := false
 	switch r := r.(type) {
 	case nil:
+		p.err = p.abortErr
 	case errKilled:
 		// Normal unwind during Shutdown.
 	case procFailure:
@@ -128,17 +130,17 @@ func (p *Proc) Abort(err error) {
 }
 
 // Reusable reports whether Engine.SpawnInto may start a new process in p:
-// its last process terminated with a nil Err, was not killed and was never
-// aborted. Such a process was running when it ended, and every wake removes
-// the waiter it wakes, so no event, latch, gate or queue still names p.
-// Abort wakes a process without taking it off the latch, gate or solver
-// job it was parked on, so an aborted record is never reusable, even when
-// its body returned before it parked and Err is nil.
+// its last process terminated with a nil Err and was not killed. Such a
+// process was running when it ended, and every wake removes the waiter it
+// wakes, so no event, latch, gate or queue still names p. Abort wakes a
+// process without taking it off the latch, gate or solver job it was
+// parked on, so an aborted record is never reusable; it always ends with
+// the abort, or its own Fail, as its Err, or was killed.
 func (p *Proc) Reusable() bool {
-	return p.terminated && p.err == nil && !p.killed && p.abortErr == nil
+	return p.terminated && p.err == nil && !p.killed
 }
 
-// Err returns the error recorded by Fail, or nil.
+// Err returns the error recorded by Fail or Abort, or nil.
 func (p *Proc) Err() error { return p.err }
 
 // Name returns the process name given at Spawn.

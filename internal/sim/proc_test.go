@@ -172,7 +172,7 @@ func FuzzSpawnInto(f *testing.F) {
 					t.Fatalf("SpawnInto accepted the live record %d", r)
 				}
 				g.killed = true
-			case (g.failed || g.aborted) != (pool[r].Err() != nil || pool[r].abortErr != nil):
+			case (g.failed || g.aborted) != (pool[r].Err() != nil):
 				t.Fatalf("record %d: model %+v, Err %v", r, *g, pool[r].Err())
 			}
 		}

@@ -50,13 +50,6 @@ func (d *Done) Wait(p *Proc) {
 	p.block()
 }
 
-// WaitAll blocks p until every latch has fired.
-func WaitAll(p *Proc, ds ...*Done) {
-	for _, d := range ds {
-		d.Wait(p)
-	}
-}
-
 // WaitProcs blocks p until every listed process has terminated, and returns
 // the first non-nil error recorded by any of them (in argument order).
 func WaitProcs(p *Proc, procs ...*Proc) error {

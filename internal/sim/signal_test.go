@@ -48,20 +48,6 @@ func TestDoneWaitAfterFireReturnsImmediately(t *testing.T) {
 	almost(t, at, 2, 0, "no extra delay waiting on fired latch")
 }
 
-func TestWaitAll(t *testing.T) {
-	e := New(1)
-	d1, d2 := NewDone(), NewDone()
-	e.At(3, func() { d1.Fire() })
-	e.At(7, func() { d2.Fire() })
-	var at Time
-	e.Spawn("joiner", func(p *Proc) {
-		WaitAll(p, d1, d2)
-		at = p.Now()
-	})
-	e.Run()
-	almost(t, at, 7, 0, "WaitAll completes at the latest latch")
-}
-
 func TestGatePausesWaiters(t *testing.T) {
 	e := New(1)
 	g := NewGate(e, false)
@@ -130,7 +116,8 @@ func waitCallback(e *Engine, g *Gate, id int, log *[]gatePass) {
 
 // waitProc spawns a process that waits on g at time at and logs its pass.
 func waitProc(e *Engine, g *Gate, id int, at Time, log *[]gatePass) {
-	e.SpawnAfter(at, "gated", func(p *Proc) {
+	e.Spawn("gated", func(p *Proc) {
+		p.Sleep(at)
 		g.WaitOpen(p)
 		*log = append(*log, gatePass{id, p.Now()})
 	})

@@ -6,12 +6,14 @@
 // backplane) with fixed capacities and latencies. A Route is a path of links
 // built once — its links, their indices in the fabric's solver and their
 // summed latency — and reused by every flow along it (internal/phys caches
-// one per machine pair). Bulk data moves as Flows: each flow occupies a
-// route, and whenever the flow population changes the fabric recomputes
+// one per machine pair). Bulk data moves as flows, and Transfer is the one
+// way to start one: the flow occupies a route while the calling process
+// blocks, and whenever the flow population changes the fabric recomputes
 // every flow's rate with max-min fair water-filling, the standard fluid
 // approximation of TCP bandwidth sharing. A flow is one allocation, its
-// solver activity and its completion latch together, and a blocking
-// Transfer recycles it.
+// solver activity and its completion latch together, and Transfer recycles
+// it. A caller that overlaps a flow with other work (the NFS filer's disk
+// stream) starts that work before the Transfer and waits on it after.
 // This is what makes a shared 1 Gb/s NIC the bottleneck of a cross-domain
 // Hadoop virtual cluster, exactly as the vHadoop paper observes.
 //
@@ -78,17 +80,13 @@ type Route struct {
 // modified.
 func (r *Route) Links() []*Link { return r.links }
 
-// Flow is an in-flight bulk transfer along a route. Its embedded Activity
-// reports the allocated rate in bytes/second and the bytes not yet
-// transmitted; the flow and its latch are one allocation.
-type Flow struct {
+// flow is an in-flight bulk transfer along a route: its solver activity
+// and its completion latch, in one allocation.
+type flow struct {
 	sim.Activity
 	done sim.Done
-	next *Flow // free-list link, set only while the flow is on the list
+	next *flow // free-list link, set only while the flow is on the list
 }
-
-// Done returns the latch that fires when the last byte arrives.
-func (f *Flow) Done() *sim.Done { return &f.done }
 
 // Fabric owns all links and active flows and performs rate allocation with
 // one max-min solver whose resources are the links, in creation order.
@@ -97,7 +95,7 @@ type Fabric struct {
 	solver     *sim.MaxMin
 	links      []*Link
 	flowsTotal int
-	free       *Flow // flows Transfer has finished with, linked through next
+	free       *flow // flows Transfer has finished with, linked through next
 }
 
 // NewFabric returns an empty fabric bound to e. Flows with a byte residue
@@ -144,50 +142,36 @@ func (f *Fabric) NewRoute(links ...*Link) *Route {
 	return r
 }
 
-// StartFlow begins an asynchronous bulk transfer of the given size along
-// r. The returned flow's Done latch fires when the last byte has arrived
-// (transmission time under fair sharing, plus the route's propagation
-// latency).
-func (f *Fabric) StartFlow(r *Route, bytes float64) *Flow {
-	fl := new(Flow)
-	f.start(fl, r, bytes)
-	return fl
-}
-
-// Transfer moves bytes along r, blocking p until the last byte arrives. It
-// is StartFlow followed by a wait, except that the flow comes from the
-// fabric's free list and goes back on it once the wait returns, so a
+// Transfer moves bytes along r, blocking p until the last byte arrives:
+// transmission time under max-min fair sharing, plus the route's
+// propagation latency (latency alone for zero bytes). The flow comes from
+// the fabric's free list and goes back on it once the wait returns, so a
 // transfer allocates nothing in steady state. A process aborted or killed
 // while it waits unwinds past that point: its flow drains to completion
 // unobserved and is never reused. label names the transfer at the call
 // site and is not recorded.
 func (f *Fabric) Transfer(p *sim.Proc, label string, r *Route, bytes float64) {
+	if r.fabric != f {
+		panic("vnet: route belongs to a different fabric")
+	}
 	fl := f.free
 	if fl != nil {
 		f.free, fl.next = fl.next, nil
 	} else {
-		fl = new(Flow)
-	}
-	f.start(fl, r, bytes)
-	fl.done.Wait(p)
-	fl.done = sim.Done{}
-	fl.next, f.free = f.free, fl
-}
-
-// start puts fl, retired or new, in service along r.
-func (f *Fabric) start(fl *Flow, r *Route, bytes float64) {
-	if r.fabric != f {
-		panic("vnet: route belongs to a different fabric")
+		fl = new(flow)
 	}
 	f.flowsTotal++
 	if bytes <= 0 {
 		// Pure control transfer: latency only.
 		f.engine.FireAfter(r.latency, &fl.done)
-		return
+	} else {
+		// The last byte leaves when the work is served; it arrives after
+		// the route's propagation latency.
+		f.solver.Start(&fl.Activity, bytes, 0, r.uses, &fl.done, r.latency)
 	}
-	// The last byte leaves when the work is served; it arrives after the
-	// route's propagation latency.
-	f.solver.Start(&fl.Activity, bytes, 0, r.uses, &fl.done, r.latency)
+	fl.done.Wait(p)
+	fl.done = sim.Done{}
+	fl.next, f.free = f.free, fl
 }
 
 // MessageDelay returns how long a small control message of the given size

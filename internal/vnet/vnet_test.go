@@ -109,17 +109,14 @@ func TestMaxMinWaterFilling(t *testing.T) {
 	f := NewFabric(e)
 	l1 := f.NewLink("wide", 100e6, 0)
 	l2 := f.NewLink("narrow", 20e6, 0)
-	var rateA, rateB float64
-	e.Spawn("probe", func(p *sim.Proc) {
-		fa := f.StartFlow(f.NewRoute(l1), 1e9)
-		fb := f.StartFlow(f.NewRoute(l1, l2), 1e9)
-		p.Sleep(0.01)
-		rateA, rateB = fa.Rate(), fb.Rate()
-		sim.WaitAll(p, fa.Done(), fb.Done())
-	})
+	var doneA, doneB sim.Time
+	e.Spawn("a", func(p *sim.Proc) { f.Transfer(p, "a", f.NewRoute(l1), 1e9); doneA = p.Now() })
+	e.Spawn("b", func(p *sim.Proc) { f.Transfer(p, "b", f.NewRoute(l1, l2), 1e9); doneB = p.Now() })
 	e.Run()
-	almost(t, rateB, 20e6, 1, "B limited by the narrow link")
-	almost(t, rateA, 80e6, 1, "A gets the residual of the wide link")
+	// B runs at 20 MB/s throughout; A gets the other 80 MB/s of the wide
+	// link.
+	almost(t, doneB, 50, 1e-6, "B limited by the narrow link")
+	almost(t, doneA, 12.5, 1e-6, "A gets the residual of the wide link")
 }
 
 func TestFlowCompletionFreesBandwidth(t *testing.T) {
@@ -151,13 +148,12 @@ func TestMessageDoesNotContend(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
 	l := f.NewLink("nic", 100e6, 0.001)
-	fl := f.StartFlow(f.NewRoute(l), 1e9)
+	e.Spawn("bulk", func(p *sim.Proc) { f.Transfer(p, "bulk", f.NewRoute(l), 1e9) })
 	var msgDone sim.Time
 	e.Spawn("hb", func(p *sim.Proc) {
 		p.Sleep(f.MessageDelay(f.NewRoute(l), 1000))
 		msgDone = p.Now()
 	})
-	e.Spawn("watch", func(p *sim.Proc) { fl.Done().Wait(p) })
 	e.Run()
 	almost(t, msgDone, 0.001+1000/100e6, 1e-12, "message latency unaffected by bulk flow")
 }
@@ -221,7 +217,8 @@ func TestNoLinkOversubscriptionProperty(t *testing.T) {
 			if path[0] == path[1] {
 				path = path[:1]
 			}
-			f.StartFlow(f.NewRoute(path...), 1e6+e.Rand().Float64()*20e6)
+			r, bytes := f.NewRoute(path...), 1e6+e.Rand().Float64()*20e6
+			e.Spawn("flow", func(p *sim.Proc) { f.Transfer(p, "t", r, bytes) })
 		}
 		ok := true
 		e.Spawn("check", func(p *sim.Proc) {
@@ -249,7 +246,9 @@ func TestMeanUtilizationAfterSetBandwidth(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
 	l := f.NewLink("nic", 100, 0)
-	f.StartFlow(f.NewRoute(l), 2000) // 1000 B by t=10 at 100 B/s, then 1 B/s
+	e.Spawn("x", func(p *sim.Proc) {
+		f.Transfer(p, "t", f.NewRoute(l), 2000) // 1000 B by t=10 at 100 B/s, then 1 B/s
+	})
 	var atDegrade, later float64
 	e.At(10, func() {
 		l.SetBandwidth(1)
@@ -257,12 +256,13 @@ func TestMeanUtilizationAfterSetBandwidth(t *testing.T) {
 	})
 	e.At(20, func() { later = l.MeanUtilization() })
 	e.RunUntil(20)
+	e.Shutdown()
 	almost(t, atDegrade, 1, 1e-9, "mean utilisation right after the degrade")
 	almost(t, later, 1, 1e-9, "mean utilisation at t=20")
 }
 
 // A transfer over a route built once allocates nothing: no path walk, no
-// index slice, no completion closure, and its Flow (the solver activity and
+// index slice, no completion closure, and its flow (the solver activity and
 // the latch in one object) comes back off the fabric's free list.
 func TestTransferOverRouteAllocs(t *testing.T) {
 	e := sim.New(1)

@@ -95,7 +95,7 @@ func (m *Manager) MustDefine(name string, memBytes float64, host *phys.Machine) 
 // filer's disk and the host NIC, which is what makes large virtual clusters
 // slow to start in lockstep.
 func (m *Manager) Boot(p *sim.Proc, vm *VM) {
-	m.nfs.FetchImage(p, vm.host, m.cfg.ImageBytes)
+	m.nfs.Read(p, vm.host, m.cfg.ImageBytes)
 	p.Sleep(m.cfg.BootTime)
 }
 

@@ -241,23 +241,17 @@ func (vm *VM) ReadFromDiskTo(p *sim.Proc, dst *VM, bytes float64) {
 		dst.checkAlive(p)
 	}
 	vm.diskRead += bytes
-	topo := vm.mgr.topo
-	filer := vm.mgr.nfs.Machine()
-	route := topo.HostPath(filer, vm.host)
-	if dst != nil && dst != vm {
-		vm.netSent += bytes
-		dst.netRecv += bytes
-		route = topo.RelayPath(filer, vm.host, dst.host)
-	}
 	vm.watch(p)
 	defer vm.unwatch(p)
-	if dst != nil && dst != vm {
-		dst.watch(p)
-		defer dst.unwatch(p)
+	if dst == nil || dst == vm {
+		vm.mgr.nfs.Read(p, vm.host, bytes)
+		return
 	}
-	diskDone := vm.mgr.nfs.SubmitRead(bytes)
-	fl := topo.Fabric().StartFlow(route, bytes)
-	sim.WaitAll(p, diskDone, fl.Done())
+	vm.netSent += bytes
+	dst.netRecv += bytes
+	dst.watch(p)
+	defer dst.unwatch(p)
+	vm.mgr.nfs.Relay(p, vm.host, dst.host, bytes)
 }
 
 // SendTo streams bytes from this VM to dst over the fabric: the virtual
