@@ -3,6 +3,7 @@ package workloads
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"vhadoop/internal/core"
@@ -50,5 +51,39 @@ func TestWordcountStageReturnsLoadError(t *testing.T) {
 	}
 	if pl.DFS.Exists(spec.Input) {
 		t.Fatalf("%s exists after a failed load", spec.Input)
+	}
+}
+
+// RunTeraSort fails before TeraGen writes anything when its options cannot
+// run: fewer than one reduce is a plain error, not a panic in the driver,
+// and zero rows fail at the seed file's write.
+func TestRunTeraSortRejectsBadOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		modify func(*TeraOptions)
+		want   string
+	}{
+		{"no reduces", func(o *TeraOptions) { o.SortReduces = 0 }, "SortReduces = 0"},
+		{"negative reduces", func(o *TeraOptions) { o.SortReduces = -2 }, "SortReduces = -2"},
+		{"no rows", func(o *TeraOptions) { o.RealRows = 0 }, "non-positive size"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := platform(t, 4, core.Normal)
+			opts := DefaultTeraOptions(8e6)
+			tc.modify(&opts)
+			var runErr error
+			if _, err := pl.Run(func(p *sim.Proc) error {
+				_, runErr = RunTeraSort(p, pl, opts)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if runErr == nil || !strings.Contains(runErr.Error(), tc.want) {
+				t.Fatalf("RunTeraSort err = %v, want one containing %q", runErr, tc.want)
+			}
+			if files := pl.DFS.Files(); len(files) != 0 {
+				t.Fatalf("DFS holds %v after a rejected run", files)
+			}
+		})
 	}
 }

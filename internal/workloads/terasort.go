@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 
 	"vhadoop/internal/core"
 	"vhadoop/internal/hdfs"
@@ -183,8 +184,13 @@ func TeraGen(p *sim.Proc, pl *core.Platform, output string, opts TeraOptions, su
 	return p.Now() - start, nil
 }
 
-// samplePartitionBoundaries picks NumReduces-1 key boundaries from the
-// generated rows of f, as TeraSort's input sampler does.
+// samplePartitionBoundaries picks reduces-1 key boundaries from the
+// generated rows of f: boundary i is the key of rank (i+1)·n/reduces among
+// all n generated keys. Hadoop's TeraSort sampler reads only a subset of
+// its input; doing the same here would move the boundaries, and with them
+// every partition, so it would change the model. Only reduces-1 order
+// statistics are needed, so they are selected, not sorted: each rank is
+// selected in the part of the copy its predecessor left unsettled.
 func samplePartitionBoundaries(f *hdfs.File, reduces int) []string {
 	keys := make([]string, 0, f.NumRecords())
 	for _, b := range f.Blocks {
@@ -192,12 +198,67 @@ func samplePartitionBoundaries(f *hdfs.File, reduces int) []string {
 			keys = append(keys, r.Key)
 		}
 	}
-	sort.Strings(keys)
 	bounds := make([]string, reduces-1)
+	settled := 0 // keys[settled:] is unsettled: no rank selected so far lies in it
 	for i := range bounds {
-		bounds[i] = keys[(i+1)*len(keys)/reduces]
+		k := (i + 1) * len(keys) / reduces
+		if k >= settled { // otherwise k is the rank selected last, still in place
+			selectRank(keys[settled:], k-settled)
+			settled = k + 1
+		}
+		bounds[i] = keys[k]
 	}
 	return bounds
+}
+
+// selectRank reorders a so that a[k] is the key of rank k in sorted order,
+// with no key before it greater and no key after it smaller. It is a
+// quickselect: expected O(len(a)) comparisons, no allocation, and no
+// randomness, so the engine's random stream is untouched. The pivot is the
+// median of the first, middle and last keys, and the partition is
+// three-way, so a run of equal keys leaves the range in one pass instead of
+// making the selection quadratic.
+func selectRank(a []string, k int) {
+	for len(a) > 1 {
+		pivot := medianOf3(a[0], a[len(a)/2], a[len(a)-1])
+		// a[:lt] < pivot, a[lt:i] == pivot, a[gt:] > pivot.
+		lt, i, gt := 0, 0, len(a)
+		for i < gt {
+			switch c := strings.Compare(a[i], pivot); {
+			case c < 0:
+				a[lt], a[i] = a[i], a[lt]
+				lt++
+				i++
+			case c > 0:
+				gt--
+				a[i], a[gt] = a[gt], a[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			a = a[:lt]
+		case k >= gt:
+			a, k = a[gt:], k-gt
+		default:
+			return // a[k] equals the pivot
+		}
+	}
+}
+
+// medianOf3 returns the middle one of three keys.
+func medianOf3(x, y, z string) string {
+	if x > y {
+		x, y = y, x
+	}
+	if y > z {
+		y = z
+	}
+	if x > y {
+		return x
+	}
+	return y
 }
 
 // teraSortJob: identity map, total-order partition, identity reduce. The
@@ -237,9 +298,13 @@ func teraSortJob(input, output string, reduces int, bounds []string) mapreduce.J
 
 // RunTeraSort runs TeraGen + TeraSort + TeraValidate and reports the times
 // of the two measured steps plus the validation verdict. Submission options
-// pass through to both MapReduce jobs.
+// pass through to both MapReduce jobs. Fewer than one reduce is an error,
+// returned before anything is generated.
 func RunTeraSort(p *sim.Proc, pl *core.Platform, opts TeraOptions, subOpts ...mapreduce.SubmitOption) (TeraResult, error) {
 	res := TeraResult{Options: opts}
+	if opts.SortReduces < 1 {
+		return res, fmt.Errorf("terasort: SortReduces = %d, want at least 1", opts.SortReduces)
+	}
 	data := fmt.Sprintf("%s/in-%.0f", opts.dir(), opts.Bytes)
 	genTime, err := TeraGen(p, pl, data, opts, subOpts...)
 	if err != nil {

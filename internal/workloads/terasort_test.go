@@ -1,10 +1,15 @@
 package workloads
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
+
+	"vhadoop/internal/hdfs"
 )
 
 // TestTeraRowsAllocsConstant pins teraRows to a fixed handful of
@@ -87,5 +92,110 @@ func TestTeraSortCallbacksZeroAllocs(t *testing.T) {
 	discard := func(string, any, float64) {}
 	if n := testing.AllocsPerRun(100, func() { red.Reduce(key, values, discard) }); n != 0 {
 		t.Errorf("reducer: %v allocs per call of %d values, want 0", n, len(values))
+	}
+}
+
+// recordFile wraps records in a file of up to three blocks, as a written
+// seed file holds them.
+func recordFile(recs []hdfs.Record) *hdfs.File {
+	n := len(recs)
+	return &hdfs.File{Blocks: []*hdfs.Block{
+		{Records: recs[:n/3]}, {Records: recs[n/3 : 2*n/3]}, {Records: recs[2*n/3:]},
+	}}
+}
+
+// fuzzKeys holds every string of one to three letters over "abc", in
+// sorted order, so fuzzKey maps sorted bytes to sorted keys. Some keys are
+// prefixes of others.
+var fuzzKeys = func() []string {
+	var keys []string
+	var grow func(prefix string)
+	grow = func(prefix string) {
+		for _, c := range "abc" {
+			key := prefix + string(c)
+			keys = append(keys, key)
+			if len(key) < 3 {
+				grow(key)
+			}
+		}
+	}
+	grow("")
+	return keys
+}()
+
+// fuzzKey maps b to one of the first distinct keys of fuzzKeys,
+// preserving order.
+func fuzzKey(b byte, distinct int) string {
+	return fuzzKeys[int(b)*distinct/256]
+}
+
+// FuzzPartitionBoundaries checks the selected boundaries against the
+// quantiles of a full sort. Each byte is one key from a set of 1 to 39
+// distinct keys, so keys repeat heavily. reduces runs from 1 to 2n+1:
+// above n+1 some boundaries share a rank.
+func FuzzPartitionBoundaries(f *testing.F) {
+	ramp := make([]byte, 2000)
+	for i := range ramp {
+		ramp[i] = byte(i * 256 / len(ramp))
+	}
+	random := make([]byte, 4000)
+	rand.New(rand.NewSource(1)).Read(random)
+	reversed := slices.Clone(ramp)
+	slices.Reverse(reversed)
+	f.Add([]byte{9}, uint8(38), uint16(1))
+	f.Add([]byte{3, 1, 2}, uint8(38), uint16(6))                 // 7 reduces over 3 keys
+	f.Add(bytes.Repeat([]byte{200}, 3000), uint8(38), uint16(3)) // all equal
+	f.Add(random, uint8(0), uint16(4))                           // one distinct key: all equal
+	f.Add(ramp, uint8(38), uint16(3))                            // already sorted
+	f.Add(reversed, uint8(38), uint16(4))                        // reverse sorted
+	f.Add(random, uint8(2), uint16(3))
+	f.Add(random, uint8(38), uint16(3)) // 4 reduces, as vhbench's terasort
+	f.Add(random, uint8(38), uint16(4))
+	f.Add(random[:64], uint8(38), uint16(30))
+	f.Fuzz(func(t *testing.T, data []byte, distinct uint8, reduces uint16) {
+		n := len(data)
+		if n == 0 {
+			return
+		}
+		nKeys := 1 + int(distinct)%len(fuzzKeys)
+		r := 1 + int(reduces)%(2*n+1)
+		recs := make([]hdfs.Record, n)
+		sorted := make([]string, n)
+		for i, b := range data {
+			recs[i] = hdfs.Record{Key: fuzzKey(b, nKeys)}
+			sorted[i] = recs[i].Key
+		}
+		sort.Strings(sorted)
+
+		got := samplePartitionBoundaries(recordFile(recs), r)
+		if len(got) != r-1 {
+			t.Fatalf("n=%d reduces=%d: %d boundaries, want %d", n, r, len(got), r-1)
+		}
+		for i, b := range got {
+			if want := sorted[(i+1)*n/r]; b != want {
+				t.Fatalf("n=%d reduces=%d: boundary %d = %q, want %q", n, r, i, b, want)
+			}
+		}
+		for i, b := range data {
+			if recs[i].Key != fuzzKey(b, nKeys) {
+				t.Fatalf("record %d key changed to %q", i, recs[i].Key)
+			}
+		}
+	})
+}
+
+// TestSamplePartitionBoundariesAllocs pins the sampler to two allocations,
+// the key copy and the boundaries, at every size: the selection itself
+// works in place.
+func TestSamplePartitionBoundariesAllocs(t *testing.T) {
+	const want = 2
+	// A process's first collection allocates its background mark workers.
+	// Run it now, so that the copies made below cannot set it off.
+	runtime.GC()
+	for _, n := range []int{64, 4000, 20000} {
+		f := recordFile(teraRows(rand.New(rand.NewSource(1)), n, 1e4))
+		if got := testing.AllocsPerRun(5, func() { samplePartitionBoundaries(f, 4) }); got != want {
+			t.Errorf("samplePartitionBoundaries(n=%d): %v allocs, want %d", n, got, want)
+		}
 	}
 }

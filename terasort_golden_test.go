@@ -10,32 +10,44 @@ import (
 	"vhadoop/internal/workloads"
 )
 
-// TestTeraSortGolden pins a 100 MB, seed-1 TeraSort run — both measured
-// step times and every output row, in order, with its virtual size — to a
-// fixed digest. It guards the record plane: generating rows, cutting them
+// TestTeraSortGolden pins seed-1 TeraSort runs at the three sizes of
+// vhbench's terasort op — both measured step times and every output row,
+// in order, with its virtual size — to fixed digests. It guards the record
+// plane: generating rows, choosing the partition boundaries, cutting rows
 // into blocks and splits, and shuffling them may get cheaper, but must
-// make the same picks. The digest was computed before TeraGen's rows moved
-// into one arena with pointer values and blocks became contiguous
-// sub-slices (parent commit da97288); a change that moves it changes the
-// simulation.
+// make the same picks. The 100 MB digest was computed before TeraGen's
+// rows moved into one arena with pointer values and blocks became
+// contiguous sub-slices (parent commit da97288), the 400 and 1000 MB ones
+// before the boundaries were selected instead of sorted (parent commit
+// 11092e4); a change that moves one changes the simulation.
 func TestTeraSortGolden(t *testing.T) {
-	const golden = "bab8562c2ff2a4ca41a05549e6128536ee0b423f916ad5df2ddeecc670c85065"
-	pl := core.MustNewPlatform(platformOpts(core.DefaultOptions().Nodes, core.Normal, 1))
-	var res workloads.TeraResult
-	if _, err := pl.Run(func(p *sim.Proc) error {
-		var err error
-		res, err = workloads.RunTeraSort(p, pl, workloads.DefaultTeraOptions(100e6))
-		return err
-	}); err != nil {
-		t.Fatalf("terasort failed: %v", err)
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "gen=%v sort=%v\n", res.GenTime, res.SortTime)
-	for _, kv := range res.Output {
-		fmt.Fprintf(h, "%s %v %v\n", kv.Key, kv.Value, kv.Size)
-	}
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != golden {
-		t.Fatalf("terasort digest = %s, want %s (%d rows, gen %v, sort %v)",
-			got, golden, len(res.Output), res.GenTime, res.SortTime)
+	for _, tc := range []struct {
+		mb     float64
+		golden string
+	}{
+		{100, "bab8562c2ff2a4ca41a05549e6128536ee0b423f916ad5df2ddeecc670c85065"},
+		{400, "71d01ed55254dd8e384a8daddfc36e24ad4c1dd11af4d0473fabf50e7e7ad277"},
+		{1000, "8331f562817fde1812de9e4426b0fa8bb1e37282a8a7f0f289e887ddddcec2ec"},
+	} {
+		t.Run(fmt.Sprintf("%vMB", tc.mb), func(t *testing.T) {
+			pl := core.MustNewPlatform(platformOpts(core.DefaultOptions().Nodes, core.Normal, 1))
+			var res workloads.TeraResult
+			if _, err := pl.Run(func(p *sim.Proc) error {
+				var err error
+				res, err = workloads.RunTeraSort(p, pl, workloads.DefaultTeraOptions(tc.mb*1e6))
+				return err
+			}); err != nil {
+				t.Fatalf("terasort failed: %v", err)
+			}
+			h := sha256.New()
+			fmt.Fprintf(h, "gen=%v sort=%v\n", res.GenTime, res.SortTime)
+			for _, kv := range res.Output {
+				fmt.Fprintf(h, "%s %v %v\n", kv.Key, kv.Value, kv.Size)
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.golden {
+				t.Fatalf("terasort digest = %s, want %s (%d rows, gen %v, sort %v)",
+					got, tc.golden, len(res.Output), res.GenTime, res.SortTime)
+			}
+		})
 	}
 }
