@@ -14,9 +14,13 @@ import (
 // benchmark workload's allocation rate.
 //
 // The budgets sit about 15 % above the counts and bytes under -race when
-// they were set: mixed ≈ 28.1 k allocations and 3.74 MB, uniform ≈ 20.8 k
-// and 3.36 MB (without -race 26.8 k and 3.59 MB, 19.6 k and 3.24 MB).
-// Before task attempts, their watchers and the HDFS stage records reused
+// they were set: mixed ≈ 27.2 k allocations and 3.71 MB, uniform ≈ 20.8 k
+// and 3.36 MB (without -race 26.0 k and 3.58 MB, 19.6 k and 3.24 MB); the
+// -race counts vary by about ±100 from run to run. Before the HDFS and
+// shuffle I/O stages ran as callback chains instead of processes, the runs
+// took 28.1 k allocations and 3.74 MB, and 20.8 k and 3.36 MB under -race
+// (26.8 k and 3.59 MB, 19.6 k and 3.24 MB without), with budgets of
+// 32.3 k and 4.30 MB, and 23.9 k and 3.87 MB. Before task attempts, their watchers and the HDFS stage records reused
 // their process records and span floats waited for export to render, the
 // runs took 31.1 k allocations and 4.07 MB, and 22.9 k and 3.58 MB under
 // -race (29.9 k and 3.93 MB, 21.8 k and 3.46 MB without). Before that,
@@ -45,7 +49,7 @@ func TestBacklogAllocBudget(t *testing.T) {
 		budget      float64
 		bytesBudget uint64
 	}{
-		{"mixed", false, 32_300, 4_300_000},
+		{"mixed", false, 31_300, 4_270_000},
 		{"uniform", true, 23_900, 3_870_000},
 	} {
 		t.Run(c.name, func(t *testing.T) {

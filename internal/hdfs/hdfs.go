@@ -430,8 +430,9 @@ func (c *Cluster) writeBlock(p *sim.Proc, client *xen.VM, b *Block, pipeline []*
 
 // streamBlock pushes one block through the pipeline. All hops and disk
 // writes run concurrently (streaming), so the block costs its slowest
-// stage. Each stage is a process, because it blocks on the network and the
-// disk; it returns the first stage's error, in pipeline order.
+// stage. Each stage is a xen.IOProc, a send then a disk write that chain
+// from latch callbacks without a process of their own; it returns the first
+// stage's error, in pipeline order.
 func (c *Cluster) streamBlock(p *sim.Proc, client *xen.VM, b *Block, pipeline []*Datanode) error {
 	key := c.storeKey(b)
 	var buf [4]*xen.IOProc // holds the default and most custom pipelines
@@ -552,7 +553,8 @@ func (c *Cluster) ReadRange(p *sim.Proc, client *xen.VM, b *Block, bytes float64
 }
 
 // readFrom moves bytes of block b from replica d to the client. The disk
-// read and the network send are processes, because both block.
+// read and the network send run at once, as two xen.IOProc stages that own
+// no process; the O_DIRECT path is one relay stage.
 func (c *Cluster) readFrom(p *sim.Proc, client *xen.VM, d *Datanode, b *Block, bytes float64) error {
 	if c.cfg.UseHostCache {
 		return d.VM.ReadAndSend(p, client, b.tag(), bytes, "hdfs-read-disk", "hdfs-read-net")
@@ -703,9 +705,9 @@ func (c *Cluster) ReReplicate(p *sim.Proc) int {
 			if target == nil {
 				break
 			}
-			// The copy runs in a child proc so a source or target VM dying
-			// mid-stream fails only this transfer, not the caller (which may
-			// be the long-lived replication monitor daemon).
+			// The copy runs as its own I/O stage, so a source or target VM
+			// dying mid-stream fails only this transfer, not the caller
+			// (which may be the long-lived replication monitor daemon).
 			sp := c.obs.Start(obs.KindRepair, b.tag(), nil).
 				SetAttr("src", src.VM.Name).SetAttr("dst", target.VM.Name)
 			if err := src.VM.SpawnStore("hdfs-rerepl", target.VM, c.storeKey(b), b.Size).Wait(p); err != nil {

@@ -548,14 +548,19 @@ func TestWriteFailsWhenWholePipelineDies(t *testing.T) {
 
 // TestBlockPathAllocs gates the allocations of one block's read and write
 // on a warm cluster. A read allocates nothing: its disk and network halves
-// (or, from a replica on the reader's VM, the disk half alone) run in
-// recycled xen.IOProc records that hold their sim.Proc by value. Replica
-// choice walks the block's replicas in place, so neither count grows with
-// the number of datanodes.
+// (or, from a replica on the reader's VM, the disk half alone) run as
+// recycled xen.IOProc records that own no process. Replica choice walks
+// the block's replicas in place, so neither count grows with the number of
+// datanodes.
 //
 // Writing a one-block file takes 6: the block, its page-cache tag, the
 // pipeline that becomes its replica list, the file, its block list and
-// splitRecords' group list. While the stage records still spawned a fresh
+// splitRecords' group list. The counts were re-recorded when the stages
+// stopped being processes and stayed 0, 0 and 6: on a warm cluster the
+// stage records already held their sim.Proc by value and found idle
+// carriers, so what the chains save is the carriers a cold platform no
+// longer builds, which this warm gate does not see. While the stage
+// records still spawned a fresh
 // sim.Proc, the reads took 2 and 1 and the write 8. Before the pipeline
 // stages and read halves became recycled records, transfers recycled their
 // flows and disk jobs, and replica choice stopped building slices, maps

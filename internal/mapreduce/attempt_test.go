@@ -13,9 +13,12 @@ import (
 // watcher, the map output and the job's spans, events and bookkeeping.
 // The attempt and the watcher run in a recycled attempt record that holds
 // both sim.Procs by value and both bodies bound once, so neither allocates
-// a process. While each launch spawned two fresh Procs running two fresh
-// closures, the same job took 4 more (29), and while the xen.IOProc stage
-// records it runs also spawned a fresh Proc each, 9 more (34).
+// a process. The xen.IOProc stages of the job's reads and writes own
+// no process; re-recorded when they stopped being processes, the count
+// stayed 25, because on a warm cluster their records and carriers were
+// already reused. While each launch spawned two fresh Procs running two
+// fresh closures, the same job took 4 more (29), and while the stage
+// records also spawned a fresh Proc each, 9 more (34).
 func TestAttemptPathAllocs(t *testing.T) {
 	pl := core.MustNewPlatform(smallOpts(4, core.Normal))
 	e := pl.Engine

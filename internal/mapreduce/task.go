@@ -289,7 +289,8 @@ func (c *Cluster) reduceOutput(cfg *JobSpec, runs [][]KV) []KV {
 
 // fetchMapOutput moves one map-output partition from src to dst: a fetch
 // RPC, then the source disk read streaming into the network transfer, as
-// two processes whose records ReadAndSend recycles.
+// two I/O stages that own no process and whose records ReadAndSend
+// recycles. A same-VM fetch is the disk read alone, as this process.
 func (c *Cluster) fetchMapOutput(p *sim.Proc, src, dst *xen.VM, bytes float64) {
 	dst.Message(p, src, 128)
 	if c.cfg.FetchOverhead > 0 {

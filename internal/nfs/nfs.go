@@ -6,9 +6,10 @@
 // "network I/O and NFS disk I/O" as the platform's two main bottlenecks.
 //
 // Read, Write and Relay share one streaming path: the filer's disk job and
-// the network flow run at once, and the caller resumes when both are done.
-// Relay is the O_DIRECT read (Xen's blktap), carried on through the host's
-// dom0 to another guest.
+// the network flow run at once, as one vnet.Stream that each returns. A
+// process waits it out with Stream.Wait; the VM I/O stages, which own no
+// process, wait on its latches. Relay is the O_DIRECT read (Xen's blktap),
+// carried on through the host's dom0 to another guest.
 package nfs
 
 import (
@@ -49,39 +50,35 @@ func (s *Server) ReadBytes() float64 { return s.readBytes }
 // WriteBytes returns cumulative bytes written to the filer.
 func (s *Server) WriteBytes() float64 { return s.writeBytes }
 
-// Read services a VM disk read issued from a VM on client: the filer's disk
+// Read starts a VM disk read issued from a VM on client: the filer's disk
 // and the network transfer to the client's dom0 proceed in parallel
-// (streaming), so the caller pays the slower of the two. A VM image
+// (streaming), so the reader pays the slower of the two. A VM image
 // fetched at boot is read the same way.
-func (s *Server) Read(p *sim.Proc, client *phys.Machine, bytes float64) {
-	s.stream(p, s.topo.HostPath(s.machine, client), bytes, bytes, &s.readBytes)
+func (s *Server) Read(client *phys.Machine, bytes float64) vnet.Stream {
+	return s.stream(s.topo.HostPath(s.machine, client), bytes, bytes, &s.readBytes)
 }
 
-// Relay services an O_DIRECT read of the disk of a VM on host, on behalf
-// of a guest on dst: one coupled flow from the filer through host's dom0
-// to dst (phys.Topology.RelayPath), streaming in parallel with the filer's
+// Relay starts an O_DIRECT read of the disk of a VM on host, on behalf of
+// a guest on dst: one coupled flow from the filer through host's dom0 to
+// dst (phys.Topology.RelayPath), streaming in parallel with the filer's
 // disk.
-func (s *Server) Relay(p *sim.Proc, host, dst *phys.Machine, bytes float64) {
-	s.stream(p, s.topo.RelayPath(s.machine, host, dst), bytes, bytes, &s.readBytes)
+func (s *Server) Relay(host, dst *phys.Machine, bytes float64) vnet.Stream {
+	return s.stream(s.topo.RelayPath(s.machine, host, dst), bytes, bytes, &s.readBytes)
 }
 
-// Write services a VM disk write from a VM on client: network transfer to
+// Write starts a VM disk write from a VM on client: network transfer to
 // the filer and the filer's disk write stream in parallel.
-func (s *Server) Write(p *sim.Proc, client *phys.Machine, bytes float64) {
-	s.stream(p, s.topo.HostPath(client, s.machine), bytes, bytes*writePenalty, &s.writeBytes)
+func (s *Server) Write(client *phys.Machine, bytes float64) vnet.Stream {
+	return s.stream(s.topo.HostPath(client, s.machine), bytes, bytes*writePenalty, &s.writeBytes)
 }
 
-// stream is the one path of Read, Relay and Write: begin a disk job of work
-// units, move bytes along route (nil for none), end the job, and add bytes
-// to *count. Both records are recycled; zero bytes cost nothing.
-func (s *Server) stream(p *sim.Proc, route *vnet.Route, bytes, work float64, count *float64) {
+// stream is the one path of Read, Relay and Write: add bytes to *count and
+// start a disk job of work units with bytes moving along route (nil for
+// none). Zero bytes start nothing.
+func (s *Server) stream(route *vnet.Route, bytes, work float64, count *float64) vnet.Stream {
 	if bytes <= 0 {
-		return
+		return vnet.Stream{}
 	}
 	*count += bytes
-	disk := s.machine.Disk.Begin(work)
-	if route != nil {
-		s.topo.Fabric().Transfer(p, "nfs", route, bytes)
-	}
-	s.machine.Disk.End(p, disk)
+	return s.topo.Fabric().Stream(s.machine.Disk, work, route, bytes)
 }

@@ -38,7 +38,8 @@ func TestReadCostIsSlowerOfDiskAndNetwork(t *testing.T) {
 	client := topo.Machines()[0]
 	var done sim.Time
 	e.Spawn("r", func(p *sim.Proc) {
-		srv.Read(p, client, 500e6)
+		st := srv.Read(client, 500e6)
+		st.Wait(p)
 		done = p.Now()
 	})
 	e.Run()
@@ -52,7 +53,8 @@ func TestWriteMirrorsRead(t *testing.T) {
 	client := topo.Machines()[0]
 	var done sim.Time
 	e.Spawn("w", func(p *sim.Proc) {
-		srv.Write(p, client, 200e6)
+		st := srv.Write(client, 200e6)
+		st.Wait(p)
 		done = p.Now()
 	})
 	e.Run()
@@ -65,8 +67,8 @@ func TestConcurrentClientsContendOnFilerDisk(t *testing.T) {
 	e, topo, srv := newTestbed()
 	c1, c2 := topo.Machines()[0], topo.Machines()[1]
 	var d1, d2 sim.Time
-	e.Spawn("r1", func(p *sim.Proc) { srv.Read(p, c1, 300e6); d1 = p.Now() })
-	e.Spawn("r2", func(p *sim.Proc) { srv.Read(p, c2, 300e6); d2 = p.Now() })
+	e.Spawn("r1", func(p *sim.Proc) { st := srv.Read(c1, 300e6); st.Wait(p); d1 = p.Now() })
+	e.Spawn("r2", func(p *sim.Proc) { st := srv.Read(c2, 300e6); st.Wait(p); d2 = p.Now() })
 	e.Run()
 	// Two concurrent readers: each path has its own NIC, but the filer disk
 	// (100 MB/s shared) is now the bottleneck at 50 MB/s each => 6s.
@@ -79,8 +81,8 @@ func TestSameMachineClientsContendOnNIC(t *testing.T) {
 	e, topo, srv := newTestbed()
 	c1 := topo.Machines()[0]
 	var d1, d2 sim.Time
-	e.Spawn("r1", func(p *sim.Proc) { srv.Read(p, c1, 300e6); d1 = p.Now() })
-	e.Spawn("r2", func(p *sim.Proc) { srv.Read(p, c1, 300e6); d2 = p.Now() })
+	e.Spawn("r1", func(p *sim.Proc) { st := srv.Read(c1, 300e6); st.Wait(p); d1 = p.Now() })
+	e.Spawn("r2", func(p *sim.Proc) { st := srv.Read(c1, 300e6); st.Wait(p); d2 = p.Now() })
 	e.Run()
 	// Both land on pm1's rx NIC (125 MB/s shared => 62.5 each) but the filer
 	// disk share (50 each) is still tighter => 6s again; check it is not
@@ -96,7 +98,8 @@ func TestFetchImage(t *testing.T) {
 	dst := topo.Machines()[0]
 	var done sim.Time
 	e.Spawn("boot", func(p *sim.Proc) {
-		srv.Read(p, dst, 100e6)
+		st := srv.Read(dst, 100e6)
+		st.Wait(p)
 		done = p.Now()
 	})
 	e.Run()
@@ -118,11 +121,13 @@ func TestRelayContendsWithGuestTraffic(t *testing.T) {
 		})
 		var done sim.Time
 		e.Spawn("read", func(p *sim.Proc) {
+			var st vnet.Stream
 			if relay {
-				srv.Relay(p, host, dst, 250e6)
+				st = srv.Relay(host, dst, 250e6)
 			} else {
-				srv.Read(p, host, 250e6)
+				st = srv.Read(host, 250e6)
 			}
+			st.Wait(p)
 			done = p.Now()
 		})
 		e.Run()
@@ -140,9 +145,13 @@ func TestZeroByteIOIsFree(t *testing.T) {
 	client := topo.Machines()[0]
 	var done sim.Time
 	e.Spawn("z", func(p *sim.Proc) {
-		srv.Read(p, client, 0)
-		srv.Write(p, client, 0)
-		srv.Relay(p, client, topo.Machines()[1], 0)
+		for _, st := range []vnet.Stream{
+			srv.Read(client, 0),
+			srv.Write(client, 0),
+			srv.Relay(client, topo.Machines()[1], 0),
+		} {
+			st.Wait(p)
+		}
 		done = p.Now()
 	})
 	e.Run()

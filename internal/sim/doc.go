@@ -11,7 +11,10 @@
 // deterministic and reproducible from a seed. A daemon whose body never
 // blocks between its sleeps (a heartbeat, a sampler) is instead a chain of
 // Engine.At/After callbacks: a timer costs less than a process hand-off,
-// and each step draws the same one event a Spawn or Sleep would.
+// and each step draws the same one event a Spawn or Sleep would. So is an
+// I/O stage that only sequences latches (xen's IOProc): it waits through
+// Done.FiredOr and Gate.OpenOr, whose callbacks draw the one event a
+// parked process's wake would.
 //
 // Building blocks:
 //
@@ -43,7 +46,9 @@
 //     or solver job it was parked on, so an aborted record is never
 //     reused: an aborted process always ends with a non-nil Err, even one
 //     whose body returned before the abort could unwind it.
-//   - Done: a one-shot completion latch processes can wait on. Its zero
+//   - Done: a one-shot completion latch processes can wait on, and code
+//     that is not a process can register a Callback on (FiredOr). Fire
+//     wakes both kinds in registration order, one event each. Its zero
 //     value is ready to use, so owners embed it.
 //   - Gate: an open/closed barrier (used e.g. to pause virtual machines
 //     during the stop-and-copy phase of live migration). Its one FIFO of
@@ -61,7 +66,8 @@
 //     optionally capped per job. This is the building block for the Xen
 //     credit scheduler and for disk contention. Use, and the Begin/End
 //     pair, recycle their job records through a free list on the
-//     FairShare; they are its only ways in.
+//     FairShare; they are its only ways in. A caller that is not a process
+//     splits End into a FiredOr on Job.Done and a Recycle.
 //
 // Blocking waits allocate nothing in steady state: Sleep, Done.Wait,
 // Queue.Acquire, FairShare.Use and FairShare.End. A process aborted or

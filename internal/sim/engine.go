@@ -259,8 +259,9 @@ func (e *Engine) dispatch(p *Proc) {
 }
 
 // LiveProcs returns the number of processes spawned and not yet terminated.
-// Only tests read it: core's TestRunDrainsAndShutsDown checks for leaks, and
-// mapreduce's TestIdleDaemonsOwnNoProcess that idle daemons own none.
+// Only tests read it: core's TestRunDrainsAndShutsDown checks for leaks,
+// mapreduce's TestIdleDaemonsOwnNoProcess that idle daemons own none, and
+// xen's TestIOStagesOwnNoProcess that I/O stages in flight own none.
 func (e *Engine) LiveProcs() int { return len(e.procs) }
 
 // forget removes the terminated process p from the live set, moving the

@@ -551,7 +551,8 @@ func TestShutdownDisarmsKeptEvents(t *testing.T) {
 
 // After a warm-up the engine schedules, fires and recycles events without
 // allocating: process sleeps, self-re-arming callbacks and MaxMin
-// completions all run at 0 allocations, a latch chain wakes its waiters
+// completions all run at 0 allocations, a latch wakes a waiting process or
+// a callback waiter without allocating, a latch chain wakes its waiters
 // without touching the heap, a spawned process that finds an idle carrier
 // allocates only its Proc (nothing when SpawnInto reuses one), and a
 // FairShare submission allocates only its
@@ -604,6 +605,38 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 	if want := warm + 101; waits != want {
 		t.Fatalf("latch released %d waits, want %d", waits, want)
+	}
+	e.Shutdown()
+
+	// The same latch with a callback waiter, bound once, in place of the
+	// process.
+	e = New(1)
+	d = NewDone()
+	calls := 0
+	var cb Callback
+	register := func() {
+		*d = Done{} // re-arm the one-shot latch in place
+		if d.FiredOr(&cb) {
+			t.Fatal("a re-armed latch reported fired")
+		}
+	}
+	cb = NewCallback(e, func() {
+		calls++
+		register()
+	})
+	register()
+	e.Spawn("firer", func(p *Proc) {
+		for {
+			p.Sleep(1)
+			d.Fire()
+		}
+	})
+	e.RunUntil(warm)
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); n != 0 {
+		t.Errorf("single-callback latch: %v allocs per FiredOr+Fire, want 0", n)
+	}
+	if want := warm + 101; calls != want {
+		t.Fatalf("latch ran its callback %d times, want %d", calls, want)
 	}
 	e.Shutdown()
 

@@ -104,6 +104,19 @@ func (f *FairShare) Begin(work float64) *Job {
 // while it waits unwinds past that point and j is never reused.
 func (f *FairShare) End(p *Proc, j *Job) {
 	j.done.Wait(p)
+	f.Recycle(j)
+}
+
+// Done returns the latch that fires once j has been served, for a caller
+// that is not a process: it waits with FiredOr, then calls Recycle.
+func (j *Job) Done() *Done { return &j.done }
+
+// Recycle puts j, which Begin returned on f and which has been served, back
+// on the free list. Recycling a job still in service panics.
+func (f *FairShare) Recycle(j *Job) {
+	if !j.done.fired {
+		panic(fmt.Sprintf("sim: fair-share %q: recycling a job still in service", f.name))
+	}
 	j.done = Done{}
 	j.next, f.free = f.free, j
 }

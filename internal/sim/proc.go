@@ -135,7 +135,10 @@ func (p *Proc) Abort(err error) {
 // wakes, so no event, latch, gate or queue still names p. Abort wakes a
 // process without taking it off the latch, gate or solver job it was
 // parked on, so an aborted record is never reusable; it always ends with
-// the abort, or its own Fail, as its Err, or was killed.
+// the abort, or its own Fail, as its Err, or was killed. mapreduce's
+// attempt record checks it before reuse. xen's I/O stage records own no
+// Proc and keep the same rule with their own abort flag: an aborted record
+// can still be called back by the latch it was registered on.
 func (p *Proc) Reusable() bool {
 	return p.terminated && p.err == nil && !p.killed
 }

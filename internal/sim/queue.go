@@ -34,7 +34,8 @@ func (q *Queue) Available() int { return q.available }
 // Acquire blocks p until n units are available, then takes them. Grants are
 // strictly FIFO: a large request at the head of the line blocks later small
 // requests (no starvation). If p is aborted or killed while waiting, its
-// queue entry (or an already-applied grant) is returned before unwinding.
+// queue entry (or an already-applied grant) is returned before unwinding;
+// leaving the line may let the waiters behind it through.
 func (q *Queue) Acquire(p *Proc, n int) {
 	if n <= 0 || n > q.capacity {
 		panic("sim: invalid acquire count")
@@ -50,6 +51,7 @@ func (q *Queue) Acquire(p *Proc, n int) {
 				q.Release(n) // grant landed just as we unwound
 			} else {
 				q.removeWaiter(p)
+				q.grant()
 			}
 			panic(r)
 		}
@@ -104,6 +106,12 @@ func (q *Queue) Release(n int) {
 	if q.available > q.capacity {
 		panic("sim: queue over-released")
 	}
+	q.grant()
+}
+
+// grant hands free units to the line in FIFO order, stopping at the first
+// waiter they do not cover.
+func (q *Queue) grant() {
 	for q.head < len(q.waiters) && q.available >= q.waiters[q.head].n {
 		w := q.waiters[q.head]
 		q.waiters[q.head] = qWaiter{} // drop the process reference

@@ -88,8 +88,10 @@ const (
 // Times are multiples of 0.5, so arrivals, releases and aborts often share
 // an instant. It checks that grants are FIFO (no waiter returns from
 // Acquire while an earlier arrival is still in line), that 0 <= available
-// <= capacity at all times, that every waiter is granted exactly once or
-// removed, and that the queue drains to empty and fully available.
+// <= capacity at all times, that no waiter at the head of the line fits the
+// free units (also just after an aborted waiter has left it), that every
+// waiter is granted exactly once or removed, and that the queue drains to
+// empty and fully available.
 func FuzzQueue(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -102,6 +104,9 @@ func FuzzQueue(f *testing.F) {
 		check := func(what string) {
 			if a := q.Available(); a < 0 || a > capacity || held > capacity-a {
 				t.Errorf("%s at %v: available %d, held %d, capacity %d", what, e.Now(), a, held, capacity)
+			}
+			if q.head < len(q.waiters) && q.waiters[q.head].n <= q.available {
+				t.Errorf("%s at %v: the head of the line waits for %d of %d free units", what, e.Now(), q.waiters[q.head].n, q.available)
 			}
 		}
 		var procs []*Proc
@@ -131,6 +136,7 @@ func FuzzQueue(f *testing.F) {
 						if !q.granted(p) {
 							t.Errorf("waiter %d unwound but is still in line", k)
 						}
+						check("removal")
 					}
 				}()
 				q.Acquire(p, n)
@@ -169,4 +175,38 @@ func FuzzQueue(f *testing.F) {
 		}
 		e.Shutdown()
 	})
+}
+
+// TestQueueAbortedHeadGrantsTheLine aborts the head of a line that a grant
+// could not reach: with 1 of 2 units held until t=10, B waits for 2 and C,
+// behind it, for 1. Once B is aborted at t=1 the free unit fits C, so C is
+// granted then, not at A's release.
+func TestQueueAbortedHeadGrantsTheLine(t *testing.T) {
+	e := New(1)
+	q := NewQueue(e, 2)
+	e.Spawn("A", func(p *Proc) {
+		q.Acquire(p, 1)
+		p.Sleep(10)
+		q.Release(1)
+	})
+	b := e.Spawn("B", func(p *Proc) {
+		p.Sleep(0.5)
+		q.Acquire(p, 2)
+		q.Release(2)
+	})
+	granted := Time(-1)
+	e.Spawn("C", func(p *Proc) {
+		p.Sleep(0.6)
+		q.Acquire(p, 1)
+		granted = p.Now()
+		q.Release(1)
+	})
+	e.At(1, func() { b.Abort(errTest) })
+	e.Run()
+	if b.Err() != errTest {
+		t.Fatalf("B ended with %v, want the abort", b.Err())
+	}
+	if granted != 1 {
+		t.Fatalf("C granted at %v, want 1, when B's abort freed the line", granted)
+	}
 }

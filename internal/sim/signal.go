@@ -1,40 +1,78 @@
 package sim
 
 // Done is a one-shot completion latch. Processes that Wait on it block until
-// Fire is called; waits after the latch has fired return immediately. The
+// Fire is called; waits after the latch has fired return immediately. Code
+// that is not a process registers a Callback through FiredOr instead. The
 // zero Done is an unfired latch, so owners embed it by value.
 type Done struct {
 	fired bool
 	// first is the earliest waiter, kept inline so the common single-waiter
 	// latch blocks without allocating; later waiters queue in rest.
-	first *Proc
-	rest  []*Proc
+	first waiter
+	rest  []waiter
 }
+
+// waiter is one registration on a latch: a parked process, or a callback.
+type waiter struct {
+	proc *Proc
+	cb   *Callback
+}
+
+// Callback is a latch waiter that is not a process: fn, run on its engine
+// at the fire time. Its owner keeps it by value, binds it once and passes
+// it to FiredOr by pointer, so registering allocates nothing.
+type Callback struct {
+	engine *Engine
+	fn     func()
+}
+
+// NewCallback returns a callback that runs fn on e.
+func NewCallback(e *Engine, fn func()) Callback { return Callback{engine: e, fn: fn} }
 
 // NewDone returns an unfired latch.
 func NewDone() *Done { return new(Done) }
 
-// Fired reports whether the latch has fired. Only tests read it:
-// TestDoneReleasesWaiters and TestAbortUnwindsParkedProcess.
+// Fired reports whether the latch has fired.
 func (d *Done) Fired() bool { return d.fired }
 
 // Fire releases all current and future waiters. Firing twice is a no-op.
 // Fire may be called from engine context or from a process.
 func (d *Done) Fire() { d.fire() }
 
+// fire wakes the waiters in registration order, each drawing one event at
+// the fire time: a process resumes, a callback runs.
 func (d *Done) fire() {
 	if d.fired {
 		return
 	}
 	d.fired = true
-	if d.first != nil {
-		d.first.scheduleAt(d.first.engine.now)
-		d.first = nil
+	if d.first != (waiter{}) {
+		d.first.wake()
+		d.first = waiter{}
 	}
-	for _, p := range d.rest {
-		p.scheduleAt(p.engine.now)
+	for _, w := range d.rest {
+		w.wake()
 	}
 	d.rest = nil
+}
+
+// wake schedules w at the current time.
+func (w waiter) wake() {
+	if w.proc != nil {
+		w.proc.scheduleAt(w.proc.engine.now)
+	} else {
+		e := w.cb.engine
+		e.At(e.now, w.cb.fn)
+	}
+}
+
+// add registers w behind the latch's other waiters.
+func (d *Done) add(w waiter) {
+	if d.first == (waiter{}) {
+		d.first = w
+	} else {
+		d.rest = append(d.rest, w)
+	}
 }
 
 // Wait blocks p until the latch fires.
@@ -42,12 +80,20 @@ func (d *Done) Wait(p *Proc) {
 	if d.fired {
 		return
 	}
-	if d.first == nil {
-		d.first = p
-	} else {
-		d.rest = append(d.rest, p)
-	}
+	d.add(waiter{proc: p})
 	p.block()
+}
+
+// FiredOr is Wait for code that is not a process, as Gate.OpenOr is
+// WaitOpen. It reports whether the latch has fired; if it has not, it queues
+// cb behind the latch's other waiters, and Fire runs cb at the fire time, in
+// registration order with the waiting processes.
+func (d *Done) FiredOr(cb *Callback) bool {
+	if d.fired {
+		return true
+	}
+	d.add(waiter{cb: cb})
+	return false
 }
 
 // WaitProcs blocks p until every listed process has terminated, and returns

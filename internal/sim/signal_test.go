@@ -48,6 +48,131 @@ func TestDoneWaitAfterFireReturnsImmediately(t *testing.T) {
 	almost(t, at, 2, 0, "no extra delay waiting on fired latch")
 }
 
+// latchPass is one waiter's release from a latch: who, and when.
+type latchPass struct {
+	id int
+	at Time
+}
+
+// waitLatchProc spawns a process that waits on d from time at and logs its
+// release.
+func waitLatchProc(e *Engine, d *Done, id int, at Time, log *[]latchPass) {
+	e.Spawn("waiter", func(p *Proc) {
+		p.Sleep(at)
+		d.Wait(p)
+		*log = append(*log, latchPass{id, p.Now()})
+	})
+}
+
+// waitLatchCallback registers id on d as a callback waiter at the current
+// time and logs its release: at once if d has fired, else when fn runs.
+func waitLatchCallback(e *Engine, d *Done, id int, log *[]latchPass) {
+	cb := NewCallback(e, func() { *log = append(*log, latchPass{id, e.Now()}) })
+	if d.FiredOr(&cb) {
+		cb.fn()
+	}
+}
+
+func TestDoneRunsMixedWaitersInOrder(t *testing.T) {
+	e := New(1)
+	d := NewDone()
+	var log []latchPass
+	for id := 0; id < 6; id++ {
+		at := Time(id+1) / 10
+		if id%2 == 1 {
+			waitLatchProc(e, d, id, at, &log)
+		} else {
+			e.At(at, func() { waitLatchCallback(e, d, id, &log) })
+		}
+	}
+	drawn := uint64(0)
+	e.At(2, func() {
+		seq := e.seq
+		d.Fire()
+		drawn = e.seq - seq
+		// Drawn after the fire, this event runs after every woken waiter.
+		e.At(2, func() { log = append(log, latchPass{-1, e.Now()}) })
+	})
+	e.Run()
+	if drawn != 6 {
+		t.Fatalf("Fire drew %d events for 6 waiters, want one each", drawn)
+	}
+	if len(log) != 7 {
+		t.Fatalf("passes = %v, want each of 6 waiters once, then the marker", log)
+	}
+	for i, ps := range log[:6] {
+		if ps.id != i || ps.at != 2 {
+			t.Fatalf("passes = %v, want waiters 0..5 in registration order at the fire time 2", log)
+		}
+	}
+	if log[6].id != -1 {
+		t.Fatalf("passes = %v, want the marker drawn after the fire last", log)
+	}
+	// A callback registered on a fired latch is not queued.
+	late := NewCallback(e, func() { t.Fatal("callback queued on a fired latch ran") })
+	if !d.FiredOr(&late) {
+		t.Fatal("FiredOr on a fired latch reported false")
+	}
+	e.Run()
+}
+
+// FuzzDone drives a latch through random Fire calls, in-place re-arms of a
+// fired latch, Wait and callback registrations, one per instant, and checks
+// the releases against a reference that keeps one list of waiters: a
+// registration on a fired latch passes at once, and a Fire passes the whole
+// list, in registration order, at the fire time.
+func FuzzDone(f *testing.F) {
+	f.Add([]byte{2, 3, 2, 0, 3, 1, 3, 2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e := New(1)
+		d := NewDone()
+		fired := false
+		var got, want []latchPass
+		var waiting []int
+		for i, b := range data {
+			at := Time(i + 1)
+			switch b % 4 {
+			case 0:
+				e.At(at, d.Fire)
+				if !fired {
+					for _, id := range waiting {
+						want = append(want, latchPass{id, at})
+					}
+					waiting, fired = nil, true
+				}
+			case 1:
+				e.At(at, func() {
+					if d.Fired() {
+						*d = Done{}
+					}
+				})
+				fired = false
+			case 2, 3:
+				if b%4 == 2 {
+					waitLatchProc(e, d, i, at, &got)
+				} else {
+					e.At(at, func() { waitLatchCallback(e, d, i, &got) })
+				}
+				if fired {
+					want = append(want, latchPass{i, at})
+				} else {
+					waiting = append(waiting, i)
+				}
+			}
+		}
+		e.Run()
+		e.Shutdown()
+		if len(got) != len(want) {
+			t.Fatalf("passes = %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("passes = %v, want %v", got, want)
+			}
+		}
+	})
+}
+
 func TestGatePausesWaiters(t *testing.T) {
 	e := New(1)
 	g := NewGate(e, false)

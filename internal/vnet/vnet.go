@@ -6,16 +6,18 @@
 // backplane) with fixed capacities and latencies. A Route is a path of links
 // built once — its links, their indices in the fabric's solver and their
 // summed latency — and reused by every flow along it (internal/phys caches
-// one per machine pair). Bulk data moves as flows, and Transfer is the one
-// way to start one: the flow occupies a route while the calling process
-// blocks, and whenever the flow population changes the fabric recomputes
-// every flow's rate with max-min fair water-filling, the standard fluid
-// approximation of TCP bandwidth sharing. A flow is one allocation, its
-// solver activity and its completion latch together, and Transfer recycles
-// it. A caller that overlaps a flow with other work (the NFS filer's disk
-// stream) starts that work before the Transfer and waits on it after.
-// This is what makes a shared 1 Gb/s NIC the bottleneck of a cross-domain
-// Hadoop virtual cluster, exactly as the vHadoop paper observes.
+// one per machine pair). Bulk data moves as flows, and a Stream is the one
+// way to start one: a flow, optionally beside a job on a rate-shared device
+// that runs at the same time (the NFS filer's disk). The flow occupies its
+// route until its last byte arrives, and whenever the flow population
+// changes the fabric recomputes every flow's rate with max-min fair
+// water-filling, the standard fluid approximation of TCP bandwidth sharing.
+// Transfer is a Stream of one flow that the calling process blocks on; the
+// VM I/O stages, which own no process, wait on a Stream's latches with
+// callbacks instead. A flow is one allocation, its solver activity and its
+// completion latch together, and the Stream recycles it. This is what makes
+// a shared 1 Gb/s NIC the bottleneck of a cross-domain Hadoop virtual
+// cluster, exactly as the vHadoop paper observes.
 //
 // Small control messages (heartbeats, RPCs) take MessageDelay: propagation
 // latency plus serialisation time, without contending with bulk flows —
@@ -95,7 +97,7 @@ type Fabric struct {
 	solver     *sim.MaxMin
 	links      []*Link
 	flowsTotal int
-	free       *flow // flows Transfer has finished with, linked through next
+	free       *flow // flows streams have finished with, linked through next
 }
 
 // NewFabric returns an empty fabric bound to e. Flows with a byte residue
@@ -144,13 +146,46 @@ func (f *Fabric) NewRoute(links ...*Link) *Route {
 
 // Transfer moves bytes along r, blocking p until the last byte arrives:
 // transmission time under max-min fair sharing, plus the route's
-// propagation latency (latency alone for zero bytes). The flow comes from
-// the fabric's free list and goes back on it once the wait returns, so a
-// transfer allocates nothing in steady state. A process aborted or killed
-// while it waits unwinds past that point: its flow drains to completion
-// unobserved and is never reused. label names the transfer at the call
-// site and is not recorded.
+// propagation latency (latency alone for zero bytes). It is a Stream with
+// no device job, waited out by p, so a transfer allocates nothing in steady
+// state. A process aborted or killed while it waits unwinds past the point
+// where the flow goes back on the free list: its flow drains to completion
+// unobserved and is never reused. label names the transfer at the call site
+// and is not recorded.
 func (f *Fabric) Transfer(p *sim.Proc, label string, r *Route, bytes float64) {
+	st := f.Stream(nil, 0, r, bytes)
+	st.Wait(p)
+}
+
+// Stream is bulk work in progress: a job on a rate-shared device and a
+// flow, which run at once, either possibly absent. The NFS filer's reads
+// and writes are both (its disk and the network); a send is a flow alone,
+// and a page-cache hit a memory-bus job alone. A process waits a stream out
+// with Wait; code that is not a process waits on each latch Next returns.
+// The zero Stream is done.
+type Stream struct {
+	fabric *Fabric
+	flow   *flow
+	dev    *sim.FairShare
+	job    *sim.Job
+}
+
+// Stream starts work units on dev (nil for none), then bytes along r (nil
+// for none), and returns them as one Stream. Both records come from free
+// lists and go back on them as Next passes them.
+func (f *Fabric) Stream(dev *sim.FairShare, work float64, r *Route, bytes float64) Stream {
+	st := Stream{fabric: f, dev: dev}
+	if dev != nil {
+		st.job = dev.Begin(work)
+	}
+	if r != nil {
+		st.flow = f.start(r, bytes)
+	}
+	return st
+}
+
+// start begins a flow of bytes along r, from the free list.
+func (f *Fabric) start(r *Route, bytes float64) *flow {
 	if r.fabric != f {
 		panic("vnet: route belongs to a different fabric")
 	}
@@ -169,9 +204,38 @@ func (f *Fabric) Transfer(p *sim.Proc, label string, r *Route, bytes float64) {
 		// the route's propagation latency.
 		f.solver.Start(&fl.Activity, bytes, 0, r.uses, &fl.done, r.latency)
 	}
-	fl.done.Wait(p)
-	fl.done = sim.Done{}
-	fl.next, f.free = f.free, fl
+	return fl
+}
+
+// Next returns the latch st waits on next, or nil once st is done: the
+// flow's, then the job's, the order Wait takes them in. Called again once
+// that latch has fired, it puts the finished record back on its free list
+// and moves on. A stream abandoned mid-wait keeps its records, which drain
+// to completion unobserved and are never reused.
+func (st *Stream) Next() *sim.Done {
+	if fl := st.flow; fl != nil {
+		if !fl.done.Fired() {
+			return &fl.done
+		}
+		fl.done = sim.Done{}
+		fl.next, st.fabric.free = st.fabric.free, fl
+		st.flow = nil
+	}
+	if j := st.job; j != nil {
+		if d := j.Done(); !d.Fired() {
+			return d
+		}
+		st.dev.Recycle(j)
+		st.job = nil
+	}
+	return nil
+}
+
+// Wait blocks p until st is done.
+func (st *Stream) Wait(p *sim.Proc) {
+	for d := st.Next(); d != nil; d = st.Next() {
+		d.Wait(p)
+	}
 }
 
 // MessageDelay returns how long a small control message of the given size

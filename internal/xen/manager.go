@@ -95,7 +95,8 @@ func (m *Manager) MustDefine(name string, memBytes float64, host *phys.Machine) 
 // filer's disk and the host NIC, which is what makes large virtual clusters
 // slow to start in lockstep.
 func (m *Manager) Boot(p *sim.Proc, vm *VM) {
-	m.nfs.Read(p, vm.host, m.cfg.ImageBytes)
+	img := m.nfs.Read(vm.host, m.cfg.ImageBytes)
+	img.Wait(p)
 	p.Sleep(m.cfg.BootTime)
 }
 

@@ -57,8 +57,8 @@ type VM struct {
 	vcpu  *sim.Queue // the single VCPU: co-resident tasks serialise on it
 	state VMState
 
-	extraDirty float64     // page-dirty rate contributed by running activity
-	inflight   []*sim.Proc // procs parked inside I/O ops touching this VM
+	extraDirty float64   // page-dirty rate contributed by running activity
+	inflight   []watcher // I/O operations in flight touching this VM
 
 	// cumulative counters, read by the nmon monitor
 	cpuUsed    float64 // core-seconds executed
@@ -116,33 +116,50 @@ func (vm *VM) downErr() error {
 	return nil
 }
 
-// watch registers p as parked inside a bulk I/O operation touching this VM,
-// so that Crash/Shutdown can abort it immediately — the severed TCP stream
-// or vanished virtual disk a real endpoint failure produces — rather than
+// watcher is what a crash of a VM aborts while an I/O operation on the VM
+// is in flight: the process that drives the operation, or the operation's
+// own chain record.
+type watcher struct {
+	proc *sim.Proc
+	io   *IOProc
+}
+
+// abort aborts w's process or record with err.
+func (w watcher) abort(err error) {
+	if w.proc != nil {
+		w.proc.Abort(err)
+	} else {
+		w.io.abort(err)
+	}
+}
+
+// watch registers w as inside a bulk I/O operation touching this VM, so
+// that Crash/Shutdown can abort it immediately — the severed TCP stream or
+// vanished virtual disk a real endpoint failure produces — rather than
 // letting the transfer complete and the death go unnoticed until the next
-// operation. Paired with unwatch via defer, which also runs when the abort
-// itself unwinds p. Exec and Message are not watched: their blocking spans
+// operation. The operation unwatches when it ends, also when the abort
+// itself ends it. Exec and Message are not watched: their blocking spans
 // are bounded by the scheduling quantum and sub-millisecond RPC times, so
 // the entry/exit checkAlive already observes death promptly.
-func (vm *VM) watch(p *sim.Proc) { vm.inflight = append(vm.inflight, p) }
+func (vm *VM) watch(w watcher) { vm.inflight = append(vm.inflight, w) }
 
-// unwatch removes p from the in-flight set; a no-op if already aborted out.
-func (vm *VM) unwatch(p *sim.Proc) {
+// unwatch removes w from the in-flight set; a no-op if already aborted out.
+func (vm *VM) unwatch(w watcher) {
 	for i, q := range vm.inflight {
-		if q == p {
+		if q == w {
 			vm.inflight = append(vm.inflight[:i], vm.inflight[i+1:]...)
 			return
 		}
 	}
 }
 
-// abortInflight aborts every proc parked in an I/O op on this VM, in
+// abortInflight aborts every operation in flight on this VM, in
 // registration order (deterministic wakeup order).
 func (vm *VM) abortInflight(cause error) {
-	procs := vm.inflight
+	ws := vm.inflight
 	vm.inflight = nil
-	for _, p := range procs {
-		p.Abort(fmt.Errorf("%w: %s", cause, vm.Name))
+	for _, w := range ws {
+		w.abort(fmt.Errorf("%w: %s", cause, vm.Name))
 	}
 }
 
@@ -172,107 +189,20 @@ func (vm *VM) Exec(p *sim.Proc, cpuSeconds float64) {
 	}
 }
 
-// ReadDisk reads bytes from the VM's NFS-backed virtual disk, bypassing the
-// dom0 page cache (scratch data that is written and read once).
-func (vm *VM) ReadDisk(p *sim.Proc, bytes float64) { vm.ReadDiskTagged(p, "", bytes) }
-
-// ReadDiskTagged reads bytes belonging to the cacheable object key (an HDFS
-// block, typically). Data recently written or read on this host is served
-// from the dom0 NFS-client page cache at memory speed; otherwise it streams
-// from the filer and populates the cache. An empty key bypasses the cache.
-func (vm *VM) ReadDiskTagged(p *sim.Proc, key string, bytes float64) {
-	if bytes <= 0 {
-		return
-	}
-	vm.checkAlive(p)
-	vm.gate.WaitOpen(p)
-	vm.checkAlive(p)
-	vm.diskRead += bytes
-	vm.watch(p)
-	defer vm.unwatch(p)
-	if key != "" && vm.host.Cache.Contains(key) {
-		vm.host.MemBus.Use(p, bytes)
-		return
-	}
-	vm.mgr.nfs.Read(p, vm.host, bytes)
-	if key != "" {
-		vm.host.Cache.Insert(key, bytes)
-	}
+// ReadDisk reads bytes from the VM's NFS-backed virtual disk as process p,
+// bypassing the dom0 page cache (scratch data that is written and read
+// once).
+func (vm *VM) ReadDisk(p *sim.Proc, bytes float64) {
+	o := newIO(ioRead, vm, nil, "", bytes)
+	o.run(p)
 }
 
-// WriteDisk writes bytes to the VM's NFS-backed virtual disk (uncached
-// scratch data).
-func (vm *VM) WriteDisk(p *sim.Proc, bytes float64) { vm.WriteDiskTagged(p, "", bytes) }
-
-// WriteDiskTagged writes bytes for the cacheable object key: write-through
-// to the filer (NFS close-to-open consistency flushes on close), leaving a
-// copy in this host's page cache for later reads.
-func (vm *VM) WriteDiskTagged(p *sim.Proc, key string, bytes float64) {
-	if bytes <= 0 {
-		return
-	}
-	vm.checkAlive(p)
-	vm.gate.WaitOpen(p)
-	vm.checkAlive(p)
-	vm.diskWrite += bytes
-	vm.watch(p)
-	defer vm.unwatch(p)
-	vm.mgr.nfs.Write(p, vm.host, bytes)
-	if key != "" {
-		vm.host.Cache.Insert(key, bytes)
-	}
-}
-
-// ReadFromDiskTo streams bytes from this VM's NFS-backed virtual disk to
-// dst as one coupled flow: filer disk -> filer NIC -> this host -> (bridge
-// and NICs as needed) -> dst. Because the relay occupies every segment
-// simultaneously, a cross-machine read consumes both machines' netback
-// capacity for its full volume — the physical reason cross-domain HDFS
-// reads degrade. Xen's blktap opens image files with O_DIRECT, so there is
-// no dom0 caching on this path.
-func (vm *VM) ReadFromDiskTo(p *sim.Proc, dst *VM, bytes float64) {
-	if bytes <= 0 {
-		return
-	}
-	vm.checkAlive(p)
-	vm.gate.WaitOpen(p)
-	vm.checkAlive(p)
-	if dst != nil && dst != vm {
-		dst.checkAlive(p)
-	}
-	vm.diskRead += bytes
-	vm.watch(p)
-	defer vm.unwatch(p)
-	if dst == nil || dst == vm {
-		vm.mgr.nfs.Read(p, vm.host, bytes)
-		return
-	}
-	vm.netSent += bytes
-	dst.netRecv += bytes
-	dst.watch(p)
-	defer dst.unwatch(p)
-	vm.mgr.nfs.Relay(p, vm.host, dst.host, bytes)
-}
-
-// SendTo streams bytes from this VM to dst over the fabric: the virtual
-// bridge alone within one physical machine, or bridge + NIC + switch across
-// machines. Loopback (dst == vm) is free.
-func (vm *VM) SendTo(p *sim.Proc, dst *VM, bytes float64) {
-	if bytes <= 0 || dst == vm {
-		return
-	}
-	vm.checkAlive(p)
-	vm.gate.WaitOpen(p)
-	vm.checkAlive(p)
-	dst.checkAlive(p)
-	vm.netSent += bytes
-	dst.netRecv += bytes
-	vm.watch(p)
-	defer vm.unwatch(p)
-	dst.watch(p)
-	defer dst.unwatch(p)
-	route := vm.mgr.topo.Path(vm.host, dst.host)
-	vm.mgr.topo.Fabric().Transfer(p, "send", route, bytes)
+// WriteDisk writes bytes to the VM's NFS-backed virtual disk as process p
+// (uncached scratch data): write-through to the filer, as NFS close-to-open
+// consistency flushes on close.
+func (vm *VM) WriteDisk(p *sim.Proc, bytes float64) {
+	o := newIO(ioWrite, vm, nil, "", bytes)
+	o.run(p)
 }
 
 // Message sends a small control RPC to dst (latency-dominated, does not
@@ -332,8 +262,9 @@ func (vm *VM) DirtyRate() float64 {
 }
 
 // Crash marks the VM dead. Blocked and future operations on it abort their
-// processes with ErrVMDead — including procs parked mid-transfer inside its
-// I/O operations; the memory reservation is released. The underlying fabric
+// processes with ErrVMDead — including I/O operations mid-transfer, whether
+// a process or a chain record drives them; the memory reservation is
+// released. The underlying fabric
 // flows of aborted transfers drain to completion unobserved (the fluid model
 // has no mid-flow cancel), a brief ghost of bandwidth a real failed TCP
 // stream also occupies until timeouts fire.

@@ -134,13 +134,17 @@ func TestSendToIntraVsCross(t *testing.T) {
 	var intra, cross sim.Time
 	e.Spawn("intra", func(p *sim.Proc) {
 		start := p.Now()
-		a.SendTo(p, b, 250e6)
+		if err := a.spawnIO(ioSend, b, "", 250e6).Wait(p); err != nil {
+			t.Errorf("intra send: %v", err)
+		}
 		intra = p.Now() - start
 	})
 	e.Run()
 	e.Spawn("cross", func(p *sim.Proc) {
 		start := p.Now()
-		a.SendTo(p, c, 250e6)
+		if err := a.spawnIO(ioSend, c, "", 250e6).Wait(p); err != nil {
+			t.Errorf("cross send: %v", err)
+		}
 		cross = p.Now() - start
 	})
 	e.Run()

@@ -13,7 +13,7 @@ import (
 // scale, the cache-off case of BenchmarkAblationHostCache: 16 nodes, normal
 // layout, seed 1, DFSIO 8 x 128 MB written and then read without the dom0
 // page cache. Every block read then streams from the filer through the
-// replica holder's dom0 (xen.VM.ReadFromDiskTo, nfs.Server.Relay for a
+// replica holder's dom0 (xen.VM.SpawnRelay, nfs.Server.Relay for a
 // reader on another VM), which no golden, chaos run or vhbench workload
 // takes. The figure was recorded before the relay moved onto the filer's
 // one streaming path; a change that moves it changes the simulation.
