@@ -175,3 +175,27 @@ func TestSmoothingPreventsZeroProbabilities(t *testing.T) {
 		t.Fatalf("classified unseen token as %q", got)
 	}
 }
+
+// TestTiedPosteriorsPickFirstSortedLabel pins the label order that breaks
+// ties. Three one-document labels give every label the same prior, and a
+// query with no tokens adds no evidence, so every posterior ties and
+// Classify returns the first label in Model.Labels. finalize collects the
+// labels from a map and sorts them; without the sort the winner follows
+// map-visit order, which changes from run to run, so the test trains a
+// fresh model many times.
+func TestTiedPosteriorsPickFirstSortedLabel(t *testing.T) {
+	docs := []Document{
+		{ID: "1", Label: "sports", Tokens: []string{"ball"}},
+		{ID: "2", Label: "tech", Tokens: []string{"chip"}},
+		{ID: "3", Label: "arts", Tokens: []string{"paint"}},
+	}
+	for i := 0; i < 32; i++ {
+		m, err := Train(docs, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Classify(nil); got != "arts" {
+			t.Fatalf("run %d: tied query classified as %q, want the first sorted label %q", i, got, "arts")
+		}
+	}
+}

@@ -439,7 +439,7 @@ func (c *Cluster) streamBlock(p *sim.Proc, client *xen.VM, b *Block, pipeline []
 	stages := buf[:0]
 	prev := client
 	for _, d := range pipeline {
-		stages = append(stages, prev.SpawnStore("hdfs-pipe", d.VM, key, b.Size))
+		stages = append(stages, prev.SpawnStore(d.VM, key, b.Size))
 		prev = d.VM
 	}
 	var err error
@@ -557,10 +557,10 @@ func (c *Cluster) ReadRange(p *sim.Proc, client *xen.VM, b *Block, bytes float64
 // no process; the O_DIRECT path is one relay stage.
 func (c *Cluster) readFrom(p *sim.Proc, client *xen.VM, d *Datanode, b *Block, bytes float64) error {
 	if c.cfg.UseHostCache {
-		return d.VM.ReadAndSend(p, client, b.tag(), bytes, "hdfs-read-disk", "hdfs-read-net")
+		return d.VM.ReadAndSend(p, client, b.tag(), bytes)
 	}
 	// O_DIRECT path: one coupled relay flow filer -> replica host -> client.
-	return d.VM.SpawnRelay("hdfs-read-relay", client, bytes).Wait(p)
+	return d.VM.SpawnRelay(client, bytes).Wait(p)
 }
 
 // Read moves a whole file to the client VM, block by block, and returns its
@@ -710,7 +710,7 @@ func (c *Cluster) ReReplicate(p *sim.Proc) int {
 			// (which may be the long-lived replication monitor daemon).
 			sp := c.obs.Start(obs.KindRepair, b.tag(), nil).
 				SetAttr("src", src.VM.Name).SetAttr("dst", target.VM.Name)
-			if err := src.VM.SpawnStore("hdfs-rerepl", target.VM, c.storeKey(b), b.Size).Wait(p); err != nil {
+			if err := src.VM.SpawnStore(target.VM, c.storeKey(b), b.Size).Wait(p); err != nil {
 				// A later monitor pass re-picks source and target, but the
 				// cause must reach the trace: a silently dropped transfer
 				// failure here is indistinguishable from the monitor never

@@ -4,34 +4,19 @@
 // diffs) catch a nondeterminism source only on the paths they run, and
 // only when it fires there. vhlint keeps the analyzers that catch what
 // those guards miss: an analyzer stays only if a recorded mutant shows
-// such a catch (DESIGN.md §8).
+// such a catch (DESIGN.md §8). maporder is the one that does.
 //
 // The suite is deliberately self-contained: it is built only on the
 // standard library (go/ast, go/types, go/build), mirroring the shape of
 // a golang.org/x/tools go/analysis multichecker without depending on
-// it. TestTreeClean is the one entry point: it runs every analyzer on
-// every package of the module. Each analyzer lives in its own file here
-// with an analysistest-style suite under testdata/src.
+// it. TestTreeClean is the one entry point: it runs maporder on every
+// package of the module. The analyzer lives in its own file here with
+// an analysistest-style suite under testdata/src.
 //
-// Analyzers:
-//
-//   - maporder:   range over a map (or maps.Keys/Values/All), unless
-//     provably order-insensitive; only a total sort makes collected
-//     keys order-free.
-//   - errflow:    error values that are produced and then dropped
-//     (checked but never returned, traced, stored or passed on) or
-//     overwritten unexamined — the failure mode that silently loses
-//     recovery-path faults. Call-graph function summaries let it skip
-//     callees that can never fail.
-//   - vhdirective: malformed or unknown //vhlint: annotations.
-//
-// Suppression uses source annotations, validated by the suite itself:
-//
-//	//vhlint:allow <analyzer> -- <reason>
-//
-// on the flagged line or the line directly above. A malformed allow (no
-// reason) is itself a diagnostic, and an allow that suppresses nothing
-// is reported as stale.
+// maporder flags a range over a map (or maps.Keys, Values or All)
+// unless the loop is provably order-insensitive; only a total sort
+// makes collected keys order-free. A finding is fixed by sorting or by
+// keeping an ordered slice; there is no suppression comment.
 //
 // What values reach the replay-compared outputs (span trace, metrics,
 // reports, program output) is not traced statically: the rerun
@@ -70,13 +55,10 @@ type Pass struct {
 	Files     []*ast.File
 	TypesInfo *types.Info
 
-	pkg        *Package // carries the loader back-pointer for interprocedural queries
-	directives []*Directive
-	diags      []Diagnostic
+	diags []Diagnostic
 }
 
-// Reportf records a diagnostic at pos. Suppression by //vhlint:allow
-// annotations is applied after the analyzer finishes.
+// Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
 		Pos:      p.Fset.Position(pos),
@@ -85,91 +67,25 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// all is every analyzer in the suite, in reporting order.
-var all = []*Analyzer{MapOrder, ErrFlow, Directives}
-
-// AnalyzerNames returns the names accepted in //vhlint:allow annotations.
-func AnalyzerNames() []string {
-	var names []string
-	for _, a := range all {
-		names = append(names, a.Name)
-	}
-	return names
-}
-
-// RunAnalyzer runs a on pkg: the analyzer's Run produces raw
-// diagnostics, //vhlint:allow annotations for a.Name drop the ones they
-// cover, and any allow that suppressed nothing is reported as stale.
+// RunAnalyzer runs a on pkg and returns its diagnostics in file/line
+// order.
 func RunAnalyzer(pkg *Package, a *Analyzer) []Diagnostic {
 	pass := &Pass{
-		Analyzer:   a,
-		Fset:       pkg.Fset,
-		Files:      pkg.Files,
-		TypesInfo:  pkg.Info,
-		pkg:        pkg,
-		directives: pkg.Directives(),
+		Analyzer:  a,
+		Fset:      pkg.Fset,
+		Files:     pkg.Files,
+		TypesInfo: pkg.Info,
 	}
 	a.Run(pass)
-
-	// An allow for this analyzer on the diagnostic's line, or the line
-	// directly above it, suppresses the diagnostic and marks the allow
-	// used.
-	allows := make([]*Directive, 0, 4)
-	for _, d := range pass.directives {
-		if d.Kind == DirectiveAllow && d.Analyzer == a.Name {
-			allows = append(allows, d)
+	sort.SliceStable(pass.diags, func(i, j int) bool {
+		a, b := pass.diags[i].Pos, pass.diags[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
 		}
-	}
-	var out []Diagnostic
-	for _, diag := range pass.diags {
-		suppressed := false
-		for _, al := range allows {
-			if al.Pos.Filename == diag.Pos.Filename &&
-				(al.Pos.Line == diag.Pos.Line || al.Pos.Line == diag.Pos.Line-1) {
-				al.used = true
-				suppressed = true
-			}
+		if a.Line != b.Line {
+			return a.Line < b.Line
 		}
-		if !suppressed {
-			out = append(out, diag)
-		}
-	}
-	for _, al := range allows {
-		if !al.used {
-			out = append(out, Diagnostic{
-				Pos:      al.Pos,
-				Analyzer: a.Name,
-				Message:  fmt.Sprintf("stale //vhlint:allow %s annotation: it suppresses nothing", a.Name),
-			})
-		}
-	}
-	sortDiagnostics(out)
-	return out
-}
-
-// RunAll runs every analyzer on pkg and returns the combined active
-// diagnostics in file/line order.
-func RunAll(pkg *Package) []Diagnostic {
-	var out []Diagnostic
-	for _, a := range all {
-		out = append(out, RunAnalyzer(pkg, a)...)
-	}
-	sortDiagnostics(out)
-	return out
-}
-
-func sortDiagnostics(diags []Diagnostic) {
-	sort.SliceStable(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+		return a.Column < b.Column
 	})
+	return pass.diags
 }

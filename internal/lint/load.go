@@ -22,20 +22,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	loader     *Loader // back-pointer for interprocedural queries
-	directives []*Directive
-	parsedDirs bool
-}
-
-// Directives returns the //vhlint: annotations found in the package,
-// parsed once and cached.
-func (p *Package) Directives() []*Directive {
-	if !p.parsedDirs {
-		p.directives = parseDirectives(p.Fset, p.Files)
-		p.parsedDirs = true
-	}
-	return p.directives
 }
 
 // Loader parses and type-checks packages without external tooling:
@@ -51,7 +37,6 @@ type Loader struct {
 	byDir   map[string]*Package
 	loading map[string]bool
 	stdlib  types.Importer
-	ip      *interproc // lazily-built cross-package analysis state
 }
 
 // NewLoader locates go.mod upward from dir (or the working directory if
@@ -85,7 +70,8 @@ func findModule(dir string) (root, modPath string, err error) {
 		return "", "", err
 	}
 	for {
-		//vhlint:allow errflow -- probe: a missing go.mod at this level just walks up; only exhausting every parent is an error
+		// A missing go.mod at this level just walks up; only exhausting
+		// every parent is an error.
 		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
 		if err == nil {
 			for _, line := range strings.Split(string(data), "\n") {
@@ -139,12 +125,9 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{Importer: (*loaderImporter)(l)}
 	tpkg, err := conf.Check(importPath, l.Fset, files, info)
@@ -152,20 +135,20 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", importPath, err)
 	}
 	pkg := &Package{
-		Path:   importPath,
-		Dir:    abs,
-		Fset:   l.Fset,
-		Files:  files,
-		Types:  tpkg,
-		Info:   info,
-		loader: l,
+		Path:  importPath,
+		Dir:   abs,
+		Fset:  l.Fset,
+		Files: files,
+		Types: tpkg,
+		Info:  info,
 	}
 	l.byDir[abs] = pkg
 	return pkg, nil
 }
 
 func (l *Loader) importPathFor(abs string) string {
-	//vhlint:allow errflow -- best-effort: an unrelatable path falls back to the absolute form, which is still a usable synthetic import path
+	// An unrelatable path falls back to the absolute form, which is still
+	// a usable synthetic import path.
 	rel, err := filepath.Rel(l.RepoRoot, abs)
 	if err != nil || strings.HasPrefix(rel, "..") {
 		return abs
@@ -208,7 +191,8 @@ func Expand(base string, patterns []string) ([]string, error) {
 	seen := make(map[string]bool)
 	var dirs []string
 	add := func(dir string) {
-		//vhlint:allow errflow -- best-effort: a dir that cannot be made absolute is dropped from the pattern expansion, matching go tooling
+		// A dir that cannot be made absolute is dropped from the expansion,
+		// as go tooling does.
 		abs, err := filepath.Abs(dir)
 		if err != nil {
 			return
@@ -256,13 +240,14 @@ func Expand(base string, patterns []string) ([]string, error) {
 }
 
 func isModuleRoot(dir string) bool {
-	//vhlint:allow errflow -- the error is the answer: Stat failing means "no go.mod here", which is this predicate's false
+	// Stat failing means "no go.mod here", which is this predicate's false.
 	_, err := os.Stat(filepath.Join(dir, "go.mod"))
 	return err == nil
 }
 
 func hasGoFiles(dir string) bool {
-	//vhlint:allow errflow -- the error is the answer: ImportDir failing means "no buildable Go files", which is this predicate's false
+	// ImportDir failing means "no buildable Go files", which is this
+	// predicate's false.
 	_, err := build.Default.ImportDir(dir, 0)
 	return err == nil
 }

@@ -11,12 +11,13 @@ import (
 // accumulation, tie-breaking, output ordering, event scheduling) breaks
 // the platform's bit-identical-replay guarantee.
 //
-// A range over a map is accepted without annotation when the loop body
-// is provably order-insensitive:
+// A range over a map is accepted when the loop body is provably
+// order-insensitive:
 //
-//   - it only collects keys/values into local slices that are passed to
-//     a total sort later in the same function (sorted sink): sort.Strings,
-//     sort.Ints, sort.Float64s or slices.Sort. A comparator sort
+//   - it only collects keys/values into local slices that are passed
+//     whole (s or s[:]) to a total sort later in the same function
+//     (sorted sink): sort.Strings, sort.Ints, sort.Float64s or
+//     slices.Sort. A comparator sort
 //     (sort.Slice, slices.SortFunc, ...) does not count, because a
 //     comparator that ties on distinct elements leaves the tied run in
 //     map-visit order;
@@ -26,9 +27,9 @@ import (
 //     (+=, -=, |=, &=, ^=, *=, ++, --);
 //   - it only returns constants (existence checks).
 //
-// Anything else needs an explicit //vhlint:allow maporder -- <reason>.
-// Calls to maps.Keys/maps.Values/maps.All are flagged unless wrapped
-// directly in slices.Sorted, the fifth total sort.
+// Anything else is a finding, fixed by sorting or by iterating an
+// ordered slice. Calls to maps.Keys/maps.Values/maps.All are flagged
+// unless wrapped directly in slices.Sorted, the fifth total sort.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Run:  runMapOrder,
@@ -38,7 +39,7 @@ func runMapOrder(pass *Pass) {
 	walkStack(pass, func(n ast.Node, stack []ast.Node) bool {
 		if rs, isMap := mapRangeStmt(pass, n); isMap {
 			if !orderInsensitiveMapRange(pass, rs, enclosingFuncDecl(stack)) {
-				pass.Reportf(rs.For, "range over map %s: iteration order is nondeterministic; sort keys, keep an ordered slice, or annotate //vhlint:allow maporder -- <reason>", types.ExprString(rs.X))
+				pass.Reportf(rs.For, "range over map %s: iteration order is nondeterministic; sort keys or keep an ordered slice", types.ExprString(rs.X))
 			}
 			return true
 		}
@@ -380,8 +381,9 @@ func isBoolConst(pass *Pass, e ast.Expr) bool {
 	return ok && (id.Name == "true" || id.Name == "false") && isConstExpr(pass, e)
 }
 
-// sortedAfter reports whether a total sort of a slice referencing obj
-// appears after rs in the enclosing function.
+// sortedAfter reports whether a total sort of the whole sink obj (obj
+// itself or obj[:]) appears after rs in the enclosing function. A sort
+// of part of the slice (obj[:n]) leaves the rest in map-visit order.
 func sortedAfter(pass *Pass, encl *ast.FuncDecl, rs *ast.RangeStmt, obj types.Object) bool {
 	if encl == nil || encl.Body == nil {
 		return false
@@ -399,7 +401,10 @@ func sortedAfter(pass *Pass, encl *ast.FuncDecl, rs *ast.RangeStmt, obj types.Ob
 			return true
 		}
 		for _, arg := range call.Args {
-			if usesObj(pass, arg, obj) {
+			if s, ok := ast.Unparen(arg).(*ast.SliceExpr); ok && s.Low == nil && s.High == nil {
+				arg = s.X
+			}
+			if o, _ := pathObj(pass, arg); o == obj {
 				found = true
 			}
 		}

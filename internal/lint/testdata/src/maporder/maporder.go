@@ -1,6 +1,6 @@
 // Package maporder exercises the maporder analyzer: nondeterministic
 // map iteration is flagged unless the loop body is provably
-// order-insensitive or carries a justified allow annotation.
+// order-insensitive.
 package maporder
 
 import (
@@ -54,6 +54,27 @@ func sortedCollect(m map[string]int) []string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	return keys
+}
+
+// subSliceSort sorts only an empty prefix of the sink, so the keys
+// stay in map-visit order.
+func subSliceSort(m map[string]int) []string {
+	var keys []string
+	for k := range m { // want "iteration order is nondeterministic"
+		keys = append(keys, k)
+	}
+	sort.Strings(keys[:0])
+	return keys
+}
+
+// fullSliceSort sorts the whole sink through a full slice expression.
+func fullSliceSort(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys[:])
 	return keys
 }
 
@@ -171,25 +192,4 @@ func sortedFuncKeysIter(m map[string]int) []string {
 // rawKeysIter consumes the iterator unsorted.
 func rawKeysIter(m map[string]int) []string {
 	return slices.Collect(maps.Keys(m)) // want "nondeterministic order"
-}
-
-// annotated carries a justified allow and is suppressed.
-func annotated(m map[string]float64) float64 {
-	total := 0.0
-	//vhlint:allow maporder -- test fixture: summation result is fed to an order-insensitive consumer
-	for _, v := range m {
-		total += v
-	}
-	return total
-}
-
-// staleAllow annotates a loop that is already order-insensitive, so the
-// annotation itself is reported.
-func staleAllow(m map[string]int) int {
-	n := 0
-	//vhlint:allow maporder -- test fixture: nothing here needs suppressing // want "stale //vhlint:allow maporder"
-	for range m {
-		n++
-	}
-	return n
 }

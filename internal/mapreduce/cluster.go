@@ -263,7 +263,8 @@ func (h *heartbeat) send() {
 	if !vm.UnpausedOr(h.sendFn) {
 		return
 	}
-	//vhlint:allow errflow -- the error is the answer: the jobtracker is down, so the daemon ends; nothing waits on a heartbeat to read why
+	// An error means the jobtracker is down, so the daemon ends; nothing
+	// waits on a heartbeat to read why.
 	d, err := vm.MessageDelay(master, h.c.cfg.HeartbeatBytes)
 	if err != nil {
 		return
@@ -599,7 +600,8 @@ func (c *Cluster) RefreshLocalityView(v *LocalityView) {
 func (v *LocalityView) Score(inputs []string) float64 {
 	blocks, local := 0, 0
 	for _, name := range inputs {
-		//vhlint:allow errflow -- the error is the answer: Lookup failing means "not yet staged", and such a file contributes no blocks to the score
+		// Lookup failing means "not yet staged"; such a file contributes no
+		// blocks to the score.
 		f, err := v.dfs.Lookup(name)
 		if err != nil {
 			continue

@@ -303,7 +303,7 @@ func (c *Cluster) fetchMapOutput(p *sim.Proc, src, dst *xen.VM, bytes float64) {
 		dst.ReadDisk(p, bytes)
 		return
 	}
-	if err := src.ReadAndSend(p, dst, "", bytes, "shuffle-disk", "shuffle-net"); err != nil {
+	if err := src.ReadAndSend(p, dst, "", bytes); err != nil {
 		p.Fail(err)
 	}
 }

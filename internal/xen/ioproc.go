@@ -311,9 +311,8 @@ func (r *IOProc) abort(err error) {
 
 // SpawnStore starts sending bytes from vm to dst, which then writes them to
 // its disk under the page-cache tag key ("" for none): one HDFS pipeline
-// stage, or one repair copy. name labels the stage at the call site and is
-// not recorded.
-func (vm *VM) SpawnStore(name string, dst *VM, key string, bytes float64) *IOProc {
+// stage, or one repair copy.
+func (vm *VM) SpawnStore(dst *VM, key string, bytes float64) *IOProc {
 	return vm.spawnIO(ioStore, dst, key, bytes)
 }
 
@@ -324,17 +323,15 @@ func (vm *VM) SpawnStore(name string, dst *VM, key string, bytes float64) *IOPro
 // capacity for its full volume — the physical reason cross-domain HDFS
 // reads degrade. Xen's blktap opens image files with O_DIRECT, so there is
 // no dom0 caching on this path; a dst of nil or vm reads the disk alone.
-// name labels the stage and is not recorded.
-func (vm *VM) SpawnRelay(name string, dst *VM, bytes float64) *IOProc {
+func (vm *VM) SpawnRelay(dst *VM, bytes float64) *IOProc {
 	return vm.spawnIO(ioRelay, dst, "", bytes)
 }
 
 // ReadAndSend reads bytes tagged key ("" for none) from vm's disk while it
 // streams them to dst, and blocks p until both halves have ended. A
 // same-VM dst needs no network half. It returns the disk half's error, else
-// the network half's. diskName and netName label the halves and are not
-// recorded.
-func (vm *VM) ReadAndSend(p *sim.Proc, dst *VM, key string, bytes float64, diskName, netName string) error {
+// the network half's.
+func (vm *VM) ReadAndSend(p *sim.Proc, dst *VM, key string, bytes float64) error {
 	disk := vm.spawnIO(ioRead, nil, key, bytes)
 	if dst == vm {
 		return disk.Wait(p)

@@ -28,6 +28,6 @@ go vet "${PKGS[@]}"
 (cd bench && go vet ./...)
 
 # TestTreeClean lints every package of the root module and fails on any
-# active finding; a stale allow is an active finding.
+# finding.
 echo "vhlint..." >&2
 go test ./internal/lint -run '^TestTreeClean$'
