@@ -1,0 +1,97 @@
+package vhadoop_test
+
+import (
+	"math"
+	"sync"
+	"testing"
+
+	"vhadoop/internal/core"
+	"vhadoop/internal/sim"
+	"vhadoop/internal/workloads"
+)
+
+// dfsioRun is one layout's half of vhbench's dfsio op: DFSIO 15 x 512 MB
+// written and then read at platform seed 1001, the op's first seed.
+type dfsioRun struct {
+	end   sim.Time
+	write float64 // MB/s
+	read  float64 // MB/s
+	stats sim.Stats
+}
+
+var dfsioRuns = sync.OnceValues(func() (map[core.Layout]dfsioRun, error) {
+	o := workloads.DFSIOOptions{Files: 15, FileBytes: 512e6}
+	runs := map[core.Layout]dfsioRun{}
+	for _, layout := range []core.Layout{core.Normal, core.CrossDomain} {
+		pl, err := core.NewPlatform(platformOpts(core.DefaultOptions().Nodes, layout, 1001))
+		if err != nil {
+			return nil, err
+		}
+		var w, r workloads.DFSIOResult
+		end, err := pl.Run(func(p *sim.Proc) error {
+			var err error
+			if w, err = workloads.RunDFSIOWrite(p, pl, o); err != nil {
+				return err
+			}
+			r, err = workloads.RunDFSIORead(p, pl, o)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		runs[layout] = dfsioRun{end, w.ThroughputMBps, r.ThroughputMBps, pl.Engine.Stats()}
+	}
+	return runs, nil
+})
+
+// TestDFSIOGolden pins the exact bits of the dfsio op's virtual results on
+// each layout: the end time and the write and read throughput. The I/O
+// workload is where the solver does most of its work, so a change to how
+// or when rates are computed shows here first. The figures were recorded
+// before the solver put same-instant re-rates off (parent commit d37f40e);
+// a change that moves one changes the simulation.
+func TestDFSIOGolden(t *testing.T) {
+	runs, err := dfsioRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		layout           core.Layout
+		end, write, read uint64 // math.Float64bits
+	}{
+		{core.Normal, 0x4065400000000000, 0x4048fffe0d7d7645, 0x4090727ad7a1a755},
+		{core.CrossDomain, 0x406a400000000000, 0x4048ffff90ad1c29, 0x4063d54e11b6a14c},
+	} {
+		got := runs[tc.layout]
+		if math.Float64bits(got.end) != tc.end || math.Float64bits(got.write) != tc.write || math.Float64bits(got.read) != tc.read {
+			t.Errorf("%v: end %v write %v read %v MB/s (bits %#x %#x %#x), want bits %#x %#x %#x",
+				tc.layout, got.end, got.write, got.read,
+				math.Float64bits(got.end), math.Float64bits(got.write), math.Float64bits(got.read),
+				tc.end, tc.write, tc.read)
+		}
+	}
+}
+
+// TestDFSIOSolverWork pins the max-min solvers' work counters for the same
+// op. They are exact, so a change to the solver's cost states its claim
+// here without timing pairs. Before same-instant re-rates were put off
+// until the clock moves, the op re-rated 2,193 times (880 normal, 1,313
+// cross-domain), once per retirement pass: every pass is now put off, and
+// the flushes re-rate 1,051 times.
+func TestDFSIOSolverWork(t *testing.T) {
+	runs, err := dfsioRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		layout core.Layout
+		want   sim.Stats
+	}{
+		{core.Normal, sim.Stats{Rerates: 117, Deferred: 880, Rounds: 125, Visits: 2048}},
+		{core.CrossDomain, sim.Stats{Rerates: 934, Deferred: 1313, Rounds: 1311, Visits: 19451}},
+	} {
+		if got := runs[tc.layout].stats; got != tc.want {
+			t.Errorf("%v: solver work %+v, want %+v", tc.layout, got, tc.want)
+		}
+	}
+}

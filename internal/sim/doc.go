@@ -27,8 +27,9 @@
 //     allocates nothing in steady state.
 //     Engine.At, Engine.After and Engine.FireAfter return no handle:
 //     nothing outside the engine cancels an event. MaxMin keeps its one
-//     completion event on the heap and re-arms it in place. A time before
-//     now, or NaN, panics.
+//     completion event and re-arms it in place. A time before now, or NaN,
+//     panics. Solvers that put a re-rate off wait on the engine's pending
+//     list, and RunUntil flushes it before the clock moves.
 //   - Proc: a simulated process; created with Engine.Spawn. Its body runs
 //     on a carrier, an iter.Pull coroutine: dispatch calls the carrier's
 //     next, and a blocking call parks it. A carrier whose body returned
@@ -59,8 +60,12 @@
 //   - MaxMin: the one max-min fair rate solver. Activities progress over
 //     the resources they use at progressive-filling rates, optionally
 //     capped; it integrates progress and, at retirement, fires each
-//     activity's latch, at once or after a fixed lag. FairShare and
-//     vnet.Fabric are front-ends over it.
+//     activity's latch, at once or after a fixed lag. It re-rates at most
+//     once per virtual instant: a pass whose survivors no rate could
+//     retire puts its re-rate off until the engine flushes, which leaves
+//     every completion and sequence number where an eager re-rate would.
+//     Engine.Stats counts its re-rates, put-off passes and filling work.
+//     FairShare and vnet.Fabric are front-ends over it.
 //   - FairShare: a processor-sharing resource (CPU pools, disks), a MaxMin
 //     with one resource; N jobs in service each progress at capacity/N,
 //     optionally capped per job. This is the building block for the Xen

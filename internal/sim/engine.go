@@ -35,6 +35,16 @@ type Engine struct {
 	procs   []*Proc    // all live processes; each knows its slot
 	idle    []*carrier // carriers whose last body returned, reused by dispatch
 	current *Proc      // process currently executing, nil in engine context
+	pending *MaxMin    // solvers that put a re-rate off at now, linked through nextPending
+	stats   Stats
+}
+
+// Stats counts the work the engine's MaxMin solvers have done.
+type Stats struct {
+	Rerates  uint64 // rate recomputes
+	Deferred uint64 // retirement passes whose re-rate was put off to the flush
+	Rounds   uint64 // progressive-filling rounds
+	Visits   uint64 // activities in service, summed over rounds
 }
 
 // New returns an Engine whose pseudo-random stream is derived from seed.
@@ -45,6 +55,9 @@ func New(seed int64) *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
+
+// Stats returns the solver work counters so far.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // Rand returns the engine's deterministic pseudo-random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
@@ -117,11 +130,11 @@ func (e *Engine) schedule(ev *event) {
 	}
 }
 
-// rearm schedules the kept event ev at time t with a fresh sequence number,
+// rearm schedules the kept event ev at time t with sequence number seq,
 // moving it if it is already queued.
-func (e *Engine) rearm(ev *event, t Time) {
+func (e *Engine) rearm(ev *event, t Time, seq uint64) {
 	e.checkTime(t)
-	ev.at, ev.seq = t, e.nextSeq()
+	ev.at, ev.seq = t, seq
 	if ev.index >= 0 {
 		e.events.fix(ev.index)
 	} else {
@@ -181,8 +194,8 @@ const schedEvery = 256
 // deadline stay queued; the clock is advanced to the deadline if any such
 // events remain (so repeated RunUntil calls observe monotonic time). A
 // deadline before now panics, as scheduling in the past does. It always
-// returns with the ready FIFO empty, and when the heap is empty too, the
-// idle carriers are stopped.
+// returns with the ready FIFO empty and every solver re-rated, and when the
+// heap is empty too, the idle carriers are stopped.
 func (e *Engine) RunUntil(deadline Time) Time {
 	if !(deadline >= e.now) {
 		panic(fmt.Sprintf("sim: running until %v before now %v", deadline, e.now))
@@ -198,6 +211,11 @@ func (e *Engine) RunUntil(deadline Time) Time {
 			if e.head++; e.head == len(e.ready) {
 				e.ready, e.head = e.ready[:0], 0
 			}
+		} else if e.pending != nil && (len(e.events) == 0 || e.events[0].at > e.now) {
+			// Nothing else is due now: re-rate the solvers that put it off
+			// before the clock moves or the run returns.
+			e.flush()
+			continue
 		} else if len(e.events) == 0 {
 			break
 		} else if e.events[0].at > deadline {
@@ -223,6 +241,19 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	}
 	e.stopIdle()
 	return e.now
+}
+
+// flush re-rates every solver on the pending list. A re-rate draws no
+// sequence number and runs no callback, so the order does not matter.
+func (e *Engine) flush() {
+	s := e.pending
+	e.pending = nil
+	for s != nil {
+		next := s.nextPending
+		s.linked, s.nextPending = false, nil
+		s.flush()
+		s = next
+	}
 }
 
 // readyNext reports whether the ready FIFO's head is the earliest queued
@@ -274,10 +305,11 @@ func (e *Engine) forget(p *Proc) {
 }
 
 // Shutdown terminates every live process by unwinding its body, then
-// clears the event heap and the ready FIFO and stops the idle carriers. It
-// is intended for tests and for tearing down a platform whose background
-// daemons (the replication monitor, timer chains) never exit on their own. Shutdown must be
-// called from engine context (not from inside a process).
+// flushes the pending solvers, clears the event heap and the ready FIFO and
+// stops the idle carriers. It is intended for tests and for tearing down a
+// platform whose background daemons (the replication monitor, timer chains)
+// never exit on their own. Shutdown must be called from engine context (not
+// from inside a process).
 func (e *Engine) Shutdown() {
 	if e.current != nil {
 		panic("sim: Shutdown called from process context")
@@ -295,8 +327,11 @@ func (e *Engine) Shutdown() {
 			e.forget(p)
 		}
 	}
-	// A kept event outlives the heap; mark it unqueued so its owner's next
-	// rearm pushes it instead of fixing a slot that no longer exists.
+	// Re-rate the solvers that put a re-rate off, so each is left as an
+	// eager re-rate would have left it. A kept event outlives the heap; mark it
+	// unqueued so its owner's next rearm pushes it instead of fixing a slot
+	// that no longer exists.
+	e.flush()
 	for _, ev := range e.events {
 		ev.index = -1
 	}

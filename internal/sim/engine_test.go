@@ -67,13 +67,13 @@ func TestKeptEventRearmDisarm(t *testing.T) {
 	var fired []Time
 	record := func() { fired = append(fired, e.Now()) }
 	off := event{index: -1, keep: true, fn: record}
-	e.rearm(&off, 1)
+	e.rearm(&off, 1, e.nextSeq())
 	e.disarm(&off)
 	e.disarm(&off) // disarming an unqueued event is a no-op
 	moved := event{index: -1, keep: true, fn: record}
-	e.At(3, func() { e.rearm(&moved, 4) })
-	e.rearm(&moved, 5)
-	e.rearm(&moved, 2)
+	e.At(3, func() { e.rearm(&moved, 4, e.nextSeq()) })
+	e.rearm(&moved, 5, e.nextSeq())
+	e.rearm(&moved, 2, e.nextSeq())
 	e.Run()
 	if len(fired) != 2 || fired[0] != 2 || fired[1] != 4 {
 		t.Fatalf("kept event fired at %v, want [2 4]", fired)
@@ -140,7 +140,7 @@ func TestNaNTimesPanic(t *testing.T) {
 	mustPanic(t, "FireAfter(NaN)", func() { e.FireAfter(nan, NewDone()) })
 	mustPanic(t, "RunUntil(NaN)", func() { e.RunUntil(nan) })
 	kept := event{index: -1, keep: true, fn: func() {}}
-	mustPanic(t, "rearm at NaN", func() { e.rearm(&kept, nan) })
+	mustPanic(t, "rearm at NaN", func() { e.rearm(&kept, nan, e.nextSeq()) })
 	e.Spawn("sleeper", func(p *Proc) {
 		mustPanic(t, "Sleep(NaN)", func() { p.Sleep(nan) })
 		p.Sleep(1)
@@ -549,14 +549,51 @@ func TestShutdownDisarmsKeptEvents(t *testing.T) {
 	}
 }
 
+// Shutdown unlinks the solvers whose re-rate was put off, re-rating them as
+// an eager pass would have, and the engine's next run leaves them alone:
+// it neither re-rates them nor fires their dropped completion events.
+func TestShutdownUnlinksPendingSolvers(t *testing.T) {
+	e := New(1)
+	var solvers [2]*MaxMin
+	var acts [2]Activity
+	var dones [2]Done
+	for i := range solvers {
+		s := NewMaxMin(e, "pending", 1e-9, 1e-9)
+		s.Start(&acts[i], 1, 0, []int{s.AddResource(1)}, &dones[i], 0)
+		solvers[i] = s
+	}
+	if e.pending != solvers[1] || solvers[1].nextPending != solvers[0] || !solvers[0].stale || !solvers[1].stale {
+		t.Fatal("starts did not link both solvers onto the pending list")
+	}
+	e.Shutdown()
+	if e.pending != nil {
+		t.Fatal("Shutdown left the pending list linked")
+	}
+	for i, s := range solvers {
+		if s.stale || s.linked || s.nextPending != nil || s.next.index != -1 || acts[i].rate != 1 {
+			t.Fatalf("solver %d after Shutdown: stale %v linked %v next %p index %d rate %v",
+				i, s.stale, s.linked, s.nextPending, s.next.index, acts[i].rate)
+		}
+	}
+	before := e.Stats()
+	fired := false
+	e.At(2, func() { fired = true })
+	if end := e.Run(); end != 2 || !fired {
+		t.Fatalf("run after Shutdown ended at %v, fired %v; want 2, true", end, fired)
+	}
+	if st := e.Stats(); st != before || dones[0].Fired() || dones[1].Fired() {
+		t.Fatalf("run after Shutdown touched the unlinked solvers: %+v, was %+v", st, before)
+	}
+}
+
 // After a warm-up the engine schedules, fires and recycles events without
-// allocating: process sleeps, self-re-arming callbacks and MaxMin
-// completions all run at 0 allocations, a latch wakes a waiting process or
-// a callback waiter without allocating, a latch chain wakes its waiters
-// without touching the heap, a spawned process that finds an idle carrier
-// allocates only its Proc (nothing when SpawnInto reuses one), and a
-// FairShare submission allocates only its
-// job, the activity and latch in one object.
+// allocating: process sleeps, self-re-arming callbacks, MaxMin completions
+// and same-instant MaxMin starts flushed in one re-rate all run at 0
+// allocations, a latch wakes a waiting process or a callback waiter without
+// allocating, a latch chain wakes its waiters without touching the heap, a
+// spawned process that finds an idle carrier allocates only its Proc
+// (nothing when SpawnInto reuses one), and FairShare's Use and Begin/End
+// recycle their job records, so they allocate nothing either.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	const warm = 100
 
@@ -708,6 +745,46 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 	if want := 2 * (warm + 101); completed != want {
 		t.Fatalf("completed %d activities, want %d", completed, want)
+	}
+
+	// Four starts at one instant put their re-rates off, and the run
+	// flushes them in one re-rate before the clock moves. Each completion
+	// after that puts its pass off too, so a serve re-rates four times over
+	// seven passes.
+	e = New(1)
+	s = NewMaxMin(e, "flush", 1e-9, 1e-9)
+	uses = []int{s.AddResource(1)}
+	var acts [4]Activity
+	var dones [4]Done
+	completed = 0
+	burst := func() {
+		for i := range acts {
+			dones[i] = Done{}
+			s.Start(&acts[i], float64(i+1), 0, uses, &dones[i], 0)
+		}
+		if e.pending != s {
+			t.Fatal("same-instant starts did not put their re-rate off")
+		}
+		e.Run()
+		for i := range dones {
+			if dones[i].Fired() {
+				completed++
+			}
+		}
+	}
+	for i := 0; i < warm; i++ {
+		burst()
+	}
+	before := e.Stats()
+	if n := testing.AllocsPerRun(100, burst); n != 0 {
+		t.Errorf("MaxMin same-instant starts and flush: %v allocs per burst, want 0", n)
+	}
+	if want := 4 * (warm + 101); completed != want {
+		t.Fatalf("completed %d activities, want %d", completed, want)
+	}
+	if st := e.Stats(); st.Rerates-before.Rerates != 4*101 || st.Deferred-before.Deferred != 7*101 {
+		t.Fatalf("101 bursts: %d re-rates over %d put-off passes, want %d over %d",
+			st.Rerates-before.Rerates, st.Deferred-before.Deferred, 4*101, 7*101)
 	}
 
 	// Use recycles its job records, so a blocking quantum allocates nothing.

@@ -5,7 +5,8 @@ package sim
 // engine context, proc events resume a blocked process and done events fire
 // a latch. The engine recycles a fired event through its free list unless
 // keep is set: a kept event belongs to its scheduler, which re-arms and
-// disarms it in place (see Engine.rearm), and it is always on the heap.
+// disarms it in place (see Engine.rearm), and it never goes on the ready
+// FIFO.
 type event struct {
 	at    Time
 	seq   uint64 // tie-breaker: FIFO among equal timestamps

@@ -18,16 +18,32 @@ import "fmt"
 // in creation order, and every loop walks them in that order, so the
 // floating-point results and the order of completions are a function of
 // the simulation alone.
+//
+// A solver re-rates at most once per virtual instant. Starts, retunes and
+// completions at one instant each retire what is finished, but when no
+// activity left could retire on any rate the solver can assign (every
+// remaining work exceeds maxCap*minTick), the rates cannot change what a
+// later pass at this instant retires, so the recompute is put off: the
+// solver draws the sequence number its re-arm would have drawn, keeps it,
+// and waits on the engine's pending list, which RunUntil flushes just
+// before the clock moves. The completion event then lands at the key an
+// eager re-rate would have given it, so the run is the same bit for bit.
 type MaxMin struct {
 	engine  *Engine
 	name    string
 	eps     float64 // work residue below which an activity is finished
 	minTick Time    // least time between completion events
+	maxCap  float64 // the largest capacity any resource has had: no rate exceeds it
 	res     []resource
 	acts    []*Activity
 
 	lastUpdate Time
 	next       event // the next-completion event, kept and re-armed in place
+
+	seq         uint64  // the re-arm's sequence number while stale
+	stale       bool    // a re-rate is put off until the engine flushes
+	linked      bool    // on the engine's pending list, stale or not
+	nextPending *MaxMin // the next solver on the engine's pending list
 }
 
 type resource struct {
@@ -56,10 +72,6 @@ type Activity struct {
 	frozen    bool // recomputeRates scratch
 }
 
-// Rate returns the activity's current rate in work units per second. Only
-// vnet's TestMaxMinWaterFilling reads it, to check progressive filling.
-func (a *Activity) Rate() float64 { return a.rate }
-
 // NewMaxMin returns a solver with no resources. An activity whose residue
 // falls to eps, or that would finish within minTick, is retired; minTick is
 // also the least delay between completion events, so floating-point
@@ -72,6 +84,7 @@ func NewMaxMin(e *Engine, name string, eps float64, minTick Time) *MaxMin {
 
 // AddResource registers a resource and returns its index.
 func (s *MaxMin) AddResource(capacity float64) int {
+	s.maxCap = max(s.maxCap, capacity)
 	s.res = append(s.res, resource{capacity: capacity, since: s.engine.now})
 	return len(s.res) - 1
 }
@@ -86,11 +99,16 @@ func (s *MaxMin) SetCapacity(r int, capacity float64) {
 	res := &s.res[r]
 	res.capInt += res.capacity * (s.engine.now - res.since)
 	res.capacity, res.since = capacity, s.engine.now
+	s.maxCap = max(s.maxCap, capacity)
 	s.reschedule()
 }
 
-// Utilization returns the fraction of resource r's capacity allocated now.
-func (s *MaxMin) Utilization(r int) float64 { return s.res[r].inUse / s.res[r].capacity }
+// Utilization returns the fraction of resource r's capacity allocated now,
+// re-rating first if a re-rate is put off.
+func (s *MaxMin) Utilization(r int) float64 {
+	s.flush()
+	return s.res[r].inUse / s.res[r].capacity
+}
 
 // MeanUtilization returns resource r's time-averaged utilisation since its
 // creation, against the capacity it had at each moment.
@@ -131,13 +149,17 @@ func (s *MaxMin) Start(a *Activity, work, rateCap float64, uses []int, done *Don
 
 // advance integrates progress and accounting from lastUpdate to now: work
 // carried in activity order, then resource order, and busy time in resource
-// order.
+// order. The engine flushes a stale solver before the clock moves, so one
+// still stale here would integrate rates that were never assigned.
 func (s *MaxMin) advance() {
 	now := s.engine.now
 	dt := now - s.lastUpdate
 	s.lastUpdate = now
 	if dt <= 0 {
 		return
+	}
+	if s.stale {
+		panic(fmt.Sprintf("sim: %s advanced %v s with a re-rate put off", s.name, dt))
 	}
 	for _, a := range s.acts {
 		moved := a.rate * dt
@@ -157,6 +179,7 @@ func (s *MaxMin) advance() {
 // recomputeRates assigns every activity its max-min fair rate by
 // progressive filling (see MaxMin).
 func (s *MaxMin) recomputeRates() {
+	st := &s.engine.stats
 	for i := range s.res {
 		r := &s.res[i]
 		r.inUse, r.residual, r.crossing = 0, r.capacity, 0
@@ -170,6 +193,8 @@ func (s *MaxMin) recomputeRates() {
 		}
 	}
 	for unfrozen := len(s.acts); unfrozen > 0; {
+		st.Rounds++
+		st.Visits += uint64(len(s.acts))
 		b, best := -1, Forever
 		for i := range s.res {
 			r := &s.res[i]
@@ -234,34 +259,67 @@ func (s *MaxMin) complete() {
 	s.reschedule()
 }
 
-// reschedule retires finished activities, recomputes rates and re-arms the
-// next-completion event.
+// reschedule retires finished activities, then re-rates the rest and
+// re-arms the next-completion event, or puts the re-rate off (see MaxMin).
 func (s *MaxMin) reschedule() {
 	// Retire activities that are done or would finish within one tick,
 	// completing their latches in insertion order and compacting the rest
-	// in place.
+	// in place. A survivor whose work exceeds maxCap*minTick survives every
+	// later pass at this instant whatever its rate.
+	e := s.engine
+	floor := s.maxCap * s.minTick
+	deferrable := true
 	live := s.acts[:0]
 	for _, a := range s.acts {
 		if a.remaining <= s.eps || a.remaining <= a.rate*s.minTick {
 			a.inService = false
 			if a.lag > 0 {
-				s.engine.FireAfter(a.lag, a.done)
+				e.FireAfter(a.lag, a.done)
 			} else {
 				a.done.fire()
 			}
 			continue
 		}
+		deferrable = deferrable && a.remaining > floor
 		live = append(live, a)
 	}
 	clear(s.acts[len(live):]) // release retired activities to the GC
 	s.acts = live
 	if len(live) == 0 {
-		s.engine.disarm(&s.next)
+		e.disarm(&s.next)
 		for i := range s.res {
 			s.res[i].inUse = 0
 		}
 		return
 	}
+	seq := e.nextSeq()
+	if !deferrable {
+		s.stale = false
+		s.rerate(seq)
+		return
+	}
+	e.stats.Deferred++
+	s.seq, s.stale = seq, true
+	if s.next.index >= 0 && s.next.at <= e.now {
+		e.disarm(&s.next) // it would fire at this instant, on stale rates
+	}
+	if !s.linked {
+		s.linked, s.nextPending, e.pending = true, e.pending, s
+	}
+}
+
+// flush re-rates s if its re-rate was put off.
+func (s *MaxMin) flush() {
+	if s.stale {
+		s.stale = false
+		s.rerate(s.seq)
+	}
+}
+
+// rerate recomputes the rates and re-arms the next-completion event with
+// sequence number seq.
+func (s *MaxMin) rerate(seq uint64) {
+	s.engine.stats.Rerates++
 	s.recomputeRates()
 	minT := Forever
 	for _, a := range s.acts {
@@ -278,5 +336,5 @@ func (s *MaxMin) reschedule() {
 	if minT < s.minTick {
 		minT = s.minTick
 	}
-	s.engine.rearm(&s.next, s.engine.now+minT)
+	s.engine.rearm(&s.next, s.engine.now+minT, seq)
 }

@@ -323,3 +323,133 @@ func FuzzMaxMin(f *testing.F) {
 		}
 	})
 }
+
+// deferredOp is one scheduled call on a solver: a Start, or a SetCapacity
+// when setCap is set.
+type deferredOp struct {
+	at            Time
+	setCap        bool
+	r             int     // SetCapacity's resource
+	capacity      float64 // SetCapacity's capacity
+	work, rateCap float64
+	uses          []int
+	lag           Time
+}
+
+// The values decodeDeferred draws from: powers of two and small integers,
+// so completions and starts meet on shared instants exactly, and works
+// between the solver's eps (1e-12) and maxCap*minTick (at least 0.5e-9),
+// which make a pass re-rate at once.
+var (
+	deferredCaps  = [...]float64{0.5, 1, 2, 4}
+	deferredRates = [...]float64{0, 0.25, 1, 2} // 0: uncapped
+	deferredWorks = [...]float64{1e-10, 4e-10, 0.5, 1, 2, 3, 4, 8}
+)
+
+// decodeDeferred turns fuzz input into a solver schedule: one byte for the
+// number of resources (1-4) and one per capacity, then three bytes per
+// operation. The first byte's low three bits give its instant, 0 to 3.5 in
+// halves, and its next two bits make one in four a SetCapacity. A Start
+// takes its work, its rate cap and a lag of 0 or 0.5 from the second byte
+// and its resources from the third, a bitmask; a SetCapacity takes its
+// resource from the second byte and its capacity from the third.
+func decodeDeferred(data []byte) ([]float64, []deferredOp) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	capacity := make([]float64, next()%4+1)
+	for r := range capacity {
+		capacity[r] = deferredCaps[next()%len(deferredCaps)]
+	}
+	var ops []deferredOp
+	for len(data) > 0 && len(ops) < 64 {
+		kind, arg, mask := next(), next(), next()
+		op := deferredOp{at: Time(kind&7) / 2}
+		if kind>>3&3 == 0 {
+			op.setCap, op.r, op.capacity = true, arg%len(capacity), deferredCaps[mask%len(deferredCaps)]
+			ops = append(ops, op)
+			continue
+		}
+		op.work = deferredWorks[arg&7]
+		op.rateCap = deferredRates[arg>>3&3]
+		op.lag = Time(arg>>5&1) / 2
+		for r := range capacity {
+			if mask>>r&1 == 1 {
+				op.uses = append(op.uses, r)
+			}
+		}
+		if len(op.uses) == 0 {
+			op.uses = []int{mask % len(capacity)}
+		}
+		ops = append(ops, op)
+	}
+	return capacity, ops
+}
+
+type completion struct {
+	op int
+	at Time
+}
+
+// runDeferred plays ops on a fresh engine and returns the completions in
+// the order their latches' callbacks ran, and the engine's final sequence
+// number. With eager set, Utilization follows every call, which re-rates at
+// once whatever the call's pass put off.
+func runDeferred(capacity []float64, ops []deferredOp, eager bool) ([]completion, uint64) {
+	e := New(1)
+	s := NewMaxMin(e, "deferred", 1e-12, 1e-9)
+	for _, c := range capacity {
+		s.AddResource(c)
+	}
+	acts := make([]Activity, len(ops))
+	dones := make([]Done, len(ops))
+	cbs := make([]Callback, len(ops))
+	var log []completion
+	for i, op := range ops {
+		e.At(op.at, func() {
+			if op.setCap {
+				s.SetCapacity(op.r, op.capacity)
+			} else {
+				cbs[i] = NewCallback(e, func() { log = append(log, completion{i, e.Now()}) })
+				dones[i].FiredOr(&cbs[i])
+				s.Start(&acts[i], op.work, op.rateCap, op.uses, &dones[i], op.lag)
+			}
+			if eager {
+				s.Utilization(0)
+			}
+		})
+	}
+	e.Run()
+	return log, e.seq
+}
+
+// Putting a same-instant re-rate off to the flush changes nothing a run can
+// see: the completions, their order, their times to the bit, and every
+// sequence number the engine draws match a run that re-rates at once.
+func FuzzMaxMinDeferred(f *testing.F) {
+	f.Add([]byte{0, 1, 8, 3, 1, 8, 4, 1, 8, 5, 1})                  // three starts at one instant
+	f.Add([]byte{1, 1, 1, 8, 3, 1, 10, 3, 2})                       // a start as a completion falls due
+	f.Add([]byte{0, 2, 8, 4, 1, 8, 0, 1, 8, 1, 1, 9, 2, 1})         // tiny works next to long ones
+	f.Add([]byte{2, 0, 1, 2, 8, 4, 7, 9, 35, 6, 1, 1, 3, 11, 2, 2}) // retunes, caps and lags
+	f.Fuzz(func(t *testing.T, data []byte) {
+		capacity, ops := decodeDeferred(data)
+		got, gotSeq := runDeferred(capacity, ops, false)
+		want, wantSeq := runDeferred(capacity, ops, true)
+		if len(got) != len(want) {
+			t.Fatalf("%d completions, eager %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i].op != want[i].op || !sameBits(got[i].at, want[i].at) {
+				t.Fatalf("completion %d: op %d at %v, eager op %d at %v", i, got[i].op, got[i].at, want[i].op, want[i].at)
+			}
+		}
+		if gotSeq != wantSeq {
+			t.Fatalf("final seq %d, eager %d", gotSeq, wantSeq)
+		}
+	})
+}
