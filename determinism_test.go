@@ -7,6 +7,7 @@ package vhadoop_test
 // wrong run, or a partitioner change silently re-routing keys.
 
 import (
+	"strings"
 	"testing"
 
 	"vhadoop/internal/clustering"
@@ -174,7 +175,7 @@ func TestFaultedRunTraceDeterministic(t *testing.T) {
 	}
 	// And the schedule itself round-trips through its codec, so the trace
 	// is reproducible from the schedule *file*, not just the in-memory value.
-	dec, err := faults.DecodeString(faults.EncodeString(sched))
+	dec, err := faults.Decode(strings.NewReader(faults.EncodeString(sched)))
 	if err != nil {
 		t.Fatal(err)
 	}

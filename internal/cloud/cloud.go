@@ -102,13 +102,16 @@ func (s *Service) ReleaseAll() {
 	}
 }
 
-// capacityFor returns machine targets for n VMs of the given size, or an
-// error when they cannot fit. It respects current reservations.
+// placeVMs returns machine targets for n VMs of the given size, or an
+// error when they cannot fit. It respects current reservations, and a
+// failed machine has no free memory.
 func (s *Service) placeVMs(n int, memBytes float64, policy Placement) ([]*phys.Machine, error) {
 	free := make([]float64, len(s.pool))
 	total := 0.0
 	for i, pm := range s.pool {
-		free[i] = pm.MemFree()
+		if !pm.Failed() {
+			free[i] = pm.MemFree()
+		}
 		total += free[i]
 	}
 	if total < float64(n)*memBytes {

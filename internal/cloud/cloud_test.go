@@ -144,36 +144,85 @@ func TestReleaseReturnsCapacity(t *testing.T) {
 	}
 }
 
+// TestPlacementPolicies provisions and releases a packed and a spread lease
+// many times on one service. placeVMs walks the pool afresh on every call,
+// so a walk in map order rather than pool order shows up as a packed VM off
+// PMs[0] or a spread VM out of turn within a few rounds: with two machines a
+// Go map visits the second first about one walk in eight.
 func TestPlacementPolicies(t *testing.T) {
+	const rounds = 64
 	pl, svc := pool(1)
 	_, err := pl.Run(func(p *sim.Proc) error {
 		defer svc.ReleaseAll()
-		packed, err := svc.Provision(p, request("packed", 8))
-		if err != nil {
-			return err
-		}
-		for _, vm := range packed.VMs {
-			if vm.Host() != pl.PMs[0] {
-				return fmt.Errorf("pack policy placed %s on %s", vm.Name, vm.Host().Name)
+		for r := 0; r < rounds; r++ {
+			packed, err := svc.Provision(p, request(fmt.Sprintf("packed%02d", r), 8))
+			if err != nil {
+				return err
 			}
-		}
-		req := request("spread", 8)
-		req.Placement = cloud.Spread
-		spread, err := svc.Provision(p, req)
-		if err != nil {
-			return err
-		}
-		perPM := map[string]int{}
-		for _, vm := range spread.VMs {
-			perPM[vm.Host().Name]++
-		}
-		if perPM["pm1"] != 4 || perPM["pm2"] != 4 {
-			return fmt.Errorf("spread policy placed %v", perPM)
+			for _, vm := range packed.VMs {
+				if vm.Host() != pl.PMs[0] {
+					return fmt.Errorf("round %d: pack policy placed %s on %s", r, vm.Name, vm.Host().Name)
+				}
+			}
+			req := request(fmt.Sprintf("spread%02d", r), 8)
+			req.Placement = cloud.Spread
+			spread, err := svc.Provision(p, req)
+			if err != nil {
+				return err
+			}
+			for i, vm := range spread.VMs {
+				if want := pl.PMs[i%len(pl.PMs)]; vm.Host() != want {
+					return fmt.Errorf("round %d: spread policy placed %s on %s, want %s",
+						r, vm.Name, vm.Host().Name, want.Name)
+				}
+			}
+			packed.Release()
+			spread.Release()
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProvisionSkipsFailedMachine crashes the first machine of the pool:
+// its memory is not capacity, so both policies place every VM, scaled out
+// ones included, on the survivor, and a request the survivor alone cannot
+// hold is refused as a capacity shortage.
+func TestProvisionSkipsFailedMachine(t *testing.T) {
+	for _, policy := range []cloud.Placement{cloud.Pack, cloud.Spread} {
+		t.Run(policy.String(), func(t *testing.T) {
+			pl, svc := pool(1)
+			_, err := pl.Run(func(p *sim.Proc) error {
+				defer svc.ReleaseAll()
+				pl.Xen.CrashMachine(pl.PMs[0])
+				req := request("survivor", 4)
+				req.Placement = policy
+				l, err := svc.Provision(p, req)
+				if err != nil {
+					return err
+				}
+				if err := l.ScaleOut(p, 2); err != nil {
+					return err
+				}
+				for _, vm := range l.VMs {
+					if vm.Host() != pl.PMs[1] {
+						return fmt.Errorf("placed %s on %s", vm.Name, vm.Host().Name)
+					}
+				}
+				// pm2 has 32 GB, 6 of them leased.
+				big := request("big", 27)
+				big.Placement = policy
+				if _, err := svc.Provision(p, big); !errors.Is(err, cloud.ErrInsufficientCapacity) {
+					return fmt.Errorf("27 VMs on 26 GB: err=%v, want ErrInsufficientCapacity", err)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

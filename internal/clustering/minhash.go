@@ -147,9 +147,9 @@ func unionGroups(n int, groups map[string][]int) ([][]int, []int) {
 	// Canonical order: members ascending within a cluster, clusters by
 	// smallest member — independent of union order, so the MapReduce run
 	// and the reference produce identical numbering. Build from sorted
-	// roots, not map-visit order, so the construction is deterministic by
-	// inspection (and to vhlint's maporder, which accepts only total
-	// sorts) rather than argued from the comparator never tying.
+	// roots, not map-visit order: a total sort of the keys makes the
+	// construction deterministic by inspection rather than argued from
+	// the comparator never tying.
 	roots := make([]int, 0, len(byRoot))
 	for r := range byRoot {
 		roots = append(roots, r)

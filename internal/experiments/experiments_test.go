@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -55,6 +56,31 @@ func TestFig2Shapes(t *testing.T) {
 	}
 	if !strings.Contains(res.Table(), "Slowdown") {
 		t.Fatal("table missing")
+	}
+}
+
+// TestFig2TableRowsFollowSweep pins the table's rows to the sweep's size
+// order. Table groups the points by size through maps; rows taken from a
+// map walk would come out in map order, which a rerun of the two-size
+// quick sweep shows only now and then, so the five-size sweep is
+// rendered 32 times.
+func TestFig2TableRowsFollowSweep(t *testing.T) {
+	var res Fig2Result
+	for i, size := range Fig2Sizes(false) {
+		for _, layout := range layouts() {
+			res.Points = append(res.Points, Fig2Point{SizeMB: size, Layout: layout, Runtime: sim.Time(10 + i)})
+		}
+	}
+	for r := 0; r < 32; r++ {
+		tbl := res.Table()
+		last := -1
+		for _, size := range Fig2Sizes(false) {
+			i := strings.Index(tbl, fmt.Sprintf("\n%.0f MB", size))
+			if i <= last {
+				t.Fatalf("round %d: the %.0f MB row is out of sweep order:\n%s", r, size, tbl)
+			}
+			last = i
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ func TestScheduleRoundTrip(t *testing.T) {
 		Duration: math.Nextafter(2, 3), Factor: 0.1 + 0.2,
 	})
 	enc := EncodeString(s)
-	got, err := DecodeString(enc)
+	got, err := Decode(strings.NewReader(enc))
 	if err != nil {
 		t.Fatalf("Decode(Encode(s)): %v", err)
 	}
@@ -46,7 +46,7 @@ func TestScheduleRoundTrip(t *testing.T) {
 
 func TestDecodeSkipsCommentsAndBlanks(t *testing.T) {
 	text := "# chaos run 7\n\nvhfaults v1\n\n# mid-run partition\n10 partition pm2 5 0\n"
-	s, err := DecodeString(text)
+	s, err := Decode(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"partition with factor", "vhfaults v1\n1 partition pm1 5 0.5\n"},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeString(tc.text); err == nil {
+		if _, err := Decode(strings.NewReader(tc.text)); err == nil {
 			t.Errorf("%s: Decode accepted %q", tc.name, tc.text)
 		}
 	}

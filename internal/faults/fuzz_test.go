@@ -3,6 +3,7 @@ package faults
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -26,7 +27,7 @@ func FuzzFaultSchedule(f *testing.F) {
 			return // rejected input is fine; panics are not
 		}
 		enc := EncodeString(s)
-		s2, err := DecodeString(enc)
+		s2, err := Decode(strings.NewReader(enc))
 		if err != nil {
 			t.Fatalf("canonical encoding rejected: %v\nencoding: %q", err, enc)
 		}

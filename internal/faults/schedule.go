@@ -214,11 +214,6 @@ func Decode(r io.Reader) (Schedule, error) {
 	return s, nil
 }
 
-// DecodeString is Decode from a string.
-func DecodeString(text string) (Schedule, error) {
-	return Decode(strings.NewReader(text))
-}
-
 // GenOptions parameterises Generate.
 type GenOptions struct {
 	N       int      // faults to draw

@@ -77,6 +77,25 @@ func TestMetricsFromSnapshot(t *testing.T) {
 	}
 }
 
+// TestMetricsFromSnapshotBreaksTiesByName pins the bottleneck among
+// equally busy resources to the first link by name, as nmon.BottleneckOf
+// picks it. The reader holds links and disks in maps; a pick that walked
+// them would name whichever it met first, so six tied links are read 32
+// times.
+func TestMetricsFromSnapshotBreaksTiesByName(t *testing.T) {
+	reg := obs.NewRegistry(nil)
+	for _, l := range []string{"pm2.tx", "pm1.rx", "pm2.rx", "pm1.tx", "filer.tx", "filer.rx"} {
+		reg.Gauge("nmon_link_util_mean", "link", l).Set(0.9)
+	}
+	reg.Gauge("nmon_disk_util_mean", "disk", "filer.disk").Set(0.9)
+	snap := reg.Snapshot()
+	for r := 0; r < 32; r++ {
+		if b := MetricsFromSnapshot(snap).Report.Bottleneck; b.Resource != "filer.rx" || b.Kind != "network" {
+			t.Fatalf("round %d: bottleneck = %+v, want the link filer.rx", r, b)
+		}
+	}
+}
+
 func TestMetricsFromSnapshotEmpty(t *testing.T) {
 	m := MetricsFromSnapshot(obs.NewRegistry(nil).Snapshot())
 	if len(m.RecentJobs) != 0 || m.CrossDomain || m.DeadNodes != 0 {
