@@ -13,12 +13,17 @@ import (
 // It is the tier-1 gate on the heaviest benchmark workload's allocation
 // rate.
 //
-// Without -race the counts are exact: every run reads the same figures.
-// Under -race they move within a band; three runs of one binary read
-// 27,140, 27,187 and 27,353 allocations for mixed. The budgets sit about
-// 15 % above that band as it stood when they were set: mixed ≈ 27.2 k
-// allocations and 3.71 MB, uniform ≈ 20.8 k and 3.36 MB (without -race
-// 26.0 k and 3.58 MB, 19.6 k and 3.24 MB). Before the HDFS and
+// The budgets depend on the race detector (backlogbudget_race_test.go and
+// backlogbudget_norace_test.go). Without -race the counts repeat within a
+// few allocations, and the budgets sit 2 % above them: mixed 25,990
+// allocations and 3,575,448 B, uniform 19,593 and 3,240,728 B, once the
+// tasktracker heartbeats' timers moved onto a lane and page-cache
+// re-inserts went O(1) (25,989 / 3,576,272 B and 19,597 / 3,240,848 B
+// before). A map allocated per input line in the wordcount mapper adds
+// thousands. Under -race they move within a band; three runs of one binary
+// read 27,140, 27,187 and 27,353 allocations for mixed. Those budgets sit
+// about 15 % above that band as it stood when they were set: mixed ≈ 27.2 k
+// allocations and 3.71 MB, uniform ≈ 20.8 k and 3.36 MB. Before the HDFS and
 // shuffle I/O stages ran as callback chains instead of processes, the runs
 // took 28.1 k allocations and 3.74 MB, and 20.8 k and 3.36 MB under -race
 // (26.8 k and 3.59 MB, 19.6 k and 3.24 MB without), with budgets of
@@ -46,13 +51,12 @@ import (
 // 7.37 MB under -race).
 func TestBacklogAllocBudget(t *testing.T) {
 	for _, c := range []struct {
-		name        string
-		uniform     bool
-		budget      float64
-		bytesBudget uint64
+		name    string
+		uniform bool
+		backlogBudget
 	}{
-		{"mixed", false, 31_300, 4_270_000},
-		{"uniform", true, 23_900, 3_870_000},
+		{"mixed", false, mixedBudget},
+		{"uniform", true, uniformBudget},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			o := bigBacklog()
@@ -66,15 +70,21 @@ func TestBacklogAllocBudget(t *testing.T) {
 			if err != nil {
 				t.Fatalf("backlog run failed: %v", err)
 			}
-			if n > c.budget {
-				t.Fatalf("%v allocations per run, budget %v", n, c.budget)
+			if n > c.allocs {
+				t.Fatalf("%v allocations per run, budget %v", n, c.allocs)
 			}
-			if bytes > c.bytesBudget {
-				t.Fatalf("%d bytes allocated per run, budget %d", bytes, c.bytesBudget)
+			if bytes > c.bytes {
+				t.Fatalf("%d bytes allocated per run, budget %d", bytes, c.bytes)
 			}
-			t.Logf("%v allocations per run, budget %v; %d bytes, budget %d", n, c.budget, bytes, c.bytesBudget)
+			t.Logf("%v allocations per run, budget %v; %d bytes, budget %d", n, c.allocs, bytes, c.bytes)
 		})
 	}
+}
+
+// backlogBudget bounds one backlog run's allocations and bytes allocated.
+type backlogBudget struct {
+	allocs float64
+	bytes  uint64
 }
 
 // allocsPerRun measures f as testing.AllocsPerRun(1, f) does — one

@@ -72,12 +72,16 @@ func TestDFSIOGolden(t *testing.T) {
 	}
 }
 
-// TestDFSIOSolverWork pins the max-min solvers' work counters for the same
-// op. They are exact, so a change to the solver's cost states its claim
-// here without timing pairs. Before same-instant re-rates were put off
-// until the clock moves, the op re-rated 2,193 times (880 normal, 1,313
-// cross-domain), once per retirement pass: every pass is now put off, and
-// the flushes re-rate 1,051 times.
+// TestDFSIOSolverWork pins the engine's event counters and the max-min
+// solvers' work counters for the same op. They are exact, so a change to
+// the engine's or the solver's cost states its claim here without timing
+// pairs. Before same-instant re-rates were put off until the clock moves,
+// the op re-rated 2,193 times (880 normal, 1,313 cross-domain), once per
+// retirement pass: every pass is now put off, and the flushes re-rate
+// 1,051 times. Before the tasktracker heartbeats' interval timers moved
+// off the heap onto a lane, all 1,830 of them (810 normal, 1,020
+// cross-domain) were heap pops: the op popped 2,326 and 3,215 heap events,
+// with the heap 45,709 and 57,964 long summed over the pops.
 func TestDFSIOSolverWork(t *testing.T) {
 	runs, err := dfsioRuns()
 	if err != nil {
@@ -87,11 +91,17 @@ func TestDFSIOSolverWork(t *testing.T) {
 		layout core.Layout
 		want   sim.Stats
 	}{
-		{core.Normal, sim.Stats{Rerates: 117, Deferred: 880, Rounds: 125, Visits: 2048}},
-		{core.CrossDomain, sim.Stats{Rerates: 934, Deferred: 1313, Rounds: 1311, Visits: 19451}},
+		{core.Normal, sim.Stats{
+			HeapPops: 1516, HeapLen: 15049, ReadyPops: 1833, LanePops: 810,
+			Rerates: 117, Deferred: 880, Rounds: 125, Visits: 2048,
+		}},
+		{core.CrossDomain, sim.Stats{
+			HeapPops: 2195, HeapLen: 11668, ReadyPops: 1834, LanePops: 1020,
+			Rerates: 934, Deferred: 1313, Rounds: 1311, Visits: 19451,
+		}},
 	} {
 		if got := runs[tc.layout].stats; got != tc.want {
-			t.Errorf("%v: solver work %+v, want %+v", tc.layout, got, tc.want)
+			t.Errorf("%v: engine and solver work %+v, want %+v", tc.layout, got, tc.want)
 		}
 	}
 }

@@ -145,6 +145,8 @@ type Cluster struct {
 	lastReduceAssign sim.Time // reduce ramp-up throttle (see assign)
 	reduceAssigned   bool
 
+	beats *sim.Lane // the heartbeats' interval timers (see heartbeatLane)
+
 	scratch     recordScratch // the record path's reused buffers (see mapOutput)
 	freeAttempt *attempt      // attempt records a watcher finished with, linked through next
 }
@@ -170,10 +172,14 @@ func (c *Cluster) Config() Config { return c.cfg }
 // Reconfigure applies a new configuration to the running cluster — the
 // MapReduce Tuner's parameter lever. Slot-count changes propagate to the
 // tasktrackers' free-slot counters; everything else takes effect for
-// subsequently scheduled tasks.
+// subsequently scheduled tasks; a heartbeat interval, for the next interval
+// each daemon waits out.
 func (c *Cluster) Reconfigure(cfg Config) {
 	if cfg.MaxAttempts < 1 {
 		cfg.MaxAttempts = 1
+	}
+	if cfg.HeartbeatInterval != c.cfg.HeartbeatInterval {
+		c.beats = nil // timers on the old lane still fire when they were due
 	}
 	for _, tr := range c.trackers {
 		tr.mapFree += cfg.MapSlots - c.cfg.MapSlots
@@ -236,7 +242,19 @@ func (h *heartbeat) arm() {
 	if h.c.stopped || !h.tr.Alive() {
 		return
 	}
-	h.c.engine.After(h.c.cfg.HeartbeatInterval, h.beatFn)
+	h.c.heartbeatLane().After(h.beatFn)
+}
+
+// heartbeatLane returns the lane the heartbeats' interval timers queue on:
+// every timer waits HeartbeatInterval, so they need no heap. The lane is
+// started on first use, and again after Reconfigure changed the interval,
+// with room for a timer per tracker.
+func (c *Cluster) heartbeatLane() *sim.Lane {
+	if c.beats == nil {
+		c.beats = c.engine.NewLane(c.cfg.HeartbeatInterval)
+		c.beats.Grow(len(c.trackers))
+	}
+	return c.beats
 }
 
 // beat runs when the interval is up.

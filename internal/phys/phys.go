@@ -75,13 +75,30 @@ type Machine struct {
 type PageCache struct {
 	capacity float64
 	used     float64
-	entries  map[string]float64
-	order    []string
+	entries  map[string]int // key -> the position of its slot in order
+	// order holds a slot per insert in blocks of cacheBlock, so it grows
+	// without copying: slot p is order[p/cacheBlock][p%cacheBlock]. The
+	// slots from head to tail are queued, oldest insert first. A re-insert
+	// leaves its key's old slot stale, as the key's entry no longer names
+	// it, and eviction skips stale slots, so a re-insert costs O(1)
+	// amortized. Once the blocks are full and a sixteenth of their slots
+	// are stale or before head, Insert compacts the queue to the front
+	// instead of adding a block.
+	order      []*[cacheBlock]cacheSlot
+	head, tail int
+}
+
+// cacheBlock is the number of slots in each block of a PageCache's order.
+const cacheBlock = 16
+
+type cacheSlot struct {
+	key   string
+	bytes float64
 }
 
 // NewPageCache returns an empty cache of the given capacity.
 func NewPageCache(capacity float64) *PageCache {
-	return &PageCache{capacity: capacity, entries: make(map[string]float64)}
+	return &PageCache{capacity: capacity, entries: make(map[string]int)}
 }
 
 // Contains reports whether key is cached.
@@ -96,29 +113,50 @@ func (c *PageCache) Insert(key string, bytes float64) {
 	if bytes > c.capacity {
 		return
 	}
-	if old, ok := c.entries[key]; ok {
-		c.used -= old
-		c.remove(key)
+	if p, ok := c.entries[key]; ok {
+		c.used -= c.slot(p).bytes
+		delete(c.entries, key)
 	}
-	for c.used+bytes > c.capacity && len(c.order) > 0 {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		c.used -= c.entries[victim]
-		delete(c.entries, victim)
+	for c.used+bytes > c.capacity && len(c.entries) > 0 {
+		s := c.slot(c.head)
+		if p, ok := c.entries[s.key]; ok && p == c.head {
+			c.used -= s.bytes
+			delete(c.entries, s.key)
+		}
+		*s = cacheSlot{}
+		c.head++
 	}
-	c.entries[key] = bytes
-	c.order = append(c.order, key)
+	if c.tail == len(c.order)*cacheBlock {
+		if dead := c.tail - len(c.entries); dead > 0 && 16*dead >= c.tail {
+			c.compact()
+		} else {
+			c.order = append(c.order, new([cacheBlock]cacheSlot))
+		}
+	}
+	c.entries[key] = c.tail
+	*c.slot(c.tail) = cacheSlot{key, bytes}
+	c.tail++
 	c.used += bytes
 }
 
-func (c *PageCache) remove(key string) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
+func (c *PageCache) slot(p int) *cacheSlot { return &c.order[p/cacheBlock][p%cacheBlock] }
+
+// compact moves the live queued slots to the front of order, keeping
+// their order.
+func (c *PageCache) compact() {
+	n := 0
+	for p := c.head; p < c.tail; p++ {
+		s := c.slot(p)
+		if q, ok := c.entries[s.key]; ok && q == p {
+			c.entries[s.key] = n
+			*c.slot(n) = *s
+			n++
 		}
 	}
-	delete(c.entries, key)
+	for p := n; p < c.tail; p++ {
+		*c.slot(p) = cacheSlot{}
+	}
+	c.head, c.tail = 0, n
 }
 
 // MemFree returns uncommitted DRAM in bytes.

@@ -1,6 +1,8 @@
 package phys
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"vhadoop/internal/sim"
@@ -162,4 +164,111 @@ func TestRelayPathJoinsHostAndGuestPaths(t *testing.T) {
 	if topo.RelayPath(filer, filer, dst) != onFiler {
 		t.Fatal("the relay from a guest on the filer was not cached")
 	}
+}
+
+// TestPageCacheFIFOEviction pins the cache's eviction order: oldest insert
+// first, where a re-insert of a cached key counts as a new insert and an
+// entry larger than the whole cache is not cached (nor does it evict the
+// key's cached copy). The scripted steps were recorded when a re-insert
+// took its key out of the order by a linear scan; the random run checks
+// the cache against that scan, kept here as the reference, over many
+// re-inserts, so stale slots are skipped and compacted away.
+func TestPageCacheFIFOEviction(t *testing.T) {
+	c := NewPageCache(10)
+	for i, step := range []struct {
+		key   string
+		bytes float64
+		want  string // the cached keys, in key order
+		used  float64
+	}{
+		{"a", 4, "a", 4},
+		{"b", 3, "ab", 7},
+		{"c", 3, "abc", 10},  // exactly full: nothing evicted
+		{"a", 4, "abc", 10},  // re-insert: a is now the newest
+		{"d", 2, "acd", 9},   // evicts b, the oldest
+		{"e", 11, "acd", 9},  // larger than the cache: not cached
+		{"c", 11, "acd", 9},  // nor a re-insert of a cached key
+		{"c", 1, "acd", 7},   // a smaller re-insert: c is the newest
+		{"f", 3, "acdf", 10}, // exactly full again
+		{"g", 1, "cdfg", 7},  // evicts a
+		{"h", 10, "h", 10},   // the size of the cache: evicts all the rest
+		{"h", 10, "h", 10},
+		{"i", 0, "hi", 10},
+		{"j", 1, "ij", 1},
+	} {
+		c.Insert(step.key, step.bytes)
+		got := ""
+		for _, k := range "abcdefghij" {
+			if c.Contains(string(k)) {
+				got += string(k)
+			}
+		}
+		if got != step.want || c.used != step.used {
+			t.Fatalf("step %d, insert %s of %v: cached %q using %v, want %q using %v", i, step.key, step.bytes, got, c.used, step.want, step.used)
+		}
+	}
+
+	// A small cache churns through one block of its order; a large one
+	// with many keys spans several.
+	for _, tc := range []struct {
+		capacity float64
+		keys     int
+	}{{10, 8}, {400, 200}} {
+		ref := &refPageCache{capacity: tc.capacity, entries: map[string]float64{}}
+		c := NewPageCache(tc.capacity)
+		rng := rand.New(rand.NewSource(1))
+		keys := make([]string, tc.keys)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("k%d", i)
+		}
+		for i := 0; i < 20000; i++ {
+			key, bytes := keys[rng.Intn(len(keys))], float64(rng.Intn(23))/2
+			if rng.Intn(4) == 0 {
+				key = keys[0] // a hot key, re-inserted over and over
+			}
+			c.Insert(key, bytes)
+			ref.insert(key, bytes)
+			for _, k := range keys {
+				if _, want := ref.entries[k]; c.Contains(k) != want {
+					t.Fatalf("capacity %v, op %d, insert %s of %v: Contains(%s) = %v, want %v", tc.capacity, i, key, bytes, k, !want, want)
+				}
+			}
+			if c.used != ref.used {
+				t.Fatalf("capacity %v, op %d: cache uses %v, reference %v", tc.capacity, i, c.used, ref.used)
+			}
+		}
+	}
+}
+
+// refPageCache is PageCache as it was before re-inserts went O(1): a
+// re-insert scans the order for its key.
+type refPageCache struct {
+	capacity, used float64
+	entries        map[string]float64
+	order          []string
+}
+
+func (c *refPageCache) insert(key string, bytes float64) {
+	if bytes > c.capacity {
+		return
+	}
+	if old, ok := c.entries[key]; ok {
+		c.used -= old
+		for i, k := range c.order {
+			if k == key {
+				c.order = append(c.order[:i], c.order[i+1:]...)
+				break
+			}
+		}
+		delete(c.entries, key)
+	}
+	for c.used+bytes > c.capacity && len(c.order) > 0 {
+		victim := c.order[0]
+		c.order = c.order[1:]
+		c.used -= c.entries[victim]
+		delete(c.entries, victim)
+	}
+	c.entries[key] = bytes
+	c.order = append(c.order, key)
+	c.used += bytes
 }

@@ -18,13 +18,18 @@
 //
 // Building blocks:
 //
-//   - Engine: the clock, the event heap, the ready FIFO and the run loop.
-//     An event due at the current instant (a process wakeup, a spawn, a
-//     zero delay) goes on the ready FIFO instead of the heap, and the run
-//     loop pops whichever head has the smaller (time, sequence number), so
-//     the order is the heap's alone. RunUntil returns with the ready FIFO
-//     empty. Fired events are recycled through a free list, so scheduling
-//     allocates nothing in steady state.
+//   - Engine: the clock, the event heap, the ready FIFO, the lanes and the
+//     run loop. An event due at the current instant (a process wakeup, a
+//     spawn, a zero delay) goes on the ready FIFO instead of the heap, and
+//     a callback on a Lane (Engine.NewLane(d), Lane.After) waits the
+//     lane's fixed delay in a ring of its own: a timer chain whose every
+//     step waits the same interval, such as the tasktracker heartbeat,
+//     queues there. The run loop pops whichever of the ready FIFO's head,
+//     the heap's top and each lane's head has the smallest (time, sequence
+//     number), so the order is one heap's. RunUntil returns with the ready
+//     FIFO empty. Fired events are recycled through a free list and a
+//     lane's ring is reused in place, so scheduling allocates nothing in
+//     steady state. Engine.Stats counts the pops off each queue.
 //     Engine.At, Engine.After and Engine.FireAfter return no handle:
 //     nothing outside the engine cancels an event. MaxMin keeps its one
 //     completion event and re-arms it in place. A time before now, or NaN,
@@ -64,7 +69,8 @@
 //     once per virtual instant: a pass whose survivors no rate could
 //     retire puts its re-rate off until the engine flushes, which leaves
 //     every completion and sequence number where an eager re-rate would.
-//     Engine.Stats counts its re-rates, put-off passes and filling work.
+//     Engine.Stats also counts its re-rates, put-off passes and filling
+//     work.
 //     FairShare and vnet.Fabric are front-ends over it.
 //   - FairShare: a processor-sharing resource (CPU pools, disks), a MaxMin
 //     with one resource; N jobs in service each progress at capacity/N,

@@ -25,9 +25,11 @@ type Engine struct {
 	// process wakeups and zero-delay callbacks skip the heap. Every entry
 	// has at == now and a larger seq than the one before it, and the clock
 	// cannot advance while it is non-empty, so popping whichever of its
-	// head and the heap's has the smaller (at, seq) keeps the heap's order.
+	// head, the heap's and the lanes' has the smallest (at, seq) keeps one
+	// heap's order.
 	ready   []*event
 	head    int
+	lanes   *Lane    // lanes holding a callback, linked through next
 	free    []*event // fired events, recycled by newEvent
 	seq     uint64
 	procSeq uint64 // spawn-order stamp, so teardown order is reproducible
@@ -39,8 +41,14 @@ type Engine struct {
 	stats   Stats
 }
 
-// Stats counts the work the engine's MaxMin solvers have done.
+// Stats counts the events the run loop has executed, by queue, and the
+// work the engine's MaxMin solvers have done.
 type Stats struct {
+	HeapPops  uint64 // events popped off the heap
+	HeapLen   uint64 // the heap's length, summed over heap pops
+	ReadyPops uint64 // events popped off the ready FIFO
+	LanePops  uint64 // callbacks popped off a Lane
+
 	Rerates  uint64 // rate recomputes
 	Deferred uint64 // retirement passes whose re-rate was put off to the flush
 	Rounds   uint64 // progressive-filling rounds
@@ -56,7 +64,7 @@ func New(seed int64) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Stats returns the solver work counters so far.
+// Stats returns the event and solver work counters so far.
 func (e *Engine) Stats() Stats { return e.stats }
 
 // Rand returns the engine's deterministic pseudo-random source.
@@ -195,7 +203,7 @@ const schedEvery = 256
 // events remain (so repeated RunUntil calls observe monotonic time). A
 // deadline before now panics, as scheduling in the past does. It always
 // returns with the ready FIFO empty and every solver re-rated, and when the
-// heap is empty too, the idle carriers are stopped.
+// heap and the lanes are empty too, the idle carriers are stopped.
 func (e *Engine) RunUntil(deadline Time) Time {
 	if !(deadline >= e.now) {
 		panic(fmt.Sprintf("sim: running until %v before now %v", deadline, e.now))
@@ -204,24 +212,33 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		if n%schedEvery == 0 {
 			runtime.Gosched()
 		}
+		lane, at, seq, timed := e.earliest()
 		var ev *event
-		if e.readyNext() {
+		if e.head < len(e.ready) && (!timed || at > e.now || e.ready[e.head].seq < seq) {
 			ev = e.ready[e.head]
 			e.ready[e.head] = nil
+			e.stats.ReadyPops++
 			if e.head++; e.head == len(e.ready) {
 				e.ready, e.head = e.ready[:0], 0
 			}
-		} else if e.pending != nil && (len(e.events) == 0 || e.events[0].at > e.now) {
+		} else if e.pending != nil && (!timed || at > e.now) {
 			// Nothing else is due now: re-rate the solvers that put it off
 			// before the clock moves or the run returns.
 			e.flush()
 			continue
-		} else if len(e.events) == 0 {
+		} else if !timed {
 			break
-		} else if e.events[0].at > deadline {
+		} else if at > deadline {
 			e.now = deadline
 			return e.now
+		} else if lane != nil {
+			e.stats.LanePops++
+			e.now = at
+			lane.pop()()
+			continue
 		} else {
+			e.stats.HeapPops++
+			e.stats.HeapLen += uint64(len(e.events))
 			ev = e.events.pop()
 			e.now = ev.at
 		}
@@ -256,14 +273,22 @@ func (e *Engine) flush() {
 	}
 }
 
-// readyNext reports whether the ready FIFO's head is the earliest queued
-// event: the FIFO is non-empty and the heap holds no event at now with a
-// smaller sequence number.
-func (e *Engine) readyNext() bool {
-	if e.head == len(e.ready) {
-		return false
+// earliest returns the earliest queued event off the ready FIFO, which is
+// the heap's top or the head of a lane: its time and sequence number, and
+// its lane, nil for the heap's top. timed is false when neither holds an
+// event. The ready FIFO's head goes first unless this event is due now
+// with a smaller sequence number.
+func (e *Engine) earliest() (lane *Lane, at Time, seq uint64, timed bool) {
+	if len(e.events) > 0 {
+		at, seq, timed = e.events[0].at, e.events[0].seq, true
 	}
-	return len(e.events) == 0 || e.events[0].at > e.now || e.ready[e.head].seq < e.events[0].seq
+	for l := e.lanes; l != nil; l = l.next {
+		h := &l.ring[l.head]
+		if !timed || h.at < at || h.at == at && h.seq < seq {
+			lane, at, seq, timed = l, h.at, h.seq, true
+		}
+	}
+	return lane, at, seq, timed
 }
 
 // dispatch runs p until it parks or terminates, binding it to a carrier
@@ -305,8 +330,8 @@ func (e *Engine) forget(p *Proc) {
 }
 
 // Shutdown terminates every live process by unwinding its body, then
-// flushes the pending solvers, clears the event heap and the ready FIFO and
-// stops the idle carriers. It is intended for tests and for tearing down a
+// flushes the pending solvers, clears the event heap, the ready FIFO and
+// the lanes and stops the idle carriers. It is intended for tests and for tearing down a
 // platform whose background daemons (the replication monitor, timer chains)
 // never exit on their own. Shutdown must be called from engine context (not
 // from inside a process).
@@ -337,5 +362,94 @@ func (e *Engine) Shutdown() {
 	}
 	e.events = nil
 	e.ready, e.head = nil, 0
+	for l := e.lanes; l != nil; {
+		next := l.next
+		clear(l.ring)
+		l.head, l.n, l.next = 0, 0, nil
+		l = next
+	}
+	e.lanes = nil
 	e.stopIdle()
+}
+
+// Lane is a FIFO of callbacks, each due a fixed delay after it was
+// scheduled: a timer chain whose every step waits the same interval (the
+// tasktracker heartbeat) queues its timers here instead of on the heap.
+// Lane.After draws the one (time, sequence number) that Engine.After with
+// the lane's delay would draw. The clock never goes back and sequence
+// numbers only grow, so a lane is already in (time, sequence number)
+// order, and the run loop pops whichever of the ready FIFO's head, the
+// heap's top and each lane's head is earliest: the order one heap would
+// give. The FIFO is a ring that doubles when full, so a lane that never
+// drains stops allocating once it has held its most callbacks.
+type Lane struct {
+	e    *Engine
+	d    Time
+	ring []laneEvent
+	head int   // ring slot of the earliest callback
+	n    int   // callbacks queued
+	next *Lane // next lane on the engine's list while n > 0
+}
+
+type laneEvent struct {
+	at  Time
+	seq uint64
+	fn  func()
+}
+
+// NewLane returns an empty lane whose callbacks are due d seconds after
+// they were scheduled. A negative or NaN delay panics.
+func (e *Engine) NewLane(d Time) *Lane {
+	if !(d >= 0) {
+		panic(fmt.Sprintf("sim: invalid lane delay %v", d))
+	}
+	return &Lane{e: e, d: d}
+}
+
+// After schedules fn to run the lane's delay from now, as Engine.After
+// does.
+func (l *Lane) After(fn func()) {
+	if l.n == len(l.ring) {
+		l.Grow(1)
+	}
+	i := l.head + l.n
+	if i >= len(l.ring) {
+		i -= len(l.ring)
+	}
+	l.ring[i] = laneEvent{l.e.now + l.d, l.e.nextSeq(), fn}
+	if l.n == 0 {
+		l.next, l.e.lanes = l.e.lanes, l
+	}
+	l.n++
+}
+
+// Grow makes room for n more callbacks, so the next n calls to After
+// allocate nothing.
+func (l *Lane) Grow(n int) {
+	if l.n+n <= len(l.ring) {
+		return
+	}
+	ring := make([]laneEvent, max(2*len(l.ring), l.n+n))
+	k := copy(ring, l.ring[l.head:min(l.head+l.n, len(l.ring))])
+	copy(ring[k:], l.ring[:l.n-k])
+	l.ring, l.head = ring, 0
+}
+
+// pop removes and returns the earliest callback, taking the lane off the
+// engine's list when it drains. The lane must be non-empty.
+func (l *Lane) pop() func() {
+	h := &l.ring[l.head]
+	fn := h.fn
+	*h = laneEvent{}
+	if l.head++; l.head == len(l.ring) {
+		l.head = 0
+	}
+	if l.n--; l.n == 0 {
+		p := &l.e.lanes
+		for *p != l {
+			p = &(*p).next
+		}
+		*p, l.next = l.next, nil
+	}
+	return fn
 }

@@ -178,6 +178,46 @@ func TestShutdownClearsBothQueues(t *testing.T) {
 	}
 }
 
+// Shutdown empties every lane, a wrapped one too, and takes them off the
+// engine's list: nothing queued on a lane before it fires after it, and a
+// lane schedules as a new one would after it.
+func TestShutdownClearsLanes(t *testing.T) {
+	e := New(1)
+	fired := 0
+	count := func() { fired++ }
+	a, b := e.NewLane(2), e.NewLane(0.5)
+	a.After(count)
+	e.RunUntil(1)
+	a.After(count)
+	e.RunUntil(2.5) // pops a's first callback: its second sits at ring slot 1
+	a.After(count)  // wraps to slot 0
+	b.After(count)
+	if fired != 1 || a.n != 2 || a.head != 1 || b.n != 1 || e.lanes == nil {
+		t.Fatalf("before Shutdown: fired %d, lane a %d queued from slot %d, lane b %d", fired, a.n, a.head, b.n)
+	}
+	e.Shutdown()
+	if e.lanes != nil {
+		t.Fatal("Shutdown left lanes on the engine's list")
+	}
+	for _, l := range []*Lane{a, b} {
+		if l.n != 0 || l.head != 0 || l.next != nil {
+			t.Fatalf("lane after Shutdown: %d queued from slot %d, next %p", l.n, l.head, l.next)
+		}
+		for i, ev := range l.ring {
+			if ev.fn != nil {
+				t.Fatalf("lane after Shutdown holds a callback in slot %d", i)
+			}
+		}
+	}
+	if end := e.Run(); end != 2.5 || fired != 1 {
+		t.Fatalf("Run after Shutdown ended at %v with %d firings, want 2.5 and 1", end, fired)
+	}
+	b.After(count)
+	if end := e.Run(); end != 3 || fired != 2 {
+		t.Fatalf("lane after Shutdown: run ended at %v with %d firings, want 3 and 2", end, fired)
+	}
+}
+
 func TestSpawnSleepSequence(t *testing.T) {
 	e := New(1)
 	var marks []Time
@@ -581,14 +621,18 @@ func TestShutdownUnlinksPendingSolvers(t *testing.T) {
 	if end := e.Run(); end != 2 || !fired {
 		t.Fatalf("run after Shutdown ended at %v, fired %v; want 2, true", end, fired)
 	}
-	if st := e.Stats(); st != before || dones[0].Fired() || dones[1].Fired() {
-		t.Fatalf("run after Shutdown touched the unlinked solvers: %+v, was %+v", st, before)
+	want := before // the run pops the one event it was given, off a heap of one
+	want.HeapPops++
+	want.HeapLen++
+	if st := e.Stats(); st != want || dones[0].Fired() || dones[1].Fired() {
+		t.Fatalf("run after Shutdown touched the unlinked solvers: %+v, want %+v", st, want)
 	}
 }
 
 // After a warm-up the engine schedules, fires and recycles events without
-// allocating: process sleeps, self-re-arming callbacks, MaxMin completions
-// and same-instant MaxMin starts flushed in one re-rate all run at 0
+// allocating: process sleeps, self-re-arming callbacks on the heap or on a
+// lane, MaxMin completions and same-instant MaxMin starts flushed in one
+// re-rate all run at 0
 // allocations, a latch wakes a waiting process or a callback waiter without
 // allocating, a latch chain wakes its waiters without touching the heap, a
 // spawned process that finds an idle carrier allocates only its Proc
@@ -618,6 +662,20 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	e.RunUntil(warm)
 	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); n != 0 {
 		t.Errorf("self-re-arming callback: %v allocs per After, want 0", n)
+	}
+
+	// The same chain on a lane: the ring, grown once, is reused in place.
+	e = New(1)
+	lane := e.NewLane(1)
+	var laneTick func()
+	laneTick = func() { lane.After(laneTick) }
+	lane.After(laneTick)
+	e.RunUntil(warm)
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); n != 0 {
+		t.Errorf("lane After + fire: %v allocs per After, want 0", n)
+	}
+	if st := e.Stats(); st.LanePops != warm+101 || st.HeapPops != 0 {
+		t.Fatalf("lane chain popped %d lane and %d heap events, want %d and 0", st.LanePops, st.HeapPops, warm+101)
 	}
 
 	e = New(1)

@@ -8,8 +8,9 @@ import (
 // referenceQueue is the engine's former event queue, kept as the oracle for
 // FuzzEventQueue: container/heap ordered by (time, sequence number),
 // cancellation by tombstone, a kept event re-armed by cancelling it and
-// scheduling a fresh one, and RunUntil pushing an event past its deadline
-// back with sequence number 0.
+// scheduling a fresh one, a lane's callback scheduled at now plus the
+// lane's delay, and RunUntil pushing an event past its deadline back with
+// sequence number 0.
 type referenceQueue struct {
 	now  Time
 	seq  uint64
@@ -58,6 +59,7 @@ func (q *referenceQueue) schedule(t Time, id int) *refEvent {
 
 func (q *referenceQueue) Now() Time           { return q.now }
 func (q *referenceQueue) At(t Time, id int)   { q.schedule(t, id) }
+func (q *referenceQueue) Lane(k, id int)      { q.schedule(q.now+fuzzLaneDelays[k], id) }
 func (q *referenceQueue) Rearm(k int, t Time) { q.Disarm(k); q.kept[k] = q.schedule(t, keptID(k)) }
 
 func (q *referenceQueue) Disarm(k int) {
@@ -89,10 +91,11 @@ func (q *referenceQueue) RunUntil(deadline Time) {
 
 // engineQueue drives a real Engine through the same operations.
 type engineQueue struct {
-	t    *testing.T
-	e    *Engine
-	kept [fuzzKept]event
-	log  []firing
+	t     *testing.T
+	e     *Engine
+	kept  [fuzzKept]event
+	lanes [len(fuzzLaneDelays)]*Lane
+	log   []firing
 }
 
 func newEngineQueue(t *testing.T) *engineQueue {
@@ -101,21 +104,41 @@ func newEngineQueue(t *testing.T) *engineQueue {
 		id := keptID(k)
 		q.kept[k] = event{index: -1, keep: true, fn: func() { fire(q, &q.log, id) }}
 	}
+	for k, d := range fuzzLaneDelays {
+		q.lanes[k] = q.e.NewLane(d)
+	}
 	return q
 }
 
 func (q *engineQueue) Now() Time           { return q.e.Now() }
 func (q *engineQueue) At(t Time, id int)   { q.e.At(t, func() { fire(q, &q.log, id) }) }
+func (q *engineQueue) Lane(k, id int)      { q.lanes[k].After(func() { fire(q, &q.log, id) }) }
 func (q *engineQueue) Rearm(k int, t Time) { q.e.rearm(&q.kept[k], t, q.e.nextSeq()) }
 func (q *engineQueue) Disarm(k int)        { q.e.disarm(&q.kept[k]) }
 
 // RunUntil also checks that the run returns with the ready FIFO empty: it
 // holds only events due now, and the run loop pops it before it looks at
-// the deadline.
+// the deadline. Nor may a lane's head be due by then, and the engine's
+// list holds exactly the lanes that hold a callback.
 func (q *engineQueue) RunUntil(deadline Time) {
 	q.e.RunUntil(deadline)
 	if q.e.head != len(q.e.ready) {
 		q.t.Fatalf("RunUntil(%v) returned at %v with %d ready events", deadline, q.e.Now(), len(q.e.ready)-q.e.head)
+	}
+	listed := 0
+	for l := q.e.lanes; l != nil; l = l.next {
+		listed++
+		if l.n == 0 || l.ring[l.head].at <= q.e.Now() {
+			q.t.Fatalf("RunUntil(%v) returned at %v with a lane of %d callbacks listed, head due %v", deadline, q.e.Now(), l.n, l.ring[l.head].at)
+		}
+	}
+	for _, l := range q.lanes {
+		if l.n > 0 {
+			listed--
+		}
+	}
+	if listed != 0 {
+		q.t.Fatalf("RunUntil(%v): the engine lists %d lanes more than hold a callback", deadline, listed)
 	}
 }
 
@@ -123,6 +146,7 @@ func (q *engineQueue) RunUntil(deadline Time) {
 type fuzzQueue interface {
 	Now() Time
 	At(t Time, id int)
+	Lane(k, id int)
 	Rearm(k int, t Time)
 	Disarm(k int)
 	RunUntil(deadline Time)
@@ -134,6 +158,11 @@ type firing struct {
 }
 
 const fuzzKept = 3
+
+// fuzzLaneDelays are the lanes' delays: multiples of 0.5, as every fuzzed
+// time is, so a lane's callbacks tie with heap and ready events, and one
+// lane's callbacks are due at once.
+var fuzzLaneDelays = [...]Time{1.5, 0.5, 0}
 
 // Kept events fire with negative ids.
 func keptID(k int) int     { return -1 - k }
@@ -152,6 +181,9 @@ func fire(q fuzzQueue, log *[]firing, id int) {
 	if id%4 == 1 {
 		q.Rearm(id%fuzzKept, q.Now()+1)
 	}
+	if id%5 == 2 {
+		q.Lane(id%len(fuzzLaneDelays), id+1000)
+	}
 }
 
 // runFuzzOps decodes data two bytes at a time into queue operations, runs
@@ -159,7 +191,7 @@ func fire(q fuzzQueue, log *[]firing, id int) {
 func runFuzzOps(q fuzzQueue, data []byte) {
 	id := 0
 	for i := 0; i+1 < len(data); i += 2 {
-		op, arg := data[i]%4, int(data[i+1])
+		op, arg := data[i]%5, int(data[i+1])
 		delay := Time(arg%8) / 2
 		switch op {
 		case 0:
@@ -171,6 +203,9 @@ func runFuzzOps(q fuzzQueue, data []byte) {
 			q.Disarm(arg % fuzzKept)
 		case 3:
 			q.RunUntil(q.Now() + delay)
+		case 4:
+			q.Lane(arg%len(fuzzLaneDelays), id)
+			id++
 		}
 	}
 	q.RunUntil(Forever)
@@ -178,9 +213,11 @@ func runFuzzOps(q fuzzQueue, data []byte) {
 
 // FuzzEventQueue checks that the engine's queue fires the same events at the
 // same times, in the same order, as the reference queue. The reference has
-// one heap; the engine splits events due now onto its ready FIFO, so the
-// seeds include At(now) between firings, a Rearm at now with ready events
-// pending and a RunUntil(now) with ready events pending.
+// one heap; the engine splits events due now onto its ready FIFO and each
+// lane's callbacks onto the lane, so the seeds include At(now) between
+// firings, a Rearm at now with ready events pending, a RunUntil(now) with
+// ready events pending, and lane callbacks tied with heap and ready events
+// and with each other.
 func FuzzEventQueue(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref, eng := &referenceQueue{}, newEngineQueue(t)
@@ -197,8 +234,8 @@ func FuzzEventQueue(f *testing.F) {
 		if ref.now != eng.e.Now() {
 			t.Fatalf("final clock: engine %v, reference %v", eng.e.Now(), ref.now)
 		}
-		if len(eng.e.events) != 0 || eng.e.head != len(eng.e.ready) {
-			t.Fatalf("%d heap and %d ready events left queued after the drain", len(eng.e.events), len(eng.e.ready)-eng.e.head)
+		if len(eng.e.events) != 0 || eng.e.head != len(eng.e.ready) || eng.e.lanes != nil {
+			t.Fatalf("%d heap and %d ready events, lanes %v left queued after the drain", len(eng.e.events), len(eng.e.ready)-eng.e.head, eng.e.lanes != nil)
 		}
 	})
 }
