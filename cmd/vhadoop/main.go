@@ -71,7 +71,7 @@ func runNmon(cfg experiments.Config, outDir string, charts []nmon.Metric) error 
 	opts.Seed = cfg.Seed
 	opts.Nodes = cfg.Nodes
 	pl := core.MustNewPlatform(opts)
-	mon := nmon.New(pl.Engine, nmon.WithInterval(2.0), nmon.WithPlane(pl.Obs))
+	mon := nmon.New(pl.Engine, pl.Obs)
 	for _, vm := range pl.VMs {
 		mon.Watch(vm)
 	}

@@ -65,7 +65,7 @@ func TestPaperExecutionFlow(t *testing.T) {
 		lease.DFS.SetObs(pl.Obs)
 
 		// Step 8 (setup): nmon watches master and workers from the start.
-		mon := nmon.New(pl.Engine, nmon.WithInterval(2.0), nmon.WithPlane(pl.Obs))
+		mon := nmon.New(pl.Engine, pl.Obs)
 		for _, vm := range lease.VMs {
 			mon.Watch(vm)
 		}

@@ -34,7 +34,8 @@ type Params struct {
 	FilerCores int
 }
 
-// DefaultParams returns the testbed calibration used by every experiment.
+// DefaultParams returns the testbed calibration NewPlatform builds every
+// platform on.
 func DefaultParams() Params {
 	return Params{
 		Cores:      16,
@@ -76,10 +77,8 @@ type Options struct {
 	Nodes      int // total VMs: 1 namenode/jobtracker + N-1 workers
 	Layout     Layout
 	VMMemBytes float64 // per-VM memory (512 MB or 1024 MB in the paper)
-	Params     Params
 	HDFS       hdfs.Config
 	MR         mapreduce.Config
-	Xen        xen.Config
 	Migration  xen.MigrationConfig
 }
 
@@ -91,10 +90,8 @@ func DefaultOptions() Options {
 		Nodes:      16,
 		Layout:     Normal,
 		VMMemBytes: 1024e6,
-		Params:     DefaultParams(),
 		HDFS:       hdfs.DefaultConfig(),
 		MR:         mapreduce.DefaultConfig(),
-		Xen:        xen.DefaultConfig(),
 		Migration:  xen.DefaultMigrationConfig(),
 	}
 }

@@ -50,12 +50,13 @@ func NewPlatform(opts Options) (*Platform, error) {
 	e := sim.New(opts.Seed)
 	plane := obs.New(e)
 	fabric := vnet.NewFabric(e)
-	topo := phys.NewTopology(e, fabric, opts.Params.SwitchBW, opts.Params.SwitchLat)
-	pm1 := topo.AddMachine("pm1", opts.Params.machineSpec())
-	pm2 := topo.AddMachine("pm2", opts.Params.machineSpec())
-	filer := topo.AddMachine("filer", opts.Params.filerSpec())
+	params := DefaultParams()
+	topo := phys.NewTopology(e, fabric, params.SwitchBW, params.SwitchLat)
+	pm1 := topo.AddMachine("pm1", params.machineSpec())
+	pm2 := topo.AddMachine("pm2", params.machineSpec())
+	filer := topo.AddMachine("filer", params.filerSpec())
 	server := nfs.NewServer(topo, filer)
-	mgr := xen.NewManager(topo, server, opts.Xen)
+	mgr := xen.NewManager(topo, server)
 
 	pl := &Platform{
 		Opts:   opts,

@@ -46,7 +46,7 @@ func newTestbed(seed int64, nPM, nVM int, cfg Config) *testbed {
 		topo.AddMachine(fmt.Sprintf("pm%d", i+1), spec)
 	}
 	filer := topo.AddMachine("filer", spec)
-	mgr := xen.NewManager(topo, nfs.NewServer(topo, filer), xen.DefaultConfig())
+	mgr := xen.NewManager(topo, nfs.NewServer(topo, filer))
 	tb := &testbed{engine: e, topo: topo, mgr: mgr}
 	for i := 0; i < nVM; i++ {
 		host := topo.Machines()[i%nPM]

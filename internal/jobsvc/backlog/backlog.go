@@ -171,9 +171,7 @@ func Run(o Options) (Result, error) {
 			switch {
 			case err == nil:
 				res.Admitted++
-			case errors.Is(err, jobsvc.ErrQueueFull),
-				errors.Is(err, jobsvc.ErrTenantQueueFull),
-				errors.Is(err, jobsvc.ErrCapacity):
+			case errors.Is(err, jobsvc.ErrQueueFull), errors.Is(err, jobsvc.ErrCapacity):
 				res.Rejected++
 			default:
 				return fmt.Errorf("backlog: submitting job %d: %w", j, err)

@@ -31,8 +31,6 @@ var (
 	ErrUnknownTenant = errors.New("jobsvc: unknown tenant")
 	// ErrQueueFull rejects when the service-wide backlog cap is reached.
 	ErrQueueFull = errors.New("jobsvc: queue full")
-	// ErrTenantQueueFull rejects when one tenant's backlog cap is reached.
-	ErrTenantQueueFull = errors.New("jobsvc: tenant queue full")
 	// ErrCapacity rejects when admitting the job would overcommit the
 	// configured HDFS capacity.
 	ErrCapacity = errors.New("jobsvc: insufficient HDFS capacity")
@@ -41,6 +39,10 @@ var (
 	ErrUnschedulable = errors.New("jobsvc: unschedulable")
 )
 
+// maxRunning caps concurrently dispatched jobs across all tenants,
+// bounding the proc fan-out of huge backlogs.
+const maxRunning int = 32
+
 // Config tunes the service. The zero value is usable: Defaults fills every
 // unset knob.
 type Config struct {
@@ -48,11 +50,6 @@ type Config struct {
 	Tick sim.Time
 	// MaxQueued caps the service-wide backlog (queued, not yet running).
 	MaxQueued int
-	// MaxQueuedPerTenant caps one tenant's backlog.
-	MaxQueuedPerTenant int
-	// MaxRunning caps concurrently dispatched jobs across all tenants,
-	// bounding the proc fan-out of huge backlogs.
-	MaxRunning int
 	// CapacityBytes is the admission budget for HDFS: a submission whose
 	// footprint would push the sum of bytes already written plus admitted
 	// footprints past it is rejected. 0 disables the check.
@@ -76,12 +73,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.MaxQueued == 0 {
 		c.MaxQueued = 1 << 20
-	}
-	if c.MaxQueuedPerTenant == 0 {
-		c.MaxQueuedPerTenant = c.MaxQueued
-	}
-	if c.MaxRunning == 0 {
-		c.MaxRunning = 32
 	}
 	if c.StarveWait == 0 {
 		c.StarveWait = 60
@@ -298,7 +289,7 @@ func (s *Service) Register(name string, weight float64, opts ...TenantOption) er
 // Submit admits spec for the tenant, staging its input on the calling proc
 // (serially per submission, so concurrent jobs never race over shared
 // staging) and enqueuing it for the scheduler. Admission rejects — queue
-// caps, capacity — return an error wrapping one of the Err sentinels.
+// cap, capacity — return an error wrapping one of the Err sentinels.
 func (s *Service) Submit(p *sim.Proc, tenant string, spec workloads.Spec, opts ...SubmitOption) (*Ticket, error) {
 	t, ok := s.byName[tenant]
 	if !ok {
@@ -309,12 +300,6 @@ func (s *Service) Submit(p *sim.Proc, tenant string, spec workloads.Spec, opts .
 		s.instr.rejected.Inc()
 		s.pl.Obs.Eventf(kindJobsvc, "reject %s/%s: queue full (%d)", tenant, spec.Workload(), s.queued)
 		return nil, fmt.Errorf("%w: %d queued", ErrQueueFull, s.queued)
-	}
-	if len(t.queue) >= s.cfg.MaxQueuedPerTenant {
-		t.stats.Rejected++
-		s.instr.rejected.Inc()
-		s.pl.Obs.Eventf(kindJobsvc, "reject %s/%s: tenant queue full (%d)", tenant, spec.Workload(), len(t.queue))
-		return nil, fmt.Errorf("%w: %s has %d queued", ErrTenantQueueFull, tenant, len(t.queue))
 	}
 	if s.cfg.CapacityBytes > 0 {
 		used := s.pl.DFS.BytesWritten() + s.committedBytes

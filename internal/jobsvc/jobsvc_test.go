@@ -344,6 +344,54 @@ func TestQuotaCapsConcurrency(t *testing.T) {
 	}
 }
 
+// TestServiceRunningCap pins the service-wide running-job cap. DFSIO jobs
+// demand no slots, so only the cap holds them back: of 40 queued at once,
+// exactly 32 run together, and the other 8 run as slots of the cap free.
+func TestServiceRunningCap(t *testing.T) {
+	pl := core.MustNewPlatform(testOpts(5, 31))
+	svc := jobsvc.New(pl, jobsvc.Config{Tick: 2})
+	if err := svc.Register("acct", 1); err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 40
+	peak := 0.0
+	_, err := pl.Run(func(p *sim.Proc) error {
+		for i := 0; i < jobs; i++ {
+			spec := workloads.DFSIOSpec{Options: workloads.DFSIOOptions{Files: 1, FileBytes: 1e6, Dir: fmt.Sprintf("/dfsio/%02d", i)}}
+			if dm, dr := spec.Demand(); dm != 0 || dr != 0 {
+				return fmt.Errorf("DFSIO demand = (%d, %d), want no slots", dm, dr)
+			}
+			if _, err := svc.Submit(p, "acct", spec); err != nil {
+				return err
+			}
+		}
+		svc.Start()
+		drained := false
+		// As in TestQuotaCapsConcurrency, each tick ends by publishing the
+		// running-job count, so sampling between ticks sees every peak.
+		pl.Engine.Spawn("watcher", func(q *sim.Proc) {
+			for !drained {
+				if r, _ := pl.Obs.Snapshot().Value("jobsvc_running_jobs"); r > peak {
+					peak = r
+				}
+				q.Sleep(1)
+			}
+		})
+		svc.Drain(p)
+		drained = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak != 32 {
+		t.Fatalf("peak running jobs = %v, want the cap of 32", peak)
+	}
+	if st := svc.Stats()[0]; st.Completed != jobs {
+		t.Fatalf("completed = %d of %d", st.Completed, jobs)
+	}
+}
+
 // TestLocalityBreaksTies submits two jobs that tie on deadline (none) and
 // priority (default) under a one-job-at-a-time quota. With both inputs
 // equally local the earlier submission wins; once the tasktracker beside

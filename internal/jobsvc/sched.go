@@ -270,7 +270,7 @@ func (s *Service) nextTenant(totM, totR int) *Tenant {
 // head to the preemption pass.
 func (s *Service) dispatchPass(now sim.Time) (blocked *Job, bdm, bdr, dispatched int) {
 	totM, totR := s.pl.MR.SlotTotals()
-	for s.running < s.cfg.MaxRunning && s.queued > 0 {
+	for s.running < maxRunning && s.queued > 0 {
 		t := s.nextTenant(totM, totR)
 		if t == nil {
 			return nil, 0, 0, dispatched

@@ -24,6 +24,25 @@ var errPreempted = errors.New("mapreduce: attempt preempted")
 // the job service's admission/quota enforcement.
 var ErrJobKilled = errors.New("mapreduce: job killed")
 
+// The engine's fixed calibration: Hadoop 0.20.2 defaults scaled to the
+// testbed.
+const (
+	// jobSetupTime is the jobtracker-side job init/commit overhead.
+	jobSetupTime sim.Time = 2.5
+	// maxSpillPasses caps the extra merge passes of a map-side spill.
+	maxSpillPasses int = 2
+	// fetchOverhead is the reducer-side fixed cost per map-output fetch
+	// (HTTP connection setup and the tasktracker's shuffle servlet). It is
+	// what makes many-map jobs over tiny data slower on bigger clusters.
+	fetchOverhead sim.Time = 0.04
+	// taskDirtyRate is the page-dirty rate a running task contributes to its
+	// VM (feeds the live-migration working-set model). I/O-bound tasks dirty
+	// buffers, not all of RAM.
+	taskDirtyRate float64 = 12e6
+	// heartbeatBytes is the size of one tasktracker heartbeat message.
+	heartbeatBytes float64 = 256
+)
+
 // Config carries the engine parameters of the paper's Hadoop Module
 // (map.tasks.maximum, reduce.tasks.maximum and friends).
 type Config struct {
@@ -32,10 +51,8 @@ type Config struct {
 
 	HeartbeatInterval sim.Time // tasktracker heartbeat period
 	TrackerTimeout    sim.Time // declare a tracker dead after this silence
-	JobSetupTime      sim.Time // jobtracker-side job init/commit overhead
 
 	SortBufferBytes float64 // io.sort.mb: map output buffer before spilling
-	MaxSpillPasses  int     // extra merge passes cap
 
 	Speculative         bool
 	SpeculativeFraction float64 // maps completed before speculating
@@ -43,20 +60,9 @@ type Config struct {
 
 	MaxAttempts int // per-task execution attempts before the job fails
 
-	// FetchOverhead is the reducer-side fixed cost per map-output fetch
-	// (HTTP connection setup and the tasktracker's shuffle servlet). It is
-	// what makes many-map jobs over tiny data slower on bigger clusters.
-	FetchOverhead sim.Time
-
 	// DisableLocality turns off data-local scheduling and delay scheduling
 	// (an ablation: what locality-blind assignment costs).
 	DisableLocality bool
-
-	// TaskDirtyRate is the page-dirty rate a running task contributes to its
-	// VM (feeds the live-migration working-set model).
-	TaskDirtyRate float64
-
-	HeartbeatBytes float64
 }
 
 // DefaultConfig mirrors Hadoop 0.20.2 defaults scaled to the testbed.
@@ -66,16 +72,11 @@ func DefaultConfig() Config {
 		ReduceSlots:         1,
 		HeartbeatInterval:   3.0, // Hadoop 0.20's minimum heartbeat period
 		TrackerTimeout:      30,
-		JobSetupTime:        2.5,
 		SortBufferBytes:     100e6,
-		MaxSpillPasses:      2,
 		Speculative:         false,
 		SpeculativeFraction: 0.75,
 		SpeculativeSlowdown: 1.5,
 		MaxAttempts:         4,
-		FetchOverhead:       0.04,
-		TaskDirtyRate:       12e6, // I/O-bound tasks dirty buffers, not all of RAM
-		HeartbeatBytes:      256,
 	}
 }
 
@@ -283,7 +284,7 @@ func (h *heartbeat) send() {
 	}
 	// An error means the jobtracker is down, so the daemon ends; nothing
 	// waits on a heartbeat to read why.
-	d, err := vm.MessageDelay(master, h.c.cfg.HeartbeatBytes)
+	d, err := vm.MessageDelay(master, heartbeatBytes)
 	if err != nil {
 		return
 	}

@@ -354,7 +354,7 @@ func (c *Cluster) Submit(p *sim.Proc, spec JobSpec, opts ...SubmitOption) (*Hand
 	// Client -> jobtracker RPC plus jobtracker-side setup (staging the job
 	// configuration and jar, initialising the task lists).
 	c.master.Message(p, c.master, 4096)
-	p.Sleep(c.cfg.JobSetupTime)
+	p.Sleep(jobSetupTime)
 
 	c.jobs = append(c.jobs, j)
 	j.startSpans()

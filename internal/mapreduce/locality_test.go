@@ -57,7 +57,7 @@ func newLocalityBed(t *testing.T) *localityBed {
 		NICBW: 119e6, NICLat: 0.0001, BridgeBW: 500e6, BridgeLat: 0.00002,
 	}
 	pm := topo.AddMachine("pm1", spec)
-	mgr := xen.NewManager(topo, nfs.NewServer(topo, topo.AddMachine("filer", spec)), xen.DefaultConfig())
+	mgr := xen.NewManager(topo, nfs.NewServer(topo, topo.AddMachine("filer", spec)))
 	master := mgr.MustDefine("vm0", 1024e6, pm)
 	dfs := hdfs.NewCluster(hdfs.Config{BlockSize: 64e6, Replication: 1}, master)
 	bed := &localityBed{c: NewCluster(e, DefaultConfig(), master, dfs)}

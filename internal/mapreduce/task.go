@@ -19,8 +19,8 @@ func (c *Cluster) runTask(p *sim.Proc, tr *Tracker, t *task) {
 	vm := tr.VM
 	// A running task dirties guest pages; the live-migration working-set
 	// model feeds on this.
-	vm.AddActivity(c.cfg.TaskDirtyRate)
-	defer vm.RemoveActivity(c.cfg.TaskDirtyRate)
+	vm.AddActivity(taskDirtyRate)
+	defer vm.RemoveActivity(taskDirtyRate)
 
 	// Task JVM launch and init.
 	vm.Exec(p, t.job.cfg.Cost.TaskSetupCPU)
@@ -41,8 +41,8 @@ func (c *Cluster) spillPasses(bytes float64) int {
 		return 0
 	}
 	extra := int(math.Ceil(bytes/c.cfg.SortBufferBytes)) - 1
-	if extra > c.cfg.MaxSpillPasses {
-		extra = c.cfg.MaxSpillPasses
+	if extra > maxSpillPasses {
+		extra = maxSpillPasses
 	}
 	return extra
 }
@@ -293,9 +293,7 @@ func (c *Cluster) reduceOutput(cfg *JobSpec, runs [][]KV) []KV {
 // recycles. A same-VM fetch is the disk read alone, as this process.
 func (c *Cluster) fetchMapOutput(p *sim.Proc, src, dst *xen.VM, bytes float64) {
 	dst.Message(p, src, 128)
-	if c.cfg.FetchOverhead > 0 {
-		p.Sleep(c.cfg.FetchOverhead)
-	}
+	p.Sleep(fetchOverhead)
 	if bytes <= 0 {
 		return
 	}

@@ -58,9 +58,8 @@ type LinkSample struct {
 
 // Monitor samples watched VMs and links until stopped.
 type Monitor struct {
-	engine   *sim.Engine
-	interval sim.Time
-	plane    *obs.Plane
+	engine *sim.Engine
+	plane  *obs.Plane
 
 	vms     []*xen.VM
 	last    map[*xen.VM]vmCounters
@@ -75,43 +74,25 @@ type Monitor struct {
 	samples *obs.Counter
 }
 
-// Option configures a Monitor at construction.
-type Option func(*Monitor)
+// interval is the sampling period in virtual seconds.
+const interval sim.Time = 2.0
 
-// WithInterval sets the sampling period (default 5 virtual seconds).
-func WithInterval(interval sim.Time) Option {
-	return func(m *Monitor) { m.interval = interval }
-}
-
-// WithPlane publishes the monitor's summaries into the plane's metrics
-// registry: before every snapshot the nmon_* mean-utilisation gauges are
-// refreshed, which is what lets the Tuner consume monitoring data
-// through an obs.Snapshot instead of reaching into Monitor internals.
-func WithPlane(pl *obs.Plane) Option {
-	return func(m *Monitor) { m.plane = pl }
-}
-
-// New creates a monitor on the engine; configure it with options
-// (sampling every 5 virtual seconds by default).
-func New(e *sim.Engine, opts ...Option) *Monitor {
+// New creates a monitor on the engine that publishes its summaries into the
+// plane's metrics registry: before every snapshot the nmon_*
+// mean-utilisation gauges are refreshed, which is what lets the Tuner
+// consume monitoring data through an obs.Snapshot instead of reaching into
+// Monitor internals.
+func New(e *sim.Engine, plane *obs.Plane) *Monitor {
 	m := &Monitor{
-		engine:   e,
-		interval: 5,
-		last:     make(map[*xen.VM]vmCounters),
-		series:   make(map[*xen.VM]*Series),
-		linkS:    make(map[*vnet.Link][]LinkSample),
-		diskS:    make(map[*sim.FairShare][]LinkSample),
+		engine:  e,
+		plane:   plane,
+		last:    make(map[*xen.VM]vmCounters),
+		series:  make(map[*xen.VM]*Series),
+		linkS:   make(map[*vnet.Link][]LinkSample),
+		diskS:   make(map[*sim.FairShare][]LinkSample),
+		samples: plane.Counter("nmon_samples_total"),
 	}
-	for _, o := range opts {
-		o(m)
-	}
-	if m.interval <= 0 {
-		panic("nmon: interval must be positive")
-	}
-	if m.plane != nil {
-		m.samples = m.plane.Counter("nmon_samples_total")
-		m.plane.Registry().OnCollect(m.publish)
-	}
+	plane.Registry().OnCollect(m.publish)
 	return m
 }
 
@@ -169,7 +150,7 @@ func (m *Monitor) Start() {
 	var tick func()
 	arm := func() {
 		if !m.stopped {
-			m.engine.After(m.interval, tick)
+			m.engine.After(interval, tick)
 		}
 	}
 	tick = func() {
@@ -187,7 +168,7 @@ func (m *Monitor) sample(now sim.Time) {
 		cur := snapshot(vm)
 		prev := m.last[vm]
 		m.last[vm] = cur
-		dt := m.interval
+		dt := interval
 		m.series[vm].Samples = append(m.series[vm].Samples, Sample{
 			T:            now,
 			CPU:          clamp01((cur.cpu - prev.cpu) / dt),

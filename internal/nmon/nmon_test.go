@@ -19,7 +19,7 @@ func monitoredRun(t *testing.T) (*core.Platform, *nmon.Monitor) {
 	opts := core.DefaultOptions()
 	opts.Nodes = 8
 	pl := core.MustNewPlatform(opts)
-	mon := nmon.New(pl.Engine, nmon.WithInterval(2.0), nmon.WithPlane(pl.Obs))
+	mon := nmon.New(pl.Engine, pl.Obs)
 	for _, vm := range pl.VMs {
 		mon.Watch(vm)
 	}

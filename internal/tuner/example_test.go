@@ -20,7 +20,7 @@ func Example_closedLoop() {
 	opts.Layout = core.CrossDomain
 	pl := core.MustNewPlatform(opts)
 
-	mon := nmon.New(pl.Engine, nmon.WithInterval(2.0), nmon.WithPlane(pl.Obs))
+	mon := nmon.New(pl.Engine, pl.Obs)
 	for _, vm := range pl.VMs {
 		mon.Watch(vm)
 	}

@@ -9,30 +9,20 @@ import (
 	"vhadoop/internal/sim"
 )
 
-// Config carries the virtualization layer's tunables.
-type Config struct {
-	// CPUQuantum is the VCPU scheduling quantum in core-seconds. Smaller
+// The virtualization layer's calibration mirrors the paper's testbed
+// software stack (CentOS dom0, Ubuntu 8.10 guests, Xen 3.4).
+const (
+	// cpuQuantum is the VCPU scheduling quantum in core-seconds. Smaller
 	// values track contention changes more precisely at the cost of more
 	// simulation events.
-	CPUQuantum float64
-	// IdleDirtyRate is the page-dirty rate of an idle guest (bytes/s).
-	IdleDirtyRate float64
-	// BootTime is the guest OS boot time once the image is available.
-	BootTime sim.Time
-	// ImageBytes is the VM image size streamed from NFS on first boot.
-	ImageBytes float64
-}
-
-// DefaultConfig mirrors the paper's testbed software stack (CentOS dom0,
-// Ubuntu 8.10 guests, Xen 3.4).
-func DefaultConfig() Config {
-	return Config{
-		CPUQuantum:    0.25,
-		IdleDirtyRate: 2e6,
-		BootTime:      20,
-		ImageBytes:    1.5e9,
-	}
-}
+	cpuQuantum float64 = 0.25
+	// idleDirtyRate is the page-dirty rate of an idle guest (bytes/s).
+	idleDirtyRate float64 = 2e6
+	// bootTime is the guest OS boot time once the image is available.
+	bootTime sim.Time = 20
+	// imageBytes is the VM image size streamed from NFS on first boot.
+	imageBytes float64 = 1.5e9
+)
 
 // Manager is the cluster-wide virtualization control plane (the role xend +
 // the platform's Virtualization Module play in the paper): it creates VMs on
@@ -41,7 +31,6 @@ type Manager struct {
 	engine *sim.Engine
 	topo   *phys.Topology
 	nfs    *nfs.Server
-	cfg    Config
 	vms    []*VM
 	freeIO *IOProc // records Wait has finished with, linked through next
 
@@ -50,11 +39,8 @@ type Manager struct {
 }
 
 // NewManager returns a manager over the given topology and filer.
-func NewManager(topo *phys.Topology, filer *nfs.Server, cfg Config) *Manager {
-	if cfg.CPUQuantum <= 0 {
-		panic("xen: CPUQuantum must be positive")
-	}
-	return &Manager{engine: topo.Engine(), topo: topo, nfs: filer, cfg: cfg}
+func NewManager(topo *phys.Topology, filer *nfs.Server) *Manager {
+	return &Manager{engine: topo.Engine(), topo: topo, nfs: filer}
 }
 
 // Engine returns the simulation engine.
@@ -95,9 +81,9 @@ func (m *Manager) MustDefine(name string, memBytes float64, host *phys.Machine) 
 // filer's disk and the host NIC, which is what makes large virtual clusters
 // slow to start in lockstep.
 func (m *Manager) Boot(p *sim.Proc, vm *VM) {
-	img := m.nfs.Read(vm.host, m.cfg.ImageBytes)
+	img := m.nfs.Read(vm.host, imageBytes)
 	img.Wait(p)
-	p.Sleep(m.cfg.BootTime)
+	p.Sleep(bootTime)
 }
 
 // CrashMachine fails a physical machine and crashes every VM resident on it

@@ -15,36 +15,34 @@ import (
 // on the source; the caller may retry toward another target.
 var ErrMigrationAborted = errors.New("xen: migration aborted, destination failed")
 
-// MigrationConfig tunes the pre-copy live migration algorithm.
-type MigrationConfig struct {
-	// MaxRounds bounds the number of iterative pre-copy rounds before the
+// The pre-copy algorithm's calibration, from Xen 3.4's defaults.
+const (
+	// maxRounds bounds the number of iterative pre-copy rounds before the
 	// algorithm gives up converging and stops the VM.
-	MaxRounds int
-	// StopThresholdBytes ends pre-copy early once the dirty set is this
+	maxRounds int = 8
+	// stopThresholdBytes ends pre-copy early once the dirty set is this
 	// small: the remainder moves during stop-and-copy.
-	StopThresholdBytes float64
-	// CPUStateBytes is the fixed VCPU/device state moved during downtime.
-	CPUStateBytes float64
-	// ActivationOverhead is the fixed cost of re-activating the guest on the
-	// destination (ARP announcements, device reattach).
-	ActivationOverhead sim.Time
-	// WWSTime models the writable working set: the hottest pages are
-	// re-dirtied so fast that roughly WWSTime seconds worth of dirtying can
+	stopThresholdBytes float64 = 1e6
+	// cpuStateBytes is the fixed VCPU/device state moved during downtime.
+	cpuStateBytes float64 = 2e5
+	// wwsTime models the writable working set: the hottest pages are
+	// re-dirtied so fast that roughly wwsTime seconds worth of dirtying can
 	// never be pre-copied away and must move during stop-and-copy. This is
 	// what makes a loaded VM's downtime an order of magnitude larger than an
 	// idle one's while its total migration time grows only moderately.
-	WWSTime sim.Time
+	wwsTime sim.Time = 1.0
+)
+
+// MigrationConfig holds the live-migration cost a caller may vary.
+type MigrationConfig struct {
+	// ActivationOverhead is the fixed cost of re-activating the guest on the
+	// destination (ARP announcements, device reattach).
+	ActivationOverhead sim.Time
 }
 
-// DefaultMigrationConfig mirrors Xen 3.4's pre-copy defaults.
+// DefaultMigrationConfig mirrors Xen 3.4's activation overhead.
 func DefaultMigrationConfig() MigrationConfig {
-	return MigrationConfig{
-		MaxRounds:          8,
-		StopThresholdBytes: 1e6,
-		CPUStateBytes:      2e5,
-		ActivationOverhead: 0.050,
-		WWSTime:            1.0,
-	}
+	return MigrationConfig{ActivationOverhead: 0.050}
 }
 
 // MigrationStats records one VM's live migration, the quantities the paper's
@@ -67,7 +65,7 @@ func (s MigrationStats) String() string {
 // Migrate live-migrates vm to dst with the pre-copy algorithm: round 0
 // pushes all memory while the guest keeps running; each later round pushes
 // the pages dirtied during the previous round; when the dirty set is small
-// enough (or MaxRounds is hit, or a round stops making progress) the guest
+// enough (or maxRounds is hit, or a round stops making progress) the guest
 // pauses, the final set plus CPU state moves, and the guest resumes on dst.
 //
 // Migration traffic flows dom0-to-dom0 and therefore contends with the
@@ -85,9 +83,6 @@ func (m *Manager) Migrate(p *sim.Proc, vm *VM, dst *phys.Machine, cfg MigrationC
 	}
 	if err := dst.ReserveMem(vm.MemBytes); err != nil {
 		return stats, fmt.Errorf("xen: migrate %s: %w", vm.Name, err)
-	}
-	if cfg.MaxRounds < 1 {
-		cfg.MaxRounds = 1
 	}
 
 	src := vm.host
@@ -128,13 +123,13 @@ func (m *Manager) Migrate(p *sim.Proc, vm *VM, dst *phys.Machine, cfg MigrationC
 		}
 		elapsed := m.engine.Now() - before
 		dirtied := vm.DirtyRate() * elapsed
-		if wws := vm.DirtyRate() * cfg.WWSTime; dirtied < wws {
+		if wws := vm.DirtyRate() * wwsTime; dirtied < wws {
 			dirtied = wws // hot pages re-dirty faster than they copy
 		}
 		if dirtied > vm.MemBytes {
 			dirtied = vm.MemBytes
 		}
-		if dirtied <= cfg.StopThresholdBytes || stats.Rounds >= cfg.MaxRounds || dirtied >= toSend {
+		if dirtied <= stopThresholdBytes || stats.Rounds >= maxRounds || dirtied >= toSend {
 			toSend = dirtied
 			break
 		}
@@ -145,8 +140,8 @@ func (m *Manager) Migrate(p *sim.Proc, vm *VM, dst *phys.Machine, cfg MigrationC
 	// move; the guest re-activates on the destination.
 	downStart := m.engine.Now()
 	vm.pause()
-	fabric.Transfer(p, "stop-and-copy", route, toSend+cfg.CPUStateBytes)
-	stats.BytesSent += toSend + cfg.CPUStateBytes
+	fabric.Transfer(p, "stop-and-copy", route, toSend+cpuStateBytes)
+	stats.BytesSent += toSend + cpuStateBytes
 	if vm.state == StateCrashed || vm.state == StateShutdown {
 		// Crashed while paused: do not resurrect it by resuming.
 		return abort(ErrVMDead)

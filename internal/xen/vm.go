@@ -169,12 +169,11 @@ func (vm *VM) abortInflight(cause error) {
 // outnumber cores. Execution stalls while the VM is paused (live migration
 // stop-and-copy) and aborts the process if the VM crashes.
 func (vm *VM) Exec(p *sim.Proc, cpuSeconds float64) {
-	q := vm.mgr.cfg.CPUQuantum
 	for remaining := cpuSeconds; remaining > 0; {
 		vm.checkAlive(p)
 		vm.gate.WaitOpen(p)
 		vm.checkAlive(p)
-		step := q
+		step := cpuQuantum
 		if step > remaining {
 			step = remaining
 		}
@@ -258,7 +257,7 @@ func (vm *VM) RemoveActivity(dirtyRate float64) {
 // (guest OS housekeeping) plus registered task activity, capped so the
 // working set cannot exceed memory itself per unit time.
 func (vm *VM) DirtyRate() float64 {
-	return vm.mgr.cfg.IdleDirtyRate + vm.extraDirty
+	return idleDirtyRate + vm.extraDirty
 }
 
 // Crash marks the VM dead. Blocked and future operations on it abort their

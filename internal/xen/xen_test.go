@@ -31,7 +31,7 @@ func newTestbed(seed int64) (*sim.Engine, *phys.Topology, *Manager) {
 	topo.AddMachine("pm1", spec)
 	topo.AddMachine("pm2", spec)
 	filer := topo.AddMachine("filer", spec)
-	mgr := NewManager(topo, nfs.NewServer(topo, filer), DefaultConfig())
+	mgr := NewManager(topo, nfs.NewServer(topo, filer))
 	return e, topo, mgr
 }
 

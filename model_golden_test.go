@@ -82,7 +82,7 @@ func runNmonCapture() (string, error) {
 	opts.Seed = quickConfig.Seed
 	opts.Nodes = quickConfig.Nodes
 	pl := core.MustNewPlatform(opts)
-	mon := nmon.New(pl.Engine, nmon.WithInterval(2.0), nmon.WithPlane(pl.Obs))
+	mon := nmon.New(pl.Engine, pl.Obs)
 	for _, vm := range pl.VMs {
 		mon.Watch(vm)
 	}
