@@ -15,6 +15,7 @@ package classify
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"strings"
 
@@ -286,7 +287,7 @@ func (tr *Trainer) ClassifyMR(p *sim.Proc, m *Model, testFile string) (map[strin
 // label boosts its own slice of the vocabulary, so the classes are learnable
 // but overlapping.
 func SyntheticDocs(seed int64, labels []string, perLabel, tokensPerDoc int) []Document {
-	rng := sim.New(seed).Rand()
+	rng := rand.New(rand.NewSource(seed))
 	vocab := datasets.Vocabulary(60 * len(labels))
 	var docs []Document
 	for li, label := range labels {

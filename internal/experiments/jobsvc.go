@@ -61,45 +61,35 @@ func jobsvcBacklog(cfg Config, uniform bool) backlog.Options {
 // for a fixed Config, so no repetition averaging applies — reruns
 // reproduce the same artifacts byte-for-byte.
 func RunJobsvc(cfg Config) (JobsvcResult, error) {
-	var res JobsvcResult
-	for _, s := range []struct {
-		name    string
-		uniform bool
-		dst     *JobsvcShape
-	}{
-		{"mixed", false, &res.Mixed},
-		{"uniform", true, &res.Uniform},
-	} {
-		opts := jobsvcBacklog(cfg, s.uniform)
-		r, err := backlog.Run(opts)
-		if err != nil {
-			return JobsvcResult{}, fmt.Errorf("jobsvc %s backlog: %w", s.name, err)
+	res := JobsvcResult{Mixed: JobsvcShape{Name: "mixed"}, Uniform: JobsvcShape{Name: "uniform"}}
+	for _, s := range []*JobsvcShape{&res.Mixed, &res.Uniform} {
+		s.Opts = jobsvcBacklog(cfg, s == &res.Uniform)
+		var err error
+		if s.Result, err = backlog.Run(s.Opts); err != nil {
+			return JobsvcResult{}, fmt.Errorf("%s backlog: %w", s.Name, err)
 		}
-		*s.dst = JobsvcShape{Name: s.name, Opts: opts, Result: r}
 	}
 	return res, nil
 }
 
 // Table renders both shapes side by side.
 func (r JobsvcResult) Table() string {
-	rows := make([][]string, 0, 2)
-	for _, s := range []JobsvcShape{r.Mixed, r.Uniform} {
-		rows = append(rows, []string{
-			s.Name,
-			fmt.Sprintf("%d", s.Opts.Tenants),
-			fmt.Sprintf("%d", s.Opts.Jobs),
-			fmt.Sprintf("%d", s.Result.Admitted),
-			secs(s.Result.Makespan),
-			secs(s.Result.P99Wait),
-			fmt.Sprintf("%.3f", s.Result.Jain),
-			fmt.Sprintf("%d", s.Result.Backfills),
-			fmt.Sprintf("%d", s.Result.Preemptions),
-		})
-	}
-	return table(
+	return tableOf(
 		[]string{"Shape", "Tenants", "Jobs", "Admitted", "Makespan (s)", "p99 wait (s)", "Jain", "Backfills", "Preempts"},
-		rows,
-	)
+		[]JobsvcShape{r.Mixed, r.Uniform},
+		func(s JobsvcShape) []string {
+			return []string{
+				s.Name,
+				fmt.Sprintf("%d", s.Opts.Tenants),
+				fmt.Sprintf("%d", s.Opts.Jobs),
+				fmt.Sprintf("%d", s.Result.Admitted),
+				secs(s.Result.Makespan),
+				secs(s.Result.P99Wait),
+				fmt.Sprintf("%.3f", s.Result.Jain),
+				fmt.Sprintf("%d", s.Result.Backfills),
+				fmt.Sprintf("%d", s.Result.Preemptions),
+			}
+		})
 }
 
 // MetricsLines renders one machine-parsable line per shape.

@@ -39,12 +39,11 @@ type Fig5Result struct {
 // runMigrationScenario migrates the whole cluster off PM1 under the given
 // scenario. The wordcount variant sizes the job so every worker stays busy
 // through the entire migration window, matching the paper's methodology.
-func runMigrationScenario(cfg Config, sc MigrationScenario, seed int64) (virtlm.Result, error) {
-	opts := cfg.platformOptions(core.Normal, seed)
+func runMigrationScenario(cfg Config, sc MigrationScenario) (virtlm.Result, error) {
+	opts := cfg.options(core.Normal)
 	opts.VMMemBytes = sc.MemMB * 1e6
-	pl := core.MustNewPlatform(opts)
 	var res virtlm.Result
-	_, err := pl.Run(func(p *sim.Proc) error {
+	err := runOn(opts, func(p *sim.Proc, pl *core.Platform) error {
 		if sc.Workload == "wordcount" {
 			// Load a job big enough to keep every worker busy through the
 			// whole migration window, submit it, and migrate once a few map
@@ -86,9 +85,9 @@ func runMigrationScenario(cfg Config, sc MigrationScenario, seed int64) (virtlm.
 func RunFig5(cfg Config) (Fig5Result, error) {
 	res := Fig5Result{Runs: make(map[string]virtlm.Result)}
 	for _, sc := range MigrationScenarios() {
-		out, err := runMigrationScenario(cfg, sc, cfg.Seed)
+		out, err := runMigrationScenario(cfg, sc)
 		if err != nil {
-			return res, fmt.Errorf("fig5 %v: %w", sc, err)
+			return res, fmt.Errorf("%v: %w", sc, err)
 		}
 		res.Runs[sc.String()] = out
 	}
@@ -99,11 +98,7 @@ func RunFig5(cfg Config) (Fig5Result, error) {
 func (r Fig5Result) PerVMTable() string {
 	var rows [][]string
 	for _, sc := range MigrationScenarios() {
-		run, ok := r.Runs[sc.String()]
-		if !ok {
-			continue
-		}
-		for _, s := range run.PerVM {
+		for _, s := range r.Runs[sc.String()].PerVM {
 			rows = append(rows, []string{
 				sc.String(), s.VM,
 				fmt.Sprintf("%.2f", s.Total),
@@ -119,23 +114,15 @@ func (r Fig5Result) PerVMTable() string {
 // of the whole cluster per scenario, plus the Virt-LM score relative to the
 // idle 1024 MB reference run.
 func (r Fig5Result) Table2() string {
-	ref, hasRef := r.Runs["idle.1024MB"]
-	var rows [][]string
-	for _, sc := range MigrationScenarios() {
-		run, ok := r.Runs[sc.String()]
-		if !ok {
-			continue
-		}
-		score := "-"
-		if hasRef {
-			score = fmt.Sprintf("%.2f", run.Score(ref))
-		}
-		rows = append(rows, []string{
+	ref := r.Runs["idle.1024MB"]
+	header := []string{"Scenario", "Overall Migration Time (s)", "Overall Downtime (ms)", "Virt-LM Score"}
+	return tableOf(header, MigrationScenarios(), func(sc MigrationScenario) []string {
+		run := r.Runs[sc.String()]
+		return []string{
 			sc.String(),
 			fmt.Sprintf("%.2f", run.OverallTime),
 			fmt.Sprintf("%.0f", run.OverallDowntime*1e3),
-			score,
-		})
-	}
-	return table([]string{"Scenario", "Overall Migration Time (s)", "Overall Downtime (ms)", "Virt-LM Score"}, rows)
+			fmt.Sprintf("%.2f", run.Score(ref)),
+		}
+	})
 }

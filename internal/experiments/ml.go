@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 
 	"vhadoop/internal/clustering"
 	"vhadoop/internal/core"
@@ -11,59 +12,25 @@ import (
 )
 
 // ClusterSizes is the virtual-cluster-size axis of Figures 6 and 7.
-func ClusterSizes(quick bool) []int {
-	if quick {
-		return []int{2, 8}
-	}
-	return []int{2, 4, 8, 16}
-}
+func ClusterSizes(quick bool) []int { return sweep(quick, []int{2, 8}, []int{2, 4, 8, 16}) }
 
 // MLPoint is one bar of Figure 6 or 7.
 type MLPoint struct {
-	Algorithm  string
-	Nodes      int
-	Runtime    sim.Time
-	Centers    int
-	Iterations int
+	Algorithm string
+	Nodes     int
+	Runtime   sim.Time
 }
 
 // MLResult is a clustering runtime sweep.
 type MLResult struct {
-	Dataset string
-	Points  []MLPoint
+	Points []MLPoint
 }
 
 // Table renders runtimes as algorithms x cluster sizes.
 func (r MLResult) Table() string {
-	sizes := map[int]bool{}
-	algos := []string{}
-	seenAlgo := map[string]bool{}
-	byKey := map[string]sim.Time{}
-	var sizeList []int
-	for _, p := range r.Points {
-		byKey[fmt.Sprintf("%s/%d", p.Algorithm, p.Nodes)] = p.Runtime
-		if !seenAlgo[p.Algorithm] {
-			seenAlgo[p.Algorithm] = true
-			algos = append(algos, p.Algorithm)
-		}
-		if !sizes[p.Nodes] {
-			sizes[p.Nodes] = true
-			sizeList = append(sizeList, p.Nodes)
-		}
-	}
-	header := []string{"Algorithm"}
-	for _, n := range sizeList {
-		header = append(header, fmt.Sprintf("%d nodes (s)", n))
-	}
-	rows := make([][]string, 0, len(algos))
-	for _, a := range algos {
-		row := []string{a}
-		for _, n := range sizeList {
-			row = append(row, secs(byKey[fmt.Sprintf("%s/%d", a, n)]))
-		}
-		rows = append(rows, row)
-	}
-	return table(header, rows)
+	return pivot("Algorithm", r.Points, func(p MLPoint) (string, string, sim.Time) {
+		return p.Algorithm, fmt.Sprintf("%d nodes (s)", p.Nodes), p.Runtime
+	}, false)
 }
 
 // mlAlgo runs one algorithm through a fresh driver and returns the result.
@@ -117,23 +84,13 @@ func displayAlgos() []mlAlgo {
 	}
 }
 
-// runMLPoint provisions a platform of the given size, loads the vectors and
-// runs one algorithm.
-func runMLPoint(cfg Config, nodes int, seed int64, vectors []clustering.Vector, algo mlAlgo) (clustering.Result, error) {
-	opts := cfg.platformOptions(core.Normal, seed)
-	opts.Nodes = nodes
-	pl := core.MustNewPlatform(opts)
+// runMLPoint loads the vectors into HDFS and runs one algorithm on them.
+func runMLPoint(p *sim.Proc, pl *core.Platform, vectors []clustering.Vector, algo mlAlgo) (clustering.Result, error) {
 	d := clustering.NewDriver(pl, "/ml/input")
-	var out clustering.Result
-	_, err := pl.Run(func(p *sim.Proc) error {
-		if err := d.Load(p, vectors); err != nil {
-			return err
-		}
-		var err error
-		out, err = algo.run(p, d)
-		return err
-	})
-	return out, err
+	if err := d.Load(p, vectors); err != nil {
+		return clustering.Result{}, err
+	}
+	return algo.run(p, d)
 }
 
 // RunFig6 measures canopy, dirichlet and mean shift on the Synthetic
@@ -143,8 +100,8 @@ func RunFig6(cfg Config) (MLResult, error) {
 	if cfg.Quick {
 		perClass = 30
 	}
-	return sweepML(cfg, "fig6", "synthetic-control", controlChartAlgos(), func(seed int64) []clustering.Vector {
-		series := datasets.ControlChart(sim.New(seed).Rand(),
+	return sweepML(cfg, controlChartAlgos(), func(seed int64) []clustering.Vector {
+		series := datasets.ControlChart(rand.New(rand.NewSource(seed)),
 			datasets.ControlChartOptions{PerClass: perClass, Length: 60})
 		return clustering.FromFloats(datasets.ControlVectors(series))
 	})
@@ -153,8 +110,8 @@ func RunFig6(cfg Config) (MLResult, error) {
 // RunFig7 measures all six algorithms on the 1000-sample DisplayClustering
 // mixture across virtual cluster sizes.
 func RunFig7(cfg Config) (MLResult, error) {
-	return sweepML(cfg, "fig7", "display-clustering", displayAlgos(), func(seed int64) []clustering.Vector {
-		pts, _ := datasets.DisplayClusteringSample(sim.New(seed).Rand())
+	return sweepML(cfg, displayAlgos(), func(seed int64) []clustering.Vector {
+		pts, _ := datasets.DisplayClusteringSample(rand.New(rand.NewSource(seed)))
 		return clustering.FromFloats(pts)
 	})
 }
@@ -162,28 +119,20 @@ func RunFig7(cfg Config) (MLResult, error) {
 // sweepML runs every algorithm at every cluster size, averaging the
 // runtime over cfg.Reps repetitions; each rep draws its vectors from its
 // own seed.
-func sweepML(cfg Config, fig, dataset string, algos []mlAlgo, vectors func(seed int64) []clustering.Vector) (MLResult, error) {
-	res := MLResult{Dataset: dataset}
+func sweepML(cfg Config, algos []mlAlgo, vectors func(seed int64) []clustering.Vector) (MLResult, error) {
+	var res MLResult
 	for _, algo := range algos {
 		for _, nodes := range ClusterSizes(cfg.Quick) {
-			var sum sim.Time
-			var last clustering.Result
-			for rep := 0; rep < cfg.Reps; rep++ {
-				seed := cfg.Seed + int64(rep)*1000
-				out, err := runMLPoint(cfg, nodes, seed, vectors(seed), algo)
-				if err != nil {
-					return res, fmt.Errorf("%s %s n=%d: %w", fig, algo.name, nodes, err)
-				}
-				sum += out.Runtime
-				last = out
-			}
-			res.Points = append(res.Points, MLPoint{
-				Algorithm:  algo.name,
-				Nodes:      nodes,
-				Runtime:    sum / sim.Time(cfg.Reps),
-				Centers:    len(last.Centers),
-				Iterations: last.Iterations,
+			opts := cfg.options(core.Normal)
+			opts.Nodes = nodes
+			rt, err := cfg.avg(opts, func(p *sim.Proc, pl *core.Platform) ([]float64, error) {
+				out, err := runMLPoint(p, pl, vectors(pl.Opts.Seed), algo)
+				return []float64{out.Runtime}, err
 			})
+			if err != nil {
+				return res, fmt.Errorf("%s n=%d: %w", algo.name, nodes, err)
+			}
+			res.Points = append(res.Points, MLPoint{Algorithm: algo.name, Nodes: nodes, Runtime: rt[0]})
 		}
 	}
 	return res, nil
@@ -202,16 +151,22 @@ type Fig8Result struct {
 // panel.
 func RunFig8(cfg Config) (Fig8Result, error) {
 	res := Fig8Result{SVGs: make(map[string]string)}
-	pts, _ := datasets.DisplayClusteringSample(sim.New(cfg.Seed).Rand())
+	pts, _ := datasets.DisplayClusteringSample(rand.New(rand.NewSource(cfg.Seed)))
 	vecs := clustering.FromFloats(pts)
 
 	res.Order = append(res.Order, "sample-data")
 	res.SVGs["sample-data"] = viz.RenderClusters(vecs, clustering.Result{}, viz.DefaultOptions("Sample Data"))
 
 	for _, algo := range displayAlgos() {
-		out, err := runMLPoint(cfg, 8, cfg.Seed, vecs, algo)
+		var out clustering.Result
+		opts := cfg.options(core.Normal)
+		opts.Nodes = 8
+		err := runOn(opts, func(p *sim.Proc, pl *core.Platform) (err error) {
+			out, err = runMLPoint(p, pl, vecs, algo)
+			return err
+		})
 		if err != nil {
-			return res, fmt.Errorf("fig8 %s: %w", algo.name, err)
+			return res, fmt.Errorf("%s: %w", algo.name, err)
 		}
 		res.Order = append(res.Order, algo.name)
 		res.SVGs[algo.name] = viz.RenderClusters(vecs, out, viz.DefaultOptions(algo.name))

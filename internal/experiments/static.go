@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"vhadoop/internal/core"
@@ -39,33 +40,14 @@ type Fig2Result struct {
 
 // Table renders the figure's series as rows (sizes) x columns (layouts).
 func (r Fig2Result) Table() string {
-	byKey := map[string]sim.Time{}
-	var sizes []float64
-	seen := map[float64]bool{}
-	for _, p := range r.Points {
-		byKey[fmt.Sprintf("%v/%v", p.SizeMB, p.Layout)] = p.Runtime
-		if !seen[p.SizeMB] {
-			seen[p.SizeMB] = true
-			sizes = append(sizes, p.SizeMB)
-		}
-	}
-	rows := make([][]string, 0, len(sizes))
-	for _, s := range sizes {
-		n := byKey[fmt.Sprintf("%v/%v", s, core.Normal)]
-		x := byKey[fmt.Sprintf("%v/%v", s, core.CrossDomain)]
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0f MB", s), secs(n), secs(x), fmt.Sprintf("%.2fx", x/n),
-		})
-	}
-	return table([]string{"Input", "Normal (s)", "Cross-domain (s)", "Slowdown"}, rows)
+	return pivot("Input", r.Points, func(p Fig2Point) (string, string, sim.Time) {
+		return fmt.Sprintf("%.0f MB", p.SizeMB), layoutColumn[p.Layout], p.Runtime
+	}, true)
 }
 
 // Fig2Sizes returns the input sweep in MB.
 func Fig2Sizes(quick bool) []float64 {
-	if quick {
-		return []float64{128, 1024}
-	}
-	return []float64{64, 128, 256, 512, 1024}
+	return sweep(quick, []float64{128, 1024}, []float64{64, 128, 256, 512, 1024})
 }
 
 // RunFig2 measures Wordcount runtime over input size for both layouts.
@@ -73,21 +55,14 @@ func RunFig2(cfg Config) (Fig2Result, error) {
 	var res Fig2Result
 	for _, size := range Fig2Sizes(cfg.Quick) {
 		for _, layout := range layouts() {
-			size, layout := size, layout
-			rt, err := cfg.avg(func(seed int64) (float64, error) {
-				pl := core.MustNewPlatform(cfg.platformOptions(layout, seed))
-				var out workloads.WordcountResult
-				_, err := pl.Run(func(p *sim.Proc) error {
-					var err error
-					out, err = workloads.RunWordcount(p, pl, "/wc/in", size*1e6, 4, true)
-					return err
-				})
-				return out.Stats.Runtime, err
+			rt, err := cfg.avg(cfg.options(layout), func(p *sim.Proc, pl *core.Platform) ([]float64, error) {
+				out, err := workloads.RunWordcount(p, pl, "/wc/in", size*1e6, 4, true)
+				return []float64{out.Stats.Runtime}, err
 			})
 			if err != nil {
-				return res, fmt.Errorf("fig2 %v %v: %w", size, layout, err)
+				return res, fmt.Errorf("%v MB %v: %w", size, layout, err)
 			}
-			res.Points = append(res.Points, Fig2Point{SizeMB: size, Layout: layout, Runtime: rt})
+			res.Points = append(res.Points, Fig2Point{SizeMB: size, Layout: layout, Runtime: rt[0]})
 		}
 	}
 	return res, nil
@@ -110,29 +85,13 @@ type Fig3Result struct {
 }
 
 func fig3Table(points []Fig3Point, varying string) string {
-	rows := make([][]string, 0, len(points)/2)
-	byKey := map[string]sim.Time{}
-	var keys []int
-	seen := map[int]bool{}
-	for _, p := range points {
+	return pivot(varying, points, func(p Fig3Point) (string, string, sim.Time) {
 		k := p.Maps
 		if varying == "reduces" {
 			k = p.Reduces
 		}
-		byKey[fmt.Sprintf("%d/%v", k, p.Layout)] = p.Runtime
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	for _, k := range keys {
-		n := byKey[fmt.Sprintf("%d/%v", k, core.Normal)]
-		x := byKey[fmt.Sprintf("%d/%v", k, core.CrossDomain)]
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", k), secs(n), secs(x), fmt.Sprintf("%.2fx", x/n),
-		})
-	}
-	return table([]string{varying, "Normal (s)", "Cross-domain (s)", "Slowdown"}, rows)
+		return fmt.Sprintf("%d", k), layoutColumn[p.Layout], p.Runtime
+	}, true)
 }
 
 // Table renders both panels.
@@ -142,33 +101,30 @@ func (r Fig3Result) Table() string {
 }
 
 // Fig3MapCounts returns panel (a)'s sweep.
-func Fig3MapCounts(quick bool) []int {
-	if quick {
-		return []int{1, 4}
-	}
-	return []int{1, 2, 3, 4, 5, 6}
-}
+func Fig3MapCounts(quick bool) []int { return sweep(quick, []int{1, 4}, []int{1, 2, 3, 4, 5, 6}) }
 
 // Fig3ReduceCounts returns panel (b)'s sweep.
-func Fig3ReduceCounts(quick bool) []int {
-	if quick {
-		return []int{1, 4}
-	}
-	return []int{1, 2, 3, 4, 5, 6}
-}
+func Fig3ReduceCounts(quick bool) []int { return sweep(quick, []int{1, 4}, []int{1, 2, 3, 4, 5, 6}) }
 
-// runMRBenchPoint averages MRBench's per-run time for opts on layout.
-func runMRBenchPoint(cfg Config, layout core.Layout, opts workloads.MRBenchOptions) (sim.Time, error) {
-	return cfg.avg(func(seed int64) (float64, error) {
-		pl := core.MustNewPlatform(cfg.platformOptions(layout, seed))
-		var out workloads.MRBenchResult
-		_, err := pl.Run(func(p *sim.Proc) error {
-			var err error
-			out, err = workloads.RunMRBench(p, pl, opts)
-			return err
-		})
-		return out.AvgTime, err
-	})
+// fig3Sweep averages MRBench's per-run time on both layouts at each count,
+// which set writes into the default options.
+func fig3Sweep(cfg Config, counts []int, set func(o *workloads.MRBenchOptions, n int)) ([]Fig3Point, error) {
+	var points []Fig3Point
+	for _, n := range counts {
+		opts := workloads.DefaultMRBenchOptions()
+		set(&opts, n)
+		for _, layout := range layouts() {
+			rt, err := cfg.avg(cfg.options(layout), func(p *sim.Proc, pl *core.Platform) ([]float64, error) {
+				out, err := workloads.RunMRBench(p, pl, opts)
+				return []float64{out.AvgTime}, err
+			})
+			if err != nil {
+				return points, fmt.Errorf("maps=%d reduces=%d %v: %w", opts.Maps, opts.Reduces, layout, err)
+			}
+			points = append(points, Fig3Point{Maps: opts.Maps, Reduces: opts.Reduces, Layout: layout, Runtime: rt[0]})
+		}
+	}
+	return points, nil
 }
 
 // RunFig3 measures MRBench under map and reduce scaling for both layouts.
@@ -176,32 +132,18 @@ func runMRBenchPoint(cfg Config, layout core.Layout, opts workloads.MRBenchOptio
 // literally one generated line), where job runtime is framework overhead:
 // task JVM setup, heartbeat-quantised scheduling and the jobtracker's
 // one-reduce-per-round ramp-up.
-func RunFig3(cfg Config) (Fig3Result, error) {
-	var res Fig3Result
-	for _, m := range Fig3MapCounts(cfg.Quick) {
-		opts := workloads.DefaultMRBenchOptions()
-		opts.Maps, opts.Reduces = m, 1
-		for _, layout := range layouts() {
-			rt, err := runMRBenchPoint(cfg, layout, opts)
-			if err != nil {
-				return res, fmt.Errorf("fig3a maps=%d %v: %w", m, layout, err)
-			}
-			res.MapSweep = append(res.MapSweep, Fig3Point{Maps: m, Reduces: 1, Layout: layout, Runtime: rt})
-		}
+func RunFig3(cfg Config) (res Fig3Result, err error) {
+	res.MapSweep, err = fig3Sweep(cfg, Fig3MapCounts(cfg.Quick), func(o *workloads.MRBenchOptions, m int) {
+		o.Maps, o.Reduces = m, 1
+	})
+	if err != nil {
+		return res, err
 	}
-	for _, r := range Fig3ReduceCounts(cfg.Quick) {
-		opts := workloads.DefaultMRBenchOptions()
-		opts.Maps, opts.Reduces = 15, r
-		opts.BytesPerMap, opts.LinesPerMap = 2e6, 16
-		for _, layout := range layouts() {
-			rt, err := runMRBenchPoint(cfg, layout, opts)
-			if err != nil {
-				return res, fmt.Errorf("fig3b reduces=%d %v: %w", r, layout, err)
-			}
-			res.ReduceSweep = append(res.ReduceSweep, Fig3Point{Maps: 15, Reduces: r, Layout: layout, Runtime: rt})
-		}
-	}
-	return res, nil
+	res.ReduceSweep, err = fig3Sweep(cfg, Fig3ReduceCounts(cfg.Quick), func(o *workloads.MRBenchOptions, r int) {
+		o.Maps, o.Reduces = 15, r
+		o.BytesPerMap, o.LinesPerMap = 2e6, 16
+	})
+	return res, err
 }
 
 // Figure 4 ------------------------------------------------------------------
@@ -221,22 +163,14 @@ type Fig4aResult struct {
 
 // Table renders generation and sort times per size and layout.
 func (r Fig4aResult) Table() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0f MB", p.SizeMB), p.Layout.String(),
-			secs(p.GenTime), secs(p.SortTime),
-		})
-	}
-	return table([]string{"Data", "Layout", "TeraGen (s)", "TeraSort (s)"}, rows)
+	return tableOf([]string{"Data", "Layout", "TeraGen (s)", "TeraSort (s)"}, r.Points, func(p Fig4aPoint) []string {
+		return []string{fmt.Sprintf("%.0f MB", p.SizeMB), p.Layout.String(), secs(p.GenTime), secs(p.SortTime)}
+	})
 }
 
 // Fig4aSizes returns the data sweep in MB.
 func Fig4aSizes(quick bool) []float64 {
-	if quick {
-		return []float64{100, 1000}
-	}
-	return []float64{100, 200, 400, 600, 800, 1000}
+	return sweep(quick, []float64{100, 1000}, []float64{100, 200, 400, 600, 800, 1000})
 }
 
 // RunFig4a measures TeraGen and TeraSort times over data size.
@@ -244,30 +178,17 @@ func RunFig4a(cfg Config) (Fig4aResult, error) {
 	var res Fig4aResult
 	for _, size := range Fig4aSizes(cfg.Quick) {
 		for _, layout := range layouts() {
-			var genSum, sortSum sim.Time
-			for rep := 0; rep < cfg.Reps; rep++ {
-				pl := core.MustNewPlatform(cfg.platformOptions(layout, cfg.Seed+int64(rep)*1000))
-				var out workloads.TeraResult
-				_, err := pl.Run(func(p *sim.Proc) error {
-					var err error
-					out, err = workloads.RunTeraSort(p, pl, workloads.DefaultTeraOptions(size*1e6))
-					return err
-				})
-				if err != nil {
-					return res, fmt.Errorf("fig4a %v %v: %w", size, layout, err)
+			t, err := cfg.avg(cfg.options(layout), func(p *sim.Proc, pl *core.Platform) ([]float64, error) {
+				out, err := workloads.RunTeraSort(p, pl, workloads.DefaultTeraOptions(size*1e6))
+				if err == nil && !out.Validated {
+					err = errors.New("output failed validation")
 				}
-				if !out.Validated {
-					return res, fmt.Errorf("fig4a %v %v: output failed validation", size, layout)
-				}
-				genSum += out.GenTime
-				sortSum += out.SortTime
-			}
-			res.Points = append(res.Points, Fig4aPoint{
-				SizeMB:   size,
-				Layout:   layout,
-				GenTime:  genSum / sim.Time(cfg.Reps),
-				SortTime: sortSum / sim.Time(cfg.Reps),
+				return []float64{out.GenTime, out.SortTime}, err
 			})
+			if err != nil {
+				return res, fmt.Errorf("%v MB %v: %w", size, layout, err)
+			}
+			res.Points = append(res.Points, Fig4aPoint{SizeMB: size, Layout: layout, GenTime: t[0], SortTime: t[1]})
 		}
 	}
 	return res, nil
@@ -287,44 +208,30 @@ type Fig4bResult struct {
 
 // Table renders throughput per operation and layout.
 func (r Fig4bResult) Table() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			p.Kind, p.Layout.String(), fmt.Sprintf("%.1f", p.ThroughputMBps),
-		})
-	}
-	return table([]string{"Operation", "Layout", "Aggregate MB/s"}, rows)
+	return tableOf([]string{"Operation", "Layout", "Aggregate MB/s"}, r.Points, func(p Fig4bPoint) []string {
+		return []string{p.Kind, p.Layout.String(), fmt.Sprintf("%.1f", p.ThroughputMBps)}
+	})
 }
 
 // RunFig4b measures DFSIO write then read throughput for both layouts.
 func RunFig4b(cfg Config) (Fig4bResult, error) {
 	var res Fig4bResult
-	files := 8
-	fileMB := 128.0
+	opts := workloads.DFSIOOptions{Files: 8, FileBytes: 128e6}
 	for _, layout := range layouts() {
-		layout := layout
-		var wSum, rSum float64
-		for rep := 0; rep < cfg.Reps; rep++ {
-			pl := core.MustNewPlatform(cfg.platformOptions(layout, cfg.Seed+int64(rep)*1000))
-			var w, rr workloads.DFSIOResult
-			_, err := pl.Run(func(p *sim.Proc) error {
-				opts := workloads.DFSIOOptions{Files: files, FileBytes: fileMB * 1e6}
-				var err error
-				if w, err = workloads.RunDFSIOWrite(p, pl, opts); err != nil {
-					return err
-				}
-				rr, err = workloads.RunDFSIORead(p, pl, opts)
-				return err
-			})
+		mbps, err := cfg.avg(cfg.options(layout), func(p *sim.Proc, pl *core.Platform) ([]float64, error) {
+			w, err := workloads.RunDFSIOWrite(p, pl, opts)
 			if err != nil {
-				return res, fmt.Errorf("fig4b %v: %w", layout, err)
+				return nil, err
 			}
-			wSum += w.ThroughputMBps
-			rSum += rr.ThroughputMBps
+			r, err := workloads.RunDFSIORead(p, pl, opts)
+			return []float64{w.ThroughputMBps, r.ThroughputMBps}, err
+		})
+		if err != nil {
+			return res, fmt.Errorf("%v: %w", layout, err)
 		}
 		res.Points = append(res.Points,
-			Fig4bPoint{Kind: "write", Layout: layout, ThroughputMBps: wSum / float64(cfg.Reps)},
-			Fig4bPoint{Kind: "read", Layout: layout, ThroughputMBps: rSum / float64(cfg.Reps)},
+			Fig4bPoint{Kind: "write", Layout: layout, ThroughputMBps: mbps[0]},
+			Fig4bPoint{Kind: "read", Layout: layout, ThroughputMBps: mbps[1]},
 		)
 	}
 	return res, nil

@@ -31,9 +31,6 @@ type MachineSpec struct {
 	// MemBW is the rate at which dom0 serves page-cache hits (bytes/s).
 	// 0 defaults to 8 GB/s (DDR3 multi-channel).
 	MemBW float64
-	// CacheBytes is the dom0 NFS-client page cache capacity. 0 defaults to
-	// half of DRAM (the rest is reserved for guests).
-	CacheBytes float64
 	// StorNICBW is the storage/management NIC line rate (bytes/s). The
 	// testbed's servers have multiple GbE ports: guest traffic is bridged
 	// over one, while dom0's NFS client and live migration use another.
@@ -248,10 +245,6 @@ func (t *Topology) AddMachine(name string, spec MachineSpec) *Machine {
 	if memBW <= 0 {
 		memBW = 8e9
 	}
-	cacheBytes := spec.CacheBytes
-	if cacheBytes <= 0 {
-		cacheBytes = spec.DRAMBytes / 2
-	}
 	storBW := spec.StorNICBW
 	if storBW <= 0 {
 		storBW = spec.NICBW
@@ -272,7 +265,7 @@ func (t *Topology) AddMachine(name string, spec MachineSpec) *Machine {
 		StorTx:  t.fabric.NewLink(name+".stor.tx", storBW, storLat),
 		StorRx:  t.fabric.NewLink(name+".stor.rx", storBW, storLat),
 		MemBus:  sim.NewFairShare(t.engine, name+".membus", memBW, 0),
-		Cache:   NewPageCache(cacheBytes),
+		Cache:   NewPageCache(spec.DRAMBytes / 2),
 		id:      len(t.machines),
 	}
 	t.machines = append(t.machines, m)
