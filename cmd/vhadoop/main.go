@@ -11,6 +11,8 @@
 // -chart selects), a generated fault schedule against a Wordcount (chaos:
 // metrics snapshot, span trace and timeline) and the multi-tenant job
 // service study (jobsvc). Running with no experiment prints their names.
+// chaos runs one schedule, drawn from -seed, on a platform of fixed size:
+// it ignores -nodes, -reps and -quick.
 //
 // Flags:
 //

@@ -3,6 +3,7 @@ package datasets
 import (
 	"math"
 	"math/rand"
+	"strings"
 
 	"vhadoop/internal/hdfs"
 )
@@ -95,26 +96,30 @@ func ControlChart(rng *rand.Rand, opts ControlChartOptions) []ControlSeries {
 
 // VectorRecords encodes real vectors as HDFS records, each standing for
 // bytesEach virtual bytes (roughly the on-disk size of the serialized
-// vector).
+// vector). Vector i's key is "v%06d" of i, keeping the last six digits;
+// record keys are minted for every vector on every job load, so every key
+// is a slice of one string built in one allocation.
 func VectorRecords(vectors [][]float64, bytesEach float64) []hdfs.Record {
+	var b strings.Builder
+	b.Grow(len(vectors) * vectorKeyLen)
+	for i := range vectors {
+		key := [vectorKeyLen]byte{'v'}
+		for p, n := vectorKeyLen-1, i; p >= 1; p-- {
+			key[p] = byte('0' + n%10)
+			n /= 10
+		}
+		b.Write(key[:])
+	}
+	keys := b.String()
 	recs := make([]hdfs.Record, len(vectors))
 	for i, v := range vectors {
-		recs[i] = hdfs.Record{Key: vectorKey(i), Value: v, Size: bytesEach}
+		recs[i] = hdfs.Record{Key: keys[i*vectorKeyLen : (i+1)*vectorKeyLen], Value: v, Size: bytesEach}
 	}
 	return recs
 }
 
-// vectorKey formats "v%06d" without fmt; record keys are minted for every
-// vector on every job load, which put Sprintf on the clustering profiles.
-func vectorKey(i int) string {
-	var b [7]byte
-	b[0] = 'v'
-	for p := 6; p >= 1; p-- {
-		b[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[:])
-}
+// vectorKeyLen is the length of a vector record's key.
+const vectorKeyLen = len("v000000")
 
 // ControlVectors returns the data set as raw vectors (one 60-dim point per
 // series) for the clustering library.

@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -223,7 +224,8 @@ func TestGaussianComponentSpread(t *testing.T) {
 	}
 }
 
-// Property: VectorRecords preserves every vector and sizes sum correctly.
+// Property: VectorRecords preserves every vector, keys vector i "v%06d" of
+// i, and sizes sum correctly.
 func TestVectorRecordsProperty(t *testing.T) {
 	prop := func(n uint8, each uint16) bool {
 		vecs := make([][]float64, int(n%50)+1)
@@ -238,7 +240,7 @@ func TestVectorRecordsProperty(t *testing.T) {
 		var total float64
 		for i, r := range recs {
 			v := r.Value.([]float64)
-			if v[0] != float64(i) {
+			if v[0] != float64(i) || r.Key != fmt.Sprintf("v%06d", i) {
 				return false
 			}
 			total += r.Size
@@ -247,5 +249,14 @@ func TestVectorRecordsProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// VectorRecords mints every key from one string: two allocations, that
+// string and the records, however many vectors it encodes.
+func TestVectorRecordsAllocs(t *testing.T) {
+	vecs := make([][]float64, 1000)
+	if n := testing.AllocsPerRun(10, func() { VectorRecords(vecs, 8) }); n != 2 {
+		t.Fatalf("%v allocs per VectorRecords of 1000 vectors, want 2", n)
 	}
 }

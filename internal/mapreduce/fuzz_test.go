@@ -312,11 +312,25 @@ func referenceMapOutput(spec *JobSpec, recs []KV) ([][]KV, []float64) {
 	return parts, sizes
 }
 
+// mapOutputKeys are FuzzMapOutput's 40 keys: "" and, for each of 13
+// letters l, l, l+"b" and l+"bb", so keys share prefixes ("a" < "ab" <
+// "abb") and one partition can hold more keys than combineGroups scans
+// linearly.
+var mapOutputKeys = func() []string {
+	keys := []string{""}
+	for l := 'a'; l < 'a'+13; l++ {
+		keys = append(keys, string(l), string(l)+"b", string(l)+"bb")
+	}
+	return keys
+}()
+
 // FuzzMapOutput checks mapOutput against referenceMapOutput. Each input
 // byte is one record, from which the mapper emits zero to two records keyed
-// from an 8-letter alphabet, sized 0 to 4. The job has 0 to 7 reduces, a
-// hash partitioner or one that sends everything to the last reduce, and
-// optionally a combiner summing its values. Every case runs twice on one
+// from mapOutputKeys, sized 0 to 4. The job has 0 to 7 reduces, a hash
+// partitioner or one that sends everything to the last reduce, and
+// optionally a combiner that folds its values, in order, into one string
+// and then appends to them, so a reordered value or a group whose values
+// are not cap-limited changes its output. Every case runs twice on one
 // Cluster, so the second run reuses the scratch the first one grew.
 func FuzzMapOutput(f *testing.F) {
 	f.Add([]byte(nil), byte(0), false, false)
@@ -326,6 +340,7 @@ func FuzzMapOutput(f *testing.F) {
 	f.Add([]byte("the quick brown fox"), byte(4), true, false)
 	f.Add([]byte("aaaaaaaabbbbbbbb"), byte(3), false, true)
 	f.Add([]byte{0, 8, 16, 24, 32, 40, 48, 56, 7, 15}, byte(7), true, true)
+	f.Add([]byte("the quick brown fox jumps over the lazy dog 0123456789"), byte(2), true, true)
 	f.Fuzz(func(t *testing.T, data []byte, numReducesRaw byte, oneReduce, combine bool) {
 		if len(data) > 64 {
 			data = data[:64]
@@ -341,7 +356,7 @@ func FuzzMapOutput(f *testing.F) {
 				return MapperFunc(func(key string, value any, emit Emit) {
 					b := value.(byte)
 					for j := 0; j < int(b%3); j++ {
-						emit(string(rune('a'+(int(b)+j)%8)), int(b)*2+j, float64((int(b)+j)%5))
+						emit(mapOutputKeys[(int(b)+j)%len(mapOutputKeys)], int(b)*2+j, float64((int(b)+j)%5))
 					}
 				})
 			},
@@ -352,11 +367,8 @@ func FuzzMapOutput(f *testing.F) {
 		if combine {
 			spec.NewCombiner = func() Reducer {
 				return ReducerFunc(func(key string, values []any, emit Emit) {
-					sum := 0
-					for _, v := range values {
-						sum += v.(int)
-					}
-					emit(key, sum, float64(len(values)))
+					emit(key, fmt.Sprint(values...), float64(len(values)))
+					_ = append(values, -1)
 				})
 			}
 		}

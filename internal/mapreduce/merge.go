@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 )
@@ -15,21 +16,151 @@ import (
 // simulation's fetch order is deterministic under a fixed seed.
 
 // recordScratch is one Cluster's reusable record-path memory: the map
-// output in emit order with each record's partition, the scatter target of
-// a combining map, sortKVs' index permutation, a reduce's merged input and
-// reduceSorted's values slice. Only mapOutput and reduceOutput use it,
-// through the sortKVs, mergeRuns and reduceSorted calls they make. Neither
-// takes a *sim.Proc, so neither can block, and procs switch only at
-// blocking calls: no two tasks ever hold the scratch at once. Nothing they
-// return points into it, and they clear the records they left in it, so it
-// keeps no record alive past its task.
+// output in emit order with each record's partition, combineGroups'
+// groups, per-record group ids, group index and combiner emit, the index
+// permutation of sortKVs and combineGroups, a reduce's merged input and the
+// values slice of combineGroups and reduceSorted. Only mapOutput and
+// reduceOutput use it, through the combineGroups, sortKVs, mergeRuns and
+// reduceSorted calls they make. Neither takes a *sim.Proc, so neither can
+// block, and procs switch only at blocking calls: no two tasks ever hold
+// the scratch at once. Nothing they return points into it, and they clear
+// the records and keys they left in it, so it keeps no record alive past
+// its task.
 type recordScratch struct {
-	emitted []KV
-	part    []int
-	combine []KV
-	perm    []int
-	merged  []KV
-	values  []any
+	emitted    []KV
+	part       []int
+	groups     []group
+	groupOf    []int
+	groupIndex map[groupKey]int
+	combined   []KV // the combiner output being collected
+	collect    Emit // appends to combined; bound once, so emitting allocates nothing
+	perm       []int
+	merged     []KV
+	values     []any
+}
+
+// linearGroups is how many distinct groups combineGroups finds by a linear
+// scan before it indexes them in a map. Timed alone, the scan breaks even
+// with the map at 6 to 8 groups for 256 records and at about 8 to 10 for
+// 64, and wins by a quarter at 3. K-means maps hold at most k groups, and
+// Wordcount maps about 170, which take the map.
+const linearGroups = 8
+
+// groupKey names one (partition, key) group of a combining map's output.
+type groupKey struct {
+	key  string
+	part int
+}
+
+// group is one group of a combining map's output.
+type group struct {
+	groupKey
+	n   int // records in the group
+	end int // end of the group's values in recordScratch.values, once laid out
+}
+
+// combineGroups folds recs, a map's output in emit order with part[i] the
+// partition of recs[i], through a fresh combiner per partition, and
+// returns each partition's combiner output with its size summed into
+// sizes, which holds one entry per partition. One pass gives each record
+// the id of its (partition, key) group, only the distinct groups are
+// sorted, and each group's values are laid out in emit order. So every
+// combiner sees, in key order, exactly the (key, values) calls a stable
+// sort of its partition followed by a walk over its key groups would make.
+// Each group's values are cap-limited, so a combiner that appends to them
+// cannot overwrite the next group's; like reduceSorted's, they are scratch
+// that combiners must not retain past the call.
+func combineGroups(recs []KV, part []int, sizes []float64, newCombiner func() Reducer, s *recordScratch) [][]KV {
+	groups := s.groups[:0]
+	groupOf := slices.Grow(s.groupOf[:0], len(recs))[:len(recs)]
+	indexed := 0
+	for i, kv := range recs {
+		k := groupKey{kv.Key, part[i]}
+		g, found := 0, false
+		if len(groups) <= linearGroups {
+			for j := range groups {
+				if groups[j].groupKey == k {
+					g, found = j, true
+					break
+				}
+			}
+		} else {
+			g, found = s.groupIndex[k]
+		}
+		if !found {
+			g = len(groups)
+			groups = append(groups, group{groupKey: k})
+			if len(groups) > linearGroups {
+				if s.groupIndex == nil {
+					s.groupIndex = make(map[groupKey]int)
+				}
+				for ; indexed < len(groups); indexed++ {
+					s.groupIndex[groups[indexed].groupKey] = indexed
+				}
+			}
+		}
+		groups[g].n++
+		groupOf[i] = g
+	}
+
+	order := slices.Grow(s.perm[:0], len(groups))[:len(groups)]
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(groups[a].part, groups[b].part); c != 0 {
+			return c
+		}
+		return strings.Compare(groups[a].key, groups[b].key)
+	})
+	// Each group's end starts as its start and, as its values are laid
+	// out, moves to its end.
+	off := 0
+	for _, g := range order {
+		groups[g].end = off
+		off += groups[g].n
+	}
+	values := slices.Grow(s.values[:0], len(recs))[:len(recs)]
+	for i, kv := range recs {
+		g := &groups[groupOf[i]]
+		values[g.end] = kv.Value
+		g.end++
+	}
+
+	if s.collect == nil {
+		s.collect = func(key string, value any, size float64) {
+			s.combined = append(s.combined, KV{Key: key, Value: value, Size: size})
+		}
+	}
+	parts := make([][]KV, len(sizes))
+	next := 0
+	for i := range parts {
+		first := next
+		for next < len(order) && groups[order[next]].part == i {
+			next++
+		}
+		// Room for one record per key group, as reduceSorted's output.
+		s.combined = make([]KV, 0, next-first)
+		red := newCombiner()
+		for _, g := range order[first:next] {
+			lo, hi := groups[g].end-groups[g].n, groups[g].end
+			red.Reduce(groups[g].key, values[lo:hi:hi], s.collect)
+		}
+		parts[i] = s.combined
+		sizes[i] = 0
+		for _, kv := range parts[i] {
+			sizes[i] += kv.Size
+		}
+	}
+	s.combined = nil
+
+	if len(groups) > linearGroups {
+		clear(s.groupIndex)
+	}
+	clear(groups)
+	clear(values)
+	s.groups, s.groupOf, s.perm, s.values = groups[:0], groupOf[:0], order[:0], values[:0]
+	return parts
 }
 
 // sortKVs orders records by key (stable, so equal keys keep their current

@@ -5,7 +5,10 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
+
+	"vhadoop/internal/datasets"
 )
 
 // referenceSortKVs is a plain stable sort by key over the full shuffled
@@ -284,4 +287,82 @@ func BenchmarkDefaultPartition(b *testing.B) {
 		s += defaultPartition(keys[i%len(keys)], 16)
 	}
 	partitionSink = s
+}
+
+// combiningJob returns n input records and a job whose mapper emits, for
+// input record i, keys[i%len(keys)] with value i, and whose combiner is
+// comb.
+func combiningJob(keys []string, n, reduces int, comb Reducer) (*JobSpec, []KV) {
+	recs := make([]KV, n)
+	for i := range recs {
+		recs[i] = KV{Value: i, Size: 8}
+	}
+	return &JobSpec{
+		NumReduces: reduces,
+		Partition:  defaultPartition,
+		NewMapper: func() Mapper {
+			return MapperFunc(func(key string, value any, emit Emit) {
+				emit(keys[value.(int)%len(keys)], value, 24)
+			})
+		},
+		NewCombiner: func() Reducer { return comb },
+	}, recs
+}
+
+// firstValue is a combiner that passes each key's first value through, so
+// it allocates nothing of its own.
+var firstValue = ReducerFunc(func(key string, values []any, emit Emit) { emit(key, values[0], 24) })
+
+// TestCombiningMapOutputAllocs pins the allocations of one combining
+// mapOutput on a warm Cluster, at the shape of a k-means iteration's map:
+// 60 input records folded to 3 keys, here over 2 partitions. The 9 are the
+// sizes, the emit closure with the emitted records and partitions it
+// appends to, the mapper, the partition list and each partition's combiner
+// output.
+func TestCombiningMapOutputAllocs(t *testing.T) {
+	spec, recs := combiningJob([]string{"0", "1", "2"}, 60, 2, firstValue)
+	c := &Cluster{}
+	c.mapOutput(spec, recs) // grow the scratch
+	if n := testing.AllocsPerRun(100, func() { c.mapOutput(spec, recs) }); n != 9 {
+		t.Errorf("%v allocs per combining mapOutput, want 9", n)
+	}
+}
+
+// BenchmarkCombiningMapOutput times one combining mapOutput on a warm
+// Cluster at the two shapes the tree's combining maps take. "kmeans" is a
+// k-means iteration's map: 60 records folded to 3 keys, one reduce.
+// "wordcount" is a Wordcount map over 64 lines of the default corpus: 768
+// words, 188 of them distinct, over 4 reduces, summed by the combiner.
+func BenchmarkCombiningMapOutput(b *testing.B) {
+	var words []string
+	for _, r := range datasets.Text(rand.New(rand.NewSource(1)), datasets.DefaultTextOptions(64e6)) {
+		words = append(words, strings.Fields(r.Value.(datasets.Line).Text)...)
+	}
+	sum := ReducerFunc(func(key string, values []any, emit Emit) {
+		n := 0
+		for _, v := range values {
+			n += v.(int)
+		}
+		emit(key, n, 24)
+	})
+	for _, bc := range []struct {
+		name       string
+		keys       []string
+		n, reduces int
+		comb       Reducer
+	}{
+		{"kmeans", []string{"0", "1", "2"}, 60, 1, firstValue},
+		{"wordcount", words, len(words), 4, sum},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			spec, recs := combiningJob(bc.keys, bc.n, bc.reduces, bc.comb)
+			c := &Cluster{}
+			c.mapOutput(spec, recs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.mapOutput(spec, recs)
+			}
+		})
+	}
 }

@@ -155,17 +155,7 @@ func (c *Cluster) mapOutput(cfg *JobSpec, recs []KV) (parts [][]KV, sizes []floa
 	if cfg.NewCombiner == nil || cfg.NumReduces == 0 {
 		parts = scatter(make([]KV, emitted), buf, part, nParts)
 	} else {
-		s.combine = slices.Grow(s.combine[:0], emitted)[:emitted]
-		parts = scatter(s.combine, buf, part, nParts)
-		for i := range parts {
-			sortKVs(parts[i], s)
-			parts[i] = reduceSorted(parts[i], cfg.NewCombiner(), s)
-			sizes[i] = 0
-			for _, kv := range parts[i] {
-				sizes[i] += kv.Size
-			}
-		}
-		clear(s.combine)
+		parts = combineGroups(buf, part, sizes, cfg.NewCombiner, s)
 	}
 	if cfg.NumReduces > 0 {
 		for i := range parts {
