@@ -15,12 +15,14 @@ import (
 //
 // The budgets depend on the race detector (backlogbudget_race_test.go and
 // backlogbudget_norace_test.go). Without -race the counts repeat within a
-// few allocations, and the budgets sit 2 % above them: mixed 25,990
-// allocations and 3,575,448 B, uniform 19,593 and 3,240,728 B, once the
+// few allocations, and the budgets sit 2 % above them: mixed 24,494
+// allocations and 3,529,480 B, uniform 18,387 and 3,207,352 B, once the
+// map and reduce emits were bound once per Cluster and the page cache was
+// indexed by block id (25,990 / 3,575,448 B and 19,593 / 3,240,728 B
+// before; 25,989 / 3,576,272 B and 19,597 / 3,240,848 B before the
 // tasktracker heartbeats' timers moved onto a lane and page-cache
-// re-inserts went O(1) (25,989 / 3,576,272 B and 19,597 / 3,240,848 B
-// before). A map allocated per input line in the wordcount mapper adds
-// thousands. Under -race they move within a band; three runs of one binary
+// re-inserts went O(1)). A map allocated per input line in the wordcount
+// mapper adds thousands. Under -race they move within a band; three runs of one binary
 // read 27,140, 27,187 and 27,353 allocations for mixed. Those budgets sit
 // about 15 % above that band as it stood when they were set: mixed ≈ 27.2 k
 // allocations and 3.71 MB, uniform ≈ 20.8 k and 3.36 MB. Before the HDFS and

@@ -88,11 +88,11 @@ type Block struct {
 	// sub-slice of the slice handed to Write, shared with the writer and
 	// read-only.
 	Records []Record
-	key     string // page-cache tag, built once by tag
+	key     string // span name, built once by tag
 }
 
-// tag returns the block's page-cache tag, building it on first use (Write
-// does, for the block's span), so every disk access shares one string.
+// tag returns the block's span name, "blk-<id>", building it on first use
+// so the block's write and repair spans share one string.
 func (b *Block) tag() string {
 	if b.key == "" {
 		b.key = "blk-" + strconv.Itoa(b.ID)
@@ -451,13 +451,13 @@ func (c *Cluster) streamBlock(p *sim.Proc, client *xen.VM, b *Block, pipeline []
 	return err
 }
 
-// storeKey returns the page-cache tag a write of b stores under: b's tag,
-// or "" when writes bypass the host cache.
-func (c *Cluster) storeKey(b *Block) string {
+// storeKey returns the page-cache block id a write of b stores under: b's
+// id, or 0 when writes bypass the host cache.
+func (c *Cluster) storeKey(b *Block) uint64 {
 	if c.cfg.UseHostCache {
-		return b.tag()
+		return uint64(b.ID)
 	}
-	return ""
+	return 0
 }
 
 // bestReplica picks the replica a client reads from. A same-VM replica is
@@ -557,7 +557,7 @@ func (c *Cluster) ReadRange(p *sim.Proc, client *xen.VM, b *Block, bytes float64
 // no process; the O_DIRECT path is one relay stage.
 func (c *Cluster) readFrom(p *sim.Proc, client *xen.VM, d *Datanode, b *Block, bytes float64) error {
 	if c.cfg.UseHostCache {
-		return d.VM.ReadAndSend(p, client, b.tag(), bytes)
+		return d.VM.ReadAndSend(p, client, uint64(b.ID), bytes)
 	}
 	// O_DIRECT path: one coupled relay flow filer -> replica host -> client.
 	return d.VM.SpawnRelay(client, bytes).Wait(p)

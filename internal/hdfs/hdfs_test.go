@@ -553,7 +553,7 @@ func TestWriteFailsWhenWholePipelineDies(t *testing.T) {
 // the block's replicas in place, so neither count grows with the number of
 // datanodes.
 //
-// Writing a one-block file takes 6: the block, its page-cache tag, the
+// Writing a one-block file takes 6: the block, its span name, the
 // pipeline that becomes its replica list, the file, its block list and
 // splitRecords' group list. The counts were re-recorded when the stages
 // stopped being processes and stayed 0, 0 and 6: on a warm cluster the

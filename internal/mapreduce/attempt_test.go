@@ -15,10 +15,12 @@ import (
 // both sim.Procs by value and both bodies bound once, so neither allocates
 // a process. The xen.IOProc stages of the job's reads and writes own
 // no process; re-recorded when they stopped being processes, the count
-// stayed 25, because on a warm cluster their records and carriers were
-// already reused. While each launch spawned two fresh Procs running two
-// fresh closures, the same job took 4 more (29), and while the stage
-// records also spawned a fresh Proc each, 9 more (34).
+// did not move, because on a warm cluster their records and carriers were
+// already reused. The mapper's emit is bound once in the Cluster's record
+// scratch; while it was a per-map closure over its buffers and sizes, the
+// same job took 4 more (25). While each launch also spawned two fresh
+// Procs running two fresh closures, it took 8 more (29), and while the
+// stage records also spawned a fresh Proc each, 13 more (34).
 func TestAttemptPathAllocs(t *testing.T) {
 	pl := core.MustNewPlatform(smallOpts(4, core.Normal))
 	e := pl.Engine
@@ -62,8 +64,8 @@ func TestAttemptPathAllocs(t *testing.T) {
 	if jobs != 24 {
 		t.Fatalf("%d jobs ran, want 24", jobs)
 	}
-	if n != 25 {
-		t.Errorf("%v allocs per one-map job, want 25", n)
+	if n != 21 {
+		t.Errorf("%v allocs per one-map job, want 21", n)
 	}
 	stop = true
 	step()

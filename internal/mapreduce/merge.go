@@ -15,28 +15,57 @@ import (
 // arrival-ordered concatenation produced — and deterministic, because the
 // simulation's fetch order is deterministic under a fixed seed.
 
-// recordScratch is one Cluster's reusable record-path memory: the map
-// output in emit order with each record's partition, combineGroups'
-// groups, per-record group ids, group index and combiner emit, the index
-// permutation of sortKVs and combineGroups, a reduce's merged input and the
-// values slice of combineGroups and reduceSorted. Only mapOutput and
-// reduceOutput use it, through the combineGroups, sortKVs, mergeRuns and
-// reduceSorted calls they make. Neither takes a *sim.Proc, so neither can
-// block, and procs switch only at blocking calls: no two tasks ever hold
-// the scratch at once. Nothing they return points into it, and they clear
-// the records and keys they left in it, so it keeps no record alive past
-// its task.
+// recordScratch is one Cluster's reusable record-path memory: the mapper's
+// emit with the map output it collects in emit order (each record's
+// partition, and each partition's size), combineGroups' groups, per-record
+// group ids and group index, the combiner and reducer emit with the output
+// it collects, the index permutation of sortKVs and combineGroups, a
+// reduce's merged input and the values slice of combineGroups and
+// reduceSorted. Only mapOutput and reduceOutput use it, through the
+// combineGroups, sortKVs, mergeRuns and reduceSorted calls they make.
+// Neither takes a *sim.Proc, so neither can block, and procs switch only
+// at blocking calls: no two tasks ever hold the scratch at once. Nothing
+// they return points into it, and they clear the records and keys they
+// left in it, so it keeps no record alive past its task.
 type recordScratch struct {
+	emit       Emit     // emitMap, bound once by bind, so emitting allocates nothing
+	cfg        *JobSpec // the job of the map emitting, nil between maps
 	emitted    []KV
 	part       []int
+	sizes      []float64 // the emitting map's partition sizes, nil between maps
 	groups     []group
 	groupOf    []int
 	groupIndex map[groupKey]int
-	combined   []KV // the combiner output being collected
-	collect    Emit // appends to combined; bound once, so emitting allocates nothing
+	collect    Emit // collectKV, bound once by bind
+	combined   []KV // the combiner or reducer output being collected
 	perm       []int
 	merged     []KV
 	values     []any
+}
+
+// bind binds s's emits, on first use of s.
+func (s *recordScratch) bind() {
+	if s.emit == nil {
+		s.emit, s.collect = s.emitMap, s.collectKV
+	}
+}
+
+// emitMap is the mapper's emit: it appends a record and its partition to
+// the map output and adds its size to its partition's.
+func (s *recordScratch) emitMap(key string, value any, size float64) {
+	idx := 0
+	if s.cfg.NumReduces > 0 {
+		idx = s.cfg.Partition(key, s.cfg.NumReduces)
+	}
+	s.emitted = append(s.emitted, KV{Key: key, Value: value, Size: size})
+	s.part = append(s.part, idx)
+	s.sizes[idx] += size
+}
+
+// collectKV is the combiner's and reducer's emit: it appends a record to
+// s.combined.
+func (s *recordScratch) collectKV(key string, value any, size float64) {
+	s.combined = append(s.combined, KV{Key: key, Value: value, Size: size})
 }
 
 // linearGroups is how many distinct groups combineGroups finds by a linear
@@ -127,11 +156,6 @@ func combineGroups(recs []KV, part []int, sizes []float64, newCombiner func() Re
 		g.end++
 	}
 
-	if s.collect == nil {
-		s.collect = func(key string, value any, size float64) {
-			s.combined = append(s.combined, KV{Key: key, Value: value, Size: size})
-		}
-	}
 	parts := make([][]KV, len(sizes))
 	next := 0
 	for i := range parts {
@@ -321,10 +345,8 @@ func reduceSorted(kvs []KV, red Reducer, s *recordScratch) []KV {
 		largest = max(largest, end-i)
 		i = end
 	}
-	out := make([]KV, 0, groups)
-	emit := func(key string, value any, size float64) {
-		out = append(out, KV{Key: key, Value: value, Size: size})
-	}
+	s.bind()
+	s.combined = make([]KV, 0, groups)
 	values := slices.Grow(s.values[:0], largest)
 	for i := 0; i < len(kvs); {
 		end := groupEnd(kvs, i)
@@ -332,11 +354,13 @@ func reduceSorted(kvs []KV, red Reducer, s *recordScratch) []KV {
 		for _, kv := range kvs[i:end] {
 			values = append(values, kv.Value)
 		}
-		red.Reduce(kvs[i].Key, values, emit)
+		red.Reduce(kvs[i].Key, values, s.collect)
 		i = end
 	}
 	clear(values[:largest])
 	s.values = values[:0]
+	out := s.combined
+	s.combined = nil
 	return out
 }
 

@@ -315,16 +315,15 @@ var firstValue = ReducerFunc(func(key string, values []any, emit Emit) { emit(ke
 
 // TestCombiningMapOutputAllocs pins the allocations of one combining
 // mapOutput on a warm Cluster, at the shape of a k-means iteration's map:
-// 60 input records folded to 3 keys, here over 2 partitions. The 9 are the
-// sizes, the emit closure with the emitted records and partitions it
-// appends to, the mapper, the partition list and each partition's combiner
-// output.
+// 60 input records folded to 3 keys, here over 2 partitions. The 5 are the
+// sizes, the mapper, the partition list and each partition's combiner
+// output; the emits are bound once in the scratch.
 func TestCombiningMapOutputAllocs(t *testing.T) {
 	spec, recs := combiningJob([]string{"0", "1", "2"}, 60, 2, firstValue)
 	c := &Cluster{}
 	c.mapOutput(spec, recs) // grow the scratch
-	if n := testing.AllocsPerRun(100, func() { c.mapOutput(spec, recs) }); n != 9 {
-		t.Errorf("%v allocs per combining mapOutput, want 9", n)
+	if n := testing.AllocsPerRun(100, func() { c.mapOutput(spec, recs) }); n != 5 {
+		t.Errorf("%v allocs per combining mapOutput, want 5", n)
 	}
 }
 

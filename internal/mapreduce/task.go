@@ -130,27 +130,21 @@ func (c *Cluster) runMap(p *sim.Proc, tr *Tracker, t *task) {
 // kept.
 func (c *Cluster) mapOutput(cfg *JobSpec, recs []KV) (parts [][]KV, sizes []float64, emitted int) {
 	s := &c.scratch
+	s.bind()
 	nParts := max(cfg.NumReduces, 1)
-	sizes = make([]float64, nParts)
+	s.cfg, s.sizes = cfg, make([]float64, nParts)
 	// Most mappers emit at least one record per input record.
-	buf := slices.Grow(s.emitted[:0], len(recs))
-	part := slices.Grow(s.part[:0], len(recs))
-	emit := func(key string, value any, size float64) {
-		idx := 0
-		if cfg.NumReduces > 0 {
-			idx = cfg.Partition(key, cfg.NumReduces)
-		}
-		buf = append(buf, KV{Key: key, Value: value, Size: size})
-		part = append(part, idx)
-		sizes[idx] += size
-	}
+	s.emitted = slices.Grow(s.emitted[:0], len(recs))
+	s.part = slices.Grow(s.part[:0], len(recs))
 	mapper := cfg.NewMapper()
 	for _, rec := range recs {
-		mapper.Map(rec.Key, rec.Value, emit)
+		mapper.Map(rec.Key, rec.Value, s.emit)
 	}
 	if cm, ok := mapper.(ClosingMapper); ok {
-		cm.Close(emit)
+		cm.Close(s.emit)
 	}
+	buf, part, sizes := s.emitted, s.part, s.sizes
+	s.cfg, s.sizes = nil, nil
 	emitted = len(buf)
 	if cfg.NewCombiner == nil || cfg.NumReduces == 0 {
 		parts = scatter(make([]KV, emitted), buf, part, nParts)
@@ -291,7 +285,7 @@ func (c *Cluster) fetchMapOutput(p *sim.Proc, src, dst *xen.VM, bytes float64) {
 		dst.ReadDisk(p, bytes)
 		return
 	}
-	if err := src.ReadAndSend(p, dst, "", bytes); err != nil {
+	if err := src.ReadAndSend(p, dst, 0, bytes); err != nil {
 		p.Fail(err)
 	}
 }

@@ -22,7 +22,9 @@ import (
 // moves between the layers without conversion.
 type KV = hdfs.Record
 
-// Emit receives a record produced by a Mapper, Combiner or Reducer.
+// Emit receives a record produced by a Mapper, Combiner or Reducer. It may
+// be called only during the Map, Close or Reduce call it was passed to:
+// the engine reuses it for the next task.
 type Emit func(key string, value any, size float64)
 
 // Mapper transforms one input record into intermediate records.

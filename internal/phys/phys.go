@@ -9,6 +9,7 @@ package phys
 
 import (
 	"fmt"
+	"math"
 
 	"vhadoop/internal/sim"
 	"vhadoop/internal/vnet"
@@ -68,92 +69,80 @@ type Machine struct {
 // file data is served from host memory instead of the filer, with FIFO
 // eviction. This is what makes a freshly-written HDFS data set fast to
 // re-read on the same physical machine — and what a cross-domain cluster
-// loses whenever a replica lives on the other machine.
+// loses whenever a replica lives on the other machine. It is keyed by HDFS
+// block id; no block has id 0, which callers pass to bypass the cache.
 type PageCache struct {
-	capacity float64
-	used     float64
-	entries  map[string]int // key -> the position of its slot in order
-	// order holds a slot per insert in blocks of cacheBlock, so it grows
-	// without copying: slot p is order[p/cacheBlock][p%cacheBlock]. The
-	// slots from head to tail are queued, oldest insert first. A re-insert
-	// leaves its key's old slot stale, as the key's entry no longer names
-	// it, and eviction skips stale slots, so a re-insert costs O(1)
-	// amortized. Once the blocks are full and a sixteenth of their slots
-	// are stale or before head, Insert compacts the queue to the front
-	// instead of adding a block.
-	order      []*[cacheBlock]cacheSlot
-	head, tail int
+	capacity, used float64
+	// entries[id] is block id's entry, grown to the highest id inserted.
+	// The cached entries form a doubly linked list from head to tail,
+	// oldest insert first; id 0 ends it.
+	entries    []cacheEntry
+	head, tail uint32
 }
 
-// cacheBlock is the number of slots in each block of a PageCache's order.
-const cacheBlock = 16
-
-type cacheSlot struct {
-	key   string
-	bytes float64
+type cacheEntry struct {
+	bytes      float64
+	prev, next uint32
+	cached     bool
 }
 
 // NewPageCache returns an empty cache of the given capacity.
 func NewPageCache(capacity float64) *PageCache {
-	return &PageCache{capacity: capacity, entries: make(map[string]int)}
+	return &PageCache{capacity: capacity}
 }
 
-// Contains reports whether key is cached.
-func (c *PageCache) Contains(key string) bool {
-	_, ok := c.entries[key]
-	return ok
+// Contains reports whether block id is cached.
+func (c *PageCache) Contains(id uint64) bool {
+	return id < uint64(len(c.entries)) && c.entries[id].cached
 }
 
-// Insert adds key with the given size, evicting oldest entries to fit.
-// Entries larger than the whole cache are not cached.
-func (c *PageCache) Insert(key string, bytes float64) {
+// Insert caches block id with the given size as the newest entry, evicting
+// the oldest entries to fit; a re-insert of a cached id counts as a new
+// insert. Entries larger than the whole cache are not cached. Id 0, which
+// means "no caching", and ids beyond 32 bits panic.
+func (c *PageCache) Insert(id uint64, bytes float64) {
+	if id == 0 || id > math.MaxUint32 {
+		panic(fmt.Sprintf("phys: page-cache insert of block id %d", id))
+	}
 	if bytes > c.capacity {
 		return
 	}
-	if p, ok := c.entries[key]; ok {
-		c.used -= c.slot(p).bytes
-		delete(c.entries, key)
+	if n := int(id) + 1; n > len(c.entries) {
+		c.entries = append(c.entries, make([]cacheEntry, n-len(c.entries))...)
 	}
-	for c.used+bytes > c.capacity && len(c.entries) > 0 {
-		s := c.slot(c.head)
-		if p, ok := c.entries[s.key]; ok && p == c.head {
-			c.used -= s.bytes
-			delete(c.entries, s.key)
-		}
-		*s = cacheSlot{}
-		c.head++
+	k := uint32(id)
+	if c.entries[k].cached {
+		c.used -= c.entries[k].bytes
+		c.unlink(k)
 	}
-	if c.tail == len(c.order)*cacheBlock {
-		if dead := c.tail - len(c.entries); dead > 0 && 16*dead >= c.tail {
-			c.compact()
-		} else {
-			c.order = append(c.order, new([cacheBlock]cacheSlot))
-		}
+	for c.used+bytes > c.capacity && c.head != 0 {
+		c.used -= c.entries[c.head].bytes
+		c.unlink(c.head)
 	}
-	c.entries[key] = c.tail
-	*c.slot(c.tail) = cacheSlot{key, bytes}
-	c.tail++
+	c.entries[k] = cacheEntry{bytes: bytes, prev: c.tail, cached: true}
+	if c.tail != 0 {
+		c.entries[c.tail].next = k
+	} else {
+		c.head = k
+	}
+	c.tail = k
 	c.used += bytes
 }
 
-func (c *PageCache) slot(p int) *cacheSlot { return &c.order[p/cacheBlock][p%cacheBlock] }
-
-// compact moves the live queued slots to the front of order, keeping
-// their order.
-func (c *PageCache) compact() {
-	n := 0
-	for p := c.head; p < c.tail; p++ {
-		s := c.slot(p)
-		if q, ok := c.entries[s.key]; ok && q == p {
-			c.entries[s.key] = n
-			*c.slot(n) = *s
-			n++
-		}
+// unlink takes cached entry k out of the list and clears it.
+func (c *PageCache) unlink(k uint32) {
+	e := c.entries[k]
+	if e.prev != 0 {
+		c.entries[e.prev].next = e.next
+	} else {
+		c.head = e.next
 	}
-	for p := n; p < c.tail; p++ {
-		*c.slot(p) = cacheSlot{}
+	if e.next != 0 {
+		c.entries[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
 	}
-	c.head, c.tail = 0, n
+	c.entries[k] = cacheEntry{}
 }
 
 // MemFree returns uncommitted DRAM in bytes.

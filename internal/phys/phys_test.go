@@ -2,7 +2,9 @@ package phys
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vhadoop/internal/sim"
@@ -167,100 +169,173 @@ func TestRelayPathJoinsHostAndGuestPaths(t *testing.T) {
 }
 
 // TestPageCacheFIFOEviction pins the cache's eviction order: oldest insert
-// first, where a re-insert of a cached key counts as a new insert and an
+// first, where a re-insert of a cached block counts as a new insert and an
 // entry larger than the whole cache is not cached (nor does it evict the
-// key's cached copy). The scripted steps were recorded when a re-insert
-// took its key out of the order by a linear scan; the random run checks
-// the cache against that scan, kept here as the reference, over many
-// re-inserts, so stale slots are skipped and compacted away.
+// block's cached copy). The scripted steps, with blocks a to j as ids 1 to
+// 10, were recorded when a re-insert took its key out of the order by a
+// linear scan; the random run checks the cache against that scan, kept
+// here as the reference, over many re-inserts.
 func TestPageCacheFIFOEviction(t *testing.T) {
 	c := NewPageCache(10)
 	for i, step := range []struct {
-		key   string
+		key   byte
 		bytes float64
-		want  string // the cached keys, in key order
+		want  string // the cached blocks, in id order
 		used  float64
 	}{
-		{"a", 4, "a", 4},
-		{"b", 3, "ab", 7},
-		{"c", 3, "abc", 10},  // exactly full: nothing evicted
-		{"a", 4, "abc", 10},  // re-insert: a is now the newest
-		{"d", 2, "acd", 9},   // evicts b, the oldest
-		{"e", 11, "acd", 9},  // larger than the cache: not cached
-		{"c", 11, "acd", 9},  // nor a re-insert of a cached key
-		{"c", 1, "acd", 7},   // a smaller re-insert: c is the newest
-		{"f", 3, "acdf", 10}, // exactly full again
-		{"g", 1, "cdfg", 7},  // evicts a
-		{"h", 10, "h", 10},   // the size of the cache: evicts all the rest
-		{"h", 10, "h", 10},
-		{"i", 0, "hi", 10},
-		{"j", 1, "ij", 1},
+		{'a', 4, "a", 4},
+		{'b', 3, "ab", 7},
+		{'c', 3, "abc", 10},  // exactly full: nothing evicted
+		{'a', 4, "abc", 10},  // re-insert: a is now the newest
+		{'d', 2, "acd", 9},   // evicts b, the oldest
+		{'e', 11, "acd", 9},  // larger than the cache: not cached
+		{'c', 11, "acd", 9},  // nor a re-insert of a cached block
+		{'c', 1, "acd", 7},   // a smaller re-insert: c is the newest
+		{'f', 3, "acdf", 10}, // exactly full again
+		{'g', 1, "cdfg", 7},  // evicts a
+		{'h', 10, "h", 10},   // the size of the cache: evicts all the rest
+		{'h', 10, "h", 10},
+		{'i', 0, "hi", 10},
+		{'j', 1, "ij", 1},
 	} {
-		c.Insert(step.key, step.bytes)
+		c.Insert(uint64(step.key-'a'+1), step.bytes)
 		got := ""
-		for _, k := range "abcdefghij" {
-			if c.Contains(string(k)) {
+		for k := byte('a'); k <= 'j'; k++ {
+			if c.Contains(uint64(k - 'a' + 1)) {
 				got += string(k)
 			}
 		}
 		if got != step.want || c.used != step.used {
-			t.Fatalf("step %d, insert %s of %v: cached %q using %v, want %q using %v", i, step.key, step.bytes, got, c.used, step.want, step.used)
+			t.Fatalf("step %d, insert %c of %v: cached %q using %v, want %q using %v", i, step.key, step.bytes, got, c.used, step.want, step.used)
 		}
 	}
 
-	// A small cache churns through one block of its order; a large one
-	// with many keys spans several.
+	// A small cache churns through few ids; a large one holds many.
 	for _, tc := range []struct {
 		capacity float64
-		keys     int
+		ids      uint64
 	}{{10, 8}, {400, 200}} {
-		ref := &refPageCache{capacity: tc.capacity, entries: map[string]float64{}}
+		ref := newRefPageCache(tc.capacity)
 		c := NewPageCache(tc.capacity)
 		rng := rand.New(rand.NewSource(1))
-		keys := make([]string, tc.keys)
-		for i := range keys {
-			keys[i] = fmt.Sprintf("k%d", i)
-		}
 		for i := 0; i < 20000; i++ {
-			key, bytes := keys[rng.Intn(len(keys))], float64(rng.Intn(23))/2
+			id, bytes := 1+uint64(rng.Intn(int(tc.ids))), float64(rng.Intn(23))/2
 			if rng.Intn(4) == 0 {
-				key = keys[0] // a hot key, re-inserted over and over
+				id = 1 // a hot block, re-inserted over and over
 			}
-			c.Insert(key, bytes)
-			ref.insert(key, bytes)
-			for _, k := range keys {
-				if _, want := ref.entries[k]; c.Contains(k) != want {
-					t.Fatalf("capacity %v, op %d, insert %s of %v: Contains(%s) = %v, want %v", tc.capacity, i, key, bytes, k, !want, want)
-				}
-			}
-			if c.used != ref.used {
-				t.Fatalf("capacity %v, op %d: cache uses %v, reference %v", tc.capacity, i, c.used, ref.used)
+			c.Insert(id, bytes)
+			ref.insert(id, bytes)
+			if err := ref.diff(c, tc.ids); err != nil {
+				t.Fatalf("capacity %v, op %d, insert %d of %v: %v", tc.capacity, i, id, bytes, err)
 			}
 		}
+	}
+}
+
+// FuzzPageCache checks PageCache against refPageCache over inserts of
+// blocks 1 to n into a cache of capacity 1 to 16. Sizes are tenths from 0
+// to two above the capacity, so they include empty entries, exact fits,
+// entries larger than the cache and sums that round. After every insert
+// the two must cache the same blocks in the same order and use bitwise the
+// same bytes.
+func FuzzPageCache(f *testing.F) {
+	f.Add([]byte{9, 7, 0, 40, 1, 30, 2, 30, 0, 40, 3, 20, 4, 110, 2, 110, 2, 10})
+	f.Add([]byte{0, 3, 0, 1, 1, 3, 2, 7, 0, 1, 1, 0, 2, 30})
+	// Inputs that caught a lost tail link, a re-insert unlinked after the
+	// evictions, and evictions summed before they leave used.
+	f.Add([]byte("00xAxA"))
+	f.Add([]byte("000A1AxA1A"))
+	f.Add([]byte("90210017"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		capacity := float64(1 + data[0]%16)
+		n := 1 + uint64(data[1]%32)
+		ref := newRefPageCache(capacity)
+		c := NewPageCache(capacity)
+		for i := 2; i+1 < len(data); i += 2 {
+			id := 1 + uint64(data[i])%n
+			bytes := float64(int(data[i+1])%(10*int(capacity)+21)) / 10
+			c.Insert(id, bytes)
+			ref.insert(id, bytes)
+			if err := ref.diff(c, n); err != nil {
+				t.Fatalf("capacity %v, insert %d of %v: %v", capacity, id, bytes, err)
+			}
+		}
+	})
+}
+
+// TestPageCacheSteadyStateAllocs pins that a warm cache allocates nothing
+// for ids below the highest it has seen.
+func TestPageCacheSteadyStateAllocs(t *testing.T) {
+	const ids = 64
+	warm := func(capacity float64) *PageCache {
+		c := NewPageCache(capacity)
+		c.Insert(ids, 1)
+		return c
+	}
+	roomy, tight := warm(2*ids), warm(4)
+	next, churn := uint64(0), uint64(0)
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"new insert", func() { next++; roomy.Insert(next, 1) }},
+		{"re-insert", func() { roomy.Insert(1, 1) }},
+		{"evicting insert", func() { churn = churn%(ids-1) + 1; tight.Insert(churn, 1) }},
+		{"too-large insert", func() { roomy.Insert(2, 3*ids) }},
+		{"Contains", func() { roomy.Contains(ids) }},
+	} {
+		if got := testing.AllocsPerRun(50, tc.op); got != 0 {
+			t.Errorf("%s: %v allocations, want 0", tc.name, got)
+		}
+	}
+	if next >= ids || roomy.used != float64(next+1) || tight.used != 4 {
+		t.Fatalf("the inserts were not what they claim: %d new inserts, roomy uses %v, tight %v", next, roomy.used, tight.used)
+	}
+}
+
+// Id 0 means "no caching", so inserting it is a caller's bug; so is an id
+// the cache's 32-bit links cannot hold.
+func TestPageCacheInsertBadIDPanics(t *testing.T) {
+	for _, id := range []uint64{0, 1 << 32} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Insert(%d) did not panic", id)
+				}
+			}()
+			NewPageCache(10).Insert(id, 1)
+		}()
 	}
 }
 
 // refPageCache is PageCache as it was before re-inserts went O(1): a
-// re-insert scans the order for its key.
+// re-insert scans the order for its block.
 type refPageCache struct {
 	capacity, used float64
-	entries        map[string]float64
-	order          []string
+	entries        map[uint64]float64
+	order          []uint64
 }
 
-func (c *refPageCache) insert(key string, bytes float64) {
+func newRefPageCache(capacity float64) *refPageCache {
+	return &refPageCache{capacity: capacity, entries: map[uint64]float64{}}
+}
+
+func (c *refPageCache) insert(id uint64, bytes float64) {
 	if bytes > c.capacity {
 		return
 	}
-	if old, ok := c.entries[key]; ok {
+	if old, ok := c.entries[id]; ok {
 		c.used -= old
 		for i, k := range c.order {
-			if k == key {
+			if k == id {
 				c.order = append(c.order[:i], c.order[i+1:]...)
 				break
 			}
 		}
-		delete(c.entries, key)
+		delete(c.entries, id)
 	}
 	for c.used+bytes > c.capacity && len(c.order) > 0 {
 		victim := c.order[0]
@@ -268,7 +343,33 @@ func (c *refPageCache) insert(key string, bytes float64) {
 		c.used -= c.entries[victim]
 		delete(c.entries, victim)
 	}
-	c.entries[key] = bytes
-	c.order = append(c.order, key)
+	c.entries[id] = bytes
+	c.order = append(c.order, id)
 	c.used += bytes
+}
+
+// diff reports how c differs from the reference over ids 0 to n+1: in
+// Contains, in its bytes used, compared bitwise, or in its list, walked
+// both ways.
+func (ref *refPageCache) diff(c *PageCache, n uint64) error {
+	for id := uint64(0); id <= n+1; id++ {
+		if _, want := ref.entries[id]; c.Contains(id) != want {
+			return fmt.Errorf("Contains(%d) = %v, want %v", id, !want, want)
+		}
+	}
+	if math.Float64bits(c.used) != math.Float64bits(ref.used) {
+		return fmt.Errorf("the cache uses %v, the reference %v", c.used, ref.used)
+	}
+	var fwd, back []uint64
+	for k := c.head; k != 0 && len(fwd) <= len(c.entries); k = c.entries[k].next {
+		fwd = append(fwd, uint64(k))
+	}
+	for k := c.tail; k != 0 && len(back) <= len(c.entries); k = c.entries[k].prev {
+		back = append(back, uint64(k))
+	}
+	slices.Reverse(back)
+	if !slices.Equal(fwd, ref.order) || !slices.Equal(back, ref.order) {
+		return fmt.Errorf("the list runs %v forward and %v backward, want %v", fwd, back, ref.order)
+	}
+	return nil
 }

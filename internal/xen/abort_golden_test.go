@@ -32,34 +32,34 @@ func TestIOStageAbortGolden(t *testing.T) {
 		want  string
 	}{
 		{"pipeline send", "dst", 0.3, false, func(p *sim.Proc, src, dst *VM) error {
-			return src.SpawnStore(dst, "blk-1", 100e6).Wait(p)
+			return src.SpawnStore(dst, 1, 100e6).Wait(p)
 		}, "err=xen: virtual machine has crashed: dst wait=0.3 end=0.8405861344537815 links=[switch=1e+08 pm1.bridge=1e+08 pm1.tx=1e+08 pm1.nicproc=1e+08 pm2.bridge=1e+08 pm2.rx=1e+08 pm2.nicproc=1e+08]"},
 		{"pipeline disk write", "dst", 1.5, false, func(p *sim.Proc, src, dst *VM) error {
-			return src.SpawnStore(dst, "blk-1", 100e6).Wait(p)
+			return src.SpawnStore(dst, 1, 100e6).Wait(p)
 		}, "err=xen: virtual machine has crashed: dst wait=1.5 end=2.3405861344537815 links=[switch=2e+08 pm1.bridge=1e+08 pm1.tx=1e+08 pm1.nicproc=1e+08 pm2.bridge=1e+08 pm2.rx=1e+08 pm2.nicproc=1e+08 pm2.stor.tx=1e+08 filer.stor.rx=1e+08]"},
 		{"read disk half", "src", 0.3, false, func(p *sim.Proc, src, dst *VM) error {
-			return src.ReadAndSend(p, dst, "blk-1", 100e6)
+			return src.ReadAndSend(p, dst, 1, 100e6)
 		}, "err=xen: virtual machine has crashed: src wait=0.3 end=1 links=[switch=2e+08 pm1.bridge=1e+08 pm1.tx=1e+08 pm1.nicproc=1e+08 pm1.stor.rx=1e+08 pm2.bridge=1e+08 pm2.rx=1e+08 pm2.nicproc=1e+08 filer.stor.tx=1e+08]"},
 		{"read network half", "dst", 0.3, false, func(p *sim.Proc, src, dst *VM) error {
-			return src.ReadAndSend(p, dst, "blk-1", 100e6)
+			return src.ReadAndSend(p, dst, 1, 100e6)
 		}, "err=xen: virtual machine has crashed: dst wait=1 end=1 links=[switch=2e+08 pm1.bridge=1e+08 pm1.tx=1e+08 pm1.nicproc=1e+08 pm1.stor.rx=1e+08 pm2.bridge=1e+08 pm2.rx=1e+08 pm2.nicproc=1e+08 filer.stor.tx=1e+08]"},
 		{"O_DIRECT relay", "dst", 0.3, false, func(p *sim.Proc, src, dst *VM) error {
 			return src.SpawnRelay(dst, 100e6).Wait(p)
 		}, "err=xen: virtual machine has crashed: dst wait=0.3 end=1 links=[switch=2e+08 pm1.bridge=1e+08 pm1.tx=1e+08 pm1.nicproc=1e+08 pm1.stor.rx=1e+08 pm2.bridge=1e+08 pm2.rx=1e+08 pm2.nicproc=1e+08 filer.stor.tx=1e+08]"},
 		{"repair copy", "src", 0.3, false, func(p *sim.Proc, src, dst *VM) error {
-			return src.SpawnStore(dst, "", 100e6).Wait(p)
+			return src.SpawnStore(dst, 0, 100e6).Wait(p)
 		}, "err=xen: virtual machine has crashed: src wait=0.3 end=0.8405861344537815 links=[switch=1e+08 pm1.bridge=1e+08 pm1.tx=1e+08 pm1.nicproc=1e+08 pm2.bridge=1e+08 pm2.rx=1e+08 pm2.nicproc=1e+08]"},
 		{"shuffle fetch half", "dst", 0.5, false, func(p *sim.Proc, src, dst *VM) error {
-			return src.ReadAndSend(p, dst, "", 100e6)
+			return src.ReadAndSend(p, dst, 0, 100e6)
 		}, "err=xen: virtual machine has crashed: dst wait=1 end=1 links=[switch=2e+08 pm1.bridge=1e+08 pm1.tx=1e+08 pm1.nicproc=1e+08 pm1.stor.rx=1e+08 pm2.bridge=1e+08 pm2.rx=1e+08 pm2.nicproc=1e+08 filer.stor.tx=1e+08]"},
 		{"O_DIRECT relay, late", "src", 0, false, func(p *sim.Proc, src, dst *VM) error {
 			return src.SpawnRelay(dst, 100e6).Wait(p)
 		}, "err=xen: virtual machine has crashed: src wait=1 end=1 links=[switch=2e+08 pm1.bridge=1e+08 pm1.tx=1e+08 pm1.nicproc=1e+08 pm1.stor.rx=1e+08 pm2.bridge=1e+08 pm2.rx=1e+08 pm2.nicproc=1e+08 filer.stor.tx=1e+08]"},
 		{"pipeline send from a paused VM", "", 0, true, func(p *sim.Proc, src, dst *VM) error {
-			return src.SpawnStore(dst, "blk-1", 100e6).Wait(p)
+			return src.SpawnStore(dst, 1, 100e6).Wait(p)
 		}, "err=<nil> wait=4.3405861344537815 end=4.3405861344537815 links=[switch=2e+08 pm1.bridge=1e+08 pm1.tx=1e+08 pm1.nicproc=1e+08 pm2.bridge=1e+08 pm2.rx=1e+08 pm2.nicproc=1e+08 pm2.stor.tx=1e+08 filer.stor.rx=1e+08]"},
 		{"read, serving VM crashes while paused", "src", 1, true, func(p *sim.Proc, src, dst *VM) error {
-			return src.ReadAndSend(p, dst, "blk-1", 100e6)
+			return src.ReadAndSend(p, dst, 1, 100e6)
 		}, "err=xen: virtual machine has crashed: src wait=1 end=2 links=[]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -39,7 +39,7 @@ const (
 type vmIO struct {
 	op    ioOp
 	dst   *VM
-	key   string // page-cache tag ("" for none)
+	key   uint64 // page-cache block id (0 for none)
 	bytes float64
 	who   watcher // what a crash of a VM the operation touches aborts
 
@@ -54,7 +54,7 @@ type vmIO struct {
 
 // newIO returns op from src (to dst, for a send, store or relay), ready to
 // step.
-func newIO(op ioOp, src, dst *VM, key string, bytes float64) vmIO {
+func newIO(op ioOp, src, dst *VM, key uint64, bytes float64) vmIO {
 	leg := op
 	if op == ioStore {
 		leg = ioSend
@@ -127,17 +127,17 @@ func (o *vmIO) begin() error {
 	case ioRead:
 		vm.diskRead += o.bytes
 		o.watch(vm)
-		if o.key != "" && vm.host.Cache.Contains(o.key) {
+		if o.key != 0 && vm.host.Cache.Contains(o.key) {
 			o.st = mgr.topo.Fabric().Stream(vm.host.MemBus, o.bytes, nil, 0)
 			return nil
 		}
 		o.st = mgr.nfs.Read(vm.host, o.bytes)
-		o.insert = o.key != ""
+		o.insert = o.key != 0
 	case ioWrite:
 		vm.diskWrite += o.bytes
 		o.watch(vm)
 		o.st = mgr.nfs.Write(vm.host, o.bytes)
-		o.insert = o.key != ""
+		o.insert = o.key != 0
 	case ioSend:
 		if err := dst.downErr(); err != nil {
 			return err
@@ -236,7 +236,7 @@ type IOProc struct {
 }
 
 // spawnIO starts op from vm as a chain at the current time.
-func (vm *VM) spawnIO(op ioOp, dst *VM, key string, bytes float64) *IOProc {
+func (vm *VM) spawnIO(op ioOp, dst *VM, key uint64, bytes float64) *IOProc {
 	m := vm.mgr
 	r := m.freeIO
 	if r != nil {
@@ -310,9 +310,9 @@ func (r *IOProc) abort(err error) {
 }
 
 // SpawnStore starts sending bytes from vm to dst, which then writes them to
-// its disk under the page-cache tag key ("" for none): one HDFS pipeline
+// its disk under the block id key (0 for none): one HDFS pipeline
 // stage, or one repair copy.
-func (vm *VM) SpawnStore(dst *VM, key string, bytes float64) *IOProc {
+func (vm *VM) SpawnStore(dst *VM, key uint64, bytes float64) *IOProc {
 	return vm.spawnIO(ioStore, dst, key, bytes)
 }
 
@@ -324,19 +324,19 @@ func (vm *VM) SpawnStore(dst *VM, key string, bytes float64) *IOProc {
 // reads degrade. Xen's blktap opens image files with O_DIRECT, so there is
 // no dom0 caching on this path; a dst of nil or vm reads the disk alone.
 func (vm *VM) SpawnRelay(dst *VM, bytes float64) *IOProc {
-	return vm.spawnIO(ioRelay, dst, "", bytes)
+	return vm.spawnIO(ioRelay, dst, 0, bytes)
 }
 
-// ReadAndSend reads bytes tagged key ("" for none) from vm's disk while it
-// streams them to dst, and blocks p until both halves have ended. A
-// same-VM dst needs no network half. It returns the disk half's error, else
-// the network half's.
-func (vm *VM) ReadAndSend(p *sim.Proc, dst *VM, key string, bytes float64) error {
+// ReadAndSend reads bytes under the block id key (0 for none) from vm's
+// disk while it streams them to dst, and blocks p until both halves have
+// ended. A same-VM dst needs no network half. It returns the disk half's
+// error, else the network half's.
+func (vm *VM) ReadAndSend(p *sim.Proc, dst *VM, key uint64, bytes float64) error {
 	disk := vm.spawnIO(ioRead, nil, key, bytes)
 	if dst == vm {
 		return disk.Wait(p)
 	}
-	net := vm.spawnIO(ioSend, dst, "", bytes)
+	net := vm.spawnIO(ioSend, dst, 0, bytes)
 	derr := disk.Wait(p)
 	nerr := net.Wait(p)
 	if derr != nil {

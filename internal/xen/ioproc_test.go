@@ -22,8 +22,8 @@ func TestIOStagesOwnNoProcess(t *testing.T) {
 		run  func(p *sim.Proc) error
 	}{
 		{"pipeline", func(p *sim.Proc) error {
-			first := a.SpawnStore(b, "blk-1", 64e6)
-			second := b.SpawnStore(c, "blk-1", 64e6)
+			first := a.SpawnStore(b, 1, 64e6)
+			second := b.SpawnStore(c, 1, 64e6)
 			err := first.Wait(p)
 			if serr := second.Wait(p); err == nil {
 				err = serr
@@ -31,13 +31,13 @@ func TestIOStagesOwnNoProcess(t *testing.T) {
 			return err
 		}},
 		{"read", func(p *sim.Proc) error {
-			return b.ReadAndSend(p, a, "blk-2", 64e6)
+			return b.ReadAndSend(p, a, 2, 64e6)
 		}},
 		{"relay", func(p *sim.Proc) error {
 			return c.SpawnRelay(b, 64e6).Wait(p)
 		}},
 		{"shuffle", func(p *sim.Proc) error {
-			return a.ReadAndSend(p, c, "", 64e6)
+			return a.ReadAndSend(p, c, 0, 64e6)
 		}},
 	}
 	for _, d := range drivers {

@@ -192,7 +192,7 @@ func (vm *VM) Exec(p *sim.Proc, cpuSeconds float64) {
 // bypassing the dom0 page cache (scratch data that is written and read
 // once).
 func (vm *VM) ReadDisk(p *sim.Proc, bytes float64) {
-	o := newIO(ioRead, vm, nil, "", bytes)
+	o := newIO(ioRead, vm, nil, 0, bytes)
 	o.run(p)
 }
 
@@ -200,7 +200,7 @@ func (vm *VM) ReadDisk(p *sim.Proc, bytes float64) {
 // (uncached scratch data): write-through to the filer, as NFS close-to-open
 // consistency flushes on close.
 func (vm *VM) WriteDisk(p *sim.Proc, bytes float64) {
-	o := newIO(ioWrite, vm, nil, "", bytes)
+	o := newIO(ioWrite, vm, nil, 0, bytes)
 	o.run(p)
 }
 

@@ -134,7 +134,7 @@ func TestSendToIntraVsCross(t *testing.T) {
 	var intra, cross sim.Time
 	e.Spawn("intra", func(p *sim.Proc) {
 		start := p.Now()
-		if err := a.spawnIO(ioSend, b, "", 250e6).Wait(p); err != nil {
+		if err := a.spawnIO(ioSend, b, 0, 250e6).Wait(p); err != nil {
 			t.Errorf("intra send: %v", err)
 		}
 		intra = p.Now() - start
@@ -142,7 +142,7 @@ func TestSendToIntraVsCross(t *testing.T) {
 	e.Run()
 	e.Spawn("cross", func(p *sim.Proc) {
 		start := p.Now()
-		if err := a.spawnIO(ioSend, c, "", 250e6).Wait(p); err != nil {
+		if err := a.spawnIO(ioSend, c, 0, 250e6).Wait(p); err != nil {
 			t.Errorf("cross send: %v", err)
 		}
 		cross = p.Now() - start
