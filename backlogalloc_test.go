@@ -15,17 +15,24 @@ import (
 //
 // The budgets depend on the race detector (backlogbudget_race_test.go and
 // backlogbudget_norace_test.go). Without -race the counts repeat within a
-// few allocations, and the budgets sit 2 % above them: mixed 24,494
-// allocations and 3,529,480 B, uniform 18,387 and 3,207,352 B, once the
-// map and reduce emits were bound once per Cluster and the page cache was
-// indexed by block id (25,990 / 3,575,448 B and 19,593 / 3,240,728 B
-// before; 25,989 / 3,576,272 B and 19,597 / 3,240,848 B before the
-// tasktracker heartbeats' timers moved onto a lane and page-cache
-// re-inserts went O(1)). A map allocated per input line in the wordcount
-// mapper adds thousands. Under -race they move within a band; three runs of one binary
-// read 27,140, 27,187 and 27,353 allocations for mixed. Those budgets sit
-// about 15 % above that band as it stood when they were set: mixed ≈ 27.2 k
-// allocations and 3.71 MB, uniform ≈ 20.8 k and 3.36 MB. Before the HDFS and
+// few allocations, and the budgets sit 2 % above them: mixed 24,068
+// allocations and 3,522,944 B, uniform 17,825 and 3,203,288 B, once the
+// max-min solver's classes replaced its activity slices and the harness
+// named each tenant and shared input once per run (24,494 / 3,529,480 B
+// and 18,387 / 3,207,352 B before; 25,990 / 3,575,448 B and 19,593 /
+// 3,240,728 B before the map and reduce emits were bound once per Cluster
+// and the page cache was indexed by block id; 25,989 / 3,576,272 B and
+// 19,597 / 3,240,848 B before the tasktracker heartbeats' timers moved
+// onto a lane and page-cache re-inserts went O(1)). A map allocated per
+// input line in the wordcount mapper adds thousands. Under -race they
+// move within a band: three runs of one binary read 25,279, 25,249 and
+// 25,218 allocations and 3.64 MB for mixed, and 18,692, 18,818 and 18,776
+// and 3.29–3.30 MB for uniform. Those budgets sit about 5 % above the top
+// of that band: 26,550 and 3.83 MB, and 19,760 and 3.47 MB. They sat
+// about 15 % above the band when they were set before (mixed ≈ 27.2 k
+// allocations and 3.71 MB, uniform ≈ 20.8 k and 3.36 MB, budgets 31,300
+// and 4.27 MB, and 23,900 and 3.87 MB), and 21–22 % above it once the
+// counts had fallen to 25.8 k and 19.5 k. Before the HDFS and
 // shuffle I/O stages ran as callback chains instead of processes, the runs
 // took 28.1 k allocations and 3.74 MB, and 20.8 k and 3.36 MB under -race
 // (26.8 k and 3.59 MB, 19.6 k and 3.24 MB without), with budgets of

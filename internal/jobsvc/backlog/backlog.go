@@ -69,12 +69,40 @@ type Result struct {
 	Stats       []jobsvc.TenantStats
 }
 
-// tenantName names account i; registration order is part of the schedule.
-func tenantName(i int) string { return fmt.Sprintf("t%03d", i) }
-
 // wcSizes are the wordcount footprints the mix cycles through: three
 // single-map sizes and one two-map size.
 var wcSizes = [4]float64{8e6, 16e6, 48e6, 96e6}
+
+// names holds a run's tenant names, built once, and its shared wordcount
+// input paths, each built the first time a job reads it.
+type names struct {
+	tenants []string
+	inputs  [][len(wcSizes) + 1]string // per tenant: one per size, then the uniform input
+}
+
+// newNames names accounts 0 to n-1; registration order is part of the
+// schedule.
+func newNames(n int) *names {
+	nm := &names{tenants: make([]string, n), inputs: make([][len(wcSizes) + 1]string, n)}
+	for i := range nm.tenants {
+		nm.tenants[i] = fmt.Sprintf("t%03d", i)
+	}
+	return nm
+}
+
+// input returns tenant t's shared input path for size index si, or its
+// uniform input when si is len(wcSizes).
+func (nm *names) input(t, si int) string {
+	p := &nm.inputs[t][si]
+	if *p == "" {
+		if si == len(wcSizes) {
+			*p = fmt.Sprintf("/backlog/%s/u", nm.tenants[t])
+		} else {
+			*p = fmt.Sprintf("/backlog/%s/s%d", nm.tenants[t], si)
+		}
+	}
+	return *p
+}
 
 // specFor derives job j's workload from its index alone — no RNG, so the
 // mix is trivially identical across reruns. Every 13th
@@ -84,10 +112,11 @@ var wcSizes = [4]float64{8e6, 16e6, 48e6, 96e6}
 // round number (j / tenants) so that under round-robin submission every
 // tenant cycles through every size — job weight must not correlate with
 // tenant weight, or fairness measurements confound the two.
-func specFor(o Options, j int, tenant string) workloads.Spec {
+func specFor(o Options, j int, nm *names) workloads.Spec {
+	t := j % o.Tenants
 	if o.Uniform {
 		return workloads.WordcountSpec{
-			Input:     fmt.Sprintf("/backlog/%s/u", tenant),
+			Input:     nm.input(t, len(wcSizes)),
 			SizeBytes: 16e6,
 			Reduces:   1,
 			RealLines: 8,
@@ -100,7 +129,7 @@ func specFor(o Options, j int, tenant string) workloads.Spec {
 	}
 	si := (j + j/o.Tenants) % len(wcSizes)
 	return workloads.WordcountSpec{
-		Input:     fmt.Sprintf("/backlog/%s/s%d", tenant, si),
+		Input:     nm.input(t, si),
 		SizeBytes: wcSizes[si],
 		Reduces:   1 + (j/3)%2,
 		RealLines: 8,
@@ -157,8 +186,9 @@ func Run(o Options) (Result, error) {
 		inj = faults.NewInjector(pl)
 	}
 	svc := jobsvc.New(pl, o.Config)
-	for i := 0; i < o.Tenants; i++ {
-		if err := svc.Register(tenantName(i), float64(1+i%4)); err != nil {
+	nm := newNames(o.Tenants)
+	for i, tn := range nm.tenants {
+		if err := svc.Register(tn, float64(1+i%4)); err != nil {
 			return Result{}, err
 		}
 	}
@@ -166,8 +196,7 @@ func Run(o Options) (Result, error) {
 	var startAt sim.Time
 	end, err := pl.Run(func(p *sim.Proc) error {
 		for j := 0; j < o.Jobs; j++ {
-			tn := tenantName(j % o.Tenants)
-			_, err := svc.Submit(p, tn, specFor(o, j, tn), submitOpts(o, j, p.Now())...)
+			_, err := svc.Submit(p, nm.tenants[j%o.Tenants], specFor(o, j, nm), submitOpts(o, j, p.Now())...)
 			switch {
 			case err == nil:
 				res.Admitted++

@@ -65,7 +65,9 @@
 //   - MaxMin: the one max-min fair rate solver. Activities progress over
 //     the resources they use at progressive-filling rates, optionally
 //     capped; it integrates progress and, at retirement, fires each
-//     activity's latch, at once or after a fixed lag. It re-rates at most
+//     activity's latch, at once or after a fixed lag. Activities that
+//     share a uses slice and a cap form a class, which is its unit: one
+//     rate and one progress clock per class. It re-rates at most
 //     once per virtual instant: a pass whose survivors no rate could
 //     retire puts its re-rate off until the engine flushes, which leaves
 //     every completion and sequence number where an eager re-rate would.

@@ -41,18 +41,23 @@ type Engine struct {
 	stats   Stats
 }
 
-// Stats counts the events the run loop has executed, by queue, and the
-// work the engine's MaxMin solvers have done.
+// Stats counts the events the run loop has executed, by queue, the
+// processes it has run, and the work the engine's MaxMin solvers have
+// done.
 type Stats struct {
 	HeapPops  uint64 // events popped off the heap
 	HeapLen   uint64 // the heap's length, summed over heap pops
 	ReadyPops uint64 // events popped off the ready FIFO
 	LanePops  uint64 // callbacks popped off a Lane
 
+	Spawns   uint64 // processes started, by Spawn or SpawnInto
+	Resumes  uint64 // times a process was run until it parked or ended
+	Carriers uint64 // carrier coroutines made; idle ones are reused first
+
 	Rerates  uint64 // rate recomputes
 	Deferred uint64 // retirement passes whose re-rate was put off to the flush
 	Rounds   uint64 // progressive-filling rounds
-	Visits   uint64 // activities in service, summed over rounds
+	Visits   uint64 // class entries scanned, summed over filling rounds
 }
 
 // New returns an Engine whose pseudo-random stream is derived from seed.
@@ -177,6 +182,7 @@ func (e *Engine) SpawnInto(p *Proc, name string, fn func(p *Proc)) {
 		panic(fmt.Sprintf("sim: spawning %q into the record of %q, which is live or did not end cleanly", name, p.name))
 	}
 	e.procSeq++
+	e.stats.Spawns++
 	// Every other field of a zero or Reusable record is zero already:
 	// finish cleared the body and the carrier, and the fired latch holds no
 	// waiter. Writing only these keeps a whole-struct store, and the write
@@ -310,6 +316,7 @@ func (e *Engine) dispatch(p *Proc) {
 		c.proc, p.carrier = p, c
 	}
 	e.current = p
+	e.stats.Resumes++
 	c.next()
 	e.current = nil
 }

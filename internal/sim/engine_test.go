@@ -610,9 +610,9 @@ func TestShutdownUnlinksPendingSolvers(t *testing.T) {
 		t.Fatal("Shutdown left the pending list linked")
 	}
 	for i, s := range solvers {
-		if s.stale || s.linked || s.nextPending != nil || s.next.index != -1 || acts[i].rate != 1 {
-			t.Fatalf("solver %d after Shutdown: stale %v linked %v next %p index %d rate %v",
-				i, s.stale, s.linked, s.nextPending, s.next.index, acts[i].rate)
+		if s.stale || s.linked || s.nextPending != nil || s.next.index != -1 || s.live != 1 || s.classes[0].head != &acts[i] || s.classes[0].rate != 1 {
+			t.Fatalf("solver %d after Shutdown: stale %v linked %v next %p index %d, %d classes %+v",
+				i, s.stale, s.linked, s.nextPending, s.next.index, s.live, s.classes[:s.live])
 		}
 	}
 	before := e.Stats()

@@ -45,6 +45,7 @@ type carrier struct {
 
 // newCarrier returns a carrier whose coroutine has not started yet.
 func (e *Engine) newCarrier() *carrier {
+	e.stats.Carriers++
 	c := new(carrier)
 	c.next, c.stop = iter.Pull(func(park func(struct{}) bool) {
 		c.park = park

@@ -76,7 +76,7 @@ var modelGolden = []struct {
 	{"fig8/kmeans", file(quickRuns["fig8"], "kmeans.svg"), "32995dad583b2e501b371b44ddd251d84136a6aaeb9094a40774346f34f2500e"},
 	{"fig8/meanshift", file(quickRuns["fig8"], "meanshift.svg"), "a4ce03f4054de6d1eaae3c75ac5e4c4d4960233dc3691b95191ab2e46f5812f6"},
 	{"fig8/minhash", file(quickRuns["fig8"], "minhash.svg"), "223bc6ea94b4fde7f7bea01de53d8d492bdcbcf4b843aea6879b056b7d21db7f"},
-	{"nmon", runNmonCapture, "ee267c04c68ef1240c0d99bdd455d6d8975936b02484c8fa42e57b6ca8f73991"},
+	{"nmon", runNmonCapture, "22763482c2f736778761352ec0a9050a6661ea307f0cbf97a611a91bb0f192b1"},
 	{"nmon/cpu", file(quickRuns["nmon"], "cpu.svg"), "c27b9de405b67c32cad7579cd6895f13565aec60be31b40250e270b2ff85b66f"},
 	{"nmon/disk", file(quickRuns["nmon"], "disk.svg"), "ab8f6dc5516e57e22af95d7e6e7538f1aa7e900b91a7f244ad7717837c6c7c75"},
 	{"nmon/net", file(quickRuns["nmon"], "net.svg"), "b61b0e019c87650cde942a3a919a946106f0a704bd0626a229a7cce414b377aa"},
