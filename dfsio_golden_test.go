@@ -79,18 +79,17 @@ func TestDFSIOGolden(t *testing.T) {
 // TestDFSIOSolverWork pins the engine's event counters and the max-min
 // solvers' work counters for the same op. They are exact, so a change to
 // the engine's or the solver's cost states its claim here without timing
-// pairs. Before same-instant re-rates were put off until the clock moves,
-// the op re-rated 2,193 times (880 normal, 1,313 cross-domain), once per
-// retirement pass: every pass is now put off, and the flushes re-rate
-// 1,051 times. Before the tasktracker heartbeats' interval timers moved
-// off the heap onto a lane, all 1,830 of them (810 normal, 1,020
-// cross-domain) were heap pops: the op popped 2,326 and 3,215 heap events,
-// with the heap 45,709 and 57,964 long summed over the pops. Before
-// progressive filling froze whole classes of activities that share a route
-// and a cap, Visits counted activities per round, not classes: 2,048 and
-// 19,451, against 141 and 3,089 class entries now (21,499 to 3,230, 6.7x
-// fewer); every other counter stayed the same. The op starts 32 processes
-// per layout on 17 carriers and resumes them 659 and 662 times.
+// pairs. Every retirement pass that leaves an activity in service
+// re-rates, 880 and 1,313 times; putting same-instant re-rates off until
+// the clock moved once cut that to 117 and 934, but saved no host time
+// once filling froze whole classes, and was removed. Before the
+// tasktracker heartbeats' interval timers moved off the heap onto a lane,
+// all 1,830 of them (810 normal, 1,020 cross-domain) were heap pops: the
+// op popped 2,326 and 3,215 heap events, with the heap 45,709 and 57,964
+// long summed over the pops. Before progressive filling froze whole
+// classes of activities that share a route and a cap, Visits counted
+// activities per round, not classes. The op starts 32 processes per
+// layout on 17 carriers and resumes them 659 and 662 times.
 func TestDFSIOSolverWork(t *testing.T) {
 	runs, err := dfsioRuns()
 	if err != nil {
@@ -103,12 +102,12 @@ func TestDFSIOSolverWork(t *testing.T) {
 		{core.Normal, sim.Stats{
 			HeapPops: 1516, HeapLen: 15049, ReadyPops: 1833, LanePops: 810,
 			Spawns: 32, Resumes: 659, Carriers: 17,
-			Rerates: 117, Deferred: 880, Rounds: 125, Visits: 141,
+			Rerates: 880, Rounds: 1112, Visits: 1576,
 		}},
 		{core.CrossDomain, sim.Stats{
 			HeapPops: 2195, HeapLen: 11668, ReadyPops: 1834, LanePops: 1020,
 			Spawns: 32, Resumes: 662, Carriers: 17,
-			Rerates: 934, Deferred: 1313, Rounds: 1311, Visits: 3089,
+			Rerates: 1313, Rounds: 1999, Visits: 5248,
 		}},
 	} {
 		if got := runs[tc.layout].stats; got != tc.want {

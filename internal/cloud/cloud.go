@@ -91,9 +91,6 @@ func NewService(mgr *xen.Manager, pool []*phys.Machine) *Service {
 	return &Service{engine: mgr.Engine(), mgr: mgr, pool: pool}
 }
 
-// Leases returns all leases ever granted (including released ones).
-func (s *Service) Leases() []*Lease { return s.leases }
-
 // ReleaseAll tears down every live lease — the teardown path that lets a
 // simulation drain (each lease runs heartbeat daemons until released).
 func (s *Service) ReleaseAll() {

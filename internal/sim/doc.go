@@ -33,8 +33,7 @@
 //     Engine.At, Engine.After and Engine.FireAfter return no handle:
 //     nothing outside the engine cancels an event. MaxMin keeps its one
 //     completion event and re-arms it in place. A time before now, or NaN,
-//     panics. Solvers that put a re-rate off wait on the engine's pending
-//     list, and RunUntil flushes it before the clock moves.
+//     panics.
 //   - Proc: a simulated process; created with Engine.Spawn. Its body runs
 //     on a carrier, an iter.Pull coroutine: dispatch calls the carrier's
 //     next, and a blocking call parks it. A carrier whose body returned
@@ -67,12 +66,9 @@
 //     capped; it integrates progress and, at retirement, fires each
 //     activity's latch, at once or after a fixed lag. Activities that
 //     share a uses slice and a cap form a class, which is its unit: one
-//     rate and one progress clock per class. It re-rates at most
-//     once per virtual instant: a pass whose survivors no rate could
-//     retire puts its re-rate off until the engine flushes, which leaves
-//     every completion and sequence number where an eager re-rate would.
-//     Engine.Stats also counts its re-rates, put-off passes and filling
-//     work.
+//     rate and one progress clock per class. Every start, retune and
+//     completion retires what is finished and re-rates the classes left
+//     at once. Engine.Stats also counts its re-rates and filling work.
 //     FairShare and vnet.Fabric are front-ends over it.
 //   - FairShare: a processor-sharing resource (CPU pools, disks), a MaxMin
 //     with one resource; N jobs in service each progress at capacity/N,

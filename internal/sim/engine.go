@@ -37,7 +37,6 @@ type Engine struct {
 	procs   []*Proc    // all live processes; each knows its slot
 	idle    []*carrier // carriers whose last body returned, reused by dispatch
 	current *Proc      // process currently executing, nil in engine context
-	pending *MaxMin    // solvers that put a re-rate off at now, linked through nextPending
 	stats   Stats
 }
 
@@ -54,10 +53,9 @@ type Stats struct {
 	Resumes  uint64 // times a process was run until it parked or ended
 	Carriers uint64 // carrier coroutines made; idle ones are reused first
 
-	Rerates  uint64 // rate recomputes
-	Deferred uint64 // retirement passes whose re-rate was put off to the flush
-	Rounds   uint64 // progressive-filling rounds
-	Visits   uint64 // class entries scanned, summed over filling rounds
+	Rerates uint64 // rate recomputes
+	Rounds  uint64 // progressive-filling rounds
+	Visits  uint64 // class entries scanned, summed over filling rounds
 }
 
 // New returns an Engine whose pseudo-random stream is derived from seed.
@@ -143,11 +141,11 @@ func (e *Engine) schedule(ev *event) {
 	}
 }
 
-// rearm schedules the kept event ev at time t with sequence number seq,
-// moving it if it is already queued.
-func (e *Engine) rearm(ev *event, t Time, seq uint64) {
+// rearm schedules the kept event ev at time t with the next sequence
+// number, moving it if it is already queued.
+func (e *Engine) rearm(ev *event, t Time) {
 	e.checkTime(t)
-	ev.at, ev.seq = t, seq
+	ev.at, ev.seq = t, e.nextSeq()
 	if ev.index >= 0 {
 		e.events.fix(ev.index)
 	} else {
@@ -208,8 +206,8 @@ const schedEvery = 256
 // deadline stay queued; the clock is advanced to the deadline if any such
 // events remain (so repeated RunUntil calls observe monotonic time). A
 // deadline before now panics, as scheduling in the past does. It always
-// returns with the ready FIFO empty and every solver re-rated, and when the
-// heap and the lanes are empty too, the idle carriers are stopped.
+// returns with the ready FIFO empty, and when the heap and the lanes are
+// empty too, the idle carriers are stopped.
 func (e *Engine) RunUntil(deadline Time) Time {
 	if !(deadline >= e.now) {
 		panic(fmt.Sprintf("sim: running until %v before now %v", deadline, e.now))
@@ -227,11 +225,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 			if e.head++; e.head == len(e.ready) {
 				e.ready, e.head = e.ready[:0], 0
 			}
-		} else if e.pending != nil && (!timed || at > e.now) {
-			// Nothing else is due now: re-rate the solvers that put it off
-			// before the clock moves or the run returns.
-			e.flush()
-			continue
 		} else if !timed {
 			break
 		} else if at > deadline {
@@ -264,19 +257,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	}
 	e.stopIdle()
 	return e.now
-}
-
-// flush re-rates every solver on the pending list. A re-rate draws no
-// sequence number and runs no callback, so the order does not matter.
-func (e *Engine) flush() {
-	s := e.pending
-	e.pending = nil
-	for s != nil {
-		next := s.nextPending
-		s.linked, s.nextPending = false, nil
-		s.flush()
-		s = next
-	}
 }
 
 // earliest returns the earliest queued event off the ready FIFO, which is
@@ -337,11 +317,11 @@ func (e *Engine) forget(p *Proc) {
 }
 
 // Shutdown terminates every live process by unwinding its body, then
-// flushes the pending solvers, clears the event heap, the ready FIFO and
-// the lanes and stops the idle carriers. It is intended for tests and for tearing down a
-// platform whose background daemons (the replication monitor, timer chains)
-// never exit on their own. Shutdown must be called from engine context (not
-// from inside a process).
+// clears the event heap, the ready FIFO and the lanes and stops the idle
+// carriers. It is intended for tests and for tearing down a platform whose
+// background daemons (the replication monitor, timer chains) never exit on
+// their own. Shutdown must be called from engine context (not from inside a
+// process).
 func (e *Engine) Shutdown() {
 	if e.current != nil {
 		panic("sim: Shutdown called from process context")
@@ -359,11 +339,8 @@ func (e *Engine) Shutdown() {
 			e.forget(p)
 		}
 	}
-	// Re-rate the solvers that put a re-rate off, so each is left as an
-	// eager re-rate would have left it. A kept event outlives the heap; mark it
-	// unqueued so its owner's next rearm pushes it instead of fixing a slot
-	// that no longer exists.
-	e.flush()
+	// A kept event outlives the heap; mark it unqueued so its owner's next
+	// rearm pushes it instead of fixing a slot that no longer exists.
 	for _, ev := range e.events {
 		ev.index = -1
 	}

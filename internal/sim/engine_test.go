@@ -67,13 +67,13 @@ func TestKeptEventRearmDisarm(t *testing.T) {
 	var fired []Time
 	record := func() { fired = append(fired, e.Now()) }
 	off := event{index: -1, keep: true, fn: record}
-	e.rearm(&off, 1, e.nextSeq())
+	e.rearm(&off, 1)
 	e.disarm(&off)
 	e.disarm(&off) // disarming an unqueued event is a no-op
 	moved := event{index: -1, keep: true, fn: record}
-	e.At(3, func() { e.rearm(&moved, 4, e.nextSeq()) })
-	e.rearm(&moved, 5, e.nextSeq())
-	e.rearm(&moved, 2, e.nextSeq())
+	e.At(3, func() { e.rearm(&moved, 4) })
+	e.rearm(&moved, 5)
+	e.rearm(&moved, 2)
 	e.Run()
 	if len(fired) != 2 || fired[0] != 2 || fired[1] != 4 {
 		t.Fatalf("kept event fired at %v, want [2 4]", fired)
@@ -140,7 +140,7 @@ func TestNaNTimesPanic(t *testing.T) {
 	mustPanic(t, "FireAfter(NaN)", func() { e.FireAfter(nan, NewDone()) })
 	mustPanic(t, "RunUntil(NaN)", func() { e.RunUntil(nan) })
 	kept := event{index: -1, keep: true, fn: func() {}}
-	mustPanic(t, "rearm at NaN", func() { e.rearm(&kept, nan, e.nextSeq()) })
+	mustPanic(t, "rearm at NaN", func() { e.rearm(&kept, nan) })
 	e.Spawn("sleeper", func(p *Proc) {
 		mustPanic(t, "Sleep(NaN)", func() { p.Sleep(nan) })
 		p.Sleep(1)
@@ -351,7 +351,7 @@ func TestAbortUnwindsParkedProcess(t *testing.T) {
 	})
 	e.At(3, func() { p.Abort(errTest) })
 	e.Run()
-	if !p.Terminated() {
+	if !p.terminated {
 		t.Fatal("aborted process still live")
 	}
 	if !cleaned {
@@ -389,8 +389,8 @@ func TestAbortReleasesQueueGrant(t *testing.T) {
 	})
 	e.Run()
 	almost(t, thirdAt, 5, 1e-9, "third process acquires when holder releases")
-	if q.Available() != 1 {
-		t.Fatalf("available = %d at end", q.Available())
+	if q.available != 1 {
+		t.Fatalf("available = %d at end", q.available)
 	}
 }
 
@@ -466,8 +466,8 @@ func TestAbortMidQueueKeepsFIFO(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("grants = %v, want %v", got, want)
 	}
-	if victim.Err() != errTest || q.Available() != 1 {
-		t.Fatalf("victim err = %v, available = %d", victim.Err(), q.Available())
+	if victim.Err() != errTest || q.available != 1 {
+		t.Fatalf("victim err = %v, available = %d", victim.Err(), q.available)
 	}
 }
 
@@ -568,8 +568,9 @@ func TestCarriersDoNotOutliveRun(t *testing.T) {
 	settled("Shutdown")
 }
 
-// Shutdown drops the heap under a solver's kept completion event; the solver
-// must still be usable on the same engine afterwards.
+// Shutdown drops the heap under a solver's kept completion event: the next
+// run neither fires it nor counts any work beyond the one event it is
+// given, and the solver is still usable on the same engine afterwards.
 func TestShutdownDisarmsKeptEvents(t *testing.T) {
 	e := New(1)
 	fs := NewFairShare(e, "cpu", 1, 0)
@@ -578,6 +579,18 @@ func TestShutdownDisarmsKeptEvents(t *testing.T) {
 	}
 	e.RunUntil(1)
 	e.Shutdown()
+	before := e.Stats()
+	fired := false
+	e.At(2, func() { fired = true })
+	if end := e.Run(); end != 2 || !fired {
+		t.Fatalf("run after Shutdown ended at %v, fired %v; want 2, true", end, fired)
+	}
+	want := before // the run pops the one event it was given, off a heap of one
+	want.HeapPops++
+	want.HeapLen++
+	if st := e.Stats(); st != want {
+		t.Fatalf("run after Shutdown touched the solver: %+v, want %+v", st, want)
+	}
 	done := false
 	e.Spawn("again", func(p *Proc) {
 		fs.Use(p, 1)
@@ -589,50 +602,9 @@ func TestShutdownDisarmsKeptEvents(t *testing.T) {
 	}
 }
 
-// Shutdown unlinks the solvers whose re-rate was put off, re-rating them as
-// an eager pass would have, and the engine's next run leaves them alone:
-// it neither re-rates them nor fires their dropped completion events.
-func TestShutdownUnlinksPendingSolvers(t *testing.T) {
-	e := New(1)
-	var solvers [2]*MaxMin
-	var acts [2]Activity
-	var dones [2]Done
-	for i := range solvers {
-		s := NewMaxMin(e, "pending", 1e-9, 1e-9)
-		s.Start(&acts[i], 1, 0, []int{s.AddResource(1)}, &dones[i], 0)
-		solvers[i] = s
-	}
-	if e.pending != solvers[1] || solvers[1].nextPending != solvers[0] || !solvers[0].stale || !solvers[1].stale {
-		t.Fatal("starts did not link both solvers onto the pending list")
-	}
-	e.Shutdown()
-	if e.pending != nil {
-		t.Fatal("Shutdown left the pending list linked")
-	}
-	for i, s := range solvers {
-		if s.stale || s.linked || s.nextPending != nil || s.next.index != -1 || s.live != 1 || s.classes[0].head != &acts[i] || s.classes[0].rate != 1 {
-			t.Fatalf("solver %d after Shutdown: stale %v linked %v next %p index %d, %d classes %+v",
-				i, s.stale, s.linked, s.nextPending, s.next.index, s.live, s.classes[:s.live])
-		}
-	}
-	before := e.Stats()
-	fired := false
-	e.At(2, func() { fired = true })
-	if end := e.Run(); end != 2 || !fired {
-		t.Fatalf("run after Shutdown ended at %v, fired %v; want 2, true", end, fired)
-	}
-	want := before // the run pops the one event it was given, off a heap of one
-	want.HeapPops++
-	want.HeapLen++
-	if st := e.Stats(); st != want || dones[0].Fired() || dones[1].Fired() {
-		t.Fatalf("run after Shutdown touched the unlinked solvers: %+v, want %+v", st, want)
-	}
-}
-
 // After a warm-up the engine schedules, fires and recycles events without
 // allocating: process sleeps, self-re-arming callbacks on the heap or on a
-// lane, MaxMin completions and same-instant MaxMin starts flushed in one
-// re-rate all run at 0
+// lane, MaxMin completions and same-instant MaxMin starts all run at 0
 // allocations, a latch wakes a waiting process or a callback waiter without
 // allocating, a latch chain wakes its waiters without touching the heap, a
 // spawned process that finds an idle carrier allocates only its Proc
@@ -805,12 +777,10 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("completed %d activities, want %d", completed, want)
 	}
 
-	// Four starts at one instant put their re-rates off, and the run
-	// flushes them in one re-rate before the clock moves. Each completion
-	// after that puts its pass off too, so a serve re-rates four times over
-	// seven passes.
+	// Four starts at one instant and the three completions that leave an
+	// activity in service each re-rate once: seven re-rates a burst.
 	e = New(1)
-	s = NewMaxMin(e, "flush", 1e-9, 1e-9)
+	s = NewMaxMin(e, "burst", 1e-9, 1e-9)
 	uses = []int{s.AddResource(1)}
 	var acts [4]Activity
 	var dones [4]Done
@@ -819,9 +789,6 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		for i := range acts {
 			dones[i] = Done{}
 			s.Start(&acts[i], float64(i+1), 0, uses, &dones[i], 0)
-		}
-		if e.pending != s {
-			t.Fatal("same-instant starts did not put their re-rate off")
 		}
 		e.Run()
 		for i := range dones {
@@ -835,14 +802,13 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 	before := e.Stats()
 	if n := testing.AllocsPerRun(100, burst); n != 0 {
-		t.Errorf("MaxMin same-instant starts and flush: %v allocs per burst, want 0", n)
+		t.Errorf("MaxMin same-instant starts: %v allocs per burst, want 0", n)
 	}
 	if want := 4 * (warm + 101); completed != want {
 		t.Fatalf("completed %d activities, want %d", completed, want)
 	}
-	if st := e.Stats(); st.Rerates-before.Rerates != 4*101 || st.Deferred-before.Deferred != 7*101 {
-		t.Fatalf("101 bursts: %d re-rates over %d put-off passes, want %d over %d",
-			st.Rerates-before.Rerates, st.Deferred-before.Deferred, 4*101, 7*101)
+	if n := e.Stats().Rerates - before.Rerates; n != 7*101 {
+		t.Fatalf("101 bursts: %d re-rates, want %d", n, 7*101)
 	}
 
 	// Use recycles its job records, so a blocking quantum allocates nothing.

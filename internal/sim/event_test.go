@@ -113,7 +113,7 @@ func newEngineQueue(t *testing.T) *engineQueue {
 func (q *engineQueue) Now() Time           { return q.e.Now() }
 func (q *engineQueue) At(t Time, id int)   { q.e.At(t, func() { fire(q, &q.log, id) }) }
 func (q *engineQueue) Lane(k, id int)      { q.lanes[k].After(func() { fire(q, &q.log, id) }) }
-func (q *engineQueue) Rearm(k int, t Time) { q.e.rearm(&q.kept[k], t, q.e.nextSeq()) }
+func (q *engineQueue) Rearm(k int, t Time) { q.e.rearm(&q.kept[k], t) }
 func (q *engineQueue) Disarm(k int)        { q.e.disarm(&q.kept[k]) }
 
 // RunUntil also checks that the run returns with the ready FIFO empty: it

@@ -36,23 +36,16 @@ import (
 // floating-point results and the order of completions are a function of
 // the simulation alone.
 //
-// A solver re-rates at most once per virtual instant. Starts, retunes and
-// completions at one instant each retire what is finished, but when no
-// activity left could retire on any rate the solver can assign (every
-// remaining work exceeds maxCap*minTick), the rates cannot change what a
-// later pass at this instant retires, so the recompute is put off: the
-// solver draws the sequence number its re-arm would have drawn, keeps it,
-// and waits on the engine's pending list, which RunUntil flushes just
-// before the clock moves. The completion event then lands at the key an
-// eager re-rate would have given it, so the run is the same bit for bit.
-// An activity started since the last re-rate has no rate yet: it waits on
-// the fresh list and joins its class at the next re-rate.
+// Every start, retune and completion is one pass: it retires what is
+// finished, then re-rates the classes left and re-arms the completion
+// event. An activity just started has no rate yet, so its pass retires it
+// only when its work is already done; otherwise the re-rate adds it to its
+// class.
 type MaxMin struct {
 	engine  *Engine
 	name    string
 	eps     float64 // work residue below which an activity is finished
 	minTick Time    // least time between completion events
-	maxCap  float64 // the largest capacity any resource has had: no rate exceeds it
 	res     []resource
 	// firstActive heads the list, in creation order and linked through
 	// nextActive, of the resources some class crossed at the last re-rate;
@@ -60,17 +53,10 @@ type MaxMin struct {
 	firstActive int32
 	live        int32   // live classes, classes[:live]
 	classes     []class // the live classes, then empty slots kept for reuse
-
-	fresh  *Activity // started since the last re-rate, last first
-	starts uint64    // activities ever started: the next start stamp
+	starts      uint64  // activities ever started: the next start stamp
 
 	lastUpdate Time
 	next       event // the next-completion event, kept and re-armed in place
-
-	seq         uint64  // the re-arm's sequence number while stale
-	stale       bool    // a re-rate is put off until the engine flushes
-	linked      bool    // on the engine's pending list, stale or not
-	nextPending *MaxMin // the next solver on the engine's pending list
 }
 
 type resource struct {
@@ -102,14 +88,14 @@ type class struct {
 // allocates it, usually in one object with the latch it completes; the
 // solver fills it in when the activity starts.
 type Activity struct {
-	finish float64 // its class's clock when it is finished; its work while fresh
+	finish float64 // its class's clock when it is finished; its work until its first re-rate
 	done   *Done   // fired lag seconds after the work is finished
 	lag    Time
 	stamp  uint64 // start order
 	// child and sibling link the class's pairing heap; sibling also links
-	// the fresh list and a retirement pass's retirees.
+	// a retirement pass's retirees.
 	child, sibling *Activity
-	cls            int32 // its class's slot while fresh
+	cls            int32 // its class's slot until its first re-rate
 	inService      bool  // between Start and retirement
 }
 
@@ -125,7 +111,6 @@ func NewMaxMin(e *Engine, name string, eps float64, minTick Time) *MaxMin {
 
 // AddResource registers a resource and returns its index.
 func (s *MaxMin) AddResource(capacity float64) int {
-	s.maxCap = max(s.maxCap, capacity)
 	s.res = append(s.res, resource{capacity: capacity, since: s.engine.now})
 	return len(s.res) - 1
 }
@@ -140,14 +125,11 @@ func (s *MaxMin) SetCapacity(r int, capacity float64) {
 	res := &s.res[r]
 	res.capInt += res.capacity * (s.engine.now - res.since)
 	res.capacity, res.since = capacity, s.engine.now
-	s.maxCap = max(s.maxCap, capacity)
-	s.reschedule()
+	s.reschedule(nil)
 }
 
-// Utilization returns the fraction of resource r's capacity allocated now,
-// re-rating first if a re-rate is put off.
+// Utilization returns the fraction of resource r's capacity allocated now.
 func (s *MaxMin) Utilization(r int) float64 {
-	s.flush()
 	return s.res[r].inUse / s.res[r].capacity
 }
 
@@ -194,25 +176,19 @@ func (s *MaxMin) Start(a *Activity, work, rateCap float64, uses []int, done *Don
 	s.classes[c].n++
 	*a = Activity{finish: work, done: done, lag: lag, stamp: s.starts, cls: c, inService: true}
 	s.starts++
-	a.sibling, s.fresh = s.fresh, a
-	s.reschedule()
+	s.reschedule(a)
 }
 
 // advance integrates progress and accounting from lastUpdate to now: each
 // class's clock moves by rate*dt, and each resource it uses carries n times
 // that, less the overshoot of members that finish inside dt; then busy time
-// in resource order. The engine flushes a stale solver before the clock
-// moves, so one still stale here would integrate rates that were never
-// assigned, and no activity is fresh.
+// in resource order.
 func (s *MaxMin) advance() {
 	now := s.engine.now
 	dt := now - s.lastUpdate
 	s.lastUpdate = now
 	if dt <= 0 {
 		return
-	}
-	if s.stale {
-		panic(fmt.Sprintf("sim: %s advanced %v s with a re-rate put off", s.name, dt))
 	}
 	for i := range s.classes[:s.live] {
 		c := &s.classes[i]
@@ -296,19 +272,6 @@ func (c *class) pop() *Activity {
 	h.child = nil
 	c.n--
 	return h
-}
-
-// join moves the fresh activities into their classes' heaps.
-func (s *MaxMin) join() {
-	for a := s.fresh; a != nil; {
-		next := a.sibling
-		a.sibling = nil
-		c := &s.classes[a.cls]
-		a.finish += c.v
-		c.head = meld(c.head, a)
-		a = next
-	}
-	s.fresh = nil
 }
 
 // classFor returns the slot of the live class with uses (by identity) and
@@ -421,30 +384,21 @@ func (s *MaxMin) freeze(c *class, rate float64) {
 // complete is the next-completion event's callback.
 func (s *MaxMin) complete() {
 	s.advance()
-	s.reschedule()
+	s.reschedule(nil)
 }
 
-// reschedule retires finished activities, then re-rates the rest and
-// re-arms the next-completion event, or puts the re-rate off (see MaxMin).
-func (s *MaxMin) reschedule() {
-	// Retire activities that are done or would finish within one tick: a
+// reschedule is one pass (see MaxMin): it retires finished activities,
+// then re-rates the rest and re-arms the next-completion event. fresh is
+// the activity Start just put in service, or nil.
+func (s *MaxMin) reschedule(fresh *Activity) {
+	// Retire activities that are done or would finish within one tick: the
 	// fresh one, with no rate yet, only when done; in a class, the heads
-	// while they qualify, all members having one rate. A survivor whose
-	// work exceeds maxCap*minTick survives every later pass at this instant
-	// whatever its rate.
+	// while they qualify, all members having one rate.
 	e := s.engine
-	floor := s.maxCap * s.minTick
-	deferrable := true
 	var retired *Activity // linked through sibling
-	for a, p := s.fresh, &s.fresh; a != nil; a = *p {
-		if a.finish <= s.eps {
-			*p = a.sibling
-			s.classes[a.cls].n--
-			a.sibling, retired = retired, a
-			continue
-		}
-		deferrable = deferrable && a.finish > floor
-		p = &a.sibling
+	if fresh != nil && fresh.finish <= s.eps {
+		s.classes[fresh.cls].n--
+		fresh, retired = nil, fresh
 	}
 	for i := int32(0); i < s.live; {
 		c := &s.classes[i]
@@ -455,9 +409,11 @@ func (s *MaxMin) reschedule() {
 		}
 		if c.n == 0 {
 			s.release(i)
+			if fresh != nil && fresh.cls == s.live {
+				fresh.cls = i
+			}
 			continue
 		}
-		deferrable = deferrable && (c.head == nil || c.head.finish-c.v > floor)
 		i++
 	}
 	// Heaps give up their heads in finish order, so the latches are put
@@ -477,20 +433,7 @@ func (s *MaxMin) reschedule() {
 		s.idle()
 		return
 	}
-	seq := e.nextSeq()
-	if !deferrable {
-		s.stale = false
-		s.rerate(seq)
-		return
-	}
-	e.stats.Deferred++
-	s.seq, s.stale = seq, true
-	if s.next.index >= 0 && s.next.at <= e.now {
-		e.disarm(&s.next) // it would fire at this instant, on stale rates
-	}
-	if !s.linked {
-		s.linked, s.nextPending, e.pending = true, e.pending, s
-	}
+	s.rerate(fresh)
 }
 
 // sortByStamp sorts the list linked through sibling and headed by list
@@ -523,30 +466,21 @@ func sortByStamp(list *Activity) *Activity {
 }
 
 // release empties live class slot i, resetting its clock, and moves the
-// last live class into its place, and that class's fresh members with it.
+// last live class into its place.
 func (s *MaxMin) release(i int32) {
 	s.live--
 	s.classes[i], s.classes[s.live] = s.classes[s.live], class{}
-	for a := s.fresh; a != nil; a = a.sibling {
-		if a.cls == s.live {
-			a.cls = i
-		}
-	}
 }
 
-// flush re-rates s if its re-rate was put off.
-func (s *MaxMin) flush() {
-	if s.stale {
-		s.stale = false
-		s.rerate(s.seq)
-	}
-}
-
-// rerate moves the fresh activities into their classes, recomputes the
-// rates and re-arms the next-completion event with sequence number seq.
-func (s *MaxMin) rerate(seq uint64) {
+// rerate adds fresh, unless nil, to its class's heap, recomputes the rates
+// and re-arms the next-completion event.
+func (s *MaxMin) rerate(fresh *Activity) {
 	s.engine.stats.Rerates++
-	s.join()
+	if fresh != nil {
+		c := &s.classes[fresh.cls]
+		fresh.finish += c.v
+		c.head = meld(c.head, fresh)
+	}
 	s.recomputeRates()
 	minT := Forever
 	for i := range s.classes[:s.live] {
@@ -564,5 +498,5 @@ func (s *MaxMin) rerate(seq uint64) {
 	if minT < s.minTick {
 		minT = s.minTick
 	}
-	s.engine.rearm(&s.next, s.engine.now+minT, seq)
+	s.engine.rearm(&s.next, s.engine.now+minT)
 }

@@ -120,9 +120,9 @@ func referenceFabricRates(bandwidth []float64, paths [][]int) (rates, inUse []fl
 // referenceMaxMin is the solver as it stood before classes became its unit,
 // less its accounting (carried work, busy time), which no test compares:
 // it keeps every activity in insertion order and walks each one in every
-// step, and it re-rates eagerly, which the deferred solver matches bit for
-// bit. The class solver rounds n*rate and finish-v differently from its
-// repeated subtractions, so tests compare the two within refTol.
+// step, and it re-rates at every pass, as the class solver does. The class
+// solver rounds n*rate and finish-v differently from its repeated
+// subtractions, so tests compare the two within refTol.
 type referenceMaxMin struct {
 	engine  *Engine
 	eps     float64
@@ -268,7 +268,6 @@ func (s *referenceMaxMin) reschedule() {
 		}
 		return
 	}
-	seq := e.nextSeq()
 	s.recomputeRates()
 	minT := Forever
 	for _, a := range s.acts {
@@ -285,7 +284,7 @@ func (s *referenceMaxMin) reschedule() {
 	if minT < s.minTick {
 		minT = s.minTick
 	}
-	e.rearm(&s.next, e.now+minT, seq)
+	e.rearm(&s.next, e.now+minT)
 }
 
 // refTol is the relative tolerance between the class solver and
@@ -323,9 +322,8 @@ func solve(capacity []float64, acts []testAct) (*MaxMin, []ratedAct) {
 		c := s.classFor(a.uses, a.cap)
 		s.classes[c].n++
 		all[i] = Activity{finish: 1, stamp: uint64(i), cls: c, inService: true}
-		all[i].sibling, s.fresh = s.fresh, &all[i]
+		s.classes[c].head = meld(s.classes[c].head, &all[i])
 	}
-	s.join()
 	s.recomputeRates()
 	rates := make([]ratedAct, len(acts))
 	for _, c := range s.classes[:s.live] {
@@ -604,9 +602,9 @@ func FuzzMaxMin(f *testing.F) {
 	})
 }
 
-// deferredOp is one scheduled call on a solver: a Start, or a SetCapacity
+// solverOp is one scheduled call on a solver: a Start, or a SetCapacity
 // when setCap is set.
-type deferredOp struct {
+type solverOp struct {
 	at            Time
 	setCap        bool
 	r             int     // SetCapacity's resource
@@ -616,74 +614,23 @@ type deferredOp struct {
 	lag           Time
 }
 
-// The values decodeDeferred draws from: powers of two and small integers,
-// so completions and starts meet on shared instants exactly, and works
-// between the solver's eps (1e-12) and maxCap*minTick (at least 0.5e-9),
-// which make a pass re-rate at once.
+// The capacities and rate caps schedules draw from: powers of two, so
+// completions and starts meet on shared instants exactly.
 var (
-	deferredCaps  = [...]float64{0.5, 1, 2, 4}
-	deferredRates = [...]float64{0, 0.25, 1, 2} // 0: uncapped
-	deferredWorks = [...]float64{1e-10, 4e-10, 0.5, 1, 2, 3, 4, 8}
+	solverCaps  = [...]float64{0.5, 1, 2, 4}
+	solverRates = [...]float64{0, 0.25, 1, 2} // 0: uncapped
 )
-
-// decodeDeferred turns fuzz input into a solver schedule: one byte for the
-// number of resources (1-4) and one per capacity, then three bytes per
-// operation. The first byte's low three bits give its instant, 0 to 3.5 in
-// halves, and its next two bits make one in four a SetCapacity. A Start
-// takes its work, its rate cap and a lag of 0 or 0.5 from the second byte
-// and its resources from the third, a bitmask; a SetCapacity takes its
-// resource from the second byte and its capacity from the third.
-func decodeDeferred(data []byte) ([]float64, []deferredOp) {
-	next := func() int {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return int(b)
-	}
-	capacity := make([]float64, next()%4+1)
-	for r := range capacity {
-		capacity[r] = deferredCaps[next()%len(deferredCaps)]
-	}
-	var ops []deferredOp
-	for len(data) > 0 && len(ops) < 64 {
-		kind, arg, mask := next(), next(), next()
-		op := deferredOp{at: Time(kind&7) / 2}
-		if kind>>3&3 == 0 {
-			op.setCap, op.r, op.capacity = true, arg%len(capacity), deferredCaps[mask%len(deferredCaps)]
-			ops = append(ops, op)
-			continue
-		}
-		op.work = deferredWorks[arg&7]
-		op.rateCap = deferredRates[arg>>3&3]
-		op.lag = Time(arg>>5&1) / 2
-		for r := range capacity {
-			if mask>>r&1 == 1 {
-				op.uses = append(op.uses, r)
-			}
-		}
-		if len(op.uses) == 0 {
-			op.uses = []int{mask % len(capacity)}
-		}
-		ops = append(ops, op)
-	}
-	return capacity, ops
-}
 
 type completion struct {
 	op int
 	at Time
 }
 
-// runDeferred plays ops on a fresh engine, on a solver with residue eps,
-// and returns the completions in the order their latches' callbacks ran,
-// and the engine's final sequence number. With eager set, Utilization
-// follows every call, which re-rates at once whatever the call's pass put
-// off.
-func runDeferred(capacity []float64, ops []deferredOp, eager bool, eps float64) ([]completion, uint64) {
+// runSolver plays ops on a fresh engine, on a solver with residue eps,
+// and returns the completions in the order their latches' callbacks ran.
+func runSolver(capacity []float64, ops []solverOp, eps float64) []completion {
 	e := New(1)
-	s := NewMaxMin(e, "deferred", eps, 1e-9)
+	s := NewMaxMin(e, "solver", eps, 1e-9)
 	for _, c := range capacity {
 		s.AddResource(c)
 	}
@@ -695,44 +642,15 @@ func runDeferred(capacity []float64, ops []deferredOp, eager bool, eps float64) 
 		e.At(op.at, func() {
 			if op.setCap {
 				s.SetCapacity(op.r, op.capacity)
-			} else {
-				cbs[i] = NewCallback(e, func() { log = append(log, completion{i, e.Now()}) })
-				dones[i].FiredOr(&cbs[i])
-				s.Start(&acts[i], op.work, op.rateCap, op.uses, &dones[i], op.lag)
+				return
 			}
-			if eager {
-				s.Utilization(0)
-			}
+			cbs[i] = NewCallback(e, func() { log = append(log, completion{i, e.Now()}) })
+			dones[i].FiredOr(&cbs[i])
+			s.Start(&acts[i], op.work, op.rateCap, op.uses, &dones[i], op.lag)
 		})
 	}
 	e.Run()
-	return log, e.seq
-}
-
-// Putting a same-instant re-rate off to the flush changes nothing a run can
-// see: the completions, their order, their times to the bit, and every
-// sequence number the engine draws match a run that re-rates at once.
-func FuzzMaxMinDeferred(f *testing.F) {
-	f.Add([]byte{0, 1, 8, 3, 1, 8, 4, 1, 8, 5, 1})                  // three starts at one instant
-	f.Add([]byte{1, 1, 1, 8, 3, 1, 10, 3, 2})                       // a start as a completion falls due
-	f.Add([]byte{0, 2, 8, 4, 1, 8, 0, 1, 8, 1, 1, 9, 2, 1})         // tiny works next to long ones
-	f.Add([]byte{2, 0, 1, 2, 8, 4, 7, 9, 35, 6, 1, 1, 3, 11, 2, 2}) // retunes, caps and lags
-	f.Fuzz(func(t *testing.T, data []byte) {
-		capacity, ops := decodeDeferred(data)
-		got, gotSeq := runDeferred(capacity, ops, false, 1e-12)
-		want, wantSeq := runDeferred(capacity, ops, true, 1e-12)
-		if len(got) != len(want) {
-			t.Fatalf("%d completions, eager %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i].op != want[i].op || !sameBits(got[i].at, want[i].at) {
-				t.Fatalf("completion %d: op %d at %v, eager op %d at %v", i, got[i].op, got[i].at, want[i].op, want[i].at)
-			}
-		}
-		if gotSeq != wantSeq {
-			t.Fatalf("final seq %d, eager %d", gotSeq, wantSeq)
-		}
-	})
+	return log
 }
 
 // The values decodeClasses draws from. Works run from below the fuzz
@@ -752,7 +670,7 @@ const classesEps = 0x1p-44
 // route, its rate cap and a lag of 0 or 0.5 from the second byte and its
 // work from the third; a SetCapacity takes its resource from the second
 // byte and its capacity from the third.
-func decodeClasses(data []byte) ([]float64, []deferredOp) {
+func decodeClasses(data []byte) ([]float64, []solverOp) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -763,7 +681,7 @@ func decodeClasses(data []byte) ([]float64, []deferredOp) {
 	}
 	capacity := make([]float64, next()%4+1)
 	for r := range capacity {
-		capacity[r] = deferredCaps[next()%len(deferredCaps)]
+		capacity[r] = solverCaps[next()%len(solverCaps)]
 	}
 	var routes [4][]int
 	for k := range routes {
@@ -777,17 +695,17 @@ func decodeClasses(data []byte) ([]float64, []deferredOp) {
 			routes[k] = []int{mask % len(capacity)}
 		}
 	}
-	var ops []deferredOp
+	var ops []solverOp
 	for len(data) > 0 && len(ops) < 64 {
 		kind, arg, arg2 := next(), next(), next()
-		op := deferredOp{at: Time(kind&31) * 2}
+		op := solverOp{at: Time(kind&31) * 2}
 		if kind>>5&3 == 0 {
-			op.setCap, op.r, op.capacity = true, arg%len(capacity), deferredCaps[arg2%len(deferredCaps)]
+			op.setCap, op.r, op.capacity = true, arg%len(capacity), solverCaps[arg2%len(solverCaps)]
 			ops = append(ops, op)
 			continue
 		}
 		op.uses = routes[arg&3]
-		op.rateCap = deferredRates[arg>>2&3]
+		op.rateCap = solverRates[arg>>2&3]
 		op.lag = Time(arg>>4&1) / 2
 		op.work = classesWorks[arg2&7]
 		ops = append(ops, op)
@@ -797,7 +715,7 @@ func decodeClasses(data []byte) ([]float64, []deferredOp) {
 
 // runReference plays ops on referenceMaxMin with the given eps and returns
 // each start's completion time, NaN for a SetCapacity.
-func runReference(capacity []float64, ops []deferredOp, eps float64) []Time {
+func runReference(capacity []float64, ops []solverOp, eps float64) []Time {
 	e := New(1)
 	s := newReferenceMaxMin(e, eps, 1e-9)
 	for _, c := range capacity {
@@ -824,21 +742,11 @@ func runReference(capacity []float64, ops []deferredOp, eps float64) []Time {
 }
 
 // Classes fill, empty and refill, and their clocks pass the rebase point,
-// yet every completion lands within refTol of the reference solver's, and
-// putting re-rates off still changes nothing a run can see.
+// yet every completion lands within refTol of the reference solver's.
 func FuzzMaxMinClasses(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		capacity, ops := decodeClasses(data)
-		got, gotSeq := runDeferred(capacity, ops, false, classesEps)
-		eager, eagerSeq := runDeferred(capacity, ops, true, classesEps)
-		if len(got) != len(eager) || gotSeq != eagerSeq {
-			t.Fatalf("%d completions and final seq %d, eager %d and %d", len(got), gotSeq, len(eager), eagerSeq)
-		}
-		for i := range got {
-			if got[i].op != eager[i].op || !sameBits(got[i].at, eager[i].at) {
-				t.Fatalf("completion %d: op %d at %v, eager op %d at %v", i, got[i].op, got[i].at, eager[i].op, eager[i].at)
-			}
-		}
+		got := runSolver(capacity, ops, classesEps)
 		want := runReference(capacity, ops, classesEps)
 		done := make([]bool, len(ops))
 		for _, c := range got {
@@ -944,7 +852,7 @@ func TestMaxMinConservation(t *testing.T) {
 		s := NewMaxMin(e, "conservation", eps, minTick)
 		capacity := make([]float64, 1+rng.Intn(6))
 		for r := range capacity {
-			capacity[r] = deferredCaps[rng.Intn(len(deferredCaps))] * (0.5 + rng.Float64())
+			capacity[r] = solverCaps[rng.Intn(len(solverCaps))] * (0.5 + rng.Float64())
 			s.AddResource(capacity[r])
 		}
 		routes := make([][]int, 1+rng.Intn(4))
@@ -961,7 +869,7 @@ func TestMaxMinConservation(t *testing.T) {
 			work := math.Exp(rng.NormFloat64() * 2)
 			rateCap := 0.0
 			if rng.Intn(3) == 0 {
-				rateCap = deferredRates[1+rng.Intn(3)]
+				rateCap = solverRates[1+rng.Intn(3)]
 			}
 			for _, r := range uses {
 				want[r] += work
@@ -975,7 +883,7 @@ func TestMaxMinConservation(t *testing.T) {
 				t.Fatalf("run %d: activity %d never completed", run, i)
 			}
 		}
-		residue := max(eps, s.maxCap*minTick)
+		residue := max(eps, slices.Max(capacity)*minTick)
 		for r, c := range capacity {
 			got := s.Carried(r)
 			if tol := float64(crossings[r])*residue + 1e-12*want[r]; math.Abs(got-want[r]) > tol {

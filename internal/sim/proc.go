@@ -160,10 +160,6 @@ func (p *Proc) Now() Time { return p.engine.now }
 // (including via Fail, but not when killed by Shutdown).
 func (p *Proc) Done() *Done { return &p.done }
 
-// Terminated reports whether the process has finished. Only tests read it,
-// to find parked processes: FuzzQueue and TestAbortUnwindsParkedProcess.
-func (p *Proc) Terminated() bool { return p.terminated }
-
 // yield parks the process's carrier, returning control to the engine, and
 // comes back when the engine dispatches this process again. Every blocking
 // primitive bottoms out here.

@@ -27,10 +27,6 @@ func NewQueue(e *Engine, capacity int) *Queue {
 	return &Queue{engine: e, capacity: capacity, available: capacity}
 }
 
-// Available returns the number of free units. Only tests read it:
-// FuzzQueue checks 0 <= available <= capacity after every operation.
-func (q *Queue) Available() int { return q.available }
-
 // Acquire blocks p until n units are available, then takes them. Grants are
 // strictly FIFO: a large request at the head of the line blocks later small
 // requests (no starvation). If p is aborted or killed while waiting, its

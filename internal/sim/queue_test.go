@@ -19,8 +19,8 @@ func TestQueueBasicAcquireRelease(t *testing.T) {
 	worker("b", 2)
 	worker("c", 2) // must wait for a slot
 	e.Run()
-	if q.Available() != 2 {
-		t.Fatalf("available = %d after all released", q.Available())
+	if q.available != 2 {
+		t.Fatalf("available = %d after all released", q.available)
 	}
 	// At t=2, a's wake event precedes b's, and c's grant event (created by
 	// a's release) lands after b's pre-existing wake event.
@@ -102,7 +102,7 @@ func FuzzQueue(f *testing.F) {
 		q := NewQueue(e, capacity)
 		held := 0
 		check := func(what string) {
-			if a := q.Available(); a < 0 || a > capacity || held > capacity-a {
+			if a := q.available; a < 0 || a > capacity || held > capacity-a {
 				t.Errorf("%s at %v: available %d, held %d, capacity %d", what, e.Now(), a, held, capacity)
 			}
 			if q.head < len(q.waiters) && q.waiters[q.head].n <= q.available {
@@ -162,7 +162,7 @@ func FuzzQueue(f *testing.F) {
 		e.Run()
 		for k, p := range procs {
 			switch {
-			case !p.Terminated():
+			case !p.terminated:
 				t.Fatalf("waiter %d (state %d) never finished: lost wakeup", k, state[k])
 			case state[k] == fqWaiting:
 				t.Fatalf("waiter %d terminated inside Acquire", k)
@@ -170,8 +170,8 @@ func FuzzQueue(f *testing.F) {
 				t.Fatalf("waiter %d not granted (state %d) and not aborted", k, state[k])
 			}
 		}
-		if q.head != len(q.waiters) || q.Available() != capacity || held != 0 {
-			t.Fatalf("drained queue: %d in line, available %d of %d, held %d", len(q.waiters)-q.head, q.Available(), capacity, held)
+		if q.head != len(q.waiters) || q.available != capacity || held != 0 {
+			t.Fatalf("drained queue: %d in line, available %d of %d, held %d", len(q.waiters)-q.head, q.available, capacity, held)
 		}
 		e.Shutdown()
 	})
