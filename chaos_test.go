@@ -20,11 +20,11 @@ import (
 	"fmt"
 	"testing"
 
-	"vhadoop/internal/difftest"
 	"vhadoop/internal/faults"
 	"vhadoop/internal/faults/chaostest"
 	"vhadoop/internal/obs"
 	"vhadoop/internal/sim"
+	"vhadoop/internal/workloads"
 )
 
 // chaosPlatformSeed pins the platform and data; chaos seeds vary only the
@@ -34,6 +34,25 @@ const chaosPlatformSeed = 42
 // chaosHorizon covers the whole fault-free job runtime, so generated
 // faults land while work is actually in flight.
 const chaosHorizon sim.Time = 30
+
+// chaosTeraSort is a 32 MB TeraGen + TeraSort + TeraValidate pipeline.
+func chaosTeraSort() chaostest.Workload {
+	return chaostest.FromSpec(workloads.TeraSortSpec{Options: workloads.DefaultTeraOptions(32e6)})
+}
+
+// chaosCanopy is Mahout-style canopy clustering over the control-chart
+// dataset: the ML workload of the chaos matrix. Its canonical output is the
+// final canopy center set.
+func chaosCanopy() chaostest.Workload {
+	return chaostest.FromSpec(workloads.CanopySpec{Dir: "/chaos/canopy"})
+}
+
+// chaosDFSIO is the TestDFSIO write-then-read HDFS stress phase pair: the
+// non-MapReduce workload of the chaos matrix. Its canonical output is the
+// two phase throughputs.
+func chaosDFSIO() chaostest.Workload {
+	return chaostest.FromSpec(workloads.DFSIOSpec{Options: workloads.DFSIOOptions{Files: 6, FileBytes: 4e6}})
+}
 
 func runChaosSuite(t *testing.T, w chaostest.Workload, seeds []int64) {
 	t.Helper()
@@ -78,20 +97,20 @@ func runChaosSuite(t *testing.T, w chaostest.Workload, seeds []int64) {
 			if err != nil {
 				t.Fatalf("replay failed where the first run passed: %v", err)
 			}
-			difftest.RequireIdentical(t, "replay",
-				[]difftest.Digest{{Name: "spans", Data: r1.TraceJSON}, {Name: "end", Data: fmt.Sprint(r1.End)}},
-				[]difftest.Digest{{Name: "spans", Data: r2.TraceJSON}, {Name: "end", Data: fmt.Sprint(r2.End)}})
+			requireIdentical(t, "replay",
+				[]digest{{Name: "spans", Data: r1.TraceJSON}, {Name: "end", Data: fmt.Sprint(r1.End)}},
+				[]digest{{Name: "spans", Data: r2.TraceJSON}, {Name: "end", Data: fmt.Sprint(r2.End)}})
 		})
 	}
 }
 
 // chaosArtifacts flattens one chaos run into the comparable artifact set.
-func chaosArtifacts(r chaostest.Result, err error) []difftest.Digest {
+func chaosArtifacts(r chaostest.Result, err error) []digest {
 	errs := ""
 	if err != nil {
 		errs = err.Error()
 	}
-	return []difftest.Digest{
+	return []digest{
 		{Name: "error", Data: errs},
 		{Name: "output", Data: r.Output},
 		{Name: "end", Data: fmt.Sprint(r.End)},
@@ -108,11 +127,11 @@ func chaosArtifacts(r chaostest.Result, err error) []difftest.Digest {
 // for byte. It is the only chaos coverage of the canopy and DFSIO
 // workloads.
 func TestShardedPlatformDifferential(t *testing.T) {
-	workloads := []chaostest.Workload{
+	matrix := []chaostest.Workload{
 		chaostest.Wordcount(),
-		chaostest.TeraSort(),
-		chaostest.Canopy(),
-		chaostest.DFSIO(),
+		chaosTeraSort(),
+		chaosCanopy(),
+		chaosDFSIO(),
 	}
 	platformSeeds := []int64{42, 7, 1234}
 	schedules := []struct {
@@ -123,7 +142,7 @@ func TestShardedPlatformDifferential(t *testing.T) {
 		{"chaos5", 5},
 		{"chaos9", 9},
 	}
-	for _, w := range workloads {
+	for _, w := range matrix {
 		t.Run(w.Name, func(t *testing.T) {
 			for _, pseed := range platformSeeds {
 				for _, sc := range schedules {
@@ -148,7 +167,7 @@ func TestShardedPlatformDifferential(t *testing.T) {
 							requireEvents(t, r.TraceJSON)
 						}
 						r2, err2 := chaostest.Run(w, pseed, sched)
-						difftest.RequireIdentical(t, "rerun", chaosArtifacts(r, err), chaosArtifacts(r2, err2))
+						requireIdentical(t, "rerun", chaosArtifacts(r, err), chaosArtifacts(r2, err2))
 					})
 				}
 			}
@@ -174,7 +193,7 @@ func TestChaosWordcount(t *testing.T) {
 }
 
 func TestChaosTeraSort(t *testing.T) {
-	runChaosSuite(t, chaostest.TeraSort(), []int64{2, 5, 12, 24})
+	runChaosSuite(t, chaosTeraSort(), []int64{2, 5, 12, 24})
 }
 
 // TestChaosMachineCrashRecovery pins a hand-written worst-case schedule
@@ -184,7 +203,7 @@ func TestChaosTeraSort(t *testing.T) {
 // monitor and tracker failure detector must carry the job to the same
 // answer.
 func TestChaosMachineCrashRecovery(t *testing.T) {
-	for _, w := range []chaostest.Workload{chaostest.Wordcount(), chaostest.TeraSort()} {
+	for _, w := range []chaostest.Workload{chaostest.Wordcount(), chaosTeraSort()} {
 		t.Run(w.Name, func(t *testing.T) {
 			baseline, err := chaostest.Run(w, chaosPlatformSeed, faults.Schedule{})
 			if err != nil {

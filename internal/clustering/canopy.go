@@ -2,7 +2,6 @@ package clustering
 
 import (
 	"fmt"
-	"math"
 
 	"vhadoop/internal/mapreduce"
 	"vhadoop/internal/sim"
@@ -16,31 +15,21 @@ type CanopyOptions struct {
 }
 
 // canopySet accumulates canopy centers: absorb adds a point as a new center
-// unless it lies within T2 of an existing one. It caches each center's norm
-// and rejects most point/center pairs on the norm gap alone (see normMargin
-// for why the prune is exact) before falling back to the bounded
-// squared-distance kernel.
+// unless it lies within T2 of an existing one. Each check is the bounded
+// squared-distance kernel against T2², which abandons a center as soon as
+// its partial sum reaches the bound.
 type canopySet struct {
 	t2sq    float64
 	centers []Vector
-	norms   []float64
 }
 
 func (s *canopySet) absorb(pt Vector) {
-	sv := sqNorm(pt)
-	nv := math.Sqrt(sv)
-	for i, c := range s.centers {
-		nc := s.norms[i]
-		diff := nv - nc
-		if lb := diff * diff; lb >= s.t2sq+normMargin*(sv+nc*nc) {
-			continue // provably not within T2
-		}
+	for _, c := range s.centers {
 		if _, ok := squaredEuclideanWithin(pt, c, s.t2sq); ok {
 			return
 		}
 	}
 	s.centers = append(s.centers, pt.Clone())
-	s.norms = append(s.norms, nv)
 }
 
 // canopyCluster runs the sequential canopy pass over points: the exact
@@ -52,25 +41,6 @@ func canopyCluster(points []Vector, opts CanopyOptions) []Vector {
 		s.absorb(pt)
 	}
 	return s.centers
-}
-
-// Canopy is the in-memory reference implementation: one pass creates the
-// canopies, a second assigns each point to its nearest canopy center.
-func Canopy(vectors []Vector, opts CanopyOptions) (Result, error) {
-	if _, err := checkDims(vectors); err != nil {
-		return Result{}, err
-	}
-	if err := validateCanopy(opts); err != nil {
-		return Result{}, err
-	}
-	centers := canopyCluster(vectors, opts)
-	return Result{
-		Algorithm:   "canopy",
-		Centers:     centers,
-		Assignments: Assignments(vectors, centers),
-		Iterations:  1,
-		History:     [][]Vector{centers},
-	}, nil
 }
 
 func validateCanopy(opts CanopyOptions) error {

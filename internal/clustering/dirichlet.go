@@ -113,26 +113,6 @@ func dirichletPosterior(acc []*partial, prior []normalModel, n int, alpha float6
 	return out
 }
 
-// dirichletStep runs one Gibbs-style iteration in memory.
-func dirichletStep(vectors []Vector, models []normalModel, iter int, alpha float64) []normalModel {
-	dim := len(vectors[0])
-	acc := make([]*partial, len(models))
-	for i, v := range vectors {
-		// Record IDs match datasets.VectorRecords so the reference and the
-		// MapReduce run draw identical assignments.
-		c := assignComponent(v, fmt.Sprintf("v%06d", i), iter, models)
-		if acc[c] == nil {
-			acc[c] = newPartial(dim, true)
-		}
-		acc[c].sum.Add(v)
-		for j := range v {
-			acc[c].sumSq[j] += v[j] * v[j]
-		}
-		acc[c].count++
-	}
-	return dirichletPosterior(acc, models, len(vectors), alpha)
-}
-
 // modelsToResult finalises a Result from the mixture: significant components
 // become centers; points are assigned by maximum posterior.
 func modelsToResult(vectors []Vector, models []normalModel, res Result) Result {
@@ -150,28 +130,6 @@ func modelsToResult(vectors []Vector, models []normalModel, res Result) Result {
 		res.Assignments[i] = best
 	}
 	return res
-}
-
-// Dirichlet is the in-memory reference implementation.
-func Dirichlet(vectors []Vector, opts DirichletOptions) (Result, error) {
-	if _, err := checkDims(vectors); err != nil {
-		return Result{}, err
-	}
-	if opts.K < 1 || opts.MaxIter < 1 {
-		return Result{}, fmt.Errorf("clustering: dirichlet needs K >= 1 and MaxIter >= 1")
-	}
-	models := dirichletInit(vectors, opts.K)
-	res := Result{Algorithm: "dirichlet"}
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		models = dirichletStep(vectors, models, iter, opts.Alpha)
-		res.Iterations++
-		centers := make([]Vector, len(models))
-		for i, m := range models {
-			centers[i] = m.Mean
-		}
-		res.History = append(res.History, centers)
-	}
-	return modelsToResult(vectors, models, res), nil
 }
 
 // dirichletMapper samples a component per point and emits its sufficient

@@ -21,18 +21,13 @@ func DefaultFuzzyKMeansOptions(k int) FuzzyKMeansOptions {
 	return FuzzyKMeansOptions{K: k, MaxIter: 10, Epsilon: 0.001, M: 2}
 }
 
-// memberships computes the fuzzy membership of v in every center:
+// membershipsInto computes the fuzzy membership of v in every center:
 // u_i = 1 / sum_j (d_i/d_j)^(2/(m-1)), with d the Euclidean distance. A zero
-// distance collapses to a hard assignment.
-func memberships(v Vector, centers []Vector, m float64) []float64 {
-	return membershipsInto(v, centers, m, nil, nil)
-}
-
-// membershipsInto is memberships with caller-owned scratch: ds holds the
-// per-center distances and u receives the result (both grown as needed; the
-// returned slice aliases u). For Mahout's default m=2 the exponent is
-// exactly 2, so the ratio is squared directly instead of through math.Pow —
-// the same rounding, an order of magnitude less CPU.
+// distance collapses to a hard assignment. The scratch is the caller's: ds
+// holds the per-center distances and u receives the result (both grown as
+// needed; the returned slice aliases u). For Mahout's default m=2 the
+// exponent is exactly 2, so the ratio is squared directly instead of through
+// math.Pow — the same rounding, an order of magnitude less CPU.
 func membershipsInto(v Vector, centers []Vector, m float64, ds, u []float64) []float64 {
 	k := len(centers)
 	if cap(ds) < k {
@@ -77,65 +72,6 @@ func powM(x, m float64) float64 {
 		return x * x
 	}
 	return math.Pow(x, m)
-}
-
-// fuzzyStep performs one fuzzy c-means update of the centers.
-func fuzzyStep(vectors, centers []Vector, m float64) []Vector {
-	dim := len(vectors[0])
-	acc := make([]*partial, len(centers))
-	for i := range acc {
-		acc[i] = newPartial(dim, false)
-	}
-	ds := make([]float64, len(centers))
-	u := make([]float64, len(centers))
-	for _, v := range vectors {
-		membershipsInto(v, centers, m, ds, u)
-		for i := range centers {
-			w := powM(u[i], m)
-			acc[i].sum.AddScaled(v, w)
-			acc[i].weight += w
-		}
-	}
-	out := make([]Vector, len(centers))
-	for i, a := range acc {
-		if a.weight == 0 {
-			out[i] = centers[i].Clone()
-			continue
-		}
-		c := a.sum.Clone()
-		c.Scale(1 / a.weight)
-		out[i] = c
-	}
-	return out
-}
-
-// FuzzyKMeans is the in-memory reference implementation.
-func FuzzyKMeans(vectors []Vector, initial []Vector, opts FuzzyKMeansOptions) (Result, error) {
-	dim, err := checkDims(vectors)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := checkCenters(initial, dim); err != nil {
-		return Result{}, err
-	}
-	if opts.M <= 1 {
-		return Result{}, fmt.Errorf("clustering: fuzziness m must exceed 1, got %v", opts.M)
-	}
-	centers := cloneAll(initial)
-	res := Result{Algorithm: "fuzzykmeans"}
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		next := fuzzyStep(vectors, centers, opts.M)
-		res.Iterations++
-		res.History = append(res.History, next)
-		shift := maxShift(centers, next)
-		centers = next
-		if shift <= opts.Epsilon {
-			break
-		}
-	}
-	res.Centers = centers
-	res.Assignments = Assignments(vectors, centers)
-	return res, nil
 }
 
 // fuzzyMapper emits a weighted partial toward every center for each vector.

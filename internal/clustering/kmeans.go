@@ -2,7 +2,6 @@ package clustering
 
 import (
 	"fmt"
-	"math"
 
 	"vhadoop/internal/mapreduce"
 	"vhadoop/internal/sim"
@@ -30,10 +29,8 @@ func kmeansStep(vectors, centers []Vector) []Vector {
 	for i := range acc {
 		acc[i] = newPartial(dim, false)
 	}
-	norms := centerNorms(centers)
 	for _, v := range vectors {
-		sv := sqNorm(v)
-		c, _ := nearestSquaredPruned(v, math.Sqrt(sv), sv, centers, norms)
+		c, _ := NearestSquared(v, centers)
 		acc[c].sum.Add(v)
 		acc[c].count++
 	}
@@ -79,18 +76,11 @@ func KMeans(vectors []Vector, initial []Vector, opts KMeansOptions) (Result, err
 // kmeansMapper assigns each input vector to its nearest current center and
 // emits the point itself toward that center; sumPartials folds it as a
 // count-1 partial.
-type kmeansMapper struct {
-	centers []Vector
-	norms   []float64 // center norms for the pruned scan, built on first Map
-}
+type kmeansMapper struct{ centers []Vector }
 
 func (m *kmeansMapper) Map(_ string, value any, emit mapreduce.Emit) {
 	v := Vector(value.([]float64))
-	if m.norms == nil {
-		m.norms = centerNorms(m.centers)
-	}
-	sv := sqNorm(v)
-	c, _ := nearestSquaredPruned(v, math.Sqrt(sv), sv, m.centers, m.norms)
+	c, _ := NearestSquared(v, m.centers)
 	emit(clusterKey(c), value, partialSize(len(v)))
 }
 

@@ -28,36 +28,6 @@ func validateMeanShift(opts MeanShiftOptions) error {
 	return nil
 }
 
-// meanShiftMove computes the shifted position of each center: the mean of
-// all data points within T1 (a center with no points in range stays put).
-func meanShiftMove(vectors, centers []Vector, opts MeanShiftOptions) []Vector {
-	dim := len(vectors[0])
-	acc := make([]*partial, len(centers))
-	for i := range acc {
-		acc[i] = newPartial(dim, false)
-	}
-	t1sq := opts.T1 * opts.T1
-	for _, v := range vectors {
-		for i, c := range centers {
-			if _, ok := squaredEuclideanWithin(v, c, t1sq); ok {
-				acc[i].sum.Add(v)
-				acc[i].count++
-			}
-		}
-	}
-	out := make([]Vector, len(centers))
-	for i, a := range acc {
-		if a.count == 0 {
-			out[i] = centers[i].Clone()
-			continue
-		}
-		c := a.sum.Clone()
-		c.Scale(1 / float64(a.count))
-		out[i] = c
-	}
-	return out
-}
-
 // mergeCanopies collapses centers that came within T2 of an earlier center.
 func mergeCanopies(centers []Vector, opts MeanShiftOptions) []Vector {
 	t2sq := opts.T2 * opts.T2
@@ -90,31 +60,6 @@ func seedCenters(vectors []Vector, maxSeeds int) []Vector {
 		out = append(out, vectors[i].Clone())
 	}
 	return out
-}
-
-// MeanShift is the in-memory reference implementation.
-func MeanShift(vectors []Vector, opts MeanShiftOptions) (Result, error) {
-	if _, err := checkDims(vectors); err != nil {
-		return Result{}, err
-	}
-	if err := validateMeanShift(opts); err != nil {
-		return Result{}, err
-	}
-	centers := seedCenters(vectors, 256)
-	res := Result{Algorithm: "meanshift"}
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		moved := meanShiftMove(vectors, centers, opts)
-		shift := maxShift(centers, moved)
-		centers = mergeCanopies(moved, opts)
-		res.Iterations++
-		res.History = append(res.History, centers)
-		if shift <= opts.Epsilon {
-			break
-		}
-	}
-	res.Centers = centers
-	res.Assignments = Assignments(vectors, centers)
-	return res, nil
 }
 
 // meanShiftMapper emits each data point toward every canopy within T1

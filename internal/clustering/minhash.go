@@ -89,23 +89,6 @@ func minhashKeys(v Vector, opts MinHashOptions) []string {
 	return keys
 }
 
-// minhashGroups collects, per band key, the IDs of the vectors that hash
-// there; groups of at least MinCluster survive.
-func minhashGroups(vectors []Vector, opts MinHashOptions) map[string][]int {
-	groups := make(map[string][]int)
-	for i, v := range vectors {
-		for _, k := range minhashKeys(v, opts) {
-			groups[k] = append(groups[k], i)
-		}
-	}
-	for k, g := range groups {
-		if len(g) < opts.MinCluster {
-			delete(groups, k)
-		}
-	}
-	return groups
-}
-
 // unionGroups merges overlapping groups into disjoint clusters (union-find)
 // and produces per-vector assignments (-1 for unclustered points).
 func unionGroups(n int, groups map[string][]int) ([][]int, []int) {
@@ -172,29 +155,6 @@ func unionGroups(n int, groups map[string][]int) ([][]int, []int) {
 		}
 	}
 	return clusters, assignments
-}
-
-// MinHash is the in-memory reference implementation.
-func MinHash(vectors []Vector, opts MinHashOptions) (Result, error) {
-	if _, err := checkDims(vectors); err != nil {
-		return Result{}, err
-	}
-	if opts.NumHashes < opts.KeyGroups || opts.KeyGroups < 1 {
-		return Result{}, fmt.Errorf("clustering: minhash needs NumHashes >= KeyGroups >= 1")
-	}
-	opts.medians = dimensionMedians(vectors)
-	groups := minhashGroups(vectors, opts)
-	clusters, assignments := unionGroups(len(vectors), groups)
-	res := Result{Algorithm: "minhash", Iterations: 1, Groups: clusters, Assignments: assignments}
-	for _, members := range clusters {
-		pts := make([]Vector, len(members))
-		for i, id := range members {
-			pts[i] = vectors[id]
-		}
-		res.Centers = append(res.Centers, Mean(pts))
-	}
-	res.History = [][]Vector{res.Centers}
-	return res, nil
 }
 
 // minhashMapper emits (bandKey, vectorID) pairs.

@@ -3,13 +3,12 @@
 // the paper evaluates — Canopy, k-means, Fuzzy k-means, MeanShift, Dirichlet
 // process clustering and MinHash — in Mahout 0.6's formulations.
 //
-// Every algorithm comes in two forms that compute the same result:
-//
-//   - an in-memory reference implementation (used for correctness tests and
-//     fast local experimentation), and
-//   - a MapReduce driver that runs the iterations as real jobs on a vHadoop
-//     platform, with real vectors flowing through map, combine, shuffle and
-//     reduce while virtual time advances through the simulated cluster.
+// Each algorithm is a MapReduce driver that runs its iterations as real jobs
+// on a vHadoop platform, with real vectors flowing through map, combine,
+// shuffle and reduce while virtual time advances through the simulated
+// cluster. KMeans is also an in-memory reference, which the benchmark's
+// local k-means runs; the other five in-memory references are test oracles
+// and live in the package's test files.
 package clustering
 
 import (
@@ -119,11 +118,10 @@ func Nearest(v Vector, centers []Vector) (int, float64) {
 }
 
 // NearestSquared returns the index of the center closest to v in L2 and the
-// squared distance — the kernel the k-means, fuzzy k-means, canopy and
-// mean-shift mappers lean on. Each candidate is scanned with the current
-// best as an early-exit bound, which prunes most of the work once a close
-// center is found while returning exactly the distances and index the full
-// scan would.
+// squared distance — the kernel of the k-means mapper, kmeansStep and
+// Assignments. Each candidate is scanned with the current best as an
+// early-exit bound, which prunes most of the work once a close center is
+// found while returning exactly the distances and index the full scan would.
 func NearestSquared(v Vector, centers []Vector) (int, float64) {
 	best, bestD := -1, math.Inf(1)
 	for i, c := range centers {
@@ -180,65 +178,6 @@ func squaredEuclideanWithin(a, b Vector, bound float64) (d float64, ok bool) {
 	return d, d < bound
 }
 
-// sqNorm returns v·v, unrolled like SquaredEuclidean.
-func sqNorm(v Vector) float64 {
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(v); i += 4 {
-		s0 += v[i] * v[i]
-		s1 += v[i+1] * v[i+1]
-		s2 += v[i+2] * v[i+2]
-		s3 += v[i+3] * v[i+3]
-	}
-	for ; i < len(v); i++ {
-		s0 += v[i] * v[i]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// centerNorms returns the L2 norm of each center, the precomputed side of
-// the norm-bound prefilter below.
-func centerNorms(centers []Vector) []float64 {
-	norms := make([]float64, len(centers))
-	for i, c := range centers {
-		norms[i] = math.Sqrt(sqNorm(c))
-	}
-	return norms
-}
-
-// normMargin is the safety margin of the norm-bound prefilter. The triangle
-// inequality gives (‖v‖−‖c‖)² ≤ ‖v−c‖² exactly over the reals, but both
-// sides here are computed in floating point. The computed lower bound is off
-// by at most ~42u·(‖v‖²+‖c‖²) (norms carry ≤ ~10u relative error each, the
-// subtract and square another few u), and the kernel's computed distance by
-// ~(dim+2)u relative — and a prune can only fire when the comparison bound
-// is below 2(‖v‖²+‖c‖²), which folds the relative term into the same scale.
-// A 1e-13 multiplier therefore exceeds the worst-case combined error by
-// >20x: a center is skipped only when its computed distance provably could
-// not have won, so pruned and unpruned scans return bit-identical results.
-const normMargin = 1e-13
-
-// nearestSquaredPruned is NearestSquared with a norm prefilter: nv and sv
-// are ‖v‖ and v·v, norms[i] is ‖centers[i]‖. Centers whose norm gap already
-// reaches the current best (plus normMargin slack) are skipped without
-// touching their coordinates; the rest go through the same bounded kernel
-// with the same evolving bound, so the result is bit-identical to the plain
-// scan.
-func nearestSquaredPruned(v Vector, nv, sv float64, centers []Vector, norms []float64) (int, float64) {
-	best, bestD := -1, math.Inf(1)
-	for i, c := range centers {
-		nc := norms[i]
-		diff := nv - nc
-		if lb := diff * diff; lb >= bestD+normMargin*(sv+nc*nc) {
-			continue
-		}
-		if d, ok := squaredEuclideanWithin(v, c, bestD); ok {
-			best, bestD = i, d
-		}
-	}
-	return best, bestD
-}
-
 // FromFloats converts raw slices to Vectors (sharing storage).
 func FromFloats(raw [][]float64) []Vector {
 	out := make([]Vector, len(raw))
@@ -248,27 +187,13 @@ func FromFloats(raw [][]float64) []Vector {
 	return out
 }
 
-// Assignments labels each vector with its nearest center. It precomputes
-// center norms once and prunes by norm gap before touching coordinates —
-// the dominant cost of the clustering drivers' final assignment pass.
+// Assignments labels each vector with its nearest center.
 func Assignments(vectors, centers []Vector) []int {
 	out := make([]int, len(vectors))
-	norms := centerNorms(centers)
 	for i, v := range vectors {
-		sv := sqNorm(v)
-		out[i], _ = nearestSquaredPruned(v, math.Sqrt(sv), sv, centers, norms)
+		out[i], _ = NearestSquared(v, centers)
 	}
 	return out
-}
-
-// WithinClusterSS is the total squared distance of vectors to their assigned
-// centers: k-means' objective function.
-func WithinClusterSS(vectors, centers []Vector, assign []int) float64 {
-	var s float64
-	for i, v := range vectors {
-		s += SquaredEuclidean(v, centers[assign[i]])
-	}
-	return s
 }
 
 func checkDims(vectors []Vector) (int, error) {

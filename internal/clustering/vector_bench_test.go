@@ -1,6 +1,7 @@
 package clustering
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -60,7 +61,27 @@ func TestUnrolledKernelsMatchReference(t *testing.T) {
 	}
 }
 
+// TestNearestSquaredMatchesFullScan holds the bounded scan to the plain
+// full scan (strict <, so ties go to the lower index) on random inputs and
+// on fixed ones where the early exit is most likely to misjudge a tie.
 func TestNearestSquaredMatchesFullScan(t *testing.T) {
+	check := func(name string, v Vector, centers []Vector) int {
+		t.Helper()
+		gotI, gotD := NearestSquared(v, centers)
+		wantI, wantD := -1, math.Inf(1)
+		for i, c := range centers {
+			if d := refSquaredEuclidean(v, c); d < wantD {
+				wantI, wantD = i, d
+			}
+		}
+		if gotI != wantI {
+			t.Fatalf("%s: NearestSquared index %d, want %d", name, gotI, wantI)
+		}
+		if got := SquaredEuclidean(v, centers[gotI]); gotD != got {
+			t.Fatalf("%s: NearestSquared distance %v not exact (%v)", name, gotD, got)
+		}
+		return gotI
+	}
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 50; trial++ {
 		dim := 1 + rng.Intn(70)
@@ -70,18 +91,34 @@ func TestNearestSquaredMatchesFullScan(t *testing.T) {
 		for i := range centers {
 			centers[i] = randVec(rng, dim)
 		}
-		gotI, gotD := NearestSquared(v, centers)
-		wantI, wantD := -1, math.Inf(1)
-		for i, c := range centers {
-			if d := refSquaredEuclidean(v, c); d < wantD {
-				wantI, wantD = i, d
-			}
-		}
-		if gotI != wantI {
-			t.Fatalf("trial %d: NearestSquared index %d, want %d", trial, gotI, wantI)
-		}
-		if got := SquaredEuclidean(v, centers[gotI]); gotD != got {
-			t.Fatalf("trial %d: NearestSquared distance %v not exact (%v)", trial, gotD, got)
+		check(fmt.Sprintf("trial %d", trial), v, centers)
+	}
+
+	base := make(Vector, 60)
+	for i := range base {
+		base[i] = 1e6
+	}
+	near1, near2 := base.Clone(), base.Clone()
+	near1[0] += 1e-4
+	near2[1] -= 2e-4
+	c := Vector{1, 2, 3, 4, 5}
+	for _, tc := range []struct {
+		name    string
+		v       Vector
+		centers []Vector
+		want    int
+	}{
+		// Exact duplicate centers: the tie resolves to the lower index.
+		{"duplicate-centers", Vector{1.1, 2.1, 2.9, 4.2, 5.3}, []Vector{c.Clone(), c.Clone(), {9, 9, 9, 9, 9}}, 0},
+		// Equidistant centers on a shared shell around the query point.
+		{"equidistant", Vector{0, 0}, []Vector{{3, 4}, {4, 3}, {-3, 4}, {5, 0}}, 0},
+		// Near ties far from the origin, beside a far center.
+		{"near-ties", base, []Vector{near1, near2, make(Vector, 60)}, 0},
+		// The query coincides with a center, so the bound drops to 0.
+		{"zero-distance", base.Clone(), []Vector{near1, base.Clone(), near2}, 1},
+	} {
+		if got := check(tc.name, tc.v, tc.centers); got != tc.want {
+			t.Fatalf("%s: NearestSquared index %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }
@@ -112,9 +149,6 @@ func TestKernelsZeroAllocs(t *testing.T) {
 	for i := range centers {
 		centers[i] = randVec(rng, 61)
 	}
-	norms := centerNorms(centers)
-	sv := sqNorm(v)
-	nv := math.Sqrt(sv)
 	var sink float64
 	for _, tc := range []struct {
 		name string
@@ -122,8 +156,6 @@ func TestKernelsZeroAllocs(t *testing.T) {
 	}{
 		{"SquaredEuclidean", func() { sink += SquaredEuclidean(v, centers[0]) }},
 		{"squaredEuclideanWithin", func() { d, _ := squaredEuclideanWithin(v, centers[0], math.Inf(1)); sink += d }},
-		{"sqNorm", func() { sink += sqNorm(v) }},
-		{"nearestSquaredPruned", func() { _, d := nearestSquaredPruned(v, nv, sv, centers, norms); sink += d }},
 	} {
 		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", tc.name, n)
@@ -160,63 +192,6 @@ func TestMappersZeroAllocs(t *testing.T) {
 	if emitted == 0 {
 		t.Fatal("mappers emitted nothing")
 	}
-}
-
-// prunedNearest is the test-side wrapper computing the per-point inputs the
-// way the production call sites do.
-func prunedNearest(v Vector, centers []Vector, norms []float64) (int, float64) {
-	sv := sqNorm(v)
-	return nearestSquaredPruned(v, math.Sqrt(sv), sv, centers, norms)
-}
-
-func TestNearestSquaredPrunedMatchesPlainScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 200; trial++ {
-		dim := 1 + rng.Intn(70)
-		k := 1 + rng.Intn(40)
-		v := randVec(rng, dim)
-		centers := make([]Vector, k)
-		for i := range centers {
-			centers[i] = randVec(rng, dim)
-		}
-		norms := centerNorms(centers)
-		wi, wd := NearestSquared(v, centers)
-		gi, gd := prunedNearest(v, centers, norms)
-		if gi != wi || gd != wd {
-			t.Fatalf("trial %d: pruned (%d, %v), plain (%d, %v)", trial, gi, gd, wi, wd)
-		}
-	}
-}
-
-func TestNearestSquaredPrunedAdversarial(t *testing.T) {
-	check := func(name string, v Vector, centers []Vector) {
-		t.Helper()
-		norms := centerNorms(centers)
-		wi, wd := NearestSquared(v, centers)
-		gi, gd := prunedNearest(v, centers, norms)
-		if gi != wi || gd != wd {
-			t.Fatalf("%s: pruned (%d, %v), plain (%d, %v)", name, gi, gd, wi, wd)
-		}
-	}
-	// Exact duplicate centers: the tie must resolve to the lower index.
-	c := Vector{1, 2, 3, 4, 5}
-	check("duplicate-centers", Vector{1.1, 2.1, 2.9, 4.2, 5.3},
-		[]Vector{c.Clone(), c.Clone(), {9, 9, 9, 9, 9}})
-	// Equidistant centers on a shared shell around the query point.
-	check("equidistant", Vector{0, 0},
-		[]Vector{{3, 4}, {4, 3}, {-3, 4}, {5, 0}})
-	// Far from the origin with tightly packed centers: the norm subtraction
-	// cancels catastrophically, the margin must absorb it.
-	base := make(Vector, 60)
-	for i := range base {
-		base[i] = 1e6
-	}
-	near1, near2, origin := base.Clone(), base.Clone(), make(Vector, 60)
-	near1[0] += 1e-4
-	near2[1] -= 2e-4
-	check("cancellation", base, []Vector{near1, near2, origin})
-	// Query coincides with a center (bestD becomes 0).
-	check("zero-distance", base.Clone(), []Vector{near1, base.Clone(), near2})
 }
 
 func TestNearestEuclideanFastPathAgrees(t *testing.T) {

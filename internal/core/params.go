@@ -1,10 +1,12 @@
-// Package core is the vHadoop platform itself: it wires the five modules of
-// the paper — the Virtualization Module (internal/xen over internal/phys and
-// internal/nfs), the Hadoop Module (internal/hdfs + internal/mapreduce), the
-// Machine Learning Algorithm Library (internal/clustering), the nmon Monitor
-// (internal/nmon) and the MapReduce Tuner (internal/tuner) — and provisions
-// hadoop virtual clusters in the paper's two layouts: normal (all VMs on one
-// physical machine) and cross-domain (VMs split across two).
+// Package core is the vHadoop platform itself: it wires the paper's
+// Virtualization Module (internal/xen over internal/phys, internal/vnet and
+// internal/nfs) to its Hadoop Module (internal/hdfs + internal/mapreduce),
+// attaches the observability plane (internal/obs), and provisions hadoop
+// virtual clusters in the paper's two layouts: normal (all VMs on one
+// physical machine) and cross-domain (VMs split across two). The other
+// modules — the Machine Learning Algorithm Library (internal/clustering),
+// the nmon Monitor (internal/nmon) and the MapReduce Tuner (internal/tuner)
+// — run on a provisioned Platform; core imports none of them.
 package core
 
 import (

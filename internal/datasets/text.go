@@ -132,7 +132,9 @@ func Text(rng *rand.Rand, opts TextOptions) []hdfs.Record {
 }
 
 // CountWords computes the reference word counts for a corpus: the ground
-// truth Wordcount's output is checked against.
+// truth Wordcount's output is checked against. Only tests call it, in two
+// packages: datasets' TestTextZipfSkew and workloads'
+// TestWordcountMatchesReferenceCounts.
 func CountWords(recs []hdfs.Record) map[string]int {
 	counts := make(map[string]int)
 	for _, r := range recs {

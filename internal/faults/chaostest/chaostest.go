@@ -43,25 +43,6 @@ func Wordcount() Workload {
 	return FromSpec(workloads.WordcountSpec{Input: "/chaos/wc", SizeBytes: 32e6, Reduces: 4, Combiner: true})
 }
 
-// TeraSort is a 32 MB TeraGen + TeraSort + TeraValidate pipeline.
-func TeraSort() Workload {
-	return FromSpec(workloads.TeraSortSpec{Options: workloads.DefaultTeraOptions(32e6)})
-}
-
-// Canopy is Mahout-style canopy clustering over the control-chart dataset:
-// the ML workload of the chaos matrix. Its canonical output is the final
-// canopy center set.
-func Canopy() Workload {
-	return FromSpec(workloads.CanopySpec{Dir: "/chaos/canopy"})
-}
-
-// DFSIO is the TestDFSIO write-then-read HDFS stress phase pair: the
-// non-MapReduce workload of the chaos matrix. Its canonical output is the
-// two phase throughputs.
-func DFSIO() Workload {
-	return FromSpec(workloads.DFSIOSpec{Options: workloads.DFSIOOptions{Files: 6, FileBytes: 4e6}})
-}
-
 // Options is the chaos platform: 8 nodes split across both machines,
 // PM-aware triple replication so one whole machine can die, and the
 // namenode's replication monitor running so lost replicas get repaired

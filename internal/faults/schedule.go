@@ -163,7 +163,9 @@ func EncodeString(s Schedule) string {
 
 // Decode parses a schedule. Blank lines and `#` comments are skipped;
 // everything else is validated strictly, so any successfully decoded
-// schedule re-encodes canonically.
+// schedule re-encodes canonically. No production path reads a schedule
+// file: TestFaultedRunTraceDeterministic's round trip and FuzzFaultSchedule
+// call it, and the planned FuzzChaos fuzzer will decode its inputs with it.
 func Decode(r io.Reader) (Schedule, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

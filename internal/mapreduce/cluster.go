@@ -20,8 +20,9 @@ var errAttemptKilled = errors.New("mapreduce: attempt superseded")
 // budget.
 var errPreempted = errors.New("mapreduce: attempt preempted")
 
-// ErrJobKilled is the terminal error of a job ended by Handle.Kill or by
-// the job service's admission/quota enforcement.
+// ErrJobKilled is the terminal error of a job ended by Handle.Kill, which no
+// production path calls. The job service does not kill jobs over quota: it
+// fails them with jobsvc.ErrUnschedulable.
 var ErrJobKilled = errors.New("mapreduce: job killed")
 
 // The engine's fixed calibration: Hadoop 0.20.2 defaults scaled to the

@@ -156,7 +156,6 @@ func (m *Manager) Migrate(p *sim.Proc, vm *VM, dst *phys.Machine, cfg MigrationC
 	vm.host = dst
 	src.ReleaseMem(vm.MemBytes)
 	vm.resume()
-	vm.migrations++
 
 	stats.Downtime = m.engine.Now() - downStart
 	stats.Total = m.engine.Now() - stats.Start

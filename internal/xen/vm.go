@@ -61,12 +61,11 @@ type VM struct {
 	inflight   []watcher // I/O operations in flight touching this VM
 
 	// cumulative counters, read by the nmon monitor
-	cpuUsed    float64 // core-seconds executed
-	diskRead   float64
-	diskWrite  float64
-	netSent    float64
-	netRecv    float64
-	migrations int
+	cpuUsed   float64 // core-seconds executed
+	diskRead  float64
+	diskWrite float64
+	netSent   float64
+	netRecv   float64
 }
 
 // Host returns the physical machine currently hosting the VM.
@@ -77,11 +76,6 @@ func (vm *VM) Engine() *sim.Engine { return vm.mgr.engine }
 
 // State returns the VM lifecycle state.
 func (vm *VM) State() VMState { return vm.state }
-
-// Migrations returns how many times this VM has been live-migrated. Only
-// tests read it: TestMigrationIdle and TestMigrationChainRoundTrip count
-// the completed migrations.
-func (vm *VM) Migrations() int { return vm.migrations }
 
 // CPUUsed returns cumulative core-seconds executed by the VCPU.
 func (vm *VM) CPUUsed() float64 { return vm.cpuUsed }

@@ -190,9 +190,6 @@ func TestMigrationIdle(t *testing.T) {
 	if vm.Host() != pm2 {
 		t.Fatalf("VM still on %s", vm.Host().Name)
 	}
-	if vm.Migrations() != 1 {
-		t.Fatalf("migration count = %d", vm.Migrations())
-	}
 	almost(t, pm1.MemFree(), 32e9, 1, "source memory released")
 }
 
@@ -394,9 +391,6 @@ func TestMigrationChainRoundTrip(t *testing.T) {
 	e.Run()
 	if vm.Host() != pm1 {
 		t.Fatalf("VM on %s after round trip", vm.Host().Name)
-	}
-	if vm.Migrations() != 2 {
-		t.Fatalf("migration count = %d", vm.Migrations())
 	}
 	// Memory accounting must be exact after the round trip.
 	almost(t, pm1.MemFree(), 32e9-512e6, 1, "pm1 memory")

@@ -13,15 +13,14 @@ import (
 	"fmt"
 	"testing"
 
-	"vhadoop/internal/difftest"
 	"vhadoop/internal/faults"
 	"vhadoop/internal/jobsvc"
 	"vhadoop/internal/jobsvc/backlog"
 )
 
 // backlogArtifacts flattens one run into the comparable artifact set.
-func backlogArtifacts(r backlog.Result) []difftest.Digest {
-	return []difftest.Digest{
+func backlogArtifacts(r backlog.Result) []digest {
+	return []digest{
 		{Name: "report", Data: r.Report},
 		{Name: "metrics", Data: r.Metrics},
 		{Name: "spans", Data: r.Spans},
@@ -77,7 +76,7 @@ func TestJobsvcBacklogDeterministic(t *testing.T) {
 		t.Fatal("big backlog exercised no backfill")
 	}
 	want := backlogArtifacts(base)
-	difftest.RequireIdentical(t, "rerun", want, backlogArtifacts(run()))
+	requireIdentical(t, "rerun", want, backlogArtifacts(run()))
 }
 
 // TestJobsvcBacklogGolden pins two small backlogs' reports and span
@@ -153,5 +152,5 @@ func TestJobsvcChaosBacklogDeterministic(t *testing.T) {
 		t.Fatalf("jobs unaccounted for: %d done + %d failed != 20", completed, failed)
 	}
 	requireEvents(t, r1.Spans)
-	difftest.RequireIdentical(t, "chaos-rerun", backlogArtifacts(r1), backlogArtifacts(r2))
+	requireIdentical(t, "chaos-rerun", backlogArtifacts(r1), backlogArtifacts(r2))
 }
